@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dieudonne import internal_precision, saturate, strict_truncate
+from .dieudonne import saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_cohomology
 from .errors import CheckFailure, DrwittError
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
@@ -229,17 +230,17 @@ def cmd_drw(args):
 def cmd_syntomic(args):
     spec = _load_spec(args.ring)
     S = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
-    import os
-
-    os.environ["DRWITT_PRECISION_GUARD"] = str(
-        int(os.environ.get("DRWITT_PRECISION_GUARD") or 2) + 1
-    )
+    # recompute with the guard raised by one, then restore the variable
+    # exactly as it was (removing it if it was unset)
+    previous = os.environ.get("DRWITT_PRECISION_GUARD")
+    os.environ["DRWITT_PRECISION_GUARD"] = str(int(previous or 2) + 1)
     try:
         S_bump = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
     finally:
-        os.environ["DRWITT_PRECISION_GUARD"] = str(
-            int(os.environ["DRWITT_PRECISION_GUARD"]) - 1
-        )
+        if previous is None:
+            del os.environ["DRWITT_PRECISION_GUARD"]
+        else:
+            os.environ["DRWITT_PRECISION_GUARD"] = previous
 
     def cell(j, v):
         out = v.to_json(spec.p)
@@ -403,7 +404,10 @@ def cmd_specseq(args):
 def cmd_kpredict(args):
     spec = _load_spec(args.ring)
     lo, _, hi = args.range.partition("..")
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise DrwittError(f"--range needs integer bounds LO..HI, got {args.range!r}") from None
     if lo != 0:
         raise DrwittError("prediction tables start at degree 0")
     table = k_predict(spec, hi, args.modp)
@@ -430,7 +434,6 @@ def build_parser():
     def common(sp, ring=True):
         sp.add_argument("--json", action="store_true")
         sp.add_argument("--manifest", default=None)
-        sp.add_argument("--seed", type=int, default=0)
         if ring:
             sp.add_argument("--ring", required=True)
 
@@ -442,7 +445,6 @@ def build_parser():
     w.add_argument("--ring", default=None)
     w.add_argument("--json", action="store_true")
     w.add_argument("--manifest", default=None)
-    w.add_argument("--seed", type=int, default=0)
     w.set_defaults(func=cmd_witt)
 
     d = sub.add_parser("derham", help="de Rham cohomology tables")
@@ -497,7 +499,6 @@ def build_parser():
     ss.add_argument("--two-column", action="store_true")
     ss.add_argument("--json", action="store_true")
     ss.add_argument("--manifest", default=None)
-    ss.add_argument("--seed", type=int, default=0)
     ss.set_defaults(func=cmd_specseq)
 
     kp = sub.add_parser("kpredict", help="K-theory prediction tables")
@@ -509,11 +510,23 @@ def build_parser():
     return ap
 
 
+# least accepted value of each numeric flag that has a floor
+FLAG_FLOORS = {"level": 1, "modp": 1, "twist": 0}
+
+
+def _check_flag_floors(args):
+    for name, least in FLAG_FLOORS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise DrwittError(f"--{name} must be at least {least}, got {value}")
+
+
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     args._t0 = time.time()
     try:
+        _check_flag_floors(args)
         return args.func(args)
     except CheckFailure as e:
         print(f"check failed: {e}", file=sys.stderr)

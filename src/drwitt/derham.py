@@ -22,16 +22,7 @@ from itertools import combinations
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
 from .exactcore import InvariantFactors, SubQuot, gf_rref
-from .rings import MonomialAlgebra, RingSpec
-
-
-def _sign_insert(j, J):
-    """Sign and sorted result of inserting dx_j into dx_J; None if j in J."""
-    if j in J:
-        return None, None
-    before = sum(1 for l in J if l < j)
-    newJ = tuple(sorted(J + (j,)))
-    return (-1) ** before, newJ
+from .rings import MonomialAlgebra, RingSpec, exponents, sign_insert, weight_window
 
 
 class DeRhamComplex:
@@ -53,27 +44,12 @@ class DeRhamComplex:
     # -- weight bookkeeping -------------------------------------------------
 
     def weights(self):
-        cap = int(self.weight_cap)
-        lo = -cap if self.spec.is_laurent else 0
-        return [w for w in range(lo, cap + 1)]
+        return weight_window(self.weight_cap, 1, self.spec.is_laurent)
 
     def degrees(self):
         return range(0, self.i_max + 1)
 
     # -- bases ---------------------------------------------------------------
-
-    @lru_cache(maxsize=None)
-    def raw_forms(self, i, w):
-        """Monomial i-forms of weight w in the ambient polynomial ring."""
-        spec = self.spec
-        if spec.kind == "finite_field":
-            return [((), ())] if (i == 0 and w == 0) else []
-        out = []
-        for J in combinations(range(spec.nvars), i):
-            wJ = sum(spec.weights[j] for j in J)
-            for m in self.algebra.monomials(Fraction(w) - wJ, raw=True):
-                out.append((m, J))
-        return out
 
     @lru_cache(maxsize=None)
     def component(self, i, w):
@@ -82,46 +58,39 @@ class DeRhamComplex:
         For free kinds the raw forms are the basis.  For quotient kinds,
         rewrite rows express each pivot form in terms of basis forms.
         """
-        raw = self.raw_forms(i, w)
+        raw = self.algebra.forms(i, w)
         if self.spec.kind != "quotient" or not raw:
             return raw, list(range(len(raw))), {}
         idx = {form: k for k, form in enumerate(raw)}
         rows = []
         for rel in self.spec.relations:
-            wr = self.spec.monomial_weight(rel[0][1])
+            rem = Fraction(w) - self.spec.monomial_weight(rel[0][1])
             # I * Omega^i
-            for J in combinations(range(self.spec.nvars), i):
-                wJ = sum(self.spec.weights[j] for j in J)
-                rem = Fraction(w) - wr - wJ
-                for m in self.algebra.monomials(rem, raw=True):
-                    row = [0] * len(raw)
-                    for c, exps in rel:
-                        prod = tuple(a + b for a, b in zip(m, exps))
-                        row[idx[(prod, J)]] = self.K.add(row[idx[(prod, J)]], c)
-                    rows.append(row)
+            for m, J in self.algebra.forms(i, rem):
+                row = [0] * len(raw)
+                for c, exps in rel:
+                    prod = tuple(a + b for a, b in zip(m, exps))
+                    row[idx[(prod, J)]] = self.K.add(row[idx[(prod, J)]], c)
+                rows.append(row)
             # dI ^ Omega^{i-1}
-            if i >= 1:
-                for J in combinations(range(self.spec.nvars), i - 1):
-                    wJ = sum(self.spec.weights[j] for j in J)
-                    rem = Fraction(w) - wr - wJ
-                    for m in self.algebra.monomials(rem, raw=True):
-                        row = [0] * len(raw)
-                        for c, exps in rel:
-                            for j in range(self.spec.nvars):
-                                e = exps[j]
-                                if e % self.spec.p == 0:
-                                    continue
-                                sign, newJ = _sign_insert(j, J)
-                                if sign is None:
-                                    continue
-                                shifted = tuple(
-                                    a + b - (1 if l == j else 0)
-                                    for l, (a, b) in enumerate(zip(m, exps))
-                                )
-                                coeff = self.K.mul(c, (sign * int(e)) % self.spec.p)
-                                k = idx[(shifted, newJ)]
-                                row[k] = self.K.add(row[k], coeff)
-                        rows.append(row)
+            for m, J in self.algebra.forms(i - 1, rem):
+                row = [0] * len(raw)
+                for c, exps in rel:
+                    for j in range(self.spec.nvars):
+                        e = exps[j]
+                        if e % self.spec.p == 0:
+                            continue
+                        sign, newJ = sign_insert(j, J)
+                        if sign is None:
+                            continue
+                        shifted = tuple(
+                            a + b - (1 if l == j else 0)
+                            for l, (a, b) in enumerate(zip(m, exps))
+                        )
+                        coeff = self.K.mul(c, (sign * int(e)) % self.spec.p)
+                        k = idx[(shifted, newJ)]
+                        row[k] = self.K.add(row[k], coeff)
+                rows.append(row)
         H = gf_rref(self.K, rows, len(raw))
         pivots = {}
         for hrow in H:
@@ -157,7 +126,7 @@ class DeRhamComplex:
             e = m[j]
             if e % self.spec.p == 0:
                 continue
-            sign, newJ = _sign_insert(j, J)
+            sign, newJ = sign_insert(j, J)
             if sign is None:
                 continue
             shifted = tuple(a - (1 if l == j else 0) for l, a in enumerate(m))
@@ -228,9 +197,7 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
         out = {}
         if i == 0:
             alg = MonomialAlgebra(spec)
-            cap = int(weight_cap)
-            lo = -cap if spec.is_laurent else 0
-            for w in range(lo, cap + 1):
+            for w in weight_window(weight_cap, 1, spec.is_laurent):
                 dim = len(alg.monomials(w)) * spec.f
                 if dim:
                     out[w] = InvariantFactors.of([spec.p] * dim)
@@ -369,9 +336,9 @@ class RelativeCartier:
         self.b_idx = tuple(j for j in range(b_spec.nvars) if j not in self.a_idx)
 
     def bigrades(self):
-        lo = -self.cap if self.spec.is_laurent else 0
-        for u in range(lo, self.cap + 1):
-            for v in range(lo, self.cap + 1):
+        window = weight_window(self.cap, 1, self.spec.is_laurent)
+        for u in window:
+            for v in window:
                 yield (u, v)
 
     @lru_cache(maxsize=None)
@@ -393,31 +360,10 @@ class RelativeCartier:
         return out
 
     def _monos(self, idxs, target):
-        spec = self.spec
-        if target < 0 and not spec.is_laurent:
+        """Exponents on the variables idxs of total weight target."""
+        if target < 0 and not self.spec.is_laurent:
             return []
-        if not idxs:
-            return [()] if target == 0 else []
-        if spec.is_laurent:
-            # single-variable guarantee from the spec layer
-            (j,) = idxs
-            q, r = divmod(target, spec.weights[j])
-            return [(q,)] if r == 0 else []
-        weights = [spec.weights[j] for j in idxs]
-        out = []
-
-        def rec(k, rem, acc):
-            if k == len(weights):
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            e = 0
-            while e * weights[k] <= rem:
-                rec(k + 1, rem - e * weights[k], acc + [e])
-                e += 1
-
-        rec(0, target, [])
-        return sorted(out)
+        return exponents([self.spec.weights[j] for j in idxs], target)
 
     def d_rel(self, form):
         exps, J = form
@@ -426,7 +372,7 @@ class RelativeCartier:
             e = exps[j]
             if e % self.spec.p == 0:
                 continue
-            sign, newJ = _sign_insert(j, J)
+            sign, newJ = sign_insert(j, J)
             if sign is None:
                 continue
             shifted = tuple(a - (1 if l == j else 0) for l, a in enumerate(exps))

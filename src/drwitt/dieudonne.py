@@ -34,10 +34,8 @@ modulo the reported modulus, and every division by p is checked.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import InexactDivision, PrecisionExhausted, UnsupportedKind
 from .exactcore import (
@@ -52,7 +50,7 @@ from .exactcore import (
     preimage,
     solve,
 )
-from .rings import MonomialAlgebra, RingSpec, wkey
+from .rings import MonomialAlgebra, RingSpec, sign_insert, weight_window, wkey
 
 DEFAULT_GUARD = 2
 
@@ -67,40 +65,31 @@ def internal_precision(r: int, i_max: int) -> int:
     return r + i_max + precision_guard()
 
 
-def _sign_insert(j, J):
-    if j in J:
-        return None, None
-    before = sum(1 for l in J if l < j)
-    return (-1) ** before, tuple(sorted(J + (j,)))
-
-
 # ---------------------------------------------------------------------------
 # the lifted de Rham complex
 
 class LiftComplex:
     """De Rham complex of the standard lift, weight graded, mod p^B.
 
-    Exponents are integers in y-units where y_j = x_j^(1/den); den > 1
-    realizes the stage-m approximants used for perfections.  Coefficients
-    are Z/p^B for f = 1 and the unramified lift Z_q for f > 1, so a
-    坐标 slot is (monomial form, coefficient digit).
+    Exponents are integers.  Coefficients are Z/p^B for f = 1 and the
+    unramified lift Z_q for f > 1, so a coordinate slot is (monomial form,
+    coefficient digit).
     """
 
-    def __init__(self, spec: RingSpec, B: int, den: int = 1):
+    def __init__(self, spec: RingSpec, B: int):
         if spec.kind == "quotient":
             raise UnsupportedKind("no torsion-free monomial lift for quotient kinds")
         self.spec = spec
         self.p = spec.p
         self.B = B
         self.q = spec.p**B
-        self.den = den
         self.f = spec.f
         self.ring = ZmodRing(spec.p, B)
         self.W = Zq(spec.p, spec.f, B) if spec.f > 1 else None
         kind = spec.effective_kind
         self.nvars = spec.nvars if kind != "finite_field" else 0
         self.top = self.nvars
-        self.var_weights = tuple(Fraction(w, den) for w in spec.weights)
+        self.algebra = MonomialAlgebra(spec)
 
     def frobenius_coeff_matrix(self):
         if self.f == 1:
@@ -117,44 +106,9 @@ class LiftComplex:
             out = mat_mul(self.ring, out, M)
         return out
 
-    @lru_cache(maxsize=None)
     def forms(self, n, w):
         """Monomial n-forms of weight w (a Fraction key via wkey)."""
-        w = Fraction(w)
-        if self.nvars == 0:
-            return [((), ())] if (n == 0 and w == 0) else []
-        if n > self.top or n < 0:
-            return []
-        spec = self.spec
-        out = []
-        laurent = spec.is_laurent
-        for J in combinations(range(self.nvars), n):
-            wJ = sum(self.var_weights[j] for j in J)
-            target = w - wJ
-            scaled = target * self.den
-            if laurent:
-                ratio = scaled / spec.weights[0]
-                if ratio.denominator == 1:
-                    out.append(((int(ratio),), J))
-                continue
-            if scaled.denominator != 1 or scaled < 0:
-                continue
-            monos = []
-            self._knapsack(list(spec.weights), int(scaled), [], monos)
-            for m in sorted(monos):
-                out.append((m, J))
-        return out
-
-    @staticmethod
-    def _knapsack(weights, target, acc, out):
-        if not weights:
-            if target == 0:
-                out.append(tuple(acc))
-            return
-        e = 0
-        while e * weights[0] <= target:
-            LiftComplex._knapsack(weights[1:], target - e * weights[0], acc + [e], out)
-            e += 1
+        return self.algebra.forms(n, w)
 
     def rank(self, n, w):
         return len(self.forms(n, wkey(Fraction(w)))) * self.f
@@ -176,7 +130,7 @@ class LiftComplex:
                 e = m[j]
                 if e == 0:
                     continue
-                sign, newJ = _sign_insert(j, J)
+                sign, newJ = sign_insert(j, J)
                 if sign is None:
                     continue
                 shifted = tuple(a - (1 if l == j else 0) for l, a in enumerate(m))
@@ -243,20 +197,9 @@ def p_div(w, p):
     return wkey(Fraction(w) / p)
 
 
-def lift_with_frobenius(spec: RingSpec, B: int, stage: int = 0) -> LiftComplex:
-    """The lifted de Rham complex; `stage` gives perfection approximants."""
-    if spec.kind == "perfection":
-        base = RingSpec(
-            p=spec.p,
-            kind=spec.base_kind,
-            variables=spec.variables,
-            weights=spec.weights,
-            f=spec.f,
-        )
-        return LiftComplex(base, B, den=spec.p**stage)
-    if stage:
-        return LiftComplex(spec, B, den=spec.p**stage)
-    return LiftComplex(spec, B)
+def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
+    """The lifted de Rham complex of spec, or of the ring a perfection wraps."""
+    return LiftComplex(spec.base(), B)
 
 
 # ---------------------------------------------------------------------------
@@ -347,16 +290,7 @@ class SaturatedModel:
         self.B = self.R + 2 * self.s_star + 2
         self.ring = ZmodRing(self.p, self.R)
         self._amb = ZmodRing(self.p, self.B)
-        self.lift = lift_with_frobenius(
-            RingSpec(
-                p=spec.p,
-                kind=spec.effective_kind,
-                variables=spec.variables,
-                weights=spec.weights,
-                f=spec.f,
-            ),
-            self.B,
-        )
+        self.lift = lift_with_frobenius(spec, self.B)
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
 
@@ -368,7 +302,7 @@ class SaturatedModel:
     def _stage_lattice(self, n, u, s):
         """E_s basis at source weight u p^s, in ambient lift coordinates."""
         w = wkey(Fraction(u) * self.p**s)
-        if Fraction(w).denominator != 1 and self.lift.den == 1:
+        if Fraction(w).denominator != 1:
             return None, w  # not representable at this stage
         k = self.lift.rank(n, w)
         if k == 0:
@@ -401,16 +335,7 @@ class SaturatedModel:
 
     @lru_cache(maxsize=None)
     def _perf_monomials(self, u):
-        alg = MonomialAlgebra(
-            RingSpec(
-                p=self.p,
-                kind=self.spec.effective_kind,
-                variables=self.spec.variables,
-                weights=self.spec.weights,
-                f=self.f,
-            ),
-            den=self.p**self.s_star,
-        )
+        alg = MonomialAlgebra(self.spec.base(), den=self.p**self.s_star)
         scaled = [
             tuple(wkey(Fraction(e, self.p**self.s_star)) for e in m)
             for m in alg.monomials(Fraction(u) * self.p**self.s_star, raw=True)
@@ -597,7 +522,7 @@ class SaturatedModel:
         if not basis:
             return None
         forms = self.lift.forms(1, 0)
-        target = (tuple(-self.lift.den if j == var_index else 0 for j in range(self.lift.nvars)), (var_index,))
+        target = (tuple(-1 if j == var_index else 0 for j in range(self.lift.nvars)), (var_index,))
         k = forms.index(target)
         vec = [0] * (len(forms) * self.f)
         vec[k * self.f] = 1
@@ -627,17 +552,7 @@ class StrictLevel:
         self.ring = model.ring
 
     def weights(self, weight_cap):
-        cap = Fraction(weight_cap)
-        den_max = self.p ** (self.r - 1)
-        out = []
-        lo = -cap if self.model.spec.is_laurent else Fraction(0)
-        num = int(lo * den_max)
-        while Fraction(num, den_max) <= cap:
-            u = wkey(Fraction(num, den_max))
-            if Fraction(u).denominator <= den_max:
-                out.append(u)
-            num += 1
-        return out
+        return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
 
     @lru_cache(maxsize=None)
     def _relations(self, n, u):
@@ -755,23 +670,16 @@ def perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
     """
     if spec.kind != "perfection":
         raise UnsupportedKind("consistency check applies to perfection kinds")
-    base = RingSpec(
-        p=spec.p,
-        kind=spec.base_kind,
-        variables=spec.variables,
-        weights=spec.weights,
-        f=spec.f,
-    )
+    base = spec.base()
     direct = saturate(spec, r, 1)
     dlevel = strict_truncate(direct, r)
     p = spec.p
+    smodel = SaturatedModel(base, r, 1)
+    slevel = strict_truncate(smodel, r)
     for m in (0, 1):
         if base.kind == "finite_field" and m > 0:
             break
-        stage_spec = base
-        smodel = SaturatedModel(stage_spec, r, 1)
         # stage-m lattice weights scale by 1/p^m relative to the base ring
-        slevel = strict_truncate(smodel, r)
         for u in dlevel.weights(weight_cap):
             target_den = Fraction(u).denominator
             if target_den > p**m:
@@ -786,8 +694,6 @@ def perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
     # base model the relabelling is the monomial part of F, so the r-fold
     # composite in degree >= 1 is p^r F^r and must vanish at level r
     if base.kind != "finite_field":
-        smodel = SaturatedModel(base, r, 1)
-        slevel = strict_truncate(smodel, r)
         for u in [w for w in slevel.weights(weight_cap) if Fraction(w) != 0][:4]:
             n = 1
             if not smodel.rank(n, u):

@@ -144,9 +144,6 @@ class GF:
     def units(self):
         return range(1, self.q)
 
-    def embed_prime_field(self, c):
-        return c % self.p
-
 
 def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
     """Reduced row echelon form over GF; canonical for the row space."""

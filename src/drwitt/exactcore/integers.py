@@ -103,13 +103,6 @@ def z_preimage(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     return [h[n:] for h in H if not any(h[:n])]
 
 
-def z_intersect(A: list[list[int]], B: list[list[int]], ncols: int) -> list[list[int]]:
-    aug = [list(r) + list(r) for r in A]
-    aug += [list(r) + [0] * ncols for r in B]
-    H = hermite(aug, 2 * ncols)
-    return [h[ncols:] for h in H if not any(h[:ncols])]
-
-
 def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
     """Diagonal d_1 | d_2 | ... of the Smith normal form (nonneg, zeros dropped)."""
     M = [list(r) for r in rows]

@@ -217,10 +217,6 @@ class FinModPresentation:
     def __repr__(self):
         return f"FinModPresentation({self.ring}, ngens={self.ngens}, rels={len(self.relations)})"
 
-    def normalize(self):
-        """Idempotent: relations are stored in normal form already."""
-        return FinModPresentation(self.ring, self.ngens, self.relations)
-
     def invariants(self) -> InvariantFactors:
         return quotient_invariants(self.ring, self.relations, self.ngens)
 
@@ -327,9 +323,6 @@ class SubQuot:
         if sol is None:
             return None
         return sol[: len(self.z)]
-
-    def contains_vector(self, vector):
-        return self.coords(vector) is not None
 
     def induced_map(self, other: "SubQuot", ambient_matrix):
         """Generator matrix of the map sending [v] to [v . A]; None if ill-defined."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .errors import DegenerationFailed, HomSetTooLarge, NonInjectiveTransitions
 from .exactcore import (
-    ZZ,
     FinComplex,
     FinModPresentation,
     InvariantFactors,
@@ -33,7 +32,6 @@ from .exactcore import (
     member,
     normal_form,
     solve,
-    span_contains,
 )
 
 
@@ -247,19 +245,6 @@ def chain_hom_group(ring, A: FinComplex, B: FinComplex, extra_kill=None):
 
     # linear conditions: relations map into relations, squares commute,
     # extra kill rows map to zero -- all modulo target relations
-    conditions = []  # list of (coeff row over the nvars, target residue space)
-
-    def add_conditions(rowfunc, m_target):
-        """rowfunc(e) = image row of basis hom e in B-degree-m_target coords."""
-        Brel = B.module(m_target).relations
-        bn = B.module(m_target).ngens
-        cols = []
-        for e in range(nvars):
-            vec = [0] * nvars
-            vec[e] = 1
-            cols.append(rowfunc(unpack(vec)))
-        conditions.append((cols, Brel, bn, m_target))
-
     cond_list = []
     for m, a, b in shape:
         Arel = A.module(m).relations

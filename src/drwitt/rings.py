@@ -1,4 +1,4 @@
-"""The curated ring family: specs, parsing, and monomial arithmetic.
+"""The curated ring family: specs, parsing, enumeration, monomial arithmetic.
 
 A ring spec names one of
     finite_field(f)            GF(p^f)
@@ -13,6 +13,13 @@ or Fractions with p-power denominator for perfections.  Everything is
 weight graded and all per-weight components are finite dimensional,
 which is what makes the downstream lattice computations finite.
 
+This module is the one owner of enumeration:
+    exponents(weights, target)   exponent tuples of one weight, lex order
+    MonomialAlgebra.forms(n, w)  monomial n-forms (m, J) of weight w
+    sign_insert(j, J)            sign of dx_j ^ dx_J and the sorted index
+    weight_window(cap, den, laurent)  the weights a table or model runs over
+    RingSpec.base()              the ring a perfection is taken of
+
 Text format (one spec per file):
     p = 3
     kind = poly | laurent | quotient | finite_field | perfection of <kind>
@@ -26,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
 from .exactcore import GF, gf_rref
@@ -39,6 +47,52 @@ def wkey(w):
     if isinstance(w, Fraction) and w.denominator == 1:
         return int(w)
     return w
+
+
+def exponents(weights, target):
+    """Integer exponent tuples e with sum(e_j * weights_j) == target, in lex order.
+
+    Every exponent but the last runs over 0, 1, ...; the last is solved by
+    one divmod.  Nothing bounds a lone exponent below, so with a single
+    weight a negative target gives the negative (Laurent) exponent; the
+    polynomial kinds pass target >= 0.
+    """
+    if not weights:
+        return [()] if target == 0 else []
+    *head, last = weights
+    out = []
+
+    def rec(k, rem, prefix):
+        if k == len(head):
+            e, r = divmod(rem, last)
+            if r == 0:
+                out.append(prefix + (e,))
+            return
+        w = head[k]
+        for e in range(rem // w + 1):
+            rec(k + 1, rem - e * w, prefix + (e,))
+
+    rec(0, target, ())
+    return out
+
+
+def sign_insert(j, J):
+    """Sign and sorted result of inserting dx_j into dx_J; None if j in J."""
+    if j in J:
+        return None, None
+    before = sum(1 for l in J if l < j)
+    return (-1) ** before, tuple(sorted(J + (j,)))
+
+
+def weight_window(cap, den, laurent):
+    """Weights u in (1/den)Z with 0 <= u <= cap (|u| <= cap if laurent), ascending.
+
+    Each weight is a wkey: an int when integral, else a Fraction.
+    """
+    cap = Fraction(cap)
+    hi = cap.numerator * den // cap.denominator
+    lo = -hi if laurent else 0
+    return [num // den if num % den == 0 else Fraction(num, den) for num in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -93,6 +147,18 @@ class RingSpec:
 
     def gf(self) -> GF:
         return GF(self.p, self.f)
+
+    def base(self) -> "RingSpec":
+        """The ring a perfection is taken of; any other spec is its own base."""
+        if not self.is_perfection:
+            return self
+        return RingSpec(
+            p=self.p,
+            kind=self.base_kind,
+            variables=self.variables,
+            weights=self.weights,
+            f=self.f,
+        )
 
     def monomial_weight(self, exps):
         return sum((Fraction(e) * w for e, w in zip(exps, self.weights)), Fraction(0))
@@ -355,19 +421,7 @@ def parse_ringspec(text: str) -> RingSpec:
 
 
 # ---------------------------------------------------------------------------
-# monomial enumeration and the weight-graded algebra
-
-def _knapsack(weights, target, prefix, out):
-    if not weights:
-        if target == 0:
-            out.append(tuple(prefix))
-        return
-    w = weights[0]
-    e = 0
-    while e * w <= target:
-        _knapsack(weights[1:], target - e * w, prefix + [e], out)
-        e += 1
-
+# the weight-graded algebra
 
 class MonomialAlgebra:
     """Weight-graded arithmetic for one RingSpec.
@@ -382,6 +436,7 @@ class MonomialAlgebra:
         self.spec = spec
         self.K = spec.gf()
         self.den = den
+        self._forms = {}
         if spec.kind == "quotient" and den != 1:
             raise UnsupportedKind("fractional exponents are only for free kinds")
 
@@ -448,9 +503,6 @@ class MonomialAlgebra:
 
     def weight(self, exps):
         return self.spec.monomial_weight(exps)
-
-    def is_homogeneous(self, a):
-        return len({self.weight(e) for e in a}) <= 1
 
     # -- quotient reduction -------------------------------------------------
 
@@ -535,29 +587,35 @@ class MonomialAlgebra:
         w = Fraction(w)
         if self.spec.kind == "quotient" and not raw:
             return list(self._weight_data(wkey(w))[0])
-        return self._raw_monomials(wkey(w))
+        return self._raw_monomials(w)
 
-    @lru_cache(maxsize=None)
     def _raw_monomials(self, w):
         spec = self.spec
-        w = Fraction(w)
-        if spec.effective_kind == "finite_field" or spec.nvars == 0:
-            return [()] if w == 0 else []
-        if spec.is_laurent:
-            ratio = w / spec.weights[0]
-            scaled = ratio * self.den
-            if scaled.denominator != 1:
-                return []
-            return [(wkey(ratio),)]
         target = w * self.den
-        if target.denominator != 1 or target < 0:
+        if target.denominator != 1 or (target < 0 and not spec.is_laurent):
             return []
-        out = []
-        _knapsack(list(spec.weights), int(target), [], out)
-        result = []
-        for scaled in sorted(out):
-            result.append(tuple(wkey(Fraction(a, self.den)) for a in scaled))
-        return result
+        monos = exponents(spec.weights, target.numerator)
+        if self.den == 1:
+            return monos
+        return [tuple(wkey(Fraction(a, self.den)) for a in m) for m in monos]
+
+    def forms(self, n, w):
+        """Monomial n-forms m dx_J of weight w as (m, J) pairs, J increasing.
+
+        The monomials are those of the ambient free ring (raw for quotient
+        kinds).  Each list is built once per (n, w) and kept.
+        """
+        key = (n, w)
+        out = self._forms.get(key)
+        if out is None:
+            out = []
+            weights = self.spec.weights
+            if n >= 0:
+                for J in combinations(range(self.spec.nvars), n):
+                    rest = Fraction(w) - sum(weights[j] for j in J)
+                    out += [(m, J) for m in self._raw_monomials(rest)]
+            self._forms[key] = out
+        return out
 
     # -- formatting ----------------------------------------------------------
 

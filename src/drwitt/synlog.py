@@ -49,7 +49,7 @@ from .exactcore import (
     normal_form,
     span_order,
 )
-from .rings import RingSpec, wkey
+from .rings import RingSpec, weight_window
 
 SYMBOL_BUDGET = 4096
 
@@ -139,13 +139,8 @@ def nygaard(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> NygaardMo
 def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
     """Divided-Frobenius matrices per (degree, weight) with exactness asserted."""
     out = {}
-    cap = Fraction(weight_cap)
-    lo = -cap if N.model.spec.is_laurent else Fraction(0)
     den = N.model.p ** (N.model.s_star - 1)
-    num = int(lo * den)
-    while Fraction(num, den) <= cap:
-        v = wkey(Fraction(num, den))
-        num += 1
+    for v in weight_window(weight_cap, den, N.model.spec.is_laurent):
         for n in range(0, N.model.top + 1):
             if N.param_rank(n, v):
                 out[(n, v)] = N.divided_frobenius_matrix(n, v)
@@ -157,18 +152,12 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
 
 def _weight_support(model: SaturatedModel, cap, den_exp):
     """Lattice-supported weights with |w| <= cap and denominator <= p^den_exp."""
-    p = model.p
-    den = p**den_exp
-    cap = Fraction(cap)
-    lo = -cap if model.spec.is_laurent else Fraction(0)
-    out = []
-    num = int(lo * den)
-    while Fraction(num, den) <= cap:
-        w = wkey(Fraction(num, den))
-        num += 1
-        if any(model.rank(n, w) for n in range(model.top + 1)):
-            out.append(w)
-    return out
+    return [
+        w
+        for w in weight_window(cap, model.p**den_exp, model.spec.is_laurent)
+        if any(model.rank(n, w) for n in range(model.top + 1))
+    ]
+
 
 def weight_orbits(model: SaturatedModel, cap, den_exp):
     """Partition of the supported weights into orbits of w -> p w."""
@@ -439,11 +428,6 @@ def _span_invariants(grp: SubQuot, gen_vectors) -> InvariantFactors:
     return sub.presentation().invariants()
 
 
-def _log_subgroup_orders(spec, i, r):
-    lat = log_lattice(spec, i, r)
-    return lat.invariants.order() if lat.invariants.torsion else 1
-
-
 # ---------------------------------------------------------------------------
 # fundamental exact sequence report
 
@@ -634,13 +618,7 @@ def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
         if spec.is_perfection
         else DeRhamComplex(spec, min(i + 1, (spec.nvars or 0) + 1), Fraction(weight_cap) * p)
     )
-    den = p**1
-    cap = Fraction(weight_cap)
-    lo = -cap if spec.is_laurent else Fraction(0)
-    num = int(lo * den)
-    while Fraction(num, den) <= cap:
-        v = wkey(Fraction(num, den))
-        num += 1
+    for v in weight_window(weight_cap, p, spec.is_laurent):
         got = _graded_cohomology(N, v)
         want = _tau_cohomology(spec, omega, i, p_times(v, p))
         if got != want:

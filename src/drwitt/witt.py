@@ -303,9 +303,6 @@ class _GFCover:
             n >>= 1
         return result
 
-    def _one_c(self):
-        return 1 if self.f == 1 else (1,) + (0,) * (self.f - 1)
-
     def divexact(self, a, d):
         return {k: self._cdiv(c, d) for k, c in a.items()}
 

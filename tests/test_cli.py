@@ -1,11 +1,13 @@
 """CLI surface: parsing, exit codes, determinism, manifests."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import drwitt
 from drwitt.cli import main
 from drwitt.errors import ParseError
 from drwitt.rings import parse_ringspec
@@ -162,7 +164,45 @@ def test_logforms_json(rings, capsys):
 
 
 def test_entry_point_runs():
+    # the child imports the same drwitt as this test, installed or not
+    src = os.path.dirname(os.path.dirname(drwitt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "drwitt.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "drwitt.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# input boundary and process state
+
+@pytest.mark.parametrize("guard", [None, "3"])
+def test_syntomic_leaves_environment_unchanged(rings, capsys, monkeypatch, guard):
+    if guard is None:
+        monkeypatch.delenv("DRWITT_PRECISION_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("DRWITT_PRECISION_GUARD", guard)
+    before = dict(os.environ)
+    code, _ = run_cli(["syntomic", "--ring", rings["fp"], "--twist", "0", "--modp", "1", "--json"], capsys)
+    assert code == 0
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "0"],
+        ["drw", "table", "--ring", "{poly}", "--level", "0"],
+        ["kpredict", "--ring", "{fp}", "--range", "0..x"],
+        ["syntomic", "--ring", "{fp}", "--twist", "-1", "--modp", "1"],
+        ["logforms", "--ring", "{lau}", "--deg", "1", "--modp", "0"],
+    ],
+    ids=["syntomic-modp-0", "drw-level-0", "kpredict-range-x", "syntomic-twist-neg", "logforms-modp-0"],
+)
+def test_bad_flags_are_one_line_errors(rings, capsys, argv):
+    code = main([a.format(**rings) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

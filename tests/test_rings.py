@@ -1,0 +1,118 @@
+"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs."""
+
+from fractions import Fraction
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from drwitt.rings import (
+    MonomialAlgebra,
+    exponents,
+    parse_ringspec,
+    sign_insert,
+    weight_window,
+)
+
+
+def spec(text):
+    return parse_ringspec(text)
+
+
+def _brute_exponents(weights, target):
+    """Every tuple over a box wide enough to hold all solutions, in lex order.
+
+    A lone exponent may be negative (the Laurent case); with two or more
+    weights every exponent is >= 0.
+    """
+    bound = abs(target)
+    lo = -bound if len(weights) == 1 else 0
+    box = [range(lo, bound + 1) for _ in weights]
+    return [e for e in product(*box) if sum(a * w for a, w in zip(e, weights)) == target]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple),
+    target=st.integers(-6, 20),
+)
+def test_exponents_match_bruteforce_in_order(weights, target):
+    # list equality checks the set of tuples and their lexicographic order
+    assert exponents(weights, target) == _brute_exponents(weights, target)
+
+
+def test_exponents_one_variable_negative_target():
+    assert exponents((2,), -6) == [(-3,)]
+    assert exponents((4,), -6) == []
+    assert exponents((1, 1), -1) == []
+    assert exponents((), 0) == [()]
+    assert exponents((), -2) == []
+
+
+def _window_by_loop(cap, den, laurent):
+    """The fractional window as a stepping loop: num/den from -cap (or 0) up to cap."""
+    cap = Fraction(cap)
+    lo = -cap if laurent else Fraction(0)
+    out = []
+    num = int(lo * den)
+    while Fraction(num, den) <= cap:
+        u = Fraction(num, den)
+        out.append(int(u) if u.denominator == 1 else u)
+        num += 1
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cap=st.fractions(min_value=-3, max_value=8, max_denominator=9),
+    den=st.sampled_from([1, 2, 3, 4, 9, 25]),
+    laurent=st.booleans(),
+)
+def test_weight_window_matches_stepping_loop(cap, den, laurent):
+    got = weight_window(cap, den, laurent)
+    assert got == _window_by_loop(cap, den, laurent)
+    assert all(type(u) is int for u in got if Fraction(u).denominator == 1)
+
+
+def test_weight_window_endpoints_and_denominators():
+    plain = weight_window(2, 3, False)
+    assert plain[0] == 0 and plain[-1] == 2 and len(plain) == 7
+    assert [Fraction(u).denominator for u in plain] == [1, 3, 3, 1, 3, 3, 1]
+    assert type(plain[3]) is int and plain[1] == Fraction(1, 3)
+    laurent = weight_window(2, 3, True)
+    assert laurent[0] == -2 and laurent[-1] == 2 and len(laurent) == 13
+    assert laurent[1] == Fraction(-5, 3)
+    assert weight_window(Fraction(5, 2), 1, True) == [-2, -1, 0, 1, 2]
+    assert weight_window(4, 1, False) == [0, 1, 2, 3, 4]
+    assert weight_window(-1, 2, True) == [] and weight_window(-1, 2, False) == []
+
+
+def test_forms_pairs_and_quotient_uses_ambient_monomials():
+    A = MonomialAlgebra(spec("p=3\nkind=poly\nvars=x:1, y:2"))
+    assert A.forms(0, 2) == [((0, 1), ()), ((2, 0), ())]
+    assert A.forms(1, 3) == [((0, 1), (0,)), ((2, 0), (0,)), ((1, 0), (1,))]
+    assert A.forms(2, 3) == [((0, 0), (0, 1))]
+    assert A.forms(3, 9) == [] and A.forms(-1, 0) == []
+    assert A.forms(1, 3) is A.forms(1, Fraction(3))  # one cached list per (n, w)
+    cusp = MonomialAlgebra(spec("p=2\nkind=quotient\nvars=x:2, y:3\nrels=y^2 - x^3"))
+    assert [m for m, _ in cusp.forms(0, 6)] == [(0, 2), (3, 0)]
+    lau = MonomialAlgebra(spec("p=3\nkind=laurent\nvars=x:2"))
+    assert lau.forms(1, -2) == [((-2,), (0,))]
+    assert lau.forms(0, 1) == []
+
+
+def test_sign_insert():
+    assert sign_insert(0, (1, 2)) == (1, (0, 1, 2))
+    assert sign_insert(2, (0, 1)) == (1, (0, 1, 2))
+    assert sign_insert(1, (0, 2)) == (-1, (0, 1, 2))
+    assert sign_insert(1, (1,)) == (None, None)
+
+
+def test_base_spec():
+    perf = spec("p=3\nkind=perfection of poly\nvars=x:1\nf=2")
+    base = perf.base()
+    assert base.kind == "poly" and base.f == 2 and base.variables == ("x",)
+    assert not base.is_perfection
+    poly = spec("p=3\nkind=poly\nvars=x:1")
+    assert poly.base() is poly
+    assert spec("p=2\nkind=perfection of finite_field").base().kind == "finite_field"
