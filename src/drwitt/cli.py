@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -47,8 +46,18 @@ from .witt import (
 SCHEMA_VERSION = 1
 
 
-def _load_spec(path):
-    return parse_ringspec(Path(path).read_text())
+def _read(path):
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise DrwittError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _load_spec(args):
+    """Parse the --ring file; its digest goes into the run manifest."""
+    text = _read(args.ring)
+    args._ring_sha256 = hashlib.sha256(text.encode()).hexdigest()
+    return parse_ringspec(text)
 
 
 def _wkey_str(w):
@@ -56,7 +65,7 @@ def _wkey_str(w):
     return str(int(w)) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
 
 
-def _emit(args, payload, manifest_extra=None):
+def _emit(args, payload):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     text = json.dumps(payload, sort_keys=True, indent=2 if args.json else None)
     if args.json:
@@ -69,15 +78,10 @@ def _emit(args, payload, manifest_extra=None):
             "outputs_digest": digest,
             "wall_time_s": round(time.time() - args._t0, 3),
         }
-        if manifest_extra:
-            manifest.update(manifest_extra)
+        if getattr(args, "_ring_sha256", None):
+            manifest["ring_spec_sha256"] = args._ring_sha256
         Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2))
     return payload
-
-
-def _ring_manifest(path):
-    text = Path(path).read_text()
-    return {"ring_spec_sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +89,7 @@ def _ring_manifest(path):
 
 def cmd_witt(args):
     if args.ring:
-        spec = _load_spec(args.ring)
+        spec = _load_spec(args)
     else:
         spec = parse_ringspec(f"p = {args.p}\nkind = finite_field")
     alg = MonomialAlgebra(spec)
@@ -138,7 +142,7 @@ def cmd_witt(args):
 # derham / cartier-check
 
 def cmd_derham(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     table = {}
     for i in range(args.maxdeg + 1):
         per = derham_cohomology(spec, i, args.weight_cap)
@@ -154,12 +158,12 @@ def cmd_derham(args):
     if not args.json:
         for i, row in table.items():
             print(f"H^{i}: {row}")
-    _emit(args, payload, _ring_manifest(args.ring))
+    _emit(args, payload)
     return 0
 
 
 def cmd_cartier_check(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     report = cartier_smooth_check(spec, args.maxdeg, args.weight_cap)
     payload = {
         "command": "cartier-check",
@@ -177,7 +181,7 @@ def cmd_cartier_check(args):
         print(report["verdict"])
         if report.get("witness"):
             print("witness:", report["witness"])
-    _emit(args, payload, _ring_manifest(args.ring))
+    _emit(args, payload)
     return 0 if report["verdict"].startswith("consistent") else 2
 
 
@@ -185,14 +189,10 @@ def cmd_cartier_check(args):
 # drw table
 
 def cmd_drw(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     model = saturate(spec, args.level, args.maxdeg)
     level = strict_truncate(model, args.level)
-    from .dieudonne import SaturatedModel
-
-    bumped = strict_truncate(
-        SaturatedModel(spec, args.level, args.maxdeg, R=model.R + 1), args.level
-    )
+    bumped = strict_truncate(saturate(spec, args.level, args.maxdeg, R=model.R + 1), args.level)
     out = {}
     ops = {}
     for u in level.weights(args.weight_cap):
@@ -220,7 +220,7 @@ def cmd_drw(args):
     if not args.json:
         for n, row in sorted(out.items()):
             print(f"W_{args.level}Omega^{n}: {row}")
-    _emit(args, payload, _ring_manifest(args.ring))
+    _emit(args, payload)
     return 0
 
 
@@ -228,19 +228,9 @@ def cmd_drw(args):
 # syntomic / logforms / check
 
 def cmd_syntomic(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     S = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
-    # recompute with the guard raised by one, then restore the variable
-    # exactly as it was (removing it if it was unset)
-    previous = os.environ.get("DRWITT_PRECISION_GUARD")
-    os.environ["DRWITT_PRECISION_GUARD"] = str(int(previous or 2) + 1)
-    try:
-        S_bump = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
-    finally:
-        if previous is None:
-            del os.environ["DRWITT_PRECISION_GUARD"]
-        else:
-            os.environ["DRWITT_PRECISION_GUARD"] = previous
+    S_bump = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap, R=S.R + 1)
 
     def cell(j, v):
         out = v.to_json(spec.p)
@@ -258,12 +248,12 @@ def cmd_syntomic(args):
     }
     if not args.json:
         print({j: str(v) for j, v in sorted(S.cohomology.items())})
-    _emit(args, payload, _ring_manifest(args.ring))
+    _emit(args, payload)
     return 0
 
 
 def cmd_logforms(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     lat = log_lattice(spec, args.deg, args.modp)
     payload = {
         "command": "logforms",
@@ -275,12 +265,12 @@ def cmd_logforms(args):
     }
     if not args.json:
         print(lat.invariants, lat.symbols)
-    _emit(args, payload, _ring_manifest(args.ring))
+    _emit(args, payload)
     return 0
 
 
 def cmd_check(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     name = args.which
     if name == "fundamental-seq":
         rep = verify_fundamental_seq(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
@@ -326,7 +316,7 @@ def cmd_check(args):
         raise DrwittError(f"unknown check {name}")
     if not args.json:
         print("PASS" if payload["pass"] else "FAIL")
-    _emit(args, payload, _ring_manifest(args.ring))
+    _emit(args, payload)
     return 0 if payload["pass"] else 2
 
 
@@ -359,7 +349,10 @@ def load_filtered_complex(doc) -> FilteredComplex:
 
 
 def cmd_specseq(args):
-    doc = json.loads(Path(args.input).read_text())
+    try:
+        doc = json.loads(_read(args.input))
+    except ValueError as e:
+        raise DrwittError(f"{args.input} is not JSON: {e}") from None
     F = load_filtered_complex(doc)
     res = spectral_sequence(F, r_max=args.pages)
     p_for_json = F.ring.p if isinstance(F.ring, ZmodRing) else None
@@ -402,7 +395,7 @@ def cmd_specseq(args):
 # kpredict
 
 def cmd_kpredict(args):
-    spec = _load_spec(args.ring)
+    spec = _load_spec(args)
     lo, _, hi = args.range.partition("..")
     try:
         lo, hi = int(lo), int(hi)
@@ -410,13 +403,15 @@ def cmd_kpredict(args):
         raise DrwittError(f"--range needs integer bounds LO..HI, got {args.range!r}") from None
     if lo != 0:
         raise DrwittError("prediction tables start at degree 0")
+    if hi < lo:
+        raise DrwittError(f"--range bounds are reversed: {args.range!r}")
     table = k_predict(spec, hi, args.modp)
     if args.markdown and not args.json:
         print(table.to_markdown())
     elif not args.json:
         for row in table.rows:
             print(row.degree, row.modulus, str(row.group), row.provenance)
-    _emit(args, {"command": "kpredict", **table.to_json()}, _ring_manifest(args.ring))
+    _emit(args, {"command": "kpredict", **table.to_json()})
     return 0
 
 
@@ -511,14 +506,15 @@ def build_parser():
 
 
 # least accepted value of each numeric flag that has a floor
-FLAG_FLOORS = {"level": 1, "modp": 1, "twist": 0}
+FLAG_FLOORS = {"level": 1, "modp": 1, "twist": 0, "maxdeg": 0, "weight_cap": 0, "deg": 0}
 
 
 def _check_flag_floors(args):
     for name, least in FLAG_FLOORS.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
-            raise DrwittError(f"--{name} must be at least {least}, got {value}")
+            flag = name.replace("_", "-")
+            raise DrwittError(f"--{flag} must be at least {least}, got {value}")
 
 
 def main(argv=None):

@@ -17,12 +17,11 @@ degree-0 inverse Cartier map is the p-power bijection.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
 from .exactcore import InvariantFactors, SubQuot, gf_rref
-from .rings import MonomialAlgebra, RingSpec, exponents, sign_insert, weight_window
+from .rings import MonomialAlgebra, RingSpec, exponents, memo, sign_insert, weight_window
 
 
 class DeRhamComplex:
@@ -51,7 +50,7 @@ class DeRhamComplex:
 
     # -- bases ---------------------------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @memo
     def component(self, i, w):
         """(raw forms, basis index list, rewrite rows) of the weight-w part.
 
@@ -133,7 +132,7 @@ class DeRhamComplex:
             out.append(((shifted, newJ), (sign * int(e)) % self.spec.p))
         return out
 
-    @lru_cache(maxsize=None)
+    @memo
     def d_matrix(self, i, w):
         """Matrix of d on basis coordinates, weight preserved."""
         raw_s, basis_s, _ = self.component(i, w)
@@ -341,7 +340,7 @@ class RelativeCartier:
             for v in window:
                 yield (u, v)
 
-    @lru_cache(maxsize=None)
+    @memo
     def forms(self, i, u, v):
         """Relative monomial i-forms with A-weight u and relative weight v."""
         spec = self.spec

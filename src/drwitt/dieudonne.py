@@ -33,9 +33,7 @@ modulo the reported modulus, and every division by p is checked.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InexactDivision, PrecisionExhausted, UnsupportedKind
 from .exactcore import (
@@ -50,19 +48,17 @@ from .exactcore import (
     preimage,
     solve,
 )
-from .rings import MonomialAlgebra, RingSpec, sign_insert, weight_window, wkey
+from .rings import MonomialAlgebra, RingSpec, memo, sign_insert, weight_window, wkey
 
-DEFAULT_GUARD = 2
-
-
-def precision_guard():
-    env = os.environ.get("DRWITT_PRECISION_GUARD")
-    return int(env) if env else DEFAULT_GUARD
+GUARD = 2
 
 
 def internal_precision(r: int, i_max: int) -> int:
-    """Working precision exponent: level + top twist + guard band."""
-    return r + i_max + precision_guard()
+    """Working precision exponent: level + top twist + guard band.
+
+    A caller that wants another precision passes `R` to `saturate`.
+    """
+    return r + i_max + GUARD
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +112,7 @@ class LiftComplex:
     def _coords(self, n, w):
         return {form: k for k, form in enumerate(self.forms(n, wkey(Fraction(w))))}
 
-    @lru_cache(maxsize=None)
+    @memo
     def d_matrix(self, n, w):
         """d: (n, w) -> (n+1, w); slots are form x coefficient-digit."""
         w = Fraction(w)
@@ -144,7 +140,7 @@ class LiftComplex:
                 rows.append(row)
         return rows
 
-    @lru_cache(maxsize=None)
+    @memo
     def f_matrix(self, n, w):
         """F = phi/p^n: (n, w) -> (n, p*w); monomial part has coefficient 1."""
         w = Fraction(w)
@@ -241,13 +237,7 @@ def eta_p_differential(lift: LiftComplex, n: int, w, basis, next_basis):
         return []
     D = lift.d_matrix(n, wkey(Fraction(w)))
     out = []
-    for row in basis:
-        img = [0] * (len(D[0]) if D else 0)
-        for c, drow in zip(row, D):
-            if c:
-                for j, x in enumerate(drow):
-                    if x:
-                        img[j] = (img[j] + c * x) % ring.q
+    for img in mat_mul(ring, basis, D):
         if not next_basis:
             if any(img):
                 raise PrecisionExhausted("eta_p differential leaves the sublattice")
@@ -314,7 +304,7 @@ class SaturatedModel:
         rows = preimage(self._amb, D, _scaled_identity(self._amb, kt, self.p**s))
         return howell(self._amb, rows, k), w
 
-    @lru_cache(maxsize=None)
+    @memo
     def lattice(self, n, u):
         """Howell basis of the weight-u degree-n component (ambient coords)."""
         u = wkey(Fraction(u))
@@ -333,7 +323,7 @@ class SaturatedModel:
             self._certify(n, u)
         return basis
 
-    @lru_cache(maxsize=None)
+    @memo
     def _perf_monomials(self, u):
         alg = MonomialAlgebra(self.spec.base(), den=self.p**self.s_star)
         scaled = [
@@ -342,7 +332,6 @@ class SaturatedModel:
         ]
         return scaled
 
-    @lru_cache(maxsize=None)
     def _certify(self, n, u):
         """Stabilization certificate: F is iso one stage beyond s_star."""
         cur, w_cur = self._stage_lattice(n, u, self.s_star)
@@ -385,7 +374,7 @@ class SaturatedModel:
 
     # -- structure maps (matrices over Z/p^R in lattice coordinates) ---------
 
-    @lru_cache(maxsize=None)
+    @memo
     def d(self, n, u):
         """d: (n, u) -> (n+1, u)."""
         u = wkey(Fraction(u))
@@ -399,25 +388,16 @@ class SaturatedModel:
         D = self.lift.d_matrix(n, w)
         ps = self.p**self.s_star
         img = []
-        for row in src:
-            h = [0] * (len(D[0]) if D else 0)
-            for c, drow in zip(row, D):
-                if c:
-                    for j, x in enumerate(drow):
-                        if x:
-                            h[j] = (h[j] + c * x) % self._amb.q
-            div = []
-            for x in h:
-                if x % ps:
-                    raise InexactDivision("saturated differential not divisible")
-                div.append(x // ps)
-            img.append(div)
+        for h in mat_mul(self._amb, src, D):
+            if any(x % ps for x in h):
+                raise InexactDivision("saturated differential not divisible")
+            img.append([x // ps for x in h])
         out = self._express(img, tgt)
         if out is None:
             raise PrecisionExhausted("d image escapes the target lattice")
         return out
 
-    @lru_cache(maxsize=None)
+    @memo
     def frob(self, n, u):
         """F: (n, u) -> (n, p u)."""
         u = wkey(Fraction(u))
@@ -436,7 +416,7 @@ class SaturatedModel:
             raise PrecisionExhausted("F image escapes the target lattice")
         return out
 
-    @lru_cache(maxsize=None)
+    @memo
     def versch(self, n, u):
         """V = F^{-1} p: (n, u) -> (n, u/p); None when the denominator cap truncates."""
         u = wkey(Fraction(u))
@@ -554,7 +534,7 @@ class StrictLevel:
     def weights(self, weight_cap):
         return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
 
-    @lru_cache(maxsize=None)
+    @memo
     def _relations(self, n, u):
         """Generators of V^r W^n_u + d V^r W^(n-1)_u in lattice coordinates."""
         model, r, p = self.model, self.r, self.p

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+from ..errors import DrwittError
 from . import gf as _gf
 from . import integers as _zz
 from . import zmodp as _zp
@@ -38,7 +39,7 @@ class ZZRing:
 ZZ = ZZRing()
 
 
-class NonComplex(Exception):
+class NonComplex(DrwittError):
     """Raised when consecutive differentials fail to compose to zero."""
 
 

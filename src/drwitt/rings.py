@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations
 
 from .errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
@@ -40,6 +40,27 @@ from .exactcore import GF, gf_rref
 
 KINDS = ("finite_field", "poly", "laurent", "quotient", "perfection")
 PERFECTABLE = ("poly", "laurent", "finite_field")
+
+
+def memo(method):
+    """Cache a method's results per instance, keyed by its positional arguments.
+
+    The table is a dict in the instance __dict__, so it is freed together
+    with the instance.
+    """
+    slot = f"_memo_{method.__name__}"
+
+    @wraps(method)
+    def cached(self, *args):
+        try:
+            return self.__dict__[slot][args]
+        except KeyError:
+            pass
+        value = method(self, *args)
+        self.__dict__.setdefault(slot, {})[args] = value
+        return value
+
+    return cached
 
 
 def wkey(w):
@@ -436,7 +457,6 @@ class MonomialAlgebra:
         self.spec = spec
         self.K = spec.gf()
         self.den = den
-        self._forms = {}
         if spec.kind == "quotient" and den != 1:
             raise UnsupportedKind("fractional exponents are only for free kinds")
 
@@ -535,7 +555,7 @@ class MonomialAlgebra:
                     out[basis[i]] = c
         return out
 
-    @lru_cache(maxsize=None)
+    @memo
     def _weight_data(self, w):
         """(basis monomials, rewrite table) of the weight-w component."""
         monos = self.monomials(w, raw=True)
@@ -599,22 +619,19 @@ class MonomialAlgebra:
             return monos
         return [tuple(wkey(Fraction(a, self.den)) for a in m) for m in monos]
 
+    @memo
     def forms(self, n, w):
         """Monomial n-forms m dx_J of weight w as (m, J) pairs, J increasing.
 
         The monomials are those of the ambient free ring (raw for quotient
         kinds).  Each list is built once per (n, w) and kept.
         """
-        key = (n, w)
-        out = self._forms.get(key)
-        if out is None:
-            out = []
-            weights = self.spec.weights
-            if n >= 0:
-                for J in combinations(range(self.spec.nvars), n):
-                    rest = Fraction(w) - sum(weights[j] for j in J)
-                    out += [(m, J) for m in self._raw_monomials(rest)]
-            self._forms[key] = out
+        out = []
+        weights = self.spec.weights
+        if n >= 0:
+            for J in combinations(range(self.spec.nvars), n):
+                rest = Fraction(w) - sum(weights[j] for j in J)
+                out += [(m, J) for m in self._raw_monomials(rest)]
         return out
 
     # -- formatting ----------------------------------------------------------

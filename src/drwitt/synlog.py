@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from .derham import DeRhamComplex, derham_cohomology
 from .dieudonne import (
+    GUARD,
     SaturatedModel,
     _scaled_identity,
     p_div,
@@ -46,6 +47,7 @@ from .exactcore import (
     homology,
     homology_subquot,
     mat_mul,
+    member,
     normal_form,
     span_order,
 )
@@ -309,7 +311,7 @@ class SyntomicComplex:
     cohomology: dict          # degree -> InvariantFactors (all orbits)
     weight_zero: dict         # degree -> InvariantFactors (weight-0 orbit)
     orbit_count: int
-    stable: bool | None = None
+    R: int                    # precision exponent of the model it was computed on
 
     def group(self, j) -> InvariantFactors:
         return self.cohomology.get(j, InvariantFactors(()))
@@ -324,14 +326,15 @@ def _direct_sum(factors):
     return InvariantFactors(tuple(sorted(tors)), free)
 
 
-def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> SyntomicComplex:
+def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | None = None) -> SyntomicComplex:
     """Cohomology of fib(phi/p^i - can) mod p^r, orbit by orbit.
 
     Degrees <= i+1 are computed in the deep window scheme and degrees
     above i+1 in the aligned scheme (see _FiberBlock); the weight-zero
-    orbit, where the two agree, is also reported separately.
+    orbit, where the two agree, is also reported separately.  `R`
+    overrides the model's internal precision exponent.
     """
-    model = saturate(spec, r, max(i_max, i + 1))
+    model = saturate(spec, r, max(i_max, i + 1), R)
     N = NygaardModel(model, i)
     orbits = weight_orbits(model, weight_cap, r)
     per_degree: dict[int, list] = {}
@@ -347,7 +350,7 @@ def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> Syntomic
             if is_zero:
                 zero_orbit[j] = inv
     out = {j: _direct_sum(v) for j, v in per_degree.items()}
-    return SyntomicComplex(spec, i, r, out, zero_orbit, len(orbits))
+    return SyntomicComplex(spec, i, r, out, zero_orbit, len(orbits), model.R)
 
 
 # ---------------------------------------------------------------------------
@@ -682,18 +685,15 @@ def _tau_cohomology(spec: RingSpec, omega, i, w):
 # ---------------------------------------------------------------------------
 # Nygaard completeness shadow and log compatibilities
 
-def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap, guard=None) -> bool:
+def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
     """intersection of N^{>=i} over i <= i_cap is p-adically deep.
 
     Since the components are nested, the intersection at degree n equals
     the deepest one, p^(i_cap-1-n) V W; V carries no p-divisibility at
     fractional weights, so the certified containment is
-        intersection  <=  p^(max(0, i_cap - guard - n)) W
+        intersection  <=  p^(max(0, i_cap - GUARD - n)) W
     per degree and weight (documented per-degree exponent).
     """
-    from .dieudonne import precision_guard
-
-    g = guard if guard is not None else precision_guard()
     model = saturate(spec, 2, i_cap)
     ring = model.ring
     p = spec.p
@@ -709,10 +709,8 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap, guard=Non
                 continue
             c = p ** (i_cap - 1 - n)
             deepest = [[(c * x) % ring.q for x in row] for row in V]
-            e = max(0, i_cap - g - n)
+            e = max(0, i_cap - GUARD - n)
             target = normal_form(ring, _scaled_identity(ring, k, p**e), k)
-            from .exactcore import member
-
             for row in deepest:
                 if not member(ring, target, row):
                     return False

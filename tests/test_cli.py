@@ -11,6 +11,7 @@ import drwitt
 from drwitt.cli import main
 from drwitt.errors import ParseError
 from drwitt.rings import parse_ringspec
+from drwitt.synlog import syntomic
 
 
 @pytest.fixture
@@ -176,16 +177,45 @@ def test_entry_point_runs():
 # ---------------------------------------------------------------------------
 # input boundary and process state
 
-@pytest.mark.parametrize("guard", [None, "3"])
-def test_syntomic_leaves_environment_unchanged(rings, capsys, monkeypatch, guard):
-    if guard is None:
-        monkeypatch.delenv("DRWITT_PRECISION_GUARD", raising=False)
-    else:
-        monkeypatch.setenv("DRWITT_PRECISION_GUARD", guard)
+def test_syntomic_leaves_environment_unchanged(rings, capsys):
     before = dict(os.environ)
     code, _ = run_cli(["syntomic", "--ring", rings["fp"], "--twist", "0", "--modp", "1", "--json"], capsys)
     assert code == 0
     assert dict(os.environ) == before
+
+
+def test_syntomic_stable_flag_reruns_at_precision_plus_one(rings, capsys, monkeypatch):
+    runs = []
+
+    def recording(*args, **kwargs):
+        S = syntomic(*args, **kwargs)
+        runs.append(S.R)
+        return S
+
+    monkeypatch.setattr("drwitt.cli.syntomic", recording)
+    code, out = run_cli(["syntomic", "--ring", rings["fp"], "--twist", "0", "--modp", "1", "--json"], capsys)
+    assert code == 0
+    assert runs == [runs[0], runs[0] + 1]
+    assert all(cell["stable"] for cell in json.loads(out)["cohomology"].values())
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    # a filtered complex whose level has d o d != 0 in degree 0
+    notcx = {
+        "ring": {"kind": "Zmod", "p": 2, "N": 2},
+        "window": [0, 0],
+        "levels": [
+            {
+                "n": 0,
+                "complex": {"0": {"gens": 1}, "1": {"gens": 1}, "2": {"gens": 1}},
+                "d": {"0": [[1]], "1": [[1]]},
+            }
+        ],
+    }
+    (tmp_path / "notcx.json").write_text(json.dumps(notcx))
+    (tmp_path / "notjson.json").write_text("{levels")
+    return {name: str(tmp_path / f"{name}.json") for name in ("missing", "notcx", "notjson")}
 
 
 @pytest.mark.parametrize(
@@ -196,11 +226,33 @@ def test_syntomic_leaves_environment_unchanged(rings, capsys, monkeypatch, guard
         ["kpredict", "--ring", "{fp}", "--range", "0..x"],
         ["syntomic", "--ring", "{fp}", "--twist", "-1", "--modp", "1"],
         ["logforms", "--ring", "{lau}", "--deg", "1", "--modp", "0"],
+        ["drw", "table", "--ring", "{missing}"],
+        ["specseq", "run", "--input", "{missing}"],
+        ["specseq", "run", "--input", "{notjson}"],
+        ["specseq", "run", "--input", "{notcx}"],
+        ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
+        ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
+        ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
+        ["kpredict", "--ring", "{fp}", "--range", "0..-3"],
     ],
-    ids=["syntomic-modp-0", "drw-level-0", "kpredict-range-x", "syntomic-twist-neg", "logforms-modp-0"],
+    ids=[
+        "syntomic-modp-0",
+        "drw-level-0",
+        "kpredict-range-x",
+        "syntomic-twist-neg",
+        "logforms-modp-0",
+        "drw-ring-missing",
+        "specseq-input-missing",
+        "specseq-input-not-json",
+        "specseq-not-a-complex",
+        "derham-weight-cap-neg",
+        "syntomic-maxdeg-neg",
+        "logforms-deg-neg",
+        "kpredict-range-reversed",
+    ],
 )
-def test_bad_flags_are_one_line_errors(rings, capsys, argv):
-    code = main([a.format(**rings) for a in argv])
+def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
+    code = main([a.format(**rings, **bad_inputs) for a in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err

@@ -363,6 +363,24 @@ def test_stability_under_precision_bump():
                 assert l1.invariants(n, u) == l2.invariants(n, u)
 
 
+def test_used_model_is_freed_with_its_caches():
+    # per-instance caches must not keep a model alive after its last use
+    import gc
+    import weakref
+
+    m = saturate(F2X, 2, 1)
+    level = strict_truncate(m, 2)
+    for u in level.weights(3):
+        for n in (0, 1):
+            level.invariants(n, u)
+            m.frob(n, u)
+            m.versch(n, u)
+    ref = weakref.ref(m)
+    del m, level
+    gc.collect()
+    assert ref() is None
+
+
 def test_eta_p_restricted_differential():
     # d restricts to the decalage sublattice: d(eta_p) lands in eta_p
     from drwitt.dieudonne import eta_p_differential

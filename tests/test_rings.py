@@ -1,4 +1,4 @@
-"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs."""
+"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs, memo."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from drwitt.rings import (
     MonomialAlgebra,
     exponents,
+    memo,
     parse_ringspec,
     sign_insert,
     weight_window,
@@ -116,3 +117,20 @@ def test_base_spec():
     poly = spec("p=3\nkind=poly\nvars=x:1")
     assert poly.base() is poly
     assert spec("p=2\nkind=perfection of finite_field").base().kind == "finite_field"
+
+
+def test_memo_caches_per_instance():
+    class Counter:
+        def __init__(self):
+            self.calls = 0
+
+        @memo
+        def square(self, x):
+            self.calls += 1
+            return x * x
+
+    a, b = Counter(), Counter()
+    assert [a.square(3), a.square(3), a.square(Fraction(3))] == [9, 9, 9]
+    assert a.calls == 1  # equal keys hit, as Fraction(3) == 3
+    assert b.square(3) == 9 and b.calls == 1  # no sharing between instances
+    assert a.square(4) == 16 and a.calls == 2

@@ -257,27 +257,12 @@ def test_syntomic_total_differential_squares_to_zero():
 
 def test_stability_of_syntomic_outputs():
     # raising internal precision must not change reported groups
-    from drwitt.dieudonne import SaturatedModel, internal_precision
-    from drwitt.synlog import _FiberBlock
+    from drwitt.dieudonne import internal_precision
 
     base = syntomic(LAU2, 1, 2, 2, 4)
-    # recompute with a bumped precision model
-    model = SaturatedModel(LAU2, 2, 3, R=internal_precision(2, 3) + 1)
-    N = NygaardModel(model, 1)
-    per = {}
-    from drwitt.exactcore import homology
-
-    for orbit in weight_orbits(model, 4, 2):
-        deep = _FiberBlock(N, orbit, 2, style="deep").complex()
-        aligned = _FiberBlock(N, orbit, 2, style="aligned").complex()
-        for j in range(0, model.top + 3):
-            inv = homology(deep if j <= 2 else aligned, j)
-            if not inv.is_trivial():
-                per.setdefault(j, []).append(inv)
-    from drwitt.synlog import _direct_sum
-
-    got = {j: _direct_sum(v) for j, v in per.items()}
-    assert got == base.cohomology
+    bumped = syntomic(LAU2, 1, 2, 2, 4, R=internal_precision(2, 3) + 1)
+    assert bumped.R > base.R
+    assert bumped.cohomology == base.cohomology
 
 
 def test_nygaard_inclusion_columns_are_v_images():
