@@ -177,7 +177,13 @@ def test_entry_point_runs():
 # ---------------------------------------------------------------------------
 # input boundary and process state
 
-def test_syntomic_leaves_environment_unchanged(rings, capsys):
+@pytest.mark.parametrize("guard", [None, "3"])
+def test_syntomic_leaves_environment_unchanged(rings, capsys, monkeypatch, guard):
+    # the package reads no DRWITT_PRECISION_GUARD; set or unset, the run must not touch it
+    if guard is None:
+        monkeypatch.delenv("DRWITT_PRECISION_GUARD", raising=False)
+    else:
+        monkeypatch.setenv("DRWITT_PRECISION_GUARD", guard)
     before = dict(os.environ)
     code, _ = run_cli(["syntomic", "--ring", rings["fp"], "--twist", "0", "--modp", "1", "--json"], capsys)
     assert code == 0
