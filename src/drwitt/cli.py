@@ -332,20 +332,23 @@ def _parse_ring_json(obj):
 
 
 def load_filtered_complex(doc) -> FilteredComplex:
-    ring = _parse_ring_json(doc["ring"])
-    lo, hi = doc["window"]
-    levels = {}
-    maps = {}
-    for entry in doc["levels"]:
-        n = int(entry["n"])
-        mods = {}
-        for deg, m in entry["complex"].items():
-            mods[int(deg)] = FinModPresentation(ring, int(m["gens"]), m.get("rels", []))
-        diffs = {int(deg): mat for deg, mat in entry.get("d", {}).items()}
-        levels[n] = FinComplex(ring, mods, diffs, check=True)
-        if "map_to_prev" in entry:
-            maps[n - 1] = {int(deg): mat for deg, mat in entry["map_to_prev"].items()}
-    return FilteredComplex(ring, lo, hi, levels, maps, check=True)
+    try:
+        ring = _parse_ring_json(doc["ring"])
+        lo, hi = doc["window"]
+        levels = {}
+        maps = {}
+        for entry in doc["levels"]:
+            n = int(entry["n"])
+            mods = {}
+            for deg, m in entry["complex"].items():
+                mods[int(deg)] = FinModPresentation(ring, int(m["gens"]), m.get("rels", []))
+            diffs = {int(deg): mat for deg, mat in entry.get("d", {}).items()}
+            levels[n] = FinComplex(ring, mods, diffs, check=True)
+            if "map_to_prev" in entry:
+                maps[n - 1] = {int(deg): mat for deg, mat in entry["map_to_prev"].items()}
+        return FilteredComplex(ring, lo, hi, levels, maps, check=True)
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
+        raise DrwittError(f"malformed specseq input: {type(e).__name__}: {e}") from None
 
 
 def cmd_specseq(args):

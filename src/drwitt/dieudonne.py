@@ -468,7 +468,7 @@ class SaturatedModel:
 
     # -- Teichmuller / dlog helpers ------------------------------------------
 
-    def teichmuller_vector(self, n_=0):
+    def teichmuller_vector(self):
         """Coordinates of [1] in the weight-0 degree-0 lattice."""
         basis = self.lattice(0, 0)
         amb = self._one_ambient()

@@ -52,10 +52,6 @@ class InexactDivision(DrwittError):
     pass
 
 
-class UnitEnumerationCap(DrwittError):
-    pass
-
-
 class UnsupportedBaseChange(DrwittError):
     pass
 

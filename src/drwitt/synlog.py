@@ -37,7 +37,7 @@ from .dieudonne import (
     saturate,
     strict_truncate,
 )
-from .errors import InexactDivision, UnitEnumerationCap
+from .errors import InexactDivision
 from .exactcore import (
     FinComplex,
     FinModPresentation,
@@ -53,8 +53,6 @@ from .exactcore import (
 )
 from .rings import RingSpec, weight_window
 
-SYMBOL_BUDGET = 4096
-
 
 # ---------------------------------------------------------------------------
 # Nygaard model
@@ -67,7 +65,6 @@ class NygaardModel:
         self.i = i
         self.p = model.p
         self.ring = model.ring
-        self._sanity_checked = False
 
     def param_rank(self, n, v):
         """Rank of the degree-n component at weight v (param coords for n < i)."""
@@ -326,6 +323,20 @@ def _direct_sum(factors):
     return InvariantFactors(tuple(sorted(tors)), free)
 
 
+def _orbit_fibers(N: NygaardModel, weight_cap, r):
+    """Per orbit: (orbit, deep block, aligned block, deep complex, {j: H^j}).
+
+    H^j is taken from the deep scheme for j <= i+1 and from the aligned
+    scheme above, where each is exact (see _FiberBlock).
+    """
+    for orbit in weight_orbits(N.model, weight_cap, r):
+        deep_blk = _FiberBlock(N, orbit, r, style="deep")
+        aligned_blk = _FiberBlock(N, orbit, r, style="aligned")
+        deep, aligned = deep_blk.complex(), aligned_blk.complex()
+        H = {j: homology(deep if j <= N.i + 1 else aligned, j) for j in range(N.model.top + 3)}
+        yield orbit, deep_blk, aligned_blk, deep, H
+
+
 def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | None = None) -> SyntomicComplex:
     """Cohomology of fib(phi/p^i - can) mod p^r, orbit by orbit.
 
@@ -335,22 +346,18 @@ def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | No
     overrides the model's internal precision exponent.
     """
     model = saturate(spec, r, max(i_max, i + 1), R)
-    N = NygaardModel(model, i)
-    orbits = weight_orbits(model, weight_cap, r)
     per_degree: dict[int, list] = {}
     zero_orbit: dict[int, InvariantFactors] = {}
-    for orbit in orbits:
-        is_zero = len(orbit) == 1 and Fraction(orbit[0]) == 0
-        deep = _FiberBlock(N, orbit, r, style="deep").complex()
-        aligned = _FiberBlock(N, orbit, r, style="aligned").complex()
-        for j in range(0, model.top + 3):
-            inv = homology(deep if j <= i + 1 else aligned, j)
+    count = 0
+    for orbit, _, _, _, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
+        count += 1
+        if orbit[0] == 0:
+            zero_orbit = H
+        for j, inv in H.items():
             if not inv.is_trivial():
                 per_degree.setdefault(j, []).append(inv)
-            if is_zero:
-                zero_orbit[j] = inv
     out = {j: _direct_sum(v) for j, v in per_degree.items()}
-    return SyntomicComplex(spec, i, r, out, zero_orbit, len(orbits), model.R)
+    return SyntomicComplex(spec, i, r, out, zero_orbit, count, model.R)
 
 
 # ---------------------------------------------------------------------------
@@ -368,50 +375,32 @@ class LogLattice:
     invariants: InvariantFactors
 
 
-def _unit_generators(spec: RingSpec):
-    """Enumerable unit generators: constants, and variables for laurent kinds."""
-    gens = [("const", c) for c in range(1, spec.p**spec.f)]
-    if spec.effective_kind == "laurent":
-        for j, name in enumerate(spec.variables):
-            gens.append(("var", j))
-    return gens
+def log_lattice(spec: RingSpec, i: int, r: int) -> LogLattice:
+    return _log_lattice(saturate(spec, r, max(i + 1, 1)), i, r)
 
 
-def log_lattice(spec: RingSpec, i: int, r: int, weight_cap=2, budget=SYMBOL_BUDGET) -> LogLattice:
-    model = saturate(spec, r, max(i + 1, 1))
+def _log_lattice(model: SaturatedModel, i: int, r: int) -> LogLattice:
+    """The dlog lattice in degree i at level r, in the coordinates of `model`."""
+    spec = model.spec
     level = strict_truncate(model, r)
-    ring = model.ring
     if i == 0:
         one = model.teichmuller_vector()
-        grp = level.group(0, 0)
-        return LogLattice(spec, 0, r, [one], ["1"], _span_invariants(grp, [one]))
-    gens = _unit_generators(spec)
+        return LogLattice(spec, 0, r, [one], ["1"], _span_invariants(level.group(0, 0), [one]))
     # dlog of a constant is exactly zero: [c] is a root of unity of order
     # prime to p, so (q-1) dlog[c] = dlog 1 = 0 forces dlog[c] = 0.  Only
-    # the variable units can contribute, and the budget guards their wedges.
-    var_gens = [payload for kind, payload in gens if kind == "var"]
-    if max(len(var_gens), 1) ** i > budget:
-        raise UnitEnumerationCap(f"symbol search {len(var_gens)}^{i} exceeds budget {budget}")
+    # the variable units of a laurent kind can contribute, and a laurent
+    # kind has one variable, so every wedge of two or more dlogs vanishes.
     dlogs = []
-    for payload in var_gens:
-        vec = model.dlog_vector(payload)
-        if vec is not None:
-            dlogs.append((f"dlog {spec.variables[payload]}", vec))
-    k = model.rank(i, 0)
-    if k == 0 or not dlogs:
-        grp = level.group(i, 0)
-        return LogLattice(spec, i, r, [], [], InvariantFactors(()))
     if i == 1:
-        vectors = [(name, vec) for name, vec in dlogs]
-    else:
-        # wedges of distinct dlog generators; with one laurent variable all
-        # higher wedges vanish, and multi-variable laurent kinds are out of
-        # scope at the spec layer, so this loop is empty in practice
-        vectors = []
-    grp = level.group(i, 0)
-    gen_vecs = [vec for _, vec in vectors]
+        for j, name in enumerate(spec.variables):
+            vec = model.dlog_vector(j)
+            if vec is not None:
+                dlogs.append((f"dlog {name}", vec))
+    if not dlogs:
+        return LogLattice(spec, i, r, [], [], InvariantFactors(()))
+    gen_vecs = [vec for _, vec in dlogs]
     return LogLattice(
-        spec, i, r, gen_vecs, [name for name, _ in vectors], _span_invariants(grp, gen_vecs)
+        spec, i, r, gen_vecs, [name for name, _ in dlogs], _span_invariants(level.group(i, 0), gen_vecs)
     )
 
 
@@ -445,18 +434,15 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
     (c) H^(i+1) is reported as the window-level cokernel avatar.
     """
     model = saturate(spec, r, max(i_max, i + 1))
-    N = NygaardModel(model, i)
-    orbits = weight_orbits(model, weight_cap, r)
     certificates = {"below_twist": {}, "above_twist": {}}
     off_degree_trivial = True
     h_i_parts = []
+    nonzero_orbit_h_i = []
     h_i1_parts = []
-    zero_block = None
-    for orbit in orbits:
-        deep_blk = _FiberBlock(N, orbit, r, style="deep")
-        aligned_blk = _FiberBlock(N, orbit, r, style="aligned")
-        if len(orbit) == 1 and Fraction(orbit[0]) == 0:
-            zero_block = deep_blk
+    zero = None
+    for orbit, deep_blk, aligned_blk, deep, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
+        if orbit[0] == 0:
+            zero = deep_blk, deep
         for n in range(0, model.top + 1):
             if n == i:
                 continue
@@ -465,22 +451,20 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
             key = "below_twist" if n < i else "above_twist"
             cur = certificates[key].get(n, (True, 0))
             certificates[key][n] = (cur[0] and ok, max(cur[1], terms))
-        deep = deep_blk.complex()
-        aligned = aligned_blk.complex()
-        for j in range(0, model.top + 3):
-            inv = homology(deep if j <= i + 1 else aligned, j)
+        for j, inv in H.items():
             if inv.is_trivial():
                 continue
             if j == i:
-                h_i_parts.append((orbit, inv))
+                h_i_parts.append(inv)
+                if orbit[0] != 0:
+                    nonzero_orbit_h_i.append(inv)
             elif j == i + 1:
                 h_i1_parts.append(inv)
             else:
                 off_degree_trivial = False
     # (b) compare H^i with the log lattice inside the zero-weight block
-    lat = log_lattice(spec, i, r)
-    verdict, index = _compare_h_i_with_log(N, zero_block, lat, r)
-    nonzero_orbit_h_i = [inv for orbit, inv in h_i_parts if not (len(orbit) == 1 and Fraction(orbit[0]) == 0)]
+    lat = _log_lattice(model, i, r)
+    verdict, index = _compare_h_i_with_log(zero, lat)
     if nonzero_orbit_h_i:
         verdict = "CONTAINS"
         index *= _direct_sum(nonzero_orbit_h_i).order()
@@ -489,7 +473,7 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
         "modulus": f"p^{r}",
         "invertibility": certificates,
         "off_degree_vanishing": off_degree_trivial,
-        "h_i": _direct_sum([inv for _, inv in h_i_parts]),
+        "h_i": _direct_sum(h_i_parts),
         "log_lattice": lat.invariants,
         "verdict": verdict,
         "index": index,
@@ -573,16 +557,18 @@ def _invertible_by_solve(ring, A):
     )
 
 
-def _compare_h_i_with_log(N: NygaardModel, zero_block, lat: LogLattice, r) -> tuple[str, int]:
-    """Subgroup comparison of the symbol span inside H^i of the zero orbit."""
-    if zero_block is None:
+def _compare_h_i_with_log(zero, lat: LogLattice) -> tuple[str, int]:
+    """Subgroup comparison of the symbol span inside H^i of the zero orbit.
+
+    `zero` is the zero orbit's deep block and its complex, or None.
+    """
+    if zero is None:
         return ("EQUAL", 1) if not lat.generators else ("MISMATCH", 0)
-    C = zero_block.complex()
-    H = homology_subquot(C, N.i)
+    zero_block, C = zero
+    H = homology_subquot(C, zero_block.i)
     h_order = H.invariants().order()
     # embed each symbol as the fiber cocycle (symbol, 0)
-    blocks = zero_block.layout(N.i)
-    off, dim = zero_block._offsets(blocks)
+    off, dim = zero_block._offsets(zero_block.layout(zero_block.i))
     coords = []
     for vec in lat.generators:
         amb = [0] * dim
@@ -719,9 +705,9 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
 
 def log_mod_compat(spec: RingSpec, i: int, r: int) -> bool:
     """R maps the level-(r+1) log lattice onto the level-r one, compatibly."""
-    lat_hi = log_lattice(spec, i, r + 1)
-    lat_lo = log_lattice(spec, i, r)
     model_lo = saturate(spec, r, max(i + 1, 1))
+    lat_hi = log_lattice(spec, i, r + 1)
+    lat_lo = _log_lattice(model_lo, i, r)
     level_lo = strict_truncate(model_lo, r)
     grp = level_lo.group(i, 0) if model_lo.rank(i, 0) else None
     if grp is None:

@@ -221,7 +221,13 @@ def bad_inputs(tmp_path):
     }
     (tmp_path / "notcx.json").write_text(json.dumps(notcx))
     (tmp_path / "notjson.json").write_text("{levels")
-    return {name: str(tmp_path / f"{name}.json") for name in ("missing", "notcx", "notjson")}
+    # no "ring" key
+    (tmp_path / "noring.json").write_text(json.dumps({k: v for k, v in notcx.items() if k != "ring"}))
+    # a degree-0 differential with two rows on a one-generator module
+    badshape = dict(notcx, levels=[{"n": 0, "complex": {"0": {"gens": 1}, "1": {"gens": 1}}, "d": {"0": [[1], [1]]}}])
+    (tmp_path / "badshape.json").write_text(json.dumps(badshape))
+    names = ("missing", "notcx", "notjson", "noring", "badshape")
+    return {name: str(tmp_path / f"{name}.json") for name in names}
 
 
 @pytest.mark.parametrize(
@@ -236,6 +242,8 @@ def bad_inputs(tmp_path):
         ["specseq", "run", "--input", "{missing}"],
         ["specseq", "run", "--input", "{notjson}"],
         ["specseq", "run", "--input", "{notcx}"],
+        ["specseq", "run", "--input", "{noring}"],
+        ["specseq", "run", "--input", "{badshape}"],
         ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
         ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
         ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
@@ -251,6 +259,8 @@ def bad_inputs(tmp_path):
         "specseq-input-missing",
         "specseq-input-not-json",
         "specseq-not-a-complex",
+        "specseq-no-ring",
+        "specseq-bad-shape",
         "derham-weight-cap-neg",
         "syntomic-maxdeg-neg",
         "logforms-deg-neg",

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from drwitt.dieudonne import p_times, saturate
+from drwitt.dieudonne import SaturatedModel, p_times, saturate
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
 from drwitt.synlog import (
@@ -215,6 +215,32 @@ def test_fundamental_seq_laurent_twist1_equal():
     rep = verify_fundamental_seq(LAU3, 1, 2, 2, 18)
     assert rep["verdict"] == "EQUAL"
     assert rep["h_i"] == InvariantFactors((9,))
+
+
+def test_each_check_builds_its_models_once(monkeypatch):
+    built = []
+    init = SaturatedModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SaturatedModel, "__init__", counting_init)
+    verify_fundamental_seq(LAU3, 1, 2, 3, 6)
+    assert len(built) == 1
+    built.clear()
+    log_mod_compat(LAU3, 1, 2)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("s", [FP2, F4, LAU3, F2X, spec("p=2\nkind=perfection of poly\nvars=x:1")])
+@pytest.mark.parametrize("i", [0, 1, 2])
+@pytest.mark.parametrize("r", [1, 2])
+def test_fundamental_seq_agrees_with_syntomic(s, i, r):
+    S = syntomic(s, i, r, 3, 6)
+    rep = verify_fundamental_seq(s, i, r, 3, 6)
+    assert S.group(i) == rep["h_i"]
+    assert S.group(i + 1) == rep["h_i_plus_1_ring_level_coker"]
 
 
 # ---------------------------------------------------------------------------
