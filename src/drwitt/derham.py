@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
-from .exactcore import InvariantFactors, SubQuot, gf_rref
+from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, kernel, mat_mul
 from .rings import MonomialAlgebra, RingSpec, exponents, memo, sign_insert, weight_window
 
 
@@ -156,32 +156,26 @@ class DeRhamComplex:
                 B = self.d_matrix(i + 1, w)
                 if not A or not B:
                     continue
-                for row in A:
-                    img = [0] * (len(B[0]) if B and B[0] else 0)
-                    for c, brow in zip(row, B):
-                        if c:
-                            for k, b in enumerate(brow):
-                                img[k] = self.K.add(img[k], self.K.mul(c, b))
-                    assert not any(img), "d o d != 0"
+                assert not any(any(img) for img in mat_mul(self.K, A, B)), "d o d != 0"
 
     # -- cohomology ------------------------------------------------------------
 
     def cohomology_subquot(self, i, w) -> SubQuot:
-        n = self.rank(i, w)
-        if n == 0:
-            return SubQuot(self.K, 0, [], [])
-        D = self.d_matrix(i, w)
-        from .exactcore import gf_kernel
-
-        if self.rank(i + 1, w) == 0:
-            z = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        else:
-            z = gf_kernel(self.K, D)
-        prev = self.d_matrix(i - 1, w) if i >= 1 and self.rank(i - 1, w) else []
-        return SubQuot(self.K, n, z, prev)
+        return _cohomology_subquot(self.K, lambda j: self.rank(j, w), lambda j: self.d_matrix(j, w), i)
 
     def cohomology(self, i, w) -> InvariantFactors:
         return self.cohomology_subquot(i, w).invariants()
+
+
+def _cohomology_subquot(K, rank, d_matrix, i) -> SubQuot:
+    """ker(d^i)/im(d^(i-1)) inside the degree-i basis space, given the
+    per-degree rank and differential of a complex of GF(p^f)-spaces."""
+    n = rank(i)
+    if n == 0:
+        return SubQuot(K, 0, [], [])
+    z = kernel(K, d_matrix(i)) if rank(i + 1) else identity(n)
+    prev = d_matrix(i - 1) if i >= 1 and rank(i - 1) else []
+    return SubQuot(K, n, z, prev)
 
 
 def kaehler(spec: RingSpec, i_max: int, weight_cap) -> DeRhamComplex:
@@ -261,8 +255,6 @@ def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
     cotangent complex is not certified here and quotient kinds are
     labelled accordingly.
     """
-    from .exactcore import gf_rank
-
     report = {
         "ring": spec.describe(),
         "degrees": {},
@@ -391,18 +383,9 @@ class RelativeCartier:
         return rows
 
     def cohomology_subquot(self, i, u, v) -> SubQuot:
-        from .exactcore import gf_kernel
-
-        n = len(self.forms(i, u, v))
-        if n == 0:
-            return SubQuot(self.K, 0, [], [])
-        D = self.d_matrix(i, u, v)
-        if len(self.forms(i + 1, u, v)) == 0:
-            z = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        else:
-            z = gf_kernel(self.K, D)
-        prev = self.d_matrix(i - 1, u, v) if i >= 1 and self.forms(i - 1, u, v) else []
-        return SubQuot(self.K, n, z, prev)
+        return _cohomology_subquot(
+            self.K, lambda j: len(self.forms(j, u, v)), lambda j: self.d_matrix(j, u, v), i
+        )
 
     def cartier_matrix(self, i, u, v):
         """Matrix of the relative C^{-1} from bigrade (u, v) to (u, p*v)."""
@@ -426,8 +409,6 @@ class RelativeCartier:
         return rows, H, src
 
     def check(self) -> dict:
-        from .exactcore import gf_rank
-
         result = {"all_pass": True, "blocks": {}, "matrix_support": {}}
         cap = self.cap
         for i in range(self.i_max + 1):

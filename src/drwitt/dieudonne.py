@@ -37,11 +37,15 @@ from fractions import Fraction
 
 from .errors import InexactDivision, PrecisionExhausted, UnsupportedKind
 from .exactcore import (
+    FinComplex,
+    FinModPresentation,
     InvariantFactors,
     SubQuot,
     Zq,
     ZmodRing,
+    homology,
     howell,
+    identity,
     mat_mul,
     member,
     normal_form,
@@ -217,16 +221,11 @@ def eta_p_lattice(lift: LiftComplex, n: int, w) -> list[list[int]]:
     kt = lift.rank(n + 1, w)
     pn = lift.p**n
     if kt == 0:
-        rows = [[pn if i == j else 0 for j in range(k)] for i in range(k)]
-        return howell(ring, rows, k)
+        return howell(ring, identity(k, pn), k)
     # x with dx divisible by p^(n+1), then scaled into p^n M
-    cond = preimage(ring, D, _scaled_identity(ring, kt, lift.p ** (n + 1)))
+    cond = preimage(ring, D, identity(kt, lift.p ** (n + 1)))
     rows = [[(pn * x) % ring.q for x in row] for row in cond]
     return howell(ring, rows, k)
-
-
-def _scaled_identity(ring, k, c):
-    return [[c % ring.q if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def eta_p_differential(lift: LiftComplex, n: int, w, basis, next_basis):
@@ -299,9 +298,9 @@ class SaturatedModel:
             return [], w
         kt = self.lift.rank(n + 1, w)
         if kt == 0:
-            return _scaled_identity(self._amb, k, 1), w
+            return identity(k), w
         D = self.lift.d_matrix(n, w)
-        rows = preimage(self._amb, D, _scaled_identity(self._amb, kt, self.p**s))
+        rows = preimage(self._amb, D, identity(kt, self.p**s))
         return howell(self._amb, rows, k), w
 
     @memo
@@ -313,7 +312,7 @@ class SaturatedModel:
                 return []
             # rank-f free lattice on the Teichmuller monomials of weight u
             count = len(self._perf_monomials(u))
-            return _scaled_identity(self._amb, count * self.f, 1) if count else []
+            return identity(count * self.f) if count else []
         if not self.den_ok(u):
             return []
         basis, _ = self._stage_lattice(n, u, self.s_star)
@@ -564,12 +563,12 @@ class StrictLevel:
                 rows += mat_mul(self.ring, Vr1, D)
         # p^r times everything is V^r F^r, but include it explicitly so the
         # quotient is visibly killed by p^r at this precision
-        rows += _scaled_identity(self.ring, k, p**r)
+        rows += identity(k, p**r)
         return normal_form(self.ring, rows, k)
 
     def group(self, n, u) -> SubQuot:
         k = self.model.rank(n, u)
-        z = _scaled_identity(self.ring, k, 1)
+        z = identity(k)
         return SubQuot(self.ring, k, z, self._relations(n, u))
 
     def invariants(self, n, u) -> InvariantFactors:
@@ -591,7 +590,7 @@ class StrictLevel:
     def restriction_from(self, higher: "StrictLevel", n, u):
         """R: W_{r+1}(n, u) -> W_r(n, u), identity on coordinates."""
         k = self.model.rank(n, u)
-        eye = _scaled_identity(self.ring, k, 1)
+        eye = identity(k)
         return higher.group(n, u).induced_map(self.group(n, u), eye)
 
 
@@ -604,8 +603,6 @@ def strict_truncate(model: SaturatedModel, r: int) -> StrictLevel:
 
 def mod_p_compatibility(spec: RingSpec, r: int, i_max: int, weight_cap) -> bool:
     """Cohomology of (saturated model)/p^r equals that of W_r, per weight."""
-    from .exactcore import FinComplex, FinModPresentation, homology
-
     model = saturate(spec, r, i_max)
     level = strict_truncate(model, r)
     ring_r = ZmodRing(spec.p, r)
@@ -678,7 +675,7 @@ def perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
             n = 1
             if not smodel.rank(n, u):
                 continue
-            mat = _scaled_identity(smodel.ring, smodel.rank(n, u), 1)
+            mat = identity(smodel.rank(n, u))
             cur = u
             for _ in range(r):
                 step = [

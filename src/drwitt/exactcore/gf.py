@@ -186,40 +186,6 @@ def gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[int]:
     return v
 
 
-def gf_kernel(K: GF, A: list[list[int]]) -> list[list[int]]:
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    H = gf_rref(K, aug, n + m)
-    return [h[n:] for h in H if not any(h[:n])]
-
-
-def gf_solve(K: GF, A: list[list[int]], b: list[int]) -> list[int] | None:
-    m = len(A)
-    n = len(b)
-    if m == 0:
-        return [] if not any(b) else None
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    H = gf_rref(K, aug, n + m)
-    w = gf_reduce_vector(K, H, list(b) + [0] * m)
-    if any(w[:n]):
-        return None
-    return [K.neg(t) for t in w[n:]]
-
-
-def gf_preimage(K: GF, A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    aug += [list(brow) + [0] * m for brow in B]
-    H = gf_rref(K, aug, n + m)
-    return [h[n:] for h in H if not any(h[:n])]
-
-
 class Zq:
     """Z[t]/(m(t), p^B): the unramified lift of GF(p^f) at precision B.
 

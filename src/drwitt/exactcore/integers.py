@@ -65,44 +65,6 @@ def z_reduce_vector(H: list[list[int]], v: list[int]) -> list[int]:
     return v
 
 
-def z_member(H: list[list[int]], v: list[int]) -> bool:
-    return not any(z_reduce_vector(H, v))
-
-
-def z_kernel(A: list[list[int]]) -> list[list[int]]:
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    H = hermite(aug, n + m)
-    return [h[n:] for h in H if not any(h[:n])]
-
-
-def z_solve(A: list[list[int]], b: list[int]) -> list[int] | None:
-    m = len(A)
-    n = len(b)
-    if m == 0:
-        return [] if not any(b) else None
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    H = hermite(aug, n + m)
-    w = z_reduce_vector(H, list(b) + [0] * m)
-    if any(w[:n]):
-        return None
-    return [-t for t in w[n:]]
-
-
-def z_preimage(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    aug += [list(brow) + [0] * m for brow in B]
-    H = hermite(aug, n + m)
-    return [h[n:] for h in H if not any(h[:n])]
-
-
 def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
     """Diagonal d_1 | d_2 | ... of the Smith normal form (nonneg, zeros dropped)."""
     M = [list(r) for r in rows]

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from math import prod
 
 from ..errors import DrwittError
-from . import gf as _gf
-from . import integers as _zz
 from . import zmodp as _zp
-from .gf import GF
-from .zmodp import ZmodRing
+from .gf import GF, gf_rank, gf_reduce_vector, gf_rref
+from .integers import hermite, smith_diagonal, z_reduce_vector
+from .zmodp import ZmodRing, howell, quotient_divisor_exponents, reduce_vector
 
 
 class ZZRing:
@@ -44,47 +43,34 @@ class NonComplex(DrwittError):
 
 
 # ---------------------------------------------------------------------------
-# ring-dispatched primitives (rows / right action conventions of zmodp)
+# ring-specific primitives (rows / right action conventions of zmodp)
 
 def normal_form(ring, rows, ncols):
     """Canonical generating set of the row module (Howell / Hermite / RREF)."""
     if isinstance(ring, ZmodRing):
-        return _zp.howell(ring, rows, ncols)
+        return howell(ring, rows, ncols)
     if isinstance(ring, GF):
-        return _gf.gf_rref(ring, rows, ncols)
-    return _zz.hermite(rows, ncols)
+        return gf_rref(ring, rows, ncols)
+    return hermite(rows, ncols)
 
 
-def kernel(ring, A):
+def residue(ring, nf_rows, v):
+    """Residue of v modulo the row span given in normal form nf_rows."""
     if isinstance(ring, ZmodRing):
-        return _zp.kernel(ring, A)
+        return reduce_vector(ring, nf_rows, v)
     if isinstance(ring, GF):
-        return _gf.gf_kernel(ring, A)
-    return _zz.z_kernel(A)
+        return gf_reduce_vector(ring, nf_rows, v)
+    return z_reduce_vector(nf_rows, v)
 
 
-def solve(ring, A, b):
+def negate(ring, v):
+    """The vector -v."""
     if isinstance(ring, ZmodRing):
-        return _zp.solve(ring, A, b)
+        q = ring.q
+        return [(-t) % q for t in v]
     if isinstance(ring, GF):
-        return _gf.gf_solve(ring, A, b)
-    return _zz.z_solve(A, b)
-
-
-def preimage(ring, A, B):
-    if isinstance(ring, ZmodRing):
-        return _zp.preimage(ring, A, B)
-    if isinstance(ring, GF):
-        return _gf.gf_preimage(ring, A, B)
-    return _zz.z_preimage(A, B)
-
-
-def member(ring, nf_rows, v):
-    if isinstance(ring, ZmodRing):
-        return _zp.member(ring, nf_rows, v)
-    if isinstance(ring, GF):
-        return not any(_gf.gf_reduce_vector(ring, nf_rows, v))
-    return _zz.z_member(nf_rows, v)
+        return [ring.neg(t) for t in v]
+    return [-t for t in v]
 
 
 def mat_mul(ring, A, B):
@@ -109,6 +95,47 @@ def mat_mul(ring, A, B):
         return []
     nb = len(B[0]) if B else 0
     return [[sum(a * brow[j] for a, brow in zip(row, B)) for j in range(nb)] for row in A]
+
+
+# ---------------------------------------------------------------------------
+# derived operations, written once for every ring
+
+def identity(k, c=1):
+    """The k x k matrix c * I."""
+    return [[c if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def member(ring, nf_rows, v):
+    return not any(residue(ring, nf_rows, v))
+
+
+def preimage(ring, A, B):
+    """Generators of {x : x @ A in rowspan(B)}, in normal form."""
+    m = len(A)
+    if m == 0:
+        return []
+    n = len(A[0])
+    aug = [list(row) + e for row, e in zip(A, identity(m))]
+    aug += [list(brow) + [0] * m for brow in B]
+    return [h[n:] for h in normal_form(ring, aug, n + m) if not any(h[:n])]
+
+
+def kernel(ring, A):
+    """Generators of {x : x @ A = 0}, in normal form."""
+    return preimage(ring, A, [])
+
+
+def solve(ring, A, b):
+    """One solution x of x @ A = b, or None if b is not in the row span."""
+    m = len(A)
+    if m == 0:
+        return [] if member(ring, [], b) else None
+    n = len(b)
+    aug = [list(row) + e for row, e in zip(A, identity(m))]
+    w = residue(ring, normal_form(ring, aug, n + m), list(b) + [0] * m)
+    if any(w[:n]):
+        return None
+    return negate(ring, w[n:])
 
 
 def span_contains(ring, big_rows, small_rows, ncols):
@@ -195,12 +222,12 @@ def quotient_invariants(ring, relation_rows, ngens) -> InvariantFactors:
     if ngens == 0:
         return InvariantFactors((), 0)
     if isinstance(ring, ZmodRing):
-        exps = _zp.quotient_divisor_exponents(ring, relation_rows, ngens)
+        exps = quotient_divisor_exponents(ring, relation_rows, ngens)
         return InvariantFactors.of([ring.p**a for a in exps if a > 0])
     if isinstance(ring, GF):
-        dim = ngens - _gf.gf_rank(ring, relation_rows, ngens)
+        dim = ngens - gf_rank(ring, relation_rows, ngens)
         return InvariantFactors.of([ring.p] * (dim * ring.f))
-    diag = _zz.smith_diagonal(relation_rows, ngens)
+    diag = smith_diagonal(relation_rows, ngens)
     return InvariantFactors.of([d for d in diag if d > 1], ngens - len(diag))
 
 
@@ -213,7 +240,10 @@ class FinModPresentation:
     def __init__(self, ring, ngens, relations=()):
         self.ring = ring
         self.ngens = ngens
-        self.relations = normal_form(ring, [list(r) for r in relations], ngens)
+        relations = [list(r) for r in relations]
+        if any(len(r) != ngens for r in relations):
+            raise ValueError(f"relation rows must have length {ngens}")
+        self.relations = normal_form(ring, relations, ngens)
 
     def __repr__(self):
         return f"FinModPresentation({self.ring}, ngens={self.ngens}, rels={len(self.relations)})"
@@ -245,6 +275,8 @@ class FinComplex:
             tgt = self.module(n + 1)
             if M.ngens and len(D) != M.ngens:
                 raise ValueError(f"differential at degree {n} has wrong row count")
+            if any(len(r) != tgt.ngens for r in D):
+                raise ValueError(f"differential at degree {n} has wrong row width")
             # relations must map into relations
             if check and M.relations:
                 img = mat_mul(ring, M.relations, D) if tgt.ngens else []
@@ -278,14 +310,6 @@ class FinComplex:
             for row in DD:
                 if any(row) and not member(self.ring, tgt.relations, row):
                     raise NonComplex(f"d o d != 0 leaving degree {n}")
-
-    def shift(self, k):
-        return FinComplex(
-            self.ring,
-            {n - k: M for n, M in self.modules.items()},
-            {n - k: D for n, D in self.diffs.items()},
-            check=False,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +351,17 @@ class SubQuot:
 
     def induced_map(self, other: "SubQuot", ambient_matrix):
         """Generator matrix of the map sending [v] to [v . A]; None if ill-defined."""
+        A = ambient_matrix or [[0] * other.ambient for _ in range(self.ambient)]
         rows = []
-        for g in self.z:
-            img = vec_ambient(self.ring, g, ambient_matrix, other.ambient)
+        for img in mat_mul(self.ring, self.z, A):
             c = other.coords(img)
             if c is None:
                 return None
             rows.append(c)
         # relations must die
-        for g in self.b:
-            img = vec_ambient(self.ring, g, ambient_matrix, other.ambient)
-            if not member(self.ring, other.b, img):
-                return None
+        if not all(member(self.ring, other.b, img) for img in mat_mul(self.ring, self.b, A)):
+            return None
         return rows
-
-
-def vec_ambient(ring, v, A, target_len):
-    if not A:
-        return [0] * target_len
-    if isinstance(ring, ZmodRing):
-        return _zp.vec_mat(ring, v, A)
-    out = mat_mul(ring, [v], A)
-    return out[0] if out else [0] * target_len
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +376,14 @@ def homology_subquot(C: FinComplex, n: int) -> SubQuot:
         return SubQuot(ring, 0, [], [])
     nxt = C.module(n + 1)
     if nxt.ngens == 0:
-        z = normal_form(ring, identity_rows(ring, k), k)
+        z = normal_form(ring, identity(k), k)
     else:
         z = preimage(ring, C.diff(n), nxt.relations)
-        if not z:
-            z = []
     prev = C.module(n - 1)
     b = list(M.relations)
     if prev.ngens:
         b += list(C.diff(n - 1))
     return SubQuot(ring, k, z, b)
-
-
-def identity_rows(ring, k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
 def homology(C: FinComplex, n: int) -> InvariantFactors:

@@ -50,10 +50,6 @@ class ZmodRing:
         return pow(u, -1, self.q)
 
 
-def zeros(n: int) -> list[int]:
-    return [0] * n
-
-
 def mat_mul(R: ZmodRing, A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     q = R.q
     if not A:
@@ -69,22 +65,6 @@ def mat_mul(R: ZmodRing, A: list[list[int]], B: list[list[int]]) -> list[list[in
                         acc[j] += a * b
         out.append([x % q for x in acc])
     return out
-
-
-def vec_mat(R: ZmodRing, v: list[int], A: list[list[int]]) -> list[int]:
-    q = R.q
-    n = len(A[0]) if A else 0
-    acc = [0] * n
-    for a, row in zip(v, A):
-        if a:
-            for j, b in enumerate(row):
-                if b:
-                    acc[j] += a * b
-    return [x % q for x in acc]
-
-
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def howell(R: ZmodRing, rows: list[list[int]], ncols: int | None = None) -> list[list[int]]:
@@ -154,51 +134,6 @@ def reduce_vector(R: ZmodRing, H: list[list[int]], v: list[int]) -> list[int]:
                     if row[j]:
                         v[j] = (v[j] - c * row[j]) % q
     return v
-
-
-def member(R: ZmodRing, H: list[list[int]], v: list[int]) -> bool:
-    return not any(reduce_vector(R, H, v))
-
-
-def span_equal(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -> bool:
-    return howell(R, A, ncols) == howell(R, B, ncols)
-
-
-def kernel(R: ZmodRing, A: list[list[int]]) -> list[list[int]]:
-    """Generators of {x : x @ A = 0} for A with len(A) rows."""
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    H = howell(R, aug, n + m)
-    return [h[n:] for h in H if not any(h[:n])]
-
-
-def solve(R: ZmodRing, A: list[list[int]], b: list[int]) -> list[int] | None:
-    """One solution x of x @ A = b, or None if b is not in the row span."""
-    m = len(A)
-    n = len(b)
-    if m == 0:
-        return [] if not any(x % R.q for x in b) else None
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    H = howell(R, aug, n + m)
-    w = reduce_vector(R, H, list(b) + [0] * m)
-    if any(w[:n]):
-        return None
-    return [(-t) % R.q for t in w[n:]]
-
-
-def preimage(R: ZmodRing, A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    """Generators of {x : x @ A in rowspan(B)}."""
-    m = len(A)
-    if m == 0:
-        return []
-    n = len(A[0])
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    aug += [list(brow) + [0] * m for brow in B]
-    H = howell(R, aug, n + m)
-    return [h[n:] for h in H if not any(h[:n])]
 
 
 def intersect(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -> list[list[int]]:

@@ -27,10 +27,12 @@ from .exactcore import (
     SubQuot,
     ZmodRing,
     homology_subquot,
-    kernel,
+    identity,
     mat_mul,
     member,
+    negate,
     normal_form,
+    preimage,
     solve,
 )
 
@@ -87,7 +89,7 @@ class FilteredComplex:
             A = src.module(m)
             B = tgt.module(m)
             fm = f.get(m, [[0] * B.ngens for _ in range(A.ngens)])
-            if A.ngens and len(fm) != A.ngens:
+            if (A.ngens and len(fm) != A.ngens) or any(len(r) != B.ngens for r in fm):
                 raise ValueError(f"transition at degree {m} has wrong shape")
             nxt = f.get(m + 1, [[0] * tgt.module(m + 1).ngens for _ in range(src.module(m + 1).ngens)])
             lhs = mat_mul(self.ring, src.diff(m), nxt) if src.module(m + 1).ngens else []
@@ -126,11 +128,7 @@ def _map_kernel(ring, A: FinModPresentation, B: FinModPresentation, fmat) -> Inv
     """Invariants of ker(A -> B) for presented modules."""
     if not A.ngens:
         return InvariantFactors(())
-    from .exactcore import preimage
-
-    z = preimage(ring, fmat, B.relations) if B.ngens else [
-        [1 if i == j else 0 for j in range(A.ngens)] for i in range(A.ngens)
-    ]
+    z = preimage(ring, fmat, B.relations) if B.ngens else identity(A.ngens)
     return SubQuot(ring, A.ngens, z, list(A.relations)).invariants()
 
 
@@ -184,19 +182,14 @@ def cone(ring, src: FinComplex, tgt: FinComplex, f: dict) -> FinComplex:
         dA = src.diff(m + 1)
         fm = f.get(m + 1, [[0] * B2.ngens for _ in range(A.ngens)])
         for a in range(A.ngens):
-            row = [(-x) % _modq(ring) if isinstance(ring, ZmodRing) else -x for x in dA[a]] if A2.ngens else []
-            row = list(row) + list(fm[a] if B2.ngens else [])
-            rows.append(row)
+            row = negate(ring, dA[a]) if A2.ngens else []
+            rows.append(row + list(fm[a] if B2.ngens else []))
         dB = tgt.diff(m)
         for b in range(B.ngens):
             row = [0] * A2.ngens + (list(dB[b]) if B2.ngens else [])
             rows.append(row)
         diffs[m] = rows
     return FinComplex(ring, mods, diffs, check=False)
-
-
-def _modq(ring):
-    return ring.q
 
 
 def t_embed(X: GradedComplex, lo, hi) -> FilteredComplex:
@@ -312,8 +305,6 @@ def chain_hom_group(ring, A: FinComplex, B: FinComplex, extra_kill=None):
         for rrow in rel:
             allowed.append([0] * offset + list(rrow) + [0] * (total_cols - offset - bn))
         offset += bn
-    from .exactcore import preimage
-
     sols = preimage(ring, rows, allowed) if rows else []
     # enumerate the whole solution group
     H = normal_form(ring, sols, nvars)
@@ -379,14 +370,7 @@ def adjunction_check(F: FilteredComplex, X: GradedComplex) -> bool:
         unit_homs = chain_hom_group(F.ring, level, grn, extra_kill=kill)
         degrees = sorted(set(list(level.degrees()) + list(grn.degrees())))
         unit = tuple(
-            (
-                m,
-                tuple(
-                    tuple(1 if a == b else 0 for b in range(grn.module(m).ngens))
-                    for a in range(level.module(m).ngens)
-                ),
-            )
-            for m in degrees
+            (m, tuple(tuple(r) for r in identity(level.module(m).ngens))) for m in degrees
         )
         if unit not in set(unit_homs):
             return False
@@ -418,7 +402,7 @@ class _CoupleEntry:
         self.ring = ring
         self.pres = pres
         self.H = Hcone
-        self.z = [[1 if a == b else 0 for b in range(pres.ngens)] for a in range(pres.ngens)]
+        self.z = identity(pres.ngens)
         self.b = [list(r) for r in pres.relations]
 
     def invariants(self):
@@ -469,15 +453,14 @@ def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
         """H^m(F^{>= s}) -> H^m(cone_s), b |-> (0, b)."""
         B = F.level(s).module(m).ngens
         A1 = F.level(s + 1).module(m + 1).ngens
-        inc = [[0] * A1 + [1 if a == b else 0 for b in range(B)] for a in range(B)]
+        inc = [[0] * A1 + e for e in identity(B)]
         return Hlev[(s, m)].induced_map(Hcone[(s, m)], inc)
 
     def kmap(s, m):
         """H^m(cone_s) -> H^(m+1)(F^{>= s+1}), (a, b) |-> a."""
         A1 = F.level(s + 1).module(m + 1).ngens
         B = F.level(s).module(m).ngens
-        proj = [[1 if a == b else 0 for b in range(A1)] for a in range(A1)]
-        proj += [[0] * A1 for _ in range(B)]
+        proj = identity(A1) + [[0] * A1 for _ in range(B)]
         return Hcone[(s, m)].induced_map(Hlev[(s + 1, m + 1)], proj)
 
     entries = {}
@@ -511,8 +494,6 @@ def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
         if verify:
             _verify_dd_zero(ring, entries, dmats, cr)
         # pass to the next page: Z' = d^{-1}(B_target) within Z, B' = B + d(Z_source)
-        from .exactcore import preimage
-
         nxt = {}
         for (s, m), entry in entries.items():
             dmat = dmats.get((s, m))
@@ -566,12 +547,7 @@ def _verify_dd_zero(ring, entries, dmats, cr):
                 continue
             coeff = solve(ring, tgt.z + tgt.b, row)
             assert coeff is not None, "differential image is not a target cycle"
-            czz = coeff[: len(tgt.z)]
-            img = [0] * dbl.pres.ngens
-            for c, drow in zip(czz, dmat2):
-                if c:
-                    for jj, v in enumerate(drow):
-                        img[jj] = _radd(ring, img[jj], c * v)
+            img = mat_mul(ring, [coeff[: len(tgt.z)]], dmat2)[0]
             assert member(ring, bspan, img), "d o d != 0 on a page"
 
 
@@ -594,13 +570,8 @@ def _diff_on_rows(ring, Hlev, entries, imap, jmap, kmap, s, m, cr, zrows):
     Hsrc = Hlev[(s + cr, m + 1)]
     Htgt1 = Hlev[(s + 1, m + 1)]
     rels = [list(r) for r in Htgt1.presentation().relations]
-    for row in zrows:
-        kappa = [0] * Htgt1.gen_count()
-        if km:
-            for c, krow in zip(row, km):
-                if c:
-                    for jj, v in enumerate(krow):
-                        kappa[jj] = _radd(ring, kappa[jj], c * v)
+    kappas = mat_mul(ring, zrows, km) if km else [[0] * Htgt1.gen_count() for _ in zrows]
+    for kappa in kappas:
         if comp is None:
             xx = kappa
         else:
@@ -612,18 +583,8 @@ def _diff_on_rows(ring, Hlev, entries, imap, jmap, kmap, s, m, cr, zrows):
                 if sol is None:
                     raise ValueError("exact-couple section failed on a cycle row")
                 xx = sol[: Hsrc.gen_count()]
-        out = [0] * tgt.pres.ngens
-        if jm:
-            for c, jrow in zip(xx, jm):
-                if c:
-                    for jj, v in enumerate(jrow):
-                        out[jj] = _radd(ring, out[jj], c * v)
-        out_rows.append(out)
+        out_rows.append(mat_mul(ring, [xx], jm)[0] if jm else [0] * tgt.pres.ngens)
     return out_rows
-
-
-def _radd(ring, a, b):
-    return (a + b) % ring.q if isinstance(ring, ZmodRing) else a + b
 
 
 # ---------------------------------------------------------------------------

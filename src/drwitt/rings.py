@@ -478,12 +478,6 @@ class MonomialAlgebra:
         exps = tuple(wkey(Fraction(power)) if j == i else 0 for j in range(self.spec.nvars))
         return self.reduce({exps: 1})
 
-    def is_zero(self, el):
-        return not el
-
-    def equal(self, a, b):
-        return self.reduce(a) == self.reduce(b)
-
     def add(self, a, b):
         out = dict(a)
         for exps, c in b.items():

@@ -31,7 +31,6 @@ from .derham import DeRhamComplex, derham_cohomology
 from .dieudonne import (
     GUARD,
     SaturatedModel,
-    _scaled_identity,
     p_div,
     p_times,
     saturate,
@@ -46,6 +45,7 @@ from .exactcore import (
     ZmodRing,
     homology,
     homology_subquot,
+    identity,
     mat_mul,
     member,
     normal_form,
@@ -90,7 +90,7 @@ class NygaardModel:
         """can: N^n_v -> W^n_v; p^(i-1-n) V below the twist, identity above."""
         i, model, p = self.i, self.model, self.p
         if n >= i:
-            return _scaled_identity(self.ring, model.rank(n, v), 1)
+            return identity(model.rank(n, v))
         pv = p_times(v, p)
         V = model.versch(n, pv)
         if V is None:
@@ -103,7 +103,7 @@ class NygaardModel:
         i, model, p = self.i, self.model, self.p
         if n < i:
             k = self.param_rank(n, v)
-            return _scaled_identity(self.ring, k, 1)
+            return identity(k)
         F = model.frob(n, v)
         c = p ** (n - i)
         return [[(c * x) % self.ring.q for x in row] for row in F]
@@ -539,7 +539,7 @@ def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
     # now A = sign * (I + X) with X required nilpotent: sum the series
     power = X
     terms = 0
-    inv = _scaled_identity(ring, sdim, 1)
+    inv = identity(sdim)
     while any(any(row) for row in power):
         terms += 1
         if terms > sdim + ring.N + 2:
@@ -547,7 +547,7 @@ def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
         inv = [[(a + (-1) ** terms * b) % q for a, b in zip(r1, r2)] for r1, r2 in zip(inv, power)]
         power = mat_mul(ring, power, X)
     check = mat_mul(ring, A, [[(sign * x) % q for x in row] for row in inv])
-    return check == _scaled_identity(ring, sdim, 1), terms
+    return check == identity(sdim), terms
 
 
 def _invertible_by_solve(ring, A):
@@ -625,13 +625,13 @@ def _graded_cohomology(N: NygaardModel, v):
     diffs = {}
     for n in range(0, i):
         k = model.rank(n, pv)
-        mods[n] = FinModPresentation(ring, k, _scaled_identity(ring, k, p))
+        mods[n] = FinModPresentation(ring, k, identity(k, p))
     ki = model.rank(i, v)
     vrows = []
     V = model.versch(i, pv)
     if V:
         vrows += V
-    vrows += _scaled_identity(ring, ki, p)
+    vrows += identity(ki, p)
     mods[i] = FinModPresentation(ring, ki, vrows)
     for n in range(0, i):
         if n < i - 1:
@@ -696,7 +696,7 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
             c = p ** (i_cap - 1 - n)
             deepest = [[(c * x) % ring.q for x in row] for row in V]
             e = max(0, i_cap - GUARD - n)
-            target = normal_form(ring, _scaled_identity(ring, k, p**e), k)
+            target = normal_form(ring, identity(k, p**e), k)
             for row in deepest:
                 if not member(ring, target, row):
                     return False

@@ -175,9 +175,6 @@ class IntegerMonomialAlgebra:
     def constant(self, c):
         return {(0,) * self.nvars: c} if c else {}
 
-    def is_zero(self, el):
-        return not el
-
     def add(self, a, b):
         return _poly_add(a, b)
 

@@ -226,7 +226,15 @@ def bad_inputs(tmp_path):
     # a degree-0 differential with two rows on a one-generator module
     badshape = dict(notcx, levels=[{"n": 0, "complex": {"0": {"gens": 1}, "1": {"gens": 1}}, "d": {"0": [[1], [1]]}}])
     (tmp_path / "badshape.json").write_text(json.dumps(badshape))
-    names = ("missing", "notcx", "notjson", "noring", "badshape")
+    # rows of the wrong width: a relation, a transition and a differential
+    level = {"n": 0, "complex": {"0": {"gens": 1}}}
+    widerel = dict(notcx, levels=[dict(level, complex={"0": {"gens": 1, "rels": [[1, 2]]}})])
+    (tmp_path / "widerel.json").write_text(json.dumps(widerel))
+    widemap = dict(notcx, window=[0, 1], levels=[level, dict(level, n=1, map_to_prev={"0": [[1, 1]]})])
+    (tmp_path / "widemap.json").write_text(json.dumps(widemap))
+    widediff = dict(notcx, levels=[{"n": 0, "complex": {"0": {"gens": 1}, "1": {"gens": 1}}, "d": {"0": [[1, 0, 3]]}}])
+    (tmp_path / "widediff.json").write_text(json.dumps(widediff))
+    names = ("missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff")
     return {name: str(tmp_path / f"{name}.json") for name in names}
 
 
@@ -244,6 +252,9 @@ def bad_inputs(tmp_path):
         ["specseq", "run", "--input", "{notcx}"],
         ["specseq", "run", "--input", "{noring}"],
         ["specseq", "run", "--input", "{badshape}"],
+        ["specseq", "run", "--input", "{widerel}"],
+        ["specseq", "run", "--input", "{widemap}"],
+        ["specseq", "run", "--input", "{widediff}"],
         ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
         ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
         ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
@@ -261,6 +272,9 @@ def bad_inputs(tmp_path):
         "specseq-not-a-complex",
         "specseq-no-ring",
         "specseq-bad-shape",
+        "specseq-wide-relation",
+        "specseq-wide-transition",
+        "specseq-wide-differential",
         "derham-weight-cap-neg",
         "syntomic-maxdeg-neg",
         "logforms-deg-neg",

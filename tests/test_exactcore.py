@@ -24,14 +24,13 @@ from drwitt.exactcore import (
     intersect,
     invariants_isomorphic,
     kernel,
+    mat_mul,
     member,
     preimage,
     quotient_invariants,
     smith_diagonal,
     solve,
     span_order,
-    z_kernel,
-    z_solve,
 )
 
 
@@ -164,10 +163,10 @@ def test_span_order():
 def test_hermite_and_kernel_over_z():
     H = hermite([[2, 4], [4, 0]])
     assert H == [[2, 4], [0, 8]]
-    K = z_kernel([[2, 4], [1, 2]])
+    K = kernel(ZZ, [[2, 4], [1, 2]])
     assert K and all(k[0] * 2 + k[1] * 1 == 0 and k[0] * 4 + k[1] * 2 == 0 for k in K)
-    assert z_solve([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-    assert z_solve([[2, 0]], [1, 0]) is None
+    assert solve(ZZ, [[2, 0], [0, 3]], [4, 9]) == [2, 3]
+    assert solve(ZZ, [[2, 0]], [1, 0]) is None
 
 
 def test_smith_diagonal():
@@ -220,6 +219,45 @@ def test_zq_frobenius_and_teichmuller():
         for _ in range(f):
             y = W.frobenius(y)
         assert y == x
+
+
+def gf_span(K, rows, ncols):
+    """All elements of the row span over GF, by enumeration of coefficients."""
+    if not rows:
+        return {(0,) * ncols}
+    return {
+        tuple(mat_mul(K, [list(c)], rows)[0])
+        for c in itertools.product(K.elements(), repeat=len(rows))
+    }
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (3, 2)])
+def test_gf_solve_kernel_preimage_against_enumeration(p, f):
+    K = GF(p, f)
+    els = list(K.elements())
+    rng = random.Random(p**f)
+    cases = [([[1, 1], [1, 1], [0, 1]], [[0, 2]])]  # repeated row: a kernel exists
+    for _ in range(5):
+        m, n = rng.randint(1, 3), rng.randint(1, 2)
+        A = [[rng.choice(els) for _ in range(n)] for _ in range(m)]
+        cases.append((A, [[rng.choice(els) for _ in range(n)] for _ in range(rng.randint(0, 1))]))
+    for A, B in cases:
+        m, n = len(A), len(A[0])
+        image = {x: tuple(mat_mul(K, [list(x)], A)[0]) for x in itertools.product(els, repeat=m)}
+        for b in itertools.product(els, repeat=n):
+            x = solve(K, A, list(b))
+            if b in image.values():
+                assert x is not None and mat_mul(K, [x], A)[0] == list(b)
+            else:
+                assert x is None
+        zero = (0,) * n
+        ker = kernel(K, A)
+        assert all(mat_mul(K, [r], A)[0] == list(zero) for r in ker)
+        assert len(gf_span(K, ker, m)) == sum(1 for y in image.values() if y == zero)
+        allowed = gf_span(K, B, n)
+        pre = preimage(K, A, B)
+        assert all(tuple(mat_mul(K, [r], A)[0]) in allowed for r in pre)
+        assert len(gf_span(K, pre, m)) == sum(1 for y in image.values() if y in allowed)
 
 
 # ---------------------------------------------------------------------------
