@@ -24,7 +24,7 @@ from .errors import CheckFailure, DrwittError
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
 from .filtspec import FilteredComplex, spectral_sequence, two_column_extract
 from .kpredict import k_predict
-from .rings import MonomialAlgebra, parse_ringspec
+from .rings import MonomialAlgebra, is_prime, parse_ringspec
 from .synlog import (
     log_lattice,
     nygaard_completeness_check,
@@ -327,14 +327,28 @@ def _parse_ring_json(obj):
     if obj.get("kind") == "Z":
         return ZZ
     if obj.get("kind") == "Zmod":
-        return ZmodRing(int(obj["p"]), int(obj["N"]))
+        p, N = int(obj["p"]), int(obj["N"])
+        if not is_prime(p) or N < 1:
+            raise DrwittError(f"Zmod needs a prime p and N >= 1, got p = {p}, N = {N}")
+        return ZmodRing(p, N)
     raise DrwittError(f"unknown coefficient ring {obj!r}")
+
+
+def _by_degree(mats, mods, n, key):
+    """{degree: matrix} from a level's "d" or "map_to_prev" entry; each degree needs a module."""
+    out = {int(deg): mat for deg, mat in mats.items()}
+    stray = sorted(set(out) - set(mods))
+    if stray:
+        raise DrwittError(f'level {n} has "{key}" at degree {stray[0]}, which has no module')
+    return out
 
 
 def load_filtered_complex(doc) -> FilteredComplex:
     try:
         ring = _parse_ring_json(doc["ring"])
         lo, hi = doc["window"]
+        if lo > hi:
+            raise DrwittError(f"specseq window is reversed: {doc['window']!r}")
         levels = {}
         maps = {}
         for entry in doc["levels"]:
@@ -342,10 +356,10 @@ def load_filtered_complex(doc) -> FilteredComplex:
             mods = {}
             for deg, m in entry["complex"].items():
                 mods[int(deg)] = FinModPresentation(ring, int(m["gens"]), m.get("rels", []))
-            diffs = {int(deg): mat for deg, mat in entry.get("d", {}).items()}
+            diffs = _by_degree(entry.get("d", {}), mods, n, "d")
             levels[n] = FinComplex(ring, mods, diffs, check=True)
             if "map_to_prev" in entry:
-                maps[n - 1] = {int(deg): mat for deg, mat in entry["map_to_prev"].items()}
+                maps[n - 1] = _by_degree(entry["map_to_prev"], mods, n, "map_to_prev")
         return FilteredComplex(ring, lo, hi, levels, maps, check=True)
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise DrwittError(f"malformed specseq input: {type(e).__name__}: {e}") from None

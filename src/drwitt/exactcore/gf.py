@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .zmodp import ZmodRing, howell
+
 
 def _poly_mulmod(a, b, mod, p):
     """Product of coefficient lists a, b modulo (mod, p); mod is monic."""
@@ -106,12 +108,18 @@ class GF:
         return a
 
     def add(self, a, b):
+        if self.f == 1:
+            return (a + b) % self.p
         return self._encode([x + y for x, y in zip(self._decode(a), self._decode(b))])
 
     def sub(self, a, b):
+        if self.f == 1:
+            return (a - b) % self.p
         return self._encode([x - y for x, y in zip(self._decode(a), self._decode(b))])
 
     def neg(self, a):
+        if self.f == 1:
+            return -a % self.p
         return self._encode([-x for x in self._decode(a)])
 
     def mul(self, a, b):
@@ -132,6 +140,8 @@ class GF:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF")
+        if self.f == 1:
+            return pow(a, -1, self.p)
         return self.power(a, self.q - 2)
 
     def frob(self, a):
@@ -146,7 +156,14 @@ class GF:
 
 
 def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Reduced row echelon form over GF; canonical for the row space."""
+    """Reduced row echelon form over GF; canonical for the row space.
+
+    Over GF(p) this is the Howell form over Z/p: every nonzero entry is a
+    unit, so the first nonzero row is the pivot and entries above it are
+    cleared.
+    """
+    if K.f == 1:
+        return howell(ZmodRing(K.p, 1), rows, ncols)
     work = [list(r) for r in rows if any(r)]
     placed = []
     for col in range(ncols):

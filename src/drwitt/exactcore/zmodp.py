@@ -75,48 +75,60 @@ def howell(R: ZmodRing, rows: list[list[int]], ncols: int | None = None) -> list
     pivot columns strictly increase, entries above a pivot p^a are
     reduced mod p^a, and the Howell property holds: every element of the
     span whose support starts at column j lies in the span of the rows
-    with pivot column >= j.
+    with pivot column >= j.  Every row has ``ncols`` entries (by default
+    the length of the first row).
     """
     p, q, N = R.p, R.q, R.N
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     work = [[x % q for x in r] for r in rows]
     work = [r for r in work if any(r)]
-    placed: list[tuple[int, list[int]]] = []
+    placed: list[tuple[int, int, list[int], list[int]]] = []
     for col in range(ncols):
-        cand = [i for i, r in enumerate(work) if r[col] != 0]
-        if not cand:
+        # first row of least valuation in this column; a unit ends the search
+        i0, a = -1, N
+        for i, r in enumerate(work):
+            x = r[col]
+            if x:
+                if x % p:
+                    i0, a = i, 0
+                    break
+                v = R.val(x)
+                if v < a:
+                    i0, a = i, v
+        if i0 < 0:
             continue
-        i0 = min(cand, key=lambda i: R.val(work[i][col]))
         piv = work.pop(i0)
-        a = R.val(piv[col])
         pa = p**a
         uinv = R.inv_unit(piv[col] // pa)
-        piv = [(x * uinv) % q for x in piv]
+        nz = [j for j in range(col, ncols) if piv[j]]
+        if uinv != 1:
+            for j in nz:
+                piv[j] = piv[j] * uinv % q
+        kept = []
         for r in work:
             if r[col]:
                 # minimality of a guarantees p^a | r[col]
                 c = r[col] // pa
-                for j in range(col, ncols):
-                    if piv[j]:
-                        r[j] = (r[j] - c * piv[j]) % q
+                for j in nz:
+                    r[j] = (r[j] - c * piv[j]) % q
+                if not any(r):
+                    continue
+            kept.append(r)
+        work = kept
         if a > 0:
             shadow = [(x * p ** (N - a)) % q for x in piv]
             if any(shadow):
                 work.append(shadow)
-        work = [r for r in work if any(r)]
-        placed.append((col, piv))
+        placed.append((col, pa, nz, piv))
     # reduce entries above each pivot into [0, p^a)
-    result = [piv for _, piv in placed]
-    for idx, (col, piv) in enumerate(placed):
-        pa = p ** R.val(piv[col])
-        for l in range(idx):
-            c = result[l][col] // pa
+    result = [piv for _, _, _, piv in placed]
+    for idx, (col, pa, nz, piv) in enumerate(placed):
+        for row in result[:idx]:
+            c = row[col] // pa
             if c:
-                row = result[l]
-                for j in range(col, ncols):
-                    if piv[j]:
-                        row[j] = (row[j] - c * piv[j]) % q
+                for j in nz:
+                    row[j] = (row[j] - c * piv[j]) % q
     return result
 
 

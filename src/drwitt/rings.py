@@ -97,6 +97,11 @@ def exponents(weights, target):
     return out
 
 
+def is_prime(p):
+    """Primality by trial division up to sqrt(p)."""
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
 def sign_insert(j, J):
     """Sign and sorted result of inserting dx_j into dx_J; None if j in J."""
     if j in J:
@@ -355,7 +360,7 @@ def parse_ringspec(text: str) -> RingSpec:
         p = int(p_text)
     except ValueError:
         raise ParseError(f"p must be an integer, found {p_text!r}", p_ln)
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ParseError(f"p = {p} is not prime", p_ln)
     if "kind" not in fields:
         raise ParseError("missing `kind = ...` line", 1)

@@ -1,4 +1,5 @@
-"""Shared fixture generators: random complexes and filtrations over Z/p^N."""
+"""Shared fixture generators: random complexes and filtrations over Z/p^N,
+and a reference Howell form to test the kernel against."""
 
 from drwitt.exactcore import (
     FinComplex,
@@ -144,3 +145,59 @@ def random_filtered_complex(rng, ring: ZmodRing, window=2, length=3, max_rank=3)
             f[m] = mat
         maps[n] = f
     return FilteredComplex(ring, 0, window, levels, maps, check=True)
+
+
+# The straightforward Howell form that exactcore.zmodp.howell replaced:
+# cand list, min() by valuation, a full zero-row rescan after every pivot.
+# exactcore.zmodp.howell must return the same rows, byte for byte.
+def reference_howell(R: ZmodRing, rows: list[list[int]], ncols: int | None = None) -> list[list[int]]:
+    """Howell normal form of the row module spanned by ``rows``.
+
+    Canonical: two generating sets span the same submodule of (Z/p^N)^n
+    iff their Howell forms are equal.  Each pivot is a pure power of p,
+    pivot columns strictly increase, entries above a pivot p^a are
+    reduced mod p^a, and the Howell property holds: every element of the
+    span whose support starts at column j lies in the span of the rows
+    with pivot column >= j.
+    """
+    p, q, N = R.p, R.q, R.N
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    work = [[x % q for x in r] for r in rows]
+    work = [r for r in work if any(r)]
+    placed: list[tuple[int, list[int]]] = []
+    for col in range(ncols):
+        cand = [i for i, r in enumerate(work) if r[col] != 0]
+        if not cand:
+            continue
+        i0 = min(cand, key=lambda i: R.val(work[i][col]))
+        piv = work.pop(i0)
+        a = R.val(piv[col])
+        pa = p**a
+        uinv = R.inv_unit(piv[col] // pa)
+        piv = [(x * uinv) % q for x in piv]
+        for r in work:
+            if r[col]:
+                # minimality of a guarantees p^a | r[col]
+                c = r[col] // pa
+                for j in range(col, ncols):
+                    if piv[j]:
+                        r[j] = (r[j] - c * piv[j]) % q
+        if a > 0:
+            shadow = [(x * p ** (N - a)) % q for x in piv]
+            if any(shadow):
+                work.append(shadow)
+        work = [r for r in work if any(r)]
+        placed.append((col, piv))
+    # reduce entries above each pivot into [0, p^a)
+    result = [piv for _, piv in placed]
+    for idx, (col, piv) in enumerate(placed):
+        pa = p ** R.val(piv[col])
+        for l in range(idx):
+            c = result[l][col] // pa
+            if c:
+                row = result[l]
+                for j in range(col, ncols):
+                    if piv[j]:
+                        row[j] = (row[j] - c * piv[j]) % q
+    return result

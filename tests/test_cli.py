@@ -234,7 +234,20 @@ def bad_inputs(tmp_path):
     (tmp_path / "widemap.json").write_text(json.dumps(widemap))
     widediff = dict(notcx, levels=[{"n": 0, "complex": {"0": {"gens": 1}, "1": {"gens": 1}}, "d": {"0": [[1, 0, 3]]}}])
     (tmp_path / "widediff.json").write_text(json.dumps(widediff))
-    names = ("missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff")
+    # a reversed window; entries keyed by a degree without a module
+    (tmp_path / "reversed.json").write_text(json.dumps(dict(notcx, window=[1, 0], levels=[level])))
+    straydiff = dict(notcx, levels=[dict(level, d={"5": [[1, 2]]})])
+    (tmp_path / "straydiff.json").write_text(json.dumps(straydiff))
+    straymap = dict(notcx, window=[0, 1], levels=[level, dict(level, n=1, map_to_prev={"7": [[1, 1]]})])
+    (tmp_path / "straymap.json").write_text(json.dumps(straymap))
+    # Zmod with p not a prime
+    for p in (1, 4):
+        zmod = dict(notcx, ring={"kind": "Zmod", "p": p, "N": 2}, levels=[level])
+        (tmp_path / f"zmodp{p}.json").write_text(json.dumps(zmod))
+    names = (
+        "missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff",
+        "reversed", "straydiff", "straymap", "zmodp1", "zmodp4",
+    )
     return {name: str(tmp_path / f"{name}.json") for name in names}
 
 
@@ -255,6 +268,11 @@ def bad_inputs(tmp_path):
         ["specseq", "run", "--input", "{widerel}"],
         ["specseq", "run", "--input", "{widemap}"],
         ["specseq", "run", "--input", "{widediff}"],
+        ["specseq", "run", "--input", "{reversed}"],
+        ["specseq", "run", "--input", "{straydiff}"],
+        ["specseq", "run", "--input", "{straymap}"],
+        ["specseq", "run", "--input", "{zmodp1}"],
+        ["specseq", "run", "--input", "{zmodp4}"],
         ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
         ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
         ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
@@ -275,6 +293,11 @@ def bad_inputs(tmp_path):
         "specseq-wide-relation",
         "specseq-wide-transition",
         "specseq-wide-differential",
+        "specseq-window-reversed",
+        "specseq-stray-differential",
+        "specseq-stray-transition",
+        "specseq-zmod-p-1",
+        "specseq-zmod-p-4",
         "derham-weight-cap-neg",
         "syntomic-maxdeg-neg",
         "logforms-deg-neg",

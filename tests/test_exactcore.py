@@ -8,6 +8,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drwitt.exactcore import (
     GF,
@@ -18,6 +20,7 @@ from drwitt.exactcore import (
     NonComplex,
     Zq,
     ZmodRing,
+    gf_rref,
     hermite,
     homology,
     howell,
@@ -32,6 +35,7 @@ from drwitt.exactcore import (
     solve,
     span_order,
 )
+from helpers import reference_howell
 
 
 def brute_span(R, rows, ncols):
@@ -105,6 +109,50 @@ def test_empty_and_degenerate_matrices():
     assert howell(R, []) == []
     assert howell(R, [[0, 0]]) == []
     assert quotient_invariants(R, [], 0) == InvariantFactors(())
+
+
+@st.composite
+def howell_inputs(draw):
+    """(p, N, rows, ncols) with zero rows, repeated rows and entries of every valuation.
+
+    Entries are p^k * u for k in [0, N], so a column's least-valuation
+    entry is often not its first nonzero one.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    N = draw(st.integers(1, 3))
+    q = p**N
+    ncols = draw(st.integers(1, 4))
+    entry = st.builds(lambda k, u: p**k * u % q, st.integers(0, N), st.integers(1, q))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(("zero", "repeat")), st.integers(0, 9)), max_size=3)):
+        row = [0] * ncols if kind == "zero" or not rows else list(rows[at % len(rows)])
+        rows.insert(at % (len(rows) + 1), row)
+    return p, N, rows, ncols
+
+
+def is_rref(p, H, ncols):
+    """Reduced entries, strictly increasing leading ones, each alone in its column."""
+    leads = [next(j for j, x in enumerate(row) if x) for row in H]
+    return (
+        leads == sorted(set(leads))
+        and all(len(row) == ncols and all(0 <= x < p for x in row) for row in H)
+        and all(row[c] == (i == k) for k, c in enumerate(leads) for i, row in enumerate(H))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(howell_inputs())
+@example((2, 2, [[2, 1], [1, 0]], 2))  # least valuation sits below the first nonzero
+@example((3, 1, [[1, 2], [0, 0], [1, 2], [2, 1]], 2))  # zero and repeated rows
+def test_howell_matches_reference(case):
+    p, N, rows, ncols = case
+    R = ZmodRing(p, N)
+    expected = reference_howell(R, [list(r) for r in rows], ncols)
+    assert howell(R, [list(r) for r in rows], ncols) == expected
+    if N == 1:
+        H = gf_rref(GF(p), [list(r) for r in rows], ncols)
+        assert H == expected
+        assert is_rref(p, H, ncols)
 
 
 def test_kernel_solve_preimage_intersect():
