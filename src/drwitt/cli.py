@@ -195,7 +195,8 @@ def cmd_drw(args):
     bumped = strict_truncate(saturate(spec, args.level, args.maxdeg, R=model.R + 1), args.level)
     out = {}
     ops = {}
-    for u in level.weights(args.weight_cap):
+    # a ring without variables lives at weight 0 only
+    for u in level.weights(args.weight_cap) if spec.nvars else [0]:
         for n in range(0, model.top + 1):
             inv = level.invariants(n, u)
             if inv.is_trivial():

@@ -26,6 +26,11 @@ Stabilization of the E_s chain per weight is certified empirically (one
 transition step past the working stage must be an isomorphism); it is a
 checked hypothesis of the model, not a proved bound.
 
+Inside a model a weight u is its integer numerator a = u p^s_star, which
+is the lift weight of the working stage (F is a -> p a, V is a -> a/p
+when p divides a); true weights appear only at `weight_window`, at
+`StrictLevel` and at the model's weight-taking boundary methods.
+
 All lattices live at finite precision p^B with B comfortably above the
 reported precision; maps between lattice coordinate systems are exact
 modulo the reported modulus, and every division by p is checked.
@@ -107,20 +112,19 @@ class LiftComplex:
         return out
 
     def forms(self, n, w):
-        """Monomial n-forms of weight w (a Fraction key via wkey)."""
+        """Monomial n-forms of integer weight w."""
         return self.algebra.forms(n, w)
 
     def rank(self, n, w):
-        return len(self.forms(n, wkey(Fraction(w)))) * self.f
+        return len(self.forms(n, w)) * self.f
 
     def _coords(self, n, w):
-        return {form: k for k, form in enumerate(self.forms(n, wkey(Fraction(w))))}
+        return {form: k for k, form in enumerate(self.forms(n, w))}
 
     @memo
     def d_matrix(self, n, w):
         """d: (n, w) -> (n+1, w); slots are form x coefficient-digit."""
-        w = Fraction(w)
-        src = self.forms(n, wkey(w))
+        src = self.forms(n, w)
         tgt = self._coords(n + 1, w)
         ncols = len(tgt) * self.f
         rows = []
@@ -147,9 +151,8 @@ class LiftComplex:
     @memo
     def f_matrix(self, n, w):
         """F = phi/p^n: (n, w) -> (n, p*w); monomial part has coefficient 1."""
-        w = Fraction(w)
-        src = self.forms(n, wkey(w))
-        tgt = self._coords(n, p_times(w, self.p))
+        src = self.forms(n, w)
+        tgt = self._coords(n, w * self.p)
         ncols = len(tgt) * self.f
         sigma = self.frobenius_coeff_matrix()
         rows = []
@@ -172,10 +175,10 @@ class LiftComplex:
         """dF = pFd on generators, spot check for the given weights."""
         for n in range(0, self.top):
             for w in weights:
-                src = self.rank(n, wkey(Fraction(w)))
-                tgt = self.rank(n + 1, wkey(Fraction(w) * self.p))
-                A = mat_mul(self.ring, self.f_matrix(n, wkey(Fraction(w))), self.d_matrix(n, wkey(Fraction(w) * self.p)))
-                B = mat_mul(self.ring, self.d_matrix(n, wkey(Fraction(w))), self.f_matrix(n + 1, wkey(Fraction(w))))
+                src = self.rank(n, w)
+                tgt = self.rank(n + 1, w * self.p)
+                A = mat_mul(self.ring, self.f_matrix(n, w), self.d_matrix(n, w * self.p))
+                B = mat_mul(self.ring, self.d_matrix(n, w), self.f_matrix(n + 1, w))
                 pB = [[(self.p * x) % self.q for x in row] for row in B]
 
                 def pad(M):
@@ -190,11 +193,8 @@ class LiftComplex:
 
 
 def p_times(w, p):
+    """The weight p w, as a wkey."""
     return wkey(Fraction(w) * p)
-
-
-def p_div(w, p):
-    return wkey(Fraction(w) / p)
 
 
 def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
@@ -217,7 +217,7 @@ def eta_p_lattice(lift: LiftComplex, n: int, w) -> list[list[int]]:
     k = lift.rank(n, w)
     if k == 0:
         return []
-    D = lift.d_matrix(n, wkey(Fraction(w)))
+    D = lift.d_matrix(n, w)
     kt = lift.rank(n + 1, w)
     pn = lift.p**n
     if kt == 0:
@@ -234,7 +234,7 @@ def eta_p_differential(lift: LiftComplex, n: int, w, basis, next_basis):
     ring = lift.ring
     if not basis:
         return []
-    D = lift.d_matrix(n, wkey(Fraction(w)))
+    D = lift.d_matrix(n, w)
     out = []
     for img in mat_mul(ring, basis, D):
         if not next_basis:
@@ -258,7 +258,9 @@ class SaturatedModel:
     Weight-u components (denominator up to p^s_star) are lattices with
     exact matrices for d, F and V; everything is computed lazily per
     weight and certified to have stabilized one eta_p stage beyond the
-    working stage.
+    working stage.  Methods ending in `_at` take the numerator
+    a = u p^s_star of the weight; `num` converts a weight to it, and
+    `lattice`, `rank`, `d`, `frob` and `versch` take the weight itself.
     """
 
     def __init__(self, spec: RingSpec, r_level: int, i_max: int, R: int | None = None):
@@ -275,6 +277,7 @@ class SaturatedModel:
         self.p = spec.p
         self.is_perfection = spec.kind == "perfection"
         self.s_star = r_level + 1
+        self.P = self.p**self.s_star
         self.R = R if R is not None else internal_precision(r_level, i_max)
         self.B = self.R + 2 * self.s_star + 2
         self.ring = ZmodRing(self.p, self.R)
@@ -283,79 +286,89 @@ class SaturatedModel:
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
 
+    # -- the weight boundary -------------------------------------------------
+
+    def num(self, u):
+        """The numerator u p^s_star of weight u; None past the denominator cap."""
+        a = Fraction(u) * self.P
+        return a.numerator if a.denominator == 1 else None
+
+    def lattice(self, n, u):
+        a = self.num(u)
+        return [] if a is None else self.lattice_at(n, a)
+
+    def rank(self, n, u):
+        return len(self.lattice(n, u))
+
+    def d(self, n, u):
+        a = self.num(u)
+        return [] if a is None else self.d_at(n, a)
+
+    def frob(self, n, u):
+        a = self.num(u)
+        return [] if a is None else self.frob_at(n, a)
+
+    def versch(self, n, u):
+        a = self.num(u)
+        return None if a is None else self.versch_at(n, a)
+
     # -- lattice bases -------------------------------------------------------
 
-    def den_ok(self, u) -> bool:
-        return Fraction(u).denominator <= self.p**self.s_star
-
-    def _stage_lattice(self, n, u, s):
-        """E_s basis at source weight u p^s, in ambient lift coordinates."""
-        w = wkey(Fraction(u) * self.p**s)
-        if Fraction(w).denominator != 1:
-            return None, w  # not representable at this stage
+    def _stage_lattice(self, n, w, s):
+        """E_s basis at lift weight w, in ambient lift coordinates."""
         k = self.lift.rank(n, w)
         if k == 0:
-            return [], w
+            return []
         kt = self.lift.rank(n + 1, w)
         if kt == 0:
-            return identity(k), w
+            return identity(k)
         D = self.lift.d_matrix(n, w)
         rows = preimage(self._amb, D, identity(kt, self.p**s))
-        return howell(self._amb, rows, k), w
+        return howell(self._amb, rows, k)
 
     @memo
-    def lattice(self, n, u):
-        """Howell basis of the weight-u degree-n component (ambient coords)."""
-        u = wkey(Fraction(u))
+    def lattice_at(self, n, a):
+        """Howell basis of the degree-n component at numerator a (ambient coords)."""
         if self.is_perfection:
-            if n != 0 or not self.den_ok(u):
+            if n != 0:
                 return []
-            # rank-f free lattice on the Teichmuller monomials of weight u
-            count = len(self._perf_monomials(u))
+            # rank-f free lattice on the Teichmuller monomials of weight a/p^s_star
+            count = len(self._perf_monomials(a))
             return identity(count * self.f) if count else []
-        if not self.den_ok(u):
-            return []
-        basis, _ = self._stage_lattice(n, u, self.s_star)
-        if basis is None:
-            return []
+        basis = self._stage_lattice(n, a, self.s_star)
         if basis:
-            self._certify(n, u)
+            self._certify(n, a, basis)
         return basis
 
-    @memo
-    def _perf_monomials(self, u):
-        alg = MonomialAlgebra(self.spec.base(), den=self.p**self.s_star)
-        scaled = [
-            tuple(wkey(Fraction(e, self.p**self.s_star)) for e in m)
-            for m in alg.monomials(Fraction(u) * self.p**self.s_star, raw=True)
-        ]
-        return scaled
+    def rank_at(self, n, a):
+        return len(self.lattice_at(n, a))
 
-    def _certify(self, n, u):
-        """Stabilization certificate: F is iso one stage beyond s_star."""
-        cur, w_cur = self._stage_lattice(n, u, self.s_star)
-        nxt, _ = self._stage_lattice(n, u, self.s_star + 1)
-        if cur is None or nxt is None:
-            raise PrecisionExhausted("stage weights not representable")
-        F = self.lift.f_matrix(n, w_cur)
-        img = mat_mul(self._amb, cur, F) if cur else []
+    @memo
+    def _perf_monomials(self, a):
+        alg = MonomialAlgebra(self.spec.base(), den=self.P)
+        return [tuple(wkey(Fraction(e, self.P)) for e in m) for m in alg.monomials(a, raw=True)]
+
+    def _certify(self, n, a, cur):
+        """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
+        nxt = self._stage_lattice(n, a * self.p, self.s_star + 1)
+        F = self.lift.f_matrix(n, a)
+        img = mat_mul(self._amb, cur, F)
         if len(cur) != len(nxt):
             raise PrecisionExhausted(
-                f"saturation not stabilized at degree {n} weight {u}: "
+                f"saturation not stabilized at degree {n} weight {Fraction(a, self.P)}: "
                 f"ranks {len(cur)} -> {len(nxt)}"
             )
         coordM = self._express(img, nxt)
         if coordM is None:
             raise PrecisionExhausted("transition image escapes the next stage")
         # invertibility mod p of the square coordinate matrix
-        if coordM:
-            Fp = ZmodRing(self.p, 1)
-            red = [[x % self.p for x in row] for row in coordM]
-            H = howell(Fp, red, len(coordM))
-            if len(H) != len(coordM) or any(Fp.val(H[i][i]) != 0 for i in range(len(H))):
-                raise PrecisionExhausted(
-                    f"saturation transition not bijective at degree {n} weight {u}"
-                )
+        Fp = ZmodRing(self.p, 1)
+        red = [[x % self.p for x in row] for row in coordM]
+        H = howell(Fp, red, len(coordM))
+        if len(H) != len(coordM) or any(Fp.val(H[i][i]) != 0 for i in range(len(H))):
+            raise PrecisionExhausted(
+                f"saturation transition not bijective at degree {n} weight {Fraction(a, self.P)}"
+            )
         return True
 
     def _express(self, rows, basis):
@@ -368,24 +381,17 @@ class SaturatedModel:
             out.append([x % self.ring.q for x in sol])
         return out
 
-    def rank(self, n, u):
-        return len(self.lattice(n, u))
-
     # -- structure maps (matrices over Z/p^R in lattice coordinates) ---------
 
     @memo
-    def d(self, n, u):
-        """d: (n, u) -> (n+1, u)."""
-        u = wkey(Fraction(u))
-        src = self.lattice(n, u)
-        tgt = self.lattice(n + 1, u)
-        if not src or not tgt:
+    def d_at(self, n, a):
+        """d: (n, a) -> (n+1, a)."""
+        src = self.lattice_at(n, a)
+        tgt = self.lattice_at(n + 1, a)
+        if not src or not tgt or self.is_perfection:
             return [[0] * len(tgt) for _ in src]
-        if self.is_perfection:
-            return [[0] * len(tgt) for _ in src]
-        w = wkey(Fraction(u) * self.p**self.s_star)
-        D = self.lift.d_matrix(n, w)
-        ps = self.p**self.s_star
+        D = self.lift.d_matrix(n, a)
+        ps = self.P
         img = []
         for h in mat_mul(self._amb, src, D):
             if any(x % ps for x in h):
@@ -397,18 +403,16 @@ class SaturatedModel:
         return out
 
     @memo
-    def frob(self, n, u):
-        """F: (n, u) -> (n, p u)."""
-        u = wkey(Fraction(u))
-        src = self.lattice(n, u)
-        tgt = self.lattice(n, p_times(u, self.p))
+    def frob_at(self, n, a):
+        """F: (n, a) -> (n, p a)."""
+        src = self.lattice_at(n, a)
+        tgt = self.lattice_at(n, a * self.p)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
         if self.is_perfection:
             sigma = self.lift.frobenius_coeff_matrix()
-            return self._perf_blockmap(n, u, p_times(u, self.p), sigma, 1)
-        w = wkey(Fraction(u) * self.p**self.s_star)
-        F = self.lift.f_matrix(n, w)
+            return self._perf_blockmap(a, a * self.p, sigma, 1)
+        F = self.lift.f_matrix(n, a)
         img = mat_mul(self._amb, src, F)
         out = self._express(img, tgt)
         if out is None:
@@ -416,26 +420,24 @@ class SaturatedModel:
         return out
 
     @memo
-    def versch(self, n, u):
-        """V = F^{-1} p: (n, u) -> (n, u/p); None when the denominator cap truncates."""
-        u = wkey(Fraction(u))
-        src = self.lattice(n, u)
-        down = p_div(u, self.p)
-        if not self.den_ok(down):
+    def versch_at(self, n, a):
+        """V = F^{-1} p: (n, a) -> (n, a/p); None when p does not divide a (the denominator cap)."""
+        src = self.lattice_at(n, a)
+        if a % self.p:
             return None
-        tgt = self.lattice(n, down)
+        down = a // self.p
+        tgt = self.lattice_at(n, down)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
         if self.is_perfection:
             sigma_inv = self.lift.frobenius_inverse_coeff_matrix()
-            return self._perf_blockmap(n, u, down, sigma_inv, self.p)
+            return self._perf_blockmap(a, down, sigma_inv, self.p)
         # solve F z = p y for each basis row y
-        w_down = wkey(Fraction(down) * self.p**self.s_star)
-        F = self.lift.f_matrix(n, w_down)
+        F = self.lift.f_matrix(n, down)
         out = []
         for row in src:
             py = [(self.p * x) % self._amb.q for x in row]
-            # z in ambient coords at weight u p^{s*-1}: solve z . F = py
+            # z in ambient coords at lift weight a/p: solve z . F = py
             z = solve(self._amb, F, py)
             if z is None:
                 raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
@@ -447,12 +449,12 @@ class SaturatedModel:
             out.append([x % self.ring.q for x in coords])
         return out
 
-    def _perf_blockmap(self, n, u, target_u, coeff_matrix, scalar):
+    def _perf_blockmap(self, a, target_a, coeff_matrix, scalar):
         """Monomial correspondence m -> m^(p or 1/p) tensored with a coeff map."""
-        src_monos = self._perf_monomials(u)
-        tgt_monos = self._perf_monomials(wkey(Fraction(target_u)))
+        src_monos = self._perf_monomials(a)
+        tgt_monos = self._perf_monomials(target_a)
         idx = {m: k for k, m in enumerate(tgt_monos)}
-        factor = self.p if Fraction(target_u) == Fraction(u) * self.p else Fraction(1, self.p)
+        factor = self.p if target_a == a * self.p else Fraction(1, self.p)
         rows = []
         for m in src_monos:
             timg = tuple(wkey(Fraction(e) * factor) for e in m)
@@ -469,7 +471,7 @@ class SaturatedModel:
 
     def teichmuller_vector(self):
         """Coordinates of [1] in the weight-0 degree-0 lattice."""
-        basis = self.lattice(0, 0)
+        basis = self.lattice_at(0, 0)
         amb = self._one_ambient()
         coords = solve(self._amb, basis, amb)
         if coords is None:
@@ -478,15 +480,11 @@ class SaturatedModel:
 
     def _one_ambient(self):
         if self.is_perfection:
-            monos = self._perf_monomials(0)
-            k = monos.index(tuple(0 for _ in range(self.spec.nvars)))
-            vec = [0] * (len(monos) * self.f)
-            vec[k * self.f] = 1
-            return vec
-        forms = self.lift.forms(0, 0)
-        k = forms.index((tuple(0 for _ in range(self.lift.nvars)), ()))
-        vec = [0] * (len(forms) * self.f)
-        vec[k * self.f] = 1
+            slots, one = self._perf_monomials(0), (0,) * self.spec.nvars
+        else:
+            slots, one = self.lift.forms(0, 0), ((0,) * self.lift.nvars, ())
+        vec = [0] * (len(slots) * self.f)
+        vec[slots.index(one) * self.f] = 1
         return vec
 
     def dlog_vector(self, var_index):
@@ -497,7 +495,7 @@ class SaturatedModel:
         """
         if self.is_perfection or not self.spec.is_laurent:
             return None
-        basis = self.lattice(1, 0)
+        basis = self.lattice_at(1, 0)
         if not basis:
             return None
         forms = self.lift.forms(1, 0)
@@ -534,32 +532,29 @@ class StrictLevel:
         return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
 
     @memo
-    def _relations(self, n, u):
-        """Generators of V^r W^n_u + d V^r W^(n-1)_u in lattice coordinates."""
+    def _relations(self, n, a):
+        """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator)."""
         model, r, p = self.model, self.r, self.p
-        u = wkey(Fraction(u))
-        k = model.rank(n, u)
+        k = model.rank_at(n, a)
         rows = []
 
-        def v_iterated(nn, start_u):
-            """Matrix of V^r from (nn, start_u p^r) into (nn, start_u)."""
-            cur_u = wkey(Fraction(start_u) * p**r)
+        def v_iterated(nn):
+            """Matrix of V^r from (nn, a p^r) into (nn, a)."""
+            cur = a * p**r
             mat = None
             for _ in range(r):
-                V = model.versch(nn, cur_u)
-                if V is None:
-                    raise PrecisionExhausted("V^r source weight escapes the denominator cap")
+                V = model.versch_at(nn, cur)
                 mat = V if mat is None else mat_mul(self.ring, mat, V)
-                cur_u = p_div(cur_u, p)
+                cur //= p
             return mat
 
-        Vr = v_iterated(n, u)
+        Vr = v_iterated(n)
         if Vr:
             rows += Vr
         if n >= 1:
-            Vr1 = v_iterated(n - 1, u)
+            Vr1 = v_iterated(n - 1)
             if Vr1:
-                D = model.d(n - 1, u)
+                D = model.d_at(n - 1, a)
                 rows += mat_mul(self.ring, Vr1, D)
         # p^r times everything is V^r F^r, but include it explicitly so the
         # quotient is visibly killed by p^r at this precision
@@ -567,9 +562,11 @@ class StrictLevel:
         return normal_form(self.ring, rows, k)
 
     def group(self, n, u) -> SubQuot:
-        k = self.model.rank(n, u)
-        z = identity(k)
-        return SubQuot(self.ring, k, z, self._relations(n, u))
+        a = self.model.num(u)
+        if a is None:
+            raise PrecisionExhausted("V^r source weight escapes the denominator cap")
+        k = self.model.rank_at(n, a)
+        return SubQuot(self.ring, k, identity(k), self._relations(n, a))
 
     def invariants(self, n, u) -> InvariantFactors:
         return self.group(n, u).invariants()
@@ -585,13 +582,11 @@ class StrictLevel:
         V = self.model.versch(n, u)
         if V is None:
             return None
-        return self.group(n, u).induced_map(other.group(n, p_div(u, self.p)), V)
+        return self.group(n, u).induced_map(other.group(n, wkey(Fraction(u) / self.p)), V)
 
     def restriction_from(self, higher: "StrictLevel", n, u):
         """R: W_{r+1}(n, u) -> W_r(n, u), identity on coordinates."""
-        k = self.model.rank(n, u)
-        eye = identity(k)
-        return higher.group(n, u).induced_map(self.group(n, u), eye)
+        return higher.group(n, u).induced_map(self.group(n, u), identity(self.model.rank(n, u)))
 
 
 def strict_truncate(model: SaturatedModel, r: int) -> StrictLevel:
@@ -618,10 +613,8 @@ def mod_p_compatibility(spec: RingSpec, r: int, i_max: int, weight_cap) -> bool:
         }
         Cfree = FinComplex(ring_r, mods, diffs, check=False)
         # strict level complex of presented modules
-        lmods = {}
+        lmods = {n: level.group(n, u).presentation() for n in range(model.top + 2)}
         ldiffs = {}
-        for n in range(model.top + 2):
-            lmods[n] = level.group(n, u).presentation()
         for n in range(model.top + 1):
             m = level.d_map(n, u)
             if m is None:

@@ -97,9 +97,30 @@ def exponents(weights, target):
     return out
 
 
-def is_prime(p):
-    """Primality by trial division up to sqrt(p)."""
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in PRIME_BASES (Sorenson-Webster)
+PRIME_BOUND = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin with the first 13 primes as bases.
+
+    Exact for n < PRIME_BOUND; a larger n raises ParseError instead of a guess.
+    """
+    if n >= PRIME_BOUND:
+        raise ParseError(f"cannot certify {n} prime: the primality test is exact only below {PRIME_BOUND}")
+    if n < 2:
+        return False
+    if any(n % b == 0 for b in PRIME_BASES):
+        return n in PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # n is a strong probable prime to base b iff b^d = 1 or b^(d 2^k) = -1 for some k < s
+    for b in PRIME_BASES:
+        if pow(b, d, n) != 1 and all(pow(b, d << k, n) != n - 1 for k in range(s)):
+            return False
+    return True
 
 
 def sign_insert(j, J):
@@ -629,7 +650,7 @@ class MonomialAlgebra:
         weights = self.spec.weights
         if n >= 0:
             for J in combinations(range(self.spec.nvars), n):
-                rest = Fraction(w) - sum(weights[j] for j in J)
+                rest = w - sum(weights[j] for j in J)
                 out += [(m, J) for m in self._raw_monomials(rest)]
         return out
 

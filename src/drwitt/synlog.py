@@ -21,6 +21,9 @@ reported, not pinned.
 
 Logarithmic lattices are spans of dlog symbols of the enumerable units;
 they sit at weight zero, where no truncation effect exists.
+
+Per-weight work is keyed by the model's weight numerators a = u p^s_star
+(see dieudonne); the orbit action is a -> p a.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .derham import DeRhamComplex, derham_cohomology
 from .dieudonne import (
     GUARD,
     SaturatedModel,
-    p_div,
     p_times,
     saturate,
     strict_truncate,
@@ -58,7 +60,11 @@ from .rings import RingSpec, weight_window
 # Nygaard model
 
 class NygaardModel:
-    """N^{>=i} of a saturated model, in parametrized coordinates."""
+    """N^{>=i} of a saturated model, in parametrized coordinates.
+
+    Weights are the model's numerators a; below the twist the degree-n
+    component at a is the lattice at p a.
+    """
 
     def __init__(self, model: SaturatedModel, i: int):
         self.model = model
@@ -66,45 +72,36 @@ class NygaardModel:
         self.p = model.p
         self.ring = model.ring
 
-    def param_rank(self, n, v):
-        """Rank of the degree-n component at weight v (param coords for n < i)."""
+    def param_rank(self, n, a):
+        """Rank of the degree-n component at numerator a (param coords for n < i)."""
         if n < self.i:
-            return self.model.rank(n, p_times(v, self.p))
-        return self.model.rank(n, v)
+            return self.model.rank_at(n, a * self.p)
+        return self.model.rank_at(n, a)
 
-    def d_matrix(self, n, v):
-        """d_N: (n, v) -> (n+1, v) in param coordinates."""
+    def d_matrix(self, n, a):
+        """d_N: (n, a) -> (n+1, a) in param coordinates."""
         i, model = self.i, self.model
-        pv = p_times(v, self.p)
         if n < i - 1:
-            return model.d(n, pv)
+            return model.d_at(n, a * self.p)
         if n == i - 1:
             # bridge x |-> d(Vx)
-            V = model.versch(n, pv)
-            if V is None:
-                return [[0] * model.rank(i, v) for _ in range(self.param_rank(n, v))]
-            return mat_mul(self.ring, V, model.d(n, v))
-        return model.d(n, v)
+            return mat_mul(self.ring, model.versch_at(n, a * self.p), model.d_at(n, a))
+        return model.d_at(n, a)
 
-    def inclusion_matrix(self, n, v):
-        """can: N^n_v -> W^n_v; p^(i-1-n) V below the twist, identity above."""
+    def inclusion_matrix(self, n, a):
+        """can: N^n_a -> W^n_a; p^(i-1-n) V below the twist, identity above."""
         i, model, p = self.i, self.model, self.p
         if n >= i:
-            return identity(model.rank(n, v))
-        pv = p_times(v, p)
-        V = model.versch(n, pv)
-        if V is None:
-            return [[0] * model.rank(n, v) for _ in range(self.param_rank(n, v))]
+            return identity(model.rank_at(n, a))
         c = p ** (i - 1 - n)
-        return [[(c * x) % self.ring.q for x in row] for row in V]
+        return [[(c * x) % self.ring.q for x in row] for row in model.versch_at(n, a * p)]
 
-    def divided_frobenius_matrix(self, n, v):
-        """phi/p^i: N^n_v -> W^n_{p v}; identity on parameters below the twist."""
+    def divided_frobenius_matrix(self, n, a):
+        """phi/p^i: N^n_a -> W^n_{p a}; identity on parameters below the twist."""
         i, model, p = self.i, self.model, self.p
         if n < i:
-            k = self.param_rank(n, v)
-            return identity(k)
-        F = model.frob(n, v)
+            return identity(self.param_rank(n, a))
+        F = model.frob_at(n, a)
         c = p ** (n - i)
         return [[(c * x) % self.ring.q for x in row] for row in F]
 
@@ -112,14 +109,15 @@ class NygaardModel:
         """phi o can = p^i (phi/p^i) and the chain-map property, per weight."""
         i, model, p = self.i, self.model, self.p
         for v in weights:
+            a = model.num(v)
             for n in range(0, model.top + 1):
-                if not self.param_rank(n, v):
+                if not self.param_rank(n, a):
                     continue
-                inc = self.inclusion_matrix(n, v)
-                phi_div = self.divided_frobenius_matrix(n, v)
+                inc = self.inclusion_matrix(n, a)
+                phi_div = self.divided_frobenius_matrix(n, a)
                 # phi = p^n F on W; composed with the inclusion it must equal
                 # p^i times the divided Frobenius
-                Fmat = model.frob(n, v)
+                Fmat = model.frob_at(n, a)
                 lhs = mat_mul(self.ring, inc, [[(p**n * x) % self.ring.q for x in row] for row in Fmat]) if Fmat else []
                 rhs = [[(p**i * x) % self.ring.q for x in row] for row in phi_div]
                 if lhs != rhs:
@@ -130,7 +128,7 @@ class NygaardModel:
 def nygaard(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> NygaardModel:
     model = saturate(spec, r, max(i_max, i + 1))
     N = NygaardModel(model, i)
-    probe = [w for w in (0, 1) if N.param_rank(min(i, model.top), w)]
+    probe = [w for w in (0, 1) if N.param_rank(min(i, model.top), w * model.P)]
     N.check_identities(probe or [0])
     return N
 
@@ -140,9 +138,10 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
     out = {}
     den = N.model.p ** (N.model.s_star - 1)
     for v in weight_window(weight_cap, den, N.model.spec.is_laurent):
+        a = N.model.num(v)
         for n in range(0, N.model.top + 1):
-            if N.param_rank(n, v):
-                out[(n, v)] = N.divided_frobenius_matrix(n, v)
+            if N.param_rank(n, a):
+                out[(n, v)] = N.divided_frobenius_matrix(n, a)
     return out
 
 
@@ -150,37 +149,41 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
 # orbit assembly for the syntomic fiber
 
 def _weight_support(model: SaturatedModel, cap, den_exp):
-    """Lattice-supported weights with |w| <= cap and denominator <= p^den_exp."""
-    return [
-        w
-        for w in weight_window(cap, model.p**den_exp, model.spec.is_laurent)
-        if any(model.rank(n, w) for n in range(model.top + 1))
-    ]
+    """Numerators of the lattice-supported weights with |w| <= cap and denominator <= p^den_exp.
+
+    A ring without variables is supported at weight 0 only.
+    """
+    if model.spec.nvars:
+        window = map(model.num, weight_window(cap, model.p**den_exp, model.spec.is_laurent))
+    else:
+        window = [0] if cap >= 0 else []
+    return [a for a in window if a is not None and any(model.rank_at(n, a) for n in range(model.top + 1))]
 
 
 def weight_orbits(model: SaturatedModel, cap, den_exp):
-    """Partition of the supported weights into orbits of w -> p w."""
+    """Partition of the supported numerators into orbits of a -> p a."""
+    p = model.p
     weights = _weight_support(model, cap, den_exp)
     wset = set(weights)
     seen = set()
     orbits = []
-    for w in weights:
-        if w in seen:
+    for a in weights:
+        if a in seen:
             continue
-        if Fraction(w) == 0:
-            seen.add(w)
-            orbits.append([w])
+        if a == 0:
+            seen.add(a)
+            orbits.append([a])
             continue
         # walk to the bottom of the orbit inside the window
-        bottom = w
-        while p_div(bottom, model.p) in wset:
-            bottom = p_div(bottom, model.p)
+        bottom = a
+        while bottom % p == 0 and bottom // p in wset:
+            bottom //= p
         chain = []
         cur = bottom
         while cur in wset:
             chain.append(cur)
             seen.add(cur)
-            cur = p_times(cur, model.p)
+            cur *= p
         orbits.append(chain)
     return orbits
 
@@ -215,14 +218,13 @@ class _FiberBlock:
         self.style = style
         self.ring = ZmodRing(N.p, r)
         self.orbit = list(orbit)
-        self.wset = set(self.orbit)
         self.top = self.model.top
 
     def n_weights(self, n):
-        """Weights of the degree-n Nygaard blocks for this window scheme."""
+        """Numerators of the degree-n Nygaard blocks for this window scheme."""
         if self.style == "aligned":
             return self.orbit
-        return [p_div(w, self.N.p) for w in self.orbit]
+        return [a // self.N.p for a in self.orbit]
 
     def layout(self, j):
         """Slot layout of fiber degree j: N^j blocks then W^(j-1) blocks."""
@@ -232,7 +234,7 @@ class _FiberBlock:
             if k:
                 blocks.append(("N", v, k))
         for w in self.orbit:
-            k = self.model.rank(j - 1, w)
+            k = self.model.rank_at(j - 1, w)
             if k:
                 blocks.append(("W", w, k))
         return blocks
@@ -252,39 +254,24 @@ class _FiberBlock:
         rows = []
         q = self.ring.q
         for tag, w, k in src:
+            # (target block, matrix, sign) of each term leaving this block
             if tag == "N":
-                dmat = self.N.d_matrix(j, w)
-                phi = self.N.divided_frobenius_matrix(j, w)
-                inc = self.N.inclusion_matrix(j, w)
-                pw = p_times(w, self.N.p)
-                for a in range(k):
-                    row = [0] * tdim
-                    if ("N", w) in toff and dmat:
-                        base = toff[("N", w)]
-                        for b, x in enumerate(dmat[a]):
-                            if x:
-                                row[base + b] = x % q
-                    if ("W", pw) in toff and phi:
-                        base = toff[("W", pw)]
-                        for b, x in enumerate(phi[a]):
-                            if x:
-                                row[base + b] = (row[base + b] + x) % q
-                    if ("W", w) in toff and inc:
-                        base = toff[("W", w)]
-                        for b, x in enumerate(inc[a]):
-                            if x:
-                                row[base + b] = (row[base + b] - x) % q
-                    rows.append(row)
+                terms = [
+                    (("N", w), self.N.d_matrix(j, w), 1),
+                    (("W", w * self.N.p), self.N.divided_frobenius_matrix(j, w), 1),
+                    (("W", w), self.N.inclusion_matrix(j, w), -1),
+                ]
             else:
-                dmat = self.model.d(j - 1, w)
-                for a in range(k):
-                    row = [0] * tdim
-                    if ("W", w) in toff and dmat:
-                        base = toff[("W", w)]
-                        for b, x in enumerate(dmat[a]):
+                terms = [(("W", w), self.model.d_at(j - 1, w), -1)]
+            for a in range(k):
+                row = [0] * tdim
+                for key, mat, sign in terms:
+                    if key in toff and mat:
+                        base = toff[key]
+                        for b, x in enumerate(mat[a]):
                             if x:
-                                row[base + b] = (-x) % q
-                    rows.append(row)
+                                row[base + b] = (row[base + b] + sign * x) % q
+                rows.append(row)
         return rows
 
     def complex(self) -> FinComplex:
@@ -496,7 +483,7 @@ def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
     # assemble A: N-degree-n blocks -> W-degree-n blocks
     src = [(v, N.param_rank(n, v)) for v in blk.n_weights(n)]
     src = [(v, k) for v, k in src if k]
-    tgt = [(w, blk.model.rank(n, w)) for w in blk.orbit]
+    tgt = [(w, blk.model.rank_at(n, w)) for w in blk.orbit]
     tgt = [(w, k) for w, k in tgt if k]
     if not src and not tgt:
         return True, 0
@@ -514,7 +501,7 @@ def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
     for v, k in src:
         phi = N.divided_frobenius_matrix(n, v)
         inc = N.inclusion_matrix(n, v)
-        pw = p_times(v, N.p)
+        pw = v * N.p
         for a in range(k):
             if pw in toff:
                 for b, x in enumerate(phi[a]):
@@ -526,7 +513,7 @@ def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
     # twist and with target v above; the remainder must be nilpotent
     pairing = {}
     for v, k in src:
-        w = p_times(v, N.p) if n < i else v
+        w = v * N.p if n < i else v
         if w not in toff or soff[v] != toff[w]:
             # coordinate layouts disagree; fall back to direct solve
             return _invertible_by_solve(ring, A), -1
@@ -608,37 +595,37 @@ def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
         else DeRhamComplex(spec, min(i + 1, (spec.nvars or 0) + 1), Fraction(weight_cap) * p)
     )
     for v in weight_window(weight_cap, p, spec.is_laurent):
-        got = _graded_cohomology(N, v)
+        got = _graded_cohomology(N, model.num(v))
         want = _tau_cohomology(spec, omega, i, p_times(v, p))
         if got != want:
             return False
     return True
 
 
-def _graded_cohomology(N: NygaardModel, v):
-    """H^n of gr^i at graded weight v, for n <= i, as invariant factors."""
+def _graded_cohomology(N: NygaardModel, a):
+    """H^n of gr^i at graded numerator a, for n <= i, as invariant factors."""
     model, i, ring = N.model, N.i, N.model.ring
     p = N.p
-    pv = p_times(v, p)
+    pa = a * p
     out = {}
     mods = {}
     diffs = {}
     for n in range(0, i):
-        k = model.rank(n, pv)
+        k = model.rank_at(n, pa)
         mods[n] = FinModPresentation(ring, k, identity(k, p))
-    ki = model.rank(i, v)
+    ki = model.rank_at(i, a)
     vrows = []
-    V = model.versch(i, pv)
+    V = model.versch_at(i, pa)
     if V:
         vrows += V
     vrows += identity(ki, p)
     mods[i] = FinModPresentation(ring, ki, vrows)
     for n in range(0, i):
         if n < i - 1:
-            diffs[n] = model.d(n, pv)
+            diffs[n] = model.d_at(n, pa)
         else:
-            Vb = model.versch(n, pv)
-            diffs[n] = mat_mul(ring, Vb, model.d(n, v)) if Vb else [[0] * ki for _ in range(mods[n].ngens)]
+            Vb = model.versch_at(n, pa)
+            diffs[n] = mat_mul(ring, Vb, model.d_at(n, a)) if Vb else [[0] * ki for _ in range(mods[n].ngens)]
     C = FinComplex(ring, mods, diffs, check=False)
     for n in range(0, i + 1):
         inv = homology(C, n)
@@ -683,16 +670,12 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
     model = saturate(spec, 2, i_cap)
     ring = model.ring
     p = spec.p
-    for u in _weight_support(model, weight_cap, 1):
+    for a in _weight_support(model, weight_cap, 1):
         for n in range(0, model.top + 1):
-            k = model.rank(n, u)
-            if not k:
+            k = model.rank_at(n, a)
+            if not k or i_cap <= n:
                 continue
-            if i_cap <= n:
-                continue
-            V = model.versch(n, p_times(u, p))
-            if V is None:
-                continue
+            V = model.versch_at(n, a * p)
             c = p ** (i_cap - 1 - n)
             deepest = [[(c * x) % ring.q for x in row] for row in V]
             e = max(0, i_cap - GUARD - n)

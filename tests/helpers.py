@@ -1,6 +1,10 @@
 """Shared fixture generators: random complexes and filtrations over Z/p^N,
-and a reference Howell form to test the kernel against."""
+a reference Howell form to test the kernel against, and the weight-keyed
+orbit walk to test the numerator-keyed one against."""
 
+from fractions import Fraction
+
+from drwitt.dieudonne import SaturatedModel, p_times
 from drwitt.exactcore import (
     FinComplex,
     FinModPresentation,
@@ -11,6 +15,7 @@ from drwitt.exactcore import (
     solve,
 )
 from drwitt.filtspec import FilteredComplex
+from drwitt.rings import weight_window, wkey
 
 
 def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
@@ -201,3 +206,47 @@ def reference_howell(R: ZmodRing, rows: list[list[int]], ncols: int | None = Non
                     if piv[j]:
                         row[j] = (row[j] - c * piv[j]) % q
     return result
+
+
+# The weight-keyed orbit walk that synlog.weight_orbits replaced: weights
+# are wkeys (int or Fraction), V is w -> w/p and the window is walked in
+# full even for a ring without variables.  Mapped back to weights,
+# synlog.weight_orbits must return the same orbits in the same order.
+def reference_p_div(w, p):
+    return wkey(Fraction(w) / p)
+
+
+def reference_weight_support(model: SaturatedModel, cap, den_exp):
+    """Lattice-supported weights with |w| <= cap and denominator <= p^den_exp."""
+    return [
+        w
+        for w in weight_window(cap, model.p**den_exp, model.spec.is_laurent)
+        if any(model.rank(n, w) for n in range(model.top + 1))
+    ]
+
+
+def reference_weight_orbits(model: SaturatedModel, cap, den_exp):
+    """Partition of the supported weights into orbits of w -> p w."""
+    weights = reference_weight_support(model, cap, den_exp)
+    wset = set(weights)
+    seen = set()
+    orbits = []
+    for w in weights:
+        if w in seen:
+            continue
+        if Fraction(w) == 0:
+            seen.add(w)
+            orbits.append([w])
+            continue
+        # walk to the bottom of the orbit inside the window
+        bottom = w
+        while reference_p_div(bottom, model.p) in wset:
+            bottom = reference_p_div(bottom, model.p)
+        chain = []
+        cur = bottom
+        while cur in wset:
+            chain.append(cur)
+            seen.add(cur)
+            cur = p_times(cur, model.p)
+        orbits.append(chain)
+    return orbits

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import drwitt
-from drwitt.cli import main
+from drwitt.cli import _wkey_str, main
+from drwitt.dieudonne import saturate, strict_truncate
 from drwitt.errors import ParseError
-from drwitt.rings import parse_ringspec
+from drwitt.rings import PRIME_BOUND, parse_ringspec
 from drwitt.synlog import syntomic
 
 
@@ -23,6 +24,7 @@ def rings(tmp_path):
         "poly": "p = 2\nkind = poly\nvars = x:1\n",
         "lau": "p = 2\nkind = laurent\nvars = x:1\n",
         "cusp": "p = 2\nkind = quotient\nvars = x:2, y:3\nrels = y^2 - x^3\n",
+        "hugep": f"p = {PRIME_BOUND}\nkind = finite_field\n",
     }.items():
         f = tmp_path / f"{name}.ring"
         f.write_text(text)
@@ -244,9 +246,12 @@ def bad_inputs(tmp_path):
     for p in (1, 4):
         zmod = dict(notcx, ring={"kind": "Zmod", "p": p, "N": 2}, levels=[level])
         (tmp_path / f"zmodp{p}.json").write_text(json.dumps(zmod))
+    # Zmod with p at the bound where the primality test stops being exact
+    zmod = dict(notcx, ring={"kind": "Zmod", "p": PRIME_BOUND, "N": 2}, levels=[level])
+    (tmp_path / "zmodhuge.json").write_text(json.dumps(zmod))
     names = (
         "missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff",
-        "reversed", "straydiff", "straymap", "zmodp1", "zmodp4",
+        "reversed", "straydiff", "straymap", "zmodp1", "zmodp4", "zmodhuge",
     )
     return {name: str(tmp_path / f"{name}.json") for name in names}
 
@@ -273,6 +278,8 @@ def bad_inputs(tmp_path):
         ["specseq", "run", "--input", "{straymap}"],
         ["specseq", "run", "--input", "{zmodp1}"],
         ["specseq", "run", "--input", "{zmodp4}"],
+        ["specseq", "run", "--input", "{zmodhuge}"],
+        ["drw", "table", "--ring", "{hugep}"],
         ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
         ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
         ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
@@ -298,6 +305,8 @@ def bad_inputs(tmp_path):
         "specseq-stray-transition",
         "specseq-zmod-p-1",
         "specseq-zmod-p-4",
+        "specseq-zmod-p-past-prime-bound",
+        "drw-p-past-prime-bound",
         "derham-weight-cap-neg",
         "syntomic-maxdeg-neg",
         "logforms-deg-neg",
@@ -311,3 +320,41 @@ def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# rings without variables live at weight 0 only
+
+
+def test_drw_table_on_a_large_prime_field(tmp_path, capsys):
+    ring = tmp_path / "gf.ring"
+    ring.write_text("p = 1000003\nkind = finite_field\n")
+    code, out = run_cli(["drw", "table", "--ring", str(ring), "--json"], capsys)
+    assert code == 0
+    want = {"0": {"0": {"free_rank": 0, "stable": True, "torsion": ["1000003^2"]}}}
+    assert json.loads(out)["groups"] == want
+
+
+@pytest.mark.parametrize("kind", ["finite_field", "perfection of finite_field"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("f", [1, 2])
+def test_drw_table_without_variables_equals_the_full_window(tmp_path, capsys, kind, p, f):
+    text = f"p = {p}\nkind = {kind}\nf = {f}\n"
+    ring = tmp_path / "gf.ring"
+    ring.write_text(text)
+    argv = ["drw", "table", "--ring", str(ring), "--level", "2", "--maxdeg", "1", "--weight-cap", "3", "--json"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    # the groups cmd_drw reported before it skipped the window: every weight of it
+    spec = parse_ringspec(text)
+    model = saturate(spec, 2, 1)
+    level = strict_truncate(model, 2)
+    bumped = strict_truncate(saturate(spec, 2, 1, R=model.R + 1), 2)
+    want = {}
+    for u in level.weights(3):
+        for n in range(model.top + 1):
+            inv = level.invariants(n, u)
+            if not inv.is_trivial():
+                cell = dict(inv.to_json(p), stable=bumped.invariants(n, u) == inv)
+                want.setdefault(str(n), {})[_wkey_str(u)] = cell
+    assert want and json.loads(out)["groups"] == want

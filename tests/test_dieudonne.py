@@ -381,6 +381,42 @@ def test_used_model_is_freed_with_its_caches():
     assert ref() is None
 
 
+def test_each_lattice_runs_its_stages_once(monkeypatch):
+    # a lattice builds its stage-s* basis once and its certificate adds only
+    # the stage s*+1; an empty lattice has no certificate
+    from collections import Counter
+
+    from drwitt.synlog import syntomic
+
+    calls, models = [], []
+    stage, init = SaturatedModel._stage_lattice, SaturatedModel.__init__
+
+    def counting_stage(self, n, w, s):
+        calls.append((id(self), n, w, s))
+        return stage(self, n, w, s)
+
+    def keeping_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        models.append(self)
+
+    monkeypatch.setattr(SaturatedModel, "_stage_lattice", counting_stage)
+    monkeypatch.setattr(SaturatedModel, "__init__", keeping_init)
+    syntomic(LAU2, 1, 2, 2, 4)
+    level = strict_truncate(saturate(F3X, 2, 1), 2)
+    for u in level.weights(3):
+        for n in (0, 1):
+            level.invariants(n, u)
+    want = Counter()
+    for m in models:
+        for (n, a), basis in m._memo_lattice_at.items():
+            want[(id(m), n, a, m.s_star)] += 1
+            if basis:
+                want[(id(m), n, a * m.p, m.s_star + 1)] += 1
+    lattices = [b for m in models for b in m._memo_lattice_at.values()]
+    assert any(lattices) and not all(lattices)
+    assert Counter(calls) == want
+
+
 def test_eta_p_restricted_differential():
     # d restricts to the decalage sublattice: d(eta_p) lands in eta_p
     from drwitt.dieudonne import eta_p_differential

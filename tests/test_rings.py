@@ -1,14 +1,21 @@
-"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs, memo."""
+"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs, memo, primality."""
 
+import math
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drwitt.errors import ParseError
 from drwitt.rings import (
+    PRIME_BOUND,
     MonomialAlgebra,
     exponents,
+    is_prime,
     memo,
     parse_ringspec,
     sign_insert,
@@ -134,3 +141,46 @@ def test_memo_caches_per_instance():
     assert a.calls == 1  # equal keys hit, as Fraction(3) == 3
     assert b.square(3) == 9 and b.calls == 1  # no sharing between instances
     assert a.square(4) == 16 and a.calls == 2
+
+
+# ---------------------------------------------------------------------------
+# primality
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_ten_thousand():
+    assert [n for n in range(10**4) if is_prime(n)] == [n for n in range(10**4) if _trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # 2047 is a strong pseudoprime to base 2; 561 and 41041 are Carmichael numbers
+    for n in (2047, 561, 41041):
+        assert not is_prime(n)
+
+
+def test_large_prime_parses_in_under_a_second():
+    t0 = time.perf_counter()
+    s = parse_ringspec(f"p = {10**24 + 7}\nkind = finite_field")
+    assert s.p == 10**24 + 7
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_primality_at_the_bound_is_refused_not_guessed():
+    assert is_prime(PRIME_BOUND - 1) is False  # even, and below the bound
+    with pytest.raises(ParseError):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(ParseError):
+        parse_ringspec(f"p = {PRIME_BOUND + 2}\nkind = finite_field")
+
+
+def test_is_prime_against_sympy_on_60_to_80_bit_numbers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20240607)
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(60, 80))
+        assert is_prime(n) == sympy.isprime(n), n
+        q = sympy.nextprime(n)
+        assert is_prime(q), q

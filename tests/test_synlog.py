@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drwitt.dieudonne import SaturatedModel, p_times, saturate
 from drwitt.exactcore import InvariantFactors, mat_mul
@@ -19,6 +21,7 @@ from drwitt.synlog import (
     verify_fundamental_seq,
     weight_orbits,
 )
+from helpers import reference_weight_orbits
 
 
 def spec(text):
@@ -61,8 +64,8 @@ def test_nygaard_inclusion_composite_identity():
 
 def test_divided_frobenius_param_identity_below_twist():
     N = nygaard(F2X, 2, 2, 2, 2)
-    m = N.divided_frobenius_matrix(0, 1)
-    k = N.param_rank(0, 1)
+    m = N.divided_frobenius_matrix(0, N.model.num(1))
+    k = N.param_rank(0, N.model.num(1))
     assert m == [[1 if a == b else 0 for b in range(k)] for a in range(k)]
 
 
@@ -130,6 +133,48 @@ def test_weight_orbits_partition():
     for orb in orbits:
         for a, b in zip(orb, orb[1:]):
             assert Fraction(b) == 2 * Fraction(a)
+
+
+KINDS = (
+    "kind=laurent\nvars=x:1",
+    "kind=poly\nvars=x:1",
+    "kind=finite_field",
+    "kind=finite_field\nf=2",
+    "kind=perfection of poly\nvars=x:1",
+    "kind=perfection of laurent\nvars=x:1",
+    "kind=perfection of finite_field",
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    kind=st.sampled_from(KINDS),
+    r=st.integers(1, 2),
+    cap=st.integers(0, 6),
+    den_exp=st.integers(0, 4),
+)
+def test_weight_orbits_match_the_weight_keyed_walk(p, kind, r, cap, den_exp):
+    # den_exp reaches s* = r + 1 and beyond, where numerators prime to p
+    # occur and the walk down must stop at them
+    m = saturate(spec(f"p={p}\n{kind}"), r, 2)
+    got = [[Fraction(a, m.P) for a in orbit] for orbit in weight_orbits(m, cap, den_exp)]
+    assert got == reference_weight_orbits(m, cap, den_exp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    r=st.integers(1, 2),
+    u=st.fractions(min_value=-30, max_value=30, max_denominator=700),
+)
+def test_num_is_the_weight_numerator_over_p_s_star(p, r, u):
+    m = SaturatedModel(spec(f"p={p}\nkind=laurent\nvars=x:1"), r, 2)
+    a = m.num(u)
+    assert (a is None) == (m.P % u.denominator != 0)
+    if a is not None:
+        assert type(a) is int and Fraction(a, m.P) == u
+        assert m.num(Fraction(a, m.P)) == a
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +344,7 @@ def test_nygaard_inclusion_columns_are_v_images():
     m = saturate(spec("p=2\nkind=poly\nvars=x:1"), 2, 2)
     N = NygaardModel(m, 1)
     for v in (1, 2, 3):
-        inc = N.inclusion_matrix(0, v)
+        inc = N.inclusion_matrix(0, m.num(v))
         F = m.frob(0, v)
         for row in inc:
             img = mat_mul(m.ring, [row], F)[0]
