@@ -124,7 +124,11 @@ def cmd_witt(args):
 
         Z = IntegerMonomialAlgebra(0)
         WZ = WittRing(Z, args.len, p=args.p)
-        v = WZ(tuple(Z.constant(int(c)) for c in args.components[0].split(",")))
+        try:
+            comps = [int(c) for c in args.components[0].split(",")]
+        except ValueError:
+            raise DrwittError(f"witt ghost needs integer components, got {args.components[0]!r}") from None
+        v = WZ(tuple(Z.constant(c) for c in comps))
         gs = [g.get((), 0) for g in ghost(v)]
         if not args.json:
             print(gs)

@@ -20,8 +20,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
-from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, kernel, mat_mul
-from .rings import MonomialAlgebra, RingSpec, exponents, memo, sign_insert, weight_window
+# gf_rref is not called here since rings owns the quotient presentations; the
+# name stays because perfbench's tracer patches `derham.gf_rref`
+from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, kernel, mat_mul  # noqa: F401
+from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window
 
 
 class DeRhamComplex:
@@ -48,104 +50,24 @@ class DeRhamComplex:
     def degrees(self):
         return range(0, self.i_max + 1)
 
-    # -- bases ---------------------------------------------------------------
-
-    @memo
-    def component(self, i, w):
-        """(raw forms, basis index list, rewrite rows) of the weight-w part.
-
-        For free kinds the raw forms are the basis.  For quotient kinds,
-        rewrite rows express each pivot form in terms of basis forms.
-        """
-        raw = self.algebra.forms(i, w)
-        if self.spec.kind != "quotient" or not raw:
-            return raw, list(range(len(raw))), {}
-        idx = {form: k for k, form in enumerate(raw)}
-        rows = []
-        for rel in self.spec.relations:
-            rem = Fraction(w) - self.spec.monomial_weight(rel[0][1])
-            # I * Omega^i
-            for m, J in self.algebra.forms(i, rem):
-                row = [0] * len(raw)
-                for c, exps in rel:
-                    prod = tuple(a + b for a, b in zip(m, exps))
-                    row[idx[(prod, J)]] = self.K.add(row[idx[(prod, J)]], c)
-                rows.append(row)
-            # dI ^ Omega^{i-1}
-            for m, J in self.algebra.forms(i - 1, rem):
-                row = [0] * len(raw)
-                for c, exps in rel:
-                    for j in range(self.spec.nvars):
-                        e = exps[j]
-                        if e % self.spec.p == 0:
-                            continue
-                        sign, newJ = sign_insert(j, J)
-                        if sign is None:
-                            continue
-                        shifted = tuple(
-                            a + b - (1 if l == j else 0)
-                            for l, (a, b) in enumerate(zip(m, exps))
-                        )
-                        coeff = self.K.mul(c, (sign * int(e)) % self.spec.p)
-                        k = idx[(shifted, newJ)]
-                        row[k] = self.K.add(row[k], coeff)
-                rows.append(row)
-        H = gf_rref(self.K, rows, len(raw))
-        pivots = {}
-        for hrow in H:
-            col = next(k for k, x in enumerate(hrow) if x)
-            pivots[col] = hrow
-        basis = [k for k in range(len(raw)) if k not in pivots]
-        return raw, basis, pivots
+    # -- bases and differential -----------------------------------------------
 
     def rank(self, i, w):
-        _, basis, _ = self.component(i, w)
-        return len(basis)
-
-    def reduce_raw(self, i, w, vec):
-        """Rewrite a raw-coordinate vector into basis coordinates."""
-        raw, basis, pivots = self.component(i, w)
-        vec = list(vec)
-        for col in sorted(pivots, reverse=True):
-            c = vec[col]
-            if c:
-                hrow = pivots[col]
-                for k in range(col, len(raw)):
-                    if hrow[k]:
-                        vec[k] = self.K.sub(vec[k], self.K.mul(c, hrow[k]))
-        return [vec[k] for k in basis]
-
-    # -- differential ---------------------------------------------------------
-
-    def d_raw(self, form):
-        """d(m dx_J) as a list of (raw form, GF coefficient)."""
-        m, J = form
-        out = []
-        for j in range(self.spec.nvars):
-            e = m[j]
-            if e % self.spec.p == 0:
-                continue
-            sign, newJ = sign_insert(j, J)
-            if sign is None:
-                continue
-            shifted = tuple(a - (1 if l == j else 0) for l, a in enumerate(m))
-            out.append(((shifted, newJ), (sign * int(e)) % self.spec.p))
-        return out
+        return len(self.algebra.component(i, w)[1])
 
     @memo
     def d_matrix(self, i, w):
         """Matrix of d on basis coordinates, weight preserved."""
-        raw_s, basis_s, _ = self.component(i, w)
-        raw_t, _, _ = self.component(i + 1, w)
-        idx_t = {form: k for k, form in enumerate(raw_t)}
-        tgt_basis_len = self.rank(i + 1, w)
+        A, p = self.algebra, self.spec.p
+        raw_s, basis_s, _ = A.component(i, w)
+        idx_t = {form: k for k, form in enumerate(A.forms(i + 1, w))}
         rows = []
         for k in basis_s:
-            vec = [0] * len(raw_t)
-            for form, coeff in self.d_raw(raw_s[k]):
-                vec[idx_t[form]] = self.K.add(vec[idx_t[form]], coeff)
-            rows.append(self.reduce_raw(i + 1, w, vec))
-        return rows if rows else [[0] * tgt_basis_len for _ in range(0)]
+            vec = [0] * len(idx_t)
+            for form, c in A.d_form(raw_s[k]):
+                vec[idx_t[form]] = self.K.add(vec[idx_t[form]], c % p)
+            rows.append(A.reduce_form_vector(i + 1, w, vec))
+        return rows
 
     def _check_leibniz_dd(self):
         # d must be well-defined on quotients and square to zero; checked on
@@ -193,7 +115,7 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
             for w in weight_window(weight_cap, 1, spec.is_laurent):
                 dim = len(alg.monomials(w)) * spec.f
                 if dim:
-                    out[w] = InvariantFactors.of([spec.p] * dim)
+                    out[w] = InvariantFactors((spec.p,) * dim)
         return out
     C = DeRhamComplex(spec, i + 1, weight_cap)
     return {w: C.cohomology(i, w) for w in C.weights() if C.rank(i, w)}
@@ -201,16 +123,6 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
 
 # ---------------------------------------------------------------------------
 # inverse Cartier
-
-def _cartier_image_raw(C: DeRhamComplex, form):
-    """C^{-1}(m dx_J) as a raw form of weight p*w with its coefficient 1."""
-    m, J = form
-    p = C.spec.p
-    target = tuple(
-        p * a + (p - 1 if j in J else 0) for j, a in enumerate(m)
-    )
-    return (target, J)
-
 
 def inverse_cartier(spec: RingSpec, i: int, weight_cap) -> dict:
     """Per source weight w: the matrix of C^{-1} into H^i at weight p*w.
@@ -221,7 +133,7 @@ def inverse_cartier(spec: RingSpec, i: int, weight_cap) -> dict:
     so over the prime field the returned matrix is plainly linear.
     """
     C = DeRhamComplex(spec, i + 1, weight_cap)
-    p = spec.p
+    A, p = C.algebra, spec.p
     out = {}
     for w in C.weights():
         if Fraction(p * w) > C.weight_cap or Fraction(p * w) < -C.weight_cap:
@@ -230,16 +142,14 @@ def inverse_cartier(spec: RingSpec, i: int, weight_cap) -> dict:
         H = C.cohomology_subquot(i, p * w)
         if n == 0 and H.gen_count() == 0:
             continue
-        raw_s, basis_s, _ = C.component(i, w)
-        raw_t, _, _ = C.component(i, p * w)
-        idx_t = {form: k for k, form in enumerate(raw_t)}
+        raw_s, basis_s, _ = A.component(i, w)
+        idx_t = {form: k for k, form in enumerate(A.forms(i, p * w))}
         rows = []
         ok = True
         for k in basis_s:
-            target_form = _cartier_image_raw(C, raw_s[k])
-            vec = [0] * len(raw_t)
-            vec[idx_t[target_form]] = 1
-            coords = H.coords(C.reduce_raw(i, p * w, vec))
+            vec = [0] * len(idx_t)
+            vec[idx_t[A.frobenius_form(raw_s[k])]] = 1
+            coords = H.coords(A.reduce_form_vector(i, p * w, vec))
             if coords is None:
                 ok = False
                 break
@@ -320,7 +230,8 @@ class RelativeCartier:
             if v not in b_spec.variables:
                 raise UnsupportedBaseChange(f"{v} is not a variable of the ambient ring")
         self.spec = b_spec
-        self.K = b_spec.gf()
+        self.algebra = MonomialAlgebra(b_spec)
+        self.K = self.algebra.K
         self.i_max = i_max
         self.cap = int(weight_cap)
         self.a_idx = tuple(b_spec.variables.index(v) for v in a_vars)
@@ -356,20 +267,6 @@ class RelativeCartier:
             return []
         return exponents([self.spec.weights[j] for j in idxs], target)
 
-    def d_rel(self, form):
-        exps, J = form
-        out = []
-        for j in self.b_idx:
-            e = exps[j]
-            if e % self.spec.p == 0:
-                continue
-            sign, newJ = sign_insert(j, J)
-            if sign is None:
-                continue
-            shifted = tuple(a - (1 if l == j else 0) for l, a in enumerate(exps))
-            out.append(((shifted, newJ), (sign * int(e)) % self.spec.p))
-        return out
-
     def d_matrix(self, i, u, v):
         src = self.forms(i, u, v)
         tgt = self.forms(i + 1, u, v)
@@ -377,8 +274,10 @@ class RelativeCartier:
         rows = []
         for f in src:
             vec = [0] * len(tgt)
-            for g, c in self.d_rel(f):
-                vec[idx[g]] = self.K.add(vec[idx[g]], c)
+            # terms in dx_a for an A-variable a are not relative forms
+            for g, c in self.algebra.d_form(f):
+                if g in idx:
+                    vec[idx[g]] = self.K.add(vec[idx[g]], c % self.spec.p)
             rows.append(vec)
         return rows
 
@@ -396,10 +295,9 @@ class RelativeCartier:
         idx = {f: k for k, f in enumerate(tgt)}
         rows = []
         for exps, J in src:
-            timg = tuple(
-                (p * a + (p - 1 if j in J else 0)) if j in self.b_idx else a
-                for j, a in enumerate(exps)
-            )
+            # A-variables are coefficients: C^{-1} leaves them untwisted
+            img, _ = self.algebra.frobenius_form((exps, J))
+            timg = tuple(a if j in self.a_idx else e for j, (a, e) in enumerate(zip(exps, img)))
             vec = [0] * len(tgt)
             vec[idx[(timg, J)]] = 1
             coords = H.coords(vec)

@@ -57,7 +57,7 @@ from .exactcore import (
     preimage,
     solve,
 )
-from .rings import MonomialAlgebra, RingSpec, memo, sign_insert, weight_window, wkey
+from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window, wkey
 
 GUARD = 2
 
@@ -128,18 +128,10 @@ class LiftComplex:
         tgt = self._coords(n + 1, w)
         ncols = len(tgt) * self.f
         rows = []
-        for m, J in src:
+        for form in src:
             base = [0] * len(tgt)
-            for j in range(self.nvars):
-                e = m[j]
-                if e == 0:
-                    continue
-                sign, newJ = sign_insert(j, J)
-                if sign is None:
-                    continue
-                shifted = tuple(a - (1 if l == j else 0) for l, a in enumerate(m))
-                k = tgt[(shifted, newJ)]
-                base[k] = (base[k] + sign * e) % self.q
+            for g, c in self.algebra.d_form(form):
+                base[tgt[g]] = (base[tgt[g]] + c) % self.q
             for digit in range(self.f):
                 row = [0] * ncols
                 for k, c in enumerate(base):
@@ -156,16 +148,12 @@ class LiftComplex:
         ncols = len(tgt) * self.f
         sigma = self.frobenius_coeff_matrix()
         rows = []
-        for m, J in src:
-            # phi(y^a) = y^{pa} and F(dy) = y^{p-1} dy in the y-unit exponents
-            timg = tuple(
-                self.p * a + (self.p - 1 if j in J else 0) for j, a in enumerate(m)
-            )
-            k = tgt[(timg, J)]
+        for form in src:
+            k = tgt[self.algebra.frobenius_form(form)]
             for digit in range(self.f):
                 row = [0] * ncols
                 for digit2 in range(self.f):
-                    c = sigma[digit][digit2] if self.f > 1 else 1
+                    c = sigma[digit][digit2]
                     if c:
                         row[k * self.f + digit2] = c % self.q
                 rows.append(row)
@@ -264,11 +252,13 @@ class SaturatedModel:
     """
 
     def __init__(self, spec: RingSpec, r_level: int, i_max: int, R: int | None = None):
-        if spec.kind != "perfection" and spec.nvars > 1:
+        if spec.nvars > 1:
             # weight components of the saturation colimit have unbounded rank
             # once there are two variables (V-images need ever deeper eta_p
-            # stages), so the single-stage lattice model cannot represent
-            # them; a level-aware stage-per-depth model is the follow-up
+            # stages), and in a two-variable perfection V sends x^(e/p^s_star)
+            # past the denominator cap whenever p does not divide some e_j, so
+            # the single-stage lattice model cannot represent either; a
+            # level-aware stage-per-depth model is the follow-up
             raise UnsupportedKind(
                 "the saturation model covers one-variable poly/laurent kinds, "
                 "finite fields and their perfections"
@@ -345,8 +335,15 @@ class SaturatedModel:
 
     @memo
     def _perf_monomials(self, a):
-        alg = MonomialAlgebra(self.spec.base(), den=self.P)
-        return [tuple(wkey(Fraction(e, self.P)) for e in m) for m in alg.monomials(a, raw=True)]
+        """Numerators e of the monomials x^(e/p^(2 s_star)) of weight a/p^s_star.
+
+        The exponent denominator p^(2 s_star) keeps x^(u/w) for a variable
+        of weight w = p^v w' with v <= s_star, whose denominator exceeds
+        that of its weight u.
+        """
+        if a < 0 and not self.spec.is_laurent:
+            return []
+        return exponents(self.spec.weights, a * self.P)
 
     def _certify(self, n, a, cur):
         """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
@@ -454,15 +451,14 @@ class SaturatedModel:
         src_monos = self._perf_monomials(a)
         tgt_monos = self._perf_monomials(target_a)
         idx = {m: k for k, m in enumerate(tgt_monos)}
-        factor = self.p if target_a == a * self.p else Fraction(1, self.p)
+        up = target_a == a * self.p
         rows = []
         for m in src_monos:
-            timg = tuple(wkey(Fraction(e) * factor) for e in m)
-            k = idx[timg]
+            k = idx[tuple(e * self.p if up else e // self.p for e in m)]
             for digit in range(self.f):
                 row = [0] * (len(tgt_monos) * self.f)
                 for digit2 in range(self.f):
-                    c = coeff_matrix[digit][digit2] if self.f > 1 else 1
+                    c = coeff_matrix[digit][digit2]
                     row[k * self.f + digit2] = (scalar * c) % self.ring.q
                 rows.append(row)
         return rows

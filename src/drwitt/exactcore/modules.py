@@ -222,11 +222,12 @@ def quotient_invariants(ring, relation_rows, ngens) -> InvariantFactors:
     if ngens == 0:
         return InvariantFactors((), 0)
     if isinstance(ring, ZmodRing):
+        # already prime powers: no factoring, so a huge p costs nothing
         exps = quotient_divisor_exponents(ring, relation_rows, ngens)
-        return InvariantFactors.of([ring.p**a for a in exps if a > 0])
+        return InvariantFactors(tuple(sorted(ring.p**a for a in exps if a > 0)))
     if isinstance(ring, GF):
         dim = ngens - gf_rank(ring, relation_rows, ngens)
-        return InvariantFactors.of([ring.p] * (dim * ring.f))
+        return InvariantFactors((ring.p,) * (dim * ring.f))
     diag = smith_diagonal(relation_rows, ngens)
     return InvariantFactors.of([d for d in diag if d > 1], ngens - len(diag))
 

@@ -13,9 +13,11 @@ or Fractions with p-power denominator for perfections.  Everything is
 weight graded and all per-weight components are finite dimensional,
 which is what makes the downstream lattice computations finite.
 
-This module is the one owner of enumeration:
+This module is the one owner of enumeration and of monomial forms:
     exponents(weights, target)   exponent tuples of one weight, lex order
     MonomialAlgebra.forms(n, w)  monomial n-forms (m, J) of weight w
+    MonomialAlgebra.d_form, .frobenius_form   d and F = phi/p^n on one form
+    MonomialAlgebra.component(n, w)  the quotient presentation of n-forms
     sign_insert(j, J)            sign of dx_j ^ dx_J and the sorted index
     weight_window(cap, den, laurent)  the weights a table or model runs over
     RingSpec.base()              the ring a perfection is taken of
@@ -471,20 +473,18 @@ def parse_ringspec(text: str) -> RingSpec:
 # the weight-graded algebra
 
 class MonomialAlgebra:
-    """Weight-graded arithmetic for one RingSpec.
+    """Weight-graded arithmetic and monomial forms for one RingSpec.
 
     Handles the free kinds exactly; quotient kinds are reduced per weight
     against the linear span of the relation multiples, so every element
-    has a canonical normal form.  `den` scales the exponent lattice to
-    (1/den)Z for perfection approximants (den a power of p).
+    has a canonical normal form.  This class is the one owner of the rules
+    for monomial forms m dx_J: d (`d_form`), the Frobenius image
+    (`frobenius_form`) and the quotient presentation (`component`).
     """
 
-    def __init__(self, spec: RingSpec, den: int = 1):
+    def __init__(self, spec: RingSpec):
         self.spec = spec
         self.K = spec.gf()
-        self.den = den
-        if spec.kind == "quotient" and den != 1:
-            raise UnsupportedKind("fractional exponents are only for free kinds")
 
     # -- element helpers ---------------------------------------------------
 
@@ -544,100 +544,99 @@ class MonomialAlgebra:
     def weight(self, exps):
         return self.spec.monomial_weight(exps)
 
-    # -- quotient reduction -------------------------------------------------
+    # -- monomial forms ------------------------------------------------------
+
+    def d_form(self, form):
+        """d(m dx_J) as (form, integer coefficient) terms, by variable index."""
+        m, J = form
+        out = []
+        for j, e in enumerate(m):
+            if e == 0 or j in J:
+                continue
+            sign, newJ = sign_insert(j, J)
+            out.append(((m[:j] + (e - 1,) + m[j + 1:], newJ), sign * e))
+        return out
+
+    def frobenius_form(self, form):
+        """x^(p m) prod_{j in J} x_j^(p-1) dx_J, the image of m dx_J under
+        F = phi/p^n (mod p, the inverse Cartier map); its coefficient is 1."""
+        m, J = form
+        p = self.spec.p
+        return tuple(p * a + (p - 1 if j in J else 0) for j, a in enumerate(m)), J
+
+    @memo
+    def component(self, n, w):
+        """(raw forms, basis positions, pivot rows) of the weight-w n-forms.
+
+        For free kinds the raw forms are the basis.  For quotient kinds the
+        relation rows span I Omega^n + d(I Omega^(n-1)); their RREF rows,
+        keyed by pivot column, rewrite each pivot form in basis forms.
+        """
+        raw = self.forms(n, w)
+        if self.spec.kind != "quotient" or not raw:
+            return raw, list(range(len(raw))), {}
+        K, p = self.K, self.spec.p
+        idx = {form: k for k, form in enumerate(raw)}
+        rows = []
+        for rel in self.spec.relations:
+            rem = w - self.spec.monomial_weight(rel[0][1])
+            for k in (n, n - 1):
+                for m, J in self.forms(k, rem):
+                    row = [0] * len(raw)
+                    for c, exps in rel:
+                        prod = (tuple(a + b for a, b in zip(m, exps)), J)
+                        for form, e in [(prod, 1)] if k == n else self.d_form(prod):
+                            row[idx[form]] = K.add(row[idx[form]], K.mul(c, e % p))
+                    rows.append(row)
+        pivots = {next(k for k, x in enumerate(h) if x): h for h in gf_rref(K, rows, len(raw))}
+        return raw, [k for k in range(len(raw)) if k not in pivots], pivots
+
+    def reduce_form_vector(self, n, w, vec):
+        """Rewrite a vector over the raw forms of `component(n, w)` in basis coordinates."""
+        raw, basis, pivots = self.component(n, w)
+        vec = list(vec)
+        for col in sorted(pivots, reverse=True):
+            c = vec[col]
+            if c:
+                hrow = pivots[col]
+                for k in range(col, len(raw)):
+                    if hrow[k]:
+                        vec[k] = self.K.sub(vec[k], self.K.mul(c, hrow[k]))
+        return [vec[k] for k in basis]
 
     def reduce(self, el):
         if self.spec.kind != "quotient" or not el:
             return el
         buckets = {}
         for e, c in el.items():
-            buckets.setdefault(wkey(self.weight(e)), {})[e] = c
+            buckets.setdefault(self.weight(e), {})[e] = c
         out = {}
         for w, part in buckets.items():
-            basis, reducer = self._weight_data(w)
-            vec = [0] * len(basis)
-            index = {m: i for i, m in enumerate(basis)}
-            extra = []
+            raw, basis, _ = self.component(0, w)
+            idx = {m: k for k, (m, _) in enumerate(raw)}
+            vec = [0] * len(raw)
             for e, c in part.items():
-                if e in index:
-                    vec[index[e]] = self.K.add(vec[index[e]], c)
-                else:
-                    extra.append((e, c))
-            if extra:
-                # rewrite non-basis monomials through the reduction table
-                for e, c in extra:
-                    row = reducer[e]
-                    for i, x in enumerate(row):
-                        if x:
-                            vec[i] = self.K.add(vec[i], self.K.mul(c, x))
-            for i, c in enumerate(vec):
+                vec[idx[e]] = c
+            for k, c in zip(basis, self.reduce_form_vector(0, w, vec)):
                 if c:
-                    out[basis[i]] = c
+                    out[raw[k][0]] = c
         return out
-
-    @memo
-    def _weight_data(self, w):
-        """(basis monomials, rewrite table) of the weight-w component."""
-        monos = self.monomials(w, raw=True)
-        idx = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for rel in self.spec.relations:
-            wr = self.spec.monomial_weight(rel[0][1])
-            rem = Fraction(w) - wr
-            if rem < 0:
-                continue
-            for m in self.monomials(rem, raw=True):
-                row = [0] * len(monos)
-                for c, exps in rel:
-                    prod = tuple(wkey(Fraction(a) + Fraction(b)) for a, b in zip(m, exps))
-                    row[idx[prod]] = self.K.add(row[idx[prod]], c)
-                rows.append(row)
-        H = gf_rref(self.K, rows, len(monos))
-        pivots = {}
-        for hrow in H:
-            col = next(j for j, x in enumerate(hrow) if x)
-            pivots[col] = hrow
-        basis = [m for i, m in enumerate(monos) if i not in pivots]
-        basis_pos = {m: i for i, m in enumerate(basis)}
-        reducer = {}
-        # reverse column order so any pivot hit in a tail is already expanded
-        for col, hrow in sorted(pivots.items(), reverse=True):
-            # pivot monomial == -(tail of its pivot row) on basis monomials
-            row = [0] * len(basis)
-            for j in range(col + 1, len(monos)):
-                if hrow[j] and monos[j] in basis_pos:
-                    row[basis_pos[monos[j]]] = self.K.neg(hrow[j])
-                elif hrow[j]:
-                    # tail hits another pivot monomial: expand recursively
-                    sub = reducer[monos[j]]
-                    for i2, x in enumerate(sub):
-                        if x:
-                            row[i2] = self.K.sub(row[i2], self.K.mul(hrow[j], x))
-            reducer[monos[col]] = row
-        return tuple(basis), reducer
 
     # -- monomial enumeration ----------------------------------------------
 
-    def monomials(self, w, raw: bool = False):
-        """Monomials of weight w, in a fixed deterministic order.
-
-        For quotient kinds the default is the reduced basis; raw=True
-        gives the full polynomial-ring list (used to build relations).
-        """
-        w = Fraction(w)
-        if self.spec.kind == "quotient" and not raw:
-            return list(self._weight_data(wkey(w))[0])
+    def monomials(self, w):
+        """Monomials of weight w, in a fixed deterministic order; for
+        quotient kinds, the reduced basis."""
+        if self.spec.kind == "quotient":
+            raw, basis, _ = self.component(0, w)
+            return [raw[k][0] for k in basis]
         return self._raw_monomials(w)
 
     def _raw_monomials(self, w):
-        spec = self.spec
-        target = w * self.den
-        if target.denominator != 1 or (target < 0 and not spec.is_laurent):
+        w = Fraction(w)
+        if w.denominator != 1 or (w < 0 and not self.spec.is_laurent):
             return []
-        monos = exponents(spec.weights, target.numerator)
-        if self.den == 1:
-            return monos
-        return [tuple(wkey(Fraction(a, self.den)) for a in m) for m in monos]
+        return exponents(self.spec.weights, w.numerator)
 
     @memo
     def forms(self, n, w):
@@ -700,7 +699,7 @@ class MonomialAlgebra:
             text,
             self.spec.variables,
             self.K,
-            allow_fractional=self.spec.is_perfection or self.den > 1,
+            allow_fractional=self.spec.is_perfection,
         )
         out = {}
         for c, exps in poly:

@@ -28,7 +28,7 @@ from .errors import (
     TorsionCoefficients,
 )
 from .exactcore import Zq
-from .rings import MonomialAlgebra, RingSpec, wkey
+from .rings import MonomialAlgebra, wkey
 
 DEFAULT_DEPTH_CAP = 5
 
@@ -546,12 +546,6 @@ def teichmuller(ring: WittRing, x) -> WittVector:
 
 # ---------------------------------------------------------------------------
 # W_r(F_q) against the unramified lift
-
-def witt_ring_of_field(spec: RingSpec, length: int) -> WittRing:
-    if spec.kind != "finite_field":
-        raise ValueError("witt_ring_of_field needs a finite_field spec")
-    return WittRing(MonomialAlgebra(spec), length)
-
 
 def witt_to_unramified(a: WittVector, W: Zq):
     """Sum p^s [a_s] in Z_q; the canonical iso W_r(F_q) = Z_q/p^r."""

@@ -1,21 +1,24 @@
 """Shared fixture generators: random complexes and filtrations over Z/p^N,
-a reference Howell form to test the kernel against, and the weight-keyed
-orbit walk to test the numerator-keyed one against."""
+a reference Howell form to test the kernel against, the weight-keyed
+orbit walk to test the numerator-keyed one against, and the quotient
+presentations that rings.MonomialAlgebra.component replaced."""
 
 from fractions import Fraction
 
+from drwitt.derham import DeRhamComplex
 from drwitt.dieudonne import SaturatedModel, p_times
 from drwitt.exactcore import (
     FinComplex,
     FinModPresentation,
     ZmodRing,
+    gf_rref,
     kernel,
     mat_mul,
     normal_form,
     solve,
 )
 from drwitt.filtspec import FilteredComplex
-from drwitt.rings import weight_window, wkey
+from drwitt.rings import MonomialAlgebra, sign_insert, weight_window, wkey
 
 
 def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
@@ -250,3 +253,129 @@ def reference_weight_orbits(model: SaturatedModel, cap, den_exp):
             cur = p_times(cur, model.p)
         orbits.append(chain)
     return orbits
+
+
+# The two quotient presentations that MonomialAlgebra.component replaced,
+# as functions taking the algebra for `self`: the degree-0 basis and rewrite
+# table of MonomialAlgebra._weight_data with its reduce, and the n-form
+# presentation of DeRhamComplex.component (taking the complex for `self`),
+# whose relation rows span I Omega^n + dI ^ Omega^(n-1).
+# (`monomials(w, raw=True)` of the former is `_raw_monomials(w)`.)
+# MonomialAlgebra.component, monomials and reduce must return the same data.
+def reference_reduce(self: MonomialAlgebra, el):
+    if self.spec.kind != "quotient" or not el:
+        return el
+    buckets = {}
+    for e, c in el.items():
+        buckets.setdefault(wkey(self.weight(e)), {})[e] = c
+    out = {}
+    for w, part in buckets.items():
+        basis, reducer = reference_weight_data(self, w)
+        vec = [0] * len(basis)
+        index = {m: i for i, m in enumerate(basis)}
+        extra = []
+        for e, c in part.items():
+            if e in index:
+                vec[index[e]] = self.K.add(vec[index[e]], c)
+            else:
+                extra.append((e, c))
+        if extra:
+            # rewrite non-basis monomials through the reduction table
+            for e, c in extra:
+                row = reducer[e]
+                for i, x in enumerate(row):
+                    if x:
+                        vec[i] = self.K.add(vec[i], self.K.mul(c, x))
+        for i, c in enumerate(vec):
+            if c:
+                out[basis[i]] = c
+    return out
+
+
+def reference_weight_data(self: MonomialAlgebra, w):
+    """(basis monomials, rewrite table) of the weight-w component."""
+    monos = self._raw_monomials(w)
+    idx = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for rel in self.spec.relations:
+        wr = self.spec.monomial_weight(rel[0][1])
+        rem = Fraction(w) - wr
+        if rem < 0:
+            continue
+        for m in self._raw_monomials(rem):
+            row = [0] * len(monos)
+            for c, exps in rel:
+                prod = tuple(wkey(Fraction(a) + Fraction(b)) for a, b in zip(m, exps))
+                row[idx[prod]] = self.K.add(row[idx[prod]], c)
+            rows.append(row)
+    H = gf_rref(self.K, rows, len(monos))
+    pivots = {}
+    for hrow in H:
+        col = next(j for j, x in enumerate(hrow) if x)
+        pivots[col] = hrow
+    basis = [m for i, m in enumerate(monos) if i not in pivots]
+    basis_pos = {m: i for i, m in enumerate(basis)}
+    reducer = {}
+    # reverse column order so any pivot hit in a tail is already expanded
+    for col, hrow in sorted(pivots.items(), reverse=True):
+        # pivot monomial == -(tail of its pivot row) on basis monomials
+        row = [0] * len(basis)
+        for j in range(col + 1, len(monos)):
+            if hrow[j] and monos[j] in basis_pos:
+                row[basis_pos[monos[j]]] = self.K.neg(hrow[j])
+            elif hrow[j]:
+                # tail hits another pivot monomial: expand recursively
+                sub = reducer[monos[j]]
+                for i2, x in enumerate(sub):
+                    if x:
+                        row[i2] = self.K.sub(row[i2], self.K.mul(hrow[j], x))
+        reducer[monos[col]] = row
+    return tuple(basis), reducer
+
+
+def reference_component(self: DeRhamComplex, i, w):
+    """(raw forms, basis index list, rewrite rows) of the weight-w part.
+
+    For free kinds the raw forms are the basis.  For quotient kinds,
+    rewrite rows express each pivot form in terms of basis forms.
+    """
+    raw = self.algebra.forms(i, w)
+    if self.spec.kind != "quotient" or not raw:
+        return raw, list(range(len(raw))), {}
+    idx = {form: k for k, form in enumerate(raw)}
+    rows = []
+    for rel in self.spec.relations:
+        rem = Fraction(w) - self.spec.monomial_weight(rel[0][1])
+        # I * Omega^i
+        for m, J in self.algebra.forms(i, rem):
+            row = [0] * len(raw)
+            for c, exps in rel:
+                prod = tuple(a + b for a, b in zip(m, exps))
+                row[idx[(prod, J)]] = self.K.add(row[idx[(prod, J)]], c)
+            rows.append(row)
+        # dI ^ Omega^{i-1}
+        for m, J in self.algebra.forms(i - 1, rem):
+            row = [0] * len(raw)
+            for c, exps in rel:
+                for j in range(self.spec.nvars):
+                    e = exps[j]
+                    if e % self.spec.p == 0:
+                        continue
+                    sign, newJ = sign_insert(j, J)
+                    if sign is None:
+                        continue
+                    shifted = tuple(
+                        a + b - (1 if l == j else 0)
+                        for l, (a, b) in enumerate(zip(m, exps))
+                    )
+                    coeff = self.K.mul(c, (sign * int(e)) % self.spec.p)
+                    k = idx[(shifted, newJ)]
+                    row[k] = self.K.add(row[k], coeff)
+            rows.append(row)
+    H = gf_rref(self.K, rows, len(raw))
+    pivots = {}
+    for hrow in H:
+        col = next(k for k, x in enumerate(hrow) if x)
+        pivots[col] = hrow
+    basis = [k for k in range(len(raw)) if k not in pivots]
+    return raw, basis, pivots

@@ -25,6 +25,7 @@ def rings(tmp_path):
         "lau": "p = 2\nkind = laurent\nvars = x:1\n",
         "cusp": "p = 2\nkind = quotient\nvars = x:2, y:3\nrels = y^2 - x^3\n",
         "hugep": f"p = {PRIME_BOUND}\nkind = finite_field\n",
+        "perf2": "p = 2\nkind = perfection of poly\nvars = x:1, y:1\n",
     }.items():
         f = tmp_path / f"{name}.ring"
         f.write_text(text)
@@ -284,6 +285,9 @@ def bad_inputs(tmp_path):
         ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
         ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
         ["kpredict", "--ring", "{fp}", "--range", "0..-3"],
+        ["drw", "table", "--ring", "{perf2}"],
+        ["syntomic", "--ring", "{perf2}", "--twist", "1", "--modp", "1"],
+        ["witt", "ghost", "a,b", "--p", "2"],
     ],
     ids=[
         "syntomic-modp-0",
@@ -311,6 +315,9 @@ def bad_inputs(tmp_path):
         "syntomic-maxdeg-neg",
         "logforms-deg-neg",
         "kpredict-range-reversed",
+        "drw-perfection-two-vars",
+        "syntomic-perfection-two-vars",
+        "witt-ghost-non-integer",
     ],
 )
 def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
@@ -333,6 +340,33 @@ def test_drw_table_on_a_large_prime_field(tmp_path, capsys):
     assert code == 0
     want = {"0": {"0": {"free_rank": 0, "stable": True, "torsion": ["1000003^2"]}}}
     assert json.loads(out)["groups"] == want
+
+
+HUGE_P = 1000000000000000000000007
+
+
+@pytest.mark.parametrize(
+    "kind,argv",
+    [
+        ("finite_field", ["drw", "table"]),
+        ("finite_field", ["derham", "table"]),
+        ("perfection of finite_field", ["derham", "table"]),
+    ],
+)
+def test_tables_on_a_huge_prime_field_finish(tmp_path, kind, argv):
+    # invariant factors that are powers of the ring's prime are never factored
+    ring = tmp_path / "gf.ring"
+    ring.write_text(f"p = {HUGE_P}\nkind = {kind}\n")
+    src = os.path.dirname(os.path.dirname(drwitt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "drwitt.cli", *argv, "--ring", str(ring), "--json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    if argv[0] == "drw":
+        assert doc["groups"]["0"]["0"]["torsion"] == [f"{HUGE_P}^2"]
+    else:
+        assert doc["cohomology"]["0"]["0"]["torsion"] == [f"{HUGE_P}^1"]
 
 
 @pytest.mark.parametrize("kind", ["finite_field", "perfection of finite_field"])

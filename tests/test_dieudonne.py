@@ -346,6 +346,27 @@ def test_perfection_bypass_and_consistency():
     assert perfection_consistency_check(perf3, 2, 2)
 
 
+@pytest.mark.parametrize("wt", [1, 2, 4, 8])
+@pytest.mark.parametrize("r", [1, 2])
+def test_perfection_keeps_roots_finer_than_the_weight_denominator(wt, r):
+    # x^(u/wt) lies in the perfection for every u when wt is a power of p,
+    # so every weight of the table carries W_r(F_2) = Z/2^r, and F and V
+    # move between the weights with a single monomial on each side
+    m = saturate(spec(f"p=2\nkind=perfection of poly\nvars=x:{wt}"), r, 1)
+    level = strict_truncate(m, r)
+    for u in level.weights(2):
+        assert level.invariants(0, u) == InvariantFactors((2**r,))
+        assert m.frob(0, u) == [[1]]
+        a = m.num(u)
+        if a:
+            assert m.versch_at(0, a * 2) == [[2]]
+
+
+def test_two_variable_perfection_rejected():
+    with pytest.raises(UnsupportedKind):
+        saturate(spec("p=2\nkind=perfection of poly\nvars=x:1, y:1"), 1, 1)
+
+
 def test_quotient_kind_rejected():
     cusp = spec("p=2\nkind=quotient\nvars=x:2,y:3\nrels=y^2-x^3")
     with pytest.raises(UnsupportedKind):
