@@ -209,9 +209,10 @@ def cmd_drw(args):
             cell["stable"] = bumped.invariants(n, u) == inv
             out.setdefault(str(n), {})[_wkey_str(u)] = cell
             if args.operators:
+                a = model.num(u)
                 ops.setdefault(str(n), {})[_wkey_str(u)] = {
-                    "d": level.model.d(n, u),
-                    "F": level.model.frob(n, u),
+                    "d": model.d_at(n, a),
+                    "F": model.frob_at(n, a),
                 }
     payload = {
         "command": "drw table",
@@ -460,8 +461,7 @@ def build_parser():
     w.add_argument("--p", type=int, default=2)
     w.add_argument("--len", type=int, default=2)
     w.add_argument("--ring", default=None)
-    w.add_argument("--json", action="store_true")
-    w.add_argument("--manifest", default=None)
+    common(w, ring=False)
     w.set_defaults(func=cmd_witt)
 
     d = sub.add_parser("derham", help="de Rham cohomology tables")
@@ -514,8 +514,7 @@ def build_parser():
     ss.add_argument("--input", required=True)
     ss.add_argument("--pages", type=int, default=None)
     ss.add_argument("--two-column", action="store_true")
-    ss.add_argument("--json", action="store_true")
-    ss.add_argument("--manifest", default=None)
+    common(ss, ring=False)
     ss.set_defaults(func=cmd_specseq)
 
     kp = sub.add_parser("kpredict", help="K-theory prediction tables")

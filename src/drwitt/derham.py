@@ -108,14 +108,23 @@ def kaehler(spec: RingSpec, i_max: int, weight_cap) -> DeRhamComplex:
 def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
     """H^i per weight as InvariantFactors (abelian-group reporting)."""
     if spec.is_perfection:
-        # positive-degree forms vanish; H^0 is the ring itself in each weight
+        if spec.nvars > 1:
+            raise UnsupportedKind(
+                "a perfection in two or more variables has infinite weight pieces; "
+                "de Rham tables cover one-variable perfections"
+            )
+        # positive-degree forms vanish; H^0 is the ring itself in each weight,
+        # spanned by x^(u/w) when that exponent lies in Z[1/p], i.e. when the
+        # prime-to-p part `unit` of the variable weight w divides u (a ring
+        # without variables has unit 0 and lives at weight 0)
+        unit = spec.weights[0] if spec.weights else 0
+        while unit and unit % spec.p == 0:
+            unit //= spec.p
         out = {}
         if i == 0:
-            alg = MonomialAlgebra(spec)
-            for w in weight_window(weight_cap, 1, spec.is_laurent):
-                dim = len(alg.monomials(w)) * spec.f
-                if dim:
-                    out[w] = InvariantFactors((spec.p,) * dim)
+            for u in weight_window(weight_cap, 1, spec.is_laurent):
+                if u == 0 or (unit and u % unit == 0):
+                    out[u] = InvariantFactors((spec.p,) * spec.f)
         return out
     C = DeRhamComplex(spec, i + 1, weight_cap)
     return {w: C.cohomology(i, w) for w in C.weights() if C.rank(i, w)}

@@ -28,8 +28,9 @@ checked hypothesis of the model, not a proved bound.
 
 Inside a model a weight u is its integer numerator a = u p^s_star, which
 is the lift weight of the working stage (F is a -> p a, V is a -> a/p
-when p divides a); true weights appear only at `weight_window`, at
-`StrictLevel` and at the model's weight-taking boundary methods.
+when p divides a); every per-weight method of `SaturatedModel` takes a,
+and true weights appear only at `weight_window`, at `StrictLevel` and in
+the cross-checks, which convert with `SaturatedModel.num`.
 
 All lattices live at finite precision p^B with B comfortably above the
 reported precision; maps between lattice coordinate systems are exact
@@ -52,12 +53,11 @@ from .exactcore import (
     howell,
     identity,
     mat_mul,
-    member,
     normal_form,
     preimage,
     solve,
 )
-from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window, wkey
+from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window
 
 GUARD = 2
 
@@ -180,61 +180,9 @@ class LiftComplex:
                     raise AssertionError("dF != pFd on the lift")
 
 
-def p_times(w, p):
-    """The weight p w, as a wkey."""
-    return wkey(Fraction(w) * p)
-
-
 def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
     """The lifted de Rham complex of spec, or of the ring a perfection wraps."""
     return LiftComplex(spec.base(), B)
-
-
-# ---------------------------------------------------------------------------
-# eta_p (decalage), unrescaled form
-
-def eta_p_lattice(lift: LiftComplex, n: int, w) -> list[list[int]]:
-    """Basis of (eta_p M)^n at weight w: {x in p^n M^n : dx in p^(n+1) M^(n+1)}.
-
-    Rows are ambient coordinates mod p^B.  Raises PrecisionExhausted when
-    the divisibility conditions eat too far into the working modulus.
-    """
-    if n + 1 >= lift.B:
-        raise PrecisionExhausted("eta_p needs precision above the degree")
-    ring = lift.ring
-    k = lift.rank(n, w)
-    if k == 0:
-        return []
-    D = lift.d_matrix(n, w)
-    kt = lift.rank(n + 1, w)
-    pn = lift.p**n
-    if kt == 0:
-        return howell(ring, identity(k, pn), k)
-    # x with dx divisible by p^(n+1), then scaled into p^n M
-    cond = preimage(ring, D, identity(kt, lift.p ** (n + 1)))
-    rows = [[(pn * x) % ring.q for x in row] for row in cond]
-    return howell(ring, rows, k)
-
-
-def eta_p_differential(lift: LiftComplex, n: int, w, basis, next_basis):
-    """The restricted differential of eta_p: basis rows mapped into the
-    degree-(n+1) sublattice, expressed in its coordinates."""
-    ring = lift.ring
-    if not basis:
-        return []
-    D = lift.d_matrix(n, w)
-    out = []
-    for img in mat_mul(ring, basis, D):
-        if not next_basis:
-            if any(img):
-                raise PrecisionExhausted("eta_p differential leaves the sublattice")
-            out.append([])
-            continue
-        coords = solve(ring, next_basis, img)
-        if coords is None:
-            raise PrecisionExhausted("eta_p differential leaves the sublattice")
-        out.append(coords)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +195,7 @@ class SaturatedModel:
     exact matrices for d, F and V; everything is computed lazily per
     weight and certified to have stabilized one eta_p stage beyond the
     working stage.  Methods ending in `_at` take the numerator
-    a = u p^s_star of the weight; `num` converts a weight to it, and
-    `lattice`, `rank`, `d`, `frob` and `versch` take the weight itself.
+    a = u p^s_star of the weight; `num` converts a weight to it.
     """
 
     def __init__(self, spec: RingSpec, r_level: int, i_max: int, R: int | None = None):
@@ -276,31 +223,10 @@ class SaturatedModel:
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
 
-    # -- the weight boundary -------------------------------------------------
-
     def num(self, u):
         """The numerator u p^s_star of weight u; None past the denominator cap."""
         a = Fraction(u) * self.P
         return a.numerator if a.denominator == 1 else None
-
-    def lattice(self, n, u):
-        a = self.num(u)
-        return [] if a is None else self.lattice_at(n, a)
-
-    def rank(self, n, u):
-        return len(self.lattice(n, u))
-
-    def d(self, n, u):
-        a = self.num(u)
-        return [] if a is None else self.d_at(n, a)
-
-    def frob(self, n, u):
-        a = self.num(u)
-        return [] if a is None else self.frob_at(n, a)
-
-    def versch(self, n, u):
-        a = self.num(u)
-        return None if a is None else self.versch_at(n, a)
 
     # -- lattice bases -------------------------------------------------------
 
@@ -335,15 +261,19 @@ class SaturatedModel:
 
     @memo
     def _perf_monomials(self, a):
-        """Numerators e of the monomials x^(e/p^(2 s_star)) of weight a/p^s_star.
+        """Numerators e of the monomials x^(e/p^(s_star + v)) of weight a/p^s_star.
 
-        The exponent denominator p^(2 s_star) keeps x^(u/w) for a variable
-        of weight w = p^v w' with v <= s_star, whose denominator exceeds
-        that of its weight u.
+        v is the p-adic valuation of the variable weight w = p^v w' (there
+        is at most one variable): x^(u/w) has exponent denominator up to
+        p^(s_star + v), that of its weight u times p^v.
         """
         if a < 0 and not self.spec.is_laurent:
             return []
-        return exponents(self.spec.weights, a * self.P)
+        pv = 1
+        for w in self.spec.weights:
+            while w % (pv * self.p) == 0:
+                pv *= self.p
+        return exponents(self.spec.weights, a * pv)
 
     def _certify(self, n, a, cur):
         """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
@@ -438,11 +368,9 @@ class SaturatedModel:
             z = solve(self._amb, F, py)
             if z is None:
                 raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
-            if not member(self._amb, howell(self._amb, tgt, len(z)), z):
-                raise PrecisionExhausted("Verschiebung image not in the lattice")
             coords = solve(self._amb, tgt, z)
             if coords is None:
-                raise PrecisionExhausted("Verschiebung coordinates failed")
+                raise PrecisionExhausted("Verschiebung image not in the lattice")
             out.append([x % self.ring.q for x in coords])
         return out
 
@@ -568,21 +496,25 @@ class StrictLevel:
         return self.group(n, u).invariants()
 
     def d_map(self, n, u):
-        return self.group(n, u).induced_map(self.group(n + 1, u), self.model.d(n, u))
+        a = self.model.num(u)
+        return self.group(n, u).induced_map(self.group(n + 1, u), self.model.d_at(n, a))
 
     def frob_to_lower(self, other: "StrictLevel", n, u):
         """F: W_r(n, u) -> W_{r-1}(n, p u)."""
-        return self.group(n, u).induced_map(other.group(n, p_times(u, self.p)), self.model.frob(n, u))
+        a = self.model.num(u)
+        return self.group(n, u).induced_map(other.group(n, u * self.p), self.model.frob_at(n, a))
 
     def versch_to_higher(self, other: "StrictLevel", n, u):
-        V = self.model.versch(n, u)
+        a = self.model.num(u)
+        V = None if a is None else self.model.versch_at(n, a)
         if V is None:
             return None
-        return self.group(n, u).induced_map(other.group(n, wkey(Fraction(u) / self.p)), V)
+        return self.group(n, u).induced_map(other.group(n, Fraction(u) / self.p), V)
 
     def restriction_from(self, higher: "StrictLevel", n, u):
         """R: W_{r+1}(n, u) -> W_r(n, u), identity on coordinates."""
-        return higher.group(n, u).induced_map(self.group(n, u), identity(self.model.rank(n, u)))
+        a = self.model.num(u)
+        return higher.group(n, u).induced_map(self.group(n, u), identity(self.model.rank_at(n, a)))
 
 
 def strict_truncate(model: SaturatedModel, r: int) -> StrictLevel:
@@ -598,13 +530,14 @@ def mod_p_compatibility(spec: RingSpec, r: int, i_max: int, weight_cap) -> bool:
     level = strict_truncate(model, r)
     ring_r = ZmodRing(spec.p, r)
     for u in level.weights(weight_cap):
-        ranks = [model.rank(n, u) for n in range(model.top + 2)]
+        a = model.num(u)
+        ranks = [model.rank_at(n, a) for n in range(model.top + 2)]
         if not any(ranks):
             continue
         # mod p^r complex on the free lattices
         mods = {n: FinModPresentation.free(ring_r, ranks[n]) for n in range(model.top + 2)}
         diffs = {
-            n: [[x % ring_r.q for x in row] for row in model.d(n, u)]
+            n: [[x % ring_r.q for x in row] for row in model.d_at(n, a)]
             for n in range(model.top + 1)
         }
         Cfree = FinComplex(ring_r, mods, diffs, check=False)
@@ -650,8 +583,7 @@ def perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
             target_den = Fraction(u).denominator
             if target_den > p**m:
                 continue
-            scaled = wkey(Fraction(u) * p**m)
-            got = slevel.invariants(0, scaled)
+            got = slevel.invariants(0, Fraction(u) * p**m)
             want = dlevel.invariants(0, u)
             if got != want:
                 return False
@@ -662,18 +594,18 @@ def perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
     if base.kind != "finite_field":
         for u in [w for w in slevel.weights(weight_cap) if Fraction(w) != 0][:4]:
             n = 1
-            if not smodel.rank(n, u):
+            a = smodel.num(u)
+            if not smodel.rank_at(n, a):
                 continue
-            mat = identity(smodel.rank(n, u))
-            cur = u
+            mat = identity(smodel.rank_at(n, a))
             for _ in range(r):
                 step = [
                     [(p**n * x) % smodel.ring.q for x in row]
-                    for row in smodel.frob(n, cur)
+                    for row in smodel.frob_at(n, a)
                 ]
                 mat = mat_mul(smodel.ring, mat, step)
-                cur = p_times(cur, p)
-            target = slevel.group(n, cur)
+                a *= p
+            target = slevel.group(n, u * p**r)
             for row in mat:
                 coords = target.coords(row)
                 if coords is None or not target.presentation().is_zero_element(coords):

@@ -31,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .derham import DeRhamComplex, derham_cohomology
-from .dieudonne import (
-    GUARD,
-    SaturatedModel,
-    p_times,
-    saturate,
-    strict_truncate,
-)
+from .dieudonne import GUARD, SaturatedModel, saturate, strict_truncate
 from .errors import InexactDivision
 from .exactcore import (
     FinComplex,
@@ -239,6 +233,10 @@ class _FiberBlock:
                 blocks.append(("W", w, k))
         return blocks
 
+    def n_slots(self, j):
+        """Number of N^j slots, which come first in fiber degree j."""
+        return sum(k for tag, _, k in self.layout(j) if tag == "N")
+
     def _offsets(self, blocks):
         off, total = {}, 0
         for tag, w, k in blocks:
@@ -311,7 +309,7 @@ def _direct_sum(factors):
 
 
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
-    """Per orbit: (orbit, deep block, aligned block, deep complex, {j: H^j}).
+    """Per orbit: (orbit, deep block, aligned block, deep complex, aligned complex, {j: H^j}).
 
     H^j is taken from the deep scheme for j <= i+1 and from the aligned
     scheme above, where each is exact (see _FiberBlock).
@@ -321,7 +319,7 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
         aligned_blk = _FiberBlock(N, orbit, r, style="aligned")
         deep, aligned = deep_blk.complex(), aligned_blk.complex()
         H = {j: homology(deep if j <= N.i + 1 else aligned, j) for j in range(N.model.top + 3)}
-        yield orbit, deep_blk, aligned_blk, deep, H
+        yield orbit, deep_blk, aligned_blk, deep, aligned, H
 
 
 def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | None = None) -> SyntomicComplex:
@@ -336,7 +334,7 @@ def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | No
     per_degree: dict[int, list] = {}
     zero_orbit: dict[int, InvariantFactors] = {}
     count = 0
-    for orbit, _, _, _, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
+    for orbit, _, _, _, _, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
         count += 1
         if orbit[0] == 0:
             zero_orbit = H
@@ -427,14 +425,14 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
     nonzero_orbit_h_i = []
     h_i1_parts = []
     zero = None
-    for orbit, deep_blk, aligned_blk, deep, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
+    for orbit, deep_blk, aligned_blk, deep, aligned, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
         if orbit[0] == 0:
             zero = deep_blk, deep
         for n in range(0, model.top + 1):
             if n == i:
                 continue
-            blk = deep_blk if n < i else aligned_blk
-            ok, terms = _certify_block_invertible(blk, n)
+            blk, C = (deep_blk, deep) if n < i else (aligned_blk, aligned)
+            ok, terms = _certify_block_invertible(blk, C, n)
             key = "below_twist" if n < i else "above_twist"
             cur = certificates[key].get(n, (True, 0))
             certificates[key][n] = (cur[0] and ok, max(cur[1], terms))
@@ -468,62 +466,33 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
     }
 
 
-def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
+def _certify_block_invertible(blk: _FiberBlock, C: FinComplex, n) -> tuple[bool, int]:
     """Neumann-series certificate that (phi/p^i - can) is invertible in degree n.
 
-    Assembled over the orbit, the block is X - 1 (above the twist, X =
-    p^(n-i) F truncated at the magnitude top) or 1 - Y in matched
-    parameter coordinates (below, Y = p^(i-1-n) V truncated at the
-    denominator cap); in both cases the non-identity part is nilpotent
-    modulo p^r and the inverse is the finite geometric series.
+    The block A is read off the fiber differential of `C`, the complex of
+    `blk`: its N^n rows and its W^n columns.  Over the orbit, A is X - 1
+    (above the twist, X = p^(n-i) F truncated at the magnitude top) or
+    1 - Y in matched parameter coordinates (below, Y = p^(i-1-n) V
+    truncated at the denominator cap); in both cases the non-identity part
+    is nilpotent modulo p^r and the inverse is the finite geometric series.
+    The identity part is the diagonal in the scheme each degree is
+    certified in (deep below the twist, aligned above): window numerators
+    are divisible by p (denominators stay below p^s_star), so the N block
+    at a/p (deep) or at a (aligned) sits at the offset of the W block at a.
     """
-    N, ring = blk.N, blk.ring
-    i = blk.i
-    q = ring.q
-    # assemble A: N-degree-n blocks -> W-degree-n blocks
-    src = [(v, N.param_rank(n, v)) for v in blk.n_weights(n)]
-    src = [(v, k) for v, k in src if k]
-    tgt = [(w, blk.model.rank_at(n, w)) for w in blk.orbit]
-    tgt = [(w, k) for w, k in tgt if k]
-    if not src and not tgt:
+    ring, q = blk.ring, blk.ring.q
+    sdim, start = blk.n_slots(n), blk.n_slots(n + 1)
+    tdim = C.module(n + 1).ngens - start
+    if not sdim and not tdim:
         return True, 0
-    soff, sdim = {}, 0
-    for v, k in src:
-        soff[v] = sdim
-        sdim += k
-    toff, tdim = {}, 0
-    for w, k in tgt:
-        toff[w] = tdim
-        tdim += k
     if sdim != tdim:
         return False, 0
-    A = [[0] * tdim for _ in range(sdim)]
-    for v, k in src:
-        phi = N.divided_frobenius_matrix(n, v)
-        inc = N.inclusion_matrix(n, v)
-        pw = v * N.p
-        for a in range(k):
-            if pw in toff:
-                for b, x in enumerate(phi[a]):
-                    A[soff[v] + a][toff[pw] + b] = (A[soff[v] + a][toff[pw] + b] + x) % q
-            if v in toff:
-                for b, x in enumerate(inc[a]):
-                    A[soff[v] + a][toff[v] + b] = (A[soff[v] + a][toff[v] + b] - x) % q
-    # identify the identity part: pair source v with target (p v) below the
-    # twist and with target v above; the remainder must be nilpotent
-    pairing = {}
-    for v, k in src:
-        w = v * N.p if n < i else v
-        if w not in toff or soff[v] != toff[w]:
-            # coordinate layouts disagree; fall back to direct solve
-            return _invertible_by_solve(ring, A), -1
-        pairing[v] = w
-    sign = 1 if n < i else -1
+    A = [row[start:] for row in C.diff(n)[:sdim]]
+    sign = 1 if n < blk.i else -1
+    # A = sign * (I + X) with X required nilpotent: sum the series
     X = [[(sign * x) % q for x in row] for row in A]
-    for v, k in src:
-        for a in range(k):
-            X[soff[v] + a][soff[v] + a] = (X[soff[v] + a][soff[v] + a] - 1) % q
-    # now A = sign * (I + X) with X required nilpotent: sum the series
+    for a in range(sdim):
+        X[a][a] = (X[a][a] - 1) % q
     power = X
     terms = 0
     inv = identity(sdim)
@@ -535,13 +504,6 @@ def _certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
         power = mat_mul(ring, power, X)
     check = mat_mul(ring, A, [[(sign * x) % q for x in row] for row in inv])
     return check == identity(sdim), terms
-
-
-def _invertible_by_solve(ring, A):
-    H = normal_form(ring, A, len(A[0]) if A else 0)
-    return len(H) == len(A) and all(
-        ring.val(H[k][next(j for j, x in enumerate(H[k]) if x)]) == 0 for k in range(len(H))
-    )
 
 
 def _compare_h_i_with_log(zero, lat: LogLattice) -> tuple[str, int]:
@@ -596,7 +558,7 @@ def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
     )
     for v in weight_window(weight_cap, p, spec.is_laurent):
         got = _graded_cohomology(N, model.num(v))
-        want = _tau_cohomology(spec, omega, i, p_times(v, p))
+        want = _tau_cohomology(spec, omega, i, v * p)
         if got != want:
             return False
     return True
@@ -604,29 +566,15 @@ def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
 
 def _graded_cohomology(N: NygaardModel, a):
     """H^n of gr^i at graded numerator a, for n <= i, as invariant factors."""
-    model, i, ring = N.model, N.i, N.model.ring
-    p = N.p
-    pa = a * p
-    out = {}
+    model, i, ring, p = N.model, N.i, N.ring, N.p
     mods = {}
-    diffs = {}
     for n in range(0, i):
-        k = model.rank_at(n, pa)
+        k = N.param_rank(n, a)
         mods[n] = FinModPresentation(ring, k, identity(k, p))
     ki = model.rank_at(i, a)
-    vrows = []
-    V = model.versch_at(i, pa)
-    if V:
-        vrows += V
-    vrows += identity(ki, p)
-    mods[i] = FinModPresentation(ring, ki, vrows)
-    for n in range(0, i):
-        if n < i - 1:
-            diffs[n] = model.d_at(n, pa)
-        else:
-            Vb = model.versch_at(n, pa)
-            diffs[n] = mat_mul(ring, Vb, model.d_at(n, a)) if Vb else [[0] * ki for _ in range(mods[n].ngens)]
-    C = FinComplex(ring, mods, diffs, check=False)
+    mods[i] = FinModPresentation(ring, ki, model.versch_at(i, a * p) + identity(ki, p))
+    C = FinComplex(ring, mods, {n: N.d_matrix(n, a) for n in range(i)}, check=False)
+    out = {}
     for n in range(0, i + 1):
         inv = homology(C, n)
         if not inv.is_trivial():
@@ -692,7 +640,7 @@ def log_mod_compat(spec: RingSpec, i: int, r: int) -> bool:
     lat_hi = log_lattice(spec, i, r + 1)
     lat_lo = _log_lattice(model_lo, i, r)
     level_lo = strict_truncate(model_lo, r)
-    grp = level_lo.group(i, 0) if model_lo.rank(i, 0) else None
+    grp = level_lo.group(i, 0) if model_lo.rank_at(i, 0) else None
     if grp is None:
         return not lat_hi.generators and not lat_lo.generators
     # the restriction map is the identity on model coordinates

@@ -1,24 +1,32 @@
 """Shared fixture generators: random complexes and filtrations over Z/p^N,
 a reference Howell form to test the kernel against, the weight-keyed
-orbit walk to test the numerator-keyed one against, and the quotient
-presentations that rings.MonomialAlgebra.component replaced."""
+orbit walk to test the numerator-keyed one against, the quotient
+presentations that rings.MonomialAlgebra.component replaced, the
+unrescaled eta_p decalage, and the hand-assembled syntomic certificate
+and graded cohomology that synlog replaced."""
 
 from fractions import Fraction
 
 from drwitt.derham import DeRhamComplex
-from drwitt.dieudonne import SaturatedModel, p_times
+from drwitt.dieudonne import LiftComplex, SaturatedModel
+from drwitt.errors import PrecisionExhausted
 from drwitt.exactcore import (
     FinComplex,
     FinModPresentation,
     ZmodRing,
     gf_rref,
+    homology,
+    howell,
+    identity,
     kernel,
     mat_mul,
     normal_form,
+    preimage,
     solve,
 )
 from drwitt.filtspec import FilteredComplex
 from drwitt.rings import MonomialAlgebra, sign_insert, weight_window, wkey
+from drwitt.synlog import NygaardModel, _FiberBlock
 
 
 def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
@@ -219,12 +227,18 @@ def reference_p_div(w, p):
     return wkey(Fraction(w) / p)
 
 
+def reference_rank(model: SaturatedModel, n, w):
+    """Rank of the model at weight w; 0 past the denominator cap."""
+    a = model.num(w)
+    return 0 if a is None else model.rank_at(n, a)
+
+
 def reference_weight_support(model: SaturatedModel, cap, den_exp):
     """Lattice-supported weights with |w| <= cap and denominator <= p^den_exp."""
     return [
         w
         for w in weight_window(cap, model.p**den_exp, model.spec.is_laurent)
-        if any(model.rank(n, w) for n in range(model.top + 1))
+        if any(reference_rank(model, n, w) for n in range(model.top + 1))
     ]
 
 
@@ -250,7 +264,7 @@ def reference_weight_orbits(model: SaturatedModel, cap, den_exp):
         while cur in wset:
             chain.append(cur)
             seen.add(cur)
-            cur = p_times(cur, model.p)
+            cur = wkey(Fraction(cur) * model.p)
         orbits.append(chain)
     return orbits
 
@@ -379,3 +393,165 @@ def reference_component(self: DeRhamComplex, i, w):
         pivots[col] = hrow
     basis = [k for k in range(len(raw)) if k not in pivots]
     return raw, basis, pivots
+
+
+# The unrescaled decalage eta_p of the lifted de Rham complex: a second,
+# independent route to the stage lattices of dieudonne.SaturatedModel,
+# which rescales degree n by p^n.
+
+def eta_p_lattice(lift: LiftComplex, n: int, w) -> list[list[int]]:
+    """Basis of (eta_p M)^n at weight w: {x in p^n M^n : dx in p^(n+1) M^(n+1)}.
+
+    Rows are ambient coordinates mod p^B.  Raises PrecisionExhausted when
+    the divisibility conditions eat too far into the working modulus.
+    """
+    if n + 1 >= lift.B:
+        raise PrecisionExhausted("eta_p needs precision above the degree")
+    ring = lift.ring
+    k = lift.rank(n, w)
+    if k == 0:
+        return []
+    D = lift.d_matrix(n, w)
+    kt = lift.rank(n + 1, w)
+    pn = lift.p**n
+    if kt == 0:
+        return howell(ring, identity(k, pn), k)
+    # x with dx divisible by p^(n+1), then scaled into p^n M
+    cond = preimage(ring, D, identity(kt, lift.p ** (n + 1)))
+    rows = [[(pn * x) % ring.q for x in row] for row in cond]
+    return howell(ring, rows, k)
+
+
+def eta_p_differential(lift: LiftComplex, n: int, w, basis, next_basis):
+    """The restricted differential of eta_p: basis rows mapped into the
+    degree-(n+1) sublattice, expressed in its coordinates."""
+    ring = lift.ring
+    if not basis:
+        return []
+    D = lift.d_matrix(n, w)
+    out = []
+    for img in mat_mul(ring, basis, D):
+        if not next_basis:
+            if any(img):
+                raise PrecisionExhausted("eta_p differential leaves the sublattice")
+            out.append([])
+            continue
+        coords = solve(ring, next_basis, img)
+        if coords is None:
+            raise PrecisionExhausted("eta_p differential leaves the sublattice")
+        out.append(coords)
+    return out
+
+
+# The certificate and graded cohomology that synlog's slice-reading
+# _certify_block_invertible and param-coordinate _graded_cohomology
+# replaced, verbatim: the block of phi/p^i - can assembled by hand from the
+# Nygaard matrices, with a layout-pairing walk and a direct-solve fallback,
+# and the below-twist complex of gr^i built from the model's lattices.
+# The synlog functions must return the same values.
+def reference_certify_block_invertible(blk: _FiberBlock, n) -> tuple[bool, int]:
+    """Neumann-series certificate that (phi/p^i - can) is invertible in degree n.
+
+    Assembled over the orbit, the block is X - 1 (above the twist, X =
+    p^(n-i) F truncated at the magnitude top) or 1 - Y in matched
+    parameter coordinates (below, Y = p^(i-1-n) V truncated at the
+    denominator cap); in both cases the non-identity part is nilpotent
+    modulo p^r and the inverse is the finite geometric series.
+    """
+    N, ring = blk.N, blk.ring
+    i = blk.i
+    q = ring.q
+    # assemble A: N-degree-n blocks -> W-degree-n blocks
+    src = [(v, N.param_rank(n, v)) for v in blk.n_weights(n)]
+    src = [(v, k) for v, k in src if k]
+    tgt = [(w, blk.model.rank_at(n, w)) for w in blk.orbit]
+    tgt = [(w, k) for w, k in tgt if k]
+    if not src and not tgt:
+        return True, 0
+    soff, sdim = {}, 0
+    for v, k in src:
+        soff[v] = sdim
+        sdim += k
+    toff, tdim = {}, 0
+    for w, k in tgt:
+        toff[w] = tdim
+        tdim += k
+    if sdim != tdim:
+        return False, 0
+    A = [[0] * tdim for _ in range(sdim)]
+    for v, k in src:
+        phi = N.divided_frobenius_matrix(n, v)
+        inc = N.inclusion_matrix(n, v)
+        pw = v * N.p
+        for a in range(k):
+            if pw in toff:
+                for b, x in enumerate(phi[a]):
+                    A[soff[v] + a][toff[pw] + b] = (A[soff[v] + a][toff[pw] + b] + x) % q
+            if v in toff:
+                for b, x in enumerate(inc[a]):
+                    A[soff[v] + a][toff[v] + b] = (A[soff[v] + a][toff[v] + b] - x) % q
+    # identify the identity part: pair source v with target (p v) below the
+    # twist and with target v above; the remainder must be nilpotent
+    pairing = {}
+    for v, k in src:
+        w = v * N.p if n < i else v
+        if w not in toff or soff[v] != toff[w]:
+            # coordinate layouts disagree; fall back to direct solve
+            return reference_invertible_by_solve(ring, A), -1
+        pairing[v] = w
+    sign = 1 if n < i else -1
+    X = [[(sign * x) % q for x in row] for row in A]
+    for v, k in src:
+        for a in range(k):
+            X[soff[v] + a][soff[v] + a] = (X[soff[v] + a][soff[v] + a] - 1) % q
+    # now A = sign * (I + X) with X required nilpotent: sum the series
+    power = X
+    terms = 0
+    inv = identity(sdim)
+    while any(any(row) for row in power):
+        terms += 1
+        if terms > sdim + ring.N + 2:
+            return False, terms
+        inv = [[(a + (-1) ** terms * b) % q for a, b in zip(r1, r2)] for r1, r2 in zip(inv, power)]
+        power = mat_mul(ring, power, X)
+    check = mat_mul(ring, A, [[(sign * x) % q for x in row] for row in inv])
+    return check == identity(sdim), terms
+
+
+def reference_invertible_by_solve(ring, A):
+    H = normal_form(ring, A, len(A[0]) if A else 0)
+    return len(H) == len(A) and all(
+        ring.val(H[k][next(j for j, x in enumerate(H[k]) if x)]) == 0 for k in range(len(H))
+    )
+
+
+def reference_graded_cohomology(N: NygaardModel, a):
+    """H^n of gr^i at graded numerator a, for n <= i, as invariant factors."""
+    model, i, ring = N.model, N.i, N.model.ring
+    p = N.p
+    pa = a * p
+    out = {}
+    mods = {}
+    diffs = {}
+    for n in range(0, i):
+        k = model.rank_at(n, pa)
+        mods[n] = FinModPresentation(ring, k, identity(k, p))
+    ki = model.rank_at(i, a)
+    vrows = []
+    V = model.versch_at(i, pa)
+    if V:
+        vrows += V
+    vrows += identity(ki, p)
+    mods[i] = FinModPresentation(ring, ki, vrows)
+    for n in range(0, i):
+        if n < i - 1:
+            diffs[n] = model.d_at(n, pa)
+        else:
+            Vb = model.versch_at(n, pa)
+            diffs[n] = mat_mul(ring, Vb, model.d_at(n, a)) if Vb else [[0] * ki for _ in range(mods[n].ngens)]
+    C = FinComplex(ring, mods, diffs, check=False)
+    for n in range(0, i + 1):
+        inv = homology(C, n)
+        if not inv.is_trivial():
+            out[n] = inv
+    return out

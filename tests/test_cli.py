@@ -287,6 +287,7 @@ def bad_inputs(tmp_path):
         ["kpredict", "--ring", "{fp}", "--range", "0..-3"],
         ["drw", "table", "--ring", "{perf2}"],
         ["syntomic", "--ring", "{perf2}", "--twist", "1", "--modp", "1"],
+        ["derham", "table", "--ring", "{perf2}"],
         ["witt", "ghost", "a,b", "--p", "2"],
     ],
     ids=[
@@ -317,6 +318,7 @@ def bad_inputs(tmp_path):
         "kpredict-range-reversed",
         "drw-perfection-two-vars",
         "syntomic-perfection-two-vars",
+        "derham-perfection-two-vars",
         "witt-ghost-non-integer",
     ],
 )
@@ -392,3 +394,74 @@ def test_drw_table_without_variables_equals_the_full_window(tmp_path, capsys, ki
                 cell = dict(inv.to_json(p), stable=bumped.invariants(n, u) == inv)
                 want.setdefault(str(n), {})[_wkey_str(u)] = cell
     assert want and json.loads(out)["groups"] == want
+
+
+# ---------------------------------------------------------------------------
+# pinned payloads and perfection weights
+
+# `drw table --operators --json` on F_3[x] at level 2, weight cap 2.  The
+# operators are read at the numerator u p^s_star of each weight u; a weight
+# passed in its place reads another lattice and changes them.
+Z3 = {"free_rank": 0, "stable": True, "torsion": ["3^1"]}
+Z9 = {"free_rank": 0, "stable": True, "torsion": ["3^2"]}
+DRW_OPERATORS_F3X = {
+    "command": "drw table",
+    "internal_precision": "p^6",
+    "level": 2,
+    "ring": "poly(x)",
+    "schema_version": 1,
+    "groups": {
+        "0": {"0": Z9, "1": Z9, "1/3": Z3, "2": Z9, "2/3": Z3, "4/3": Z3, "5/3": Z3},
+        "1": {"1": Z9, "1/3": Z3, "2": Z9, "2/3": Z3, "4/3": Z3, "5/3": Z3},
+    },
+    "operators": {
+        "0": {
+            "0": {"F": [[1]], "d": [[]]},
+            "1": {"F": [[1]], "d": [[1]]},
+            "1/3": {"F": [[3]], "d": [[1]]},
+            "2": {"F": [[1]], "d": [[2]]},
+            "2/3": {"F": [[3]], "d": [[2]]},
+            "4/3": {"F": [[3]], "d": [[4]]},
+            "5/3": {"F": [[3]], "d": [[5]]},
+        },
+        "1": {
+            "1": {"F": [[1]], "d": [[]]},
+            "1/3": {"F": [[1]], "d": [[]]},
+            "2": {"F": [[1]], "d": [[]]},
+            "2/3": {"F": [[1]], "d": [[]]},
+            "4/3": {"F": [[1]], "d": [[]]},
+            "5/3": {"F": [[1]], "d": [[]]},
+        },
+    },
+}
+
+
+def test_drw_table_operators_payload(tmp_path, capsys):
+    ring = tmp_path / "f3x.ring"
+    ring.write_text("p = 3\nkind = poly\nvars = x:1\n")
+    argv = ["drw", "table", "--ring", str(ring), "--level", "2", "--weight-cap", "2", "--operators", "--json"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out) == DRW_OPERATORS_F3X
+
+
+def test_drw_table_on_a_perfection_with_a_p_power_weight(tmp_path, capsys):
+    # x^(1/64) and x^(1/32) lie in the perfection and have weights 1 and 2
+    ring = tmp_path / "x64.ring"
+    ring.write_text("p = 2\nkind = perfection of poly\nvars = x:64\n")
+    argv = ["drw", "table", "--ring", str(ring), "--level", "1", "--weight-cap", "2", "--json"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    cell = {"free_rank": 0, "stable": True, "torsion": ["2^1"]}
+    assert json.loads(out)["groups"] == {"0": {"0": cell, "1": cell, "2": cell}}
+
+
+def test_derham_table_on_a_perfection_counts_fractional_exponents(tmp_path, capsys):
+    # x^(1/2) and x^(3/2) have weights 1 and 3
+    ring = tmp_path / "x2.ring"
+    ring.write_text("p = 2\nkind = perfection of poly\nvars = x:2\n")
+    argv = ["derham", "table", "--ring", str(ring), "--maxdeg", "0", "--weight-cap", "3", "--json"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    cell = {"free_rank": 0, "torsion": ["2^1"]}
+    assert json.loads(out)["cohomology"] == {"0": {str(u): cell for u in range(4)}}
