@@ -275,11 +275,16 @@ def cmd_logforms(args):
     return 0
 
 
+# --twist when it is omitted: the twist of the first two checks, the twist cap of the third
+CHECK_TWIST_DEFAULTS = {"fundamental-seq": 1, "nygaard-graded": 1, "nygaard-complete": 4}
+
+
 def cmd_check(args):
     spec = _load_spec(args)
     name = args.which
+    twist = args.twist if args.twist is not None else CHECK_TWIST_DEFAULTS[name]
     if name == "fundamental-seq":
-        rep = verify_fundamental_seq(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
+        rep = verify_fundamental_seq(spec, twist, args.modp, args.maxdeg, args.weight_cap)
         ok = (
             rep["off_degree_vanishing"]
             and all(okk for side in rep["invertibility"].values() for okk, _ in side.values())
@@ -288,7 +293,7 @@ def cmd_check(args):
         payload = {
             "command": "check fundamental-seq",
             "ring": spec.describe(),
-            "twist": args.twist,
+            "twist": twist,
             "modulus": f"p^{args.modp}",
             "off_degree_vanishing": rep["off_degree_vanishing"],
             "h_i": rep["h_i"].to_json(spec.p),
@@ -303,19 +308,19 @@ def cmd_check(args):
             "pass": ok,
         }
     elif name == "nygaard-graded":
-        ok = nygaard_graded_check(spec, args.twist, args.weight_cap)
+        ok = nygaard_graded_check(spec, twist, args.weight_cap)
         payload = {
             "command": "check nygaard-graded",
             "ring": spec.describe(),
-            "twist": args.twist,
+            "twist": twist,
             "pass": ok,
         }
     elif name == "nygaard-complete":
-        ok = nygaard_completeness_check(spec, args.twist if args.twist else 4, args.weight_cap)
+        ok = nygaard_completeness_check(spec, twist, args.weight_cap)
         payload = {
             "command": "check nygaard-complete",
             "ring": spec.describe(),
-            "twist_cap": args.twist if args.twist else 4,
+            "twist_cap": twist,
             "pass": ok,
         }
     else:
@@ -503,7 +508,7 @@ def build_parser():
     ch = sub.add_parser("check", help="verification suites (exit 2 on failure)")
     ch.add_argument("which", choices=["fundamental-seq", "nygaard-graded", "nygaard-complete"])
     common(ch)
-    ch.add_argument("--twist", type=int, default=1)
+    ch.add_argument("--twist", type=int, default=None, help="default 1; for nygaard-complete a twist cap, default 4")
     ch.add_argument("--modp", type=int, default=1)
     ch.add_argument("--maxdeg", type=int, default=3)
     ch.add_argument("--weight-cap", type=int, default=4)

@@ -55,6 +55,7 @@ from .exactcore import (
     mat_mul,
     normal_form,
     preimage,
+    reduce_with_coefficients,
     solve,
 )
 from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window
@@ -239,8 +240,9 @@ class SaturatedModel:
         if kt == 0:
             return identity(k)
         D = self.lift.d_matrix(n, w)
-        rows = preimage(self._amb, D, identity(kt, self.p**s))
-        return howell(self._amb, rows, k)
+        # the rows of a Howell form that vanish on the D columns are the
+        # Howell form of the preimage, so no second normal form is needed
+        return preimage(self._amb, D, identity(kt, self.p**s))
 
     @memo
     def lattice_at(self, n, a):
@@ -299,13 +301,21 @@ class SaturatedModel:
         return True
 
     def _express(self, rows, basis):
-        """Coordinates of ambient rows in the given lattice basis."""
+        """Coordinates mod p^R of ambient rows in a lattice's Howell basis; None if one escapes.
+
+        Each row is reduced by the basis in one back-substitution pass.  The
+        coordinates are unique mod p^R: every lattice passed here (an E_s
+        stage with s <= s_star + 1, or a free lattice) contains p^s times its
+        ambient lattice, so its basis H is square with H M = p^s I for some
+        integral M, any two solutions x of x H = row agree mod p^(B - s),
+        and B - s >= R because B = R + 2 s_star + 2.
+        """
         out = []
         for row in rows:
-            sol = solve(self._amb, basis, row) if basis else ([] if not any(row) else None)
-            if sol is None:
+            residue, coords = reduce_with_coefficients(self._amb, basis, row)
+            if any(residue):
                 return None
-            out.append([x % self.ring.q for x in sol])
+            out.append([x % self.ring.q for x in coords])
         return out
 
     # -- structure maps (matrices over Z/p^R in lattice coordinates) ---------
@@ -368,10 +378,10 @@ class SaturatedModel:
             z = solve(self._amb, F, py)
             if z is None:
                 raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
-            coords = solve(self._amb, tgt, z)
+            coords = self._express([z], tgt)
             if coords is None:
                 raise PrecisionExhausted("Verschiebung image not in the lattice")
-            out.append([x % self.ring.q for x in coords])
+            out += coords
         return out
 
     def _perf_blockmap(self, a, target_a, coeff_matrix, scalar):
@@ -396,11 +406,10 @@ class SaturatedModel:
     def teichmuller_vector(self):
         """Coordinates of [1] in the weight-0 degree-0 lattice."""
         basis = self.lattice_at(0, 0)
-        amb = self._one_ambient()
-        coords = solve(self._amb, basis, amb)
+        coords = self._express([self._one_ambient()], basis)
         if coords is None:
             raise PrecisionExhausted("unit 1 not in the weight-0 lattice")
-        return [x % self.ring.q for x in coords]
+        return coords[0]
 
     def _one_ambient(self):
         if self.is_perfection:
@@ -427,10 +436,8 @@ class SaturatedModel:
         k = forms.index(target)
         vec = [0] * (len(forms) * self.f)
         vec[k * self.f] = 1
-        coords = solve(self._amb, basis, vec)
-        if coords is None:
-            return None
-        return [x % self.ring.q for x in coords]
+        coords = self._express([vec], basis)
+        return None if coords is None else coords[0]
 
 
 def saturate(spec: RingSpec, r_level: int, i_max: int, R: int | None = None) -> SaturatedModel:

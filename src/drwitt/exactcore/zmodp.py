@@ -132,20 +132,32 @@ def howell(R: ZmodRing, rows: list[list[int]], ncols: int | None = None) -> list
     return result
 
 
-def reduce_vector(R: ZmodRing, H: list[list[int]], v: list[int]) -> list[int]:
-    """Residue of v modulo the row span given in Howell form H."""
+def reduce_with_coefficients(R: ZmodRing, H: list[list[int]], v: list[int]) -> tuple[list[int], list[int]]:
+    """(residue, c) with v = c @ H + residue, for H in Howell form.
+
+    One pass down the pivots: each row of H clears what it can of its
+    pivot column, and c records the multiple taken.  v lies in the row
+    span exactly when the residue is zero (the Howell property).
+    """
     q, p = R.q, R.p
     v = [x % q for x in v]
-    for row in H:
+    coeffs = [0] * len(H)
+    for k, row in enumerate(H):
         col = next(j for j, x in enumerate(row) if x)
         if v[col]:
             pa = p ** R.val(row[col])
             if v[col] % pa == 0:
                 c = v[col] // pa
+                coeffs[k] = c
                 for j in range(col, len(v)):
                     if row[j]:
                         v[j] = (v[j] - c * row[j]) % q
-    return v
+    return v, coeffs
+
+
+def reduce_vector(R: ZmodRing, H: list[list[int]], v: list[int]) -> list[int]:
+    """Residue of v modulo the row span given in Howell form H."""
+    return reduce_with_coefficients(R, H, v)[0]
 
 
 def intersect(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -> list[list[int]]:

@@ -47,7 +47,7 @@ from .exactcore import (
     normal_form,
     span_order,
 )
-from .rings import RingSpec, weight_window
+from .rings import RingSpec, memo, weight_window
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +201,8 @@ class _FiberBlock:
 
     Reported cohomology is taken degreewise from the scheme that is exact
     there; both schemes agree on the weight-zero orbit, which has no
-    boundary at all.
+    boundary at all.  A block builds its complex on first read, so a
+    scheme that no reported degree reads is never assembled.
     """
 
     def __init__(self, N: NygaardModel, orbit, r, style="deep"):
@@ -220,6 +221,7 @@ class _FiberBlock:
             return self.orbit
         return [a // self.N.p for a in self.orbit]
 
+    @memo
     def layout(self, j):
         """Slot layout of fiber degree j: N^j blocks then W^(j-1) blocks."""
         blocks = []
@@ -272,6 +274,7 @@ class _FiberBlock:
                 rows.append(row)
         return rows
 
+    @memo
     def complex(self) -> FinComplex:
         mods = {}
         diffs = {}
@@ -309,17 +312,21 @@ def _direct_sum(factors):
 
 
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
-    """Per orbit: (orbit, deep block, aligned block, deep complex, aligned complex, {j: H^j}).
+    """Per orbit: (orbit, deep block, aligned block, {j: H^j}).
 
     H^j is taken from the deep scheme for j <= i+1 and from the aligned
-    scheme above, where each is exact (see _FiberBlock).
+    scheme above, where each is exact (see _FiberBlock).  A fiber degree
+    without slots has H^j = 0 and builds no complex; fiber degree j is
+    N^j + W^(j-1), so for i >= top the aligned complex is never read.
     """
     for orbit in weight_orbits(N.model, weight_cap, r):
-        deep_blk = _FiberBlock(N, orbit, r, style="deep")
-        aligned_blk = _FiberBlock(N, orbit, r, style="aligned")
-        deep, aligned = deep_blk.complex(), aligned_blk.complex()
-        H = {j: homology(deep if j <= N.i + 1 else aligned, j) for j in range(N.model.top + 3)}
-        yield orbit, deep_blk, aligned_blk, deep, aligned, H
+        deep = _FiberBlock(N, orbit, r, style="deep")
+        aligned = _FiberBlock(N, orbit, r, style="aligned")
+        H = {}
+        for j in range(N.model.top + 3):
+            blk = deep if j <= N.i + 1 else aligned
+            H[j] = homology(blk.complex(), j) if blk.layout(j) else InvariantFactors(())
+        yield orbit, deep, aligned, H
 
 
 def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | None = None) -> SyntomicComplex:
@@ -334,7 +341,7 @@ def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | No
     per_degree: dict[int, list] = {}
     zero_orbit: dict[int, InvariantFactors] = {}
     count = 0
-    for orbit, _, _, _, _, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
+    for orbit, _, _, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
         count += 1
         if orbit[0] == 0:
             zero_orbit = H
@@ -425,14 +432,14 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
     nonzero_orbit_h_i = []
     h_i1_parts = []
     zero = None
-    for orbit, deep_blk, aligned_blk, deep, aligned, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
+    for orbit, deep, aligned, H in _orbit_fibers(NygaardModel(model, i), weight_cap, r):
         if orbit[0] == 0:
-            zero = deep_blk, deep
+            zero = deep
         for n in range(0, model.top + 1):
             if n == i:
                 continue
-            blk, C = (deep_blk, deep) if n < i else (aligned_blk, aligned)
-            ok, terms = _certify_block_invertible(blk, C, n)
+            blk = deep if n < i else aligned
+            ok, terms = _certify_block_invertible(blk, blk.complex(), n)
             key = "below_twist" if n < i else "above_twist"
             cur = certificates[key].get(n, (True, 0))
             certificates[key][n] = (cur[0] and ok, max(cur[1], terms))
@@ -506,15 +513,14 @@ def _certify_block_invertible(blk: _FiberBlock, C: FinComplex, n) -> tuple[bool,
     return check == identity(sdim), terms
 
 
-def _compare_h_i_with_log(zero, lat: LogLattice) -> tuple[str, int]:
+def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
     """Subgroup comparison of the symbol span inside H^i of the zero orbit.
 
-    `zero` is the zero orbit's deep block and its complex, or None.
+    `zero_block` is the zero orbit's deep block, or None.
     """
-    if zero is None:
+    if zero_block is None:
         return ("EQUAL", 1) if not lat.generators else ("MISMATCH", 0)
-    zero_block, C = zero
-    H = homology_subquot(C, zero_block.i)
+    H = homology_subquot(zero_block.complex(), zero_block.i)
     h_order = H.invariants().order()
     # embed each symbol as the fiber cocycle (symbol, 0)
     off, dim = zero_block._offsets(zero_block.layout(zero_block.i))

@@ -2,8 +2,9 @@
 a reference Howell form to test the kernel against, the weight-keyed
 orbit walk to test the numerator-keyed one against, the quotient
 presentations that rings.MonomialAlgebra.component replaced, the
-unrescaled eta_p decalage, and the hand-assembled syntomic certificate
-and graded cohomology that synlog replaced."""
+unrescaled eta_p decalage, the hand-assembled syntomic certificate and
+graded cohomology that synlog replaced, and the orbit walk that built
+both fiber schemes for every orbit."""
 
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from drwitt.exactcore import (
 )
 from drwitt.filtspec import FilteredComplex
 from drwitt.rings import MonomialAlgebra, sign_insert, weight_window, wkey
-from drwitt.synlog import NygaardModel, _FiberBlock
+from drwitt.synlog import NygaardModel, _FiberBlock, weight_orbits
 
 
 def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
@@ -555,3 +556,21 @@ def reference_graded_cohomology(N: NygaardModel, a):
         if not inv.is_trivial():
             out[n] = inv
     return out
+
+
+# The orbit walk that synlog's lazy _orbit_fibers replaced, verbatim: it
+# builds the deep and the aligned complex of every orbit, whether or not a
+# reported degree reads them.  syntomic and verify_fundamental_seq must
+# report the same groups and certificates on either walk.
+def reference_orbit_fibers(N: NygaardModel, weight_cap, r):
+    """Per orbit: (orbit, deep block, aligned block, deep complex, aligned complex, {j: H^j}).
+
+    H^j is taken from the deep scheme for j <= i+1 and from the aligned
+    scheme above, where each is exact (see _FiberBlock).
+    """
+    for orbit in weight_orbits(N.model, weight_cap, r):
+        deep_blk = _FiberBlock(N, orbit, r, style="deep")
+        aligned_blk = _FiberBlock(N, orbit, r, style="aligned")
+        deep, aligned = deep_blk.complex(), aligned_blk.complex()
+        H = {j: homology(deep if j <= N.i + 1 else aligned, j) for j in range(N.model.top + 3)}
+        yield orbit, deep_blk, aligned_blk, deep, aligned, H

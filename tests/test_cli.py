@@ -101,6 +101,38 @@ def test_check_exit_codes(rings, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "which, key, callee",
+    [
+        ("fundamental-seq", "twist", "verify_fundamental_seq"),
+        ("nygaard-graded", "twist", "nygaard_graded_check"),
+        ("nygaard-complete", "twist_cap", "nygaard_completeness_check"),
+    ],
+)
+@pytest.mark.parametrize("flag", [None, "0", "2"])
+def test_check_twist_is_used_and_echoed_as_given(rings, capsys, monkeypatch, which, key, callee, flag):
+    # an omitted --twist is 1 for the twisted checks and a twist cap of 4 for
+    # nygaard-complete; an explicit value, 0 included, is used as given
+    import drwitt.cli as cli
+
+    seen = []
+    real = getattr(cli, callee)
+
+    def recording(spec, twist, *rest):
+        seen.append(twist)
+        return real(spec, twist, *rest)
+
+    monkeypatch.setattr(cli, callee, recording)
+    argv = ["check", which, "--ring", rings["fp"], "--weight-cap", "2", "--json"]
+    if flag is not None:
+        argv += ["--twist", flag]
+    code, out = run_cli(argv, capsys)
+    want = int(flag) if flag is not None else (4 if which == "nygaard-complete" else 1)
+    assert code == 0
+    assert seen == [want]
+    assert json.loads(out)[key] == want
+
+
 def test_cartier_check_failure_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "dual.ring"
     bad.write_text("p = 3\nkind = quotient\nvars = x:1\nrels = x^2\n")

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drwitt.dieudonne import (
     SaturatedModel,
@@ -15,7 +17,7 @@ from drwitt.dieudonne import (
     strict_truncate,
 )
 from drwitt.errors import UnsupportedKind
-from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul
+from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul, solve
 from drwitt.rings import parse_ringspec, wkey
 
 from helpers import eta_p_lattice
@@ -197,6 +199,61 @@ def test_torsion_freeness_at_precision():
             scaled = [[(2 * x) % m._amb.q for x in row] for row in amb]
             H = howell(m._amb, scaled, len(amb[0]))
             assert len(H) == k
+
+
+ONE_VAR_KINDS = (
+    "kind=laurent\nvars=x:1",
+    "kind=poly\nvars=x:1",
+    "kind=finite_field",
+    "kind=perfection of poly\nvars=x:1",
+    "kind=perfection of laurent\nvars=x:1",
+    "kind=perfection of finite_field",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    f=st.integers(1, 2),
+    kind=st.sampled_from(ONE_VAR_KINDS),
+    r=st.integers(1, 2),
+    n=st.sampled_from([0, 0, 1]),
+    k=st.sampled_from(range(-3, 5)),
+    den_exp=st.sampled_from(range(4)),
+    next_stage=st.booleans(),
+    data=st.data(),
+)
+def test_express_is_solve_mod_p_r(p, f, kind, r, n, k, den_exp, next_stage, data):
+    # back-substitution against a lattice's Howell basis gives the
+    # coordinates solve gives, reduced mod p^R, and None off the lattice
+    m = SaturatedModel(spec(f"p={p}\nf={f}\n{kind}"), r, 1)
+    a = k * p ** max(m.s_star - den_exp, 0)
+    if next_stage and not m.is_perfection:
+        # the stage-(s*+1) lattice a certificate expresses F-images in
+        basis = m._stage_lattice(n, a * p, m.s_star + 1)
+    else:
+        basis = m.lattice_at(n, a)
+    assume(basis)
+    amb, q = m._amb, m.ring.q
+    width = len(basis[0])
+    c = data.draw(st.lists(st.integers(0, amb.q - 1), min_size=len(basis), max_size=len(basis)))
+    inside = mat_mul(amb, [c], basis)[0]
+    # perturb one column, preferring the non-unit pivots, where a small
+    # step can leave the lattice
+    pivots = [next(j for j, x in enumerate(h) if x) for h in basis]
+    deep = [j for j, h in zip(pivots, basis) if h[j] % p == 0]
+    j = data.draw(st.sampled_from(deep or range(width)))
+    row = list(inside)
+    row[j] = (row[j] + data.draw(st.sampled_from([0, 1, p, p**2, -1]))) % amb.q
+    want = solve(amb, basis, row)
+    got = m._express([row], basis)
+    assert got == (None if want is None else [[x % q for x in want]])
+    if row == inside:
+        assert got == [[x % q for x in c]]  # the coordinates are unique mod p^R
+    for col in deep:
+        # a unit vector at a non-unit pivot lies outside the lattice
+        e = [int(j == col) for j in range(width)]
+        assert m._express([e], basis) is None and solve(amb, basis, e) is None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from drwitt.synlog import (
     verify_fundamental_seq,
     weight_orbits,
 )
-from helpers import reference_certify_block_invertible, reference_graded_cohomology, reference_weight_orbits
+from helpers import (
+    reference_certify_block_invertible,
+    reference_graded_cohomology,
+    reference_orbit_fibers,
+    reference_weight_orbits,
+)
 
 
 def spec(text):
@@ -176,7 +181,8 @@ def test_certificates_and_graded_cohomology_match_the_hand_assembled_blocks(p):
             for r in (1, 2):
                 m = saturate(spec(f"p={p}\n{kind}"), r, i + 1)
                 N = NygaardModel(m, i)
-                for _, deep_blk, aligned_blk, deep, aligned, _ in _orbit_fibers(N, 3, r):
+                for _, deep_blk, aligned_blk, _ in _orbit_fibers(N, 3, r):
+                    deep, aligned = deep_blk.complex(), aligned_blk.complex()
                     for n in range(m.top + 1):
                         blk, C = (deep_blk, deep) if n < i else (aligned_blk, aligned)
                         assert _certify_block_invertible(blk, C, n) == reference_certify_block_invertible(blk, n)
@@ -311,6 +317,51 @@ def test_fundamental_seq_agrees_with_syntomic(s, i, r):
     assert S.group(i + 1) == rep["h_i_plus_1_ring_level_coker"]
 
 
+@pytest.mark.parametrize("s", [LAU3, F2X, F4, spec("p=2\nkind=perfection of laurent\nvars=x:1")])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_lazy_fiber_walk_matches_the_eager_walk(s, i, monkeypatch):
+    # building each scheme on first read changes no group and no certificate
+    import drwitt.synlog as synlog
+
+    lazy = syntomic(s, i, 2, 3, 6), verify_fundamental_seq(s, i, 2, 3, 6)
+
+    def eager(N, weight_cap, r):
+        for orbit, deep_blk, aligned_blk, _, _, H in reference_orbit_fibers(N, weight_cap, r):
+            yield orbit, deep_blk, aligned_blk, H
+
+    monkeypatch.setattr(synlog, "_orbit_fibers", eager)
+    assert (syntomic(s, i, 2, 3, 6), verify_fundamental_seq(s, i, 2, 3, 6)) == lazy
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_aligned_scheme_is_built_only_when_read(i, monkeypatch):
+    # the aligned complex is read for H^j, j > i+1, and for certificates in
+    # degrees n > i; fiber degree j is N^j + W^(j-1), empty for j >= top+2,
+    # so at i >= top (= 1 here) no aligned complex may be built
+    import functools
+
+    from drwitt.rings import memo
+    from drwitt.synlog import _FiberBlock
+
+    builds = []
+    raw = _FiberBlock.complex.__wrapped__
+
+    @functools.wraps(raw)
+    def counting(self):
+        builds.append(self)
+        return raw(self)
+
+    monkeypatch.setattr(_FiberBlock, "complex", memo(counting))
+    orbits = len(weight_orbits(saturate(LAU3, 2, 3), 6, 2))
+    for run in (lambda: syntomic(LAU3, i, 2, 3, 6), lambda: verify_fundamental_seq(LAU3, i, 2, 3, 6)):
+        builds.clear()
+        run()
+        assert len({id(blk) for blk in builds}) == len(builds)  # one build per block
+        styles = [blk.style for blk in builds]
+        assert styles.count("deep") == orbits
+        assert styles.count("aligned") == (orbits if i < 1 else 0)
+
+
 # ---------------------------------------------------------------------------
 # Nygaard graded and completeness, log compatibility
 
@@ -324,6 +375,59 @@ def test_nygaard_graded_range():
     for s in (FP3, spec("p=3\nkind=finite_field\nf=2"), spec("p=3\nkind=poly\nvars=x:1")):
         for i in (0, 1, 2, 3):
             assert nygaard_graded_check(s, i, 6), (s.describe(), i)
+
+
+BRIDGE_RINGS = (
+    "p=2\nkind=poly\nvars=x:1\nf=2",
+    "p=3\nkind=laurent\nvars=x:1\nf=2",
+    "p=3\nkind=poly\nvars=x:1",
+    "p=2\nkind=laurent\nvars=x:1",
+)
+
+
+@pytest.mark.parametrize("text", BRIDGE_RINGS)
+@pytest.mark.parametrize("r", [1, 2])
+def test_graded_bridge_is_d_after_v(text, r, monkeypatch):
+    # below the twist the Nygaard differential into degree i is x -> d(V x);
+    # pin its values against V and d computed on the lift, in the matrix
+    # NygaardModel gives and in the complex _graded_cohomology builds.  Over
+    # GF(p^2) V carries sigma^-1 on coefficients, so a plain d at p a is a
+    # different matrix; over GF(p) the two agree in these one-variable bases
+    import drwitt.synlog as synlog
+    from drwitt.exactcore import solve
+    from drwitt.rings import weight_window
+
+    m = saturate(spec(text), r, 2)
+    N = NygaardModel(m, 1)
+    amb, p = m._amb, m.p
+    graded = []
+
+    class Recording(synlog.FinComplex):
+        def __init__(self, ring, modules, diffs, check=True):
+            graded.append(diffs)
+            super().__init__(ring, modules, diffs, check)
+
+    monkeypatch.setattr(synlog, "FinComplex", Recording)
+    differs = 0
+    for u in weight_window(4, p, m.spec.is_laurent):
+        a = m.num(u)
+        src, tgt = m.lattice_at(0, a * p), m.lattice_at(1, a)
+        if not src or not tgt:
+            continue
+        want = []
+        for y in src:
+            # z = V y solves F z = p y on the lift; d z is divisible by p^s*
+            z = solve(amb, m.lift.f_matrix(0, a), [p * x % amb.q for x in y])
+            dz = mat_mul(amb, [z], m.lift.d_matrix(0, a))[0]
+            assert all(x % m.P == 0 for x in dz)
+            coords = solve(amb, tgt, [x // m.P for x in dz])
+            want.append([x % m.ring.q for x in coords])
+        assert N.d_matrix(0, a) == want
+        graded.clear()
+        synlog._graded_cohomology(N, a)
+        assert graded[0][0] == want
+        differs += m.d_at(0, a * p) != want
+    assert differs or m.f == 1
 
 
 def test_nygaard_completeness():
