@@ -1,6 +1,7 @@
 """Command-line front end: ring specs in, deterministic JSON out.
 
-Exit codes: 0 success, 1 operational error, 2 check-failure (a
+Exit codes: 0 success, 1 operational error (`error: ...` on stderr) or
+internal error (`internal error: <type>: ...`), 2 check-failure (a
 verification verb ran fine and the checked property is false).  Payloads
 are deterministic (sorted keys, no timestamps); `--manifest PATH` writes
 a separate run manifest carrying the wall time and the payload digest,
@@ -555,6 +556,10 @@ def main(argv=None):
         return 2
     except DrwittError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:
+        # a defect, not a bad input: its own prefix keeps the two apart
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

@@ -55,8 +55,8 @@ from .exactcore import (
     mat_mul,
     normal_form,
     preimage,
+    reduce_vector,
     reduce_with_coefficients,
-    solve,
 )
 from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window
 
@@ -261,6 +261,17 @@ class SaturatedModel:
     def rank_at(self, n, a):
         return len(self.lattice_at(n, a))
 
+    def ambient_rank_at(self, n, a):
+        """Rank of the ambient module at numerator a, without building a lattice.
+
+        It equals `rank_at`: E_s contains p^s M with s < B, so its Howell
+        basis has a pivot in every ambient column; a perfection's lattice is
+        the free module on its Teichmuller monomials.
+        """
+        if self.is_perfection:
+            return len(self._perf_monomials(a)) * self.f if n == 0 else 0
+        return self.lift.rank(n, a)
+
     @memo
     def _perf_monomials(self, a):
         """Numerators e of the monomials x^(e/p^(s_star + v)) of weight a/p^s_star.
@@ -369,15 +380,18 @@ class SaturatedModel:
         if self.is_perfection:
             sigma_inv = self.lift.frobenius_inverse_coeff_matrix()
             return self._perf_blockmap(a, down, sigma_inv, self.p)
-        # solve F z = p y for each basis row y
+        # solve z . F = p y for each basis row y, z in ambient coords at lift
+        # weight a/p: one Howell form of [F | I] serves every row, and
+        # z is minus the identity half of the residue of [p y | 0]
         F = self.lift.f_matrix(n, down)
+        q, k, m = self._amb.q, len(F[0]), len(F)
+        H = howell(self._amb, [row + e for row, e in zip(F, identity(m))], k + m)
         out = []
         for row in src:
-            py = [(self.p * x) % self._amb.q for x in row]
-            # z in ambient coords at lift weight a/p: solve z . F = py
-            z = solve(self._amb, F, py)
-            if z is None:
+            w = reduce_vector(self._amb, H, [(self.p * x) % q for x in row] + [0] * m)
+            if any(w[:k]):
                 raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
+            z = [(-x) % q for x in w[k:]]
             coords = self._express([z], tgt)
             if coords is None:
                 raise PrecisionExhausted("Verschiebung image not in the lattice")

@@ -244,7 +244,8 @@ class FinModPresentation:
         relations = [list(r) for r in relations]
         if any(len(r) != ngens for r in relations):
             raise ValueError(f"relation rows must have length {ngens}")
-        self.relations = normal_form(ring, relations, ngens)
+        # the normal form of no rows is no rows, in every ring
+        self.relations = normal_form(ring, relations, ngens) if relations else []
 
     def __repr__(self):
         return f"FinModPresentation({self.ring}, ngens={self.ngens}, rels={len(self.relations)})"
@@ -323,7 +324,7 @@ class SubQuot:
         self.ring = ring
         self.ambient = ambient
         self.z = [list(r) for r in z_rows]
-        self.b = normal_form(ring, [list(r) for r in b_rows], ambient)
+        self.b = normal_form(ring, [list(r) for r in b_rows], ambient) if b_rows else []
 
     def gen_count(self):
         return len(self.z)

@@ -145,13 +145,15 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
 def _weight_support(model: SaturatedModel, cap, den_exp):
     """Numerators of the lattice-supported weights with |w| <= cap and denominator <= p^den_exp.
 
-    A ring without variables is supported at weight 0 only.
+    A ring without variables is supported at weight 0 only.  Support is
+    read off the ambient ranks, which equal the lattice ranks, so no
+    lattice is built here.
     """
     if model.spec.nvars:
         window = map(model.num, weight_window(cap, model.p**den_exp, model.spec.is_laurent))
     else:
         window = [0] if cap >= 0 else []
-    return [a for a in window if a is not None and any(model.rank_at(n, a) for n in range(model.top + 1))]
+    return [a for a in window if a is not None and any(model.ambient_rank_at(n, a) for n in range(model.top + 1))]
 
 
 def weight_orbits(model: SaturatedModel, cap, den_exp):
@@ -285,6 +287,11 @@ class _FiberBlock:
             diffs[j] = self.differential(j)
         return FinComplex(self.ring, mods, diffs, check=True)
 
+    @memo
+    def certificate(self, n):
+        """(ok, terms) of the Neumann certificate in degree n (see _certify_block_invertible)."""
+        return _certify_block_invertible(self, self.complex(), n)
+
 
 @dataclass
 class SyntomicComplex:
@@ -311,6 +318,65 @@ def _direct_sum(factors):
     return InvariantFactors(tuple(sorted(tors)), free)
 
 
+def _split(w, p):
+    """(v, u) with w = u p^v and u prime to p, for w != 0."""
+    v = 0
+    while w % p == 0:
+        w //= p
+        v += 1
+    return v, w
+
+
+def _class_chain(orbit, p):
+    """Numerators an orbit's blocks read, bottom to top.
+
+    The deep N blocks reach down to a/p for the bottom a (window
+    numerators are divisible by p), the aligned ones up to p b for the
+    top b, and the lattice at p b is certified against the stage at p^2 b.
+    """
+    return [orbit[0] // p, *orbit, orbit[-1] * p, orbit[-1] * p * p]
+
+
+def _orbit_class(model: SaturatedModel, orbit):
+    """Valuation class of an orbit, or None when the orbit is its own class.
+
+    The key is the p-adic valuation of every numerator of the orbit's
+    chain and the lift ranks there in every degree <= top.  Only
+    one-variable lifts have classes; the zero orbit, and an orbit whose
+    bottom is prime to p (so that a/p is not a numerator), are their own.
+    """
+    p = model.p
+    if model.is_perfection or model.spec.nvars != 1 or orbit[0] == 0 or orbit[0] % p:
+        return None
+    lift = model.lift
+    return tuple(
+        (_split(w, p)[0], tuple(lift.rank(n, w) for n in range(model.top + 1))) for w in _class_chain(orbit, p)
+    )
+
+
+def _rescales(lift, rep, orbit):
+    """Whether the lift along `orbit`'s chain is that along `rep`'s after the unit rescaling.
+
+    Each degree-0 slot at numerator w is divided by the prime-to-p part
+    u(w) of w; then d at w must equal d at the matching rep numerator w',
+    that is u(w') d(w) = u(w) d(w'), and F, which keeps u (u(p w) = u(w)),
+    must be equal as it stands.  Each comparison is of f x f blocks.
+    """
+    p, q = lift.p, lift.q
+    chain, rep_chain = _class_chain(orbit, p), _class_chain(rep, p)
+    if len(chain) != len(rep_chain):
+        return False
+    for t, (w, v) in enumerate(zip(chain, rep_chain)):
+        uw, uv = _split(w, p)[1], _split(v, p)[1]
+        for n in range(lift.top):
+            mine = [[uv * x % q for x in row] for row in lift.d_matrix(n, w)]
+            if mine != [[uw * x % q for x in row] for row in lift.d_matrix(n, v)]:
+                return False
+        if t + 1 < len(chain) and any(lift.f_matrix(n, w) != lift.f_matrix(n, v) for n in range(lift.top + 1)):
+            return False
+    return True
+
+
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
     """Per orbit: (orbit, deep block, aligned block, {j: H^j}).
 
@@ -318,14 +384,48 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
     scheme above, where each is exact (see _FiberBlock).  A fiber degree
     without slots has H^j = 0 and builds no complex; fiber degree j is
     N^j + W^(j-1), so for i >= top the aligned complex is never read.
+
+    Each valuation class (see _orbit_class) is computed once.  For one
+    variable of weight m a lift weight w carries at most one monomial
+    form per degree: d on it is multiplication by its exponent w/m and F
+    is x^e -> x^(p e) tensored with sigma on the coefficient digits.
+    Dividing every degree-0 slot at w by the prime-to-p part u(w) of w
+    makes d depend on w only through v_p(w) and leaves F as it is, since
+    u(p w) = u(w).  Two orbits with equal valuations and lift ranks along
+    their chains therefore have lift complexes related by a diagonal
+    rescaling, and it carries the lattices (Howell bases p^k I, which a
+    unit rescaling fixes), the Nygaard blocks and the fiber complex of one
+    onto the other.  It is one unit per orbit on the parameter and W slots
+    alike, so it keeps the identity part of each certificate block, and
+    the Neumann series keeps its length.  This holds at the finite
+    precisions R and B: each u(w) is prime to p, hence invertible mod
+    p^B and mod p^R, and it is an integer, hence fixed by sigma, so the
+    rescaling commutes with F and V.
+
+    The first orbit of a class is its representative and runs in full:
+    lattices, stage certificates, complexes and homology.  Every later
+    orbit is checked against it with `_rescales` and then yields the
+    representative's blocks and H^j, whose certificates are memoized on
+    the blocks; an orbit that fails the check is computed in full.  The
+    class table lives for one walk.  Perfections and rings without one
+    variable walk orbit by orbit.
     """
-    for orbit in weight_orbits(N.model, weight_cap, r):
+    model = N.model
+    classes = {}
+    for orbit in weight_orbits(model, weight_cap, r):
+        key = _orbit_class(model, orbit)
+        rep = classes.get(key)
+        if rep is not None and _rescales(model.lift, rep[0], orbit):
+            yield (orbit, *rep[1:])
+            continue
         deep = _FiberBlock(N, orbit, r, style="deep")
         aligned = _FiberBlock(N, orbit, r, style="aligned")
         H = {}
-        for j in range(N.model.top + 3):
+        for j in range(model.top + 3):
             blk = deep if j <= N.i + 1 else aligned
             H[j] = homology(blk.complex(), j) if blk.layout(j) else InvariantFactors(())
+        if key is not None and rep is None:
+            classes[key] = (orbit, deep, aligned, H)
         yield orbit, deep, aligned, H
 
 
@@ -438,8 +538,7 @@ def verify_fundamental_seq(spec: RingSpec, i: int, r: int, i_max: int, weight_ca
         for n in range(0, model.top + 1):
             if n == i:
                 continue
-            blk = deep if n < i else aligned
-            ok, terms = _certify_block_invertible(blk, blk.complex(), n)
+            ok, terms = (deep if n < i else aligned).certificate(n)
             key = "below_twist" if n < i else "above_twist"
             cur = certificates[key].get(n, (True, 0))
             certificates[key][n] = (cur[0] and ok, max(cur[1], terms))

@@ -363,6 +363,21 @@ def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
     assert captured.out == ""
 
 
+def test_internal_errors_are_one_line_exit_1(capsys, monkeypatch):
+    # a defect is exit 1 like a bad input, under its own prefix
+    import drwitt.cli as cli
+
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_witt", broken)
+    code = main(["witt", "ghost", "2,3", "--p", "3", "--len", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "internal error: KeyError: 'boom'\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # rings without variables live at weight 0 only
 

@@ -256,6 +256,22 @@ def test_express_is_solve_mod_p_r(p, f, kind, r, n, k, den_exp, next_stage, data
         assert m._express([e], basis) is None and solve(amb, basis, e) is None
 
 
+@pytest.mark.parametrize("kind", ONE_VAR_KINDS)
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("r", [1, 2])
+def test_rank_at_is_the_ambient_rank(r, p, f, kind):
+    # E_s contains p^s M, so every window lattice has the ambient rank;
+    # the orbit support reads that rank and builds no lattice
+    from drwitt.rings import weight_window
+
+    m = SaturatedModel(spec(f"p={p}\nf={f}\n{kind}"), r, 1)
+    for u in weight_window(2, m.P, m.spec.is_laurent):
+        a = m.num(u)
+        for n in range(m.top + 2):
+            assert m.rank_at(n, a) == m.ambient_rank_at(n, a), (u, n)
+
+
 # ---------------------------------------------------------------------------
 # strict levels
 

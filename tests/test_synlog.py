@@ -352,7 +352,9 @@ def test_aligned_scheme_is_built_only_when_read(i, monkeypatch):
         return raw(self)
 
     monkeypatch.setattr(_FiberBlock, "complex", memo(counting))
-    orbits = len(weight_orbits(saturate(LAU3, 2, 3), 6, 2))
+    # one build per valuation class: the zero orbit, and one class per orbit
+    # length 1..4 (weights k/9, 0 < |k| <= 54, under a -> 3a)
+    orbits = 5
     for run in (lambda: syntomic(LAU3, i, 2, 3, 6), lambda: verify_fundamental_seq(LAU3, i, 2, 3, 6)):
         builds.clear()
         run()
@@ -360,6 +362,113 @@ def test_aligned_scheme_is_built_only_when_read(i, monkeypatch):
         styles = [blk.style for blk in builds]
         assert styles.count("deep") == orbits
         assert styles.count("aligned") == (orbits if i < 1 else 0)
+
+
+CLASS_KINDS = ("kind=poly\nvars=x:1", "kind=laurent\nvars=x:1", "kind=finite_field")
+
+
+def _eager(N, weight_cap, r):
+    for orbit, deep_blk, aligned_blk, _, _, H in reference_orbit_fibers(N, weight_cap, r):
+        yield orbit, deep_blk, aligned_blk, H
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    f=st.integers(1, 2),
+    kind=st.sampled_from(CLASS_KINDS),
+    i=st.integers(0, 2),
+    r=st.integers(1, 3),
+    span=st.integers(1, 60),
+)
+def test_class_walk_matches_the_eager_walk(p, f, kind, i, r, span):
+    # every orbit's H^j and certificates are its class representative's,
+    # every non-representative orbit passes its rescaling check, and the
+    # reports equal those of the eager per-orbit walk.  The cap keeps the
+    # window at numerators k p, |k| <= span
+    import drwitt.synlog as synlog
+
+    s = spec(f"p={p}\nf={f}\n{kind}")
+    cap = Fraction(span, p**r)
+    m = saturate(s, r, 2)
+    N = NygaardModel(m, i)
+    checks = []
+    rescales = synlog._rescales
+
+    def recording(lift, rep, orbit):
+        checks.append(rescales(lift, rep, orbit))
+        return checks[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synlog, "_rescales", recording)
+        walk = list(synlog._orbit_fibers(N, cap, r))
+    reference = list(reference_orbit_fibers(N, cap, r))
+    assert [orbit for orbit, *_ in walk] == [orbit for orbit, *_ in reference]
+    for (_, deep, aligned, H), (_, ref_deep, ref_aligned, ref_dc, ref_ac, ref_H) in zip(walk, reference):
+        assert H == ref_H
+        for n in range(m.top + 1):
+            if n != i:
+                blk, ref, C = (deep, ref_deep, ref_dc) if n < i else (aligned, ref_aligned, ref_ac)
+                assert blk.certificate(n) == synlog._certify_block_invertible(ref, C, n)
+    keys = [synlog._orbit_class(m, orbit) for orbit, *_ in walk]
+    members = sum(k is not None for k in keys) - len(set(keys) - {None})
+    assert checks == [True] * members
+    class_walk = syntomic(s, i, r, 2, cap), verify_fundamental_seq(s, i, r, 2, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synlog, "_orbit_fibers", _eager)
+        assert (syntomic(s, i, r, 2, cap), verify_fundamental_seq(s, i, r, 2, cap)) == class_walk
+
+
+def test_a_failed_rescaling_check_falls_back_to_the_orbit(monkeypatch):
+    # rescale the degree-0 slot at one member orbit's bottom by a unit: the
+    # lift stays isomorphic, so no group moves, but its d and F no longer
+    # match the representative's and the orbit must be computed in full
+    import drwitt.synlog as synlog
+    from drwitt.dieudonne import LiftComplex
+
+    m = saturate(LAU3, 2, 3)
+    seen, target = set(), None
+    for orbit in weight_orbits(m, 6, 2):
+        key = synlog._orbit_class(m, orbit)
+        if key is not None and key in seen:
+            target = orbit
+            break
+        seen.add(key)
+    w, c = target[0], 4  # 4 = 1 + p is a unit
+    before = syntomic(LAU3, 1, 2, 3, 6), verify_fundamental_seq(LAU3, 1, 2, 3, 6)
+
+    d_matrix, f_matrix = LiftComplex.d_matrix, LiftComplex.f_matrix
+
+    def scale(M, rows, cols, q):
+        return [[x * rows * cols % q for x in row] for row in M]
+
+    def d_scaled(self, n, v):
+        return scale(d_matrix(self, n, v), c if (n, v) == (0, w) else 1, 1, self.q)
+
+    def f_scaled(self, n, v):
+        # F(x^(w/p)) = x^w = c^-1 (c x^w) and F(c x^w) = c x^(p w)
+        cols = pow(c, -1, self.q) if (n, v * self.p) == (0, w) else 1
+        return scale(f_matrix(self, n, v), c if (n, v) == (0, w) else 1, cols, self.q)
+
+    monkeypatch.setattr(LiftComplex, "d_matrix", d_scaled)
+    monkeypatch.setattr(LiftComplex, "f_matrix", f_scaled)
+    checks, built = [], []
+    rescales, init = synlog._rescales, synlog._FiberBlock.__init__
+
+    def recording(lift, rep, orbit):
+        checks.append((orbit, rescales(lift, rep, orbit)))
+        return checks[-1][1]
+
+    def building(self, N, orbit, r, style="deep"):
+        built.append(list(orbit))
+        init(self, N, orbit, r, style)
+
+    monkeypatch.setattr(synlog, "_rescales", recording)
+    monkeypatch.setattr(synlog._FiberBlock, "__init__", building)
+    after = syntomic(LAU3, 1, 2, 3, 6), verify_fundamental_seq(LAU3, 1, 2, 3, 6)
+    assert (target, False) in checks
+    assert built.count(target) == 4  # deep and aligned, in both reports
+    assert after == before
 
 
 # ---------------------------------------------------------------------------
