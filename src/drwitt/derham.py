@@ -23,7 +23,7 @@ from .errors import UnsupportedBaseChange, UnsupportedKind
 # gf_rref is not called here since rings owns the quotient presentations; the
 # name stays because perfbench's tracer patches `derham.gf_rref`
 from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, kernel, mat_mul  # noqa: F401
-from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window
+from .rings import MonomialAlgebra, RingSpec, exponents, memo, p_split, weight_window
 
 
 class DeRhamComplex:
@@ -117,9 +117,7 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
         # spanned by x^(u/w) when that exponent lies in Z[1/p], i.e. when the
         # prime-to-p part `unit` of the variable weight w divides u (a ring
         # without variables has unit 0 and lives at weight 0)
-        unit = spec.weights[0] if spec.weights else 0
-        while unit and unit % spec.p == 0:
-            unit //= spec.p
+        unit = p_split(spec.weights[0], spec.p)[1] if spec.weights else 0
         out = {}
         if i == 0:
             for u in weight_window(weight_cap, 1, spec.is_laurent):

@@ -32,6 +32,16 @@ when p divides a); every per-weight method of `SaturatedModel` takes a,
 and true weights appear only at `weight_window`, at `StrictLevel` and in
 the cross-checks, which convert with `SaturatedModel.num`.
 
+The denominator policy lives in `SaturatedModel.__init__` alone.  The
+lift slot x^e at numerator a = u p^s_star stands for x^(e/p^s_star), of
+weight u.  For a variable of weight m = p^v m' with m' prime to p, the
+exponent u/m has up to v more powers of p in its denominator than u, so
+the working stage is s_star = r + 1 + v (v = 0 without a variable): it
+keeps every exponent of the level-r window as far below the stage as
+r + 1 does for m = 1.  A perfection has the saturated complex W(S) in
+degree 0 and reads its forms, F and V off the lift of its base ring
+through the same slots.
+
 All lattices live at finite precision p^B with B comfortably above the
 reported precision; maps between lattice coordinate systems are exact
 modulo the reported modulus, and every division by p is checked.
@@ -58,7 +68,7 @@ from .exactcore import (
     reduce_vector,
     reduce_with_coefficients,
 )
-from .rings import MonomialAlgebra, RingSpec, exponents, memo, weight_window
+from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
 
 GUARD = 2
 
@@ -97,21 +107,6 @@ class LiftComplex:
         self.top = self.nvars
         self.algebra = MonomialAlgebra(spec)
 
-    def frobenius_coeff_matrix(self):
-        if self.f == 1:
-            return [[1]]
-        return [list(row) for row in self.W._frob_matrix]
-
-    def frobenius_inverse_coeff_matrix(self):
-        if self.f == 1:
-            return [[1]]
-        # sigma^{-1} = sigma^{f-1}
-        M = self.frobenius_coeff_matrix()
-        out = M
-        for _ in range(self.f - 2):
-            out = mat_mul(self.ring, out, M)
-        return out
-
     def forms(self, n, w):
         """Monomial n-forms of integer weight w."""
         return self.algebra.forms(n, w)
@@ -147,7 +142,7 @@ class LiftComplex:
         src = self.forms(n, w)
         tgt = self._coords(n, w * self.p)
         ncols = len(tgt) * self.f
-        sigma = self.frobenius_coeff_matrix()
+        sigma = self.W._frob_matrix if self.W else [[1]]
         rows = []
         for form in src:
             k = tgt[self.algebra.frobenius_form(form)]
@@ -197,6 +192,13 @@ class SaturatedModel:
     weight and certified to have stabilized one eta_p stage beyond the
     working stage.  Methods ending in `_at` take the numerator
     a = u p^s_star of the weight; `num` converts a weight to it.
+
+    The working stage is s_star = r_level + 1 + v for a variable of weight
+    p^v m' with m' prime to p (v = 0 without a variable), the one
+    denominator policy of the model.  A perfection reads its forms, F and
+    V off `lift`, the lift of its base ring, through the same methods as
+    every other ring; only `lattice_at` (the free module on the degree-0
+    forms, with no certificate) and `top = 0` are its own.
     """
 
     def __init__(self, spec: RingSpec, r_level: int, i_max: int, R: int | None = None):
@@ -214,7 +216,7 @@ class SaturatedModel:
         self.spec = spec
         self.p = spec.p
         self.is_perfection = spec.kind == "perfection"
-        self.s_star = r_level + 1
+        self.s_star = r_level + 1 + (p_split(spec.weights[0], self.p)[0] if spec.weights else 0)
         self.P = self.p**self.s_star
         self.R = R if R is not None else internal_precision(r_level, i_max)
         self.B = self.R + 2 * self.s_star + 2
@@ -248,11 +250,10 @@ class SaturatedModel:
     def lattice_at(self, n, a):
         """Howell basis of the degree-n component at numerator a (ambient coords)."""
         if self.is_perfection:
-            if n != 0:
-                return []
-            # rank-f free lattice on the Teichmuller monomials of weight a/p^s_star
-            count = len(self._perf_monomials(a))
-            return identity(count * self.f) if count else []
+            # the free lattice on the Teichmuller monomials x^(e/p^s_star) of
+            # the lift's degree-0 forms x^e; W(S) has no higher degrees
+            k = self.ambient_rank_at(n, a)
+            return identity(k) if k else []
         basis = self._stage_lattice(n, a, self.s_star)
         if basis:
             self._certify(n, a, basis)
@@ -266,27 +267,9 @@ class SaturatedModel:
 
         It equals `rank_at`: E_s contains p^s M with s < B, so its Howell
         basis has a pivot in every ambient column; a perfection's lattice is
-        the free module on its Teichmuller monomials.
+        the free module on the lift's forms, which stops at degree top = 0.
         """
-        if self.is_perfection:
-            return len(self._perf_monomials(a)) * self.f if n == 0 else 0
-        return self.lift.rank(n, a)
-
-    @memo
-    def _perf_monomials(self, a):
-        """Numerators e of the monomials x^(e/p^(s_star + v)) of weight a/p^s_star.
-
-        v is the p-adic valuation of the variable weight w = p^v w' (there
-        is at most one variable): x^(u/w) has exponent denominator up to
-        p^(s_star + v), that of its weight u times p^v.
-        """
-        if a < 0 and not self.spec.is_laurent:
-            return []
-        pv = 1
-        for w in self.spec.weights:
-            while w % (pv * self.p) == 0:
-                pv *= self.p
-        return exponents(self.spec.weights, a * pv)
+        return self.lift.rank(n, a) if n <= self.top else 0
 
     def _certify(self, n, a, cur):
         """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
@@ -336,7 +319,7 @@ class SaturatedModel:
         """d: (n, a) -> (n+1, a)."""
         src = self.lattice_at(n, a)
         tgt = self.lattice_at(n + 1, a)
-        if not src or not tgt or self.is_perfection:
+        if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
         D = self.lift.d_matrix(n, a)
         ps = self.P
@@ -357,9 +340,6 @@ class SaturatedModel:
         tgt = self.lattice_at(n, a * self.p)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
-        if self.is_perfection:
-            sigma = self.lift.frobenius_coeff_matrix()
-            return self._perf_blockmap(a, a * self.p, sigma, 1)
         F = self.lift.f_matrix(n, a)
         img = mat_mul(self._amb, src, F)
         out = self._express(img, tgt)
@@ -377,9 +357,6 @@ class SaturatedModel:
         tgt = self.lattice_at(n, down)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
-        if self.is_perfection:
-            sigma_inv = self.lift.frobenius_inverse_coeff_matrix()
-            return self._perf_blockmap(a, down, sigma_inv, self.p)
         # solve z . F = p y for each basis row y, z in ambient coords at lift
         # weight a/p: one Howell form of [F | I] serves every row, and
         # z is minus the identity half of the residue of [p y | 0]
@@ -398,23 +375,6 @@ class SaturatedModel:
             out += coords
         return out
 
-    def _perf_blockmap(self, a, target_a, coeff_matrix, scalar):
-        """Monomial correspondence m -> m^(p or 1/p) tensored with a coeff map."""
-        src_monos = self._perf_monomials(a)
-        tgt_monos = self._perf_monomials(target_a)
-        idx = {m: k for k, m in enumerate(tgt_monos)}
-        up = target_a == a * self.p
-        rows = []
-        for m in src_monos:
-            k = idx[tuple(e * self.p if up else e // self.p for e in m)]
-            for digit in range(self.f):
-                row = [0] * (len(tgt_monos) * self.f)
-                for digit2 in range(self.f):
-                    c = coeff_matrix[digit][digit2]
-                    row[k * self.f + digit2] = (scalar * c) % self.ring.q
-                rows.append(row)
-        return rows
-
     # -- Teichmuller / dlog helpers ------------------------------------------
 
     def teichmuller_vector(self):
@@ -426,10 +386,7 @@ class SaturatedModel:
         return coords[0]
 
     def _one_ambient(self):
-        if self.is_perfection:
-            slots, one = self._perf_monomials(0), (0,) * self.spec.nvars
-        else:
-            slots, one = self.lift.forms(0, 0), ((0,) * self.lift.nvars, ())
+        slots, one = self.lift.forms(0, 0), ((0,) * self.lift.nvars, ())
         vec = [0] * (len(slots) * self.f)
         vec[slots.index(one) * self.f] = 1
         return vec
@@ -440,7 +397,7 @@ class SaturatedModel:
         Only exists for laurent kinds (where x_j is a unit); None when the
         degree-1 weight-0 component vanishes (perfections, poly kinds).
         """
-        if self.is_perfection or not self.spec.is_laurent:
+        if not self.spec.is_laurent:
             return None
         basis = self.lattice_at(1, 0)
         if not basis:

@@ -19,6 +19,7 @@ This module is the one owner of enumeration and of monomial forms:
     MonomialAlgebra.d_form, .frobenius_form   d and F = phi/p^n on one form
     MonomialAlgebra.component(n, w)  the quotient presentation of n-forms
     sign_insert(j, J)            sign of dx_j ^ dx_J and the sorted index
+    p_split(w, p)                (v, u) with w = u p^v, u prime to p
     weight_window(cap, den, laurent)  the weights a table or model runs over
     RingSpec.base()              the ring a perfection is taken of
 
@@ -97,6 +98,15 @@ def exponents(weights, target):
 
     rec(0, target, ())
     return out
+
+
+def p_split(w, p):
+    """(v, u) with w = u p^v and u prime to p, for w != 0."""
+    v = 0
+    while w % p == 0:
+        w //= p
+        v += 1
+    return v, w
 
 
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -47,7 +47,7 @@ from .exactcore import (
     normal_form,
     span_order,
 )
-from .rings import RingSpec, memo, weight_window
+from .rings import RingSpec, memo, p_split, weight_window
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,11 @@ def nygaard(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> NygaardMo
 
 
 def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
-    """Divided-Frobenius matrices per (degree, weight) with exactness asserted."""
+    """Divided-Frobenius matrices per (degree, weight) with exactness asserted.
+
+    The weights are those of denominator up to p^(s_star - 1), which is
+    p^(r + v) for a variable weight p^v m'.
+    """
     out = {}
     den = N.model.p ** (N.model.s_star - 1)
     for v in weight_window(weight_cap, den, N.model.spec.is_laurent):
@@ -318,15 +322,6 @@ def _direct_sum(factors):
     return InvariantFactors(tuple(sorted(tors)), free)
 
 
-def _split(w, p):
-    """(v, u) with w = u p^v and u prime to p, for w != 0."""
-    v = 0
-    while w % p == 0:
-        w //= p
-        v += 1
-    return v, w
-
-
 def _class_chain(orbit, p):
     """Numerators an orbit's blocks read, bottom to top.
 
@@ -338,43 +333,27 @@ def _class_chain(orbit, p):
 
 
 def _orbit_class(model: SaturatedModel, orbit):
-    """Valuation class of an orbit, or None when the orbit is its own class.
+    """Class key of an orbit: its lift after the unit rescaling, or None for a class of its own.
 
-    The key is the p-adic valuation of every numerator of the orbit's
-    chain and the lift ranks there in every degree <= top.  Only
-    one-variable lifts have classes; the zero orbit, and an orbit whose
-    bottom is prime to p (so that a/p is not a numerator), are their own.
+    For every numerator w of the chain the key holds v_p(w), the lift
+    ranks in every degree <= top, d times u(w)^-1 mod p^B, where u(w) is
+    the prime-to-p part of w, and F (except at the chain top, whose F no
+    block reads); each matrix is of f x f blocks.  Only one-variable lifts
+    have classes; the zero orbit, and an orbit whose bottom is prime to p
+    (so that a/p is not a numerator), are their own.
     """
-    p = model.p
-    if model.is_perfection or model.spec.nvars != 1 or orbit[0] == 0 or orbit[0] % p:
+    p, lift = model.p, model.lift
+    if model.spec.nvars != 1 or orbit[0] == 0 or orbit[0] % p:
         return None
-    lift = model.lift
-    return tuple(
-        (_split(w, p)[0], tuple(lift.rank(n, w) for n in range(model.top + 1))) for w in _class_chain(orbit, p)
-    )
-
-
-def _rescales(lift, rep, orbit):
-    """Whether the lift along `orbit`'s chain is that along `rep`'s after the unit rescaling.
-
-    Each degree-0 slot at numerator w is divided by the prime-to-p part
-    u(w) of w; then d at w must equal d at the matching rep numerator w',
-    that is u(w') d(w) = u(w) d(w'), and F, which keeps u (u(p w) = u(w)),
-    must be equal as it stands.  Each comparison is of f x f blocks.
-    """
-    p, q = lift.p, lift.q
-    chain, rep_chain = _class_chain(orbit, p), _class_chain(rep, p)
-    if len(chain) != len(rep_chain):
-        return False
-    for t, (w, v) in enumerate(zip(chain, rep_chain)):
-        uw, uv = _split(w, p)[1], _split(v, p)[1]
-        for n in range(lift.top):
-            mine = [[uv * x % q for x in row] for row in lift.d_matrix(n, w)]
-            if mine != [[uw * x % q for x in row] for row in lift.d_matrix(n, v)]:
-                return False
-        if t + 1 < len(chain) and any(lift.f_matrix(n, w) != lift.f_matrix(n, v) for n in range(lift.top + 1)):
-            return False
-    return True
+    chain, degrees = _class_chain(orbit, p), range(model.top + 1)
+    key = []
+    for t, w in enumerate(chain):
+        v, u = p_split(w, p)
+        inv = pow(u, -1, lift.q)
+        d = [tuple(inv * x % lift.q for x in row) for n in degrees[:-1] for row in lift.d_matrix(n, w)]
+        F = [tuple(row) for n in degrees for row in lift.f_matrix(n, w)] if t + 1 < len(chain) else []
+        key.append((v, tuple(lift.rank(n, w) for n in degrees), tuple(d), tuple(F)))
+    return tuple(key)
 
 
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
@@ -385,38 +364,34 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
     without slots has H^j = 0 and builds no complex; fiber degree j is
     N^j + W^(j-1), so for i >= top the aligned complex is never read.
 
-    Each valuation class (see _orbit_class) is computed once.  For one
-    variable of weight m a lift weight w carries at most one monomial
-    form per degree: d on it is multiplication by its exponent w/m and F
-    is x^e -> x^(p e) tensored with sigma on the coefficient digits.
-    Dividing every degree-0 slot at w by the prime-to-p part u(w) of w
-    makes d depend on w only through v_p(w) and leaves F as it is, since
-    u(p w) = u(w).  Two orbits with equal valuations and lift ranks along
-    their chains therefore have lift complexes related by a diagonal
-    rescaling, and it carries the lattices (Howell bases p^k I, which a
-    unit rescaling fixes), the Nygaard blocks and the fiber complex of one
-    onto the other.  It is one unit per orbit on the parameter and W slots
-    alike, so it keeps the identity part of each certificate block, and
-    the Neumann series keeps its length.  This holds at the finite
-    precisions R and B: each u(w) is prime to p, hence invertible mod
-    p^B and mod p^R, and it is an integer, hence fixed by sigma, so the
-    rescaling commutes with F and V.
+    Each class (see _orbit_class) is computed once.  For one variable of
+    weight m a lift weight w carries at most one monomial form per degree:
+    d on it is multiplication by its exponent w/m and F is x^e -> x^(p e)
+    tensored with sigma on the coefficient digits.  Dividing every
+    degree-0 slot at w by the prime-to-p part u(w) of w makes d depend on
+    w only through v_p(w) and leaves F as it is, since u(p w) = u(w).  Two
+    orbits with equal class keys therefore have lift complexes related by
+    a diagonal rescaling, and it carries the lattices (Howell bases p^k I,
+    which a unit rescaling fixes), the Nygaard blocks and the fiber
+    complex of one onto the other.  It is one unit per orbit on the
+    parameter and W slots alike, so it keeps the identity part of each
+    certificate block, and the Neumann series keeps its length.  This
+    holds at the finite precisions R and B: each u(w) is prime to p, hence
+    invertible mod p^B and mod p^R, and it is an integer, hence fixed by
+    sigma, so the rescaling commutes with F and V.
 
     The first orbit of a class is its representative and runs in full:
     lattices, stage certificates, complexes and homology.  Every later
-    orbit is checked against it with `_rescales` and then yields the
-    representative's blocks and H^j, whose certificates are memoized on
-    the blocks; an orbit that fails the check is computed in full.  The
-    class table lives for one walk.  Perfections and rings without one
-    variable walk orbit by orbit.
+    orbit of the class yields the representative's blocks and H^j, whose
+    certificates are memoized on the blocks.  The class table lives for
+    one walk.  Rings without one variable walk orbit by orbit.
     """
     model = N.model
     classes = {}
     for orbit in weight_orbits(model, weight_cap, r):
         key = _orbit_class(model, orbit)
-        rep = classes.get(key)
-        if rep is not None and _rescales(model.lift, rep[0], orbit):
-            yield (orbit, *rep[1:])
+        if key in classes:
+            yield (orbit, *classes[key])
             continue
         deep = _FiberBlock(N, orbit, r, style="deep")
         aligned = _FiberBlock(N, orbit, r, style="aligned")
@@ -424,8 +399,8 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
         for j in range(model.top + 3):
             blk = deep if j <= N.i + 1 else aligned
             H[j] = homology(blk.complex(), j) if blk.layout(j) else InvariantFactors(())
-        if key is not None and rep is None:
-            classes[key] = (orbit, deep, aligned, H)
+        if key is not None:
+            classes[key] = (deep, aligned, H)
         yield orbit, deep, aligned, H
 
 

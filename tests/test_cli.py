@@ -503,6 +503,16 @@ def test_drw_table_on_a_perfection_with_a_p_power_weight(tmp_path, capsys):
     assert json.loads(out)["groups"] == {"0": {"0": cell, "1": cell, "2": cell}}
 
 
+def test_syntomic_twist_one_on_a_p_divisible_variable_weight(tmp_path, capsys):
+    # x:2 over p = 2 has exponents one power of 2 finer than its weights;
+    # the model's denominator cap must follow them or d o d != 0
+    ring = tmp_path / "x2.ring"
+    ring.write_text("p = 2\nkind = poly\nvars = x:2\n")
+    code, out = run_cli(["syntomic", "--ring", str(ring), "--twist", "1", "--modp", "1", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["twist"] == 1
+
+
 def test_derham_table_on_a_perfection_counts_fractional_exponents(tmp_path, capsys):
     # x^(1/2) and x^(3/2) have weights 1 and 3
     ring = tmp_path / "x2.ring"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwitt.dieudonne import SaturatedModel, saturate
+from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
 from drwitt.synlog import (
@@ -364,7 +364,15 @@ def test_aligned_scheme_is_built_only_when_read(i, monkeypatch):
         assert styles.count("aligned") == (orbits if i < 1 else 0)
 
 
-CLASS_KINDS = ("kind=poly\nvars=x:1", "kind=laurent\nvars=x:1", "kind=finite_field")
+# "{p}" is the prime, so the variable weight is divisible by p
+CLASS_KINDS = (
+    "kind=poly\nvars=x:1",
+    "kind=poly\nvars=x:{p}",
+    "kind=laurent\nvars=x:1",
+    "kind=laurent\nvars=x:2",
+    "kind=finite_field",
+    "kind=perfection of laurent\nvars=x:1",
+)
 
 
 def _eager(N, weight_cap, r):
@@ -383,25 +391,16 @@ def _eager(N, weight_cap, r):
 )
 def test_class_walk_matches_the_eager_walk(p, f, kind, i, r, span):
     # every orbit's H^j and certificates are its class representative's,
-    # every non-representative orbit passes its rescaling check, and the
-    # reports equal those of the eager per-orbit walk.  The cap keeps the
-    # window at numerators k p, |k| <= span
+    # and the reports equal those of the eager per-orbit walk.  The cap
+    # keeps the window at numerators k p^(1+v), |k| <= span, for a
+    # variable weight p^v m'
     import drwitt.synlog as synlog
 
-    s = spec(f"p={p}\nf={f}\n{kind}")
+    s = spec(f"p={p}\nf={f}\n" + kind.format(p=p))
     cap = Fraction(span, p**r)
     m = saturate(s, r, 2)
     N = NygaardModel(m, i)
-    checks = []
-    rescales = synlog._rescales
-
-    def recording(lift, rep, orbit):
-        checks.append(rescales(lift, rep, orbit))
-        return checks[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(synlog, "_rescales", recording)
-        walk = list(synlog._orbit_fibers(N, cap, r))
+    walk = list(synlog._orbit_fibers(N, cap, r))
     reference = list(reference_orbit_fibers(N, cap, r))
     assert [orbit for orbit, *_ in walk] == [orbit for orbit, *_ in reference]
     for (_, deep, aligned, H), (_, ref_deep, ref_aligned, ref_dc, ref_ac, ref_H) in zip(walk, reference):
@@ -410,19 +409,17 @@ def test_class_walk_matches_the_eager_walk(p, f, kind, i, r, span):
             if n != i:
                 blk, ref, C = (deep, ref_deep, ref_dc) if n < i else (aligned, ref_aligned, ref_ac)
                 assert blk.certificate(n) == synlog._certify_block_invertible(ref, C, n)
-    keys = [synlog._orbit_class(m, orbit) for orbit, *_ in walk]
-    members = sum(k is not None for k in keys) - len(set(keys) - {None})
-    assert checks == [True] * members
     class_walk = syntomic(s, i, r, 2, cap), verify_fundamental_seq(s, i, r, 2, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synlog, "_orbit_fibers", _eager)
         assert (syntomic(s, i, r, 2, cap), verify_fundamental_seq(s, i, r, 2, cap)) == class_walk
 
 
-def test_a_failed_rescaling_check_falls_back_to_the_orbit(monkeypatch):
+def test_a_perturbed_lift_gets_its_own_class(monkeypatch):
     # rescale the degree-0 slot at one member orbit's bottom by a unit: the
     # lift stays isomorphic, so no group moves, but its d and F no longer
-    # match the representative's and the orbit must be computed in full
+    # match the representative's, so the orbit keys a class of its own and
+    # is computed in full
     import drwitt.synlog as synlog
     from drwitt.dieudonne import LiftComplex
 
@@ -434,6 +431,7 @@ def test_a_failed_rescaling_check_falls_back_to_the_orbit(monkeypatch):
             target = orbit
             break
         seen.add(key)
+    assert target is not None
     w, c = target[0], 4  # 4 = 1 + p is a unit
     before = syntomic(LAU3, 1, 2, 3, 6), verify_fundamental_seq(LAU3, 1, 2, 3, 6)
 
@@ -452,23 +450,59 @@ def test_a_failed_rescaling_check_falls_back_to_the_orbit(monkeypatch):
 
     monkeypatch.setattr(LiftComplex, "d_matrix", d_scaled)
     monkeypatch.setattr(LiftComplex, "f_matrix", f_scaled)
-    checks, built = [], []
-    rescales, init = synlog._rescales, synlog._FiberBlock.__init__
-
-    def recording(lift, rep, orbit):
-        checks.append((orbit, rescales(lift, rep, orbit)))
-        return checks[-1][1]
+    assert synlog._orbit_class(saturate(LAU3, 2, 3), target) not in seen
+    built, init = [], synlog._FiberBlock.__init__
 
     def building(self, N, orbit, r, style="deep"):
         built.append(list(orbit))
         init(self, N, orbit, r, style)
 
-    monkeypatch.setattr(synlog, "_rescales", recording)
     monkeypatch.setattr(synlog._FiberBlock, "__init__", building)
     after = syntomic(LAU3, 1, 2, 3, 6), verify_fundamental_seq(LAU3, 1, 2, 3, 6)
-    assert (target, False) in checks
     assert built.count(target) == 4  # deep and aligned, in both reports
     assert after == before
+
+
+# ---------------------------------------------------------------------------
+# reweighting oracle: x:p^v at cap p^v is x:1 at cap, every weight times p^v
+
+REWEIGHTED = [(kind, p, v) for kind in ("poly", "laurent") for p in (2, 3) for v in (1, 2)]
+
+
+def _reweighted(kind, p, v):
+    return spec(f"p={p}\nkind={kind}\nvars=x:1"), spec(f"p={p}\nkind={kind}\nvars=x:{p**v}")
+
+
+@pytest.mark.parametrize("kind,p,v", REWEIGHTED)
+@pytest.mark.parametrize("r", [1, 2])
+def test_reweighting_the_variable_moves_no_syntomic_report(kind, p, v, r):
+    # the ring is the same, so every group, verdict and certificate is; the
+    # heavy window reaches weights of deeper denominator, which may add
+    # orbits and Neumann terms, so neither count is compared
+    one, heavy = _reweighted(kind, p, v)
+
+    def ok_flags(rep):
+        return {side: {n: ok for n, (ok, _) in cert.items()} for side, cert in rep["invertibility"].items()}
+
+    for i in (0, 1, 2):
+        a, b = syntomic(one, i, r, 2, 2), syntomic(heavy, i, r, 2, 2 * p**v)
+        assert (b.cohomology, b.weight_zero) == (a.cohomology, a.weight_zero), i
+        fa, fb = verify_fundamental_seq(one, i, r, 2, 2), verify_fundamental_seq(heavy, i, r, 2, 2 * p**v)
+        for key in ("h_i", "verdict", "index", "log_lattice"):
+            assert fb[key] == fa[key], (i, key)
+        assert ok_flags(fb) == ok_flags(fa), i
+
+
+@pytest.mark.parametrize("kind,p,v", REWEIGHTED)
+@pytest.mark.parametrize("r", [1, 2])
+def test_reweighting_the_variable_moves_no_strict_level_group(kind, p, v, r):
+    # W_r at weight u m of x:m is W_r at weight u of x:1, also where u has a
+    # denominator deeper than p^(r-1) and both vanish
+    one, heavy = _reweighted(kind, p, v)
+    lo, hi = strict_truncate(saturate(one, r, 1), r), strict_truncate(saturate(heavy, r, 1), r)
+    for u in hi.weights(2 * p**v):
+        for n in (0, 1):
+            assert hi.invariants(n, u) == lo.invariants(n, Fraction(u) / p**v), (u, n)
 
 
 # ---------------------------------------------------------------------------
