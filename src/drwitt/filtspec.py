@@ -85,20 +85,27 @@ class FilteredComplex:
         return sorted(out)
 
     def _check_chain_map(self, src: FinComplex, tgt: FinComplex, f: dict):
+        """f maps source relations into target relations and commutes with d."""
+        ring = self.ring
+
+        def times(X, Y, width):
+            # X Y with width columns, also when Y has no rows
+            return mat_mul(ring, X, Y) if Y else [[0] * width for _ in X]
+
+        def inside(rows, M):
+            return all(member(ring, M.relations, row) for row in rows if any(row))
+
         for m in src.degrees():
-            A = src.module(m)
-            B = tgt.module(m)
+            A, B, B1 = src.module(m), tgt.module(m), tgt.module(m + 1)
             fm = f.get(m, [[0] * B.ngens for _ in range(A.ngens)])
             if (A.ngens and len(fm) != A.ngens) or any(len(r) != B.ngens for r in fm):
                 raise ValueError(f"transition at degree {m} has wrong shape")
-            nxt = f.get(m + 1, [[0] * tgt.module(m + 1).ngens for _ in range(src.module(m + 1).ngens)])
-            lhs = mat_mul(self.ring, src.diff(m), nxt) if src.module(m + 1).ngens else []
-            rhs = mat_mul(self.ring, fm, tgt.diff(m)) if tgt.module(m + 1).ngens else []
-            tgt_rel = tgt.module(m + 1).relations
-            for lrow, rrow in zip(lhs or [[0] * 0] * A.ngens, rhs or [[0] * 0] * A.ngens):
-                diff = [(a - b) for a, b in zip(lrow, rrow)]
-                if any(diff) and not member(self.ring, tgt_rel, diff):
-                    raise ValueError(f"transition fails to be a chain map at degree {m}")
+            if not inside(times(A.relations, fm, B.ngens), B):
+                raise ValueError(f"transition at degree {m} does not map relations to relations")
+            nxt = f.get(m + 1, [[0] * B1.ngens for _ in range(src.module(m + 1).ngens)])
+            lhs, rhs = times(src.diff(m), nxt, B1.ngens), times(fm, tgt.diff(m), B1.ngens)
+            if not inside([[a - b for a, b in zip(lrow, rrow)] for lrow, rrow in zip(lhs, rhs)], B1):
+                raise ValueError(f"transition fails to be a chain map at degree {m}")
 
     def transitions_injective(self, allow_zero=False) -> bool:
         """Degreewise injectivity of all transitions.

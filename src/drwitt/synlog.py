@@ -322,38 +322,19 @@ def _direct_sum(factors):
     return InvariantFactors(tuple(sorted(tors)), free)
 
 
-def _class_chain(orbit, p):
-    """Numerators an orbit's blocks read, bottom to top.
-
-    The deep N blocks reach down to a/p for the bottom a (window
-    numerators are divisible by p), the aligned ones up to p b for the
-    top b, and the lattice at p b is certified against the stage at p^2 b.
-    """
-    return [orbit[0] // p, *orbit, orbit[-1] * p, orbit[-1] * p * p]
-
-
 def _orbit_class(model: SaturatedModel, orbit):
-    """Class key of an orbit: its lift after the unit rescaling, or None for a class of its own.
+    """Class key of an orbit: its valuation profile, or None for a class of its own.
 
-    For every numerator w of the chain the key holds v_p(w), the lift
-    ranks in every degree <= top, d times u(w)^-1 mod p^B, where u(w) is
-    the prime-to-p part of w, and F (except at the chain top, whose F no
-    block reads); each matrix is of f x f blocks.  Only one-variable lifts
-    have classes; the zero orbit, and an orbit whose bottom is prime to p
-    (so that a/p is not a numerator), are their own.
+    The profile (v_p of the bottom, orbit length) fixes the valuations of
+    the chain a/p, a, ..., p^2 b that the orbit's blocks read (see
+    _orbit_fibers).  Only one-variable lifts have classes; the zero orbit,
+    and an orbit whose bottom is prime to p (so that a/p is not a
+    numerator), are their own.
     """
-    p, lift = model.p, model.lift
+    p = model.p
     if model.spec.nvars != 1 or orbit[0] == 0 or orbit[0] % p:
         return None
-    chain, degrees = _class_chain(orbit, p), range(model.top + 1)
-    key = []
-    for t, w in enumerate(chain):
-        v, u = p_split(w, p)
-        inv = pow(u, -1, lift.q)
-        d = [tuple(inv * x % lift.q for x in row) for n in degrees[:-1] for row in lift.d_matrix(n, w)]
-        F = [tuple(row) for n in degrees for row in lift.f_matrix(n, w)] if t + 1 < len(chain) else []
-        key.append((v, tuple(lift.rank(n, w) for n in degrees), tuple(d), tuple(F)))
-    return tuple(key)
+    return p_split(orbit[0], p)[0], len(orbit)
 
 
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
@@ -364,21 +345,28 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
     without slots has H^j = 0 and builds no complex; fiber degree j is
     N^j + W^(j-1), so for i >= top the aligned complex is never read.
 
-    Each class (see _orbit_class) is computed once.  For one variable of
-    weight m a lift weight w carries at most one monomial form per degree:
-    d on it is multiplication by its exponent w/m and F is x^e -> x^(p e)
-    tensored with sigma on the coefficient digits.  Dividing every
-    degree-0 slot at w by the prime-to-p part u(w) of w makes d depend on
-    w only through v_p(w) and leaves F as it is, since u(p w) = u(w).  Two
-    orbits with equal class keys therefore have lift complexes related by
-    a diagonal rescaling, and it carries the lattices (Howell bases p^k I,
-    which a unit rescaling fixes), the Nygaard blocks and the fiber
-    complex of one onto the other.  It is one unit per orbit on the
-    parameter and W slots alike, so it keeps the identity part of each
-    certificate block, and the Neumann series keeps its length.  This
-    holds at the finite precisions R and B: each u(w) is prime to p, hence
-    invertible mod p^B and mod p^R, and it is an integer, hence fixed by
-    sigma, so the rescaling commutes with F and V.
+    Each class (see _orbit_class) is computed once.  An orbit from bottom
+    a to top b reads the lift at the chain a/p, a, ..., p b, p^2 b: the
+    deep N blocks reach down to a/p, the aligned ones up to p b, and the
+    lattice at p b is certified against the stage at p^2 b.  For one
+    variable of weight m = p^v m' (m' prime to p) the window numerators
+    have v_p >= 1 + v, so each chain numerator w is a multiple of m.  It
+    has one monomial form in every degree <= top (on a poly ring w >= m,
+    so degree 1 too), hence every rank is f; d on it is its exponent w/m,
+    so d u(w)^-1 = p^(v_p(w) - v)/m' for the prime-to-p part u(w) of w;
+    and F is x^e -> x^(p e) tensored with sigma on the coefficient
+    digits.  The chain's valuations are v_p(a) - 1, v_p(a), ..., so the
+    key (v_p(a), orbit length) fixes every rank, d u(w)^-1 and F the
+    blocks read.  Dividing each degree-0 slot at w by u(w) thus relates
+    the lift complexes of two orbits with equal keys by a diagonal
+    rescaling (u(p w) = u(w) keeps F as it is), and it carries the
+    lattices (Howell bases p^k I, which a unit rescaling fixes), the
+    Nygaard blocks and the fiber complex of one onto the other.  It is one
+    unit per orbit on the parameter and W slots alike, so it keeps the
+    identity part of each certificate block, and the Neumann series keeps
+    its length.  This holds at the finite precisions R and B: each
+    u(w) is prime to p, hence invertible mod p^B and mod p^R, and it is an
+    integer, hence fixed by sigma, so the rescaling commutes with F and V.
 
     The first orbit of a class is its representative and runs in full:
     lattices, stage certificates, complexes and homology.  Every later

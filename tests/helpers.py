@@ -3,8 +3,9 @@ a reference Howell form to test the kernel against, the weight-keyed
 orbit walk to test the numerator-keyed one against, the quotient
 presentations that rings.MonomialAlgebra.component replaced, the
 unrescaled eta_p decalage, the hand-assembled syntomic certificate and
-graded cohomology that synlog replaced, and the orbit walk that built
-both fiber schemes for every orbit."""
+graded cohomology that synlog replaced, the orbit walk that built both
+fiber schemes for every orbit, and the orbit-class key that read the
+rescaled lift."""
 
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from drwitt.exactcore import (
     solve,
 )
 from drwitt.filtspec import FilteredComplex
-from drwitt.rings import MonomialAlgebra, sign_insert, weight_window, wkey
+from drwitt.rings import MonomialAlgebra, p_split, sign_insert, weight_window, wkey
 from drwitt.synlog import NygaardModel, _FiberBlock, weight_orbits
 
 
@@ -574,3 +575,40 @@ def reference_orbit_fibers(N: NygaardModel, weight_cap, r):
         deep, aligned = deep_blk.complex(), aligned_blk.complex()
         H = {j: homology(deep if j <= N.i + 1 else aligned, j) for j in range(N.model.top + 3)}
         yield orbit, deep_blk, aligned_blk, deep, aligned, H
+
+
+# The orbit-class key that synlog's valuation-profile key replaced,
+# verbatim: the rescaled lift along the orbit's chain.  The two keys must
+# partition every window's orbits alike.
+def reference_class_chain(orbit, p):
+    """Numerators an orbit's blocks read, bottom to top.
+
+    The deep N blocks reach down to a/p for the bottom a (window
+    numerators are divisible by p), the aligned ones up to p b for the
+    top b, and the lattice at p b is certified against the stage at p^2 b.
+    """
+    return [orbit[0] // p, *orbit, orbit[-1] * p, orbit[-1] * p * p]
+
+
+def reference_orbit_class(model: SaturatedModel, orbit):
+    """Class key of an orbit: its lift after the unit rescaling, or None for a class of its own.
+
+    For every numerator w of the chain the key holds v_p(w), the lift
+    ranks in every degree <= top, d times u(w)^-1 mod p^B, where u(w) is
+    the prime-to-p part of w, and F (except at the chain top, whose F no
+    block reads); each matrix is of f x f blocks.  Only one-variable lifts
+    have classes; the zero orbit, and an orbit whose bottom is prime to p
+    (so that a/p is not a numerator), are their own.
+    """
+    p, lift = model.p, model.lift
+    if model.spec.nvars != 1 or orbit[0] == 0 or orbit[0] % p:
+        return None
+    chain, degrees = reference_class_chain(orbit, p), range(model.top + 1)
+    key = []
+    for t, w in enumerate(chain):
+        v, u = p_split(w, p)
+        inv = pow(u, -1, lift.q)
+        d = [tuple(inv * x % lift.q for x in row) for n in degrees[:-1] for row in lift.d_matrix(n, w)]
+        F = [tuple(row) for n in degrees for row in lift.f_matrix(n, w)] if t + 1 < len(chain) else []
+        key.append((v, tuple(lift.rank(n, w) for n in degrees), tuple(d), tuple(F)))
+    return tuple(key)

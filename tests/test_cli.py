@@ -1,11 +1,15 @@
 """CLI surface: parsing, exit codes, determinism, manifests."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import drwitt
 from drwitt.cli import _wkey_str, main
@@ -240,6 +244,33 @@ def test_syntomic_stable_flag_reruns_at_precision_plus_one(rings, capsys, monkey
     assert all(cell["stable"] for cell in json.loads(out)["cohomology"].values())
 
 
+# Z/2 -> Z/8, 1 -> 1: the relation 2 = 0 of the source is not sent to 0
+RELATION_BREAKING = {
+    "ring": {"kind": "Zmod", "p": 2, "N": 3},
+    "window": [0, 1],
+    "levels": [
+        {"n": 0, "complex": {"0": {"gens": 1}}},
+        {"n": 1, "complex": {"0": {"gens": 1, "rels": [[2]]}}, "map_to_prev": {"0": [[1]]}},
+    ],
+}
+# level 0 -> level -1 is the identity in degree 2 but drops degree 1, where
+# level 0 has d = 3: f d != d f with level -1 empty in degree 1
+NOT_A_CHAIN_MAP = {
+    "ring": {"kind": "Z"},
+    "window": [-1, 1],
+    "levels": [
+        {"n": -1, "complex": {"0": {"gens": 2}, "2": {"gens": 1}}},
+        {
+            "n": 0,
+            "complex": {"1": {"gens": 2}, "2": {"gens": 1}},
+            "d": {"1": [[3], [0]]},
+            "map_to_prev": {"2": [[1]]},
+        },
+        {"n": 1, "complex": {"1": {"gens": 1}}, "map_to_prev": {"1": [[1, 0]]}},
+    ],
+}
+
+
 @pytest.fixture
 def bad_inputs(tmp_path):
     # a filtered complex whose level has d o d != 0 in degree 0
@@ -282,9 +313,13 @@ def bad_inputs(tmp_path):
     # Zmod with p at the bound where the primality test stops being exact
     zmod = dict(notcx, ring={"kind": "Zmod", "p": PRIME_BOUND, "N": 2}, levels=[level])
     (tmp_path / "zmodhuge.json").write_text(json.dumps(zmod))
+    # transitions that are no chain maps: one ignores a source relation, one
+    # drops d into a degree its source lacks
+    (tmp_path / "relmap.json").write_text(json.dumps(RELATION_BREAKING))
+    (tmp_path / "nochain.json").write_text(json.dumps(NOT_A_CHAIN_MAP))
     names = (
         "missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff",
-        "reversed", "straydiff", "straymap", "zmodp1", "zmodp4", "zmodhuge",
+        "reversed", "straydiff", "straymap", "zmodp1", "zmodp4", "zmodhuge", "relmap", "nochain",
     )
     return {name: str(tmp_path / f"{name}.json") for name in names}
 
@@ -312,6 +347,8 @@ def bad_inputs(tmp_path):
         ["specseq", "run", "--input", "{zmodp1}"],
         ["specseq", "run", "--input", "{zmodp4}"],
         ["specseq", "run", "--input", "{zmodhuge}"],
+        ["specseq", "run", "--input", "{relmap}"],
+        ["specseq", "run", "--input", "{nochain}"],
         ["drw", "table", "--ring", "{hugep}"],
         ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
         ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
@@ -343,6 +380,8 @@ def bad_inputs(tmp_path):
         "specseq-zmod-p-1",
         "specseq-zmod-p-4",
         "specseq-zmod-p-past-prime-bound",
+        "specseq-transition-breaks-a-relation",
+        "specseq-transition-not-a-chain-map",
         "drw-p-past-prime-bound",
         "derham-weight-cap-neg",
         "syntomic-maxdeg-neg",
@@ -522,3 +561,48 @@ def test_derham_table_on_a_perfection_counts_fractional_exponents(tmp_path, caps
     assert code == 0
     cell = {"free_rank": 0, "torsion": ["2^1"]}
     assert json.loads(out)["cohomology"] == {"0": {str(u): cell for u in range(4)}}
+
+
+# ---------------------------------------------------------------------------
+# fuzzed specseq documents: a bad document is a one-line error, never a defect
+
+@st.composite
+def specseq_docs(draw):
+    ring = draw(st.sampled_from([{"kind": "Z"}, {"kind": "Zmod", "p": 2, "N": 3}, {"kind": "Zmod", "p": 3, "N": 1}]))
+    lo = draw(st.integers(-1, 1))
+    hi = lo + draw(st.integers(-1, 2))
+
+    def matrix(rows, cols):
+        # mostly the right shape, sometimes a row or a column too many
+        rows += draw(st.sampled_from([0, 0, 0, 1]))
+        cols += draw(st.sampled_from([0, 0, 0, 1]))
+        return draw(st.lists(st.lists(st.integers(-2, 4), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    levels, prev = [], {}
+    for n in range(lo, hi + 1):
+        gens = draw(st.dictionaries(st.integers(0, 2), st.integers(0, 2), max_size=3))
+        level = {"n": n, "complex": {}}
+        for deg, k in gens.items():
+            level["complex"][str(deg)] = {"gens": k, "rels": matrix(draw(st.integers(0, 1)), k)}
+        degs = [deg for deg in gens if deg + 1 in gens and draw(st.booleans())]
+        if degs:
+            level["d"] = {str(deg): matrix(gens[deg], gens[deg + 1]) for deg in degs}
+        if n > lo and draw(st.booleans()):
+            level["map_to_prev"] = {str(deg): matrix(k, prev.get(deg, 0)) for deg, k in gens.items()}
+        levels.append(level)
+        prev = gens
+    return {"ring": ring, "window": [lo, hi], "levels": levels}
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=specseq_docs())
+@example(doc=RELATION_BREAKING)
+@example(doc=NOT_A_CHAIN_MAP)
+def test_fuzzed_specseq_documents_exit_cleanly(tmp_path_factory, doc):
+    f = tmp_path_factory.mktemp("specseq") / "doc.json"
+    f.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["specseq", "run", "--input", str(f), "--json"])
+    assert code in (0, 1, 2)
+    assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()

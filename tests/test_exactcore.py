@@ -24,6 +24,7 @@ from drwitt.exactcore import (
     hermite,
     homology,
     howell,
+    identity,
     intersect,
     invariants_isomorphic,
     kernel,
@@ -35,6 +36,8 @@ from drwitt.exactcore import (
     solve,
     span_order,
 )
+from drwitt.exactcore.zmodp import quotient_divisor_exponents
+from drwitt.rings import p_split
 from helpers import reference_howell
 
 
@@ -221,6 +224,42 @@ def test_smith_diagonal():
     assert smith_diagonal([[2, 0], [0, 8]], 2) == [2, 8]
     assert smith_diagonal([[0, 1], [1, 0]], 2) == [1, 1]
     assert smith_diagonal([[4, 6]], 2) == [2]
+
+
+def _sympy_smith(rows, ncols):
+    """Nonzero |diagonal| of sympy's Smith normal form over Z."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    if not rows or not ncols:
+        return []
+    S = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    return [abs(int(S[k, k])) for k in range(min(S.shape)) if S[k, k]]
+
+
+def _int_rows(max_rows, max_cols, lo, hi):
+    return st.integers(0, max_cols).flatmap(
+        lambda n: st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n), max_size=max_rows).map(
+            lambda rows: (rows, n)
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_int_rows(4, 4, -30, 30))
+def test_smith_diagonal_matches_sympy(case):
+    rows, ncols = case
+    assert smith_diagonal(rows, ncols) == _sympy_smith(rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_int_rows(4, 4, -40, 40), p=st.sampled_from([2, 3, 5]), N=st.integers(1, 3))
+def test_quotient_divisor_exponents_match_sympy(case, p, N):
+    # (Z/p^N)^n / rowspan is Z^n / rowspan[rows; p^N I]
+    rows, ncols = case
+    R = ZmodRing(p, N)
+    want = [p_split(d, p)[0] for d in _sympy_smith(rows + identity(ncols, p**N), ncols)]
+    assert sorted(quotient_divisor_exponents(R, rows, ncols)) == sorted(want)
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,9 @@ def test_t_is_product_of_c():
 def test_adjunction_one_step_over_z2():
     ring = ZmodRing(2, 1)
     C = free_complex(ring, [1, 1], {0: [[1]]})
-    Csub = free_complex(ring, [1], {})
-    F = FilteredComplex(ring, 0, 1, {0: C, 1: Csub}, {0: {0: [[1]]}})
+    # the degree-1 piece is a subcomplex; the degree-0 piece is not
+    Csub = free_complex(ring, [0, 1], {})
+    F = FilteredComplex(ring, 0, 1, {0: C, 1: Csub}, {0: {1: [[1]]}})
     X = GradedComplex(ring, {0: free_complex(ring, [1], {}), 1: free_complex(ring, [1], {})})
     assert adjunction_check(F, X)
 

@@ -24,6 +24,7 @@ from drwitt.synlog import (
 from helpers import (
     reference_certify_block_invertible,
     reference_graded_cohomology,
+    reference_orbit_class,
     reference_orbit_fibers,
     reference_weight_orbits,
 )
@@ -415,52 +416,36 @@ def test_class_walk_matches_the_eager_walk(p, f, kind, i, r, span):
         assert (syntomic(s, i, r, 2, cap), verify_fundamental_seq(s, i, r, 2, cap)) == class_walk
 
 
-def test_a_perturbed_lift_gets_its_own_class(monkeypatch):
-    # rescale the degree-0 slot at one member orbit's bottom by a unit: the
-    # lift stays isomorphic, so no group moves, but its d and F no longer
-    # match the representative's, so the orbit keys a class of its own and
-    # is computed in full
+def _partition(orbits, key):
+    """Orbit indices grouped by class key; a None key is a class of its own."""
+    classes = {}
+    for k, orbit in enumerate(orbits):
+        c = key(orbit)
+        classes.setdefault(("own", k) if c is None else ("key", c), []).append(k)
+    return sorted(classes.values())
+
+
+PARTITION_KINDS = ("poly", "laurent", "perfection of poly", "perfection of laurent")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_valuation_profile_partitions_orbits_like_the_rescaled_lift(p):
+    # the key (v_p of the bottom, orbit length) groups the orbits of every
+    # window exactly as the rescaled lift's d, F and ranks along the chain
+    # did, over the one-variable kinds, variable weights 1, p and a unit,
+    # and the finite fields (whose only orbit is its own)
     import drwitt.synlog as synlog
-    from drwitt.dieudonne import LiftComplex
 
-    m = saturate(LAU3, 2, 3)
-    seen, target = set(), None
-    for orbit in weight_orbits(m, 6, 2):
-        key = synlog._orbit_class(m, orbit)
-        if key is not None and key in seen:
-            target = orbit
-            break
-        seen.add(key)
-    assert target is not None
-    w, c = target[0], 4  # 4 = 1 + p is a unit
-    before = syntomic(LAU3, 1, 2, 3, 6), verify_fundamental_seq(LAU3, 1, 2, 3, 6)
-
-    d_matrix, f_matrix = LiftComplex.d_matrix, LiftComplex.f_matrix
-
-    def scale(M, rows, cols, q):
-        return [[x * rows * cols % q for x in row] for row in M]
-
-    def d_scaled(self, n, v):
-        return scale(d_matrix(self, n, v), c if (n, v) == (0, w) else 1, 1, self.q)
-
-    def f_scaled(self, n, v):
-        # F(x^(w/p)) = x^w = c^-1 (c x^w) and F(c x^w) = c x^(p w)
-        cols = pow(c, -1, self.q) if (n, v * self.p) == (0, w) else 1
-        return scale(f_matrix(self, n, v), c if (n, v) == (0, w) else 1, cols, self.q)
-
-    monkeypatch.setattr(LiftComplex, "d_matrix", d_scaled)
-    monkeypatch.setattr(LiftComplex, "f_matrix", f_scaled)
-    assert synlog._orbit_class(saturate(LAU3, 2, 3), target) not in seen
-    built, init = [], synlog._FiberBlock.__init__
-
-    def building(self, N, orbit, r, style="deep"):
-        built.append(list(orbit))
-        init(self, N, orbit, r, style)
-
-    monkeypatch.setattr(synlog._FiberBlock, "__init__", building)
-    after = syntomic(LAU3, 1, 2, 3, 6), verify_fundamental_seq(LAU3, 1, 2, 3, 6)
-    assert built.count(target) == 4  # deep and aligned, in both reports
-    assert after == before
+    texts = [f"kind={kind}\nvars=x:{m}" for kind in PARTITION_KINDS for m in (1, p, p + 1)]
+    texts.append("kind=finite_field")
+    for f in (1, 2):
+        for text in texts:
+            s = spec(f"p={p}\nf={f}\n{text}")
+            for r in (1, 2, 3):
+                m = saturate(s, r, 2)
+                orbits = weight_orbits(m, 2, r)
+                new = _partition(orbits, lambda orbit: synlog._orbit_class(m, orbit))
+                assert new == _partition(orbits, lambda orbit: reference_orbit_class(m, orbit)), (text, f, r)
 
 
 # ---------------------------------------------------------------------------
