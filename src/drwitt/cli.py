@@ -11,7 +11,6 @@ so re-running a manifest's command reproduces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -20,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .dieudonne import saturate, strict_truncate
-from .derham import cartier_smooth_check, derham_cohomology
+from .derham import cartier_smooth_check, derham_table
 from .errors import CheckFailure, DrwittError
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
 from .filtspec import FilteredComplex, spectral_sequence, two_column_extract
@@ -55,10 +54,9 @@ def _read(path):
 
 
 def _load_spec(args):
-    """Parse the --ring file; its digest goes into the run manifest."""
-    text = _read(args.ring)
-    args._ring_sha256 = hashlib.sha256(text.encode()).hexdigest()
-    return parse_ringspec(text)
+    """Parse the --ring file; its text is digested into the run manifest."""
+    args._ring_text = _read(args.ring)
+    return parse_ringspec(args._ring_text)
 
 
 def _wkey_str(w):
@@ -72,15 +70,15 @@ def _emit(args, payload):
     if args.json:
         print(text)
     if getattr(args, "manifest", None):
-        digest = hashlib.sha256(text.encode()).hexdigest()
+        import hashlib  # only a manifest needs digests
         manifest = {
             "command": " ".join(sys.argv[1:]),
             "tool_version": __version__,
-            "outputs_digest": digest,
+            "outputs_digest": hashlib.sha256(text.encode()).hexdigest(),
             "wall_time_s": round(time.time() - args._t0, 3),
         }
-        if getattr(args, "_ring_sha256", None):
-            manifest["ring_spec_sha256"] = args._ring_sha256
+        if getattr(args, "_ring_text", None) is not None:
+            manifest["ring_spec_sha256"] = hashlib.sha256(args._ring_text.encode()).hexdigest()
         Path(args.manifest).write_text(json.dumps(manifest, sort_keys=True, indent=2))
     return payload
 
@@ -148,12 +146,10 @@ def cmd_witt(args):
 
 def cmd_derham(args):
     spec = _load_spec(args)
-    table = {}
-    for i in range(args.maxdeg + 1):
-        per = derham_cohomology(spec, i, args.weight_cap)
-        table[str(i)] = {
-            _wkey_str(w): inv.to_json(spec.p) for w, inv in sorted(per.items()) if not inv.is_trivial()
-        }
+    table = {
+        str(i): {_wkey_str(w): inv.to_json(spec.p) for w, inv in sorted(per.items()) if not inv.is_trivial()}
+        for i, per in derham_table(spec, args.maxdeg, args.weight_cap).items()
+    }
     payload = {
         "command": "derham table",
         "ring": spec.describe(),

@@ -26,7 +26,33 @@ from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, ke
 from .rings import MonomialAlgebra, RingSpec, exponents, memo, p_split, weight_window
 
 
-class DeRhamComplex:
+class _GradedComplex:
+    """A complex of GF(p^f)-spaces with degree-i pieces rank(i, *g) and
+    differentials d_matrix(i, *g) per grade g; subclasses supply both."""
+
+    @memo
+    def d_rank(self, i, *g):
+        """Rank of d^i at grade g; 0 below degree 0 and on zero spaces."""
+        if i < 0 or not self.rank(i, *g) or not self.rank(i + 1, *g):
+            return 0
+        return gf_rank(self.K, self.d_matrix(i, *g), self.rank(i + 1, *g))
+
+    def h_dim(self, i, *g):
+        """dim H^i at grade g.  Over a field this is rank - rk d^i - rk d^(i-1),
+        since d o d = 0: forms are quotiented by I*Omega + d(I*Omega)."""
+        return self.rank(i, *g) - self.d_rank(i, *g) - self.d_rank(i - 1, *g)
+
+    def cohomology_subquot(self, i, *g) -> SubQuot:
+        """ker(d^i)/im(d^(i-1)) inside the degree-i basis space, for coordinates."""
+        n = self.rank(i, *g)
+        if n == 0:
+            return SubQuot(self.K, 0, [], [])
+        z = kernel(self.K, self.d_matrix(i, *g)) if self.rank(i + 1, *g) else identity(n)
+        prev = self.d_matrix(i - 1, *g) if i >= 1 and self.rank(i - 1, *g) else []
+        return SubQuot(self.K, n, z, prev)
+
+
+class DeRhamComplex(_GradedComplex):
     """Weight-graded de Rham complex of a curated (non-perfection) ring."""
 
     def __init__(self, spec: RingSpec, i_max: int, weight_cap):
@@ -80,24 +106,42 @@ class DeRhamComplex:
                     continue
                 assert not any(any(img) for img in mat_mul(self.K, A, B)), "d o d != 0"
 
-    # -- cohomology ------------------------------------------------------------
-
-    def cohomology_subquot(self, i, w) -> SubQuot:
-        return _cohomology_subquot(self.K, lambda j: self.rank(j, w), lambda j: self.d_matrix(j, w), i)
+    # -- cohomology and the inverse Cartier map --------------------------------
 
     def cohomology(self, i, w) -> InvariantFactors:
-        return self.cohomology_subquot(i, w).invariants()
+        return InvariantFactors((self.K.p,) * (self.h_dim(i, w) * self.K.f))
 
+    def inverse_cartier(self, i) -> dict:
+        """Per source weight w: the matrix of C^{-1} into H^i at weight p*w.
 
-def _cohomology_subquot(K, rank, d_matrix, i) -> SubQuot:
-    """ker(d^i)/im(d^(i-1)) inside the degree-i basis space, given the
-    per-degree rank and differential of a complex of GF(p^f)-spaces."""
-    n = rank(i)
-    if n == 0:
-        return SubQuot(K, 0, [], [])
-    z = kernel(K, d_matrix(i)) if rank(i + 1) else identity(n)
-    prev = d_matrix(i - 1) if i >= 1 and rank(i - 1) else []
-    return SubQuot(K, n, z, prev)
+        Returns {w: {"matrix", "source_rank", "target"}}: one row per basis
+        form of weight w, in coordinates on the generators of the SubQuot
+        "target" (the matrix is None if an image is not a cocycle).  The map
+        is semilinear over GF(p^f), so over the prime field it is linear.
+        """
+        A, p = self.algebra, self.spec.p
+        out = {}
+        for w in self.weights():
+            if Fraction(p * w) > self.weight_cap or Fraction(p * w) < -self.weight_cap:
+                continue
+            n = self.rank(i, w)
+            # skip a weight with no forms and no cocycles at p*w
+            if n == 0 and self.rank(i, p * w) == self.d_rank(i, p * w):
+                continue
+            H = self.cohomology_subquot(i, p * w)
+            raw_s, basis_s, _ = A.component(i, w)
+            idx_t = {form: k for k, form in enumerate(A.forms(i, p * w))}
+            rows = []
+            for k in basis_s:
+                vec = [0] * len(idx_t)
+                vec[idx_t[A.frobenius_form(raw_s[k])]] = 1
+                coords = H.coords(A.reduce_form_vector(i, p * w, vec))
+                if coords is None:
+                    rows = None
+                    break
+                rows.append(coords)
+            out[w] = {"matrix": rows, "source_rank": n, "target": H}
+        return out
 
 
 def kaehler(spec: RingSpec, i_max: int, weight_cap) -> DeRhamComplex:
@@ -105,8 +149,15 @@ def kaehler(spec: RingSpec, i_max: int, weight_cap) -> DeRhamComplex:
     return DeRhamComplex(spec, i_max, weight_cap)
 
 
-def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
-    """H^i per weight as InvariantFactors (abelian-group reporting)."""
+def derham_table(spec: RingSpec, maxdeg: int, weight_cap) -> dict:
+    """{i: derham_cohomology(spec, i, weight_cap)} for i <= maxdeg, read off one complex."""
+    omega = None if spec.is_perfection else DeRhamComplex(spec, maxdeg + 1, weight_cap)
+    return {i: derham_cohomology(spec, i, weight_cap, omega) for i in range(maxdeg + 1)}
+
+
+def derham_cohomology(spec: RingSpec, i: int, weight_cap, omega=None) -> dict:
+    """H^i per weight as InvariantFactors (abelian-group reporting), read
+    off omega (a DeRhamComplex of spec through degree i + 1) when given."""
     if spec.is_perfection:
         if spec.nvars > 1:
             raise UnsupportedKind(
@@ -124,7 +175,7 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
                 if u == 0 or (unit and u % unit == 0):
                     out[u] = InvariantFactors((spec.p,) * spec.f)
         return out
-    C = DeRhamComplex(spec, i + 1, weight_cap)
+    C = omega or DeRhamComplex(spec, i + 1, weight_cap)
     return {w: C.cohomology(i, w) for w in C.weights() if C.rank(i, w)}
 
 
@@ -132,37 +183,8 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap) -> dict:
 # inverse Cartier
 
 def inverse_cartier(spec: RingSpec, i: int, weight_cap) -> dict:
-    """Per source weight w: the matrix of C^{-1} into H^i at weight p*w.
-
-    Returns {w: (matrix, source_rank, target_subquot)}; the matrix rows
-    are indexed by the basis of the weight-w twist component.  The map is
-    semilinear over GF(p^f) (coefficients are raised to the p-th power),
-    so over the prime field the returned matrix is plainly linear.
-    """
-    C = DeRhamComplex(spec, i + 1, weight_cap)
-    A, p = C.algebra, spec.p
-    out = {}
-    for w in C.weights():
-        if Fraction(p * w) > C.weight_cap or Fraction(p * w) < -C.weight_cap:
-            continue
-        n = C.rank(i, w)
-        H = C.cohomology_subquot(i, p * w)
-        if n == 0 and H.gen_count() == 0:
-            continue
-        raw_s, basis_s, _ = A.component(i, w)
-        idx_t = {form: k for k, form in enumerate(A.forms(i, p * w))}
-        rows = []
-        ok = True
-        for k in basis_s:
-            vec = [0] * len(idx_t)
-            vec[idx_t[A.frobenius_form(raw_s[k])]] = 1
-            coords = H.coords(A.reduce_form_vector(i, p * w, vec))
-            if coords is None:
-                ok = False
-                break
-            rows.append(coords)
-        out[w] = {"matrix": rows if ok else None, "source_rank": n, "target": H}
-    return out
+    """DeRhamComplex.inverse_cartier(i) on a complex built for degree i."""
+    return DeRhamComplex(spec, i + 1, weight_cap).inverse_cartier(i)
 
 
 def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
@@ -186,21 +208,19 @@ def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
         report["verdict"] = "consistent-with-Cartier-smooth up to caps"
         report["note"] = "perfection short-circuit"
         return report
+    C = DeRhamComplex(spec, i_max + 1, weight_cap)
     ok = True
     witness = None
     for i in range(i_max + 1):
-        data = inverse_cartier(spec, i, weight_cap)
         wrow = {}
-        for w, entry in sorted(data.items()):
+        for w, entry in sorted(C.inverse_cartier(i).items()):
             n = entry["source_rank"]
-            H = entry["target"]
-            hdim = H.presentation().invariants()
-            target_dim = len(hdim.torsion) // max(spec.f, 1)
+            target_dim = C.h_dim(i, spec.p * w)
             M = entry["matrix"]
             if M is None:
                 passes = False
             else:
-                rank = gf_rank(spec.gf(), M, H.gen_count()) if M else 0
+                rank = gf_rank(C.K, M, entry["target"].gen_count()) if M else 0
                 # semilinear bijectivity: matrix part must be a bijection
                 passes = n == target_dim and rank == n
             wrow[w] = passes
@@ -220,7 +240,7 @@ def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
 # ---------------------------------------------------------------------------
 # relative version and base change
 
-class RelativeCartier:
+class RelativeCartier(_GradedComplex):
     """The inverse Cartier map of B relative to the subring A.
 
     A is the coefficient subring generated by a subset of B's variables
@@ -268,6 +288,9 @@ class RelativeCartier:
                     out.append((tuple(exps), J))
         return out
 
+    def rank(self, i, u, v):
+        return len(self.forms(i, u, v))
+
     def _monos(self, idxs, target):
         """Exponents on the variables idxs of total weight target."""
         if target < 0 and not self.spec.is_laurent:
@@ -287,11 +310,6 @@ class RelativeCartier:
                     vec[idx[g]] = self.K.add(vec[idx[g]], c % self.spec.p)
             rows.append(vec)
         return rows
-
-    def cohomology_subquot(self, i, u, v) -> SubQuot:
-        return _cohomology_subquot(
-            self.K, lambda j: len(self.forms(j, u, v)), lambda j: self.d_matrix(j, u, v), i
-        )
 
     def cartier_matrix(self, i, u, v):
         """Matrix of the relative C^{-1} from bigrade (u, v) to (u, p*v)."""
@@ -321,10 +339,10 @@ class RelativeCartier:
                 if abs(self.spec.p * v) > cap:
                     continue
                 src = self.forms(i, u, v)
-                M, H, _ = self.cartier_matrix(i, u, v)
-                hdim = len(H.presentation().invariants().torsion) // max(self.spec.f, 1)
+                hdim = self.h_dim(i, u, self.spec.p * v)
                 if not src and hdim == 0:
                     continue
+                M, H, _ = self.cartier_matrix(i, u, v)
                 if M is None:
                     passes = False
                 else:

@@ -325,6 +325,7 @@ class SubQuot:
         self.ambient = ambient
         self.z = [list(r) for r in z_rows]
         self.b = normal_form(ring, [list(r) for r in b_rows], ambient) if b_rows else []
+        self._solver = None
 
     def gen_count(self):
         return len(self.z)
@@ -342,14 +343,18 @@ class SubQuot:
         return self.presentation().invariants()
 
     def coords(self, vector):
-        """Coefficients c with c . z == vector modulo span(b), else None."""
-        if not self.z:
-            return [] if member(self.ring, self.b, vector) else None
-        stacked = self.z + self.b
-        sol = solve(self.ring, stacked, vector)
-        if sol is None:
+        """Coefficients c with c . z == vector modulo span(b), else None.
+
+        The first call forms the normal form of [z | I; b | 0] and keeps it;
+        [vector | 0] leaves the residue [0 | -c] when c exists."""
+        k = len(self.z)
+        if self._solver is None:
+            aug = [r + e for r, e in zip(self.z, identity(k))] + [r + [0] * k for r in self.b]
+            self._solver = normal_form(self.ring, aug, self.ambient + k) if k else self.b
+        w = residue(self.ring, self._solver, list(vector) + [0] * k)
+        if any(w[: self.ambient]):
             return None
-        return sol[: len(self.z)]
+        return negate(self.ring, w[self.ambient :])
 
     def induced_map(self, other: "SubQuot", ambient_matrix):
         """Generator matrix of the map sending [v] to [v . A]; None if ill-defined."""

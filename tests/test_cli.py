@@ -606,3 +606,38 @@ def test_fuzzed_specseq_documents_exit_cleanly(tmp_path_factory, doc):
         code = main(["specseq", "run", "--input", str(f), "--json"])
     assert code in (0, 1, 2)
     assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed de Rham flags: out-of-range flags are one-line errors, never defects
+
+DERHAM_KINDS = {
+    "poly": "kind = poly\nvars = x:1, y:1",
+    "laurent": "kind = laurent\nvars = x:1",
+    "cusp": "kind = quotient\nvars = x:2, y:3\nrels = y^2 - x^3",
+    "node": "kind = quotient\nvars = x:1, y:1\nrels = x*y",
+    "perfection": "kind = perfection of poly\nvars = x:1",
+    "finite_field": "kind = finite_field",
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    verb=st.sampled_from([["derham", "table"], ["cartier-check"]]),
+    kind=st.sampled_from(sorted(DERHAM_KINDS)),
+    p=st.sampled_from([2, 3, 5]),
+    f=st.integers(1, 2),
+    maxdeg=st.integers(-1, 5),
+    cap=st.integers(-1, 12),
+)
+@example(verb=["derham", "table"], kind="cusp", p=2, f=1, maxdeg=-1, cap=12)
+@example(verb=["cartier-check"], kind="node", p=3, f=2, maxdeg=5, cap=-1)
+def test_fuzzed_derham_flags_exit_cleanly(tmp_path_factory, verb, kind, p, f, maxdeg, cap):
+    ring = tmp_path_factory.mktemp("derham") / "r.ring"
+    ring.write_text(f"p = {p}\nf = {f}\n{DERHAM_KINDS[kind]}\n")
+    argv = verb + ["--ring", str(ring), "--maxdeg", str(maxdeg), "--weight-cap", str(cap), "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()

@@ -6,6 +6,7 @@ import pytest
 
 from drwitt.derham import (
     DeRhamComplex,
+    RelativeCartier,
     base_change_check,
     cartier_smooth_check,
     derham_cohomology,
@@ -219,3 +220,57 @@ def test_relative_cartier_generator_rule():
     assert src == [((0, 0), (1,))]
     # the image class of dy generates H^1 at bigrade (0, p): y^{p-1} dy
     assert M is not None and len(M) == 1 and any(M[0])
+
+
+def _oracle_rings(p, f):
+    ext = f"\nf={f}" if f > 1 else ""
+    texts = [f"kind=poly\nvars={v}" for v in ("x:1", "x:1,y:1", "x:2,y:3", "x:1,y:1,z:1")]
+    texts += [f"kind=laurent\nvars=x:{m}" for m in (1, p)]
+    texts += [
+        "kind=quotient\nvars=x:2,y:3\nrels=y^2-x^3",
+        "kind=quotient\nvars=x:1,y:1\nrels=x*y",
+        "kind=quotient\nvars=x:1,y:1,z:1\nrels=x*y-z^2",
+    ]
+    return [spec(f"p={p}\n{t}{ext}") for t in texts]
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_cohomology_from_ranks_matches_the_subquotient(p, f):
+    # dim H^i = rank - rk d^i - rk d^(i-1) against ker/im as a SubQuot
+    for s in _oracle_rings(p, f):
+        C = DeRhamComplex(s, s.nvars + 1, 6)
+        for w in C.weights():
+            for i in range(s.nvars + 2):
+                assert C.cohomology(i, w) == C.cohomology_subquot(i, w).invariants(), (s, i, w)
+
+
+def test_relative_dimensions_from_ranks_match_the_subquotient():
+    for s in (F2_XY, spec("p=3\nkind=poly\nvars=x:1,y:1,z:2\nf=2")):
+        rc = RelativeCartier(s, ("x",), 2, 4)
+        for u, v in rc.bigrades():
+            for i in range(4):
+                H = rc.cohomology_subquot(i, u, v)
+                assert rc.h_dim(i, u, v) * s.f == len(H.invariants().torsion), (s, i, u, v)
+
+
+@pytest.mark.parametrize("verb", [["derham", "table"], ["cartier-check"]])
+def test_each_de_rham_verb_builds_one_complex(verb, tmp_path, monkeypatch, capsys):
+    from drwitt.cli import main
+
+    built, checked = [], []
+    init, check = DeRhamComplex.__init__, DeRhamComplex._check_leibniz_dd
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_check(self):
+        checked.append(self.i_max)
+        check(self)
+
+    monkeypatch.setattr(DeRhamComplex, "__init__", counting_init)
+    monkeypatch.setattr(DeRhamComplex, "_check_leibniz_dd", counting_check)
+    ring = tmp_path / "xy.ring"
+    ring.write_text("p = 3\nkind = poly\nvars = x:1, y:1\n")
+    assert main(verb + ["--ring", str(ring), "--maxdeg", "3", "--weight-cap", "6", "--json"]) == 0
+    assert len(built) == 1 and checked == [4]

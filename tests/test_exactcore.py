@@ -18,6 +18,7 @@ from drwitt.exactcore import (
     FinModPresentation,
     InvariantFactors,
     NonComplex,
+    SubQuot,
     Zq,
     ZmodRing,
     gf_rref,
@@ -345,6 +346,65 @@ def test_gf_solve_kernel_preimage_against_enumeration(p, f):
         pre = preimage(K, A, B)
         assert all(tuple(mat_mul(K, [r], A)[0]) in allowed for r in pre)
         assert len(gf_span(K, pre, m)) == sum(1 for y in image.values() if y in allowed)
+
+
+@st.composite
+def subquot_cases(draw):
+    """A SubQuot over Z, Z/p^N or GF(p^f) and vectors to express on it: sums
+    of its rows (in span(z) + span(b)) and free draws (mostly outside)."""
+    kind = draw(st.sampled_from(["ZZ", "Zmod", "GF"]))
+    p = draw(st.sampled_from([2, 3, 5]))
+    if kind == "ZZ":
+        ring, entry = ZZ, st.integers(-6, 6)
+    elif kind == "Zmod":
+        ring = ZmodRing(p, draw(st.integers(1, 3)))
+        entry = st.integers(0, ring.q - 1)
+    else:
+        ring = GF(p, draw(st.integers(1, 2)))
+        entry = st.integers(0, ring.q - 1)
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3)
+    z, b = draw(rows), draw(rows)
+    vectors = []
+    for _ in range(draw(st.integers(1, 5))):
+        if z + b and draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(z + b), max_size=len(z + b)))
+            vectors.append(mat_mul(ring, [coeffs], z + b)[0])
+        else:
+            vectors.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    return ring, n, z, b, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(subquot_cases())
+@example((GF(2, 2), 2, [], [[1, 3]], [[2, 1], [3, 1]]))  # no generators: in span(b) or None
+@example((ZmodRing(2, 2), 2, [[2, 0]], [[0, 2]], [[2, 2], [1, 0], [0, 0]]))  # non-unit pivots
+def test_subquot_coords_match_a_solve_per_vector(case):
+    # the kept normal form answers every vector as a fresh solve against
+    # [z; b] does, including after other vectors (a stale form would differ)
+    ring, n, z, b, vectors = case
+    H = SubQuot(ring, n, z, b)
+    for v in vectors:
+        want = solve(ring, H.z + H.b, v)
+        assert H.coords(v) == (None if want is None else want[: len(z)])
+
+
+def test_subquot_coords_form_one_normal_form(monkeypatch):
+    import drwitt.exactcore.modules as modules
+
+    R = ZmodRing(3, 2)
+    H = SubQuot(R, 3, [[1, 0, 3], [0, 3, 0]], [[0, 0, 3]])
+    forms = []
+    nf = modules.normal_form
+
+    def counting(*args):
+        forms.append(args)
+        return nf(*args)
+
+    monkeypatch.setattr(modules, "normal_form", counting)
+    answers = [H.coords(v) for v in ([1, 0, 3], [2, 6, 0], [0, 1, 0], [0, 0, 6])]
+    assert answers[0] == [1, 0] and answers[2] is None
+    assert len(forms) == 1
 
 
 # ---------------------------------------------------------------------------
