@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .dieudonne import saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_table
-from .errors import CheckFailure, DrwittError
+from .errors import DrwittError
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
 from .filtspec import FilteredComplex, spectral_sequence, two_column_extract
 from .kpredict import k_predict
@@ -547,9 +547,6 @@ def main(argv=None):
     try:
         _check_flag_floors(args)
         return args.func(args)
-    except CheckFailure as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 2
     except DrwittError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

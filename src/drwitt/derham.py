@@ -17,13 +17,12 @@ degree-0 inverse Cartier map is the p-power bijection.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
 # gf_rref is not called here since rings owns the quotient presentations; the
 # name stays because perfbench's tracer patches `derham.gf_rref`
 from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, kernel, mat_mul  # noqa: F401
-from .rings import MonomialAlgebra, RingSpec, exponents, memo, p_split, weight_window
+from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
 
 
 class _GradedComplex:
@@ -262,7 +261,6 @@ class RelativeCartier(_GradedComplex):
         self.i_max = i_max
         self.cap = int(weight_cap)
         self.a_idx = tuple(b_spec.variables.index(v) for v in a_vars)
-        self.b_idx = tuple(j for j in range(b_spec.nvars) if j not in self.a_idx)
 
     def bigrades(self):
         window = weight_window(self.cap, 1, self.spec.is_laurent)
@@ -272,30 +270,17 @@ class RelativeCartier(_GradedComplex):
 
     @memo
     def forms(self, i, u, v):
-        """Relative monomial i-forms with A-weight u and relative weight v."""
-        spec = self.spec
-        out = []
-        amonos = self._monos(self.a_idx, u)
-        for J in combinations(self.b_idx, i):
-            wJ = sum(spec.weights[j] for j in J)
-            for mb in self._monos(self.b_idx, v - wJ):
-                for ma in amonos:
-                    exps = [0] * spec.nvars
-                    for j, e in zip(self.a_idx, ma):
-                        exps[j] = e
-                    for j, e in zip(self.b_idx, mb):
-                        exps[j] = e
-                    out.append((tuple(exps), J))
-        return out
+        """Relative monomial i-forms with A-weight u and relative weight v: the
+        i-forms of weight u + v with no dx_a and an A-part of weight u."""
+        a_idx, weights = set(self.a_idx), self.spec.weights
+        return [
+            (m, J)
+            for m, J in self.algebra.forms(i, u + v)
+            if a_idx.isdisjoint(J) and sum(weights[j] * m[j] for j in a_idx) == u
+        ]
 
     def rank(self, i, u, v):
         return len(self.forms(i, u, v))
-
-    def _monos(self, idxs, target):
-        """Exponents on the variables idxs of total weight target."""
-        if target < 0 and not self.spec.is_laurent:
-            return []
-        return exponents([self.spec.weights[j] for j in idxs], target)
 
     def d_matrix(self, i, u, v):
         src = self.forms(i, u, v)

@@ -63,9 +63,7 @@ from .exactcore import (
     howell,
     identity,
     mat_mul,
-    normal_form,
     preimage,
-    reduce_vector,
     reduce_with_coefficients,
 )
 from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
@@ -87,9 +85,9 @@ def internal_precision(r: int, i_max: int) -> int:
 class LiftComplex:
     """De Rham complex of the standard lift, weight graded, mod p^B.
 
-    Exponents are integers.  Coefficients are Z/p^B for f = 1 and the
-    unramified lift Z_q for f > 1, so a coordinate slot is (monomial form,
-    coefficient digit).
+    Exponents are integers.  Coefficients are the unramified lift Z_q of
+    GF(p^f) mod p^B (Z/p^B for f = 1), so a coordinate slot is (monomial
+    form, coefficient digit).
     """
 
     def __init__(self, spec: RingSpec, B: int):
@@ -101,7 +99,7 @@ class LiftComplex:
         self.q = spec.p**B
         self.f = spec.f
         self.ring = ZmodRing(spec.p, B)
-        self.W = Zq(spec.p, spec.f, B) if spec.f > 1 else None
+        self.W = Zq(spec.p, spec.f, B)
         kind = spec.effective_kind
         self.nvars = spec.nvars if kind != "finite_field" else 0
         self.top = self.nvars
@@ -142,7 +140,7 @@ class LiftComplex:
         src = self.forms(n, w)
         tgt = self._coords(n, w * self.p)
         ncols = len(tgt) * self.f
-        sigma = self.W._frob_matrix if self.W else [[1]]
+        sigma = self.W._frob_matrix
         rows = []
         for form in src:
             k = tgt[self.algebra.frobenius_form(form)]
@@ -358,17 +356,14 @@ class SaturatedModel:
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
         # solve z . F = p y for each basis row y, z in ambient coords at lift
-        # weight a/p: one Howell form of [F | I] serves every row, and
-        # z is minus the identity half of the residue of [p y | 0]
+        # weight a/p; one SubQuot on the rows of F serves every row
         F = self.lift.f_matrix(n, down)
-        q, k, m = self._amb.q, len(F[0]), len(F)
-        H = howell(self._amb, [row + e for row, e in zip(F, identity(m))], k + m)
+        image = SubQuot(self._amb, len(F[0]), F, [])
         out = []
         for row in src:
-            w = reduce_vector(self._amb, H, [(self.p * x) % q for x in row] + [0] * m)
-            if any(w[:k]):
+            z = image.coords([(self.p * x) % self._amb.q for x in row])
+            if z is None:
                 raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
-            z = [(-x) % q for x in w[k:]]
             coords = self._express([z], tgt)
             if coords is None:
                 raise PrecisionExhausted("Verschiebung image not in the lattice")
@@ -433,9 +428,8 @@ class StrictLevel:
     def weights(self, weight_cap):
         return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
 
-    @memo
     def _relations(self, n, a):
-        """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator)."""
+        """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator), unreduced."""
         model, r, p = self.model, self.r, self.p
         k = model.rank_at(n, a)
         rows = []
@@ -461,8 +455,9 @@ class StrictLevel:
         # p^r times everything is V^r F^r, but include it explicitly so the
         # quotient is visibly killed by p^r at this precision
         rows += identity(k, p**r)
-        return normal_form(self.ring, rows, k)
+        return rows
 
+    @memo
     def group(self, n, u) -> SubQuot:
         a = self.model.num(u)
         if a is None:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps DrwittError subclasses to exit code 1 (operational error);
-a verification verb that runs fine but finds the assertion false exits
-with code 2 instead, which is signalled by CheckFailure.
+a verification verb that runs fine but finds the assertion false returns
+exit code 2 itself.
 """
 
 
@@ -66,7 +66,3 @@ class HomSetTooLarge(DrwittError):
 
 class DegenerationFailed(DrwittError):
     pass
-
-
-class CheckFailure(DrwittError):
-    """A verification op ran to completion and the checked property is false."""

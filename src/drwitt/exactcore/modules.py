@@ -126,7 +126,10 @@ def kernel(ring, A):
 
 
 def solve(ring, A, b):
-    """One solution x of x @ A = b, or None if b is not in the row span."""
+    """One solution x of x @ A = b, or None if b is not in the row span.
+
+    The package solves through `SubQuot.coords`; this one-shot solver is
+    the reference the tests compare it against."""
     m = len(A)
     if m == 0:
         return [] if member(ring, [], b) else None
@@ -383,7 +386,7 @@ def homology_subquot(C: FinComplex, n: int) -> SubQuot:
         return SubQuot(ring, 0, [], [])
     nxt = C.module(n + 1)
     if nxt.ngens == 0:
-        z = normal_form(ring, identity(k), k)
+        z = identity(k)
     else:
         z = preimage(ring, C.diff(n), nxt.relations)
     prev = C.module(n - 1)

@@ -33,7 +33,6 @@ from .exactcore import (
     negate,
     normal_form,
     preimage,
-    solve,
 )
 
 
@@ -402,20 +401,6 @@ class SSResult:
     window: tuple
 
 
-class _CoupleEntry:
-    """Subquotient tower Z_r/B_r inside one E_1 entry's presentation."""
-
-    def __init__(self, ring, pres: FinModPresentation, Hcone: SubQuot):
-        self.ring = ring
-        self.pres = pres
-        self.H = Hcone
-        self.z = identity(pres.ngens)
-        self.b = [list(r) for r in pres.relations]
-
-    def invariants(self):
-        return SubQuot(self.ring, self.pres.ngens, self.z, self.b).invariants()
-
-
 def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
     """Pages E_r (paper indexing, r >= 2) of the filtration's exact couple.
 
@@ -470,10 +455,12 @@ def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
         proj = identity(A1) + [[0] * A1 for _ in range(B)]
         return Hcone[(s, m)].induced_map(Hlev[(s + 1, m + 1)], proj)
 
+    # each E_1 entry is the subquotient Z_r/B_r of its presentation's generators
     entries = {}
     for s in range(lo, hi + 1):
         for m in range(dmin, dmax + 1):
-            entries[(s, m)] = _CoupleEntry(ring, Hcone[(s, m)].presentation(), Hcone[(s, m)])
+            pres = Hcone[(s, m)].presentation()
+            entries[(s, m)] = SubQuot(ring, pres.ngens, identity(pres.ngens), pres.relations)
 
     pages = []
     e_current = {key: e.invariants() for key, e in entries.items()}
@@ -507,22 +494,11 @@ def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
             if dmat is None:
                 z_new = entry.z
             else:
-                tgt_entry = entries[(s + cr, m + 1)]
-                keep = preimage(ring, dmat, tgt_entry.b) if dmat else []
-                z_new = mat_mul(ring, keep, entry.z) if keep else []
-                z_new = z_new + [list(r) for r in entry.b]
-            src_key = (s - cr, m - 1)
-            b_new = [list(r) for r in entry.b]
-            dmat_in = dmats.get(src_key)
-            if dmat_in:
-                b_new += [list(r) for r in dmat_in]
-            nxt[(s, m)] = (
-                normal_form(ring, z_new, entry.pres.ngens),
-                normal_form(ring, b_new, entry.pres.ngens),
-            )
-        for key, (z, b) in nxt.items():
-            entries[key].z = z
-            entries[key].b = b
+                keep = preimage(ring, dmat, entries[(s + cr, m + 1)].b) if dmat else []
+                z_new = (mat_mul(ring, keep, entry.z) if keep else []) + entry.b
+            b_new = entry.b + (dmats.get((s - cr, m - 1)) or [])
+            nxt[(s, m)] = SubQuot(ring, entry.ambient, normal_form(ring, z_new, entry.ambient), b_new)
+        entries = nxt
         e_current = {key: e.invariants() for key, e in entries.items()}
 
     e_inf = {(s + m, -s): inv for (s, m), inv in e_current.items() if not inv.is_trivial()}
@@ -547,15 +523,13 @@ def _verify_dd_zero(ring, entries, dmats, cr):
         if key3 not in entries:
             continue
         tgt, dbl = entries[key2], entries[key3]
-        dmat2 = dmats[key2]
-        bspan = normal_form(ring, [list(r) for r in dbl.b], dbl.pres.ngens)
         for row in dmat:
             if not any(row):
                 continue
-            coeff = solve(ring, tgt.z + tgt.b, row)
+            coeff = tgt.coords(row)
             assert coeff is not None, "differential image is not a target cycle"
-            img = mat_mul(ring, [coeff[: len(tgt.z)]], dmat2)[0]
-            assert member(ring, bspan, img), "d o d != 0 on a page"
+            img = mat_mul(ring, [coeff], dmats[key2])[0]
+            assert member(ring, dbl.b, img), "d o d != 0 on a page"
 
 
 def _diff_on_rows(ring, Hlev, entries, imap, jmap, kmap, s, m, cr, zrows):
@@ -574,23 +548,21 @@ def _diff_on_rows(ring, Hlev, entries, imap, jmap, kmap, s, m, cr, zrows):
             raise ValueError("transition fails to induce a homology map")
         comp = step if comp is None else mat_mul(ring, comp, step)
     jm = jmap(s + cr, m + 1)
-    Hsrc = Hlev[(s + cr, m + 1)]
     Htgt1 = Hlev[(s + 1, m + 1)]
-    rels = [list(r) for r in Htgt1.presentation().relations]
     kappas = mat_mul(ring, zrows, km) if km else [[0] * Htgt1.gen_count() for _ in zrows]
+    section = None
+    if comp is not None and Hlev[(s + cr, m + 1)].gen_count():
+        section = SubQuot(ring, Htgt1.gen_count(), comp, Htgt1.presentation().relations)
     for kappa in kappas:
         if comp is None:
             xx = kappa
+        elif section is None:
+            xx = []
         else:
-            if Hsrc.gen_count() == 0:
-                xx = []
-            else:
-                stacked = comp + rels
-                sol = solve(ring, stacked, kappa)
-                if sol is None:
-                    raise ValueError("exact-couple section failed on a cycle row")
-                xx = sol[: Hsrc.gen_count()]
-        out_rows.append(mat_mul(ring, [xx], jm)[0] if jm else [0] * tgt.pres.ngens)
+            xx = section.coords(kappa)
+            if xx is None:
+                raise ValueError("exact-couple section failed on a cycle row")
+        out_rows.append(mat_mul(ring, [xx], jm)[0] if jm else [0] * tgt.ambient)
     return out_rows
 
 

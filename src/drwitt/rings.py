@@ -310,6 +310,8 @@ def parse_poly(text, variables, K: GF, line_no=1, allow_fractional=False):
         if peek()[0] == "/":
             take("/")
             den = take("INT")[1]
+            if den == 0:
+                raise ParseError("exponent denominator is zero", line_no)
         val = Fraction(num, den)
         if den != 1 and not allow_fractional:
             raise ParseError("fractional exponents only allowed for perfections", line_no)

@@ -197,95 +197,55 @@ class IntegerMonomialAlgebra:
 class _GFCover:
     """Torsion-free cover of a char-p monomial algebra.
 
-    Coefficients are plain ints when f = 1 and unramified-lift tuples
-    (Zq) when f > 1; monomial exponents are untouched.  Division by p^k
-    is exact coefficientwise, with the universal laws guaranteeing the
+    Coefficients are unramified-lift tuples (Zq; 1-tuples when f = 1);
+    monomial exponents are untouched.  Division by p^k is exact
+    coefficientwise, with the universal laws guaranteeing the
     divisibility (asserted).
     """
 
     def __init__(self, algebra: MonomialAlgebra, precision):
         self.algebra = algebra
         self.K = algebra.K
-        self.f = algebra.spec.f
-        self.p = algebra.spec.p
-        self.W = Zq(self.p, self.f, precision) if self.f > 1 else None
-        self.q = self.p**precision
-
-    # coefficient helpers
-    def _cadd(self, a, b):
-        return (a + b) % self.q if self.f == 1 else self.W.add(a, b)
-
-    def _cmul(self, a, b):
-        return (a * b) % self.q if self.f == 1 else self.W.mul(a, b)
-
-    def _cscale(self, c, a):
-        return (c * a) % self.q if self.f == 1 else self.W.scal(c, a)
-
-    def _czero(self, a):
-        return a == 0 if self.f == 1 else not any(a)
-
-    def _cdiv(self, a, d):
-        if self.f == 1:
-            return self._int_div(a % self.q, d)
-        return tuple(self._int_div(x, d) for x in a)
-
-    def _int_div(self, x, d):
-        if x % d:
-            raise InexactDivision("cover coefficient not divisible")
-        return x // d
+        self.W = Zq(algebra.spec.p, algebra.spec.f, precision)
 
     def lift(self, el):
-        out = {}
-        for exps, code in el.items():
-            if self.f == 1:
-                out[exps] = code % self.p
-            else:
-                out[exps] = tuple(self.K._decode(code))
-        return out
+        return {exps: tuple(self.K._decode(code)) for exps, code in el.items()}
 
     def reduce(self, cov):
         out = {}
         for exps, c in cov.items():
-            code = (c % self.p) if self.f == 1 else self.W.reduce_residue(c)
+            code = self.W.reduce_residue(c)
             if code:
                 out[exps] = code
         return self.algebra.reduce(out)
 
     # element ops
+    def _accumulate(self, out, k, c):
+        s = self.W.add(out.get(k, self.W.zero()), c)
+        if any(s):
+            out[k] = s
+        else:
+            out.pop(k, None)
+
     def add(self, a, b):
         out = dict(a)
         for k, c in b.items():
-            s = self._cadd(out.get(k, self._zero_c()), c)
-            if self._czero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
+            self._accumulate(out, k, c)
         return out
-
-    def _zero_c(self):
-        return 0 if self.f == 1 else (0,) * self.f
 
     def neg(self, a):
         return self.scale_int(-1, a)
 
     def scale_int(self, c, a):
-        out = {}
-        for k, v in a.items():
-            s = self._cscale(c, v)
-            if not self._czero(s):
-                out[k] = s
-        return out
+        out = {k: self.W.scal(c, v) for k, v in a.items()}
+        return {k: v for k, v in out.items() if any(v)}
 
     def mul(self, a, b):
         out = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
                 k = tuple(wkey(Fraction(x) + Fraction(y)) for x, y in zip(k1, k2))
-                s = self._cadd(out.get(k, self._zero_c()), self._cmul(c1, c2))
-                if self._czero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                self._accumulate(out, k, self.W.mul(c1, c2))
         return out
 
     def power(self, a, n):
@@ -301,7 +261,9 @@ class _GFCover:
         return result
 
     def divexact(self, a, d):
-        return {k: self._cdiv(c, d) for k, c in a.items()}
+        if any(x % d for c in a.values() for x in c):
+            raise InexactDivision("cover coefficient not divisible")
+        return {k: tuple(x // d for x in c) for k, c in a.items()}
 
 
 def _cover_for(algebra, length):

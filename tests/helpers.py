@@ -2,14 +2,16 @@
 a reference Howell form to test the kernel against, the weight-keyed
 orbit walk to test the numerator-keyed one against, the quotient
 presentations that rings.MonomialAlgebra.component replaced, the
-unrescaled eta_p decalage, the hand-assembled syntomic certificate and
+relative forms that RelativeCartier built apart from it, the unrescaled
+eta_p decalage, the hand-assembled syntomic certificate and
 graded cohomology that synlog replaced, the orbit walk that built both
 fiber schemes for every orbit, and the orbit-class key that read the
 rescaled lift."""
 
 from fractions import Fraction
+from itertools import combinations
 
-from drwitt.derham import DeRhamComplex
+from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import LiftComplex, SaturatedModel
 from drwitt.errors import PrecisionExhausted
 from drwitt.exactcore import (
@@ -27,7 +29,7 @@ from drwitt.exactcore import (
     solve,
 )
 from drwitt.filtspec import FilteredComplex
-from drwitt.rings import MonomialAlgebra, p_split, sign_insert, weight_window, wkey
+from drwitt.rings import MonomialAlgebra, exponents, p_split, sign_insert, weight_window, wkey
 from drwitt.synlog import NygaardModel, _FiberBlock, weight_orbits
 
 
@@ -395,6 +397,34 @@ def reference_component(self: DeRhamComplex, i, w):
         pivots[col] = hrow
     basis = [k for k in range(len(raw)) if k not in pivots]
     return raw, basis, pivots
+
+
+def reference_relative_forms(self: RelativeCartier, i, u, v):
+    """Relative monomial i-forms with A-weight u and relative weight v,
+    enumerated as RelativeCartier.forms did before it filtered
+    MonomialAlgebra.forms: A- and B-monomials built apart and interleaved."""
+    spec = self.spec
+    b_idx = tuple(j for j in range(spec.nvars) if j not in self.a_idx)
+
+    def monos(idxs, target):
+        """Exponents on the variables idxs of total weight target."""
+        if target < 0 and not spec.is_laurent:
+            return []
+        return exponents([spec.weights[j] for j in idxs], target)
+
+    out = []
+    amonos = monos(self.a_idx, u)
+    for J in combinations(b_idx, i):
+        wJ = sum(spec.weights[j] for j in J)
+        for mb in monos(b_idx, v - wJ):
+            for ma in amonos:
+                exps = [0] * spec.nvars
+                for j, e in zip(self.a_idx, ma):
+                    exps[j] = e
+                for j, e in zip(b_idx, mb):
+                    exps[j] = e
+                out.append((tuple(exps), J))
+    return out
 
 
 # The unrescaled decalage eta_p of the lifted de Rham complex: a second,

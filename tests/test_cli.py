@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import drwitt
-from drwitt.cli import _wkey_str, main
+from drwitt.cli import _wkey_str, load_filtered_complex, main
 from drwitt.dieudonne import saturate, strict_truncate
-from drwitt.errors import ParseError
+from drwitt.errors import DrwittError, ParseError
+from drwitt.filtspec import spectral_sequence
 from drwitt.rings import PRIME_BOUND, parse_ringspec
 from drwitt.synlog import syntomic
 
@@ -321,7 +322,15 @@ def bad_inputs(tmp_path):
         "missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff",
         "reversed", "straydiff", "straymap", "zmodp1", "zmodp4", "zmodhuge", "relmap", "nochain",
     )
-    return {name: str(tmp_path / f"{name}.json") for name in names}
+    paths = {name: str(tmp_path / f"{name}.json") for name in names}
+    # ring files: an exponent with denominator zero, and a perfection to feed one to
+    for name, text in {
+        "zeroden": "p = 2\nkind = quotient\nvars = x:1, y:1\nrels = x^(1/0) - y\n",
+        "perf1": "p = 2\nkind = perfection of poly\nvars = x:1\n",
+    }.items():
+        (tmp_path / f"{name}.ring").write_text(text)
+        paths[name] = str(tmp_path / f"{name}.ring")
+    return paths
 
 
 @pytest.mark.parametrize(
@@ -358,6 +367,8 @@ def bad_inputs(tmp_path):
         ["syntomic", "--ring", "{perf2}", "--twist", "1", "--modp", "1"],
         ["derham", "table", "--ring", "{perf2}"],
         ["witt", "ghost", "a,b", "--p", "2"],
+        ["drw", "table", "--ring", "{zeroden}"],
+        ["witt", "add", "x", "x^1/0", "--len", "1", "--ring", "{perf1}"],
     ],
     ids=[
         "syntomic-modp-0",
@@ -391,6 +402,8 @@ def bad_inputs(tmp_path):
         "syntomic-perfection-two-vars",
         "derham-perfection-two-vars",
         "witt-ghost-non-integer",
+        "ring-zero-exponent-denominator",
+        "witt-zero-exponent-denominator",
     ],
 )
 def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
@@ -606,6 +619,12 @@ def test_fuzzed_specseq_documents_exit_cleanly(tmp_path_factory, doc):
         code = main(["specseq", "run", "--input", str(f), "--json"])
     assert code in (0, 1, 2)
     assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()
+    # a document that loads also passes the d_r o d_r = 0 check on every page
+    try:
+        F = load_filtered_complex(doc)
+    except DrwittError:
+        return
+    spectral_sequence(F, verify=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """De Rham complexes, cohomology, inverse Cartier maps, smoothness checks."""
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from drwitt.derham import (
 from drwitt.errors import NonQuasiHomogeneous, UnsupportedKind
 from drwitt.exactcore import InvariantFactors
 from drwitt.rings import parse_ringspec
+
+from helpers import reference_relative_forms
 
 
 def spec(text):
@@ -251,6 +254,24 @@ def test_relative_dimensions_from_ranks_match_the_subquotient():
             for i in range(4):
                 H = rc.cohomology_subquot(i, u, v)
                 assert rc.h_dim(i, u, v) * s.f == len(H.invariants().torsion), (s, i, u, v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_relative_forms_match_the_separate_enumeration(p):
+    # the filter on MonomialAlgebra.forms against A- and B-monomials built apart
+    cells = 0
+    for f in (1, 2):
+        for kind, vars_ in (("poly", "x:1,y:1"), ("poly", "x:1,y:2,z:1"), ("laurent", "x:1")):
+            s = spec(f"p={p}\nkind={kind}\nvars={vars_}\nf={f}")
+            for k in range(s.nvars + 1):
+                for a_vars in itertools.combinations(s.variables, k):
+                    rc = RelativeCartier(s, a_vars, s.nvars + 1, 4)
+                    for u, v in rc.bigrades():
+                        for i in range(s.nvars + 2):
+                            want = reference_relative_forms(rc, i, u, v)
+                            assert sorted(rc.forms(i, u, v)) == sorted(want), (s, a_vars, i, u, v)
+                            cells += bool(want)
+    assert cells > 100
 
 
 @pytest.mark.parametrize("verb", [["derham", "table"], ["cartier-check"]])

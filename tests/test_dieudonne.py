@@ -331,6 +331,31 @@ def test_strict_poly_weight_structure():
     assert lvl.invariants(0, 0) == InvariantFactors((8,))  # constants W_3(F_2)
 
 
+def test_repeated_invariants_build_one_group_and_normalize_once(monkeypatch):
+    import drwitt.dieudonne as dieudonne
+    import drwitt.exactcore.modules as modules
+
+    level = strict_truncate(saturate(F3X, 2, 1), 2)
+    u = Fraction(1, 3)
+    rels = level._relations(1, level.model.num(u))  # also builds the lattices and V
+    built, normalized = [], []
+    sub, nf = dieudonne.SubQuot, modules.normal_form
+
+    def counting_subquot(*args):
+        built.append(args)
+        return sub(*args)
+
+    def counting_nf(ring, rows, ncols):
+        normalized.append(rows)
+        return nf(ring, rows, ncols)
+
+    monkeypatch.setattr(dieudonne, "SubQuot", counting_subquot)
+    monkeypatch.setattr(modules, "normal_form", counting_nf)
+    assert [level.invariants(1, u) for _ in range(4)] == [InvariantFactors((3,))] * 4
+    assert len(built) == 1
+    assert normalized.count(rels) == 1 and rels != nf(level.ring, rels, 1)
+
+
 def test_restriction_surjective_with_v_kernel():
     m = saturate(F2X, 3, 1)
     l2 = strict_truncate(m, 2)

@@ -1,16 +1,20 @@
 """Witt vector laws, structure maps, and their ghost-component oracles."""
 
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drwitt.errors import DepthCap, LengthUnderflow, TorsionCoefficients
+from drwitt.errors import DepthCap, InexactDivision, LengthUnderflow, TorsionCoefficients
 from drwitt.exactcore import Zq
 from drwitt.rings import MonomialAlgebra, parse_ringspec
 from drwitt.witt import (
     IntegerMonomialAlgebra,
     WittRing,
+    _cover_for,
     frobenius,
     ghost,
     restriction,
@@ -79,6 +83,79 @@ def test_law_ghost_compatibility_by_integer_evaluation():
                 assert gs == gx + gy
                 assert gm == gx * gy
                 assert gn == -gx
+
+
+LAW_RINGS = {
+    "finite_field": "kind=finite_field",
+    "poly": "kind=poly\nvars=x:1",
+    "quotient": "kind=quotient\nvars=x:2,y:3\nrels=y^2-x^3",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def law_algebra(p, f, kind):
+    A = alg(f"p={p}\nf={f}\n{LAW_RINGS[kind]}")
+    return A, [m for w in range(3) for m in A.monomials(w)]
+
+
+def law_value(A, poly, args):
+    """The integer polynomial poly, its coefficients read mod p, at the ring elements args."""
+    powers = {}
+
+    def power(k, e):
+        if (k, e) not in powers:
+            powers[(k, e)] = args[k] if e == 1 else A.mul(power(k, e // 2), power(k, e - e // 2))
+        return powers[(k, e)]
+
+    total = A.zero()
+    for exps, c in poly.items():
+        term = A.constant(c % A.spec.p)
+        for k, e in enumerate(exps):
+            if e and term:
+                term = A.mul(term, power(k, e))
+        total = A.add(total, term)
+    return total
+
+
+@st.composite
+def law_cases(draw):
+    p, f = draw(st.sampled_from([2, 3])), draw(st.integers(1, 2))
+    A, monos = law_algebra(p, f, draw(st.sampled_from(sorted(LAW_RINGS))))
+    length = draw(st.integers(1, 3))
+
+    def element():
+        terms = draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(0, A.K.q - 1)), max_size=2))
+        out = A.zero()
+        for m, c in terms:
+            out = A.add(out, A.scal(c, {m: 1}))
+        return out
+
+    W = WittRing(A, length)
+    return p, W(tuple(element() for _ in range(length))), W(tuple(element() for _ in range(length)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=law_cases())
+def test_witt_operations_match_the_universal_laws(case):
+    # the lift-and-solve arithmetic against S, P and N read mod p in the ring
+    p, a, b = case
+    A, n = a.ring.algebra, a.ring.length
+    law = synthesize_law(p, n - 1)
+    xs, ys = list(a.components), list(b.components)
+    for op, polys, args in (
+        (witt_add(a, b), law.sum_polys, xs + ys),
+        (witt_mul(a, b), law.prod_polys, xs + ys),
+        (witt_neg(a), law.neg_polys, xs + [A.zero()] * n),
+    ):
+        assert list(op.components) == [law_value(A, poly, args) for poly in polys]
+
+
+def test_cover_division_checks_divisibility():
+    # the universal laws make every division exact, so only a direct call reaches the check
+    cover = _cover_for(alg("p=3\nkind=finite_field\nf=2"), 3)
+    assert cover.divexact({(): (3, 6)}, 3) == {(): (1, 2)}
+    with pytest.raises(InexactDivision):
+        cover.divexact({(): (3, 1)}, 3)
 
 
 def test_depth_cap():
