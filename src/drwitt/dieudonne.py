@@ -182,6 +182,52 @@ def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
 # ---------------------------------------------------------------------------
 # saturation
 
+def weight_class(spec: RingSpec, u):
+    """Class key of weight u: weights with one key have isomorphic per-weight pieces.
+
+    For one variable of weight m, write e = u/m.  The key is "none" when
+    no monomial has exponent e (its denominator is not a power of p, or
+    e < 0 on a ring that is not Laurent), "zero" when e = 0, and v_p(e)
+    otherwise, without the sign of e.  A ring without variables has
+    "zero" at weight 0 and "none" elsewhere; any other spec has a class
+    of its own per weight.
+
+    Soundness, by the rescaling of synlog._orbit_fibers: a model at
+    numerator a = u p^s_star reads the lift at a p^k, k >= 0, which has
+    one monomial form per degree <= top, or none, as the key says.  d on
+    it is its exponent e p^(s_star + k), and F is x^e -> x^(p e) tensored
+    with sigma.  Dividing the slots at a p^k by the prime-to-p part of a
+    (an integer unit, so it commutes with F, V and sigma) carries the
+    lattices, V, strict relations and Nygaard blocks of one weight onto
+    those of any other weight of its class, so every invariant read off
+    them is a function of the key.  Matrices in lattice coordinates, such
+    as d and F, are not, and stay per weight.  The de Rham side of
+    synlog.nygaard_graded_check at weight e m is x^e -> e x^(e-1) dx over
+    GF(p^f), or nothing (a perfection reads H^0 off the same monomial),
+    so it too depends only on the key.
+    """
+    u = Fraction(u)
+    if not spec.nvars:
+        return "zero" if u == 0 else "none"
+    if spec.nvars > 1 or spec.kind == "quotient":
+        return ("weight", u)
+    e = u / spec.weights[0]
+    if e == 0:
+        return "zero"
+    v, rest = p_split(e.denominator, spec.p)
+    if rest != 1 or (e < 0 and not spec.is_laurent):
+        return "none"
+    return p_split(e.numerator, spec.p)[0] - v
+
+
+def class_representatives(spec: RingSpec, weights):
+    """The first of `weights` in each weight_class, in order."""
+    reps = {}
+    for u in weights:
+        reps.setdefault(weight_class(spec, u), u)
+    return list(reps.values())
+
+
 class SaturatedModel:
     """The saturated de Rham-Witt complex of a curated ring, per weight.
 
@@ -424,6 +470,7 @@ class StrictLevel:
         self.r = r
         self.p = model.p
         self.ring = model.ring
+        self.memo = {}  # (degree, weight class) -> invariants
 
     def weights(self, weight_cap):
         return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
@@ -466,7 +513,11 @@ class StrictLevel:
         return SubQuot(self.ring, k, identity(k), self._relations(n, a))
 
     def invariants(self, n, u) -> InvariantFactors:
-        return self.group(n, u).invariants()
+        """Invariants of the first weight seen in the class of (n, u); `group` raises past the cap."""
+        key = n, weight_class(self.model.spec, u)
+        if key not in self.memo or self.model.num(u) is None:
+            self.memo[key] = self.group(n, u).invariants()
+        return self.memo[key]
 
     def d_map(self, n, u):
         a = self.model.num(u)

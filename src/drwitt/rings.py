@@ -600,7 +600,9 @@ class MonomialAlgebra:
                         for form, e in [(prod, 1)] if k == n else self.d_form(prod):
                             row[idx[form]] = K.add(row[idx[form]], K.mul(c, e % p))
                     rows.append(row)
-        pivots = {next(k for k, x in enumerate(h) if x): h for h in gf_rref(K, rows, len(raw))}
+        # rows over GF(p) have the same RREF over GF(p) as over GF(p^f)
+        field = GF(p) if all(x < p for row in rows for x in row) else K
+        pivots = {next(k for k, x in enumerate(h) if x): h for h in gf_rref(field, rows, len(raw))}
         return raw, [k for k in range(len(raw)) if k not in pivots], pivots
 
     def reduce_form_vector(self, n, w, vec):

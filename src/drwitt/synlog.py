@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .derham import DeRhamComplex, derham_cohomology
-from .dieudonne import GUARD, SaturatedModel, saturate, strict_truncate
+from .dieudonne import GUARD, SaturatedModel, class_representatives, saturate, strict_truncate, weight_class
 from .errors import InexactDivision
 from .exactcore import (
     FinComplex,
@@ -47,7 +47,7 @@ from .exactcore import (
     normal_form,
     span_order,
 )
-from .rings import RingSpec, memo, p_split, weight_window
+from .rings import RingSpec, memo, weight_window
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +323,16 @@ def _direct_sum(factors):
 
 
 def _orbit_class(model: SaturatedModel, orbit):
-    """Class key of an orbit: its valuation profile, or None for a class of its own.
+    """Class key of an orbit: (weight class of its bottom, length), or None for a class of its own.
 
-    The profile (v_p of the bottom, orbit length) fixes the valuations of
-    the chain a/p, a, ..., p^2 b that the orbit's blocks read (see
-    _orbit_fibers).  Only one-variable lifts have classes; the zero orbit,
-    and an orbit whose bottom is prime to p (so that a/p is not a
-    numerator), are their own.
+    The key fixes the valuations of the chain a/p, a, ..., p^2 b that the
+    orbit's blocks read (see _orbit_fibers).  The zero orbit, and an orbit
+    whose bottom is prime to p (so that a/p is not a numerator), are their
+    own; a spec without one variable has classes of one weight each.
     """
-    p = model.p
-    if model.spec.nvars != 1 or orbit[0] == 0 or orbit[0] % p:
+    if orbit[0] == 0 or orbit[0] % model.p:
         return None
-    return p_split(orbit[0], p)[0], len(orbit)
+    return weight_class(model.spec, Fraction(orbit[0], model.P)), len(orbit)
 
 
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
@@ -355,18 +353,19 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
     so degree 1 too), hence every rank is f; d on it is its exponent w/m,
     so d u(w)^-1 = p^(v_p(w) - v)/m' for the prime-to-p part u(w) of w;
     and F is x^e -> x^(p e) tensored with sigma on the coefficient
-    digits.  The chain's valuations are v_p(a) - 1, v_p(a), ..., so the
-    key (v_p(a), orbit length) fixes every rank, d u(w)^-1 and F the
-    blocks read.  Dividing each degree-0 slot at w by u(w) thus relates
-    the lift complexes of two orbits with equal keys by a diagonal
-    rescaling (u(p w) = u(w) keeps F as it is), and it carries the
-    lattices (Howell bases p^k I, which a unit rescaling fixes), the
+    digits.  The key (weight class of a, orbit length) fixes the chain's
+    valuations v_p(a) - 1, v_p(a), ..., hence every rank, d u(w)^-1 and F
+    the blocks read.  Dividing each degree-0 slot at w by u(w) thus
+    relates the lift complexes of two orbits with equal keys by a
+    diagonal rescaling (u(p w) = u(w) keeps F as it is), and it carries
+    the lattices (Howell bases p^k I, which a unit rescaling fixes), the
     Nygaard blocks and the fiber complex of one onto the other.  It is one
     unit per orbit on the parameter and W slots alike, so it keeps the
     identity part of each certificate block, and the Neumann series keeps
     its length.  This holds at the finite precisions R and B: each
     u(w) is prime to p, hence invertible mod p^B and mod p^R, and it is an
     integer, hence fixed by sigma, so the rescaling commutes with F and V.
+    At one weight it gives dieudonne.weight_class.
 
     The first orbit of a class is its representative and runs in full:
     lattices, stage certificates, complexes and homology.  Every later
@@ -614,20 +613,16 @@ def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
 # Nygaard graded pieces versus the truncated de Rham complex
 
 def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
-    """gr^i_N with phi/p^i mod p against tau^{<=i} Omega, weight by weight."""
+    """gr^i_N with phi/p^i mod p against tau^{<=i} Omega, once per weight class.
+
+    Both sides at v depend only on weight_class(spec, v) (see there).
+    """
     model = saturate(spec, 1, max(i + 1, 1))
     N = NygaardModel(model, i)
-    ring = model.ring
     p = spec.p
-    omega = (
-        None
-        if spec.is_perfection
-        else DeRhamComplex(spec, min(i + 1, (spec.nvars or 0) + 1), Fraction(weight_cap) * p)
-    )
-    for v in weight_window(weight_cap, p, spec.is_laurent):
-        got = _graded_cohomology(N, model.num(v))
-        want = _tau_cohomology(spec, omega, i, v * p)
-        if got != want:
+    omega = None if spec.is_perfection else DeRhamComplex(spec, min(i + 1, spec.nvars + 1), Fraction(weight_cap) * p)
+    for v in class_representatives(spec, weight_window(weight_cap, p, spec.is_laurent)):
+        if _graded_cohomology(N, model.num(v)) != _tau_cohomology(spec, omega, i, v * p):
             return False
     return True
 
@@ -681,12 +676,14 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
     the deepest one, p^(i_cap-1-n) V W; V carries no p-divisibility at
     fractional weights, so the certified containment is
         intersection  <=  p^(max(0, i_cap - GUARD - n)) W
-    per degree and weight (documented per-degree exponent).
+    per degree and weight (documented per-degree exponent), once per
+    weight_class: a weight reads only V into it.
     """
     model = saturate(spec, 2, i_cap)
     ring = model.ring
     p = spec.p
-    for a in _weight_support(model, weight_cap, 1):
+    for u in class_representatives(spec, [Fraction(a, model.P) for a in _weight_support(model, weight_cap, 1)]):
+        a = model.num(u)
         for n in range(0, model.top + 1):
             k = model.rank_at(n, a)
             if not k or i_cap <= n:

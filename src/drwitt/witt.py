@@ -17,7 +17,6 @@ evaluated route does the day-to-day arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -244,7 +243,7 @@ class _GFCover:
         out = {}
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                k = tuple(wkey(Fraction(x) + Fraction(y)) for x, y in zip(k1, k2))
+                k = tuple(wkey(x + y) for x, y in zip(k1, k2))
                 self._accumulate(out, k, self.W.mul(c1, c2))
         return out
 

@@ -5,14 +5,15 @@ presentations that rings.MonomialAlgebra.component replaced, the
 relative forms that RelativeCartier built apart from it, the unrescaled
 eta_p decalage, the hand-assembled syntomic certificate and
 graded cohomology that synlog replaced, the orbit walk that built both
-fiber schemes for every orbit, and the orbit-class key that read the
-rescaled lift."""
+fiber schemes for every orbit, the orbit-class key that read the
+rescaled lift, and the per-weight strict groups and Nygaard checks that
+the weight classes replaced."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
-from drwitt.dieudonne import LiftComplex, SaturatedModel
+from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
 from drwitt.errors import PrecisionExhausted
 from drwitt.exactcore import (
     FinComplex,
@@ -24,13 +25,14 @@ from drwitt.exactcore import (
     identity,
     kernel,
     mat_mul,
+    member,
     normal_form,
     preimage,
     solve,
 )
 from drwitt.filtspec import FilteredComplex
-from drwitt.rings import MonomialAlgebra, exponents, p_split, sign_insert, weight_window, wkey
-from drwitt.synlog import NygaardModel, _FiberBlock, weight_orbits
+from drwitt.rings import MonomialAlgebra, exponents, p_split, parse_ringspec, sign_insert, weight_window, wkey
+from drwitt.synlog import NygaardModel, _FiberBlock, _tau_cohomology, _weight_support, weight_orbits
 
 
 def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
@@ -642,3 +644,66 @@ def reference_orbit_class(model: SaturatedModel, orbit):
         F = [tuple(row) for n in degrees for row in lift.f_matrix(n, w)] if t + 1 < len(chain) else []
         key.append((v, tuple(lift.rank(n, w) for n in degrees), tuple(d), tuple(F)))
     return tuple(key)
+
+
+# The per-weight paths that the weight classes of dieudonne.weight_class
+# replaced: every weight builds its own strict group, and the Nygaard
+# checks compute both sides at every weight of the window.  The class
+# paths must agree with them weight by weight on the one-variable kinds
+# below ("{p}" is the prime, "{q}" is p + 1), at f = 1 and f = 2.
+WEIGHT_CLASS_KINDS = (
+    "kind=poly\nvars=x:1",
+    "kind=laurent\nvars=x:1",
+    "kind=perfection of poly\nvars=x:1",
+    "kind=perfection of laurent\nvars=x:1",
+    "kind=poly\nvars=x:{p}",
+    "kind=poly\nvars=x:{q}",
+    "kind=laurent\nvars=x:{p}",
+    "kind=finite_field",
+)
+
+
+def weight_class_specs(p):
+    return [
+        parse_ringspec(f"p={p}\nf={f}\n" + kind.format(p=p, q=p + 1)) for f in (1, 2) for kind in WEIGHT_CLASS_KINDS
+    ]
+
+
+def reference_strict_invariants(level: StrictLevel, n, u):
+    """Invariants of the degree-n strict group at weight u, from that weight's own group."""
+    return level.group(n, u).invariants()
+
+
+def reference_nygaard_graded_check(spec, i, weight_cap):
+    """{v: (gr^i_N cohomology, tau^{<=i} de Rham cohomology)} at every weight v of the window.
+
+    The check passes when the two sides agree at every weight.
+    """
+    model = saturate(spec, 1, max(i + 1, 1))
+    N = NygaardModel(model, i)
+    p = spec.p
+    omega = None if spec.is_perfection else DeRhamComplex(spec, min(i + 1, spec.nvars + 1), Fraction(weight_cap) * p)
+    return {
+        v: (reference_graded_cohomology(N, model.num(v)), _tau_cohomology(spec, omega, i, v * p))
+        for v in weight_window(weight_cap, p, spec.is_laurent)
+    }
+
+
+def reference_nygaard_completeness_check(spec, i_cap, weight_cap):
+    """{(n, weight): containment holds} at every supported weight and degree.
+
+    The check passes when the containment holds in every cell.
+    """
+    model = saturate(spec, 2, i_cap)
+    ring, p = model.ring, spec.p
+    out = {}
+    for a in _weight_support(model, weight_cap, 1):
+        for n in range(0, model.top + 1):
+            k = model.rank_at(n, a)
+            if not k or i_cap <= n:
+                continue
+            c = p ** (i_cap - 1 - n)
+            target = normal_form(ring, identity(k, p ** max(0, i_cap - GUARD - n)), k)
+            deepest = [[(c * x) % ring.q for x in row] for row in model.versch_at(n, a * p)]
+            out[(n, Fraction(a, model.P))] = all(member(ring, target, row) for row in deepest)
+    return out

@@ -660,3 +660,56 @@ def test_fuzzed_derham_flags_exit_cleanly(tmp_path_factory, verb, kind, p, f, ma
         code = main(argv)
     assert code in (0, 1, 2)
     assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed strict-level and Nygaard flags: every weight-class path exits cleanly
+
+CLASS_KINDS = {
+    **DERHAM_KINDS,
+    "poly1": "kind = poly\nvars = x:1",
+    "poly_p": "kind = poly\nvars = x:{p}",
+    "poly_q": "kind = poly\nvars = x:{q}",
+    "laurent_p": "kind = laurent\nvars = x:{p}",
+    "perfection_laurent": "kind = perfection of laurent\nvars = x:1",
+}
+
+
+def _run_fuzzed(tmp_path_factory, kind, p, f, argv):
+    ring = tmp_path_factory.mktemp("classes") / "r.ring"
+    ring.write_text(f"p = {p}\nf = {f}\n{CLASS_KINDS[kind].format(p=p, q=p + 1)}\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--ring", str(ring), "--json"])
+    assert code in (0, 1, 2)
+    assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CLASS_KINDS)),
+    p=st.sampled_from([2, 3]),
+    f=st.integers(1, 2),
+    level=st.integers(-1, 3),
+    maxdeg=st.integers(-1, 3),
+    cap=st.integers(-1, 3),
+    operators=st.booleans(),
+)
+@example(kind="poly_q", p=2, f=1, level=3, maxdeg=1, cap=3, operators=True)
+def test_fuzzed_drw_table_flags_exit_cleanly(tmp_path_factory, kind, p, f, level, maxdeg, cap, operators):
+    argv = ["drw", "table", "--level", str(level), "--maxdeg", str(maxdeg), "--weight-cap", str(cap)]
+    _run_fuzzed(tmp_path_factory, kind, p, f, argv + ["--operators"] * operators)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    which=st.sampled_from(["nygaard-graded", "nygaard-complete"]),
+    kind=st.sampled_from(sorted(CLASS_KINDS)),
+    p=st.sampled_from([2, 3]),
+    f=st.integers(1, 2),
+    twist=st.integers(-1, 4),
+    cap=st.integers(-1, 4),
+)
+@example(which="nygaard-graded", kind="poly_q", p=2, f=1, twist=2, cap=4)
+def test_fuzzed_nygaard_check_flags_exit_cleanly(tmp_path_factory, which, kind, p, f, twist, cap):
+    _run_fuzzed(tmp_path_factory, kind, p, f, ["check", which, "--twist", str(twist), "--weight-cap", str(cap)])

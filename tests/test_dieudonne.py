@@ -15,12 +15,13 @@ from drwitt.dieudonne import (
     perfection_consistency_check,
     saturate,
     strict_truncate,
+    weight_class,
 )
-from drwitt.errors import UnsupportedKind
+from drwitt.errors import PrecisionExhausted, UnsupportedKind
 from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul, solve
 from drwitt.rings import parse_ringspec, wkey
 
-from helpers import eta_p_lattice
+from helpers import eta_p_lattice, reference_strict_invariants, weight_class_specs
 
 
 def spec(text):
@@ -354,6 +355,38 @@ def test_repeated_invariants_build_one_group_and_normalize_once(monkeypatch):
     assert [level.invariants(1, u) for _ in range(4)] == [InvariantFactors((3,))] * 4
     assert len(built) == 1
     assert normalized.count(rels) == 1 and rels != nf(level.ring, rels, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_strict_invariants_match_the_per_weight_groups(p):
+    # each weight reads its class representative's invariants; the
+    # reference builds every weight's own group.  One group per class is built
+    for s in weight_class_specs(p):
+        for r in (1, 2, 3):
+            model = saturate(s, r, 1)
+            level, ref = strict_truncate(model, r), strict_truncate(model, r)
+            cells = [(n, u) for u in level.weights(4) for n in range(model.top + 1)]
+            for n, u in cells:
+                assert level.invariants(n, u) == reference_strict_invariants(ref, n, u), (s, r, n, u)
+            assert len(level.__dict__["_memo_group"]) == len({(n, weight_class(s, u)) for n, u in cells})
+
+
+def test_weight_class_keys():
+    x3 = spec("p=2\nkind=poly\nvars=x:3")
+    lau = spec("p=3\nkind=laurent\nvars=x:3")
+    assert [weight_class(x3, u) for u in (0, 1, 3, 6, -3, Fraction(3, 2))] == ["zero", "none", 0, 1, "none", -1]
+    # no sign: x^-3 and x^3 share a class on a Laurent ring
+    assert [weight_class(lau, u) for u in (-9, 9, Fraction(1, 3), 2)] == [1, 1, -2, -1]
+    assert [weight_class(F4, u) for u in (0, 1, Fraction(1, 2))] == ["zero", "none", "none"]
+    assert weight_class(PERF2, Fraction(-1, 4)) == "none"
+
+
+def test_invariants_past_the_denominator_cap_raise_after_their_class_is_seen():
+    # x^(1/3) and x^(1/9) are both "none", but weight 1/3 has no numerator
+    level = strict_truncate(saturate(spec("p=2\nkind=poly\nvars=x:3"), 2, 1), 2)
+    assert level.invariants(0, 1).is_trivial()
+    with pytest.raises(PrecisionExhausted):
+        level.invariants(0, Fraction(1, 3))
 
 
 def test_restriction_surjective_with_v_kernel():

@@ -1,5 +1,6 @@
 """The forms layer in drwitt.rings: d, the Frobenius image and quotient presentations of monomial forms."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,3 +88,36 @@ def test_d_form_and_frobenius_form_examples():
     assert A.d_form(((1, 1), (0,))) == [(((1, 0), (0, 1)), -1)]
     # F(x y^2 dy) = x^3 y^6 y^2 dy
     assert A.frobenius_form(((1, 2), (1,))) == ((3, 8), (1,))
+
+
+def _component_fields(text, monkeypatch):
+    """Fields `component` row-reduced over, each checked against the GF(p^f) digit path."""
+    import drwitt.rings as rings
+    from drwitt.exactcore import gf_rref
+
+    A = MonomialAlgebra(parse_ringspec(text))
+    fields = []
+
+    def checking(K, rows, ncols):
+        fields.append(K.f)
+        got = gf_rref(K, rows, ncols)
+        assert got == gf_rref(A.K, rows, ncols)
+        return got
+
+    monkeypatch.setattr(rings, "gf_rref", checking)
+    for n in range(3):
+        for w in range(7):
+            A.component(n, w)
+    return set(fields)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("rels", ["vars=x:2, y:3\nrels=y^2 - x^3", "vars=x:1, y:1, z:1\nrels=x*y - z^2"])
+def test_component_reduces_gf_p_relations_over_gf_p(p, rels, monkeypatch):
+    # at f = 2 the relation rows of an integer relation lie in GF(p), where
+    # the RREF is the one of the digit path
+    assert _component_fields(f"p={p}\nf=2\nkind=quotient\n{rels}", monkeypatch) == {1}
+
+
+def test_component_keeps_the_digit_path_for_a_field_generator(monkeypatch):
+    assert 2 in _component_fields("p=3\nf=2\nkind=quotient\nvars=x:2, y:3\nrels=y^2 - t*x^3", monkeypatch)

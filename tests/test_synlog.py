@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate
+from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate, weight_class
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
 from drwitt.synlog import (
@@ -24,9 +24,12 @@ from drwitt.synlog import (
 from helpers import (
     reference_certify_block_invertible,
     reference_graded_cohomology,
+    reference_nygaard_completeness_check,
+    reference_nygaard_graded_check,
     reference_orbit_class,
     reference_orbit_fibers,
     reference_weight_orbits,
+    weight_class_specs,
 )
 
 
@@ -604,3 +607,31 @@ def test_nygaard_inclusion_columns_are_v_images():
         for row in inc:
             img = mat_mul(m.ring, [row], F)[0]
             assert all(x % 2 == 0 for x in img)  # F(V x) = p x
+
+
+# ---------------------------------------------------------------------------
+# Nygaard checks once per weight class
+
+def _assert_class_functions(cells, key):
+    """Every cell's value is the value of the first cell with its key."""
+    reps = {}
+    for cell, value in cells.items():
+        assert reps.setdefault(key(cell), value) == value, cell
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nygaard_graded_sides_are_functions_of_the_weight_class(p):
+    for s in weight_class_specs(p):
+        for i in (0, 1, 2):
+            sides = reference_nygaard_graded_check(s, i, 6)
+            _assert_class_functions(sides, lambda v: weight_class(s, v))
+            assert nygaard_graded_check(s, i, 6) == all(got == want for got, want in sides.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nygaard_completeness_cells_are_functions_of_the_weight_class(p):
+    for s in weight_class_specs(p):
+        for i_cap in (2, 4):
+            cells = reference_nygaard_completeness_check(s, i_cap, 4)
+            _assert_class_functions(cells, lambda cell: (cell[0], weight_class(s, cell[1])))
+            assert nygaard_completeness_check(s, i_cap, 4) == all(cells.values())

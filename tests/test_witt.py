@@ -432,3 +432,23 @@ def test_witt_to_unramified_is_ring_iso_with_frobenius():
             assert tuple(x % p ** (r - 1) for x in fa) == tuple(
                 x % p ** (r - 1) for x in sa
             )
+
+
+def test_cover_product_keys_skip_the_fraction_round_trip():
+    # exponent keys are wkeys (int or Fraction); adding them directly gives
+    # the key that adding their Fraction copies gave, type included
+    from fractions import Fraction
+
+    from drwitt.rings import wkey
+
+    keys = [0, 1, -2, 5, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(5, 4), Fraction(-7, 9)]
+    for x, y in itertools.product(keys, repeat=2):
+        old = wkey(Fraction(x) + Fraction(y))
+        assert (type(wkey(x + y)), wkey(x + y)) == (type(old), old), (x, y)
+    # sums that become integers come back as ints
+    assert type(wkey(Fraction(1, 2) + Fraction(1, 2))) is int and type(wkey(Fraction(3, 4) + Fraction(5, 4))) is int
+    # and the cover multiplies perfection monomials with those keys
+    A = MonomialAlgebra(parse_ringspec("p=2\nkind=perfection of poly\nvars=x:1"))
+    cover = _cover_for(A, 2)
+    prod = cover.mul(cover.lift(A.parse_element("x^(1/2) + x")), cover.lift(A.parse_element("x^(1/2)")))
+    assert sorted(prod) == [(1,), (Fraction(3, 2),)] and type(next(k for (k,) in prod if k == 1)) is int
