@@ -33,6 +33,7 @@ from .synlog import (
     verify_fundamental_seq,
 )
 from .witt import (
+    IntegerMonomialAlgebra,
     WittRing,
     frobenius,
     ghost,
@@ -119,8 +120,8 @@ def cmd_witt(args):
     elif op == "restrict":
         out = restriction(vecs[0])
     elif op == "ghost":
-        from .witt import IntegerMonomialAlgebra
-
+        if not is_prime(args.p):
+            raise DrwittError(f"witt ghost needs a prime --p, got {args.p}")
         Z = IntegerMonomialAlgebra(0)
         WZ = WittRing(Z, args.len, p=args.p)
         try:

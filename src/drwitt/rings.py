@@ -67,8 +67,11 @@ def memo(method):
 
 
 def wkey(w):
-    """Canonical weight key: plain int when integral."""
-    if isinstance(w, Fraction) and w.denominator == 1:
+    """Canonical weight key: plain int when integral.
+
+    `type(w) is Fraction` skips `isinstance`'s ABCMeta check on int keys.
+    """
+    if type(w) is Fraction and w.denominator == 1:
         return int(w)
     return w
 
@@ -538,7 +541,7 @@ class MonomialAlgebra:
         out = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(wkey(Fraction(x) + Fraction(y)) for x, y in zip(e1, e2))
+                e = tuple(wkey(x + y) for x, y in zip(e1, e2))
                 s = self.K.add(out.get(e, 0), self.K.mul(c1, c2))
                 if s:
                     out[e] = s
@@ -549,7 +552,7 @@ class MonomialAlgebra:
     def frobenius(self, a):
         out = {}
         for e, c in a.items():
-            ep = tuple(wkey(Fraction(x) * self.spec.p) for x in e)
+            ep = tuple(wkey(x * self.spec.p) for x in e)
             out[ep] = self.K.frob(c)
         return self.reduce(out)
 

@@ -4,19 +4,23 @@ Ring operations are determined by the ghost maps
     w_m(a) = sum_{i<=m} p^i a_i^{p^(m-i)}:
 addition and multiplication are the unique polynomial laws making every
 w_m a ring homomorphism.  Arithmetic here evaluates those laws by the
-classical lift-and-solve recipe: lift the components to a p-torsion-free
-cover of the coefficient ring, combine ghost vectors, solve the
-triangular system back, and reduce.  Integrality of every division is
-guaranteed by the universal laws and asserted at runtime.
+classical lift-and-solve recipe.  Each `WittRing` owns one p-torsion-free
+cover of its coefficient ring, and `add`, `mul`, `neg` and the universal
+Frobenius are one round trip through it: lift the components, take ghost
+vectors, combine them, solve the triangular system back, and reduce.
+Integrality of every division is guaranteed by the universal laws and
+asserted at runtime.
 
 The symbolic laws themselves (`synthesize_law`) are produced by the same
-recursion over Z[X_0..X_n, Y_0..Y_n]; they grow quickly with p and the
-depth, so they serve as a cross-check oracle at small depth while the
-evaluated route does the day-to-day arithmetic.
+recursion over Z[X_0..X_n, Y_0..Y_n], written apart from `WittRing` (the
+two share only the binary power `_power`).  They grow quickly with p and
+the depth, so they serve as an independent cross-check oracle at small
+depth while the evaluated route does the day-to-day arithmetic.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from functools import lru_cache
 
 from .errors import (
@@ -63,17 +67,22 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_pow(a, n):
+def _power(mul, a, n):
+    """a^n for n >= 1 under `mul`, by binary powering; no square past the top bit."""
     if n < 1:
-        raise ValueError("polynomial power needs n >= 1")
+        raise ValueError("power needs n >= 1")
     result = None
-    base = a
-    while n:
+    while True:
         if n & 1:
-            result = base if result is None else _poly_mul(result, base)
-        base = _poly_mul(base, base)
+            result = a if result is None else mul(result, a)
         n >>= 1
-    return result
+        if not n:
+            return result
+        a = mul(a, a)
+
+
+def _poly_pow(a, n):
+    return _power(_poly_mul, a, n)
 
 
 def _poly_divexact(a, d):
@@ -156,9 +165,10 @@ def synthesize_law(p: int, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> Universa
 # coefficient-ring covers
 
 class IntegerMonomialAlgebra:
-    """Z[x_1..x_k] (k may be 0) with weights: the torsion-free test rings."""
+    """Z[x_1..x_k] (k may be 0) with weights: the torsion-free test rings.
 
-    char_p = False
+    It is its own cover, so `lift` and `reduce` are the identity.
+    """
 
     def __init__(self, nvars=0, weights=None, names=None):
         self.nvars = nvars
@@ -186,8 +196,11 @@ class IntegerMonomialAlgebra:
     def scale_int(self, c, a):
         return _poly_scale(c, a)
 
-    def power(self, a, n):
-        return _poly_pow(a, n) if a else ({(0,) * self.nvars: 1} if n == 0 else {})
+    def lift(self, el):
+        return el
+
+    def reduce(self, el):
+        return el
 
     def divexact(self, a, d):
         return _poly_divexact(a, d)
@@ -232,9 +245,6 @@ class _GFCover:
             self._accumulate(out, k, c)
         return out
 
-    def neg(self, a):
-        return self.scale_int(-1, a)
-
     def scale_int(self, c, a):
         out = {k: self.W.scal(c, v) for k, v in a.items()}
         return {k: v for k, v in out.items() if any(v)}
@@ -247,35 +257,22 @@ class _GFCover:
                 self._accumulate(out, k, self.W.mul(c1, c2))
         return out
 
-    def power(self, a, n):
-        if n < 1:
-            raise ValueError("cover power needs n >= 1")
-        result = None
-        base = a
-        while n:
-            if n & 1:
-                result = base if result is None else self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
     def divexact(self, a, d):
         if any(x % d for c in a.values() for x in c):
             raise InexactDivision("cover coefficient not divisible")
         return {k: tuple(x // d for x in c) for k, c in a.items()}
 
 
-def _cover_for(algebra, length):
-    if isinstance(algebra, IntegerMonomialAlgebra):
-        return algebra  # already torsion-free; identity lift/reduce
-    return _GFCover(algebra, precision=length + 2)
-
-
 # ---------------------------------------------------------------------------
 # Witt rings and vectors
 
 class WittRing:
-    """W_r(A) for A a curated char-p ring or a torsion-free test ring."""
+    """W_r(A) for A a curated char-p ring or a torsion-free test ring.
+
+    The ring owns one torsion-free cover of A (A itself when A is
+    torsion-free), and every ghost-law operation is one round trip
+    through it: lift, ghost components, combine, solve back, reduce.
+    """
 
     def __init__(self, algebra, length: int, p: int | None = None):
         if length < 1:
@@ -285,11 +282,13 @@ class WittRing:
         if isinstance(algebra, MonomialAlgebra):
             self.p = algebra.spec.p
             self.char_p = True
+            self.cover = _GFCover(algebra, precision=length + 2)
         else:
             if p is None:
                 raise ValueError("torsion-free coefficient rings need an explicit p")
             self.p = p
             self.char_p = False
+            self.cover = algebra
 
     def __eq__(self, other):
         return (
@@ -318,90 +317,64 @@ class WittRing:
             x = self.algebra.constant(x)
         return self((x,) + tuple(self.algebra.zero() for _ in range(self.length - 1)))
 
-    def shorter(self, delta=1):
-        if self.length - delta < 1:
+    def shorter(self):
+        """W_{r-1}(A), sharing this ring's cover (its precision covers length r)."""
+        if self.length < 2:
             raise LengthUnderflow("restriction below length 1")
-        return WittRing(self.algebra, self.length - delta, None if self.char_p else self.p)
+        ring = copy(self)
+        ring.length -= 1
+        return ring
 
-    def longer(self, delta=1):
-        return WittRing(self.algebra, self.length + delta, None if self.char_p else self.p)
+    def longer(self):
+        return WittRing(self.algebra, self.length + 1, self.p)
 
-    # -- ghost machinery --------------------------------------------------
+    # -- the ghost round trip ---------------------------------------------
 
-    def _lift(self, vec):
-        cover = _cover_for(self.algebra, self.length)
-        if self.char_p:
-            return cover, [cover.lift(c) for c in vec.components]
-        return cover, [dict(c) for c in vec.components]
-
-    def _ghosts(self, cover, lifted):
-        p = self.p
+    def _ghosts(self, vec):
+        cover, p = self.cover, self.p
+        lifted = [cover.lift(c) for c in vec.components]
         out = []
         for m in range(len(lifted)):
             acc = {}
             for i in range(m + 1):
-                if not lifted[i]:
-                    continue
-                term = cover.power(lifted[i], p ** (m - i))
-                acc = cover.add(acc, cover.scale_int(p**i, term))
+                if lifted[i]:
+                    term = _power(cover.mul, lifted[i], p ** (m - i))
+                    acc = cover.add(acc, cover.scale_int(p**i, term))
             out.append(acc)
         return out
 
-    def _from_ghosts(self, cover, ghosts):
-        p = self.p
+    def _from_ghosts(self, ghosts):
+        """The Witt vector of length len(ghosts) (r or r - 1) with these ghost components."""
+        cover, p = self.cover, self.p
         comps = []
-        for m in range(len(ghosts)):
-            acc = dict(ghosts[m])
-            for i in range(m):
-                if not comps[i]:
-                    continue
-                term = cover.power(comps[i], p ** (m - i))
-                acc = cover.add(acc, cover.scale_int(-(p**i), term))
+        for m, acc in enumerate(ghosts):
+            for i, c in enumerate(comps):
+                if c:
+                    term = _power(cover.mul, c, p ** (m - i))
+                    acc = cover.add(acc, cover.scale_int(-(p**i), term))
             comps.append(cover.divexact(acc, p**m))
-        return comps
+        ring = self if len(ghosts) == self.length else self.shorter()
+        return ring(tuple(cover.reduce(c) for c in comps))
 
-    def _combine(self, a, b, op):
+    def _ghost_pairs(self, a, b):
         if not isinstance(b, WittVector) or b.ring.length != self.length or b.ring.p != self.p:
             raise LengthMismatch("Witt vectors have mismatched length or prime")
-        cover, la = self._lift(a)
-        _, lb = self._lift(b)
-        ga = self._ghosts(cover, la)
-        gb = self._ghosts(cover, lb)
-        if op == "add":
-            gh = [cover.add(x, y) for x, y in zip(ga, gb)]
-        else:
-            gh = [cover.mul(x, y) for x, y in zip(ga, gb)]
-        comps = self._from_ghosts(cover, gh)
-        if self.char_p:
-            return self(tuple(cover.reduce(c) for c in comps))
-        return self(tuple(comps))
+        return zip(self._ghosts(a), self._ghosts(b))
 
     def add(self, a, b):
-        return self._combine(a, b, "add")
+        return self._from_ghosts([self.cover.add(x, y) for x, y in self._ghost_pairs(a, b)])
 
     def mul(self, a, b):
-        return self._combine(a, b, "mul")
+        return self._from_ghosts([self.cover.mul(x, y) for x, y in self._ghost_pairs(a, b)])
 
     def neg(self, a):
-        cover, la = self._lift(a)
-        ga = self._ghosts(cover, la)
-        comps = self._from_ghosts(cover, [cover.scale_int(-1, g) for g in ga])
-        if self.char_p:
-            return self(tuple(cover.reduce(c) for c in comps))
-        return self(tuple(comps))
+        return self._from_ghosts([self.cover.scale_int(-1, g) for g in self._ghosts(a)])
 
     def scalar(self, n):
         """The image of the integer n in W_r (binary addition chain)."""
         if n < 0:
             return self.neg(self.scalar(-n))
-        result = self.zero()
-        base = self.one()
-        while n:
-            if n & 1:
-                result = self.add(result, base)
-            base = self.add(base, base)
-            n >>= 1
-        return result
+        return _power(self.add, self.one(), n) if n else self.zero()
 
 
 class WittVector:
@@ -462,8 +435,7 @@ def ghost(a: WittVector):
     ring = a.ring
     if ring.char_p:
         raise TorsionCoefficients("ghost requires a p-torsion-free coefficient ring")
-    cover, lifted = ring._lift(a)
-    return [dict(g) for g in ring._ghosts(cover, lifted)]
+    return ring._ghosts(a)
 
 
 def frobenius(a: WittVector, universal: bool = False) -> WittVector:
@@ -475,15 +447,10 @@ def frobenius(a: WittVector, universal: bool = False) -> WittVector:
     ring = a.ring
     if ring.length < 2:
         raise LengthUnderflow("Frobenius needs length >= 2")
-    target = ring.shorter()
     if ring.char_p and not universal:
-        return target(tuple(ring.algebra.frobenius(c) for c in a.components[:-1]))
-    cover, lifted = ring._lift(a)
-    gh = ring._ghosts(cover, lifted)
-    comps = target._from_ghosts(cover, gh[1:])
-    if ring.char_p:
-        return target(tuple(cover.reduce(c) for c in comps))
-    return target(tuple(comps))
+        return ring.shorter()(tuple(ring.algebra.frobenius(c) for c in a.components[:-1]))
+    # ghost component m of F(a) is ghost component m + 1 of a
+    return ring._from_ghosts(ring._ghosts(a)[1:])
 
 
 def verschiebung(a: WittVector) -> WittVector:

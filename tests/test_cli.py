@@ -713,3 +713,38 @@ def test_fuzzed_drw_table_flags_exit_cleanly(tmp_path_factory, kind, p, f, level
 @example(which="nygaard-graded", kind="poly_q", p=2, f=1, twist=2, cap=4)
 def test_fuzzed_nygaard_check_flags_exit_cleanly(tmp_path_factory, which, kind, p, f, twist, cap):
     _run_fuzzed(tmp_path_factory, kind, p, f, ["check", which, "--twist", str(twist), "--weight-cap", str(cap)])
+
+
+# ---------------------------------------------------------------------------
+# fuzzed witt flags: every operation, prime and length exits cleanly
+
+WITT_RINGS = {
+    "gf4": "p = 2\nf = 2\nkind = finite_field",
+    "poly": "p = 2\nkind = poly\nvars = x:1",
+    "perfection": "p = 2\nkind = perfection of poly\nvars = x:1",
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    op=st.sampled_from(["add", "mul", "neg", "teich", "frob", "versch", "restrict", "ghost"]),
+    p=st.sampled_from([2, 3, 5, 4, 0, -3]),
+    length=st.integers(0, 3),
+    components=st.lists(st.sampled_from(["1", "0,1", "x", "t", "x^(1/2)", "a,b", ""]), min_size=1, max_size=3),
+    ring=st.sampled_from([None, *sorted(WITT_RINGS)]),
+)
+@example(op="ghost", p=0, length=2, components=["1,1"], ring="gf4")
+@example(op="ghost", p=4, length=2, components=["1,1"], ring="poly")
+def test_fuzzed_witt_flags_exit_cleanly(tmp_path_factory, op, p, length, components, ring):
+    argv = ["witt", op, *components, "--p", str(p), "--len", str(length), "--json"]
+    if ring is not None:
+        path = tmp_path_factory.mktemp("witt") / "r.ring"
+        path.write_text(WITT_RINGS[ring] + "\n")
+        argv += ["--ring", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()
+    if op == "ghost" and p not in (2, 3, 5):
+        assert code == 1, out.getvalue()

@@ -14,7 +14,6 @@ from drwitt.rings import MonomialAlgebra, parse_ringspec
 from drwitt.witt import (
     IntegerMonomialAlgebra,
     WittRing,
-    _cover_for,
     frobenius,
     ghost,
     restriction,
@@ -152,7 +151,7 @@ def test_witt_operations_match_the_universal_laws(case):
 
 def test_cover_division_checks_divisibility():
     # the universal laws make every division exact, so only a direct call reaches the check
-    cover = _cover_for(alg("p=3\nkind=finite_field\nf=2"), 3)
+    cover = WittRing(alg("p=3\nkind=finite_field\nf=2"), 3).cover
     assert cover.divexact({(): (3, 6)}, 3) == {(): (1, 2)}
     with pytest.raises(InexactDivision):
         cover.divexact({(): (3, 1)}, 3)
@@ -449,6 +448,57 @@ def test_cover_product_keys_skip_the_fraction_round_trip():
     assert type(wkey(Fraction(1, 2) + Fraction(1, 2))) is int and type(wkey(Fraction(3, 4) + Fraction(5, 4))) is int
     # and the cover multiplies perfection monomials with those keys
     A = MonomialAlgebra(parse_ringspec("p=2\nkind=perfection of poly\nvars=x:1"))
-    cover = _cover_for(A, 2)
+    cover = WittRing(A, 2).cover
     prod = cover.mul(cover.lift(A.parse_element("x^(1/2) + x")), cover.lift(A.parse_element("x^(1/2)")))
     assert sorted(prod) == [(1,), (Fraction(3, 2),)] and type(next(k for (k,) in prod if k == 1)) is int
+    # scaling a key by p (Frobenius on exponents) gives the Fraction round trip's key too
+    for x, p in itertools.product(keys, (2, 3, 5)):
+        old = wkey(Fraction(x) * p)
+        assert (type(wkey(x * p)), wkey(x * p)) == (type(old), old), (x, p)
+    # and MonomialAlgebra.mul and frobenius key perfection monomials the same way
+    prod = A.mul(A.parse_element("x^(1/2) + x"), A.parse_element("x^(1/2)"))
+    frob = A.frobenius(A.parse_element("x^(1/2) + x^(3/4)"))
+    for el in (prod, frob):
+        assert sorted(el) == [(1,), (Fraction(3, 2),)] and type(next(k for (k,) in el if k == 1)) is int
+
+
+def test_power_makes_no_square_past_the_top_bit(monkeypatch):
+    # binary powering needs floor(log2 n) squares and popcount(n) - 1 products:
+    # k multiplications for n = 2^k, none for n = 1
+    import drwitt.witt as witt_module
+
+    calls = []
+    real = witt_module._poly_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(witt_module, "_poly_mul", counting)
+    for n in range(1, 21):
+        calls.clear()
+        assert witt_module._poly_pow({(1,): 2}, n) == {(n,): 2**n}
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+
+
+def test_one_cover_per_ring(monkeypatch):
+    # a ring builds its cover once; arithmetic and the universal Frobenius reuse it
+    import drwitt.witt as witt_module
+
+    built = []
+
+    class CountingCover(witt_module._GFCover):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(witt_module, "_GFCover", CountingCover)
+    A = alg("p=3\nf=2\nkind=poly\nvars=x:1")
+    W = WittRing(A, 3)
+    assert len(built) == 1
+    a = W(tuple(A.parse_element(c) for c in ("x + t", "1", "t*x")))
+    b = W(tuple(A.parse_element(c) for c in ("2", "x", "0")))
+    witt_add(a, b), witt_mul(a, b), witt_neg(a)
+    assert frobenius(a, universal=True) == frobenius(a)
+    assert W.scalar(5) == witt_add(W.scalar(2), W.scalar(3))
+    assert len(built) == 1
