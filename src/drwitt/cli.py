@@ -90,8 +90,13 @@ def _emit(args, payload):
 def cmd_witt(args):
     if args.ring:
         spec = _load_spec(args)
+        if args.p is not None and args.p != spec.p:
+            raise DrwittError(f"--p {args.p} contradicts the ring's p = {spec.p}")
     else:
-        spec = parse_ringspec(f"p = {args.p}\nkind = finite_field")
+        p = 2 if args.p is None else args.p
+        if not is_prime(p):
+            raise DrwittError(f"witt needs a prime --p, got {p}")
+        spec = parse_ringspec(f"p = {p}\nkind = finite_field")
     alg = MonomialAlgebra(spec)
     W = WittRing(alg, args.len)
     op = args.operation
@@ -120,10 +125,8 @@ def cmd_witt(args):
     elif op == "restrict":
         out = restriction(vecs[0])
     elif op == "ghost":
-        if not is_prime(args.p):
-            raise DrwittError(f"witt ghost needs a prime --p, got {args.p}")
         Z = IntegerMonomialAlgebra(0)
-        WZ = WittRing(Z, args.len, p=args.p)
+        WZ = WittRing(Z, args.len, p=spec.p)
         try:
             comps = [int(c) for c in args.components[0].split(",")]
         except ValueError:
@@ -461,7 +464,7 @@ def build_parser():
     w = sub.add_parser("witt", help="Witt vector arithmetic")
     w.add_argument("operation", choices=["add", "mul", "neg", "teich", "frob", "versch", "restrict", "ghost"])
     w.add_argument("components", nargs="+", help="comma-separated components per vector")
-    w.add_argument("--p", type=int, default=2)
+    w.add_argument("--p", type=int, default=None, help="default 2; with --ring it must equal the ring's p")
     w.add_argument("--len", type=int, default=2)
     w.add_argument("--ring", default=None)
     common(w, ring=False)

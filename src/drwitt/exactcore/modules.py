@@ -12,7 +12,7 @@ different pipelines comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from ..errors import DrwittError
@@ -153,8 +153,7 @@ def span_equal(ring, A, B, ncols):
 # ---------------------------------------------------------------------------
 # invariant factors
 
-@dataclass(frozen=True)
-class InvariantFactors:
+class InvariantFactors(namedtuple("InvariantFactors", "torsion free_rank", defaults=(0,))):
     """Isomorphism invariants of a finitely generated abelian group.
 
     torsion holds the cyclic orders (each a prime power here), sorted
@@ -162,8 +161,7 @@ class InvariantFactors:
     InvariantFactors, so == is the isomorphism test.
     """
 
-    torsion: tuple[int, ...]
-    free_rank: int = 0
+    __slots__ = ()
 
     @staticmethod
     def of(orders, free_rank=0):

@@ -18,7 +18,7 @@ the graded pieces of the image filtration on H^*(F^(>= lo)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from .errors import DegenerationFailed, HomSetTooLarge, NonInjectiveTransitions
 from .exactcore import (
     FinComplex,
@@ -39,10 +39,10 @@ from .exactcore import (
 # ---------------------------------------------------------------------------
 # data
 
-@dataclass
-class GradedComplex:
-    ring: object
-    slots: dict  # n -> FinComplex
+class GradedComplex(namedtuple("GradedComplex", "ring slots")):
+    """slots maps n to a FinComplex."""
+
+    __slots__ = ()
 
     def slot(self, n) -> FinComplex:
         return self.slots.get(n) or FinComplex(self.ring, {}, {}, check=False)
@@ -386,19 +386,18 @@ def adjunction_check(F: FilteredComplex, X: GradedComplex) -> bool:
 # ---------------------------------------------------------------------------
 # the spectral sequence
 
-@dataclass
-class SSPage:
-    index: int                       # paper page number, >= 2
-    entries: dict                    # (k, l) -> InvariantFactors
-    differentials: dict              # (k, l) -> matrix on entry generators
+SSPage = namedtuple("SSPage", [
+    "index",          # paper page number, >= 2
+    "entries",        # (k, l) -> InvariantFactors
+    "differentials",  # (k, l) -> matrix on entry generators
+])
 
-
-@dataclass
-class SSResult:
-    pages: list
-    e_infinity: dict                 # (k, l) -> InvariantFactors
-    underlying: dict                 # m -> InvariantFactors of H^m(F^{>= lo})
-    window: tuple
+SSResult = namedtuple("SSResult", [
+    "pages",
+    "e_infinity",     # (k, l) -> InvariantFactors
+    "underlying",     # m -> InvariantFactors of H^m(F^{>= lo})
+    "window",
+])
 
 
 def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:

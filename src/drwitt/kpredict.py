@@ -11,21 +11,22 @@ that are not local-type carry a sheaf-level caveat instead of a claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .exactcore import InvariantFactors
 from .rings import RingSpec
 from .synlog import log_lattice, syntomic
 
 
-@dataclass
-class KTableRow:
-    degree: int
-    modulus: str                 # "Z", "p^r", or "Z_p"
-    group: InvariantFactors
-    provenance: str              # quillen | log-forms | hiller | background
-    caveat: str | None = None
-    p_torsion_free: bool | None = None
+class KTableRow(namedtuple("KTableRow", [
+    "degree",
+    "modulus",         # "Z", "p^r", or "Z_p"
+    "group",           # InvariantFactors
+    "provenance",      # quillen | log-forms | hiller | background
+    "caveat",          # str or None
+    "p_torsion_free",  # bool or None
+], defaults=(None, None))):
+    __slots__ = ()
 
     def to_json(self, p=None):
         out = {
@@ -41,11 +42,8 @@ class KTableRow:
         return out
 
 
-@dataclass
-class KTable:
-    ring: str
-    p: int
-    rows: list = field(default_factory=list)
+class KTable(namedtuple("KTable", "ring p rows")):
+    __slots__ = ()
 
     def row(self, degree, modulus):
         for r in self.rows:
@@ -85,7 +83,7 @@ def quillen_table(p: int, i_max: int, r: int, f: int = 1) -> KTable:
     q = p**f
     provenance = "quillen" if f == 1 else "background"
     caveat = None if f == 1 else "q^i - 1 orders are classical background"
-    table = KTable(ring=f"GF({q})" if f > 1 else f"GF({p})", p=p)
+    table = KTable(ring=f"GF({q})" if f > 1 else f"GF({p})", p=p, rows=[])
     for i in range(0, i_max + 1):
         if i == 0:
             integral = InvariantFactors((), 1)
@@ -112,7 +110,7 @@ def _is_local_type(spec: RingSpec) -> bool:
 
 def k_predict(spec: RingSpec, i_max: int, r: int) -> KTable:
     """Mod-p^r and p-adic K-rows from the logarithmic lattices."""
-    table = KTable(ring=spec.describe(), p=spec.p)
+    table = KTable(ring=spec.describe(), p=spec.p, rows=[])
     caveat = None if _is_local_type(spec) else "sheaf-level caveat: ring is not local-type"
     for i in range(0, i_max + 1):
         lat = log_lattice(spec, i, r)

@@ -33,7 +33,7 @@ Text format (one spec per file):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
@@ -157,37 +157,34 @@ def weight_window(cap, den, laurent):
     return [num // den if num % den == 0 else Fraction(num, den) for num in range(lo, hi + 1)]
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    p: int
-    kind: str
-    variables: tuple[str, ...] = ()
-    weights: tuple[int, ...] = ()
-    relations: tuple = ()  # tuple of ((coeff, exps), ...) homogeneous polys
-    f: int = 1
-    base_kind: str | None = None
+class RingSpec(namedtuple("RingSpec", "p kind variables weights relations f base_kind")):
+    """One curated ring; relations is a tuple of ((coeff, exps), ...) homogeneous polys."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise UnsupportedKind(f"unknown ring kind {self.kind!r}")
-        if self.kind == "perfection":
-            if self.base_kind not in PERFECTABLE:
+    __slots__ = ()
+
+    def __new__(cls, p, kind, variables=(), weights=(), relations=(), f=1, base_kind=None):
+        self = super().__new__(cls, p, kind, variables, weights, relations, f, base_kind)
+        if kind not in KINDS:
+            raise UnsupportedKind(f"unknown ring kind {kind!r}")
+        if kind == "perfection":
+            if base_kind not in PERFECTABLE:
                 raise UnsupportedKind("perfection only wraps poly, laurent or finite_field")
-        if self.kind == "laurent" or (self.kind == "perfection" and self.base_kind == "laurent"):
-            if len(self.variables) != 1:
+        if kind == "laurent" or (kind == "perfection" and base_kind == "laurent"):
+            if len(variables) != 1:
                 raise UnsupportedKind(
                     "laurent rings are restricted to one variable so weight "
                     "components stay finite dimensional"
                 )
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise NonQuasiHomogeneous("variable weights must be positive")
-        if self.kind == "quotient":
-            for rel in self.relations:
+        if kind == "quotient":
+            for rel in relations:
                 wts = {self.monomial_weight(exps) for _, exps in rel}
                 if len(wts) > 1:
                     raise NonQuasiHomogeneous(
                         f"relation is not quasi-homogeneous for the declared weights: {wts}"
                     )
+        return self
 
     # -- structure helpers ------------------------------------------------
 

@@ -28,7 +28,7 @@ Per-weight work is keyed by the model's weight numerators a = u p^s_star
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from .derham import DeRhamComplex, derham_cohomology
 from .dieudonne import GUARD, SaturatedModel, class_representatives, saturate, strict_truncate, weight_class
@@ -297,17 +297,18 @@ class _FiberBlock:
         return _certify_block_invertible(self, self.complex(), n)
 
 
-@dataclass
-class SyntomicComplex:
+class SyntomicComplex(namedtuple("SyntomicComplex", [
+    "spec",
+    "twist",
+    "modulus_exp",
+    "cohomology",   # degree -> InvariantFactors (all orbits)
+    "weight_zero",  # degree -> InvariantFactors (weight-0 orbit)
+    "orbit_count",
+    "R",            # precision exponent of the model it was computed on
+])):
     """Mod-p^r syntomic cohomology of one curated ring at one twist."""
 
-    spec: RingSpec
-    twist: int
-    modulus_exp: int
-    cohomology: dict          # degree -> InvariantFactors (all orbits)
-    weight_zero: dict         # degree -> InvariantFactors (weight-0 orbit)
-    orbit_count: int
-    R: int                    # precision exponent of the model it was computed on
+    __slots__ = ()
 
     def group(self, j) -> InvariantFactors:
         return self.cohomology.get(j, InvariantFactors(()))
@@ -417,16 +418,17 @@ def syntomic(spec: RingSpec, i: int, r: int, i_max: int, weight_cap, R: int | No
 # ---------------------------------------------------------------------------
 # logarithmic lattices
 
-@dataclass
-class LogLattice:
+class LogLattice(namedtuple("LogLattice", [
+    "spec",
+    "degree",
+    "level",
+    "generators",   # vectors in model lattice coordinates at (i, 0)
+    "symbols",      # human-readable generating symbols
+    "invariants",
+])):
     """Span of dlog symbols inside W_r Omega^i (all at weight zero)."""
 
-    spec: RingSpec
-    degree: int
-    level: int
-    generators: list          # vectors in model lattice coordinates at (i, 0)
-    symbols: list             # human-readable generating symbols
-    invariants: InvariantFactors
+    __slots__ = ()
 
 
 def log_lattice(spec: RingSpec, i: int, r: int) -> LogLattice:

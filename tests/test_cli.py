@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -79,6 +80,20 @@ def test_witt_verbs(rings, capsys):
     assert code == 0 and "[2, 17]" in out  # 2^3 + 3*3
     code, out = run_cli(["witt", "teich", "x", "--p", "2", "--len", "2", "--ring", rings["poly"]], capsys)
     assert code == 0 and "(x, 0)" in out
+
+
+def test_witt_ghost_takes_p_from_the_ring(rings, capsys):
+    # fp.ring has p = 3: the ghost components of (1, 1) are 1 and 1^3 + 3*1
+    code, out = run_cli(["witt", "ghost", "1,1", "--len", "2", "--ring", rings["fp"]], capsys)
+    assert code == 0 and "[1, 4]" in out
+    code, out = run_cli(["witt", "ghost", "1,1", "--len", "2", "--p", "3", "--ring", rings["fp"]], capsys)
+    assert code == 0 and "[1, 4]" in out
+    for op, comps in [("ghost", ["1,1"]), ("add", ["1,0", "1,0"])]:
+        code = main(["witt", op, *comps, "--len", "2", "--p", "2", "--ring", rings["fp"]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "error: --p 2 contradicts the ring's p = 3\n"
+    code = main(["witt", "ghost", "1,1", "--len", "2", "--p", "4"])
+    assert code == 1 and capsys.readouterr().err == "error: witt needs a prime --p, got 4\n"
 
 
 def test_kpredict_json_payload(rings, capsys):
@@ -212,6 +227,21 @@ def test_entry_point_runs():
         [sys.executable, "-m", "drwitt.cli", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
+
+
+def test_importing_drwitt_loads_no_dataclasses_or_inspect():
+    # -S: no site, so nothing but drwitt's own imports can load a module
+    src = os.path.dirname(os.path.dirname(drwitt.__file__))
+    names = ["drwitt.cli"] + [m.name for m in pkgutil.walk_packages(drwitt.__path__, "drwitt.")]
+    assert "drwitt.exactcore.modules" in names
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import importlib\n"
+        f"for name in {names!r}: importlib.import_module(name)\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -748,3 +778,55 @@ def test_fuzzed_witt_flags_exit_cleanly(tmp_path_factory, op, p, length, compone
     assert not any(line.startswith("internal error:") for line in err.getvalue().splitlines()), err.getvalue()
     if op == "ghost" and p not in (2, 3, 5):
         assert code == 1, out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed syntomic, fundamental-seq, logforms and kpredict flags
+
+@settings(max_examples=60, deadline=None)
+@given(
+    verb=st.sampled_from([["syntomic"], ["check", "fundamental-seq"]]),
+    kind=st.sampled_from(sorted(CLASS_KINDS)),
+    p=st.sampled_from([2, 3]),
+    f=st.integers(1, 2),
+    twist=st.integers(0, 3),
+    modp=st.integers(-1, 3),
+    cap=st.integers(-1, 4),
+)
+@example(verb=["syntomic"], kind="laurent", p=2, f=2, twist=3, modp=3, cap=4)
+@example(verb=["check", "fundamental-seq"], kind="laurent", p=3, f=2, twist=3, modp=3, cap=4)
+def test_fuzzed_syntomic_and_fundamental_seq_flags_exit_cleanly(
+    tmp_path_factory, verb, kind, p, f, twist, modp, cap
+):
+    argv = verb + ["--twist", str(twist), "--modp", str(modp), "--weight-cap", str(cap)]
+    _run_fuzzed(tmp_path_factory, kind, p, f, argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CLASS_KINDS)),
+    p=st.sampled_from([2, 3]),
+    f=st.integers(1, 2),
+    deg=st.integers(-1, 3),
+    modp=st.integers(-1, 3),
+)
+@example(kind="perfection_laurent", p=3, f=2, deg=1, modp=3)
+def test_fuzzed_logforms_flags_exit_cleanly(tmp_path_factory, kind, p, f, deg, modp):
+    _run_fuzzed(tmp_path_factory, kind, p, f, ["logforms", "--deg", str(deg), "--modp", str(modp)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CLASS_KINDS)),
+    p=st.sampled_from([2, 3]),
+    f=st.integers(1, 2),
+    lo=st.integers(-1, 5),
+    hi=st.integers(-1, 5),
+    modp=st.integers(-1, 3),
+    markdown=st.booleans(),
+)
+@example(kind="laurent_p", p=3, f=2, lo=-1, hi=5, modp=3, markdown=True)
+def test_fuzzed_kpredict_flags_exit_cleanly(tmp_path_factory, kind, p, f, lo, hi, modp, markdown):
+    # "--range=" keeps argparse from reading a negative bound as a flag
+    argv = ["kpredict", f"--range={lo}..{hi}", "--modp", str(modp)]
+    _run_fuzzed(tmp_path_factory, kind, p, f, argv + ["--markdown"] * markdown)

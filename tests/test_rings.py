@@ -1,4 +1,4 @@
-"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs, memo, primality."""
+"""The enumeration layer in drwitt.rings: exponents, forms, weight windows, base specs, memo, primality, records."""
 
 import math
 import random
@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwitt.errors import ParseError
+from drwitt.errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
+from drwitt.exactcore import InvariantFactors
+from drwitt.kpredict import KTableRow
 from drwitt.rings import (
     PRIME_BOUND,
     MonomialAlgebra,
+    RingSpec,
     exponents,
     is_prime,
     memo,
@@ -21,6 +24,7 @@ from drwitt.rings import (
     sign_insert,
     weight_window,
 )
+from drwitt.synlog import SyntomicComplex
 
 
 def spec(text):
@@ -184,3 +188,71 @@ def test_is_prime_against_sympy_on_60_to_80_bit_numbers():
         assert is_prime(n) == sympy.isprime(n), n
         q = sympy.nextprime(n)
         assert is_prime(q), q
+
+
+# ---------------------------------------------------------------------------
+# records: immutable, hashed and compared as the tuple of their fields
+
+FP = RingSpec(3, "finite_field")
+FP_REPR = "RingSpec(p=3, kind='finite_field', variables=(), weights=(), relations=(), f=1, base_kind=None)"
+RECORDS = [
+    (
+        RingSpec(2, "quotient", ("x", "y"), (2, 3), (((1, (0, 2)), (-1, (3, 0))),)),
+        RingSpec(2, "quotient", ("x", "y"), (2, 3), (((1, (0, 2)),),)),
+        "RingSpec(p=2, kind='quotient', variables=('x', 'y'), weights=(2, 3), "
+        "relations=(((1, (0, 2)), (-1, (3, 0))),), f=1, base_kind=None)",
+    ),
+    (
+        InvariantFactors((2, 4), 1),
+        InvariantFactors((2, 4)),
+        "InvariantFactors(torsion=(2, 4), free_rank=1)",
+    ),
+    (
+        SyntomicComplex(FP, 1, 2, {0: InvariantFactors((9,))}, {}, 1, 4),
+        SyntomicComplex(FP, 1, 2, {}, {}, 1, 4),
+        f"SyntomicComplex(spec={FP_REPR}, twist=1, modulus_exp=2, "
+        "cohomology={0: InvariantFactors(torsion=(9,), free_rank=0)}, weight_zero={}, orbit_count=1, R=4)",
+    ),
+    (
+        KTableRow(1, "Z", InvariantFactors((), 1), "quillen"),
+        KTableRow(1, "Z", InvariantFactors((), 1), "quillen", p_torsion_free=True),
+        "KTableRow(degree=1, modulus='Z', group=InvariantFactors(torsion=(), free_rank=1), "
+        "provenance='quillen', caveat=None, p_torsion_free=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, other, text", RECORDS, ids=[type(r).__name__ for r, _, _ in RECORDS])
+def test_records_compare_hash_and_print_as_their_fields(record, other, text):
+    fields = tuple(getattr(record, name) for name in record._fields)
+    twin = type(record)(*fields)
+    assert twin == record and twin is not record
+    assert record != other
+    assert repr(record) == text
+    if isinstance(record, SyntomicComplex):
+        # dict fields: unhashable, like the tuple of its fields
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(fields) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        (dict(p=2, kind="torus"), UnsupportedKind),
+        (dict(p=2, kind="perfection", variables=("x",), weights=(1,), base_kind="quotient"), UnsupportedKind),
+        (dict(p=2, kind="laurent", variables=("x", "y"), weights=(1, 1)), UnsupportedKind),
+        (dict(p=2, kind="perfection", variables=("x", "y"), weights=(1, 1), base_kind="laurent"), UnsupportedKind),
+        (dict(p=2, kind="poly", variables=("x",), weights=(0,)), NonQuasiHomogeneous),
+        (dict(p=2, kind="quotient", variables=("x", "y"), weights=(2, 3), relations=(((1, (0, 2)), (-1, (1, 0))),)),
+         NonQuasiHomogeneous),
+    ],
+)
+def test_ring_spec_validates_without_the_parser(kwargs, error):
+    with pytest.raises(error):
+        RingSpec(**kwargs)
