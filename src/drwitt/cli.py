@@ -104,11 +104,12 @@ def cmd_witt(args):
     def fmt(v):
         return [v.ring.algebra.format_element(c) for c in v.components]
 
+    binary = op in ("add", "mul")
+    if len(args.components) != 1 + binary:
+        raise DrwittError(f"witt {op} needs exactly {'two vectors' if binary else 'one vector'}")
     vecs = []
     if op not in ("teich", "ghost"):
         vecs = [W(tuple(alg.parse_element(c) for c in comp.split(","))) for comp in args.components]
-    if op in ("add", "mul") and len(vecs) != 2:
-        raise DrwittError(f"witt {op} needs exactly two vectors")
     if op == "add":
         out = witt_add(vecs[0], vecs[1])
     elif op == "mul":
@@ -447,8 +448,15 @@ def cmd_kpredict(args):
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise a DrwittError (exit 1) instead of exiting 2 with usage text."""
+
+    def error(self, message):
+        raise DrwittError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="drwitt",
         description="Exact characteristic-p invariants for a curated ring family",
     )
@@ -545,10 +553,9 @@ def _check_flag_floors(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args._t0 = time.time()
     try:
+        args = build_parser().parse_args(argv)
+        args._t0 = time.time()
         _check_flag_floors(args)
         return args.func(args)
     except DrwittError as e:

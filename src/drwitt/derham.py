@@ -19,9 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
-# gf_rref is not called here since rings owns the quotient presentations; the
-# name stays because perfbench's tracer patches `derham.gf_rref`
-from .exactcore import InvariantFactors, SubQuot, gf_rank, gf_rref, identity, kernel, mat_mul  # noqa: F401
+from .exactcore import InvariantFactors, SubQuot, gf_rref, identity, kernel, mat_mul
 from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
 
 
@@ -34,7 +32,7 @@ class _GradedComplex:
         """Rank of d^i at grade g; 0 below degree 0 and on zero spaces."""
         if i < 0 or not self.rank(i, *g) or not self.rank(i + 1, *g):
             return 0
-        return gf_rank(self.K, self.d_matrix(i, *g), self.rank(i + 1, *g))
+        return len(gf_rref(self.K, self.d_matrix(i, *g), self.rank(i + 1, *g)))
 
     def h_dim(self, i, *g):
         """dim H^i at grade g.  Over a field this is rank - rk d^i - rk d^(i-1),
@@ -219,7 +217,7 @@ def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
             if M is None:
                 passes = False
             else:
-                rank = gf_rank(C.K, M, entry["target"].gen_count()) if M else 0
+                rank = len(gf_rref(C.K, M, entry["target"].gen_count())) if M else 0
                 # semilinear bijectivity: matrix part must be a bijection
                 passes = n == target_dim and rank == n
             wrow[w] = passes
@@ -332,7 +330,7 @@ class RelativeCartier(_GradedComplex):
                     passes = False
                 else:
                     passes = len(src) == hdim and (
-                        gf_rank(self.K, M, H.gen_count()) == len(src) if M else hdim == 0
+                        len(gf_rref(self.K, M, H.gen_count())) == len(src) if M else hdim == 0
                     )
                 result["blocks"][(i, u, v)] = passes
                 if M is not None:

@@ -18,20 +18,43 @@ from functools import lru_cache
 from .zmodp import ZmodRing, howell
 
 
-def _poly_mulmod(a, b, mod, p):
-    """Product of coefficient lists a, b modulo (mod, p); mod is monic."""
+def _poly_mulmod(a, b, mod, q):
+    """Product of coefficient lists a, b modulo (mod, q); mod is monic."""
     f = len(mod) - 1
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] = (out[i + j] + x * y) % q
     for i in range(len(out) - 1, f - 1, -1):
         c = out[i]
         if c:
             for j in range(f + 1):
-                out[i - f + j] = (out[i - f + j] - c * mod[j]) % p
-    return [x % p for x in out[:f]]
+                out[i - f + j] = (out[i - f + j] - c * mod[j]) % q
+    return [x % q for x in out[:f]]
+
+
+def _digits(code, p, n):
+    """The n base-p digits of code, least significant first."""
+    out = []
+    for _ in range(n):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
+
+
+def power(mul, a, n):
+    """a^n for n >= 1 under `mul`, by binary powering; no square past the top bit."""
+    if n < 1:
+        raise ValueError("power needs n >= 1")
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else mul(result, a)
+        n >>= 1
+        if not n:
+            return result
+        a = mul(a, a)
 
 
 def _is_irreducible(poly, p):
@@ -41,12 +64,7 @@ def _is_irreducible(poly, p):
         return True
     for d in range(1, f // 2 + 1):
         for code in range(p**d):
-            div = [0] * (d + 1)
-            c = code
-            for i in range(d):
-                div[i] = c % p
-                c //= p
-            div[d] = 1
+            div = _digits(code, p, d) + [1]
             # long division of poly by div
             rem = list(poly)
             for i in range(f, d - 1, -1):
@@ -65,12 +83,7 @@ def conway_like_modulus(p: int, f: int) -> tuple[int, ...]:
     if f == 1:
         return (0, 1)
     for code in range(p**f):
-        poly = [0] * (f + 1)
-        c = code
-        for i in range(f):
-            poly[i] = c % p
-            c //= p
-        poly[f] = 1
+        poly = _digits(code, p, f) + [1]
         if poly[0] != 0 and _is_irreducible(poly, p):
             return tuple(poly)
     raise RuntimeError("no irreducible polynomial found")
@@ -95,11 +108,7 @@ class GF:
         return hash(("GF", self.p, self.f))
 
     def _decode(self, a):
-        out = []
-        for _ in range(self.f):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return _digits(a, self.p, self.f)
 
     def _encode(self, coeffs):
         a = 0
@@ -129,13 +138,7 @@ class GF:
         return self._encode(prod)
 
     def power(self, a, n):
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return power(self.mul, a, n) if n else 1
 
     def inv(self, a):
         if a == 0:
@@ -189,10 +192,6 @@ def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
     return result
 
 
-def gf_rank(K: GF, rows: list[list[int]], ncols: int) -> int:
-    return len(gf_rref(K, rows, ncols))
-
-
 def gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[int]:
     v = list(v)
     for row in H:
@@ -235,18 +234,7 @@ class Zq:
         return tuple((c * x) % self.q for x in a)
 
     def mul(self, a, b):
-        f = self.f
-        out = [0] * (2 * f - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % self.q
-        for i in range(len(out) - 1, f - 1, -1):
-            c = out[i]
-            if c:
-                for j in range(f + 1):
-                    out[i - f + j] = (out[i - f + j] - c * self.modulus[j]) % self.q
-        return tuple(x % self.q for x in out[:f])
+        return tuple(_poly_mulmod(a, b, self.modulus, self.q))
 
     def _poly_eval(self, coeffs, x):
         acc = self.zero()
@@ -260,9 +248,7 @@ class Zq:
         if self.f == 1:
             return [[1]]
         t = tuple(1 if i == 1 else 0 for i in range(self.f))
-        tau = self.one()
-        for _ in range(self.p):
-            tau = self.mul(tau, t)  # tau = t^p
+        tau = power(self.mul, t, self.p)
         mprime = [(i * self.modulus[i]) % self.q for i in range(1, self.f + 1)]
         prec = 1
         while prec < self.B:
@@ -274,10 +260,10 @@ class Zq:
         assert self._poly_eval(self.modulus, tau) == self.zero()
         # matrix of the substitution t^i -> tau^i on coefficient rows
         rows = []
-        power = self.one()
+        row = self.one()
         for _ in range(self.f):
-            rows.append(list(power))
-            power = self.mul(power, tau)
+            rows.append(list(row))
+            row = self.mul(row, tau)
         return rows
 
     def _inv(self, a):
@@ -313,17 +299,7 @@ class Zq:
         x = tuple(v % self.q for v in K._decode(c))
         # iterate x -> x^q until stable; converges since x^q == x mod p
         for _ in range(self.B + 1):
-            y = x
-            for _ in range(self.f):
-                yp = y
-                y = self.one()
-                acc = yp
-                n = self.p
-                while n:
-                    if n & 1:
-                        y = self.mul(y, acc)
-                    acc = self.mul(acc, acc)
-                    n >>= 1
+            y = power(self.mul, x, K.q)
             if y == x:
                 break
             x = y

@@ -17,9 +17,9 @@ from math import prod
 
 from ..errors import DrwittError
 from . import zmodp as _zp
-from .gf import GF, gf_rank, gf_reduce_vector, gf_rref
+from .gf import GF, gf_reduce_vector, gf_rref
 from .integers import hermite, smith_diagonal, z_reduce_vector
-from .zmodp import ZmodRing, howell, quotient_divisor_exponents, reduce_vector
+from .zmodp import ZmodRing, howell, quotient_divisor_exponents, reduce_with_coefficients
 
 
 class ZZRing:
@@ -57,7 +57,7 @@ def normal_form(ring, rows, ncols):
 def residue(ring, nf_rows, v):
     """Residue of v modulo the row span given in normal form nf_rows."""
     if isinstance(ring, ZmodRing):
-        return reduce_vector(ring, nf_rows, v)
+        return reduce_with_coefficients(ring, nf_rows, v)[0]
     if isinstance(ring, GF):
         return gf_reduce_vector(ring, nf_rows, v)
     return z_reduce_vector(nf_rows, v)
@@ -123,22 +123,6 @@ def preimage(ring, A, B):
 def kernel(ring, A):
     """Generators of {x : x @ A = 0}, in normal form."""
     return preimage(ring, A, [])
-
-
-def solve(ring, A, b):
-    """One solution x of x @ A = b, or None if b is not in the row span.
-
-    The package solves through `SubQuot.coords`; this one-shot solver is
-    the reference the tests compare it against."""
-    m = len(A)
-    if m == 0:
-        return [] if member(ring, [], b) else None
-    n = len(b)
-    aug = [list(row) + e for row, e in zip(A, identity(m))]
-    w = residue(ring, normal_form(ring, aug, n + m), list(b) + [0] * m)
-    if any(w[:n]):
-        return None
-    return negate(ring, w[n:])
 
 
 def span_contains(ring, big_rows, small_rows, ncols):
@@ -227,7 +211,7 @@ def quotient_invariants(ring, relation_rows, ngens) -> InvariantFactors:
         exps = quotient_divisor_exponents(ring, relation_rows, ngens)
         return InvariantFactors(tuple(sorted(ring.p**a for a in exps if a > 0)))
     if isinstance(ring, GF):
-        dim = ngens - gf_rank(ring, relation_rows, ngens)
+        dim = ngens - len(gf_rref(ring, relation_rows, ngens))
         return InvariantFactors((ring.p,) * (dim * ring.f))
     diag = smith_diagonal(relation_rows, ngens)
     return InvariantFactors.of([d for d in diag if d > 1], ngens - len(diag))

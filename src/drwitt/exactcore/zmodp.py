@@ -155,11 +155,6 @@ def reduce_with_coefficients(R: ZmodRing, H: list[list[int]], v: list[int]) -> t
     return v, coeffs
 
 
-def reduce_vector(R: ZmodRing, H: list[list[int]], v: list[int]) -> list[int]:
-    """Residue of v modulo the row span given in Howell form H."""
-    return reduce_with_coefficients(R, H, v)[0]
-
-
 def intersect(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -> list[list[int]]:
     """Generators of rowspan(A) & rowspan(B)."""
     aug = [list(r) + list(r) for r in A]

@@ -33,6 +33,7 @@ from .exactcore import (
     negate,
     normal_form,
     preimage,
+    span_order,
 )
 
 
@@ -87,10 +88,6 @@ class FilteredComplex:
         """f maps source relations into target relations and commutes with d."""
         ring = self.ring
 
-        def times(X, Y, width):
-            # X Y with width columns, also when Y has no rows
-            return mat_mul(ring, X, Y) if Y else [[0] * width for _ in X]
-
         def inside(rows, M):
             return all(member(ring, M.relations, row) for row in rows if any(row))
 
@@ -99,10 +96,10 @@ class FilteredComplex:
             fm = f.get(m, [[0] * B.ngens for _ in range(A.ngens)])
             if (A.ngens and len(fm) != A.ngens) or any(len(r) != B.ngens for r in fm):
                 raise ValueError(f"transition at degree {m} has wrong shape")
-            if not inside(times(A.relations, fm, B.ngens), B):
+            if not inside(_times(ring, A.relations, fm, B.ngens), B):
                 raise ValueError(f"transition at degree {m} does not map relations to relations")
             nxt = f.get(m + 1, [[0] * B1.ngens for _ in range(src.module(m + 1).ngens)])
-            lhs, rhs = times(src.diff(m), nxt, B1.ngens), times(fm, tgt.diff(m), B1.ngens)
+            lhs, rhs = _times(ring, src.diff(m), nxt, B1.ngens), _times(ring, fm, tgt.diff(m), B1.ngens)
             if not inside([[a - b for a, b in zip(lrow, rrow)] for lrow, rrow in zip(lhs, rhs)], B1):
                 raise ValueError(f"transition fails to be a chain map at degree {m}")
 
@@ -128,6 +125,11 @@ class FilteredComplex:
                 if not ker.is_trivial():
                     return False
         return True
+
+
+def _times(ring, X, Y, width):
+    """X Y with width columns, also when Y has no rows."""
+    return mat_mul(ring, X, Y) if Y else [[0] * width for _ in X]
 
 
 def _map_kernel(ring, A: FinModPresentation, B: FinModPresentation, fmat) -> InvariantFactors:
@@ -242,104 +244,41 @@ def chain_hom_group(ring, A: FinComplex, B: FinComplex, extra_kill=None):
             out[m] = mat
         return out
 
-    # linear conditions: relations map into relations, squares commute,
-    # extra kill rows map to zero -- all modulo target relations
-    cond_list = []
-    for m, a, b in shape:
-        Arel = A.module(m).relations
-        for rel in Arel:
-            cond_list.append(("rel", m, rel))
-        kill = (extra_kill or {}).get(m, [])
-        for row in kill:
-            cond_list.append(("rel", m, row))
-        if a:
-            for g in range(a):
-                cond_list.append(("sq", m, g))
+    # linear conditions, all modulo target relations: relations and extra
+    # kill rows R_m map to zero (R_m phi_m), squares commute
+    # (phi_m d_B - d_A phi_{m+1}, one block per generator of A^m)
+    R = {m: list(A.module(m).relations) + [list(r) for r in (extra_kill or {}).get(m, [])] for m in degrees}
 
-    # build one big matrix: unknowns -> concatenated residues
-    residue_blocks = []
-    for kind, m, payload in cond_list:
-        if kind == "rel":
-            bn = B.module(m).ngens
-            residue_blocks.append((kind, m, payload, bn))
-        else:
-            bn = B.module(m + 1).ngens
-            residue_blocks.append((kind, m, payload, bn))
-    total_cols = sum(bn for _, _, _, bn in residue_blocks)
-    rows = []
-    for e in range(nvars):
-        vec = [0] * nvars
-        vec[e] = 1
-        phi = unpack(vec)
+    def residues(phi):
         out = []
-        for kind, m, payload, bn in residue_blocks:
-            if kind == "rel":
-                img = [0] * bn
-                mat = phi.get(m)
-                if mat and bn:
-                    for c, prow in zip(payload, mat):
-                        if c:
-                            for jj, x in enumerate(prow):
-                                img[jj] = (img[jj] + c * x) % q
-                out.extend(img)
-            else:
-                g = payload
-                img = [0] * bn
-                # (phi_m d_B - d_A phi_{m+1}) on generator g
-                mat_m = phi.get(m)
-                if mat_m and bn:
-                    row = mat_m[g]
-                    dB = B.diff(m)
-                    for c, brow in zip(row, dB):
-                        if c:
-                            for jj, x in enumerate(brow):
-                                img[jj] = (img[jj] + c * x) % q
-                dA = A.diff(m)
-                mat_next = phi.get(m + 1)
-                if mat_next and bn and A.module(m + 1).ngens:
-                    for c, nrow in zip(dA[g], mat_next):
-                        if c:
-                            for jj, x in enumerate(nrow):
-                                img[jj] = (img[jj] - x * c) % q
-                out.extend(img)
-        rows.append(out)
+        for m, a, b in shape:
+            b1 = B.module(m + 1).ngens
+            out += [x for row in _times(ring, R[m], phi[m], b) for x in row]
+            left = _times(ring, phi[m], B.diff(m), b1)
+            right = _times(ring, A.diff(m), phi.get(m + 1, []), b1)
+            out += [(x - y) % q for lrow, rrow in zip(left, right) for x, y in zip(lrow, rrow)]
+        return out
+
+    rows = [residues(unpack(e)) for e in identity(nvars)]
     # allowed residues: spans of target relations blockwise
-    allowed = []
-    offset = 0
-    for kind, m, payload, bn in residue_blocks:
-        rel = B.module(m if kind == "rel" else m + 1).relations
-        for rrow in rel:
-            allowed.append([0] * offset + list(rrow) + [0] * (total_cols - offset - bn))
-        offset += bn
-    sols = preimage(ring, rows, allowed) if rows else []
-    # enumerate the whole solution group
-    H = normal_form(ring, sols, nvars)
-    size = 1
-    for hrow in H:
-        col = next(j for j, x in enumerate(hrow) if x)
-        size *= ring.p ** (ring.N - ring.val(hrow[col]))
-        if size > 4096:
-            raise HomSetTooLarge("hom set exceeds the enumeration budget")
-    out = set()
-    stack = [[0] * nvars]
+    blocks = []
+    for m, a, b in shape:
+        blocks += [B.module(m)] * len(R[m]) + [B.module(m + 1)] * a
+    allowed, offset = [], 0
+    for M in blocks:
+        allowed += [[0] * offset + list(r) + [0] * (len(rows[0]) - offset - M.ngens) for r in M.relations]
+        offset += M.ngens
+    # enumerate the whole solution group; preimage returns its Howell form
+    H = preimage(ring, rows, allowed)
+    if span_order(ring, H, nvars) > 4096:
+        raise HomSetTooLarge("hom set exceeds the enumeration budget")
+    vecs = [[0] * nvars]
     for hrow in H:
         col = next(j for j, x in enumerate(hrow) if x)
         order = ring.p ** (ring.N - ring.val(hrow[col]))
-        new = []
-        for base in stack:
-            for mult in range(order):
-                new.append([(x + mult * y) % q for x, y in zip(base, hrow)])
-        stack = new
-    result = []
-    seen = set()
-    for vec in stack:
-        key = tuple(vec)
-        if key in seen:
-            continue
-        seen.add(key)
-        phi = unpack(list(vec))
-        result.append(tuple((m, tuple(tuple(r) for r in phi.get(m, []))) for m, a, b in shape))
-    return result
+        vecs = [[(x + k * y) % q for x, y in zip(base, hrow)] for base in vecs for k in range(order)]
+    # a Howell form writes each element once, as sum c_i h_i with 0 <= c_i < order_i
+    return [tuple((m, tuple(map(tuple, phi))) for m, phi in unpack(vec).items()) for vec in vecs]
 
 
 def adjunction_check(F: FilteredComplex, X: GradedComplex) -> bool:

@@ -13,7 +13,7 @@ asserted at runtime.
 
 The symbolic laws themselves (`synthesize_law`) are produced by the same
 recursion over Z[X_0..X_n, Y_0..Y_n], written apart from `WittRing` (the
-two share only the binary power `_power`).  They grow quickly with p and
+two share only exactcore's binary `power`).  They grow quickly with p and
 the depth, so they serve as an independent cross-check oracle at small
 depth while the evaluated route does the day-to-day arithmetic.
 """
@@ -30,7 +30,7 @@ from .errors import (
     LengthUnderflow,
     TorsionCoefficients,
 )
-from .exactcore import Zq
+from .exactcore import Zq, power
 from .rings import MonomialAlgebra, wkey
 
 DEFAULT_DEPTH_CAP = 5
@@ -67,22 +67,8 @@ def _poly_mul(a, b):
     return out
 
 
-def _power(mul, a, n):
-    """a^n for n >= 1 under `mul`, by binary powering; no square past the top bit."""
-    if n < 1:
-        raise ValueError("power needs n >= 1")
-    result = None
-    while True:
-        if n & 1:
-            result = a if result is None else mul(result, a)
-        n >>= 1
-        if not n:
-            return result
-        a = mul(a, a)
-
-
 def _poly_pow(a, n):
-    return _power(_poly_mul, a, n)
+    return power(_poly_mul, a, n)
 
 
 def _poly_divexact(a, d):
@@ -338,7 +324,7 @@ class WittRing:
             acc = {}
             for i in range(m + 1):
                 if lifted[i]:
-                    term = _power(cover.mul, lifted[i], p ** (m - i))
+                    term = power(cover.mul, lifted[i], p ** (m - i))
                     acc = cover.add(acc, cover.scale_int(p**i, term))
             out.append(acc)
         return out
@@ -350,7 +336,7 @@ class WittRing:
         for m, acc in enumerate(ghosts):
             for i, c in enumerate(comps):
                 if c:
-                    term = _power(cover.mul, c, p ** (m - i))
+                    term = power(cover.mul, c, p ** (m - i))
                     acc = cover.add(acc, cover.scale_int(-(p**i), term))
             comps.append(cover.divexact(acc, p**m))
         ring = self if len(ghosts) == self.length else self.shorter()
@@ -374,7 +360,7 @@ class WittRing:
         """The image of the integer n in W_r (binary addition chain)."""
         if n < 0:
             return self.neg(self.scalar(-n))
-        return _power(self.add, self.one(), n) if n else self.zero()
+        return power(self.add, self.one(), n) if n else self.zero()
 
 
 class WittVector:

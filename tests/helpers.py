@@ -1,5 +1,7 @@
 """Shared fixture generators: random complexes and filtrations over Z/p^N,
-a reference Howell form to test the kernel against, the weight-keyed
+the one-shot `solve` that SubQuot.coords is compared against, the
+hom-set enumeration that filtspec.chain_hom_group replaced, a
+reference Howell form to test the kernel against, the weight-keyed
 orbit walk to test the numerator-keyed one against, the quotient
 presentations that rings.MonomialAlgebra.component replaced, the
 relative forms that RelativeCartier built apart from it, the unrescaled
@@ -14,7 +16,7 @@ from itertools import combinations
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
-from drwitt.errors import PrecisionExhausted
+from drwitt.errors import HomSetTooLarge, PrecisionExhausted
 from drwitt.exactcore import (
     FinComplex,
     FinModPresentation,
@@ -26,13 +28,30 @@ from drwitt.exactcore import (
     kernel,
     mat_mul,
     member,
+    negate,
     normal_form,
     preimage,
-    solve,
 )
+from drwitt.exactcore.modules import residue
 from drwitt.filtspec import FilteredComplex
 from drwitt.rings import MonomialAlgebra, exponents, p_split, parse_ringspec, sign_insert, weight_window, wkey
 from drwitt.synlog import NygaardModel, _FiberBlock, _tau_cohomology, _weight_support, weight_orbits
+
+
+def solve(ring, A, b):
+    """One solution x of x @ A = b, or None if b is not in the row span.
+
+    The package solves through `SubQuot.coords`; this one-shot solver is
+    the reference the tests compare it against."""
+    m = len(A)
+    if m == 0:
+        return [] if member(ring, [], b) else None
+    n = len(b)
+    aug = [list(row) + e for row, e in zip(A, identity(m))]
+    w = residue(ring, normal_form(ring, aug, n + m), list(b) + [0] * m)
+    if any(w[:n]):
+        return None
+    return negate(ring, w[n:])
 
 
 def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
@@ -167,6 +186,135 @@ def random_filtered_complex(rng, ring: ZmodRing, window=2, length=3, max_rank=3)
             f[m] = mat
         maps[n] = f
     return FilteredComplex(ring, 0, window, levels, maps, check=True)
+
+
+# The hom-set enumeration that filtspec.chain_hom_group replaced: one
+# hand-written row x matrix loop per residue block, a two-branch block
+# table and a hand-written span size.  chain_hom_group must return the
+# same list and raise HomSetTooLarge on the same inputs.
+def reference_chain_hom_group(ring, A: FinComplex, B: FinComplex, extra_kill=None):
+    """All chain maps A -> B, as tuples of per-degree matrices.
+
+    extra_kill[m] is an optional list of rows of A-degree-m generators
+    whose images are required to vanish (used for the factorization
+    condition psi o tau = 0).  The solution set is enumerated exactly.
+    """
+    degrees = sorted(set(list(A.degrees()) + list(B.degrees())))
+    shape = [(m, A.module(m).ngens, B.module(m).ngens) for m in degrees]
+    nvars = sum(a * b for _, a, b in shape)
+    if nvars == 0:
+        return [tuple((m, tuple()) for m, a, b in shape)]
+    if not isinstance(ring, ZmodRing):
+        raise HomSetTooLarge("hom-set enumeration needs a finite coefficient ring")
+    q = ring.q
+
+    def unpack(vec):
+        out = {}
+        pos = 0
+        for m, a, b in shape:
+            mat = [vec[pos + r * b : pos + (r + 1) * b] for r in range(a)]
+            pos += a * b
+            out[m] = mat
+        return out
+
+    # linear conditions: relations map into relations, squares commute,
+    # extra kill rows map to zero -- all modulo target relations
+    cond_list = []
+    for m, a, b in shape:
+        Arel = A.module(m).relations
+        for rel in Arel:
+            cond_list.append(("rel", m, rel))
+        kill = (extra_kill or {}).get(m, [])
+        for row in kill:
+            cond_list.append(("rel", m, row))
+        if a:
+            for g in range(a):
+                cond_list.append(("sq", m, g))
+
+    # build one big matrix: unknowns -> concatenated residues
+    residue_blocks = []
+    for kind, m, payload in cond_list:
+        if kind == "rel":
+            bn = B.module(m).ngens
+            residue_blocks.append((kind, m, payload, bn))
+        else:
+            bn = B.module(m + 1).ngens
+            residue_blocks.append((kind, m, payload, bn))
+    total_cols = sum(bn for _, _, _, bn in residue_blocks)
+    rows = []
+    for e in range(nvars):
+        vec = [0] * nvars
+        vec[e] = 1
+        phi = unpack(vec)
+        out = []
+        for kind, m, payload, bn in residue_blocks:
+            if kind == "rel":
+                img = [0] * bn
+                mat = phi.get(m)
+                if mat and bn:
+                    for c, prow in zip(payload, mat):
+                        if c:
+                            for jj, x in enumerate(prow):
+                                img[jj] = (img[jj] + c * x) % q
+                out.extend(img)
+            else:
+                g = payload
+                img = [0] * bn
+                # (phi_m d_B - d_A phi_{m+1}) on generator g
+                mat_m = phi.get(m)
+                if mat_m and bn:
+                    row = mat_m[g]
+                    dB = B.diff(m)
+                    for c, brow in zip(row, dB):
+                        if c:
+                            for jj, x in enumerate(brow):
+                                img[jj] = (img[jj] + c * x) % q
+                dA = A.diff(m)
+                mat_next = phi.get(m + 1)
+                if mat_next and bn and A.module(m + 1).ngens:
+                    for c, nrow in zip(dA[g], mat_next):
+                        if c:
+                            for jj, x in enumerate(nrow):
+                                img[jj] = (img[jj] - x * c) % q
+                out.extend(img)
+        rows.append(out)
+    # allowed residues: spans of target relations blockwise
+    allowed = []
+    offset = 0
+    for kind, m, payload, bn in residue_blocks:
+        rel = B.module(m if kind == "rel" else m + 1).relations
+        for rrow in rel:
+            allowed.append([0] * offset + list(rrow) + [0] * (total_cols - offset - bn))
+        offset += bn
+    sols = preimage(ring, rows, allowed) if rows else []
+    # enumerate the whole solution group
+    H = normal_form(ring, sols, nvars)
+    size = 1
+    for hrow in H:
+        col = next(j for j, x in enumerate(hrow) if x)
+        size *= ring.p ** (ring.N - ring.val(hrow[col]))
+        if size > 4096:
+            raise HomSetTooLarge("hom set exceeds the enumeration budget")
+    out = set()
+    stack = [[0] * nvars]
+    for hrow in H:
+        col = next(j for j, x in enumerate(hrow) if x)
+        order = ring.p ** (ring.N - ring.val(hrow[col]))
+        new = []
+        for base in stack:
+            for mult in range(order):
+                new.append([(x + mult * y) % q for x, y in zip(base, hrow)])
+        stack = new
+    result = []
+    seen = set()
+    for vec in stack:
+        key = tuple(vec)
+        if key in seen:
+            continue
+        seen.add(key)
+        phi = unpack(list(vec))
+        result.append(tuple((m, tuple(tuple(r) for r in phi.get(m, []))) for m, a, b in shape))
+    return result
 
 
 # The straightforward Howell form that exactcore.zmodp.howell replaced:

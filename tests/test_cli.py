@@ -399,6 +399,15 @@ def bad_inputs(tmp_path):
         ["witt", "ghost", "a,b", "--p", "2"],
         ["drw", "table", "--ring", "{zeroden}"],
         ["witt", "add", "x", "x^1/0", "--len", "1", "--ring", "{perf1}"],
+        ["check", "fundamental-seq", "--ring", "{fp}", "--twist", "abc"],
+        ["kpredict", "--ring", "{fp}", "--range", "-1..3"],
+        ["witt", "neg", "1,0", "1,1", "--p", "3"],
+        ["witt", "teich", "1", "2"],
+        ["witt", "frob", "1,0", "1,1"],
+        ["witt", "versch", "1,0", "1,1"],
+        ["witt", "restrict", "1,0", "1,1"],
+        ["witt", "ghost", "1,1", "5,5"],
+        ["witt", "add", "1,0"],
     ],
     ids=[
         "syntomic-modp-0",
@@ -434,6 +443,15 @@ def bad_inputs(tmp_path):
         "witt-ghost-non-integer",
         "ring-zero-exponent-denominator",
         "witt-zero-exponent-denominator",
+        "usage-twist-not-an-int",
+        "usage-range-looks-like-a-flag",
+        "witt-neg-two-vectors",
+        "witt-teich-two-vectors",
+        "witt-frob-two-vectors",
+        "witt-versch-two-vectors",
+        "witt-restrict-two-vectors",
+        "witt-ghost-two-vectors",
+        "witt-add-one-vector",
     ],
 )
 def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
@@ -443,6 +461,19 @@ def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_usage_errors_are_exit_1_and_help_is_exit_0(capsys):
+    # argparse's own exit 2 would read as "property is false"
+    assert main(["witt", "neg", "1,0", "1,1", "--p", "3"]) == 1
+    assert capsys.readouterr().err == "error: witt neg needs exactly one vector\n"
+    assert main(["bogus-verb"]) == 1
+    assert capsys.readouterr().err.startswith("error: argument verb: invalid choice: 'bogus-verb'")
+    for argv in (["--help"], ["witt", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out
 
 
 def test_internal_errors_are_one_line_exit_1(capsys, monkeypatch):

@@ -18,10 +18,10 @@ from drwitt.dieudonne import (
     weight_class,
 )
 from drwitt.errors import PrecisionExhausted, UnsupportedKind
-from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul, solve
+from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul
 from drwitt.rings import parse_ringspec, wkey
 
-from helpers import eta_p_lattice, reference_strict_invariants, weight_class_specs
+from helpers import eta_p_lattice, reference_strict_invariants, solve, weight_class_specs
 
 
 def spec(text):
@@ -300,7 +300,7 @@ def test_strict_level_one_matches_derham():
                 expected = InvariantFactors.of([s.p] * (rank * s.f))
                 assert drw == expected, (s.describe(), n, w)
         # d matrices have matching ranks
-        from drwitt.exactcore import gf_rank
+        from drwitt.exactcore import gf_rref
 
         for w in range(lo, 7):
             dm = lvl.d_map(0, w)
@@ -309,7 +309,7 @@ def test_strict_level_one_matches_derham():
             om = C.d_matrix(0, w)
             r1 = ZmodRing(s.p, 1)
             H = howell(r1, [[x % s.p for x in row] for row in dm], len(dm[0]) if dm else 0) if dm else []
-            assert len(H) == gf_rank(C.K, om, C.rank(1, w)) if om else True
+            assert len(H) == len(gf_rref(C.K, om, C.rank(1, w))) if om else True
 
 
 def test_strict_fq_levels_match_witt():
@@ -443,8 +443,6 @@ def test_f_d_teich_identity():
         target_exp = (p * p**sstar - 1,)
         vec = [0] * len(forms)
         vec[forms.index((target_exp, (0,)))] = 1
-        from drwitt.exactcore import solve
-
         coords = solve(m._amb, tgt, vec)
         want = [x % m.ring.q for x in coords]
         # d[x] has a single basis coordinate; compare the single row

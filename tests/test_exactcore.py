@@ -31,15 +31,15 @@ from drwitt.exactcore import (
     kernel,
     mat_mul,
     member,
+    power,
     preimage,
     quotient_invariants,
     smith_diagonal,
-    solve,
     span_order,
 )
 from drwitt.exactcore.zmodp import quotient_divisor_exponents
 from drwitt.rings import p_split
-from helpers import reference_howell
+from helpers import reference_howell, solve
 
 
 def brute_span(R, rows, ncols):
@@ -307,6 +307,39 @@ def test_zq_frobenius_and_teichmuller():
         for _ in range(f):
             y = W.frobenius(y)
         assert y == x
+
+
+def test_gf_power_and_zq_product_agree_with_repeated_products():
+    # GF.power is n-fold GF.mul, power(a, 0) is 1 (t^0 in ring files)
+    for p, f in [(2, 2), (2, 3), (3, 2)]:
+        K = GF(p, f)
+        for a in K.elements():
+            x = 1
+            for n in range(K.q + 2):
+                assert K.power(a, n) == x, (K, a, n)
+                x = K.mul(x, a)
+    # Zq.mul and GF.mul are the same product, modulo p^3 and modulo p
+    rng = random.Random(0)
+    for p, f in [(2, 2), (2, 3), (3, 2), (5, 2)]:
+        W, K = Zq(p, f, 3), GF(p, f)
+        for _ in range(40):
+            a, b = (tuple(rng.randrange(W.q) for _ in range(f)) for _ in "ab")
+            assert W.reduce_residue(W.mul(a, b)) == K.mul(W.reduce_residue(a), W.reduce_residue(b))
+
+
+def test_power_makes_floor_log2_plus_popcount_minus_one_products():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for n in range(1, 65):
+        calls.clear()
+        assert power(mul, 3, n) == 3**n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+    with pytest.raises(ValueError):
+        power(mul, 3, 0)
 
 
 def gf_span(K, rows, ncols):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from drwitt.errors import DegenerationFailed, NonInjectiveTransitions
+from drwitt.errors import DegenerationFailed, HomSetTooLarge, NonInjectiveTransitions
 from drwitt.exactcore import (
     ZZ,
     FinComplex,
@@ -26,7 +26,7 @@ from drwitt.filtspec import (
     t_embed,
     two_column_extract,
 )
-from helpers import random_filtered_complex
+from helpers import random_filtered_complex, reference_chain_hom_group
 
 
 def free_complex(ring, ranks, diffs):
@@ -128,6 +128,33 @@ def test_adjunction_unit_is_quotient_family():
     F = FilteredComplex(ring, 0, 1, {0: C, 1: Csub}, {0: {0: [[1, 0]]}})
     X = gr(F)
     assert adjunction_check(F, X)
+
+
+def _homs_or_too_large(enumerate_homs, ring, A, B, kill):
+    try:
+        return enumerate_homs(ring, A, B, extra_kill=kill)
+    except HomSetTooLarge:
+        return "too large"
+
+
+def test_chain_hom_group_matches_reference():
+    # level/cone and level/cokernel pairs of random filtrations (relations
+    # on one side or both), with and without the transitions as kill rows
+    seen = {"relations": 0, "kill rows change the set": 0, "too large": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        ring = ZmodRing(rng.choice((2, 3)), rng.choice((1, 2)))
+        F = random_filtered_complex(rng, ring, window=1, length=2, max_rank=2)
+        cones, cokernels = gr(F, "cone"), gr(F, "cokernel")
+        pairs = [(F.level(n), cones.slot(n), F.transition(n)) for n in (0, 1)]
+        pairs += [(F.level(0), cokernels.slot(0), F.transition(0)), (cokernels.slot(0), cones.slot(1), {})]
+        for A, B, tau in pairs:
+            seen["relations"] += any(M.relations for C in (A, B) for M in C.modules.values())
+            got = [_homs_or_too_large(chain_hom_group, ring, A, B, kill) for kill in (None, tau)]
+            assert got == [_homs_or_too_large(reference_chain_hom_group, ring, A, B, kill) for kill in (None, tau)], seed
+            seen["kill rows change the set"] += got[0] != got[1]
+            seen["too large"] += got[0] == "too large"
+    assert all(seen.values()), seen
 
 
 def test_hom_set_enumeration_counts():

@@ -1,0 +1,33 @@
+"""Source hygiene: no module under src/drwitt imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "drwitt"
+
+
+def unused_imports(path):
+    """Names a module binds by import and never reads (a bare Name load)."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_dead_imports_in_src():
+    # package __init__ files import only to re-export
+    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]
+    assert len(modules) > 10
+    dead = {str(p.relative_to(SRC)): names for p in modules if (names := unused_imports(p))}
+    assert dead == {}
+
+
+def test_the_scan_sees_a_dead_import(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\nimport os.path\nfrom a import b, c as d\n\nprint(os, d)\n")
+    assert unused_imports(mod) == ["b"]

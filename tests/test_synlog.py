@@ -29,6 +29,7 @@ from helpers import (
     reference_orbit_class,
     reference_orbit_fibers,
     reference_weight_orbits,
+    solve,
     weight_class_specs,
 )
 
@@ -525,7 +526,6 @@ def test_graded_bridge_is_d_after_v(text, r, monkeypatch):
     # GF(p^2) V carries sigma^-1 on coefficients, so a plain d at p a is a
     # different matrix; over GF(p) the two agree in these one-variable bases
     import drwitt.synlog as synlog
-    from drwitt.exactcore import solve
     from drwitt.rings import weight_window
 
     m = saturate(spec(text), r, 2)
@@ -597,8 +597,6 @@ def test_stability_of_syntomic_outputs():
 def test_nygaard_inclusion_columns_are_v_images():
     # degree-0 component of N^{>=1} is V W: each inclusion column solves
     # F(column) = p * (lattice element), checked column by column
-    from drwitt.exactcore import solve as _solve
-
     m = saturate(spec("p=2\nkind=poly\nvars=x:1"), 2, 2)
     N = NygaardModel(m, 1)
     for v in (1, 2, 3):
