@@ -269,11 +269,34 @@ class SaturatedModel:
         self.lift = lift_with_frobenius(spec, self.B)
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
+        # m' of the variable weight m = p^v m' (m' prime to p); None without one variable
+        self._weight_prime_to_p = p_split(spec.weights[0], self.p)[1] if spec.nvars == 1 else None
+        self._lattices = {}  # (degree, class_at) -> Howell basis
 
     def num(self, u):
         """The numerator u p^s_star of weight u; None past the denominator cap."""
         a = Fraction(u) * self.P
         return a.numerator if a.denominator == 1 else None
+
+    def class_at(self, a):
+        """Class key of numerator a: numerators with one key have the same lattices.
+
+        For one variable of weight m = p^v m' (m' prime to p) the key is
+        "zero" at a = 0; "none" when m' does not divide a, or a < 0 on a
+        ring that is not Laurent, since then no monomial has weight a / P;
+        and v_p(a) otherwise.  It partitions the numerators as
+        weight_class(spec, a / P) does, since v_p(e) = v_p(a) - v - s_star
+        for the exponent e = a / (P m), but in integers only.  A spec
+        without one variable has a key per numerator.
+        """
+        m = self._weight_prime_to_p
+        if m is None:
+            return ("weight", a)
+        if a == 0:
+            return "zero"
+        if a % m or (a < 0 and not self.spec.is_laurent):
+            return "none"
+        return p_split(a, self.p)[0]
 
     # -- lattice bases -------------------------------------------------------
 
@@ -290,9 +313,34 @@ class SaturatedModel:
         # Howell form of the preimage, so no second normal form is needed
         return preimage(self._amb, D, identity(kt, self.p**s))
 
-    @memo
     def lattice_at(self, n, a):
-        """Howell basis of the degree-n component at numerator a (ambient coords)."""
+        """Howell basis of the degree-n component at numerator a (ambient coords).
+
+        One basis, built and certified at the first numerator seen, serves
+        every numerator of its class_at key.  Soundness, for one variable
+        of weight m = p^v m': the lift has no form at a numerator of class
+        "none", nor at one of class k < v (m does not divide it).  Two
+        numerators a, a' of one class k >= v have lift exponents e = a / m
+        and e' = a' / m with v_p(e) = v_p(e') = k - v, so at a and a' (and
+        at a p and a' p) the lift has one monomial form per degree <= top
+        (degree 1 on a poly ring too, where e and e' are positive), d is e
+        or e' times the identity on the coefficient digits, and F is
+        x^e -> x^(p e) tensored with sigma, the same matrix at both.  The
+        two differentials differ by the integer unit e' / e mod p^B, so
+        E_s = {x : x d in p^s M} is the same submodule of the same
+        coordinates at a and a', at the working stage and at the stage
+        s_star + 1 of the certificate.  Its Howell basis is canonical,
+        hence the same list, and the certificate reads the same F, so it
+        passes or fails at both.  A perfection's lattice is the free module
+        on the lift's degree-0 forms, whose rank the key fixes the same way.
+        """
+        key = n, self.class_at(a)
+        basis = self._lattices.get(key)
+        if basis is None:
+            basis = self._lattices[key] = self._lattice(n, a)
+        return basis
+
+    def _lattice(self, n, a):
         if self.is_perfection:
             # the free lattice on the Teichmuller monomials x^(e/p^s_star) of
             # the lift's degree-0 forms x^e; W(S) has no higher degrees

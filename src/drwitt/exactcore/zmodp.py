@@ -13,6 +13,8 @@ on the right (x |-> x @ A).
 
 from __future__ import annotations
 
+from math import prod
+
 
 class ZmodRing:
     """The coefficient ring Z/p^N."""
@@ -163,14 +165,18 @@ def intersect(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -
     return [h[ncols:] for h in H if not any(h[:ncols])]
 
 
+def pivot_orders(R: ZmodRing, H: list[list[int]]) -> list[int]:
+    """p^(N - a) for the pivot p^a of each row of the Howell form H.
+
+    The span of H writes each element once as sum c_i H_i with
+    0 <= c_i < order_i, so it has prod(order_i) elements.
+    """
+    return [R.p ** (R.N - R.val(next(x for x in row if x))) for row in H]
+
+
 def span_order(R: ZmodRing, rows: list[list[int]], ncols: int) -> int:
     """Number of elements of the row span."""
-    H = howell(R, rows, ncols)
-    order = 1
-    for row in H:
-        col = next(j for j, x in enumerate(row) if x)
-        order *= R.p ** (R.N - R.val(row[col]))
-    return order
+    return prod(pivot_orders(R, howell(R, rows, ncols)))
 
 
 def quotient_divisor_exponents(R: ZmodRing, rows: list[list[int]], ncols: int) -> list[int]:

@@ -19,6 +19,8 @@ the graded pieces of the image filtration on H^*(F^(>= lo)).
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
+
 from .errors import DegenerationFailed, HomSetTooLarge, NonInjectiveTransitions
 from .exactcore import (
     FinComplex,
@@ -32,8 +34,8 @@ from .exactcore import (
     member,
     negate,
     normal_form,
+    pivot_orders,
     preimage,
-    span_order,
 )
 
 
@@ -270,12 +272,11 @@ def chain_hom_group(ring, A: FinComplex, B: FinComplex, extra_kill=None):
         offset += M.ngens
     # enumerate the whole solution group; preimage returns its Howell form
     H = preimage(ring, rows, allowed)
-    if span_order(ring, H, nvars) > 4096:
+    orders = pivot_orders(ring, H)
+    if prod(orders) > 4096:
         raise HomSetTooLarge("hom set exceeds the enumeration budget")
     vecs = [[0] * nvars]
-    for hrow in H:
-        col = next(j for j, x in enumerate(hrow) if x)
-        order = ring.p ** (ring.N - ring.val(hrow[col]))
+    for hrow, order in zip(H, orders):
         vecs = [[(x + k * y) % q for x, y in zip(base, hrow)] for base in vecs for k in range(order)]
     # a Howell form writes each element once, as sum c_i h_i with 0 <= c_i < order_i
     return [tuple((m, tuple(map(tuple, phi))) for m, phi in unpack(vec).items()) for vec in vecs]

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm, prod
+
 from .derham import DeRhamComplex, derham_cohomology
-from .dieudonne import GUARD, SaturatedModel, class_representatives, saturate, strict_truncate, weight_class
+from .dieudonne import GUARD, SaturatedModel, class_representatives, saturate, strict_truncate
 from .errors import InexactDivision
 from .exactcore import (
     FinComplex,
@@ -45,6 +47,7 @@ from .exactcore import (
     mat_mul,
     member,
     normal_form,
+    pivot_orders,
     span_order,
 )
 from .rings import RingSpec, memo, weight_window
@@ -147,17 +150,20 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
 # orbit assembly for the syntomic fiber
 
 def _weight_support(model: SaturatedModel, cap, den_exp):
-    """Numerators of the lattice-supported weights with |w| <= cap and denominator <= p^den_exp.
+    """Numerators of the lattice-supported weights with |w| <= cap and denominator <= p^den_exp, ascending.
 
-    A ring without variables is supported at weight 0 only.  Support is
-    read off the ambient ranks, which equal the lattice ranks, so no
-    lattice is built here.
+    The window's numerators are the multiples of p^max(0, s_star - den_exp)
+    with |a| <= cap P, and a >= 0 unless the ring is Laurent.  A ring
+    without variables is supported at a = 0 only; one variable of weight m
+    at the window numerators that m divides, where the lift has a monomial
+    in degree 0.  Support is read off integers, so no form is enumerated.
     """
-    if model.spec.nvars:
-        window = map(model.num, weight_window(cap, model.p**den_exp, model.spec.is_laurent))
-    else:
-        window = [0] if cap >= 0 else []
-    return [a for a in window if a is not None and any(model.ambient_rank_at(n, a) for n in range(model.top + 1))]
+    if not model.spec.nvars:
+        return [0] if cap >= 0 else []
+    cap = Fraction(cap)
+    step = lcm(model.p ** max(0, model.s_star - den_exp), model.spec.weights[0])
+    top = cap.numerator * model.P // cap.denominator // step
+    return [k * step for k in range(-top if model.spec.is_laurent else 0, top + 1)]
 
 
 def weight_orbits(model: SaturatedModel, cap, den_exp):
@@ -324,7 +330,7 @@ def _direct_sum(factors):
 
 
 def _orbit_class(model: SaturatedModel, orbit):
-    """Class key of an orbit: (weight class of its bottom, length), or None for a class of its own.
+    """Class key of an orbit: (class_at of its bottom, length), or None for a class of its own.
 
     The key fixes the valuations of the chain a/p, a, ..., p^2 b that the
     orbit's blocks read (see _orbit_fibers).  The zero orbit, and an orbit
@@ -333,7 +339,7 @@ def _orbit_class(model: SaturatedModel, orbit):
     """
     if orbit[0] == 0 or orbit[0] % model.p:
         return None
-    return weight_class(model.spec, Fraction(orbit[0], model.P)), len(orbit)
+    return model.class_at(orbit[0]), len(orbit)
 
 
 def _orbit_fibers(N: NygaardModel, weight_cap, r):
@@ -366,7 +372,7 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
     its length.  This holds at the finite precisions R and B: each
     u(w) is prime to p, hence invertible mod p^B and mod p^R, and it is an
     integer, hence fixed by sigma, so the rescaling commutes with F and V.
-    At one weight it gives dieudonne.weight_class.
+    At one weight it gives SaturatedModel.class_at.
 
     The first orbit of a class is its representative and runs in full:
     lattices, stage certificates, complexes and homology.  Every later
@@ -600,9 +606,9 @@ def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
         coords.append(c)
     pres = H.presentation()
     rel = list(pres.relations)
-    sub = coords + rel
-    order_sub = span_order(pres.ring, normal_form(pres.ring, sub, pres.ngens), pres.ngens)
-    order_rel = span_order(pres.ring, rel, pres.ngens) if rel else 1
+    # the relations are a Howell form already; the span with the symbols takes one
+    order_sub = span_order(pres.ring, coords + rel, pres.ngens)
+    order_rel = prod(pivot_orders(pres.ring, rel))
     log_order = order_sub // order_rel
     if log_order == h_order:
         return "EQUAL", 1
@@ -679,13 +685,15 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
     fractional weights, so the certified containment is
         intersection  <=  p^(max(0, i_cap - GUARD - n)) W
     per degree and weight (documented per-degree exponent), once per
-    weight_class: a weight reads only V into it.
+    class_at key: a weight reads only V into it.
     """
     model = saturate(spec, 2, i_cap)
     ring = model.ring
     p = spec.p
-    for u in class_representatives(spec, [Fraction(a, model.P) for a in _weight_support(model, weight_cap, 1)]):
-        a = model.num(u)
+    reps = {}
+    for a in _weight_support(model, weight_cap, 1):
+        reps.setdefault(model.class_at(a), a)
+    for a in reps.values():
         for n in range(0, model.top + 1):
             k = model.rank_at(n, a)
             if not k or i_cap <= n:

@@ -8,8 +8,9 @@ relative forms that RelativeCartier built apart from it, the unrescaled
 eta_p decalage, the hand-assembled syntomic certificate and
 graded cohomology that synlog replaced, the orbit walk that built both
 fiber schemes for every orbit, the orbit-class key that read the
-rescaled lift, and the per-weight strict groups and Nygaard checks that
-the weight classes replaced."""
+rescaled lift, the per-weight strict groups and Nygaard checks that
+the weight classes replaced, and the per-numerator lattices and stage
+certificates that the class-keyed lattice cache replaced."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -382,9 +383,9 @@ def reference_p_div(w, p):
 
 
 def reference_rank(model: SaturatedModel, n, w):
-    """Rank of the model at weight w; 0 past the denominator cap."""
+    """Rank of the model's own lattice at weight w; 0 past the denominator cap."""
     a = model.num(w)
-    return 0 if a is None else model.rank_at(n, a)
+    return 0 if a is None else len(reference_lattice_at(model, n, a))
 
 
 def reference_weight_support(model: SaturatedModel, cap, den_exp):
@@ -855,3 +856,44 @@ def reference_nygaard_completeness_check(spec, i_cap, weight_cap):
             deepest = [[(c * x) % ring.q for x in row] for row in model.versch_at(n, a * p)]
             out[(n, Fraction(a, model.P))] = all(member(ring, target, row) for row in deepest)
     return out
+
+
+# The per-numerator lattice and stage certificate that the class-keyed
+# SaturatedModel.lattice_at replaced, verbatim, taking the model for `self`:
+# every numerator builds and certifies its own stage lattice.
+# SaturatedModel.lattice_at must return the same basis at every numerator.
+def reference_lattice_at(self: SaturatedModel, n, a):
+    """Howell basis of the degree-n component at numerator a (ambient coords)."""
+    if self.is_perfection:
+        # the free lattice on the Teichmuller monomials x^(e/p^s_star) of
+        # the lift's degree-0 forms x^e; W(S) has no higher degrees
+        k = self.ambient_rank_at(n, a)
+        return identity(k) if k else []
+    basis = self._stage_lattice(n, a, self.s_star)
+    if basis:
+        reference_certify(self, n, a, basis)
+    return basis
+
+
+def reference_certify(self: SaturatedModel, n, a, cur):
+    """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
+    nxt = self._stage_lattice(n, a * self.p, self.s_star + 1)
+    F = self.lift.f_matrix(n, a)
+    img = mat_mul(self._amb, cur, F)
+    if len(cur) != len(nxt):
+        raise PrecisionExhausted(
+            f"saturation not stabilized at degree {n} weight {Fraction(a, self.P)}: "
+            f"ranks {len(cur)} -> {len(nxt)}"
+        )
+    coordM = self._express(img, nxt)
+    if coordM is None:
+        raise PrecisionExhausted("transition image escapes the next stage")
+    # invertibility mod p of the square coordinate matrix
+    Fp = ZmodRing(self.p, 1)
+    red = [[x % self.p for x in row] for row in coordM]
+    H = howell(Fp, red, len(coordM))
+    if len(H) != len(coordM) or any(Fp.val(H[i][i]) != 0 for i in range(len(H))):
+        raise PrecisionExhausted(
+            f"saturation transition not bijective at degree {n} weight {Fraction(a, self.P)}"
+        )
+    return True

@@ -19,9 +19,9 @@ from drwitt.dieudonne import (
 )
 from drwitt.errors import PrecisionExhausted, UnsupportedKind
 from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul
-from drwitt.rings import parse_ringspec, wkey
+from drwitt.rings import p_split, parse_ringspec, weight_window, wkey
 
-from helpers import eta_p_lattice, reference_strict_invariants, solve, weight_class_specs
+from helpers import eta_p_lattice, reference_lattice_at, reference_strict_invariants, solve, weight_class_specs
 
 
 def spec(text):
@@ -381,6 +381,52 @@ def test_weight_class_keys():
     assert weight_class(PERF2, Fraction(-1, 4)) == "none"
 
 
+def _lattice_grid(model, r):
+    """Numerators of the weights |u| <= 3 with denominator <= p^r, the window of an orbit walk."""
+    return [model.num(u) for u in weight_window(3, model.p**r, model.spec.is_laurent)]
+
+
+def _same_partition(items, key1, key2):
+    """key1 and key2 group `items` alike."""
+    pairs = {(key1(x), key2(x)) for x in items}
+    return len(pairs) == len({k for k, _ in pairs}) == len({k for _, k in pairs})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lattices_match_the_per_numerator_reference(p):
+    # one basis per (degree, class_at key) equals the basis each numerator
+    # builds and certifies on its own; on one variable class_at groups the
+    # numerators as weight_class groups their weights, and without one
+    # variable it keys each numerator apart
+    for s in weight_class_specs(p):
+        for r in (1, 2, 3):
+            model, ref = saturate(s, r, 1), saturate(s, r, 1)
+            grid = _lattice_grid(model, r)
+            for a in grid:
+                for n in range(model.top + 2):
+                    assert model.lattice_at(n, a) == reference_lattice_at(ref, n, a), (s, r, n, a)
+            if s.nvars:
+                assert _same_partition(grid, model.class_at, lambda a: weight_class(s, Fraction(a, model.P)))
+            else:
+                assert len({model.class_at(a) for a in grid}) == len(grid)
+
+
+def test_a_class_key_without_the_unit_clause_shares_wrong_lattices(monkeypatch):
+    # on x:(p+1) a numerator that p + 1 does not divide has no monomial; a key
+    # that drops that clause puts it in the class of one that has, and the
+    # per-numerator reference sees the wrong lattice
+    def no_unit_clause(self, a):
+        if a == 0:
+            return "zero"
+        return "none" if a < 0 and not self.spec.is_laurent else p_split(a, self.p)[0]
+
+    monkeypatch.setattr(SaturatedModel, "class_at", no_unit_clause)
+    s = spec("p=2\nkind=poly\nvars=x:3")
+    model, ref = saturate(s, 2, 1), saturate(s, 2, 1)
+    grid = _lattice_grid(model, 2)
+    assert any(model.lattice_at(n, a) != reference_lattice_at(ref, n, a) for a in grid for n in (0, 1))
+
+
 def test_invariants_past_the_denominator_cap_raise_after_their_class_is_seen():
     # x^(1/3) and x^(1/9) are both "none", but weight 1/3 has no numerator
     level = strict_truncate(saturate(spec("p=2\nkind=poly\nvars=x:3"), 2, 1), 2)
@@ -532,8 +578,9 @@ def test_used_model_is_freed_with_its_caches():
 
 
 def test_each_lattice_runs_its_stages_once(monkeypatch):
-    # a lattice builds its stage-s* basis once and its certificate adds only
-    # the stage s*+1; an empty lattice has no certificate
+    # a lattice builds its stage-s* basis once per (degree, class_at key)
+    # and its certificate adds only the stage s*+1; an empty lattice has no
+    # certificate.  The stage s*+1 runs at a p for a lattice at a
     from collections import Counter
 
     from drwitt.synlog import syntomic
@@ -542,7 +589,7 @@ def test_each_lattice_runs_its_stages_once(monkeypatch):
     stage, init = SaturatedModel._stage_lattice, SaturatedModel.__init__
 
     def counting_stage(self, n, w, s):
-        calls.append((id(self), n, w, s))
+        calls.append((id(self), n, self.class_at(w // self.p ** (s - self.s_star)), s))
         return stage(self, n, w, s)
 
     def keeping_init(self, *args, **kwargs):
@@ -558,11 +605,11 @@ def test_each_lattice_runs_its_stages_once(monkeypatch):
             level.invariants(n, u)
     want = Counter()
     for m in models:
-        for (n, a), basis in m._memo_lattice_at.items():
-            want[(id(m), n, a, m.s_star)] += 1
+        for (n, key), basis in m._lattices.items():
+            want[(id(m), n, key, m.s_star)] += 1
             if basis:
-                want[(id(m), n, a * m.p, m.s_star + 1)] += 1
-    lattices = [b for m in models for b in m._memo_lattice_at.values()]
+                want[(id(m), n, key, m.s_star + 1)] += 1
+    lattices = [b for m in models for b in m._lattices.values()]
     assert any(lattices) and not all(lattices)
     assert Counter(calls) == want
 

@@ -31,6 +31,7 @@ from drwitt.exactcore import (
     kernel,
     mat_mul,
     member,
+    pivot_orders,
     power,
     preimage,
     quotient_invariants,
@@ -207,6 +208,10 @@ def test_span_order():
     R = ZmodRing(2, 3)
     assert span_order(R, [[1, 0], [0, 2]], 2) == 8 * 4
     assert span_order(R, [], 2) == 1
+    # each row contributes the order of its pivot, not its own: [2, 1] has
+    # order 8 in Z/8, but 4 [2, 1] = [0, 4] is the next row's
+    H = howell(R, [[2, 1], [0, 4]], 2)
+    assert pivot_orders(R, H) == [4, 2] and span_order(R, H, 2) == len(brute_span(R, H, 2)) == 8
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,28 @@ def test_hom_set_enumeration_counts():
     assert len(homs) == 2  # Hom(F_2, F_2)
 
 
+def test_chain_hom_group_forms_one_howell_form(monkeypatch):
+    # the enumeration budget reads the pivots of preimage's Howell form
+    # instead of forming that form a second time
+    from drwitt.exactcore import modules, zmodp
+
+    ring = ZmodRing(2, 2)
+    A = free_complex(ring, [1, 1], {0: [[2]]})
+    mods = {0: FinModPresentation(ring, 1, [[2]]), 1: FinModPresentation.free(ring, 1)}
+    B = FinComplex(ring, mods, {0: [[2]]}, check=True)
+    want = reference_chain_hom_group(ring, A, B)
+    calls, howell = [], zmodp.howell
+
+    def counting_howell(*args):
+        calls.append(args)
+        return howell(*args)
+
+    monkeypatch.setattr(modules, "howell", counting_howell)
+    monkeypatch.setattr(zmodp, "howell", counting_howell)
+    assert chain_hom_group(ring, A, B) == want
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # spectral sequences
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate, weight_class
@@ -156,10 +156,17 @@ KINDS = (
 )
 
 
+# "{p}" is the prime and "{q}" is p + 1: a variable weight divisible by p,
+# where a numerator with class_at key 0 carries no monomial, and one prime
+# to p other than 1
+WALK_KINDS = KINDS + ("kind=poly\nvars=x:{p}", "kind=poly\nvars=x:{q}", "kind=laurent\nvars=x:{p}")
+
+
 @settings(max_examples=80, deadline=None)
+@example(p=2, kind="kind=poly\nvars=x:{p}", r=1, cap=1, den_exp=3)  # orbits [[0], [2, 4, 8], [6]]
 @given(
     p=st.sampled_from([2, 3, 5]),
-    kind=st.sampled_from(KINDS),
+    kind=st.sampled_from(WALK_KINDS),
     r=st.integers(1, 2),
     cap=st.integers(0, 6),
     den_exp=st.integers(0, 4),
@@ -167,7 +174,7 @@ KINDS = (
 def test_weight_orbits_match_the_weight_keyed_walk(p, kind, r, cap, den_exp):
     # den_exp reaches s* = r + 1 and beyond, where numerators prime to p
     # occur and the walk down must stop at them
-    m = saturate(spec(f"p={p}\n{kind}"), r, 2)
+    m = saturate(spec(f"p={p}\n" + kind.format(p=p, q=p + 1)), r, 2)
     got = [[Fraction(a, m.P) for a in orbit] for orbit in weight_orbits(m, cap, den_exp)]
     assert got == reference_weight_orbits(m, cap, den_exp)
 
