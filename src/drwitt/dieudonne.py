@@ -182,59 +182,13 @@ def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
 # ---------------------------------------------------------------------------
 # saturation
 
-def weight_class(spec: RingSpec, u):
-    """Class key of weight u: weights with one key have isomorphic per-weight pieces.
-
-    For one variable of weight m, write e = u/m.  The key is "none" when
-    no monomial has exponent e (its denominator is not a power of p, or
-    e < 0 on a ring that is not Laurent), "zero" when e = 0, and v_p(e)
-    otherwise, without the sign of e.  A ring without variables has
-    "zero" at weight 0 and "none" elsewhere; any other spec has a class
-    of its own per weight.
-
-    Soundness, by the rescaling of synlog._orbit_fibers: a model at
-    numerator a = u p^s_star reads the lift at a p^k, k >= 0, which has
-    one monomial form per degree <= top, or none, as the key says.  d on
-    it is its exponent e p^(s_star + k), and F is x^e -> x^(p e) tensored
-    with sigma.  Dividing the slots at a p^k by the prime-to-p part of a
-    (an integer unit, so it commutes with F, V and sigma) carries the
-    lattices, V, strict relations and Nygaard blocks of one weight onto
-    those of any other weight of its class, so every invariant read off
-    them is a function of the key.  Matrices in lattice coordinates, such
-    as d and F, are not, and stay per weight.  The de Rham side of
-    synlog.nygaard_graded_check at weight e m is x^e -> e x^(e-1) dx over
-    GF(p^f), or nothing (a perfection reads H^0 off the same monomial),
-    so it too depends only on the key.
-    """
-    u = Fraction(u)
-    if not spec.nvars:
-        return "zero" if u == 0 else "none"
-    if spec.nvars > 1 or spec.kind == "quotient":
-        return ("weight", u)
-    e = u / spec.weights[0]
-    if e == 0:
-        return "zero"
-    v, rest = p_split(e.denominator, spec.p)
-    if rest != 1 or (e < 0 and not spec.is_laurent):
-        return "none"
-    return p_split(e.numerator, spec.p)[0] - v
-
-
-def class_representatives(spec: RingSpec, weights):
-    """The first of `weights` in each weight_class, in order."""
-    reps = {}
-    for u in weights:
-        reps.setdefault(weight_class(spec, u), u)
-    return list(reps.values())
-
-
 class SaturatedModel:
     """The saturated de Rham-Witt complex of a curated ring, per weight.
 
     Weight-u components (denominator up to p^s_star) are lattices with
-    exact matrices for d, F and V; everything is computed lazily per
-    weight and certified to have stabilized one eta_p stage beyond the
-    working stage.  Methods ending in `_at` take the numerator
+    exact matrices for d, F and V; everything is computed lazily, once
+    per class_at key, and certified to have stabilized one eta_p stage
+    beyond the working stage.  Methods ending in `_at` take the numerator
     a = u p^s_star of the weight; `num` converts a weight to it.
 
     The working stage is s_star = r_level + 1 + v for a variable of weight
@@ -271,32 +225,67 @@ class SaturatedModel:
         self.top = 0 if self.is_perfection else self.lift.top
         # m' of the variable weight m = p^v m' (m' prime to p); None without one variable
         self._weight_prime_to_p = p_split(spec.weights[0], self.p)[1] if spec.nvars == 1 else None
-        self._lattices = {}  # (degree, class_at) -> Howell basis
+        # per (degree, class_at key), built at the first numerator that asks
+        self._lattices = {}  # Howell basis
+        self._frobs = {}  # F in lattice coordinates
+        self._verschs = {}  # V in lattice coordinates
+        self._d_reps = {}  # the numerator whose d the class rescales
 
     def num(self, u):
         """The numerator u p^s_star of weight u; None past the denominator cap."""
         a = Fraction(u) * self.P
         return a.numerator if a.denominator == 1 else None
 
+    @memo
     def class_at(self, a):
-        """Class key of numerator a: numerators with one key have the same lattices.
+        """Class key of numerator a: numerators with one key have isomorphic pieces.
 
         For one variable of weight m = p^v m' (m' prime to p) the key is
         "zero" at a = 0; "none" when m' does not divide a, or a < 0 on a
         ring that is not Laurent, since then no monomial has weight a / P;
-        and v_p(a) otherwise.  It partitions the numerators as
-        weight_class(spec, a / P) does, since v_p(e) = v_p(a) - v - s_star
-        for the exponent e = a / (P m), but in integers only.  A spec
-        without one variable has a key per numerator.
+        and v_p(a) otherwise, without the sign of a.  A spec without a
+        variable, whose lift has forms at weight 0 only, has "zero" at
+        a = 0 and "none" elsewhere.  The key is computed in integers, once
+        per numerator.
+
+        Soundness.  A model at numerator a reads the lift at a p^j, j >= 0.
+        The lift has no form at a numerator of class "none", nor at one of
+        class k < v (m does not divide it).  Two numerators a, a' of one
+        class k >= v have lift exponents e = a / m and e' = a' / m with
+        v_p(e) = v_p(e') = k - v, so at a p^j and a' p^j the lift has one
+        monomial form per degree <= top (degree 1 on a poly ring too, where
+        e and e' are positive), d is e p^j or e' p^j times the identity on
+        the coefficient digits, and F is x^e -> x^(p e) tensored with
+        sigma, the same matrix at both.  The two differentials differ by
+        the integer unit e' / e = u(a') / u(a) mod p^B, u the signed
+        prime-to-p part, so E_s = {x : x d in p^s M} is the same submodule
+        of the same coordinates at every stage.  Its Howell basis is
+        canonical, hence the same list, and the stage certificate reads the
+        same F, so it passes or fails at both.  In lattice coordinates F
+        and V (which solves z F = p y) are then the same matrices at a and
+        a', d at a' is u(a') u(a)^-1 times d at a, and the strict relations
+        V^r, V^r d and p^r span the same submodule, whose Howell form is the
+        same.  A perfection's lattice is the free module on the lift's
+        degree-0 forms, whose rank the key fixes the same way.
+        synlog._orbit_fibers extends the rescaling by u to whole orbits.
+        The de Rham side of synlog.nygaard_graded_check at weight e m is
+        x^e -> e x^(e-1) dx over GF(p^f), or nothing (a perfection reads
+        H^0 off the same monomial), so it too depends only on the key.
         """
         m = self._weight_prime_to_p
-        if m is None:
-            return ("weight", a)
         if a == 0:
             return "zero"
-        if a % m or (a < 0 and not self.spec.is_laurent):
+        if m is None or a % m or (a < 0 and not self.spec.is_laurent):
             return "none"
         return p_split(a, self.p)[0]
+
+    def _per_class(self, table, build, n, a):
+        """build(n, a) at the first numerator of (n, class_at(a)); the same value at every later one."""
+        key = n, self.class_at(a)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = build(n, a)
+        return value
 
     # -- lattice bases -------------------------------------------------------
 
@@ -316,29 +305,9 @@ class SaturatedModel:
     def lattice_at(self, n, a):
         """Howell basis of the degree-n component at numerator a (ambient coords).
 
-        One basis, built and certified at the first numerator seen, serves
-        every numerator of its class_at key.  Soundness, for one variable
-        of weight m = p^v m': the lift has no form at a numerator of class
-        "none", nor at one of class k < v (m does not divide it).  Two
-        numerators a, a' of one class k >= v have lift exponents e = a / m
-        and e' = a' / m with v_p(e) = v_p(e') = k - v, so at a and a' (and
-        at a p and a' p) the lift has one monomial form per degree <= top
-        (degree 1 on a poly ring too, where e and e' are positive), d is e
-        or e' times the identity on the coefficient digits, and F is
-        x^e -> x^(p e) tensored with sigma, the same matrix at both.  The
-        two differentials differ by the integer unit e' / e mod p^B, so
-        E_s = {x : x d in p^s M} is the same submodule of the same
-        coordinates at a and a', at the working stage and at the stage
-        s_star + 1 of the certificate.  Its Howell basis is canonical,
-        hence the same list, and the certificate reads the same F, so it
-        passes or fails at both.  A perfection's lattice is the free module
-        on the lift's degree-0 forms, whose rank the key fixes the same way.
+        Built and certified once per class_at key (see there).
         """
-        key = n, self.class_at(a)
-        basis = self._lattices.get(key)
-        if basis is None:
-            basis = self._lattices[key] = self._lattice(n, a)
-        return basis
+        return self._per_class(self._lattices, self._lattice, n, a)
 
     def _lattice(self, n, a):
         if self.is_perfection:
@@ -408,7 +377,16 @@ class SaturatedModel:
 
     @memo
     def d_at(self, n, a):
-        """d: (n, a) -> (n+1, a)."""
+        """d: (n, a) -> (n+1, a).
+
+        It is computed at the first numerator rep of a's class_at key and
+        is u(a) u(rep)^-1 times that matrix at every other (see class_at).
+        """
+        rep = self._d_reps.setdefault((n, self.class_at(a)), a)
+        if rep != a:
+            q = self.ring.q
+            c = p_split(a, self.p)[1] * pow(p_split(rep, self.p)[1], -1, q) % q
+            return [[c * x % q for x in row] for row in self.d_at(n, rep)]
         src = self.lattice_at(n, a)
         tgt = self.lattice_at(n + 1, a)
         if not src or not tgt:
@@ -425,9 +403,11 @@ class SaturatedModel:
             raise PrecisionExhausted("d image escapes the target lattice")
         return out
 
-    @memo
     def frob_at(self, n, a):
-        """F: (n, a) -> (n, p a)."""
+        """F: (n, a) -> (n, p a), once per class_at key."""
+        return self._per_class(self._frobs, self._frob, n, a)
+
+    def _frob(self, n, a):
         src = self.lattice_at(n, a)
         tgt = self.lattice_at(n, a * self.p)
         if not src or not tgt:
@@ -439,12 +419,18 @@ class SaturatedModel:
             raise PrecisionExhausted("F image escapes the target lattice")
         return out
 
-    @memo
     def versch_at(self, n, a):
-        """V = F^{-1} p: (n, a) -> (n, a/p); None when p does not divide a (the denominator cap)."""
-        src = self.lattice_at(n, a)
+        """V = F^{-1} p: (n, a) -> (n, a/p), once per class_at key.
+
+        None when p does not divide a (the denominator cap).  That test is
+        per numerator, since the key "none" holds numerators on both sides.
+        """
         if a % self.p:
             return None
+        return self._per_class(self._verschs, self._versch, n, a)
+
+    def _versch(self, n, a):
+        src = self.lattice_at(n, a)
         down = a // self.p
         tgt = self.lattice_at(n, down)
         if not src or not tgt:
@@ -518,7 +504,8 @@ class StrictLevel:
         self.r = r
         self.p = model.p
         self.ring = model.ring
-        self.memo = {}  # (degree, weight class) -> invariants
+        self._groups = {}  # (degree, class_at key) -> SubQuot, built at the first weight that asks
+        self._invariants = {}  # SubQuot -> its invariants
 
     def weights(self, weight_cap):
         return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
@@ -552,20 +539,23 @@ class StrictLevel:
         rows += identity(k, p**r)
         return rows
 
-    @memo
     def group(self, n, u) -> SubQuot:
+        """W_r^n at weight u, once per class_at key: its relations span one submodule there."""
         a = self.model.num(u)
         if a is None:
             raise PrecisionExhausted("V^r source weight escapes the denominator cap")
-        k = self.model.rank_at(n, a)
-        return SubQuot(self.ring, k, identity(k), self._relations(n, a))
+        key = n, self.model.class_at(a)
+        if key not in self._groups:
+            k = self.model.rank_at(n, a)
+            self._groups[key] = SubQuot(self.ring, k, identity(k), self._relations(n, a))
+        return self._groups[key]
 
     def invariants(self, n, u) -> InvariantFactors:
-        """Invariants of the first weight seen in the class of (n, u); `group` raises past the cap."""
-        key = n, weight_class(self.model.spec, u)
-        if key not in self.memo or self.model.num(u) is None:
-            self.memo[key] = self.group(n, u).invariants()
-        return self.memo[key]
+        """Invariants of `group(n, u)`, once per group."""
+        grp = self.group(n, u)
+        if grp not in self._invariants:
+            self._invariants[grp] = grp.invariants()
+        return self._invariants[grp]
 
     def d_map(self, n, u):
         a = self.model.num(u)

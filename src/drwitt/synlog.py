@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .derham import DeRhamComplex, derham_cohomology
-from .dieudonne import GUARD, SaturatedModel, class_representatives, saturate, strict_truncate
+from .dieudonne import GUARD, SaturatedModel, saturate, strict_truncate
 from .errors import InexactDivision
 from .exactcore import (
     FinComplex,
@@ -335,7 +335,7 @@ def _orbit_class(model: SaturatedModel, orbit):
     The key fixes the valuations of the chain a/p, a, ..., p^2 b that the
     orbit's blocks read (see _orbit_fibers).  The zero orbit, and an orbit
     whose bottom is prime to p (so that a/p is not a numerator), are their
-    own; a spec without one variable has classes of one weight each.
+    own; a ring without variables has the zero orbit only.
     """
     if orbit[0] == 0 or orbit[0] % model.p:
         return None
@@ -623,13 +623,17 @@ def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
 def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
     """gr^i_N with phi/p^i mod p against tau^{<=i} Omega, once per weight class.
 
-    Both sides at v depend only on weight_class(spec, v) (see there).
+    Both sides at v depend only on the class_at key of its numerator
+    (see SaturatedModel.class_at).
     """
     model = saturate(spec, 1, max(i + 1, 1))
     N = NygaardModel(model, i)
     p = spec.p
     omega = None if spec.is_perfection else DeRhamComplex(spec, min(i + 1, spec.nvars + 1), Fraction(weight_cap) * p)
-    for v in class_representatives(spec, weight_window(weight_cap, p, spec.is_laurent)):
+    reps = {}
+    for v in weight_window(weight_cap, p, spec.is_laurent):
+        reps.setdefault(model.class_at(model.num(v)), v)
+    for v in reps.values():
         if _graded_cohomology(N, model.num(v)) != _tau_cohomology(spec, omega, i, v * p):
             return False
     return True

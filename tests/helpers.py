@@ -9,18 +9,21 @@ eta_p decalage, the hand-assembled syntomic certificate and
 graded cohomology that synlog replaced, the orbit walk that built both
 fiber schemes for every orbit, the orbit-class key that read the
 rescaled lift, the per-weight strict groups and Nygaard checks that
-the weight classes replaced, and the per-numerator lattices and stage
-certificates that the class-keyed lattice cache replaced."""
+the weight classes replaced, the per-numerator lattices and stage
+certificates that the class-keyed lattice cache replaced, and the
+weight key, per-numerator maps and per-weight strict groups that
+SaturatedModel.class_at replaced."""
 
 from fractions import Fraction
 from itertools import combinations
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
-from drwitt.errors import HomSetTooLarge, PrecisionExhausted
+from drwitt.errors import HomSetTooLarge, InexactDivision, PrecisionExhausted
 from drwitt.exactcore import (
     FinComplex,
     FinModPresentation,
+    SubQuot,
     ZmodRing,
     gf_rref,
     homology,
@@ -35,7 +38,17 @@ from drwitt.exactcore import (
 )
 from drwitt.exactcore.modules import residue
 from drwitt.filtspec import FilteredComplex
-from drwitt.rings import MonomialAlgebra, exponents, p_split, parse_ringspec, sign_insert, weight_window, wkey
+from drwitt.rings import (
+    MonomialAlgebra,
+    RingSpec,
+    exponents,
+    memo,
+    p_split,
+    parse_ringspec,
+    sign_insert,
+    weight_window,
+    wkey,
+)
 from drwitt.synlog import NygaardModel, _FiberBlock, _tau_cohomology, _weight_support, weight_orbits
 
 
@@ -795,8 +808,8 @@ def reference_orbit_class(model: SaturatedModel, orbit):
     return tuple(key)
 
 
-# The per-weight paths that the weight classes of dieudonne.weight_class
-# replaced: every weight builds its own strict group, and the Nygaard
+# The per-weight paths that the weight classes (reference_weight_class
+# below) replaced: every weight builds its own strict group, and the Nygaard
 # checks compute both sides at every weight of the window.  The class
 # paths must agree with them weight by weight on the one-variable kinds
 # below ("{p}" is the prime, "{q}" is p + 1), at f = 1 and f = 2.
@@ -820,7 +833,7 @@ def weight_class_specs(p):
 
 def reference_strict_invariants(level: StrictLevel, n, u):
     """Invariants of the degree-n strict group at weight u, from that weight's own group."""
-    return level.group(n, u).invariants()
+    return reference_group(level, n, u).invariants()
 
 
 def reference_nygaard_graded_check(spec, i, weight_cap):
@@ -897,3 +910,149 @@ def reference_certify(self: SaturatedModel, n, a, cur):
             f"saturation transition not bijective at degree {n} weight {Fraction(a, self.P)}"
         )
     return True
+
+
+# The weight key that SaturatedModel.class_at replaced, its code verbatim:
+# it keys weights through Fractions.  On one-variable specs class_at must group
+# every window's numerators as it groups their weights, and the strict
+# groups and Nygaard checks must be functions of it.
+def reference_weight_class(spec: RingSpec, u):
+    """Class key of weight u: weights with one key have isomorphic per-weight pieces.
+
+    For one variable of weight m, write e = u/m.  The key is "none" when
+    no monomial has exponent e (its denominator is not a power of p, or
+    e < 0 on a ring that is not Laurent), "zero" when e = 0, and v_p(e)
+    otherwise, without the sign of e.  A ring without variables has
+    "zero" at weight 0 and "none" elsewhere; any other spec has a class
+    of its own per weight.
+
+    Soundness, by the rescaling of synlog._orbit_fibers: a model at
+    numerator a = u p^s_star reads the lift at a p^k, k >= 0, which has
+    one monomial form per degree <= top, or none, as the key says.  d on
+    it is its exponent e p^(s_star + k), and F is x^e -> x^(p e) tensored
+    with sigma.  Dividing the slots at a p^k by the prime-to-p part of a
+    (an integer unit, so it commutes with F, V and sigma) carries the
+    lattices, V, strict relations and Nygaard blocks of one weight onto
+    those of any other weight of its class, so every invariant read off
+    them is a function of the key.  The de Rham side of
+    synlog.nygaard_graded_check at weight e m is x^e -> e x^(e-1) dx over
+    GF(p^f), or nothing (a perfection reads H^0 off the same monomial),
+    so it too depends only on the key.
+    """
+    u = Fraction(u)
+    if not spec.nvars:
+        return "zero" if u == 0 else "none"
+    if spec.nvars > 1 or spec.kind == "quotient":
+        return ("weight", u)
+    e = u / spec.weights[0]
+    if e == 0:
+        return "zero"
+    v, rest = p_split(e.denominator, spec.p)
+    if rest != 1 or (e < 0 and not spec.is_laurent):
+        return "none"
+    return p_split(e.numerator, spec.p)[0] - v
+
+
+# The per-numerator maps and strict group that the class-keyed
+# SaturatedModel.d_at, frob_at, versch_at and StrictLevel.group replaced,
+# verbatim, taking the model or level for `self`; the relations read the
+# reference maps, so a reference group is per weight throughout.  The
+# class-keyed methods must return the same matrices and groups.
+@memo
+def reference_d_at(self: SaturatedModel, n, a):
+    """d: (n, a) -> (n+1, a)."""
+    src = self.lattice_at(n, a)
+    tgt = self.lattice_at(n + 1, a)
+    if not src or not tgt:
+        return [[0] * len(tgt) for _ in src]
+    D = self.lift.d_matrix(n, a)
+    ps = self.P
+    img = []
+    for h in mat_mul(self._amb, src, D):
+        if any(x % ps for x in h):
+            raise InexactDivision("saturated differential not divisible")
+        img.append([x // ps for x in h])
+    out = self._express(img, tgt)
+    if out is None:
+        raise PrecisionExhausted("d image escapes the target lattice")
+    return out
+
+
+@memo
+def reference_frob_at(self: SaturatedModel, n, a):
+    """F: (n, a) -> (n, p a)."""
+    src = self.lattice_at(n, a)
+    tgt = self.lattice_at(n, a * self.p)
+    if not src or not tgt:
+        return [[0] * len(tgt) for _ in src]
+    F = self.lift.f_matrix(n, a)
+    img = mat_mul(self._amb, src, F)
+    out = self._express(img, tgt)
+    if out is None:
+        raise PrecisionExhausted("F image escapes the target lattice")
+    return out
+
+
+@memo
+def reference_versch_at(self: SaturatedModel, n, a):
+    """V = F^{-1} p: (n, a) -> (n, a/p); None when p does not divide a (the denominator cap)."""
+    src = self.lattice_at(n, a)
+    if a % self.p:
+        return None
+    down = a // self.p
+    tgt = self.lattice_at(n, down)
+    if not src or not tgt:
+        return [[0] * len(tgt) for _ in src]
+    # solve z . F = p y for each basis row y, z in ambient coords at lift
+    # weight a/p; one SubQuot on the rows of F serves every row
+    F = self.lift.f_matrix(n, down)
+    image = SubQuot(self._amb, len(F[0]), F, [])
+    out = []
+    for row in src:
+        z = image.coords([(self.p * x) % self._amb.q for x in row])
+        if z is None:
+            raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
+        coords = self._express([z], tgt)
+        if coords is None:
+            raise PrecisionExhausted("Verschiebung image not in the lattice")
+        out += coords
+    return out
+
+
+def reference_relations(self: StrictLevel, n, a):
+    """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator), unreduced."""
+    model, r, p = self.model, self.r, self.p
+    k = model.rank_at(n, a)
+    rows = []
+
+    def v_iterated(nn):
+        """Matrix of V^r from (nn, a p^r) into (nn, a)."""
+        cur = a * p**r
+        mat = None
+        for _ in range(r):
+            V = reference_versch_at(model, nn, cur)
+            mat = V if mat is None else mat_mul(self.ring, mat, V)
+            cur //= p
+        return mat
+
+    Vr = v_iterated(n)
+    if Vr:
+        rows += Vr
+    if n >= 1:
+        Vr1 = v_iterated(n - 1)
+        if Vr1:
+            D = reference_d_at(model, n - 1, a)
+            rows += mat_mul(self.ring, Vr1, D)
+    # p^r times everything is V^r F^r, but include it explicitly so the
+    # quotient is visibly killed by p^r at this precision
+    rows += identity(k, p**r)
+    return rows
+
+
+@memo
+def reference_group(self: StrictLevel, n, u) -> SubQuot:
+    a = self.model.num(u)
+    if a is None:
+        raise PrecisionExhausted("V^r source weight escapes the denominator cap")
+    k = self.model.rank_at(n, a)
+    return SubQuot(self.ring, k, identity(k), reference_relations(self, n, a))

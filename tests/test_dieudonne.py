@@ -9,19 +9,30 @@ from hypothesis import strategies as st
 
 from drwitt.dieudonne import (
     SaturatedModel,
+    StrictLevel,
     internal_precision,
     lift_with_frobenius,
     mod_p_compatibility,
     perfection_consistency_check,
     saturate,
     strict_truncate,
-    weight_class,
 )
 from drwitt.errors import PrecisionExhausted, UnsupportedKind
-from drwitt.exactcore import InvariantFactors, ZmodRing, howell, mat_mul
+from drwitt.exactcore import InvariantFactors, ZmodRing, howell, identity, mat_mul
 from drwitt.rings import p_split, parse_ringspec, weight_window, wkey
 
-from helpers import eta_p_lattice, reference_lattice_at, reference_strict_invariants, solve, weight_class_specs
+from helpers import (
+    eta_p_lattice,
+    reference_d_at,
+    reference_frob_at,
+    reference_group,
+    reference_lattice_at,
+    reference_strict_invariants,
+    reference_versch_at,
+    reference_weight_class,
+    solve,
+    weight_class_specs,
+)
 
 
 def spec(text):
@@ -368,17 +379,18 @@ def test_strict_invariants_match_the_per_weight_groups(p):
             cells = [(n, u) for u in level.weights(4) for n in range(model.top + 1)]
             for n, u in cells:
                 assert level.invariants(n, u) == reference_strict_invariants(ref, n, u), (s, r, n, u)
-            assert len(level.__dict__["_memo_group"]) == len({(n, weight_class(s, u)) for n, u in cells})
+            assert len(level._groups) == len({(n, reference_weight_class(s, u)) for n, u in cells})
 
 
 def test_weight_class_keys():
     x3 = spec("p=2\nkind=poly\nvars=x:3")
     lau = spec("p=3\nkind=laurent\nvars=x:3")
-    assert [weight_class(x3, u) for u in (0, 1, 3, 6, -3, Fraction(3, 2))] == ["zero", "none", 0, 1, "none", -1]
+    keys = [reference_weight_class(x3, u) for u in (0, 1, 3, 6, -3, Fraction(3, 2))]
+    assert keys == ["zero", "none", 0, 1, "none", -1]
     # no sign: x^-3 and x^3 share a class on a Laurent ring
-    assert [weight_class(lau, u) for u in (-9, 9, Fraction(1, 3), 2)] == [1, 1, -2, -1]
-    assert [weight_class(F4, u) for u in (0, 1, Fraction(1, 2))] == ["zero", "none", "none"]
-    assert weight_class(PERF2, Fraction(-1, 4)) == "none"
+    assert [reference_weight_class(lau, u) for u in (-9, 9, Fraction(1, 3), 2)] == [1, 1, -2, -1]
+    assert [reference_weight_class(F4, u) for u in (0, 1, Fraction(1, 2))] == ["zero", "none", "none"]
+    assert reference_weight_class(PERF2, Fraction(-1, 4)) == "none"
 
 
 def _lattice_grid(model, r):
@@ -395,9 +407,8 @@ def _same_partition(items, key1, key2):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_lattices_match_the_per_numerator_reference(p):
     # one basis per (degree, class_at key) equals the basis each numerator
-    # builds and certifies on its own; on one variable class_at groups the
-    # numerators as weight_class groups their weights, and without one
-    # variable it keys each numerator apart
+    # builds and certifies on its own, and class_at groups the numerators
+    # as the reference weight key groups their weights
     for s in weight_class_specs(p):
         for r in (1, 2, 3):
             model, ref = saturate(s, r, 1), saturate(s, r, 1)
@@ -405,10 +416,7 @@ def test_lattices_match_the_per_numerator_reference(p):
             for a in grid:
                 for n in range(model.top + 2):
                     assert model.lattice_at(n, a) == reference_lattice_at(ref, n, a), (s, r, n, a)
-            if s.nvars:
-                assert _same_partition(grid, model.class_at, lambda a: weight_class(s, Fraction(a, model.P)))
-            else:
-                assert len({model.class_at(a) for a in grid}) == len(grid)
+            assert _same_partition(grid, model.class_at, lambda a: reference_weight_class(s, Fraction(a, model.P)))
 
 
 def test_a_class_key_without_the_unit_clause_shares_wrong_lattices(monkeypatch):
@@ -425,6 +433,123 @@ def test_a_class_key_without_the_unit_clause_shares_wrong_lattices(monkeypatch):
     model, ref = saturate(s, 2, 1), saturate(s, 2, 1)
     grid = _lattice_grid(model, 2)
     assert any(model.lattice_at(n, a) != reference_lattice_at(ref, n, a) for a in grid for n in (0, 1))
+
+
+def test_class_at_keys():
+    # the keys of test_weight_class_keys, on numerators; a ring without
+    # variables keys its nonzero numerators "none" together
+    x3 = saturate(spec("p=2\nkind=poly\nvars=x:3"), 2, 1)
+    assert [x3.class_at(x3.num(u)) for u in (0, 1, 3, 6, -3, Fraction(3, 2))] == ["zero", "none", 3, 4, "none", 2]
+    lau = saturate(spec("p=3\nkind=laurent\nvars=x:3"), 2, 1)
+    assert [lau.class_at(lau.num(u)) for u in (-9, 9, Fraction(1, 3))] == [6, 6, 3]
+    f4 = saturate(F4, 2, 1)
+    assert [f4.class_at(f4.num(u)) for u in (0, 1, Fraction(1, 2))] == ["zero", "none", "none"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_maps_match_the_per_numerator_reference(p):
+    # F and V once per (degree, class_at key) and d rescaled from the first
+    # numerator of its class equal what each numerator computes on its own,
+    # and V is None exactly past the cap; over the level's window, each
+    # strict group once per class has the Howell form and invariants of
+    # the weight's own group
+    for s in weight_class_specs(p):
+        for r in (1, 2, 3):
+            model, ref = saturate(s, r, 1), saturate(s, r, 1)
+            for a in _lattice_grid(model, r):
+                for n in range(model.top + 2):
+                    cell = s, r, n, a
+                    assert model.d_at(n, a) == reference_d_at(ref, n, a), cell
+                    assert model.frob_at(n, a) == reference_frob_at(ref, n, a), cell
+                    assert model.versch_at(n, a) == reference_versch_at(ref, n, a), cell
+                    assert (model.versch_at(n, a) is None) == (a % p != 0), cell
+            level, ref_level = strict_truncate(model, r), strict_truncate(ref, r)
+            for u in level.weights(3):
+                for n in range(model.top + 2):
+                    got, want = level.group(n, u), reference_group(ref_level, n, u)
+                    assert (got.z, got.b) == (want.z, want.b), (s, r, n, u)
+                    assert level.invariants(n, u) == want.invariants(), (s, r, n, u)
+
+
+def test_versch_cap_is_per_numerator_inside_one_class():
+    # on x:3 over p = 2 the key "none" holds a = 1, which p does not
+    # divide, and a = 2, which it does: V is None at 1 and the empty map at
+    # 2, whichever numerator a fresh model reads first
+    x3 = spec("p=2\nkind=poly\nvars=x:3")
+    for order in ((1, 2), (2, 1)):
+        model = saturate(x3, 2, 1)
+        assert model.class_at(1) == model.class_at(2) == "none"
+        for a in order:
+            for n in range(model.top + 1):
+                assert (model.versch_at(n, a) is None) == (a == 1), (order, n, a)
+        assert model.versch_at(0, 2) == []
+
+
+def _times(ring, c, M):
+    return [[c * x % ring.q for x in row] for row in M]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_class_keyed_maps_satisfy_the_dieudonne_identities(p):
+    # in lattice coordinates at every window numerator a: V F = p and F V = p
+    # (row vectors, so mat_mul(A, B) is A then B), d F = p F d, and d d = 0
+    # (which lands in degree top + 1, zero on these one-variable specs)
+    for s in weight_class_specs(p):
+        for r in (1, 2, 3):
+            model = saturate(s, r, 1)
+            ring = model.ring
+            for a in _lattice_grid(model, r):
+                for n in range(model.top + 1):
+                    cell = s, r, n, a
+                    pI = identity(model.rank_at(n, a), p)
+                    F = model.frob_at(n, a)
+                    assert mat_mul(ring, F, model.versch_at(n, p * a)) == pI, cell
+                    if a % p == 0:
+                        assert mat_mul(ring, model.versch_at(n, a), model.frob_at(n, a // p)) == pI, cell
+                    dF = mat_mul(ring, F, model.d_at(n, p * a))
+                    Fd = mat_mul(ring, model.d_at(n, a), model.frob_at(n + 1, a))
+                    assert dF == _times(ring, p, Fd), cell
+                    dd = mat_mul(ring, model.d_at(n, a), model.d_at(n + 1, a))
+                    assert not any(map(any, dd)), cell
+
+
+def test_each_map_and_group_is_built_once_per_class(monkeypatch):
+    # on one-variable cells F, V and each strict group are built once per
+    # (model or level, degree, class_at key), and a class serves more
+    # numerators than it builds at
+    from collections import Counter
+
+    from drwitt.synlog import syntomic
+
+    built, asked = Counter(), {}
+
+    def counting(owner, name, public):
+        method, read = getattr(owner, name), getattr(owner, public)
+
+        def wrapped(self, n, a):
+            model = getattr(self, "model", self)
+            built[(name, id(self), n, model.class_at(a))] += 1
+            return method(self, n, a)
+
+        def asking(self, n, a):
+            asked.setdefault(name, set()).add((id(self), n, a))
+            return read(self, n, a)
+
+        monkeypatch.setattr(owner, name, wrapped)
+        monkeypatch.setattr(owner, public, asking)
+
+    counting(SaturatedModel, "_frob", "frob_at")
+    counting(SaturatedModel, "_versch", "versch_at")
+    counting(StrictLevel, "_relations", "group")
+    syntomic(LAU2, 1, 2, 2, 4)
+    level = strict_truncate(saturate(F3X, 2, 1), 2)
+    for u in level.weights(3):
+        for n in (0, 1):
+            level.invariants(n, u)
+            level.d_map(n, u)
+    assert set(built.values()) == {1}
+    for name in ("_frob", "_versch", "_relations"):
+        assert 0 < sum(1 for key in built if key[0] == name) < len(asked[name]), name
 
 
 def test_invariants_past_the_denominator_cap_raise_after_their_class_is_seen():
