@@ -48,6 +48,28 @@ class _GradedComplex:
         prev = self.d_matrix(i - 1, *g) if i >= 1 and self.rank(i - 1, *g) else []
         return SubQuot(self.K, n, z, prev)
 
+    def cartier_block(self, i, g, images):
+        """C^{-1} from a source basis into H^i at the twisted grade g.
+
+        `images` are the basis images, as vectors on the degree-i basis at
+        g.  Returns (matrix, passes): the rows in coordinates on the
+        generators of H^i, and whether the map is bijective onto H^i (a
+        semilinear map over GF(p^f), so its matrix must be).  Returns None
+        when there is nothing to check: no source forms and no cocycles at
+        g.  C^{-1} of a monomial form is closed, since every exponent of an
+        x_k with dx_k absent is a multiple of p; an image off the cocycles
+        is a defect and raises.
+        """
+        n = len(images)
+        if n == 0 and self.rank(i, *g) == self.d_rank(i, *g):
+            return None
+        H = self.cohomology_subquot(i, *g)
+        rows = [H.coords(vec) for vec in images]
+        if None in rows:
+            raise AssertionError(f"a C^-1 image in degree {i} at grade {g} is not a cocycle")
+        rank = len(gf_rref(self.K, rows, H.gen_count())) if rows else 0
+        return rows, n == self.h_dim(i, *g) == rank
+
 
 class DeRhamComplex(_GradedComplex):
     """Weight-graded de Rham complex of a curated (non-perfection) ring."""
@@ -109,41 +131,24 @@ class DeRhamComplex(_GradedComplex):
         return InvariantFactors((self.K.p,) * (self.h_dim(i, w) * self.K.f))
 
     def inverse_cartier(self, i) -> dict:
-        """Per source weight w: the matrix of C^{-1} into H^i at weight p*w.
-
-        Returns {w: {"matrix", "source_rank", "target"}}: one row per basis
-        form of weight w, in coordinates on the generators of the SubQuot
-        "target" (the matrix is None if an image is not a cocycle).  The map
-        is semilinear over GF(p^f), so over the prime field it is linear.
-        """
+        """{w: {"matrix", "passes"}}: cartier_block of C^{-1} from weight w
+        into H^i at weight p*w, one row per basis form of weight w."""
         A, p = self.algebra, self.spec.p
         out = {}
         for w in self.weights():
-            if Fraction(p * w) > self.weight_cap or Fraction(p * w) < -self.weight_cap:
+            if abs(p * w) > self.weight_cap:
                 continue
-            n = self.rank(i, w)
-            # skip a weight with no forms and no cocycles at p*w
-            if n == 0 and self.rank(i, p * w) == self.d_rank(i, p * w):
-                continue
-            H = self.cohomology_subquot(i, p * w)
             raw_s, basis_s, _ = A.component(i, w)
             idx_t = {form: k for k, form in enumerate(A.forms(i, p * w))}
-            rows = []
+            images = []
             for k in basis_s:
                 vec = [0] * len(idx_t)
                 vec[idx_t[A.frobenius_form(raw_s[k])]] = 1
-                coords = H.coords(A.reduce_form_vector(i, p * w, vec))
-                if coords is None:
-                    rows = None
-                    break
-                rows.append(coords)
-            out[w] = {"matrix": rows, "source_rank": n, "target": H}
+                images.append(A.reduce_form_vector(i, p * w, vec))
+            block = self.cartier_block(i, (p * w,), images)
+            if block:
+                out[w] = {"matrix": block[0], "passes": block[1]}
         return out
-
-
-def kaehler(spec: RingSpec, i_max: int, weight_cap) -> DeRhamComplex:
-    """The weight-truncated de Rham complex; rejects perfections."""
-    return DeRhamComplex(spec, i_max, weight_cap)
 
 
 def derham_table(spec: RingSpec, maxdeg: int, weight_cap) -> dict:
@@ -179,11 +184,6 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap, omega=None) -> dict:
 # ---------------------------------------------------------------------------
 # inverse Cartier
 
-def inverse_cartier(spec: RingSpec, i: int, weight_cap) -> dict:
-    """DeRhamComplex.inverse_cartier(i) on a complex built for degree i."""
-    return DeRhamComplex(spec, i + 1, weight_cap).inverse_cartier(i)
-
-
 def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
     """Bijectivity of C^{-1} per degree and weight, with failure witnesses.
 
@@ -206,29 +206,19 @@ def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
         report["note"] = "perfection short-circuit"
         return report
     C = DeRhamComplex(spec, i_max + 1, weight_cap)
-    ok = True
-    witness = None
     for i in range(i_max + 1):
         wrow = {}
-        for w, entry in sorted(C.inverse_cartier(i).items()):
-            n = entry["source_rank"]
-            target_dim = C.h_dim(i, spec.p * w)
-            M = entry["matrix"]
-            if M is None:
-                passes = False
-            else:
-                rank = len(gf_rref(C.K, M, entry["target"].gen_count())) if M else 0
-                # semilinear bijectivity: matrix part must be a bijection
-                passes = n == target_dim and rank == n
-            wrow[w] = passes
-            if not passes and witness is None:
-                witness = {"degree": i, "weight": w, "source_rank": n, "target_dim": target_dim}
-            ok = ok and passes
-        report["degrees"][i] = {"all_pass": all(wrow.values()) if wrow else True, "weights": wrow}
+        for w, block in sorted(C.inverse_cartier(i).items()):
+            wrow[w] = block["passes"]
+            if not block["passes"] and report["witness"] is None:
+                n, target_dim = len(block["matrix"]), C.h_dim(i, spec.p * w)
+                report["witness"] = {"degree": i, "weight": w, "source_rank": n, "target_dim": target_dim}
+        report["degrees"][i] = {"all_pass": all(wrow.values()), "weights": wrow}
     report["verdict"] = (
-        "consistent-with-Cartier-smooth up to caps" if ok else "fails Cartier-smoothness"
+        "consistent-with-Cartier-smooth up to caps"
+        if all(d["all_pass"] for d in report["degrees"].values())
+        else "fails Cartier-smoothness"
     )
-    report["witness"] = witness
     if spec.kind == "quotient":
         report["note"] = "flatness of the cotangent complex not checked; Cartier-map clause only"
     return report
@@ -294,55 +284,31 @@ class RelativeCartier(_GradedComplex):
             rows.append(vec)
         return rows
 
-    def cartier_matrix(self, i, u, v):
-        """Matrix of the relative C^{-1} from bigrade (u, v) to (u, p*v)."""
-        p = self.spec.p
-        src = self.forms(i, u, v)
-        H = self.cohomology_subquot(i, u, p * v)
-        tgt = self.forms(i, u, p * v)
-        idx = {f: k for k, f in enumerate(tgt)}
-        rows = []
-        for exps, J in src:
-            # A-variables are coefficients: C^{-1} leaves them untwisted
-            img, _ = self.algebra.frobenius_form((exps, J))
-            timg = tuple(a if j in self.a_idx else e for j, (a, e) in enumerate(zip(exps, img)))
-            vec = [0] * len(tgt)
-            vec[idx[(timg, J)]] = 1
-            coords = H.coords(vec)
-            if coords is None:
-                return None, H, src
-            rows.append(coords)
-        return rows, H, src
-
     def check(self) -> dict:
+        """Pass bit and matrix of the relative C^{-1} from each bigrade (u, v)
+        to (u, p*v), keyed (i, u, v), as cartier_block gives them."""
         result = {"all_pass": True, "blocks": {}, "matrix_support": {}}
-        cap = self.cap
+        p = self.spec.p
         for i in range(self.i_max + 1):
-            for (u, v) in self.bigrades():
-                if abs(self.spec.p * v) > cap:
+            for u, v in self.bigrades():
+                if abs(p * v) > self.cap:
                     continue
-                src = self.forms(i, u, v)
-                hdim = self.h_dim(i, u, self.spec.p * v)
-                if not src and hdim == 0:
-                    continue
-                M, H, _ = self.cartier_matrix(i, u, v)
-                if M is None:
-                    passes = False
-                else:
-                    passes = len(src) == hdim and (
-                        len(gf_rref(self.K, M, H.gen_count())) == len(src) if M else hdim == 0
-                    )
-                result["blocks"][(i, u, v)] = passes
-                if M is not None:
-                    result["matrix_support"][(i, u, v)] = tuple(
-                        tuple(row) for row in M
-                    )
-                result["all_pass"] = result["all_pass"] and passes
+                idx = {f: k for k, f in enumerate(self.forms(i, u, p * v))}
+                images = []
+                for exps, J in self.forms(i, u, v):
+                    # A-variables are coefficients: C^{-1} leaves them untwisted
+                    img, _ = self.algebra.frobenius_form((exps, J))
+                    timg = tuple(a if j in self.a_idx else e for j, (a, e) in enumerate(zip(exps, img)))
+                    vec = [0] * len(idx)
+                    vec[idx[(timg, J)]] = 1
+                    images.append(vec)
+                block = self.cartier_block(i, (u, p * v), images)
+                if block:
+                    M, passes = block
+                    result["blocks"][(i, u, v)] = passes
+                    result["matrix_support"][(i, u, v)] = tuple(map(tuple, M))
+                    result["all_pass"] = result["all_pass"] and passes
         return result
-
-
-def relative_cartier_check(b_spec: RingSpec, a_vars, i_max: int, weight_cap) -> dict:
-    return RelativeCartier(b_spec, tuple(a_vars), i_max, weight_cap).check()
 
 
 def base_change_check(b_spec: RingSpec, a_vars, change: str, i_max: int, weight_cap) -> dict:
@@ -350,52 +316,34 @@ def base_change_check(b_spec: RingSpec, a_vars, change: str, i_max: int, weight_
 
     change = "extend:k" replaces the field of constants by its degree-k
     extension; change = "localize:x" inverts the named polynomial
-    variable.  The conclusion checked is that the base-changed relative
-    map has the same pass table, and (for field extensions starting from
-    the prime field) literally the same matrices on monomial bases.
+    variable.  The report gives both pass verdicts and whether every block
+    of the original map keeps its matrix on monomial bases (for a field
+    extension of the prime field it must).
     """
-    before = relative_cartier_check(b_spec, a_vars, i_max, weight_cap)
     kind_, _, arg = change.partition(":")
     if kind_ == "extend":
-        k = int(arg)
+        if not arg.isdecimal() or int(arg) < 1:
+            raise UnsupportedBaseChange(f"field extension needs a positive integer degree, got {arg!r}")
         if b_spec.f != 1:
             raise UnsupportedBaseChange("field extension base change starts from f = 1")
-        new_spec = RingSpec(
-            p=b_spec.p,
-            kind=b_spec.kind,
-            variables=b_spec.variables,
-            weights=b_spec.weights,
-            relations=b_spec.relations,
-            f=k,
-            base_kind=b_spec.base_kind,
-        )
-        after = relative_cartier_check(new_spec, a_vars, i_max, weight_cap)
-        matrices_match = all(
-            after["matrix_support"].get(key) == val
-            for key, val in before["matrix_support"].items()
-        )
-        return {
-            "before": before["all_pass"],
-            "after": after["all_pass"],
-            "verdict_preserved": before["all_pass"] == after["all_pass"],
-            "matrices_correspond": matrices_match,
-        }
-    if kind_ == "localize":
+        changed = {"f": int(arg)}
+    elif kind_ == "localize":
         if b_spec.kind != "poly" or b_spec.nvars != 1:
             raise UnsupportedBaseChange("localization base change: one-variable poly only")
         if arg and arg != b_spec.variables[0]:
             raise UnsupportedBaseChange(f"{arg} is not the polynomial variable")
-        new_spec = RingSpec(
-            p=b_spec.p,
-            kind="laurent",
-            variables=b_spec.variables,
-            weights=b_spec.weights,
-            f=b_spec.f,
-        )
-        after = relative_cartier_check(new_spec, a_vars, i_max, weight_cap)
-        return {
-            "before": before["all_pass"],
-            "after": after["all_pass"],
-            "verdict_preserved": before["all_pass"] == after["all_pass"],
-        }
-    raise UnsupportedBaseChange(f"unknown base change {change!r}")
+        changed = {"kind": "laurent"}
+    else:
+        raise UnsupportedBaseChange(f"unknown base change {change!r}")
+    # RingSpec(...) rather than _replace, which would skip RingSpec's checks
+    new_spec = RingSpec(**{**b_spec._asdict(), **changed})
+    before = RelativeCartier(b_spec, tuple(a_vars), i_max, weight_cap).check()
+    after = RelativeCartier(new_spec, tuple(a_vars), i_max, weight_cap).check()
+    return {
+        "before": before["all_pass"],
+        "after": after["all_pass"],
+        "verdict_preserved": before["all_pass"] == after["all_pass"],
+        "matrices_correspond": all(
+            after["matrix_support"].get(key) == M for key, M in before["matrix_support"].items()
+        ),
+    }

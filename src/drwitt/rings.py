@@ -166,6 +166,8 @@ class RingSpec(namedtuple("RingSpec", "p kind variables weights relations f base
         self = super().__new__(cls, p, kind, variables, weights, relations, f, base_kind)
         if kind not in KINDS:
             raise UnsupportedKind(f"unknown ring kind {kind!r}")
+        if not isinstance(f, int) or f < 1:
+            raise UnsupportedKind(f"the field of constants needs a degree f >= 1, got {f!r}")
         if kind == "perfection":
             if base_kind not in PERFECTABLE:
                 raise UnsupportedKind("perfection only wraps poly, laurent or finite_field")

@@ -609,12 +609,9 @@ def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
     # the relations are a Howell form already; the span with the symbols takes one
     order_sub = span_order(pres.ring, coords + rel, pres.ngens)
     order_rel = prod(pivot_orders(pres.ring, rel))
-    log_order = order_sub // order_rel
-    if log_order == h_order:
-        return "EQUAL", 1
-    if h_order % log_order == 0:
-        return "CONTAINS", h_order // log_order
-    return "MISMATCH", 0
+    # the symbols span a subgroup of H^i, whose order divides h_order
+    index = h_order // (order_sub // order_rel)
+    return ("EQUAL" if index == 1 else "CONTAINS"), index
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,63 @@ def test_witt_verbs(rings, capsys):
     assert code == 0 and "(x, 0)" in out
 
 
+@pytest.mark.parametrize(
+    "ring, argv, want",
+    [
+        # p = 3, f = 2: GF(9) = GF(3)[t]/(t^2 + 1), so t^3 = 2t and t^4 = 1
+        ("gf9x", ["add", "t*x,1", "x,t"], "((1+t)*x, (1+t) + (1+2t)*x^3)"),
+        ("gf9x", ["mul", "t*x,1", "x,t"], "(t*x^2, 2*x^3)"),
+        ("gf9x", ["frob", "t*x,1"], "(2t*x^3)"),
+        ("gf9x", ["versch", "t*x,1"], "(0, t*x, 1)"),
+        ("gf9x", ["restrict", "t*x,1"], "(t*x)"),
+        # p = 2: -(a, b) = (a, b + a^2)
+        ("perf", ["neg", "x^(1/4),1"], "(x^(1/4), 1 + x^(1/2))"),
+    ],
+    ids=["gf9x-add", "gf9x-mul", "gf9x-frob", "gf9x-versch", "gf9x-restrict", "perf-neg"],
+)
+def test_witt_prints_field_digits_and_fractional_exponents(tmp_path, capsys, ring, argv, want):
+    path = tmp_path / f"{ring}.ring"
+    path.write_text({
+        "gf9x": "p = 3\nkind = poly\nvars = x:1\nf = 2\n",
+        "perf": "p = 2\nkind = perfection of poly\nvars = x:1\n",
+    }[ring])
+    code, out = run_cli(["witt", *argv, "--ring", str(path)], capsys)
+    assert code == 0 and out == want + "\n"
+
+
+# every verb and mode with its own non-JSON print path
+PRINTING_VERBS = {
+    "witt-add": ["witt", "add", "1,0", "1,1"],
+    "witt-mul": ["witt", "mul", "1,1", "1,1"],
+    "witt-neg": ["witt", "neg", "1,1"],
+    "witt-teich": ["witt", "teich", "1"],
+    "witt-frob": ["witt", "frob", "1,1"],
+    "witt-versch": ["witt", "versch", "1,1"],
+    "witt-restrict": ["witt", "restrict", "1,1"],
+    "witt-ghost": ["witt", "ghost", "1,1"],
+    "derham": ["derham", "table", "--ring", "{poly}"],
+    "cartier-check": ["cartier-check", "--ring", "{poly}"],
+    "drw": ["drw", "table", "--ring", "{poly}", "--weight-cap", "2"],
+    "syntomic": ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1"],
+    "logforms": ["logforms", "--ring", "{lau}", "--deg", "1", "--modp", "2"],
+    "check-fundamental-seq": ["check", "fundamental-seq", "--ring", "{fp}"],
+    "check-nygaard-graded": ["check", "nygaard-graded", "--ring", "{fp}"],
+    "check-nygaard-complete": ["check", "nygaard-complete", "--ring", "{fp}"],
+    "specseq": ["specseq", "run", "--input", "{specseq}", "--two-column"],
+    "kpredict": ["kpredict", "--ring", "{fp}"],
+    "kpredict-markdown": ["kpredict", "--ring", "{fp}", "--markdown"],
+}
+
+
+@pytest.mark.parametrize("argv", list(PRINTING_VERBS.values()), ids=list(PRINTING_VERBS))
+def test_every_verb_prints_without_json(rings, tmp_path, capsys, argv):
+    doc = tmp_path / "specseq.json"
+    doc.write_text(json.dumps(SPECSEQ_DOC))
+    paths = {**rings, "specseq": str(doc)}
+    code, out = run_cli([a.format(**paths) for a in argv], capsys)
+    assert code == 0 and out.splitlines() and out.splitlines()[0].strip()
+
+
 def test_witt_ghost_takes_p_from_the_ring(rings, capsys):
     # fp.ring has p = 3: the ghost components of (1, 1) are 1 and 1^3 + 3*1
     code, out = run_cli(["witt", "ghost", "1,1", "--len", "2", "--ring", rings["fp"]], capsys)
@@ -160,18 +217,19 @@ def test_cartier_check_failure_is_exit_2(tmp_path, capsys):
     assert code == 2 and "fails" in out
 
 
+SPECSEQ_DOC = {
+    "ring": {"kind": "Zmod", "p": 2, "N": 6},
+    "window": [0, 1],
+    "levels": [
+        {"n": 0, "complex": {"0": {"gens": 1, "rels": [[16]]}}},
+        {"n": 1, "complex": {"0": {"gens": 1, "rels": [[4]]}}, "map_to_prev": {"0": [[4]]}},
+    ],
+}
+
+
 def test_specseq_run(tmp_path, capsys):
-    doc = {
-        "ring": {"kind": "Zmod", "p": 2, "N": 6},
-        "window": [0, 1],
-        "two_column": True,
-        "levels": [
-            {"n": 0, "complex": {"0": {"gens": 1, "rels": [[16]]}}},
-            {"n": 1, "complex": {"0": {"gens": 1, "rels": [[4]]}}, "map_to_prev": {"0": [[4]]}},
-        ],
-    }
     f = tmp_path / "in.json"
-    f.write_text(json.dumps(doc))
+    f.write_text(json.dumps({**SPECSEQ_DOC, "two_column": True}))
     code, out = run_cli(["specseq", "run", "--input", str(f), "--json"], capsys)
     assert code == 0
     payload = json.loads(out)

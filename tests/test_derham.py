@@ -11,11 +11,8 @@ from drwitt.derham import (
     base_change_check,
     cartier_smooth_check,
     derham_cohomology,
-    inverse_cartier,
-    kaehler,
-    relative_cartier_check,
 )
-from drwitt.errors import NonQuasiHomogeneous, UnsupportedKind
+from drwitt.errors import NonQuasiHomogeneous, UnsupportedBaseChange, UnsupportedKind
 from drwitt.exactcore import InvariantFactors
 from drwitt.rings import parse_ringspec
 
@@ -33,14 +30,14 @@ LAURENT = spec("p=3\nkind=laurent\nvars=x:1")
 
 
 def test_poly_omega1_rank_one_per_weight():
-    C = kaehler(FP_X, 1, 8)
+    C = DeRhamComplex(FP_X, 1, 8)
     for w in range(1, 9):
         assert C.rank(1, w) == 1  # basis x^{w-1} dx
     assert C.rank(1, 0) == 0
 
 
 def test_poly_ranks_binomial():
-    C = kaehler(F2_XY, 2, 5)
+    C = DeRhamComplex(F2_XY, 2, 5)
     # weight-w piece of Omega^i over F_2[x,y] with unit weights:
     # monomial count per J of size i, total weight w
     for w in range(0, 5):
@@ -52,7 +49,7 @@ def test_poly_ranks_binomial():
 def test_perfection_rejected_by_kaehler_but_short_circuited():
     perf = spec("p=3\nkind=perfection of poly\nvars=x:1")
     with pytest.raises(UnsupportedKind):
-        kaehler(perf, 1, 4)
+        DeRhamComplex(perf, 1, 4)
     assert derham_cohomology(perf, 1, 4) == {}
     rep = cartier_smooth_check(perf, 2, 4)
     assert rep["verdict"].startswith("consistent")
@@ -60,7 +57,7 @@ def test_perfection_rejected_by_kaehler_but_short_circuited():
 
 def test_cusp_presentation_ranks():
     # relation d(y^2 - x^3) = x^2 dx (p = 2) kills x^2 dx in weight 6
-    C = kaehler(CUSP, 1, 10)
+    C = DeRhamComplex(CUSP, 1, 10)
     assert C.rank(1, 5) == 2  # x dy, y dx
     assert C.rank(1, 6) == 1  # x^2 dx dies; y dy survives
     assert C.rank(1, 2) == 1  # dx
@@ -76,7 +73,7 @@ def brute_quotient_rank(spec_, i, w):
 def test_cusp_matches_bruteforce_reduction():
     for w in range(1, 11):
         for i in (0, 1, 2):
-            C = kaehler(CUSP, 2, 12)
+            C = DeRhamComplex(CUSP, 2, 12)
             assert C.rank(i, w) == brute_quotient_rank(CUSP, i, w)
 
 
@@ -103,18 +100,16 @@ def test_h_finite_field():
 
 
 def test_inverse_cartier_degree0_is_pth_power():
-    data = inverse_cartier(FP_X, 0, 9)
+    data = DeRhamComplex(FP_X, 1, 9).inverse_cartier(0)
     # weight 1 -> weight 3: x maps to the class of x^3 in H^0
     entry = data[1]
-    assert entry["source_rank"] == 1
-    assert entry["matrix"] == [[1]]
+    assert entry["matrix"] == [[1]] and entry["passes"]
 
 
 def test_inverse_cartier_degree1_log_form():
-    data = inverse_cartier(FP_X, 1, 9)
+    data = DeRhamComplex(FP_X, 2, 9).inverse_cartier(1)
     entry = data[1]  # dx |-> class of x^{p-1} dx in weight p
-    assert entry["source_rank"] == 1
-    assert entry["matrix"] is not None and len(entry["matrix"]) == 1
+    assert len(entry["matrix"]) == 1 and any(entry["matrix"][0]) and entry["passes"]
 
 
 def test_inverse_cartier_multiplicative_f3_xy():
@@ -132,6 +127,26 @@ def test_inverse_cartier_multiplicative_f3_xy():
         target, J = C.algebra.frobenius_form(form)
         expected = tuple(p * e + (p - 1 if l == j else 0) for l, e in enumerate(a))
         assert target == expected and J == (j,)
+
+
+def test_cartier_block_is_a_rank_test_on_cocycles():
+    # over F_2[x, y], H^0 at weight 2 is spanned by x^2 and y^2, and xy is
+    # no cocycle; at weight 1 there is none, so an empty source is skipped
+    C = DeRhamComplex(F2_XY, 1, 4)
+    forms = C.algebra.forms(0, 2)
+
+    def unit(m):
+        return [int(form == (m, ())) for form in forms]
+
+    x2, xy, y2 = unit((2, 0)), unit((1, 1)), unit((0, 2))
+    M, passes = C.cartier_block(0, (2,), [x2, y2])
+    assert passes and sorted(M) == [[0, 1], [1, 0]]
+    assert C.cartier_block(0, (2,), [x2, x2])[1] is False  # dimensions match, rank does not
+    assert C.cartier_block(0, (2,), [y2])[1] is False
+    assert C.cartier_block(0, (2,), []) == ([], False)
+    assert C.cartier_block(0, (1,), []) is None
+    with pytest.raises(AssertionError, match="not a cocycle"):
+        C.cartier_block(0, (2,), [xy])
 
 
 def test_cartier_smooth_pass_for_smooth_kinds():
@@ -156,7 +171,7 @@ def test_cartier_smooth_finite_field_trivial():
 
 
 def test_leibniz_and_dd_zero_all_weights():
-    C = kaehler(F2_XY, 2, 6)
+    C = DeRhamComplex(F2_XY, 2, 6)
     from drwitt.exactcore import mat_mul
 
     for w in C.weights():
@@ -178,25 +193,52 @@ def test_cartier_lands_in_closed_forms():
 
 
 def test_frobenius_twist_weight_bookkeeping():
-    data = inverse_cartier(FP_X, 1, 27)
+    C = DeRhamComplex(FP_X, 2, 27)
+    data = C.inverse_cartier(1)
+    assert sorted(data) == list(range(1, 10))  # p*w within the cap
     for w, entry in data.items():
-        if entry["source_rank"]:
-            # target lives at weight exactly p*w: encoded by construction,
-            # spot-check the target subquotient is the one at p*w
-            H = DeRhamComplex(FP_X, 2, 27).cohomology_subquot(1, 3 * w)
-            assert entry["target"].invariants() == H.invariants()
+        # one source form x^{w-1} dx; its image class lives at weight p*w,
+        # where H^1 is one-dimensional, and not at w unless p | w
+        H = C.cohomology_subquot(1, 3 * w)
+        assert len(entry["matrix"]) == 1 and len(entry["matrix"][0]) == H.gen_count()
+        assert C.h_dim(1, 3 * w) == 1 and entry["passes"]
+        assert C.h_dim(1, w) == (w % 3 == 0)
 
 
 def test_relative_cartier_fp_to_fpx():
     # A = F_p, B = F_p[x]: relative = absolute over the prime field
-    rel = relative_cartier_check(spec("p=2\nkind=poly\nvars=x:1"), (), 1, 4)
+    rel = RelativeCartier(spec("p=2\nkind=poly\nvars=x:1"), (), 1, 4).check()
     assert rel["all_pass"]
 
 
 def test_relative_cartier_subvariable():
     # A = F_p[x] -> B = F_p[x,y]: C^{-1}(dy) = [y^{p-1} dy], x untouched
-    rel = relative_cartier_check(F2_XY, ("x",), 1, 4)
+    rel = RelativeCartier(F2_XY, ("x",), 1, 4).check()
     assert rel["all_pass"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("f", [1, 2])
+def test_relative_over_the_constants_is_the_absolute_map(p, f):
+    # A = the field of constants: each relative block (i, 0, v) is the
+    # absolute C^{-1} at weight v, matrix and pass bit, and no block has u != 0
+    for kind, vars_ in (("poly", "x:1"), ("poly", "x:1,y:1"), ("poly", "x:1,y:2"), ("laurent", "x:1"), ("laurent", f"x:{p}")):
+        s = spec(f"p={p}\nkind={kind}\nvars={vars_}\nf={f}")
+        cap, i_max = 2 * p, s.nvars + 1
+        rel = RelativeCartier(s, (), i_max, cap).check()
+        C = DeRhamComplex(s, i_max + 1, cap)
+        absolute = {i: C.inverse_cartier(i) for i in range(i_max + 1)}
+        passes = cartier_smooth_check(s, i_max, cap)["degrees"]
+        assert rel["blocks"] and all(u == 0 for _, u, _ in rel["blocks"]), s
+        for (i, _, v), ok in rel["blocks"].items():
+            assert rel["matrix_support"][(i, 0, v)] == tuple(map(tuple, absolute[i][v]["matrix"])), (s, i, v)
+            assert ok == passes[i]["weights"][v], (s, i, v)
+
+
+@pytest.mark.parametrize("change", ["extend:0", "extend:-1", "extend:abc"])
+def test_base_change_rejects_a_degree_that_is_not_a_positive_integer(change):
+    with pytest.raises(UnsupportedBaseChange):
+        base_change_check(spec("p=2\nkind=poly\nvars=x:1"), (), change, 1, 4)
 
 
 def test_base_change_field_extension():
@@ -216,13 +258,12 @@ def test_quasi_homogeneity_enforced():
 
 def test_relative_cartier_generator_rule():
     # relative C^{-1}(dy) = [y^{p-1} dy] with the base variable untouched
-    from drwitt.derham import RelativeCartier
-
     rc = RelativeCartier(F2_XY, ("x",), 1, 4)
-    M, H, src = rc.cartier_matrix(1, 0, 1)  # bigrade (0,1): the form dy
-    assert src == [((0, 0), (1,))]
+    assert rc.forms(1, 0, 1) == [((0, 0), (1,))]  # bigrade (0,1): the form dy
+    rel = rc.check()
+    M = rel["matrix_support"][(1, 0, 1)]
     # the image class of dy generates H^1 at bigrade (0, p): y^{p-1} dy
-    assert M is not None and len(M) == 1 and any(M[0])
+    assert len(M) == 1 and any(M[0]) and rel["blocks"][(1, 0, 1)]
 
 
 def _oracle_rings(p, f):

@@ -61,3 +61,71 @@ def test_the_scan_sees_an_environment_read(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom os import getenv, path\n\na = os.environ.get('A')\nb = os.getenv('B')\nc = path\n")
     assert environment_reads(mod) == [2, 4, 5]
+
+
+ROOT = SRC.parents[1]
+
+
+def top_level_definitions(path):
+    """Names of the functions and classes a module defines at top level."""
+    tree = ast.parse(path.read_text())
+    return [n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def referenced_names(path):
+    """Identifiers a module reads: names, attributes, names imported from
+    another module, and the parts of dotted-name strings (how the
+    benchmark tracer names what it wraps).  A top-level definition's
+    mentions of its own name, as in recursion, do not count."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else set()
+        for node in ast.walk(stmt):
+            found = set()
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                found = {a.name for a in node.names}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if all(part.isidentifier() for part in node.value.split(".")):
+                    found = set(node.value.split("."))
+            names |= found - own
+    return names
+
+
+def dead_public_names(package, scanned):
+    """Top-level functions and classes of `package` that no module under
+    `scanned` references apart from their own definitions.  A package
+    __init__ that only re-exports a name does not keep it alive."""
+    used = set()
+    for root in scanned:
+        for path in sorted(root.rglob("*.py")):
+            if path.name != "__init__.py" or not path.is_relative_to(package):
+                used |= referenced_names(path)
+    return sorted(
+        name
+        for path in sorted(package.rglob("*.py"))
+        for name in top_level_definitions(path)
+        if name not in used
+    )
+
+
+def test_no_public_name_is_dead():
+    scanned = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+    assert all(root.is_dir() for root in scanned)
+    assert dead_public_names(SRC, scanned) == []
+
+
+def test_the_scan_sees_a_dead_public_name(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from .mod import Kept, exported\n")
+    (pkg / "mod.py").write_text(
+        "class Kept:\n    pass\n\n\ndef exported():\n    return Kept\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n\n"
+        "def traced():\n    pass\n\n\ndef dead():\n    pass\n"
+    )
+    (tmp_path / "use.py").write_text("WRAPPED = ['pkg.mod.traced']\n")
+    assert dead_public_names(pkg, [tmp_path]) == ["dead", "exported", "recursive"]

@@ -251,8 +251,18 @@ def test_records_compare_hash_and_print_as_their_fields(record, other, text):
         (dict(p=2, kind="poly", variables=("x",), weights=(0,)), NonQuasiHomogeneous),
         (dict(p=2, kind="quotient", variables=("x", "y"), weights=(2, 3), relations=(((1, (0, 2)), (-1, (1, 0))),)),
          NonQuasiHomogeneous),
+        (dict(p=2, kind="finite_field", f=0), UnsupportedKind),
+        (dict(p=3, kind="poly", variables=("x",), weights=(1,), f=-1), UnsupportedKind),
+        (dict(p=2, kind="finite_field", f="2"), UnsupportedKind),
     ],
 )
 def test_ring_spec_validates_without_the_parser(kwargs, error):
     with pytest.raises(error):
         RingSpec(**kwargs)
+
+
+@pytest.mark.parametrize("text", ["0", "-1"])
+def test_parser_reports_a_bad_field_degree_with_its_line(text):
+    # the parser checks f before RingSpec does, so the error keeps its line
+    with pytest.raises(ParseError, match="^f must be >= 1 at line 3$"):
+        parse_ringspec(f"p = 2\nkind = finite_field\nf = {text}")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drwitt import synlog
 from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
@@ -302,6 +303,50 @@ def test_fundamental_seq_laurent_twist1_equal():
     rep = verify_fundamental_seq(LAU3, 1, 2, 2, 18)
     assert rep["verdict"] == "EQUAL"
     assert rep["h_i"] == InvariantFactors((9,))
+
+
+def _zero_block_and_log_lattice(s, i, r, cap=2):
+    model = saturate(s, r, max(2, i + 1))
+    fibers = synlog._orbit_fibers(NygaardModel(model, i), cap, r)
+    zero = next(deep for orbit, deep, _, _ in fibers if orbit == [0])
+    return zero, synlog._log_lattice(model, i, r)
+
+
+@pytest.mark.parametrize("s, i, r", [(FP3, 0, 2), (LAU2, 1, 2), (F4, 0, 1)])
+def test_log_lattice_of_p_times_the_symbols_has_index_p(s, i, r):
+    zero, lat = _zero_block_and_log_lattice(s, i, r)
+    assert synlog._compare_h_i_with_log(zero, lat) == ("EQUAL", 1)
+    p_lat = lat._replace(generators=[[s.p * x for x in vec] for vec in lat.generators])
+    assert synlog._compare_h_i_with_log(zero, p_lat) == ("CONTAINS", s.p)
+
+
+def test_a_symbol_outside_h_i_is_a_mismatch():
+    # over GF(4) the Teichmuller t is no cocycle of phi - can: phi(t) = t^2 != t
+    zero, lat = _zero_block_and_log_lattice(F4, 0, 1)
+    assert lat.generators == [[1, 0]]
+    assert synlog._compare_h_i_with_log(zero, lat._replace(generators=[[0, 1]])) == ("MISMATCH", 0)
+
+
+def test_a_window_without_the_zero_orbit_matches_no_symbol():
+    # a negative weight cap leaves no orbit: only an empty log lattice is EQUAL
+    assert verify_fundamental_seq(FP3, 0, 1, 2, -1)["verdict"] == "MISMATCH"
+    assert verify_fundamental_seq(FP3, 1, 1, 2, -1)["verdict"] == "EQUAL"
+
+
+def test_h_i_off_the_zero_orbit_makes_the_verdict_contains(monkeypatch):
+    # the rings of these tests have no H^i on a nonzero orbit; plant one of order p^2
+    real = synlog._orbit_fibers
+
+    def with_a_nonzero_orbit(N, weight_cap, r):
+        for orbit, deep, aligned, H in real(N, weight_cap, r):
+            yield orbit, deep, aligned, H
+            if orbit == [0]:
+                yield [1], deep, aligned, {**H, N.i: InvariantFactors((9,))}
+
+    monkeypatch.setattr(synlog, "_orbit_fibers", with_a_nonzero_orbit)
+    rep = verify_fundamental_seq(FP3, 0, 2, 2, 2)
+    assert rep["verdict"] == "CONTAINS" and rep["index"] == 9
+    assert rep["h_i"] == InvariantFactors((9, 9))
 
 
 def test_each_check_builds_its_models_once(monkeypatch):
