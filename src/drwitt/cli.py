@@ -6,6 +6,8 @@ verification verb ran fine and the checked property is false).  Payloads
 are deterministic (sorted keys, no timestamps); `--manifest PATH` writes
 a separate run manifest carrying the wall time and the payload digest,
 so re-running a manifest's command reproduces byte-identical output.
+`witt`, `filtspec` and `kpredict` are imported inside the verbs that use
+them, so no other verb pays for them at start-up.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .dieudonne import saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_table
 from .errors import DrwittError
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
-from .filtspec import FilteredComplex, spectral_sequence, two_column_extract
-from .kpredict import k_predict
 from .rings import MonomialAlgebra, is_prime, parse_ringspec
 from .synlog import (
     log_lattice,
@@ -31,17 +31,6 @@ from .synlog import (
     nygaard_graded_check,
     syntomic,
     verify_fundamental_seq,
-)
-from .witt import (
-    IntegerMonomialAlgebra,
-    WittRing,
-    frobenius,
-    ghost,
-    restriction,
-    verschiebung,
-    witt_add,
-    witt_mul,
-    witt_neg,
 )
 
 SCHEMA_VERSION = 1
@@ -88,6 +77,9 @@ def _emit(args, payload):
 # witt verb
 
 def cmd_witt(args):
+    from .witt import IntegerMonomialAlgebra, WittRing, frobenius, ghost, restriction, verschiebung
+    from .witt import witt_add, witt_mul, witt_neg
+
     if args.ring:
         spec = _load_spec(args)
         if args.p is not None and args.p != spec.p:
@@ -356,7 +348,10 @@ def _by_degree(mats, mods, n, key):
     return out
 
 
-def load_filtered_complex(doc) -> FilteredComplex:
+def load_filtered_complex(doc):
+    """The FilteredComplex a specseq document describes."""
+    from .filtspec import FilteredComplex
+
     try:
         ring = _parse_ring_json(doc["ring"])
         lo, hi = doc["window"]
@@ -379,6 +374,8 @@ def load_filtered_complex(doc) -> FilteredComplex:
 
 
 def cmd_specseq(args):
+    from .filtspec import spectral_sequence, two_column_extract
+
     try:
         doc = json.loads(_read(args.input))
     except ValueError as e:
@@ -425,6 +422,8 @@ def cmd_specseq(args):
 # kpredict
 
 def cmd_kpredict(args):
+    from .kpredict import k_predict
+
     spec = _load_spec(args)
     lo, _, hi = args.range.partition("..")
     try:
@@ -455,7 +454,18 @@ class _Parser(argparse.ArgumentParser):
         raise DrwittError(message)
 
 
-def build_parser():
+VERBS = ("witt", "derham", "cartier-check", "drw", "syntomic", "logforms", "check", "specseq", "kpredict")
+
+
+def build_parser(verb=None):
+    """The CLI parser.  Given one of VERBS, only that verb's subparser is
+    built: argparse then never reaches another one, so each message it
+    gives is the full parser's.  Any other verb (None, an unknown name,
+    --help, --version) builds them all."""
+
+    def wanted(name):
+        return verb not in VERBS or verb == name
+
     ap = _Parser(
         prog="drwitt",
         description="Exact characteristic-p invariants for a curated ring family",
@@ -469,74 +479,83 @@ def build_parser():
         if ring:
             sp.add_argument("--ring", required=True)
 
-    w = sub.add_parser("witt", help="Witt vector arithmetic")
-    w.add_argument("operation", choices=["add", "mul", "neg", "teich", "frob", "versch", "restrict", "ghost"])
-    w.add_argument("components", nargs="+", help="comma-separated components per vector")
-    w.add_argument("--p", type=int, default=None, help="default 2; with --ring it must equal the ring's p")
-    w.add_argument("--len", type=int, default=2)
-    w.add_argument("--ring", default=None)
-    common(w, ring=False)
-    w.set_defaults(func=cmd_witt)
+    if wanted("witt"):
+        w = sub.add_parser("witt", help="Witt vector arithmetic")
+        w.add_argument("operation", choices=["add", "mul", "neg", "teich", "frob", "versch", "restrict", "ghost"])
+        w.add_argument("components", nargs="+", help="comma-separated components per vector")
+        w.add_argument("--p", type=int, default=None, help="default 2; with --ring it must equal the ring's p")
+        w.add_argument("--len", type=int, default=2)
+        w.add_argument("--ring", default=None)
+        common(w, ring=False)
+        w.set_defaults(func=cmd_witt)
 
-    d = sub.add_parser("derham", help="de Rham cohomology tables")
-    d.add_argument("table", choices=["table"])
-    common(d)
-    d.add_argument("--maxdeg", type=int, default=2)
-    d.add_argument("--weight-cap", type=int, default=6)
-    d.set_defaults(func=cmd_derham)
+    if wanted("derham"):
+        d = sub.add_parser("derham", help="de Rham cohomology tables")
+        d.add_argument("table", choices=["table"])
+        common(d)
+        d.add_argument("--maxdeg", type=int, default=2)
+        d.add_argument("--weight-cap", type=int, default=6)
+        d.set_defaults(func=cmd_derham)
 
-    c = sub.add_parser("cartier-check", help="inverse Cartier bijectivity")
-    common(c)
-    c.add_argument("--maxdeg", type=int, default=2)
-    c.add_argument("--weight-cap", type=int, default=6)
-    c.set_defaults(func=cmd_cartier_check)
+    if wanted("cartier-check"):
+        c = sub.add_parser("cartier-check", help="inverse Cartier bijectivity")
+        common(c)
+        c.add_argument("--maxdeg", type=int, default=2)
+        c.add_argument("--weight-cap", type=int, default=6)
+        c.set_defaults(func=cmd_cartier_check)
 
-    dr = sub.add_parser("drw", help="de Rham-Witt strict level tables")
-    dr.add_argument("table", choices=["table"])
-    common(dr)
-    dr.add_argument("--level", type=int, default=2)
-    dr.add_argument("--maxdeg", type=int, default=2)
-    dr.add_argument("--weight-cap", type=int, default=4)
-    dr.add_argument("--operators", action="store_true")
-    dr.set_defaults(func=cmd_drw)
+    if wanted("drw"):
+        dr = sub.add_parser("drw", help="de Rham-Witt strict level tables")
+        dr.add_argument("table", choices=["table"])
+        common(dr)
+        dr.add_argument("--level", type=int, default=2)
+        dr.add_argument("--maxdeg", type=int, default=2)
+        dr.add_argument("--weight-cap", type=int, default=4)
+        dr.add_argument("--operators", action="store_true")
+        dr.set_defaults(func=cmd_drw)
 
-    sy = sub.add_parser("syntomic", help="mod-p^r syntomic cohomology")
-    common(sy)
-    sy.add_argument("--twist", type=int, required=True)
-    sy.add_argument("--modp", type=int, required=True)
-    sy.add_argument("--maxdeg", type=int, default=3)
-    sy.add_argument("--weight-cap", type=int, default=4)
-    sy.set_defaults(func=cmd_syntomic)
+    if wanted("syntomic"):
+        sy = sub.add_parser("syntomic", help="mod-p^r syntomic cohomology")
+        common(sy)
+        sy.add_argument("--twist", type=int, required=True)
+        sy.add_argument("--modp", type=int, required=True)
+        sy.add_argument("--maxdeg", type=int, default=3)
+        sy.add_argument("--weight-cap", type=int, default=4)
+        sy.set_defaults(func=cmd_syntomic)
 
-    lf = sub.add_parser("logforms", help="logarithmic de Rham-Witt lattices")
-    common(lf)
-    lf.add_argument("--deg", type=int, required=True)
-    lf.add_argument("--modp", type=int, required=True)
-    lf.set_defaults(func=cmd_logforms)
+    if wanted("logforms"):
+        lf = sub.add_parser("logforms", help="logarithmic de Rham-Witt lattices")
+        common(lf)
+        lf.add_argument("--deg", type=int, required=True)
+        lf.add_argument("--modp", type=int, required=True)
+        lf.set_defaults(func=cmd_logforms)
 
-    ch = sub.add_parser("check", help="verification suites (exit 2 on failure)")
-    ch.add_argument("which", choices=["fundamental-seq", "nygaard-graded", "nygaard-complete"])
-    common(ch)
-    ch.add_argument("--twist", type=int, default=None, help="default 1; for nygaard-complete a twist cap, default 4")
-    ch.add_argument("--modp", type=int, default=1)
-    ch.add_argument("--maxdeg", type=int, default=3)
-    ch.add_argument("--weight-cap", type=int, default=4)
-    ch.set_defaults(func=cmd_check)
+    if wanted("check"):
+        ch = sub.add_parser("check", help="verification suites (exit 2 on failure)")
+        ch.add_argument("which", choices=["fundamental-seq", "nygaard-graded", "nygaard-complete"])
+        common(ch)
+        ch.add_argument("--twist", type=int, default=None, help="default 1; for nygaard-complete a twist cap, default 4")
+        ch.add_argument("--modp", type=int, default=1)
+        ch.add_argument("--maxdeg", type=int, default=3)
+        ch.add_argument("--weight-cap", type=int, default=4)
+        ch.set_defaults(func=cmd_check)
 
-    ss = sub.add_parser("specseq", help="spectral sequences of filtered complexes")
-    ss.add_argument("run", choices=["run"])
-    ss.add_argument("--input", required=True)
-    ss.add_argument("--pages", type=int, default=None)
-    ss.add_argument("--two-column", action="store_true")
-    common(ss, ring=False)
-    ss.set_defaults(func=cmd_specseq)
+    if wanted("specseq"):
+        ss = sub.add_parser("specseq", help="spectral sequences of filtered complexes")
+        ss.add_argument("run", choices=["run"])
+        ss.add_argument("--input", required=True)
+        ss.add_argument("--pages", type=int, default=None)
+        ss.add_argument("--two-column", action="store_true")
+        common(ss, ring=False)
+        ss.set_defaults(func=cmd_specseq)
 
-    kp = sub.add_parser("kpredict", help="K-theory prediction tables")
-    common(kp)
-    kp.add_argument("--range", default="0..4")
-    kp.add_argument("--modp", type=int, default=1)
-    kp.add_argument("--markdown", action="store_true")
-    kp.set_defaults(func=cmd_kpredict)
+    if wanted("kpredict"):
+        kp = sub.add_parser("kpredict", help="K-theory prediction tables")
+        common(kp)
+        kp.add_argument("--range", default="0..4")
+        kp.add_argument("--modp", type=int, default=1)
+        kp.add_argument("--markdown", action="store_true")
+        kp.set_defaults(func=cmd_kpredict)
     return ap
 
 
@@ -553,8 +572,9 @@ def _check_flag_floors(args):
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         args._t0 = time.time()
         _check_flag_floors(args)
         return args.func(args)

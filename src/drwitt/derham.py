@@ -19,20 +19,27 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
-from .exactcore import InvariantFactors, SubQuot, gf_rref, identity, kernel, mat_mul
+from .exactcore import InvariantFactors, SubQuot, gf_rref, identity, kernel, mat_mul, sparse_rref
 from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
 
 
 class _GradedComplex:
     """A complex of GF(p^f)-spaces with degree-i pieces rank(i, *g) and
-    differentials d_matrix(i, *g) per grade g; subclasses supply both."""
+    differentials d^i per grade g; subclasses supply rank and d_rows, the
+    rows of d^i as sparse {basis index: coef} dicts, one per basis form."""
 
     @memo
     def d_rank(self, i, *g):
         """Rank of d^i at grade g; 0 below degree 0 and on zero spaces."""
         if i < 0 or not self.rank(i, *g) or not self.rank(i + 1, *g):
             return 0
-        return len(gf_rref(self.K, self.d_matrix(i, *g), self.rank(i + 1, *g)))
+        return len(sparse_rref(self.K, self.d_rows(i, *g)))
+
+    @memo
+    def d_matrix(self, i, *g):
+        """d^i at grade g as a dense matrix on basis coordinates."""
+        n = self.rank(i + 1, *g)
+        return [[row.get(k, 0) for k in range(n)] for row in self.d_rows(i, *g)]
 
     def h_dim(self, i, *g):
         """dim H^i at grade g.  Over a field this is rank - rk d^i - rk d^(i-1),
@@ -101,18 +108,18 @@ class DeRhamComplex(_GradedComplex):
         return len(self.algebra.component(i, w)[1])
 
     @memo
-    def d_matrix(self, i, w):
-        """Matrix of d on basis coordinates, weight preserved."""
+    def d_rows(self, i, w):
+        """d on basis forms, weight preserved.  The d_form terms of one form
+        are distinct forms; on quotient kinds they are reduced through
+        component's pivot rows and re-keyed by basis position."""
         A, p = self.algebra, self.spec.p
         raw_s, basis_s, _ = A.component(i, w)
         idx_t = {form: k for k, form in enumerate(A.forms(i + 1, w))}
-        rows = []
-        for k in basis_s:
-            vec = [0] * len(idx_t)
-            for form, c in A.d_form(raw_s[k]):
-                vec[idx_t[form]] = self.K.add(vec[idx_t[form]], c % p)
-            rows.append(A.reduce_form_vector(i + 1, w, vec))
-        return rows
+        rows = [{idx_t[form]: c % p for form, c in A.d_form(raw_s[k]) if c % p} for k in basis_s]
+        if self.spec.kind != "quotient":
+            return rows
+        pos = {k: b for b, k in enumerate(A.component(i + 1, w)[1])}
+        return [{pos[t]: c for t, c in A.reduce_terms(i + 1, w, row).items()} for row in rows]
 
     def _check_leibniz_dd(self):
         # d must be well-defined on quotients and square to zero; checked on
@@ -123,7 +130,8 @@ class DeRhamComplex(_GradedComplex):
                 B = self.d_matrix(i + 1, w)
                 if not A or not B:
                     continue
-                assert not any(any(img) for img in mat_mul(self.K, A, B)), "d o d != 0"
+                if any(any(img) for img in mat_mul(self.K, A, B)):
+                    raise AssertionError(f"d o d != 0 in degree {i} at weight {w}")
 
     # -- cohomology and the inverse Cartier map --------------------------------
 
@@ -140,11 +148,11 @@ class DeRhamComplex(_GradedComplex):
                 continue
             raw_s, basis_s, _ = A.component(i, w)
             idx_t = {form: k for k, form in enumerate(A.forms(i, p * w))}
+            basis_t = A.component(i, p * w)[1]
             images = []
             for k in basis_s:
-                vec = [0] * len(idx_t)
-                vec[idx_t[A.frobenius_form(raw_s[k])]] = 1
-                images.append(A.reduce_form_vector(i, p * w, vec))
+                img = A.reduce_terms(i, p * w, {idx_t[A.frobenius_form(raw_s[k])]: 1})
+                images.append([img.get(t, 0) for t in basis_t])
             block = self.cartier_block(i, (p * w,), images)
             if block:
                 out[w] = {"matrix": block[0], "passes": block[1]}
@@ -270,19 +278,12 @@ class RelativeCartier(_GradedComplex):
     def rank(self, i, u, v):
         return len(self.forms(i, u, v))
 
-    def d_matrix(self, i, u, v):
-        src = self.forms(i, u, v)
-        tgt = self.forms(i + 1, u, v)
-        idx = {f: k for k, f in enumerate(tgt)}
-        rows = []
-        for f in src:
-            vec = [0] * len(tgt)
-            # terms in dx_a for an A-variable a are not relative forms
-            for g, c in self.algebra.d_form(f):
-                if g in idx:
-                    vec[idx[g]] = self.K.add(vec[idx[g]], c % self.spec.p)
-            rows.append(vec)
-        return rows
+    @memo
+    def d_rows(self, i, u, v):
+        idx = {f: k for k, f in enumerate(self.forms(i + 1, u, v))}
+        d_form, p = self.algebra.d_form, self.spec.p
+        # terms in dx_a for an A-variable a are not relative forms
+        return [{idx[g]: c % p for g, c in d_form(f) if g in idx and c % p} for f in self.forms(i, u, v)]
 
     def check(self) -> dict:
         """Pass bit and matrix of the relative C^{-1} from each bigrade (u, v)

@@ -14,8 +14,7 @@ root of m.  Lift elements are coefficient tuples of length f.
 from __future__ import annotations
 
 from functools import lru_cache
-
-from .zmodp import ZmodRing, howell
+from itertools import compress
 
 
 def _poly_mulmod(a, b, mod, q):
@@ -137,6 +136,12 @@ class GF:
         prod = _poly_mulmod(self._decode(a), self._decode(b), list(self.modulus), self.p)
         return self._encode(prod)
 
+    def sub_mul(self, a, c, b):
+        """a - c*b, the update of row elimination."""
+        if self.f == 1:
+            return (a - c * b) % self.p
+        return self.sub(a, self.mul(c, b))
+
     def power(self, a, n):
         return power(self.mul, a, n) if n else 1
 
@@ -158,38 +163,50 @@ class GF:
         return range(1, self.q)
 
 
-def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Reduced row echelon form over GF; canonical for the row space.
+def sparse_rref(K: GF, rows) -> list[dict]:
+    """The canonical RREF over K of sparse rows {col: nonzero coef}, as
+    dicts in pivot order.  Each row is reduced by the pivot of its least
+    column until it is zero or opens a new pivot, which only touches
+    columns to the right; back-substitution then clears pivot columns,
+    highest first.  The input rows are not modified."""
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            if col not in pivots:
+                if row[col] != 1:
+                    inv = K.inv(row[col])
+                    row = {j: K.mul(inv, x) for j, x in row.items()}
+                pivots[col] = row
+                break
+            subtract_multiple(K, row, row[col], pivots[col])
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for j in [j for j in row if j != col and j in pivots]:
+            subtract_multiple(K, row, row[j], pivots[j])
+    return [pivots[col] for col in sorted(pivots)]
 
-    Over GF(p) this is the Howell form over Z/p: every nonzero entry is a
-    unit, so the first nonzero row is the pivot and entries above it are
-    cleared.
-    """
-    if K.f == 1:
-        return howell(ZmodRing(K.p, 1), rows, ncols)
-    work = [list(r) for r in rows if any(r)]
-    placed = []
-    for col in range(ncols):
-        idx = next((i for i, r in enumerate(work) if r[col]), None)
-        if idx is None:
-            continue
-        piv = work.pop(idx)
-        inv = K.inv(piv[col])
-        piv = [K.mul(inv, x) for x in piv]
-        for r in work:
-            if r[col]:
-                c = r[col]
-                for j in range(col, ncols):
-                    r[j] = K.sub(r[j], K.mul(c, piv[j]))
-        work = [r for r in work if any(r)]
-        placed.append((col, piv))
-    result = [piv for _, piv in placed]
-    for idx, (col, piv) in enumerate(placed):
-        for l in range(idx):
-            c = result[l][col]
-            if c:
-                result[l] = [K.sub(x, K.mul(c, y)) for x, y in zip(result[l], piv)]
-    return result
+
+def subtract_multiple(K, row, c, other):
+    """row -= c * other on sparse rows, in place; entries that reach 0 are dropped."""
+    for j, y in other.items():
+        x = K.sub_mul(row.get(j, 0), c, y)
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Reduced row echelon form over GF of dense rows; canonical for the row space."""
+    out = []
+    for h in sparse_rref(K, [dict(compress(enumerate(r), r)) for r in rows]):
+        row = [0] * ncols
+        for j, x in h.items():
+            row[j] = x
+        out.append(row)
+    return out
 
 
 def gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[int]:
@@ -257,7 +274,8 @@ class Zq:
             corr = self.mul(val, self._inv(der))
             tau = self.sub(tau, corr)
             prec *= 2
-        assert self._poly_eval(self.modulus, tau) == self.zero()
+        if self._poly_eval(self.modulus, tau) != self.zero():
+            raise AssertionError(f"Hensel lift of the Frobenius root fails mod {self.p}^{self.B}")
         # matrix of the substitution t^i -> tau^i on coefficient rows
         rows = []
         row = self.one()
@@ -277,7 +295,8 @@ class Zq:
             e = self.sub(self.scal(2, x), self.mul(a, self.mul(x, x)))
             x = e
             prec *= 2
-        assert self.mul(a, x) == self.one()
+        if self.mul(a, x) != self.one():
+            raise AssertionError(f"Newton inverse of {a} fails mod {self.p}^{self.B}")
         return x
 
     def frobenius(self, a):

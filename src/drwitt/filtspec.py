@@ -466,9 +466,10 @@ def _verify_dd_zero(ring, entries, dmats, cr):
             if not any(row):
                 continue
             coeff = tgt.coords(row)
-            assert coeff is not None, "differential image is not a target cycle"
-            img = mat_mul(ring, [coeff], dmats[key2])[0]
-            assert member(ring, dbl.b, img), "d o d != 0 on a page"
+            if coeff is None:
+                raise AssertionError(f"a page differential image at {key2} is not a target cycle")
+            if not member(ring, dbl.b, mat_mul(ring, [coeff], dmats[key2])[0]):
+                raise AssertionError(f"d o d != 0 on a page, from {(s, m)}")
 
 
 def _diff_on_rows(ring, Hlev, entries, imap, jmap, kmap, s, m, cr, zrows):

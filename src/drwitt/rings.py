@@ -40,6 +40,7 @@ from itertools import combinations
 
 from .errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
 from .exactcore import GF, gf_rref
+from .exactcore.gf import subtract_multiple
 
 KINDS = ("finite_field", "poly", "laurent", "quotient", "perfection")
 PERFECTABLE = ("poly", "laurent", "finite_field")
@@ -607,18 +608,20 @@ class MonomialAlgebra:
         pivots = {next(k for k, x in enumerate(h) if x): h for h in gf_rref(field, rows, len(raw))}
         return raw, [k for k in range(len(raw)) if k not in pivots], pivots
 
-    def reduce_form_vector(self, n, w, vec):
-        """Rewrite a vector over the raw forms of `component(n, w)` in basis coordinates."""
-        raw, basis, pivots = self.component(n, w)
-        vec = list(vec)
-        for col in sorted(pivots, reverse=True):
-            c = vec[col]
-            if c:
-                hrow = pivots[col]
-                for k in range(col, len(raw)):
-                    if hrow[k]:
-                        vec[k] = self.K.sub(vec[k], self.K.mul(c, hrow[k]))
-        return [vec[k] for k in basis]
+    def reduce_terms(self, n, w, terms):
+        """Rewrite {raw form index: coef} over `component(n, w)` on basis forms,
+        keyed by raw index.  An RREF pivot row is 1 at its pivot and 0 at the
+        other pivots, so one subtraction per pivot in `terms` suffices."""
+        pivots = self._pivot_terms(n, w)
+        out = {k: c for k, c in terms.items() if c}
+        for col in [k for k in out if k in pivots]:
+            subtract_multiple(self.K, out, out[col], pivots[col])
+        return out
+
+    @memo
+    def _pivot_terms(self, n, w):
+        """The pivot rows of `component(n, w)` as {raw index: coef}, keyed by pivot."""
+        return {col: {k: x for k, x in enumerate(h) if x} for col, h in self.component(n, w)[2].items()}
 
     def reduce(self, el):
         if self.spec.kind != "quotient" or not el:
@@ -628,14 +631,10 @@ class MonomialAlgebra:
             buckets.setdefault(self.weight(e), {})[e] = c
         out = {}
         for w, part in buckets.items():
-            raw, basis, _ = self.component(0, w)
+            raw = self.component(0, w)[0]
             idx = {m: k for k, (m, _) in enumerate(raw)}
-            vec = [0] * len(raw)
-            for e, c in part.items():
-                vec[idx[e]] = c
-            for k, c in zip(basis, self.reduce_form_vector(0, w, vec)):
-                if c:
-                    out[raw[k][0]] = c
+            for k, c in sorted(self.reduce_terms(0, w, {idx[e]: c for e, c in part.items()}).items()):
+                out[raw[k][0]] = c
         return out
 
     # -- monomial enumeration ----------------------------------------------

@@ -12,7 +12,9 @@ rescaled lift, the per-weight strict groups and Nygaard checks that
 the weight classes replaced, the per-numerator lattices and stage
 certificates that the class-keyed lattice cache replaced, and the
 weight key, per-numerator maps and per-weight strict groups that
-SaturatedModel.class_at replaced."""
+SaturatedModel.class_at replaced, and the dense GF(p^f) row reduction
+and dense de Rham differentials that exactcore.sparse_rref and
+DeRhamComplex.d_rows replaced."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -21,6 +23,7 @@ from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
 from drwitt.errors import HomSetTooLarge, InexactDivision, PrecisionExhausted
 from drwitt.exactcore import (
+    GF,
     FinComplex,
     FinModPresentation,
     SubQuot,
@@ -1056,3 +1059,61 @@ def reference_group(self: StrictLevel, n, u) -> SubQuot:
         raise PrecisionExhausted("V^r source weight escapes the denominator cap")
     k = self.model.rank_at(n, a)
     return SubQuot(self.ring, k, identity(k), reference_relations(self, n, a))
+
+
+def reference_gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Reduced row echelon form over GF; canonical for the row space.
+
+    Over GF(p) this is the Howell form over Z/p: every nonzero entry is a
+    unit, so the first nonzero row is the pivot and entries above it are
+    cleared.
+    """
+    if K.f == 1:
+        return howell(ZmodRing(K.p, 1), rows, ncols)
+    work = [list(r) for r in rows if any(r)]
+    placed = []
+    for col in range(ncols):
+        idx = next((i for i, r in enumerate(work) if r[col]), None)
+        if idx is None:
+            continue
+        piv = work.pop(idx)
+        inv = K.inv(piv[col])
+        piv = [K.mul(inv, x) for x in piv]
+        for r in work:
+            if r[col]:
+                c = r[col]
+                for j in range(col, ncols):
+                    r[j] = K.sub(r[j], K.mul(c, piv[j]))
+        work = [r for r in work if any(r)]
+        placed.append((col, piv))
+    result = [piv for _, piv in placed]
+    for idx, (col, piv) in enumerate(placed):
+        for l in range(idx):
+            c = result[l][col]
+            if c:
+                result[l] = [K.sub(x, K.mul(c, y)) for x, y in zip(result[l], piv)]
+    return result
+
+
+def reference_d_matrix(self: DeRhamComplex, i, w):
+    """d^i at weight w as dense rows, built as DeRhamComplex.d_matrix was
+    before d_rows: each row over the raw (i+1)-forms, reduced through
+    component's pivot rows by the removed MonomialAlgebra.reduce_form_vector."""
+    A, p, K = self.algebra, self.spec.p, self.K
+    raw_s, basis_s, _ = A.component(i, w)
+    raw_t, basis_t, pivots = A.component(i + 1, w)
+    idx_t = {form: k for k, form in enumerate(A.forms(i + 1, w))}
+    rows = []
+    for k in basis_s:
+        vec = [0] * len(idx_t)
+        for form, c in A.d_form(raw_s[k]):
+            vec[idx_t[form]] = K.add(vec[idx_t[form]], c % p)
+        for col in sorted(pivots, reverse=True):
+            c = vec[col]
+            if c:
+                hrow = pivots[col]
+                for j in range(col, len(raw_t)):
+                    if hrow[j]:
+                        vec[j] = K.sub(vec[j], K.mul(c, hrow[j]))
+        rows.append([vec[j] for j in basis_t])
+    return rows

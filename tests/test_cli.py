@@ -302,6 +302,20 @@ def test_importing_drwitt_loads_no_dataclasses_or_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_importing_the_cli_loads_no_verb_only_module():
+    # witt, filtspec and kpredict are imported by the verbs that use them
+    src = os.path.dirname(os.path.dirname(drwitt.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import drwitt.cli\n"
+        "drwitt.cli.build_parser()\n"
+        "lazy = ('drwitt.witt', 'drwitt.filtspec', 'drwitt.kpredict', 'copy')\n"
+        "print(sorted(m for m in lazy if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # input boundary and process state
 
@@ -421,97 +435,97 @@ def bad_inputs(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "0"],
-        ["drw", "table", "--ring", "{poly}", "--level", "0"],
-        ["kpredict", "--ring", "{fp}", "--range", "0..x"],
-        ["syntomic", "--ring", "{fp}", "--twist", "-1", "--modp", "1"],
-        ["logforms", "--ring", "{lau}", "--deg", "1", "--modp", "0"],
-        ["drw", "table", "--ring", "{missing}"],
-        ["specseq", "run", "--input", "{missing}"],
-        ["specseq", "run", "--input", "{notjson}"],
-        ["specseq", "run", "--input", "{notcx}"],
-        ["specseq", "run", "--input", "{noring}"],
-        ["specseq", "run", "--input", "{badshape}"],
-        ["specseq", "run", "--input", "{widerel}"],
-        ["specseq", "run", "--input", "{widemap}"],
-        ["specseq", "run", "--input", "{widediff}"],
-        ["specseq", "run", "--input", "{reversed}"],
-        ["specseq", "run", "--input", "{straydiff}"],
-        ["specseq", "run", "--input", "{straymap}"],
-        ["specseq", "run", "--input", "{zmodp1}"],
-        ["specseq", "run", "--input", "{zmodp4}"],
-        ["specseq", "run", "--input", "{zmodhuge}"],
-        ["specseq", "run", "--input", "{relmap}"],
-        ["specseq", "run", "--input", "{nochain}"],
-        ["drw", "table", "--ring", "{hugep}"],
-        ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
-        ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
-        ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
-        ["kpredict", "--ring", "{fp}", "--range", "0..-3"],
-        ["drw", "table", "--ring", "{perf2}"],
-        ["syntomic", "--ring", "{perf2}", "--twist", "1", "--modp", "1"],
-        ["derham", "table", "--ring", "{perf2}"],
-        ["witt", "ghost", "a,b", "--p", "2"],
-        ["drw", "table", "--ring", "{zeroden}"],
-        ["witt", "add", "x", "x^1/0", "--len", "1", "--ring", "{perf1}"],
-        ["check", "fundamental-seq", "--ring", "{fp}", "--twist", "abc"],
-        ["kpredict", "--ring", "{fp}", "--range", "-1..3"],
-        ["witt", "neg", "1,0", "1,1", "--p", "3"],
-        ["witt", "teich", "1", "2"],
-        ["witt", "frob", "1,0", "1,1"],
-        ["witt", "versch", "1,0", "1,1"],
-        ["witt", "restrict", "1,0", "1,1"],
-        ["witt", "ghost", "1,1", "5,5"],
-        ["witt", "add", "1,0"],
-    ],
-    ids=[
-        "syntomic-modp-0",
-        "drw-level-0",
-        "kpredict-range-x",
-        "syntomic-twist-neg",
-        "logforms-modp-0",
-        "drw-ring-missing",
-        "specseq-input-missing",
-        "specseq-input-not-json",
-        "specseq-not-a-complex",
-        "specseq-no-ring",
-        "specseq-bad-shape",
-        "specseq-wide-relation",
-        "specseq-wide-transition",
-        "specseq-wide-differential",
-        "specseq-window-reversed",
-        "specseq-stray-differential",
-        "specseq-stray-transition",
-        "specseq-zmod-p-1",
-        "specseq-zmod-p-4",
-        "specseq-zmod-p-past-prime-bound",
-        "specseq-transition-breaks-a-relation",
-        "specseq-transition-not-a-chain-map",
-        "drw-p-past-prime-bound",
-        "derham-weight-cap-neg",
-        "syntomic-maxdeg-neg",
-        "logforms-deg-neg",
-        "kpredict-range-reversed",
-        "drw-perfection-two-vars",
-        "syntomic-perfection-two-vars",
-        "derham-perfection-two-vars",
-        "witt-ghost-non-integer",
-        "ring-zero-exponent-denominator",
-        "witt-zero-exponent-denominator",
-        "usage-twist-not-an-int",
-        "usage-range-looks-like-a-flag",
-        "witt-neg-two-vectors",
-        "witt-teich-two-vectors",
-        "witt-frob-two-vectors",
-        "witt-versch-two-vectors",
-        "witt-restrict-two-vectors",
-        "witt-ghost-two-vectors",
-        "witt-add-one-vector",
-    ],
-)
+BAD_FLAGS = [
+    ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "0"],
+    ["drw", "table", "--ring", "{poly}", "--level", "0"],
+    ["kpredict", "--ring", "{fp}", "--range", "0..x"],
+    ["syntomic", "--ring", "{fp}", "--twist", "-1", "--modp", "1"],
+    ["logforms", "--ring", "{lau}", "--deg", "1", "--modp", "0"],
+    ["drw", "table", "--ring", "{missing}"],
+    ["specseq", "run", "--input", "{missing}"],
+    ["specseq", "run", "--input", "{notjson}"],
+    ["specseq", "run", "--input", "{notcx}"],
+    ["specseq", "run", "--input", "{noring}"],
+    ["specseq", "run", "--input", "{badshape}"],
+    ["specseq", "run", "--input", "{widerel}"],
+    ["specseq", "run", "--input", "{widemap}"],
+    ["specseq", "run", "--input", "{widediff}"],
+    ["specseq", "run", "--input", "{reversed}"],
+    ["specseq", "run", "--input", "{straydiff}"],
+    ["specseq", "run", "--input", "{straymap}"],
+    ["specseq", "run", "--input", "{zmodp1}"],
+    ["specseq", "run", "--input", "{zmodp4}"],
+    ["specseq", "run", "--input", "{zmodhuge}"],
+    ["specseq", "run", "--input", "{relmap}"],
+    ["specseq", "run", "--input", "{nochain}"],
+    ["drw", "table", "--ring", "{hugep}"],
+    ["derham", "table", "--ring", "{poly}", "--weight-cap", "-3"],
+    ["syntomic", "--ring", "{fp}", "--twist", "1", "--modp", "1", "--maxdeg", "-2"],
+    ["logforms", "--ring", "{lau}", "--deg", "-1", "--modp", "1"],
+    ["kpredict", "--ring", "{fp}", "--range", "0..-3"],
+    ["drw", "table", "--ring", "{perf2}"],
+    ["syntomic", "--ring", "{perf2}", "--twist", "1", "--modp", "1"],
+    ["derham", "table", "--ring", "{perf2}"],
+    ["witt", "ghost", "a,b", "--p", "2"],
+    ["drw", "table", "--ring", "{zeroden}"],
+    ["witt", "add", "x", "x^1/0", "--len", "1", "--ring", "{perf1}"],
+    ["check", "fundamental-seq", "--ring", "{fp}", "--twist", "abc"],
+    ["kpredict", "--ring", "{fp}", "--range", "-1..3"],
+    ["witt", "neg", "1,0", "1,1", "--p", "3"],
+    ["witt", "teich", "1", "2"],
+    ["witt", "frob", "1,0", "1,1"],
+    ["witt", "versch", "1,0", "1,1"],
+    ["witt", "restrict", "1,0", "1,1"],
+    ["witt", "ghost", "1,1", "5,5"],
+    ["witt", "add", "1,0"],
+]
+BAD_FLAG_IDS = [
+    "syntomic-modp-0",
+    "drw-level-0",
+    "kpredict-range-x",
+    "syntomic-twist-neg",
+    "logforms-modp-0",
+    "drw-ring-missing",
+    "specseq-input-missing",
+    "specseq-input-not-json",
+    "specseq-not-a-complex",
+    "specseq-no-ring",
+    "specseq-bad-shape",
+    "specseq-wide-relation",
+    "specseq-wide-transition",
+    "specseq-wide-differential",
+    "specseq-window-reversed",
+    "specseq-stray-differential",
+    "specseq-stray-transition",
+    "specseq-zmod-p-1",
+    "specseq-zmod-p-4",
+    "specseq-zmod-p-past-prime-bound",
+    "specseq-transition-breaks-a-relation",
+    "specseq-transition-not-a-chain-map",
+    "drw-p-past-prime-bound",
+    "derham-weight-cap-neg",
+    "syntomic-maxdeg-neg",
+    "logforms-deg-neg",
+    "kpredict-range-reversed",
+    "drw-perfection-two-vars",
+    "syntomic-perfection-two-vars",
+    "derham-perfection-two-vars",
+    "witt-ghost-non-integer",
+    "ring-zero-exponent-denominator",
+    "witt-zero-exponent-denominator",
+    "usage-twist-not-an-int",
+    "usage-range-looks-like-a-flag",
+    "witt-neg-two-vectors",
+    "witt-teich-two-vectors",
+    "witt-frob-two-vectors",
+    "witt-versch-two-vectors",
+    "witt-restrict-two-vectors",
+    "witt-ghost-two-vectors",
+    "witt-add-one-vector",
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=BAD_FLAG_IDS)
 def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
     code = main([a.format(**rings, **bad_inputs) for a in argv])
     captured = capsys.readouterr()
@@ -519,6 +533,29 @@ def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=BAD_FLAG_IDS)
+def test_the_one_verb_parser_gives_the_full_parsers_errors(rings, bad_inputs, capsys, monkeypatch, argv):
+    # main builds only the subparser of a known verb; the full parser,
+    # forced here, must give the same exit code and stderr
+    import drwitt.cli as cli
+
+    argv = [a.format(**rings, **bad_inputs) for a in argv]
+    one_verb = (main(argv), capsys.readouterr())
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert (main(argv), capsys.readouterr()) == one_verb
+
+
+def test_a_known_verb_builds_only_its_subparser():
+    from drwitt.cli import VERBS, build_parser
+
+    for verb in VERBS:
+        assert "{%s}" % verb in build_parser(verb).format_usage()
+    every = "{%s}" % ",".join(VERBS)
+    for other in (None, "bogus-verb", "--help", "--version"):
+        assert every in build_parser(other).format_usage()
 
 
 def test_usage_errors_are_exit_1_and_help_is_exit_0(capsys):

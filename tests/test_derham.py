@@ -1,22 +1,27 @@
 """De Rham complexes, cohomology, inverse Cartier maps, smoothness checks."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import drwitt
 from drwitt.derham import (
     DeRhamComplex,
     RelativeCartier,
     base_change_check,
     cartier_smooth_check,
+    _GradedComplex,
     derham_cohomology,
 )
 from drwitt.errors import NonQuasiHomogeneous, UnsupportedBaseChange, UnsupportedKind
 from drwitt.exactcore import InvariantFactors
 from drwitt.rings import parse_ringspec
 
-from helpers import reference_relative_forms
+from helpers import reference_d_matrix, reference_gf_rref, reference_relative_forms
 
 
 def spec(text):
@@ -336,3 +341,61 @@ def test_each_de_rham_verb_builds_one_complex(verb, tmp_path, monkeypatch, capsy
     ring.write_text("p = 3\nkind = poly\nvars = x:1, y:1\n")
     assert main(verb + ["--ring", str(ring), "--maxdeg", "3", "--weight-cap", "6", "--json"]) == 0
     assert len(built) == 1 and checked == [4]
+
+
+D_RANK_RINGS = {
+    "xyz-p2": "p=2\nkind=poly\nvars=x:1, y:1, z:1",
+    "xyz-p3": "p=3\nkind=poly\nvars=x:1, y:1, z:1",
+    "cusp-p3": "p=3\nkind=quotient\nvars=x:2, y:3\nrels=y^2 - x^3",
+    "xy-z2-p2": "p=2\nkind=quotient\nvars=x:1, y:1, z:1\nrels=x*y - z^2",
+    "laurent-p3": "p=3\nkind=laurent\nvars=x:1",
+    "cusp-gf4": "p=2\nkind=quotient\nvars=x:2, y:3\nrels=y^2 - t*x^3\nf=2",
+}
+
+
+@pytest.mark.parametrize("text", D_RANK_RINGS.values(), ids=D_RANK_RINGS.keys())
+def test_d_rank_is_the_rank_of_the_dense_reference(text):
+    # the sparse rows of d agree with the dense build, and their rank with
+    # the dense elimination, at every degree and weight of the window
+    C = DeRhamComplex(spec(text), 3, 8)
+    for w in C.weights():
+        for i in range(3):
+            d = C.d_matrix(i, w)
+            assert d == reference_d_matrix(C, i, w), (i, w)
+            full = C.rank(i, w) and C.rank(i + 1, w)
+            assert C.d_rank(i, w) == (len(reference_gf_rref(C.K, d, C.rank(i + 1, w))) if full else 0)
+
+
+def test_d_rank_builds_no_dense_matrix(monkeypatch):
+    C = DeRhamComplex(spec(D_RANK_RINGS["xyz-p2"]), 4, 10)
+    dense = []
+    real = _GradedComplex.d_matrix
+
+    def counting(self, *g):
+        dense.append(g)
+        return real(self, *g)
+
+    monkeypatch.setattr(_GradedComplex, "d_matrix", counting)
+    dims = {(i, w): C.h_dim(i, w) for i in range(4) for w in C.weights()}
+    assert sum(C.d_rank(i, w) for i, w in dims) > 0
+    assert dense == []
+
+
+def test_a_nonzero_d_squared_is_caught_under_python_O(tmp_path):
+    # the d o d self-check raises AssertionError itself, which -O keeps; a d
+    # without its signs has d(d(xy)) = 2 dx^dy, nonzero at p = 3
+    ring = tmp_path / "xy.ring"
+    ring.write_text("p = 3\nkind = poly\nvars = x:1, y:1\n")
+    code = (
+        "import sys\n"
+        "from drwitt.cli import main\n"
+        "from drwitt.rings import MonomialAlgebra\n"
+        "real = MonomialAlgebra.d_form\n"
+        "MonomialAlgebra.d_form = lambda self, form: [(g, abs(c)) for g, c in real(self, form)]\n"
+        f"sys.exit(main(['derham', 'table', '--ring', {str(ring)!r}]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(drwitt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("internal error: AssertionError: d o d != 0"), proc.stderr

@@ -37,10 +37,11 @@ from drwitt.exactcore import (
     quotient_invariants,
     smith_diagonal,
     span_order,
+    sparse_rref,
 )
 from drwitt.exactcore.zmodp import quotient_divisor_exponents
 from drwitt.rings import p_split
-from helpers import reference_howell, solve
+from helpers import reference_gf_rref, reference_howell, solve
 
 
 def brute_span(R, rows, ncols):
@@ -158,6 +159,39 @@ def test_howell_matches_reference(case):
         H = gf_rref(GF(p), [list(r) for r in rows], ncols)
         assert H == expected
         assert is_rref(p, H, ncols)
+
+
+@st.composite
+def gf_rref_inputs(draw):
+    """(K, rows, ncols) over GF(2), GF(3), GF(5), GF(4) or GF(9): sparse or
+    dense rows, with zero and repeated rows spliced in."""
+    p, f = draw(st.sampled_from(((2, 1), (3, 1), (5, 1), (2, 2), (3, 2))))
+    K = GF(p, f)
+    ncols = draw(st.integers(0, 7))
+    dense = st.lists(st.integers(0, K.q - 1), min_size=ncols, max_size=ncols)
+    terms = st.dictionaries(st.integers(0, max(ncols - 1, 0)), st.integers(1, K.q - 1), max_size=2 if ncols else 0)
+    sparse = terms.map(lambda t: [t.get(j, 0) for j in range(ncols)])
+    rows = draw(st.lists(st.one_of(sparse, dense), max_size=7))
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(("zero", "repeat")), st.integers(0, 9)), max_size=3)):
+        row = [0] * ncols if kind == "zero" or not rows else list(rows[at % len(rows)])
+        rows.insert(at % (len(rows) + 1), row)
+    return K, rows, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(gf_rref_inputs())
+@example((GF(2), [], 3))  # empty input
+@example((GF(3), [[], []], 0))  # no columns
+@example((GF(2, 2), [[0, 0, 0], [2, 3, 1], [0, 0, 0], [2, 3, 1]], 3))  # zero and repeated rows
+@example((GF(3, 2), [[1, 4, 0, 7], [0, 1, 0, 2], [0, 0, 1, 5]], 4))  # back-substitution clears two columns
+def test_gf_rref_matches_the_dense_reference(case):
+    K, rows, ncols = case
+    expected = reference_gf_rref(K, [list(r) for r in rows], ncols)
+    assert gf_rref(K, [list(r) for r in rows], ncols) == expected
+    # the sparse engine on the same rows as dicts, without the dense wrapper
+    H = sparse_rref(K, [{j: x for j, x in enumerate(r) if x} for r in rows])
+    assert [[h.get(j, 0) for j in range(ncols)] for h in H] == expected
+    assert all(0 not in h.values() for h in H)
 
 
 def test_kernel_solve_preimage_intersect():

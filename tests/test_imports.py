@@ -1,5 +1,5 @@
 """Source hygiene: no module under src/drwitt imports a name it never uses,
-and none reads the process environment."""
+none reads the process environment, and no self-check is a bare assert."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,28 @@ def test_the_scan_sees_an_environment_read(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom os import getenv, path\n\na = os.environ.get('A')\nb = os.getenv('B')\nc = path\n")
     assert environment_reads(mod) == [2, 4, 5]
+
+
+def bare_asserts(path):
+    """Lines of a module's assert statements, which python -O strips."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert))
+
+
+def test_no_self_check_is_a_bare_assert():
+    # a self-check raises AssertionError itself, so it also runs under -O
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 10
+    found = {str(p.relative_to(SRC)): lines for p in modules if (lines := bare_asserts(p))}
+    assert found == {}
+
+
+def test_the_scan_sees_a_bare_assert(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def f(x):\n    assert x, 'x'\n    if not x:\n        raise AssertionError('x')\n"
+        "    return 'assert x'\n\n\nclass C:\n    def g(self):\n        assert self\n"
+    )
+    assert bare_asserts(mod) == [2, 10]
 
 
 ROOT = SRC.parents[1]
