@@ -14,7 +14,7 @@ root of m.  Lift elements are coefficient tuples of length f.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 
 
 def _poly_mulmod(a, b, mod, q):
@@ -210,12 +210,18 @@ def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[int]:
+    """The residue of v modulo the row span of H, an RREF over K.  The
+    pivots lie left to right, so one column pointer walks them all; each
+    pivot row that v meets updates only its nonzero entries."""
     v = list(v)
+    col = 0
     for row in H:
-        col = next(j for j, x in enumerate(row) if x)
-        if v[col]:
-            c = v[col]
-            v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
+        while not row[col]:
+            col += 1
+        c = v[col]
+        if c:
+            for j in compress(range(col, len(row)), islice(row, col, None)):
+                v[j] = K.sub_mul(v[j], c, row[j])
     return v
 
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations
+from itertools import combinations, compress
+from operator import add
 
 from .errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
 from .exactcore import GF, gf_rref
@@ -182,6 +183,8 @@ class RingSpec(namedtuple("RingSpec", "p kind variables weights relations f base
             raise NonQuasiHomogeneous("variable weights must be positive")
         if kind == "quotient":
             for rel in relations:
+                if not rel:
+                    raise UnsupportedKind("a relation needs at least one nonzero term")
                 wts = {self.monomial_weight(exps) for _, exps in rel}
                 if len(wts) > 1:
                     raise NonQuasiHomogeneous(
@@ -458,7 +461,10 @@ def parse_ringspec(text: str) -> RingSpec:
         for chunk in r_text.split(";"):
             chunk = chunk.strip()
             if chunk:
-                rels.append(parse_poly(chunk, variables, K, r_ln))
+                rel = parse_poly(chunk, variables, K, r_ln)
+                if not rel:
+                    raise ParseError(f"relation {chunk!r} is zero over {K!r}", r_ln)
+                rels.append(rel)
         relations = tuple(rels)
 
     if fields:
@@ -500,6 +506,29 @@ class MonomialAlgebra:
     def __init__(self, spec: RingSpec):
         self.spec = spec
         self.K = spec.gf()
+        if spec.kind == "quotient":
+            self._relations = [self._relation_data(rel) for rel in spec.relations]
+            # rows over GF(p) have the same RREF over GF(p) as over GF(p^f)
+            p = spec.p
+            in_gf_p = all(c < p for _, terms, _ in self._relations for _, c in terms)
+            self._row_field = GF(p) if in_gf_p else self.K
+
+    def _relation_data(self, rel):
+        """(weight, terms, d terms) of one relation: its terms as (exps, code)
+        with like terms merged, and its d as (j, exps, code, -code) for the
+        terms code x^exps dx_j whose integer coefficient is prime to p."""
+        K, p = self.K, self.spec.p
+        merged = {}
+        for c, exps in rel:
+            merged[exps] = K.add(merged.get(exps, 0), c)
+        terms = [(exps, c) for exps, c in merged.items() if c]
+        dterms = []
+        for exps, c in terms:
+            for j, e in enumerate(exps):
+                if e % p:
+                    dc = K.mul(c, e % p)
+                    dterms.append((j, exps[:j] + (e - 1,) + exps[j + 1:], dc, K.neg(dc)))
+        return wkey(self.spec.monomial_weight(rel[0][1])), terms, dterms
 
     # -- element helpers ---------------------------------------------------
 
@@ -584,28 +613,32 @@ class MonomialAlgebra:
         """(raw forms, basis positions, pivot rows) of the weight-w n-forms.
 
         For free kinds the raw forms are the basis.  For quotient kinds the
-        relation rows span I Omega^n + d(I Omega^(n-1)); their RREF rows,
-        keyed by pivot column, rewrite each pivot form in basis forms.
+        relation rows span I Omega^n + dI ^ Omega^(n-1), which is
+        I Omega^n + d(I Omega^(n-1)) since d(f m) = df ^ m + f dm; their
+        RREF rows, keyed by pivot column, rewrite each pivot form in basis
+        forms.
         """
         raw = self.forms(n, w)
         if self.spec.kind != "quotient" or not raw:
             return raw, list(range(len(raw))), {}
-        K, p = self.K, self.spec.p
         idx = {form: k for k, form in enumerate(raw)}
         rows = []
-        for rel in self.spec.relations:
-            rem = w - self.spec.monomial_weight(rel[0][1])
-            for k in (n, n - 1):
-                for m, J in self.forms(k, rem):
-                    row = [0] * len(raw)
-                    for c, exps in rel:
-                        prod = (tuple(a + b for a, b in zip(m, exps)), J)
-                        for form, e in [(prod, 1)] if k == n else self.d_form(prod):
-                            row[idx[form]] = K.add(row[idx[form]], K.mul(c, e % p))
-                    rows.append(row)
-        # rows over GF(p) have the same RREF over GF(p) as over GF(p^f)
-        field = GF(p) if all(x < p for row in rows for x in row) else K
-        pivots = {next(k for k, x in enumerate(h) if x): h for h in gf_rref(field, rows, len(raw))}
+        for weight, terms, dterms in self._relations:
+            rem = w - weight
+            for m, J in self.forms(n, rem):
+                row = [0] * len(raw)
+                for exps, c in terms:
+                    row[idx[tuple(map(add, m, exps)), J]] = c
+                rows.append(row)
+            for m, J in self.forms(n - 1, rem):
+                row = [0] * len(raw)
+                for j, exps, c, neg_c in dterms:
+                    sign, newJ = sign_insert(j, J)
+                    if sign:
+                        row[idx[tuple(map(add, m, exps)), newJ]] = c if sign > 0 else neg_c
+                rows.append(row)
+        # an RREF row's first nonzero entry is its pivot, a 1
+        pivots = {h.index(1): h for h in gf_rref(self._row_field, rows, len(raw))}
         return raw, [k for k in range(len(raw)) if k not in pivots], pivots
 
     def reduce_terms(self, n, w, terms):
@@ -621,7 +654,7 @@ class MonomialAlgebra:
     @memo
     def _pivot_terms(self, n, w):
         """The pivot rows of `component(n, w)` as {raw index: coef}, keyed by pivot."""
-        return {col: {k: x for k, x in enumerate(h) if x} for col, h in self.component(n, w)[2].items()}
+        return {col: dict(compress(enumerate(h), h)) for col, h in self.component(n, w)[2].items()}
 
     def reduce(self, el):
         if self.spec.kind != "quotient" or not el:

@@ -12,9 +12,10 @@ rescaled lift, the per-weight strict groups and Nygaard checks that
 the weight classes replaced, the per-numerator lattices and stage
 certificates that the class-keyed lattice cache replaced, and the
 weight key, per-numerator maps and per-weight strict groups that
-SaturatedModel.class_at replaced, and the dense GF(p^f) row reduction
+SaturatedModel.class_at replaced, the dense GF(p^f) row reduction
 and dense de Rham differentials that exactcore.sparse_rref and
-DeRhamComplex.d_rows replaced."""
+DeRhamComplex.d_rows replaced, and the GF(p^f) residue that rescanned
+every pivot row before the pivot walk of exactcore.gf.gf_reduce_vector."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -1117,3 +1118,13 @@ def reference_d_matrix(self: DeRhamComplex, i, w):
                         vec[j] = K.sub(vec[j], K.mul(c, hrow[j]))
         rows.append([vec[j] for j in basis_t])
     return rows
+
+
+def reference_gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[int]:
+    v = list(v)
+    for row in H:
+        col = next(j for j, x in enumerate(row) if x)
+        if v[col]:
+            c = v[col]
+            v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
+    return v

@@ -1,12 +1,15 @@
 """CLI surface: parsing, exit codes, determinism, manifests."""
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -255,6 +258,28 @@ def test_json_determinism_and_manifest(rings, tmp_path, capsys):
     assert "wall_time_s" in m1
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_jobs(workload):
+    """The benchmark's jobs of one workload, every variant, and their golden records."""
+    loader = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    golden = json.loads((PERFBENCH / "golden.json").read_text())[workload]
+    return [(job, golden[job.id]) for job in workloads.all_jobs(workload)]
+
+
+def test_derham_benchmark_jobs_print_their_golden_payloads(tmp_path, capsys):
+    # the benchmark digests a job's --json payload without its trailing newline
+    for job, want in _benchmark_jobs("derham_multivar"):
+        ring = tmp_path / "job.ring"
+        ring.write_text(job.spec)
+        code, out = run_cli([*job.argv, "--ring", str(ring), "--json"], capsys)
+        digest = hashlib.sha256(out.removesuffix("\n").encode()).hexdigest()
+        assert (code, digest) == (want["exit"], want["sha256"]), job.id
+
+
 def test_drw_table_json(rings, capsys):
     code, out = run_cli(
         ["drw", "table", "--ring", rings["f8"], "--level", "2", "--maxdeg", "1", "--weight-cap", "2", "--json"],
@@ -429,6 +454,10 @@ def bad_inputs(tmp_path):
     for name, text in {
         "zeroden": "p = 2\nkind = quotient\nvars = x:1, y:1\nrels = x^(1/0) - y\n",
         "perf1": "p = 2\nkind = perfection of poly\nvars = x:1\n",
+        # relations that are zero over the field of constants
+        "zerorel": "p = 2\nkind = quotient\nvars = x:1\nrels = 0\n",
+        "cancelrel": "p = 2\nkind = quotient\nvars = x:1, y:1\nrels = x - x\n",
+        "modprel": "p = 3\nkind = quotient\nvars = x:1\nrels = x^2 + x^2 + x^2\n",
     }.items():
         (tmp_path / f"{name}.ring").write_text(text)
         paths[name] = str(tmp_path / f"{name}.ring")
@@ -478,6 +507,9 @@ BAD_FLAGS = [
     ["witt", "restrict", "1,0", "1,1"],
     ["witt", "ghost", "1,1", "5,5"],
     ["witt", "add", "1,0"],
+    ["derham", "table", "--ring", "{zerorel}"],
+    ["derham", "table", "--ring", "{cancelrel}"],
+    ["derham", "table", "--ring", "{modprel}"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -522,6 +554,9 @@ BAD_FLAG_IDS = [
     "witt-restrict-two-vectors",
     "witt-ghost-two-vectors",
     "witt-add-one-vector",
+    "ring-relation-zero",
+    "ring-relation-cancels",
+    "ring-relation-zero-mod-p",
 ]
 
 

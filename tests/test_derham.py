@@ -16,6 +16,7 @@ from drwitt.derham import (
     cartier_smooth_check,
     _GradedComplex,
     derham_cohomology,
+    derham_table,
 )
 from drwitt.errors import NonQuasiHomogeneous, UnsupportedBaseChange, UnsupportedKind
 from drwitt.exactcore import InvariantFactors
@@ -378,6 +379,23 @@ def test_d_rank_builds_no_dense_matrix(monkeypatch):
     monkeypatch.setattr(_GradedComplex, "d_matrix", counting)
     dims = {(i, w): C.h_dim(i, w) for i in range(4) for w in C.weights()}
     assert sum(C.d_rank(i, w) for i, w in dims) > 0
+    assert dense == []
+
+
+@pytest.mark.parametrize("text, maxdeg, cap", [(D_RANK_RINGS["xyz-p2"], 3, 10), (D_RANK_RINGS["cusp-p3"], 2, 60)],
+                         ids=["xyz-p2", "cusp-p3"])
+def test_the_d_squared_check_and_the_table_build_no_dense_matrix(monkeypatch, text, maxdeg, cap):
+    # the self-check composes the sparse rows of d, and a table reads ranks
+    dense = []
+    real = _GradedComplex.d_matrix
+
+    def counting(self, *g):
+        dense.append(g)
+        return real(self, *g)
+
+    monkeypatch.setattr(_GradedComplex, "d_matrix", counting)
+    table = derham_table(spec(text), maxdeg, cap)
+    assert sum(len(row) for row in table.values()) > 0
     assert dense == []
 
 

@@ -39,9 +39,10 @@ from drwitt.exactcore import (
     span_order,
     sparse_rref,
 )
+from drwitt.exactcore.gf import gf_reduce_vector
 from drwitt.exactcore.zmodp import quotient_divisor_exponents
 from drwitt.rings import p_split
-from helpers import reference_gf_rref, reference_howell, solve
+from helpers import reference_gf_reduce_vector, reference_gf_rref, reference_howell, solve
 
 
 def brute_span(R, rows, ncols):
@@ -192,6 +193,28 @@ def test_gf_rref_matches_the_dense_reference(case):
     H = sparse_rref(K, [{j: x for j, x in enumerate(r) if x} for r in rows])
     assert [[h.get(j, 0) for j in range(ncols)] for h in H] == expected
     assert all(0 not in h.values() for h in H)
+
+
+@st.composite
+def gf_reduce_inputs(draw):
+    """(K, rows, ncols, v): gf_rref_inputs and a vector v, zero or random."""
+    K, rows, ncols = draw(gf_rref_inputs())
+    random_v = st.lists(st.integers(0, K.q - 1), min_size=ncols, max_size=ncols)
+    return K, rows, ncols, draw(st.one_of(st.just([0] * ncols), random_v))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gf_reduce_inputs())
+@example((GF(2), [], 3, [1, 0, 1]))  # empty H
+@example((GF(3, 2), [[1, 4, 0, 7], [0, 1, 0, 2], [0, 0, 1, 5]], 4, [5, 0, 3, 8]))  # full rank
+@example((GF(5), [[0, 1, 3, 0, 2], [0, 0, 0, 1, 4]], 5, [0, 0, 0, 0, 0]))  # zero v
+@example((GF(2, 2), [[0, 0, 1, 2, 0, 3], [0, 0, 0, 0, 1, 1]], 6, [1, 2, 3, 1, 2, 3]))  # pivots two columns apart
+def test_gf_reduce_vector_matches_the_dense_reference(case):
+    K, rows, ncols, v = case
+    H = gf_rref(K, rows, ncols)
+    before = list(v)
+    assert gf_reduce_vector(K, H, v) == reference_gf_reduce_vector(K, H, v)
+    assert v == before
 
 
 def test_kernel_solve_preimage_intersect():

@@ -33,6 +33,23 @@ def test_component_and_reduce_match_the_reference_presentations(text, n, w, data
     assert A.reduce(el) == reference_reduce(A, el)
 
 
+GRID_QUOTIENTS = {
+    "two-relations": "p=2\nkind=quotient\nvars=x:1, y:1, z:1\nrels=x*y - z^2; x^3 + y^3",
+    "d-vanishes-mod-p": "p=3\nkind=quotient\nvars=x:1, y:1\nrels=x^3 + y^3",
+    "gf8-generator": "p=2\nf=3\nkind=quotient\nvars=x:1, y:2\nrels=t*x^2 + y",
+}
+
+
+@pytest.mark.parametrize("text", GRID_QUOTIENTS.values(), ids=GRID_QUOTIENTS.keys())
+def test_component_matches_the_reference_on_a_grid(text):
+    # quotients the sampled test above does not draw: two relations, a
+    # relation whose d is 0 mod p, and a relation with the generator of GF(8)
+    C = DeRhamComplex(parse_ringspec(text), 1, 0)
+    for n in range(4):
+        for w in range(25):
+            assert C.algebra.component(n, w) == reference_component(C, n, w), (n, w)
+
+
 def test_component_on_the_cusp_kills_x2_dx():
     # p = 2: d(y^2 - x^3) = x^2 dx, so weight 6 keeps only y dy
     A = MonomialAlgebra(parse_ringspec("p=2\nkind=quotient\nvars=x:2, y:3\nrels=y^2 - x^3"))

@@ -254,6 +254,9 @@ def test_records_compare_hash_and_print_as_their_fields(record, other, text):
         (dict(p=2, kind="finite_field", f=0), UnsupportedKind),
         (dict(p=3, kind="poly", variables=("x",), weights=(1,), f=-1), UnsupportedKind),
         (dict(p=2, kind="finite_field", f="2"), UnsupportedKind),
+        (dict(p=2, kind="quotient", variables=("x",), weights=(1,), relations=((),)), UnsupportedKind),
+        (dict(p=3, kind="quotient", variables=("x", "y"), weights=(2, 3), relations=(((1, (0, 2)),), ())),
+         UnsupportedKind),
     ],
 )
 def test_ring_spec_validates_without_the_parser(kwargs, error):
