@@ -220,6 +220,7 @@ class SaturatedModel:
         self.B = self.R + 2 * self.s_star + 2
         self.ring = ZmodRing(self.p, self.R)
         self._amb = ZmodRing(self.p, self.B)
+        self._residue_field = ZmodRing(self.p, 1)  # for the certificate's invertibility test
         self.lift = lift_with_frobenius(spec, self.B)
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
@@ -229,6 +230,7 @@ class SaturatedModel:
         self._lattices = {}  # Howell basis
         self._frobs = {}  # F in lattice coordinates
         self._verschs = {}  # V in lattice coordinates
+        self._f_images = {}  # rows of a lift F -> the one SubQuot that solves against them
         self._d_reps = {}  # the numerator whose d the class rescales
 
     def num(self, u):
@@ -346,7 +348,7 @@ class SaturatedModel:
         if coordM is None:
             raise PrecisionExhausted("transition image escapes the next stage")
         # invertibility mod p of the square coordinate matrix
-        Fp = ZmodRing(self.p, 1)
+        Fp = self._residue_field
         red = [[x % self.p for x in row] for row in coordM]
         H = howell(Fp, red, len(coordM))
         if len(H) != len(coordM) or any(Fp.val(H[i][i]) != 0 for i in range(len(H))):
@@ -436,9 +438,13 @@ class SaturatedModel:
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
         # solve z . F = p y for each basis row y, z in ambient coords at lift
-        # weight a/p; one SubQuot on the rows of F serves every row
+        # weight a/p; one SubQuot on the rows of F serves every row, and every
+        # (degree, weight) whose F is the same matrix
         F = self.lift.f_matrix(n, down)
-        image = SubQuot(self._amb, len(F[0]), F, [])
+        key = tuple(map(tuple, F))
+        image = self._f_images.get(key)
+        if image is None:
+            image = self._f_images[key] = SubQuot(self._amb, len(F[0]), F, [])
         out = []
         for row in src:
             z = image.coords([(self.p * x) % self._amb.q for x in row])

@@ -232,6 +232,13 @@ class FinModPresentation:
         # the normal form of no rows is no rows, in every ring
         self.relations = normal_form(ring, relations, ngens) if relations else []
 
+    @classmethod
+    def _of_normal_form(cls, ring, ngens, relations):
+        """The presentation on relation rows that are already a normal form."""
+        self = cls.__new__(cls)
+        self.ring, self.ngens, self.relations = ring, ngens, relations
+        return self
+
     def __repr__(self):
         return f"FinModPresentation({self.ring}, ngens={self.ngens}, rels={len(self.relations)})"
 
@@ -303,28 +310,60 @@ class FinComplex:
 # subquotients: span(Z)/span(B) inside a based free module
 
 class SubQuot:
-    """A subquotient of R^ambient with explicit generators and relations."""
+    """A subquotient of R^ambient with explicit generators and relations.
+
+    The relation rows are kept as given; `b` forms their normal form on
+    first read.  `coords` and `relation_coords` form normal forms of their
+    own that contain the rows of b, so they read the rows as given.
+    """
 
     def __init__(self, ring, ambient, z_rows, b_rows):
         self.ring = ring
         self.ambient = ambient
         self.z = [list(r) for r in z_rows]
-        self.b = normal_form(ring, [list(r) for r in b_rows], ambient) if b_rows else []
+        self._b = [list(r) for r in b_rows]
+        self._b_normal = not self._b  # the normal form of no rows is no rows
+        self._presentation = None
         self._solver = None
+
+    @property
+    def b(self):
+        """The relation rows in normal form (Howell / RREF / Hermite), formed once."""
+        if not self._b_normal:
+            self._b = normal_form(self.ring, self._b, self.ambient)
+            self._b_normal = True
+        return self._b
 
     def gen_count(self):
         return len(self.z)
 
+    def _z_is_identity(self):
+        return len(self.z) == self.ambient and self.z == identity(self.ambient)
+
     def relation_coords(self):
-        """Rows c with c . z in span(b): the presentation relations."""
+        """Rows c with c . z in span(b): the presentation relations, in normal form.
+
+        For z = I these are b itself, a k-column normal form in place of
+        preimage's 2k-column one; otherwise preimage's output is one."""
         if not self.z:
             return []
-        return preimage(self.ring, self.z, self.b)
+        if self._z_is_identity():
+            return self.b
+        return preimage(self.ring, self.z, self._b)
 
     def presentation(self) -> FinModPresentation:
-        return FinModPresentation(self.ring, len(self.z), self.relation_coords())
+        """The presentation on the generators z, built once."""
+        if self._presentation is None:
+            rels = self.relation_coords()
+            self._presentation = FinModPresentation._of_normal_form(self.ring, len(self.z), rels)
+        return self._presentation
 
     def invariants(self) -> InvariantFactors:
+        """Invariant factors, from a Smith form of any generating set of the relations.
+
+        For z = I the relation rows as given are one, so no normal form is formed."""
+        if self._presentation is None and self._z_is_identity():
+            return quotient_invariants(self.ring, self._b, self.ambient)
         return self.presentation().invariants()
 
     def coords(self, vector):
@@ -334,7 +373,7 @@ class SubQuot:
         [vector | 0] leaves the residue [0 | -c] when c exists."""
         k = len(self.z)
         if self._solver is None:
-            aug = [r + e for r, e in zip(self.z, identity(k))] + [r + [0] * k for r in self.b]
+            aug = [r + e for r, e in zip(self.z, identity(k))] + [r + [0] * k for r in self._b]
             self._solver = normal_form(self.ring, aug, self.ambient + k) if k else self.b
         w = residue(self.ring, self._solver, list(vector) + [0] * k)
         if any(w[: self.ambient]):

@@ -298,6 +298,11 @@ class _FiberBlock:
         return FinComplex(self.ring, mods, diffs, check=True)
 
     @memo
+    def cohomology(self, j) -> SubQuot:
+        """H^j of the fiber complex as a subquotient, with its presentation kept."""
+        return homology_subquot(self.complex(), j)
+
+    @memo
     def certificate(self, n):
         """(ok, terms) of the Neumann certificate in degree n (see _certify_block_invertible)."""
         return _certify_block_invertible(self, self.complex(), n)
@@ -392,7 +397,7 @@ def _orbit_fibers(N: NygaardModel, weight_cap, r):
         H = {}
         for j in range(model.top + 3):
             blk = deep if j <= N.i + 1 else aligned
-            H[j] = homology(blk.complex(), j) if blk.layout(j) else InvariantFactors(())
+            H[j] = blk.cohomology(j).invariants() if blk.layout(j) else InvariantFactors(())
         if key is not None:
             classes[key] = (deep, aligned, H)
         yield orbit, deep, aligned, H
@@ -589,7 +594,7 @@ def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
     """
     if zero_block is None:
         return ("EQUAL", 1) if not lat.generators else ("MISMATCH", 0)
-    H = homology_subquot(zero_block.complex(), zero_block.i)
+    H = zero_block.cohomology(zero_block.i)
     h_order = H.invariants().order()
     # embed each symbol as the fiber cocycle (symbol, 0)
     off, dim = zero_block._offsets(zero_block.layout(zero_block.i))

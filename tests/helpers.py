@@ -14,11 +14,17 @@ certificates that the class-keyed lattice cache replaced, and the
 weight key, per-numerator maps and per-weight strict groups that
 SaturatedModel.class_at replaced, the dense GF(p^f) row reduction
 and dense de Rham differentials that exactcore.sparse_rref and
-DeRhamComplex.d_rows replaced, and the GF(p^f) residue that rescanned
-every pivot row before the pivot walk of exactcore.gf.gf_reduce_vector."""
+DeRhamComplex.d_rows replaced, the GF(p^f) residue that rescanned
+every pivot row before the pivot walk of exactcore.gf.gf_reduce_vector,
+and the subquotient layer that normalized its relations at construction
+and formed a fresh presentation on every read.  Also a howell counter
+and a loader for the benchmark's workload modules."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
@@ -27,6 +33,7 @@ from drwitt.exactcore import (
     GF,
     FinComplex,
     FinModPresentation,
+    InvariantFactors,
     SubQuot,
     ZmodRing,
     gf_rref,
@@ -39,7 +46,9 @@ from drwitt.exactcore import (
     negate,
     normal_form,
     preimage,
+    quotient_invariants,
 )
+from drwitt.exactcore import zmodp
 from drwitt.exactcore.modules import residue
 from drwitt.filtspec import FilteredComplex
 from drwitt.rings import (
@@ -54,6 +63,30 @@ from drwitt.rings import (
     wkey,
 )
 from drwitt.synlog import NygaardModel, _FiberBlock, _tau_cohomology, _weight_support, weight_orbits
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """perfbench/<name>.py loaded by path, as a module of its own (the file is only read)."""
+    loader = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
+def count_howell_calls(monkeypatch):
+    """A list that gains one entry per howell call, through every drwitt module's copy of it."""
+    calls, howell_fn = [], zmodp.howell
+
+    def counting(R, rows, ncols=None):
+        calls.append(len(rows))
+        return howell_fn(R, rows, ncols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("drwitt") and getattr(module, "howell", None) is howell_fn:
+            monkeypatch.setattr(module, "howell", counting)
+    return calls
 
 
 def solve(ring, A, b):
@@ -1128,3 +1161,102 @@ def reference_gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[
             c = v[col]
             v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
     return v
+
+
+class reference_FinModPresentation:
+    """A finitely presented module R^ngens / rowspan(relations)."""
+
+    def __init__(self, ring, ngens, relations=()):
+        self.ring = ring
+        self.ngens = ngens
+        relations = [list(r) for r in relations]
+        if any(len(r) != ngens for r in relations):
+            raise ValueError(f"relation rows must have length {ngens}")
+        # the normal form of no rows is no rows, in every ring
+        self.relations = normal_form(ring, relations, ngens) if relations else []
+
+    def __repr__(self):
+        return f"FinModPresentation({self.ring}, ngens={self.ngens}, rels={len(self.relations)})"
+
+    def invariants(self) -> InvariantFactors:
+        return quotient_invariants(self.ring, self.relations, self.ngens)
+
+    def is_zero_element(self, v):
+        return member(self.ring, self.relations, v)
+
+    @staticmethod
+    def free(ring, ngens):
+        return reference_FinModPresentation(ring, ngens, ())
+
+
+class reference_SubQuot:
+    """A subquotient of R^ambient with explicit generators and relations."""
+
+    def __init__(self, ring, ambient, z_rows, b_rows):
+        self.ring = ring
+        self.ambient = ambient
+        self.z = [list(r) for r in z_rows]
+        self.b = normal_form(ring, [list(r) for r in b_rows], ambient) if b_rows else []
+        self._solver = None
+
+    def gen_count(self):
+        return len(self.z)
+
+    def relation_coords(self):
+        """Rows c with c . z in span(b): the presentation relations."""
+        if not self.z:
+            return []
+        return preimage(self.ring, self.z, self.b)
+
+    def presentation(self) -> reference_FinModPresentation:
+        return reference_FinModPresentation(self.ring, len(self.z), self.relation_coords())
+
+    def invariants(self) -> InvariantFactors:
+        return self.presentation().invariants()
+
+    def coords(self, vector):
+        """Coefficients c with c . z == vector modulo span(b), else None.
+
+        The first call forms the normal form of [z | I; b | 0] and keeps it;
+        [vector | 0] leaves the residue [0 | -c] when c exists."""
+        k = len(self.z)
+        if self._solver is None:
+            aug = [r + e for r, e in zip(self.z, identity(k))] + [r + [0] * k for r in self.b]
+            self._solver = normal_form(self.ring, aug, self.ambient + k) if k else self.b
+        w = residue(self.ring, self._solver, list(vector) + [0] * k)
+        if any(w[: self.ambient]):
+            return None
+        return negate(self.ring, w[self.ambient :])
+
+    def induced_map(self, other: "reference_SubQuot", ambient_matrix):
+        """Generator matrix of the map sending [v] to [v . A]; None if ill-defined."""
+        A = ambient_matrix or [[0] * other.ambient for _ in range(self.ambient)]
+        rows = []
+        for img in mat_mul(self.ring, self.z, A):
+            c = other.coords(img)
+            if c is None:
+                return None
+            rows.append(c)
+        # relations must die
+        if not all(member(self.ring, other.b, img) for img in mat_mul(self.ring, self.b, A)):
+            return None
+        return rows
+
+
+def reference_homology_subquot(C: FinComplex, n: int) -> reference_SubQuot:
+    """ker(d_n)/im(d_{n-1}) as a subquotient of the degree-n generator space."""
+    ring = C.ring
+    M = C.module(n)
+    k = M.ngens
+    if k == 0:
+        return reference_SubQuot(ring, 0, [], [])
+    nxt = C.module(n + 1)
+    if nxt.ngens == 0:
+        z = identity(k)
+    else:
+        z = preimage(ring, C.diff(n), nxt.relations)
+    prev = C.module(n - 1)
+    b = list(M.relations)
+    if prev.ngens:
+        b += list(C.diff(n - 1))
+    return reference_SubQuot(ring, k, z, b)

@@ -24,6 +24,7 @@ from drwitt.exactcore import (
     gf_rref,
     hermite,
     homology,
+    homology_subquot,
     howell,
     identity,
     intersect,
@@ -42,7 +43,14 @@ from drwitt.exactcore import (
 from drwitt.exactcore.gf import gf_reduce_vector
 from drwitt.exactcore.zmodp import quotient_divisor_exponents
 from drwitt.rings import p_split
-from helpers import reference_gf_reduce_vector, reference_gf_rref, reference_howell, solve
+from helpers import (
+    reference_gf_reduce_vector,
+    reference_gf_rref,
+    reference_homology_subquot,
+    reference_howell,
+    reference_SubQuot,
+    solve,
+)
 
 
 def brute_span(R, rows, ncols):
@@ -500,6 +508,102 @@ def test_subquot_coords_form_one_normal_form(monkeypatch):
     answers = [H.coords(v) for v in ([1, 0, 3], [2, 6, 0], [0, 1, 0], [0, 0, 6])]
     assert answers[0] == [1, 0] and answers[2] is None
     assert len(forms) == 1
+
+
+@st.composite
+def subquot_layer_cases(draw):
+    """A subquotient (ring, n, z, b), vectors to express on it, and a map A into
+    a second subquotient (n2, z2, b2) of R^n2.
+
+    The ring is Z/p^N (p in {2, 3, 5}, N <= 4), GF(4), GF(9) or Z.  z is
+    random, the identity or empty; b is empty or random with zero and
+    repeated rows spliced in.  Vectors are sums of rows of z and b (in
+    the span) and free draws (mostly outside).  Half the time the second
+    subquotient contains z A and b A, so the induced map is defined."""
+    kind = draw(st.sampled_from(["Zmod", "GF", "ZZ"]))
+    if kind == "Zmod":
+        p = draw(st.sampled_from([2, 3, 5]))
+        ring = ZmodRing(p, draw(st.integers(1, 4)))
+        entry = st.builds(lambda k, u: p**k * u % ring.q, st.integers(0, ring.N), st.integers(1, ring.q))
+    elif kind == "GF":
+        ring = GF(*draw(st.sampled_from([(2, 2), (3, 2)])))
+        entry = st.integers(0, ring.q - 1)
+    else:
+        ring, entry = ZZ, st.integers(-6, 6)
+    n = draw(st.integers(1, 4))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4)
+    z_kind = draw(st.sampled_from(["random", "identity", "empty"]))
+    z = {"random": draw(rows), "identity": identity(n), "empty": []}[z_kind]
+    b = draw(rows)
+    for splice, at in draw(st.lists(st.tuples(st.sampled_from(("zero", "repeat")), st.integers(0, 9)), max_size=3)):
+        row = [0] * n if splice == "zero" or not b else list(b[at % len(b)])
+        b.insert(at % (len(b) + 1), row)
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        if z + b and draw(st.booleans()):
+            coeffs = draw(st.lists(entry, min_size=len(z + b), max_size=len(z + b)))
+            vectors.append(mat_mul(ring, [coeffs], z + b)[0])
+        else:
+            vectors.append(draw(st.lists(entry, min_size=n, max_size=n)))
+    n2 = draw(st.integers(1, 3))
+    A = draw(st.lists(st.lists(entry, min_size=n2, max_size=n2), min_size=n, max_size=n))
+    rows2 = st.lists(st.lists(entry, min_size=n2, max_size=n2), max_size=2)
+    z2, b2 = draw(rows2), draw(rows2)
+    if draw(st.booleans()):
+        z2 += mat_mul(ring, z, A)
+        b2 += mat_mul(ring, b, A)
+    return ring, n, z, b, vectors, n2, z2, b2, A
+
+
+def _read_subquot(H, vectors, order):
+    """Every reading of H, taken in the given order (the layer forms its normal forms lazily)."""
+    read = {
+        "relations": lambda: H.presentation().relations,
+        "invariants": H.invariants,
+        "b": lambda: H.b,
+        "coords": lambda: [H.coords(v) for v in vectors],
+    }
+    return {key: read[key]() for key in order}
+
+
+@settings(max_examples=300, deadline=None)
+@given(subquot_layer_cases(), st.permutations(["relations", "invariants", "b", "coords"]))
+@example(  # identity z over raw b rows (zero and repeated)
+    (ZmodRing(3, 2), 2, identity(2), [[3, 6], [0, 0], [3, 6], [0, 3]], [[1, 1]], 1, [], [], [[1], [0]]),
+    ["invariants", "coords", "relations", "b"],
+)
+@example(  # a vector in span(b) but not in span(z)
+    (ZmodRing(2, 3), 2, [[2, 4]], [[4, 0], [0, 2]], [[0, 2], [2, 0]], 1, [[1]], [[2]], [[1], [0]]),
+    ["coords", "b", "invariants", "relations"],
+)
+@example(  # empty z over Z
+    (ZZ, 3, [], [[2, 0, 0], [4, 6, 0]], [[2, 6, 0], [1, 0, 0]], 2, [], [[2, 0]], [[1, 0], [1, 1], [0, 0]]),
+    ["b", "relations", "coords", "invariants"],
+)
+@example(  # no relations
+    (GF(3, 2), 2, identity(2), [], [[4, 7]], 2, identity(2), [], identity(2)),
+    ["invariants", "relations", "b", "coords"],
+)
+def test_subquot_layer_matches_the_reference(case, order):
+    ring, n, z, b, vectors, n2, z2, b2, A = case
+    H, ref = SubQuot(ring, n, z, b), reference_SubQuot(ring, n, z, b)
+    assert _read_subquot(H, vectors, order) == _read_subquot(ref, vectors, order)
+    got = SubQuot(ring, n, z, b).induced_map(SubQuot(ring, n2, z2, b2), A)
+    assert got == ref.induced_map(reference_SubQuot(ring, n2, z2, b2), A)
+
+
+@settings(max_examples=150, deadline=None)
+@given(subquot_layer_cases())
+def test_homology_subquot_matches_the_reference(case):
+    # a two-term complex R^n --A--> R^n2 / span(b2): H^0 is a preimage (or
+    # empty) z, H^1 an identity z over the relations b2 and the rows of A
+    ring, n, _, _, vectors, n2, _, b2, A = case
+    C = FinComplex(ring, {0: FinModPresentation.free(ring, n), 1: FinModPresentation(ring, n2, b2)}, {0: A})
+    for deg, vs in ((0, vectors), (1, [v[:n2] + [0] * (n2 - len(v[:n2])) for v in vectors])):
+        H, ref = homology_subquot(C, deg), reference_homology_subquot(C, deg)
+        assert (H.ambient, H.z) == (ref.ambient, ref.z)
+        order = ["invariants", "coords", "relations", "b"]
+        assert _read_subquot(H, vs, order) == _read_subquot(ref, vs, order)
 
 
 # ---------------------------------------------------------------------------

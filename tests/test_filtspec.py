@@ -26,7 +26,7 @@ from drwitt.filtspec import (
     t_embed,
     two_column_extract,
 )
-from helpers import random_filtered_complex, reference_chain_hom_group
+from helpers import count_howell_calls, random_filtered_complex, reference_chain_hom_group
 
 
 def free_complex(ring, ranks, diffs):
@@ -333,3 +333,15 @@ def test_hom_set_budget_guard():
     B = free_complex(ring, [3, 3], {0: [[0] * 3 for _ in range(3)]})
     with pytest.raises(HomSetTooLarge):
         chain_hom_group(ring, A, B)
+
+
+def test_one_spectral_sequence_forms_its_pinned_howell_count(monkeypatch):
+    # the first filtration that criterion 9's generator draws; a subquotient
+    # forms each normal form once, so a rise in the count is one formed twice
+    rng = random.Random(20240810)
+    ring = ZmodRing(2, 3)
+    F = random_filtered_complex(rng, ring, window=rng.randint(1, 4), length=3, max_rank=3)
+    calls = count_howell_calls(monkeypatch)
+    res = spectral_sequence(F)
+    assert len(calls) == 224
+    assert res.e_infinity == homology_filtration_gr(F)

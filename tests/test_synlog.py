@@ -1,12 +1,13 @@
 """Nygaard models, divided Frobenii, syntomic cohomology, log lattices."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drwitt import synlog
+from drwitt import dieudonne, synlog
 from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
@@ -23,6 +24,8 @@ from drwitt.synlog import (
     weight_orbits,
 )
 from helpers import (
+    count_howell_calls,
+    load_perfbench,
     reference_certify_block_invertible,
     reference_graded_cohomology,
     reference_nygaard_completeness_check,
@@ -686,3 +689,42 @@ def test_nygaard_completeness_cells_are_functions_of_the_weight_class(p):
             cells = reference_nygaard_completeness_check(s, i_cap, 4)
             _assert_class_functions(cells, lambda cell: (cell[0], reference_weight_class(s, cell[1])))
             assert nygaard_completeness_check(s, i_cap, 4) == all(cells.values())
+
+
+def _seed0_sweep_cell(shape_id):
+    """The benchmark's seed-0 stability-sweep cell of one shape, ready to run."""
+    workloads, sweep = load_perfbench("workloads"), load_perfbench("sweep")
+    job = next(j for j in workloads.select("stability_sweep", 0) if j.id.startswith(shape_id + "/"))
+    return partial(sweep.sweep_cell, parse_ringspec(job.spec), *job.cell)
+
+
+def test_a_sweep_cell_forms_its_pinned_howell_count(monkeypatch):
+    # base, R+1 and cap*p of poly at p = 2, twist 1, r = 2: a subquotient
+    # forms each normal form once and a model one F-image solver, so a rise
+    # in the count is a normal form formed twice
+    cell = _seed0_sweep_cell("cell-p2-poly-i1-r2-c8")
+    calls = count_howell_calls(monkeypatch)
+    _, stable = cell()
+    assert stable and len(calls) == 240
+
+
+def test_each_sweep_model_builds_one_f_image_solver(monkeypatch):
+    # the lift's F is the same matrix at every degree and weight of the
+    # cell, so each model solves against one SubQuot on its rows
+    cell = _seed0_sweep_cell("cell-p2-poly-i1-r2-c8")
+    models, rings = [], []
+    init, subquot = SaturatedModel.__init__, dieudonne.SubQuot
+
+    def counting_init(self, *args, **kwargs):
+        models.append(self)
+        init(self, *args, **kwargs)
+
+    def counting_subquot(ring, *args):
+        rings.append(ring)
+        return subquot(ring, *args)
+
+    monkeypatch.setattr(SaturatedModel, "__init__", counting_init)
+    monkeypatch.setattr(dieudonne, "SubQuot", counting_subquot)
+    cell()
+    # F-image solvers live over the model's ambient ring, strict groups over model.ring
+    assert [sum(ring is model._amb for ring in rings) for model in models] == [1] * 6
