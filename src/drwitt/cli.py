@@ -60,9 +60,11 @@ def _emit(args, payload):
     if args.json:
         print(text)
     if getattr(args, "manifest", None):
-        import hashlib  # only a manifest needs digests
+        import hashlib  # only a manifest needs digests and quoting
+        import shlex
+
         manifest = {
-            "command": " ".join(sys.argv[1:]),
+            "command": shlex.join(args._argv),
             "tool_version": __version__,
             "outputs_digest": hashlib.sha256(text.encode()).hexdigest(),
             "wall_time_s": round(time.time() - args._t0, 3),
@@ -339,9 +341,17 @@ def _parse_ring_json(obj):
     raise DrwittError(f"unknown coefficient ring {obj!r}")
 
 
+def _int_matrix(mat, n, key, deg):
+    """mat, once it is a list of rows of integers (JSON true and false are not)."""
+    rows = isinstance(mat, list) and all(isinstance(row, list) for row in mat)
+    if not rows or any(type(x) is not int for row in mat for x in row):
+        raise DrwittError(f'level {n} has "{key}" at degree {deg} that is not a list of integer rows')
+    return mat
+
+
 def _by_degree(mats, mods, n, key):
     """{degree: matrix} from a level's "d" or "map_to_prev" entry; each degree needs a module."""
-    out = {int(deg): mat for deg, mat in mats.items()}
+    out = {int(deg): _int_matrix(mat, n, key, deg) for deg, mat in mats.items()}
     stray = sorted(set(out) - set(mods))
     if stray:
         raise DrwittError(f'level {n} has "{key}" at degree {stray[0]}, which has no module')
@@ -363,7 +373,8 @@ def load_filtered_complex(doc):
             n = int(entry["n"])
             mods = {}
             for deg, m in entry["complex"].items():
-                mods[int(deg)] = FinModPresentation(ring, int(m["gens"]), m.get("rels", []))
+                rels = _int_matrix(m.get("rels", []), n, "rels", deg)
+                mods[int(deg)] = FinModPresentation(ring, int(m["gens"]), rels)
             diffs = _by_degree(entry.get("d", {}), mods, n, "d")
             levels[n] = FinComplex(ring, mods, diffs, check=True)
             if "map_to_prev" in entry:
@@ -576,6 +587,7 @@ def main(argv=None):
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         args._t0 = time.time()
+        args._argv = argv
         _check_flag_floors(args)
         return args.func(args)
     except DrwittError as e:

@@ -19,7 +19,7 @@ The pipeline, per curated ring S of characteristic p:
    exactly the Verschiebung-type generators.
 
 3. `strict_truncate` forms W_r = W/(V^r W + d V^r W) with the induced
-   F, V, d and restriction maps; V is F^{-1} composed with p, which is
+   d; V, which builds the relations, is F^{-1} composed with p, which is
    well defined by the saturation criterion and solved exactly.
 
 Stabilization of the E_s chain per weight is certified empirically (one
@@ -152,26 +152,6 @@ class LiftComplex:
                         row[k * self.f + digit2] = c % self.q
                 rows.append(row)
         return rows
-
-    def check_dieudonne_relations(self, weights):
-        """dF = pFd on generators, spot check for the given weights."""
-        for n in range(0, self.top):
-            for w in weights:
-                src = self.rank(n, w)
-                tgt = self.rank(n + 1, w * self.p)
-                A = mat_mul(self.ring, self.f_matrix(n, w), self.d_matrix(n, w * self.p))
-                B = mat_mul(self.ring, self.d_matrix(n, w), self.f_matrix(n + 1, w))
-                pB = [[(self.p * x) % self.q for x in row] for row in B]
-
-                def pad(M):
-                    # empty intermediate spaces collapse products to zero
-                    # width; both paths are maps into the (n+1, p w) forms
-                    return [list(row) + [0] * (tgt - len(row)) for row in M] or [
-                        [0] * tgt for _ in range(src)
-                    ]
-
-                if pad(A) != pad(pB):
-                    raise AssertionError("dF != pFd on the lift")
 
 
 def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
@@ -501,7 +481,7 @@ def saturate(spec: RingSpec, r_level: int, i_max: int, R: int | None = None) -> 
 # strict levels W_r = W/(V^r + d V^r)
 
 class StrictLevel:
-    """Level-r truncation with induced F, V, d, R maps."""
+    """Level-r truncation: its groups W_r^n at each weight and the induced d."""
 
     def __init__(self, model: SaturatedModel, r: int):
         if model.s_star < r:
@@ -566,23 +546,6 @@ class StrictLevel:
     def d_map(self, n, u):
         a = self.model.num(u)
         return self.group(n, u).induced_map(self.group(n + 1, u), self.model.d_at(n, a))
-
-    def frob_to_lower(self, other: "StrictLevel", n, u):
-        """F: W_r(n, u) -> W_{r-1}(n, p u)."""
-        a = self.model.num(u)
-        return self.group(n, u).induced_map(other.group(n, u * self.p), self.model.frob_at(n, a))
-
-    def versch_to_higher(self, other: "StrictLevel", n, u):
-        a = self.model.num(u)
-        V = None if a is None else self.model.versch_at(n, a)
-        if V is None:
-            return None
-        return self.group(n, u).induced_map(other.group(n, Fraction(u) / self.p), V)
-
-    def restriction_from(self, higher: "StrictLevel", n, u):
-        """R: W_{r+1}(n, u) -> W_r(n, u), identity on coordinates."""
-        a = self.model.num(u)
-        return higher.group(n, u).induced_map(self.group(n, u), identity(self.model.rank_at(n, a)))
 
 
 def strict_truncate(model: SaturatedModel, r: int) -> StrictLevel:

@@ -28,10 +28,6 @@ class UnsupportedKind(DrwittError):
     pass
 
 
-class DepthCap(DrwittError):
-    pass
-
-
 class LengthMismatch(DrwittError):
     pass
 

@@ -125,15 +125,6 @@ def kernel(ring, A):
     return preimage(ring, A, [])
 
 
-def span_contains(ring, big_rows, small_rows, ncols):
-    H = normal_form(ring, big_rows, ncols)
-    return all(member(ring, H, r) for r in small_rows)
-
-
-def span_equal(ring, A, B, ncols):
-    return normal_form(ring, A, ncols) == normal_form(ring, B, ncols)
-
-
 # ---------------------------------------------------------------------------
 # invariant factors
 
@@ -196,10 +187,6 @@ def _prime_power_split(d):
     if n > 1:
         out.append(n)
     return out
-
-
-def invariants_isomorphic(a: InvariantFactors, b: InvariantFactors) -> bool:
-    return a == b
 
 
 def quotient_invariants(ring, relation_rows, ngens) -> InvariantFactors:

@@ -157,14 +157,6 @@ def reduce_with_coefficients(R: ZmodRing, H: list[list[int]], v: list[int]) -> t
     return v, coeffs
 
 
-def intersect(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -> list[list[int]]:
-    """Generators of rowspan(A) & rowspan(B)."""
-    aug = [list(r) + list(r) for r in A]
-    aug += [list(r) + [0] * ncols for r in B]
-    H = howell(R, aug, 2 * ncols)
-    return [h[ncols:] for h in H if not any(h[:ncols])]
-
-
 def pivot_orders(R: ZmodRing, H: list[list[int]]) -> list[int]:
     """p^(N - a) for the pivot p^a of each row of the Howell form H.
 

@@ -5,39 +5,25 @@ Ring operations are determined by the ghost maps
 addition and multiplication are the unique polynomial laws making every
 w_m a ring homomorphism.  Arithmetic here evaluates those laws by the
 classical lift-and-solve recipe.  Each `WittRing` owns one p-torsion-free
-cover of its coefficient ring, and `add`, `mul`, `neg` and the universal
-Frobenius are one round trip through it: lift the components, take ghost
-vectors, combine them, solve the triangular system back, and reduce.
-Integrality of every division is guaranteed by the universal laws and
-asserted at runtime.
-
-The symbolic laws themselves (`synthesize_law`) are produced by the same
-recursion over Z[X_0..X_n, Y_0..Y_n], written apart from `WittRing` (the
-two share only exactcore's binary `power`).  They grow quickly with p and
-the depth, so they serve as an independent cross-check oracle at small
-depth while the evaluated route does the day-to-day arithmetic.
+cover of its coefficient ring, and `add`, `mul`, `neg` and the Frobenius
+of a torsion-free ring are one round trip through it: lift the
+components, take ghost vectors, combine them, solve the triangular
+system back, and reduce.  Integrality of every division is guaranteed by
+the universal laws and asserted at runtime.  Over a char-p ring the
+Frobenius is the componentwise p-th power.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from functools import lru_cache
 
-from .errors import (
-    DepthCap,
-    InexactDivision,
-    LengthMismatch,
-    LengthUnderflow,
-    TorsionCoefficients,
-)
+from .errors import InexactDivision, LengthMismatch, LengthUnderflow, TorsionCoefficients
 from .exactcore import Zq, power
 from .rings import MonomialAlgebra, wkey
 
-DEFAULT_DEPTH_CAP = 5
-
 
 # ---------------------------------------------------------------------------
-# symbolic universal laws
+# integer polynomials: the arithmetic of IntegerMonomialAlgebra
 
 def _poly_add(a, b):
     out = dict(a)
@@ -67,10 +53,6 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_pow(a, n):
-    return power(_poly_mul, a, n)
-
-
 def _poly_divexact(a, d):
     out = {}
     for k, c in a.items():
@@ -78,73 +60,6 @@ def _poly_divexact(a, d):
             raise InexactDivision("universal Witt law failed integrality")
         out[k] = c // d
     return out
-
-
-def _ghost_poly(p, m, nvars, offset):
-    """w_m as a polynomial in variable block starting at `offset`."""
-    out = {}
-    for i in range(m + 1):
-        k = [0] * nvars
-        k[offset + i] = p ** (m - i)
-        out[tuple(k)] = out.get(tuple(k), 0) + p**i
-    return out
-
-
-def _solve_ghost_system(p, n, ghost_targets, nvars):
-    """Components c_0..c_n with w_m(c) = ghost_targets[m] for all m <= n."""
-    comps = []
-    for m in range(n + 1):
-        acc = dict(ghost_targets[m])
-        for i in range(m):
-            acc = _poly_add(acc, _poly_scale(-(p**i), _poly_pow(comps[i], p ** (m - i))))
-        comps.append(_poly_divexact(acc, p**m))
-    return comps
-
-
-class UniversalWittLaw:
-    """Integer polynomial laws S_m, P_m, N_m for length-(n+1) Witt vectors.
-
-    Variables are X_0..X_n, Y_0..Y_n (exponent tuples of length 2(n+1));
-    negation uses the X block only.
-    """
-
-    def __init__(self, p, depth):
-        self.p = p
-        self.depth = depth
-        nv = 2 * (depth + 1)
-        gx = [_ghost_poly(p, m, nv, 0) for m in range(depth + 1)]
-        gy = [_ghost_poly(p, m, nv, depth + 1) for m in range(depth + 1)]
-        self.sum_polys = _solve_ghost_system(
-            p, depth, [_poly_add(a, b) for a, b in zip(gx, gy)], nv
-        )
-        self.prod_polys = _solve_ghost_system(
-            p, depth, [_poly_mul(a, b) for a, b in zip(gx, gy)], nv
-        )
-        self.neg_polys = _solve_ghost_system(p, depth, [_poly_scale(-1, g) for g in gx], nv)
-
-    def evaluate(self, polys_index, xs, ys=None):
-        """Evaluate S/P/N_m at integer arguments (oracle path)."""
-        polys = [self.sum_polys, self.prod_polys, self.neg_polys][polys_index]
-        args = list(xs) + list(ys if ys is not None else [0] * (self.depth + 1))
-        out = []
-        for poly in polys:
-            total = 0
-            for exps, c in poly.items():
-                term = c
-                for a, e in zip(args, exps):
-                    if e:
-                        term *= a**e
-                total += term
-            out.append(total)
-        return out
-
-
-@lru_cache(maxsize=None)
-def synthesize_law(p: int, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> UniversalWittLaw:
-    """Cached construction of the universal laws; guarded by the depth cap."""
-    if depth > cap:
-        raise DepthCap(f"law depth {depth} exceeds cap {cap}")
-    return UniversalWittLaw(p, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +339,16 @@ def ghost(a: WittVector):
     return ring._ghosts(a)
 
 
-def frobenius(a: WittVector, universal: bool = False) -> WittVector:
+def frobenius(a: WittVector) -> WittVector:
     """F: W_r -> W_{r-1}.
 
-    Char-p fast path is componentwise p-th power; `universal=True` forces
-    the ghost-law evaluation (the oracle used to validate the fast path).
+    Over a char-p ring it is the componentwise p-th power; over a
+    torsion-free ring it shifts the ghost components.
     """
     ring = a.ring
     if ring.length < 2:
         raise LengthUnderflow("Frobenius needs length >= 2")
-    if ring.char_p and not universal:
+    if ring.char_p:
         return ring.shorter()(tuple(ring.algebra.frobenius(c) for c in a.components[:-1]))
     # ghost component m of F(a) is ghost component m + 1 of a
     return ring._from_ghosts(ring._ghosts(a)[1:])
@@ -452,10 +367,6 @@ def restriction(a: WittVector) -> WittVector:
     if ring.length < 2:
         raise LengthUnderflow("restriction needs length >= 2")
     return ring.shorter()(a.components[:-1])
-
-
-def teichmuller(ring: WittRing, x) -> WittVector:
-    return ring.teichmuller(x)
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,22 @@ and dense de Rham differentials that exactcore.sparse_rref and
 DeRhamComplex.d_rows replaced, the GF(p^f) residue that rescanned
 every pivot row before the pivot walk of exactcore.gf.gf_reduce_vector,
 and the subquotient layer that normalized its relations at construction
-and formed a fresh presentation on every read.  Also a howell counter
-and a loader for the benchmark's workload modules."""
+and formed a fresh presentation on every read.  Also a howell counter,
+a loader for the benchmark's workload modules, the symbolic universal
+Witt laws that drwitt.witt's arithmetic is checked against, and the
+span tests, the dF = pFd spot check and the maps between strict levels
+that only the tests read."""
 
 import importlib.util
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
-from drwitt.errors import HomSetTooLarge, InexactDivision, PrecisionExhausted
+from drwitt.errors import DrwittError, HomSetTooLarge, InexactDivision, PrecisionExhausted
 from drwitt.exactcore import (
     GF,
     FinComplex,
@@ -45,6 +49,7 @@ from drwitt.exactcore import (
     member,
     negate,
     normal_form,
+    power,
     preimage,
     quotient_invariants,
 )
@@ -63,6 +68,7 @@ from drwitt.rings import (
     wkey,
 )
 from drwitt.synlog import NygaardModel, _FiberBlock, _tau_cohomology, _weight_support, weight_orbits
+from drwitt.witt import WittVector, _poly_add, _poly_divexact, _poly_mul, _poly_scale
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -1260,3 +1266,154 @@ def reference_homology_subquot(C: FinComplex, n: int) -> reference_SubQuot:
     if prev.ngens:
         b += list(C.diff(n - 1))
     return reference_SubQuot(ring, k, z, b)
+
+
+# ---------------------------------------------------------------------------
+# the symbolic universal Witt laws, an oracle for drwitt.witt's arithmetic
+
+DEFAULT_DEPTH_CAP = 5
+
+
+class DepthCap(DrwittError):
+    pass
+
+
+def _poly_pow(a, n):
+    return power(_poly_mul, a, n)
+
+
+def _ghost_poly(p, m, nvars, offset):
+    """w_m as a polynomial in variable block starting at `offset`."""
+    out = {}
+    for i in range(m + 1):
+        k = [0] * nvars
+        k[offset + i] = p ** (m - i)
+        out[tuple(k)] = out.get(tuple(k), 0) + p**i
+    return out
+
+
+def _solve_ghost_system(p, n, ghost_targets, nvars):
+    """Components c_0..c_n with w_m(c) = ghost_targets[m] for all m <= n."""
+    comps = []
+    for m in range(n + 1):
+        acc = dict(ghost_targets[m])
+        for i in range(m):
+            acc = _poly_add(acc, _poly_scale(-(p**i), _poly_pow(comps[i], p ** (m - i))))
+        comps.append(_poly_divexact(acc, p**m))
+    return comps
+
+
+class UniversalWittLaw:
+    """Integer polynomial laws S_m, P_m, N_m for length-(n+1) Witt vectors.
+
+    Variables are X_0..X_n, Y_0..Y_n (exponent tuples of length 2(n+1));
+    negation uses the X block only.
+    """
+
+    def __init__(self, p, depth):
+        self.p = p
+        self.depth = depth
+        nv = 2 * (depth + 1)
+        gx = [_ghost_poly(p, m, nv, 0) for m in range(depth + 1)]
+        gy = [_ghost_poly(p, m, nv, depth + 1) for m in range(depth + 1)]
+        self.sum_polys = _solve_ghost_system(
+            p, depth, [_poly_add(a, b) for a, b in zip(gx, gy)], nv
+        )
+        self.prod_polys = _solve_ghost_system(
+            p, depth, [_poly_mul(a, b) for a, b in zip(gx, gy)], nv
+        )
+        self.neg_polys = _solve_ghost_system(p, depth, [_poly_scale(-1, g) for g in gx], nv)
+
+    def evaluate(self, polys_index, xs, ys=None):
+        """Evaluate S/P/N_m at integer arguments (oracle path)."""
+        polys = [self.sum_polys, self.prod_polys, self.neg_polys][polys_index]
+        args = list(xs) + list(ys if ys is not None else [0] * (self.depth + 1))
+        out = []
+        for poly in polys:
+            total = 0
+            for exps, c in poly.items():
+                term = c
+                for a, e in zip(args, exps):
+                    if e:
+                        term *= a**e
+                total += term
+            out.append(total)
+        return out
+
+
+@lru_cache(maxsize=None)
+def synthesize_law(p: int, depth: int, cap: int = DEFAULT_DEPTH_CAP) -> UniversalWittLaw:
+    """Cached construction of the universal laws; guarded by the depth cap."""
+    if depth > cap:
+        raise DepthCap(f"law depth {depth} exceeds cap {cap}")
+    return UniversalWittLaw(p, depth)
+
+
+def reference_ghost_frobenius(a: WittVector) -> WittVector:
+    """F through the ghost components (ghost m of F(a) is ghost m + 1 of a), at any characteristic."""
+    return a.ring._from_ghosts(a.ring._ghosts(a)[1:])
+
+
+# ---------------------------------------------------------------------------
+# span tests and maps between strict levels that only the tests read
+
+def span_contains(ring, big_rows, small_rows, ncols):
+    H = normal_form(ring, big_rows, ncols)
+    return all(member(ring, H, r) for r in small_rows)
+
+
+def span_equal(ring, A, B, ncols):
+    return normal_form(ring, A, ncols) == normal_form(ring, B, ncols)
+
+
+def invariants_isomorphic(a: InvariantFactors, b: InvariantFactors) -> bool:
+    return a == b
+
+
+def intersect(R: ZmodRing, A: list[list[int]], B: list[list[int]], ncols: int) -> list[list[int]]:
+    """Generators of rowspan(A) & rowspan(B)."""
+    aug = [list(r) + list(r) for r in A]
+    aug += [list(r) + [0] * ncols for r in B]
+    H = howell(R, aug, 2 * ncols)
+    return [h[ncols:] for h in H if not any(h[:ncols])]
+
+
+def check_dieudonne_relations(self: LiftComplex, weights):
+    """dF = pFd on generators, spot check for the given weights."""
+    for n in range(0, self.top):
+        for w in weights:
+            src = self.rank(n, w)
+            tgt = self.rank(n + 1, w * self.p)
+            A = mat_mul(self.ring, self.f_matrix(n, w), self.d_matrix(n, w * self.p))
+            B = mat_mul(self.ring, self.d_matrix(n, w), self.f_matrix(n + 1, w))
+            pB = [[(self.p * x) % self.q for x in row] for row in B]
+
+            def pad(M):
+                # empty intermediate spaces collapse products to zero
+                # width; both paths are maps into the (n+1, p w) forms
+                return [list(row) + [0] * (tgt - len(row)) for row in M] or [
+                    [0] * tgt for _ in range(src)
+                ]
+
+            if pad(A) != pad(pB):
+                raise AssertionError("dF != pFd on the lift")
+
+
+def frob_to_lower(self: StrictLevel, other: "StrictLevel", n, u):
+    """F: W_r(n, u) -> W_{r-1}(n, p u)."""
+    a = self.model.num(u)
+    return self.group(n, u).induced_map(other.group(n, u * self.p), self.model.frob_at(n, a))
+
+
+def versch_to_higher(self: StrictLevel, other: "StrictLevel", n, u):
+    a = self.model.num(u)
+    V = None if a is None else self.model.versch_at(n, a)
+    if V is None:
+        return None
+    return self.group(n, u).induced_map(other.group(n, Fraction(u) / self.p), V)
+
+
+def restriction_from(self: StrictLevel, higher: "StrictLevel", n, u):
+    """R: W_{r+1}(n, u) -> W_r(n, u), identity on coordinates."""
+    a = self.model.num(u)
+    return higher.group(n, u).induced_map(self.group(n, u), identity(self.model.rank_at(n, a)))

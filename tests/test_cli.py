@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -258,6 +259,34 @@ def test_json_determinism_and_manifest(rings, tmp_path, capsys):
     assert "wall_time_s" in m1
 
 
+def test_an_in_process_manifest_records_the_argv_main_was_given(rings, tmp_path, capsys):
+    argv = ["drw", "table", "--ring", rings["poly"], "--level", "1", "--json", "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert shlex.split(json.loads((tmp_path / "m.json").read_text())["command"]) == argv
+
+
+def test_a_manifest_command_reruns_through_a_shell_with_a_spaced_ring_path(tmp_path, capsys):
+    ring = tmp_path / "a ring" / "f p.ring"
+    ring.parent.mkdir()
+    ring.write_text("p = 3\nkind = finite_field\n")
+    manifest = tmp_path / "m.json"
+    argv = ["syntomic", "--ring", str(ring), "--twist", "0", "--modp", "2", "--json", "--manifest", str(manifest)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    first = json.loads(manifest.read_text())
+    manifest.unlink()
+    # the recorded command writes the manifest again, at the same path
+    src = os.path.dirname(os.path.dirname(drwitt.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        f"{shlex.quote(sys.executable)} -m drwitt.cli {first['command']}",
+        shell=True, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(manifest.read_text())["outputs_digest"] == first["outputs_digest"]
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -445,9 +474,23 @@ def bad_inputs(tmp_path):
     # drops d into a degree its source lacks
     (tmp_path / "relmap.json").write_text(json.dumps(RELATION_BREAKING))
     (tmp_path / "nochain.json").write_text(json.dumps(NOT_A_CHAIN_MAP))
+    # matrix entries that are not integers: JSON null, an object, a string,
+    # a float, and true, which Python would read as 1
+    two = {"n": 0, "complex": {"0": {"gens": 1}, "1": {"gens": 1}}}
+    not_ints = {
+        "mapnull": dict(notcx, window=[0, 1], levels=[level, dict(level, n=1, map_to_prev={"0": [[None]]})]),
+        "mapobject": dict(notcx, window=[0, 1], levels=[level, dict(level, n=1, map_to_prev={"0": [[{}]]})]),
+        "diffnull": dict(notcx, levels=[dict(two, d={"0": [[None]]})]),
+        "difftrue": dict(notcx, levels=[dict(two, d={"0": [[True]]})]),
+    }
+    for name, entry in {"relstring": "GF", "relnull": None, "relfloat": 1.5, "reltrue": True}.items():
+        not_ints[name] = dict(notcx, levels=[dict(level, complex={"0": {"gens": 1, "rels": [[entry]]}})])
+    for name, doc in not_ints.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     names = (
         "missing", "notcx", "notjson", "noring", "badshape", "widerel", "widemap", "widediff",
         "reversed", "straydiff", "straymap", "zmodp1", "zmodp4", "zmodhuge", "relmap", "nochain",
+        *not_ints,
     )
     paths = {name: str(tmp_path / f"{name}.json") for name in names}
     # ring files: an exponent with denominator zero, and a perfection to feed one to
@@ -510,6 +553,14 @@ BAD_FLAGS = [
     ["derham", "table", "--ring", "{zerorel}"],
     ["derham", "table", "--ring", "{cancelrel}"],
     ["derham", "table", "--ring", "{modprel}"],
+    ["specseq", "run", "--input", "{mapnull}"],
+    ["specseq", "run", "--input", "{mapobject}"],
+    ["specseq", "run", "--input", "{diffnull}"],
+    ["specseq", "run", "--input", "{difftrue}"],
+    ["specseq", "run", "--input", "{relstring}"],
+    ["specseq", "run", "--input", "{relnull}"],
+    ["specseq", "run", "--input", "{relfloat}"],
+    ["specseq", "run", "--input", "{reltrue}"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -557,6 +608,14 @@ BAD_FLAG_IDS = [
     "ring-relation-zero",
     "ring-relation-cancels",
     "ring-relation-zero-mod-p",
+    "specseq-transition-entry-null",
+    "specseq-transition-entry-object",
+    "specseq-differential-entry-null",
+    "specseq-differential-entry-true",
+    "specseq-relation-entry-string",
+    "specseq-relation-entry-null",
+    "specseq-relation-entry-float",
+    "specseq-relation-entry-true",
 ]
 
 
@@ -581,6 +640,16 @@ def test_the_one_verb_parser_gives_the_full_parsers_errors(rings, bad_inputs, ca
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
     assert (main(argv), capsys.readouterr()) == one_verb
+
+
+def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):
+    where = {"mapnull": (1, "map_to_prev"), "mapobject": (1, "map_to_prev"), "diffnull": (0, "d"), "difftrue": (0, "d")}
+    where.update((name, (0, "rels")) for name in ("relstring", "relnull", "relfloat", "reltrue"))
+    for name, (n, key) in where.items():
+        doc = json.loads(Path(bad_inputs[name]).read_text())
+        message = f'^level {n} has "{key}" at degree 0 that is not a list of integer rows$'
+        with pytest.raises(DrwittError, match=message):
+            load_filtered_complex(doc)
 
 
 def test_a_known_verb_builds_only_its_subparser():

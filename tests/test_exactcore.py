@@ -27,8 +27,6 @@ from drwitt.exactcore import (
     homology_subquot,
     howell,
     identity,
-    intersect,
-    invariants_isomorphic,
     kernel,
     mat_mul,
     member,
@@ -44,6 +42,8 @@ from drwitt.exactcore.gf import gf_reduce_vector
 from drwitt.exactcore.zmodp import quotient_divisor_exponents
 from drwitt.rings import p_split
 from helpers import (
+    intersect,
+    invariants_isomorphic,
     reference_gf_reduce_vector,
     reference_gf_rref,
     reference_homology_subquot,

@@ -1,5 +1,6 @@
 """Source hygiene: no module under src/drwitt imports a name it never uses,
-none reads the process environment, and no self-check is a bare assert."""
+none reads the process environment, no self-check is a bare assert, no
+public name is dead, and every error class is raised."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,43 @@ def test_the_scan_sees_a_dead_public_name(tmp_path):
     )
     (tmp_path / "use.py").write_text("WRAPPED = ['pkg.mod.traced']\n")
     assert dead_public_names(pkg, [tmp_path]) == ["dead", "exported", "recursive"]
+
+
+def raised_names(path):
+    """Names a module raises: `raise X`, `raise X(...)` and `raise mod.X(...)`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def unraised_exceptions(errors, package):
+    """Exception classes defined in `errors` that no module under `package` raises."""
+    raised = set().union(*(raised_names(p) for p in sorted(package.rglob("*.py"))))
+    return [name for name in top_level_definitions(errors) if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    # an error class that only an oracle raised would outlive the oracle
+    assert len(top_level_definitions(SRC / "errors.py")) > 10
+    assert unraised_exceptions(SRC / "errors.py", SRC) == []
+
+
+def test_the_scan_sees_an_error_class_nothing_raises(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "errors.py").write_text(
+        "class Base(Exception):\n    pass\n\n\nclass Bare(Base):\n    pass\n\n\n"
+        "class Called(Base):\n    pass\n\n\nclass Dotted(Base):\n    pass\n\n\nclass Caught(Base):\n    pass\n"
+    )
+    (pkg / "mod.py").write_text(
+        "from . import errors\nfrom .errors import Bare, Called, Caught\n\n\n"
+        "def f(x):\n    if x:\n        raise Bare\n    try:\n        raise Called('x')\n"
+        "    except Caught:\n        raise errors.Dotted('y') from None\n"
+    )
+    assert unraised_exceptions(pkg / "errors.py", pkg) == ["Base", "Caught"]

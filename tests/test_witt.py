@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drwitt.errors import DepthCap, InexactDivision, LengthUnderflow, TorsionCoefficients
+from drwitt.errors import InexactDivision, LengthUnderflow, TorsionCoefficients
 from drwitt.exactcore import Zq
 from drwitt.rings import MonomialAlgebra, parse_ringspec
 from drwitt.witt import (
@@ -17,14 +17,14 @@ from drwitt.witt import (
     frobenius,
     ghost,
     restriction,
-    synthesize_law,
-    teichmuller,
     verschiebung,
     witt_add,
     witt_mul,
     witt_neg,
     witt_to_unramified,
 )
+
+from helpers import DepthCap, reference_ghost_frobenius, synthesize_law
 
 
 def alg(text):
@@ -307,7 +307,7 @@ def test_frobenius_fast_path_matches_universal():
 
     for _ in range(50):
         v = W(tuple(rand_el() for _ in range(3)))
-        assert frobenius(v) == frobenius(v, universal=True)
+        assert frobenius(v) == reference_ghost_frobenius(v)
 
 
 def test_fv_and_vf_are_multiplication_by_p():
@@ -465,19 +465,19 @@ def test_cover_product_keys_skip_the_fraction_round_trip():
 def test_power_makes_no_square_past_the_top_bit(monkeypatch):
     # binary powering needs floor(log2 n) squares and popcount(n) - 1 products:
     # k multiplications for n = 2^k, none for n = 1
-    import drwitt.witt as witt_module
+    import helpers
 
     calls = []
-    real = witt_module._poly_mul
+    real = helpers._poly_mul
 
     def counting(a, b):
         calls.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(witt_module, "_poly_mul", counting)
+    monkeypatch.setattr(helpers, "_poly_mul", counting)
     for n in range(1, 21):
         calls.clear()
-        assert witt_module._poly_pow({(1,): 2}, n) == {(n,): 2**n}
+        assert helpers._poly_pow({(1,): 2}, n) == {(n,): 2**n}
         assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
@@ -499,6 +499,6 @@ def test_one_cover_per_ring(monkeypatch):
     a = W(tuple(A.parse_element(c) for c in ("x + t", "1", "t*x")))
     b = W(tuple(A.parse_element(c) for c in ("2", "x", "0")))
     witt_add(a, b), witt_mul(a, b), witt_neg(a)
-    assert frobenius(a, universal=True) == frobenius(a)
+    assert reference_ghost_frobenius(a) == frobenius(a)
     assert W.scalar(5) == witt_add(W.scalar(2), W.scalar(3))
     assert len(built) == 1
