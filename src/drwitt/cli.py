@@ -334,11 +334,20 @@ def _parse_ring_json(obj):
     if obj.get("kind") == "Z":
         return ZZ
     if obj.get("kind") == "Zmod":
-        p, N = int(obj["p"]), int(obj["N"])
+        p, N = _int_field(obj, "p", "ring"), _int_field(obj, "N", "ring")
         if not is_prime(p) or N < 1:
             raise DrwittError(f"Zmod needs a prime p and N >= 1, got p = {p}, N = {N}")
         return ZmodRing(p, N)
     raise DrwittError(f"unknown coefficient ring {obj!r}")
+
+
+def _int_field(obj, key, where):
+    """obj[key], once it is an integer (JSON true and false are not), and >= 0 for "gens"."""
+    x = obj[key]
+    if type(x) is not int or (key == "gens" and x < 0):
+        kind = "a nonnegative integer" if key == "gens" else "an integer"
+        raise DrwittError(f'{where} has "{key}" = {json.dumps(x)}, which is not {kind}')
+    return x
 
 
 def _int_matrix(mat, n, key, deg):
@@ -369,17 +378,17 @@ def load_filtered_complex(doc):
             raise DrwittError(f"specseq window is reversed: {doc['window']!r}")
         levels = {}
         maps = {}
-        for entry in doc["levels"]:
-            n = int(entry["n"])
+        for i, entry in enumerate(doc["levels"]):
+            n = _int_field(entry, "n", f"levels[{i}]")
             mods = {}
             for deg, m in entry["complex"].items():
                 rels = _int_matrix(m.get("rels", []), n, "rels", deg)
-                mods[int(deg)] = FinModPresentation(ring, int(m["gens"]), rels)
+                mods[int(deg)] = FinModPresentation(ring, _int_field(m, "gens", f"level {n} at degree {deg}"), rels)
             diffs = _by_degree(entry.get("d", {}), mods, n, "d")
-            levels[n] = FinComplex(ring, mods, diffs, check=True)
+            levels[n] = FinComplex(ring, mods, diffs)
             if "map_to_prev" in entry:
                 maps[n - 1] = _by_degree(entry["map_to_prev"], mods, n, "map_to_prev")
-        return FilteredComplex(ring, lo, hi, levels, maps, check=True)
+        return FilteredComplex(ring, lo, hi, levels, maps)
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise DrwittError(f"malformed specseq input: {type(e).__name__}: {e}") from None
 

@@ -571,7 +571,7 @@ def mod_p_compatibility(spec: RingSpec, r: int, i_max: int, weight_cap) -> bool:
             n: [[x % ring_r.q for x in row] for row in model.d_at(n, a)]
             for n in range(model.top + 1)
         }
-        Cfree = FinComplex(ring_r, mods, diffs, check=False)
+        Cfree = FinComplex(ring_r, mods, diffs)
         # strict level complex of presented modules
         lmods = {n: level.group(n, u).presentation() for n in range(model.top + 2)}
         ldiffs = {}
@@ -580,7 +580,7 @@ def mod_p_compatibility(spec: RingSpec, r: int, i_max: int, weight_cap) -> bool:
             if m is None:
                 return False
             ldiffs[n] = m
-        Clevel = FinComplex(model.ring, lmods, ldiffs, check=False)
+        Clevel = FinComplex(model.ring, lmods, ldiffs)
         for n in range(model.top + 2):
             if homology(Cfree, n) != homology(Clevel, n):
                 return False

@@ -233,7 +233,7 @@ class FinModPresentation:
         return quotient_invariants(self.ring, self.relations, self.ngens)
 
     def is_zero_element(self, v):
-        return member(self.ring, self.relations, v)
+        return not any(v) or member(self.ring, self.relations, v)
 
     @staticmethod
     def free(ring, ngens):
@@ -245,9 +245,11 @@ class FinComplex:
 
     modules[n] for n in degrees; diffs[n] is the generator matrix of
     d : M_n -> M_{n+1} (absent means the zero map or zero target).
+    Construction checks that d maps relations into relations and that
+    d o d = 0, raising ValueError or NonComplex otherwise.
     """
 
-    def __init__(self, ring, modules: dict, diffs: dict, check=True):
+    def __init__(self, ring, modules: dict, diffs: dict):
         self.ring = ring
         self.modules = dict(modules)
         self.diffs = {n: [list(r) for r in D] for n, D in diffs.items()}
@@ -258,14 +260,10 @@ class FinComplex:
                 raise ValueError(f"differential at degree {n} has wrong row count")
             if any(len(r) != tgt.ngens for r in D):
                 raise ValueError(f"differential at degree {n} has wrong row width")
-            # relations must map into relations
-            if check and M.relations:
-                img = mat_mul(ring, M.relations, D) if tgt.ngens else []
-                for row in img:
-                    if not member(ring, tgt.relations, row) and any(row):
-                        raise ValueError(f"d at degree {n} does not respect relations")
-        if check:
-            self._check_dd()
+            img = mat_mul(ring, M.relations, D) if M.relations and tgt.ngens else []
+            if not all(map(tgt.is_zero_element, img)):
+                raise ValueError(f"d at degree {n} does not respect relations")
+        self._check_dd()
 
     def degrees(self):
         return sorted(self.modules)
@@ -287,10 +285,8 @@ class FinComplex:
             if not M.ngens or not self.module(n + 2).ngens:
                 continue
             DD = mat_mul(self.ring, self.diff(n), self.diff(n + 1))
-            tgt = self.module(n + 2)
-            for row in DD:
-                if any(row) and not member(self.ring, tgt.relations, row):
-                    raise NonComplex(f"d o d != 0 leaving degree {n}")
+            if not all(map(self.module(n + 2).is_zero_element, DD)):
+                raise NonComplex(f"d o d != 0 leaving degree {n}")
 
 
 # ---------------------------------------------------------------------------

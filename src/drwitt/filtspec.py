@@ -48,28 +48,28 @@ class GradedComplex(namedtuple("GradedComplex", "ring slots")):
     __slots__ = ()
 
     def slot(self, n) -> FinComplex:
-        return self.slots.get(n) or FinComplex(self.ring, {}, {}, check=False)
+        return self.slots.get(n) or FinComplex(self.ring, {}, {})
 
 
 class FilteredComplex:
-    """Finite descending filtration with chain-map transitions."""
+    """Finite descending filtration with chain-map transitions; construction
+    checks that each one maps relations into relations and commutes with d."""
 
-    def __init__(self, ring, lo, hi, levels, maps, check=True):
+    def __init__(self, ring, lo, hi, levels, maps):
         """levels[n] is F^(>= n); maps[n]: F^(>= n+1) -> F^(>= n) (degreewise)."""
         self.ring = ring
         self.lo = lo
         self.hi = hi
         self.levels = dict(levels)
         self.maps = {n: dict(m) for n, m in maps.items()}
-        if check:
-            for n in range(lo, hi):
-                self._check_chain_map(self.level(n + 1), self.level(n), self.transition(n))
+        for n in range(lo, hi):
+            self._check_chain_map(self.level(n + 1), self.level(n), self.transition(n))
 
     def level(self, n) -> FinComplex:
         if n < self.lo:
             n = self.lo
         if n > self.hi:
-            return FinComplex(self.ring, {}, {}, check=False)
+            return FinComplex(self.ring, {}, {})
         return self.levels[n]
 
     def transition(self, n) -> dict:
@@ -89,20 +89,16 @@ class FilteredComplex:
     def _check_chain_map(self, src: FinComplex, tgt: FinComplex, f: dict):
         """f maps source relations into target relations and commutes with d."""
         ring = self.ring
-
-        def inside(rows, M):
-            return all(member(ring, M.relations, row) for row in rows if any(row))
-
         for m in src.degrees():
             A, B, B1 = src.module(m), tgt.module(m), tgt.module(m + 1)
             fm = f.get(m, [[0] * B.ngens for _ in range(A.ngens)])
             if (A.ngens and len(fm) != A.ngens) or any(len(r) != B.ngens for r in fm):
                 raise ValueError(f"transition at degree {m} has wrong shape")
-            if not inside(_times(ring, A.relations, fm, B.ngens), B):
+            if not all(map(B.is_zero_element, _times(ring, A.relations, fm, B.ngens))):
                 raise ValueError(f"transition at degree {m} does not map relations to relations")
             nxt = f.get(m + 1, [[0] * B1.ngens for _ in range(src.module(m + 1).ngens)])
             lhs, rhs = _times(ring, src.diff(m), nxt, B1.ngens), _times(ring, fm, tgt.diff(m), B1.ngens)
-            if not inside([[a - b for a, b in zip(lrow, rrow)] for lrow, rrow in zip(lhs, rhs)], B1):
+            if not all(B1.is_zero_element([a - b for a, b in zip(lrow, rrow)]) for lrow, rrow in zip(lhs, rhs)):
                 raise ValueError(f"transition fails to be a chain map at degree {m}")
 
     def transitions_injective(self, allow_zero=False) -> bool:
@@ -169,7 +165,7 @@ def _cokernel_complex(ring, src: FinComplex, tgt: FinComplex, f: dict) -> FinCom
         extra = f.get(m, [])
         mods[m] = FinModPresentation(ring, B.ngens, list(B.relations) + [list(r) for r in extra])
         diffs[m] = tgt.diff(m)
-    return FinComplex(ring, mods, diffs, check=False)
+    return FinComplex(ring, mods, diffs)
 
 
 def cone(ring, src: FinComplex, tgt: FinComplex, f: dict) -> FinComplex:
@@ -199,7 +195,7 @@ def cone(ring, src: FinComplex, tgt: FinComplex, f: dict) -> FinComplex:
             row = [0] * A2.ngens + (list(dB[b]) if B2.ngens else [])
             rows.append(row)
         diffs[m] = rows
-    return FinComplex(ring, mods, diffs, check=False)
+    return FinComplex(ring, mods, diffs)
 
 
 def t_embed(X: GradedComplex, lo, hi) -> FilteredComplex:
@@ -209,7 +205,7 @@ def t_embed(X: GradedComplex, lo, hi) -> FilteredComplex:
     for n in range(lo, hi):
         src, tgt = X.slot(n + 1), X.slot(n)
         maps[n] = {m: [[0] * tgt.module(m).ngens for _ in range(src.module(m).ngens)] for m in src.degrees()}
-    return FilteredComplex(X.ring, lo, hi, levels, maps, check=False)
+    return FilteredComplex(X.ring, lo, hi, levels, maps)
 
 
 def c_embed(Y: FinComplex, n, lo, hi) -> FilteredComplex:
@@ -340,10 +336,10 @@ SSResult = namedtuple("SSResult", [
 ])
 
 
-def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
+def spectral_sequence(F: FilteredComplex, r_max=None) -> SSResult:
     """Pages E_r (paper indexing, r >= 2) of the filtration's exact couple.
 
-    With verify=True, each page asserts d_r o d_r = 0: the image rows of
+    Every page is checked for d_r o d_r = 0: the image rows of
     one differential are expressed in the target's cycle rows and pushed
     through the target's differential, and the result must die in the
     double target's boundary span.
@@ -424,8 +420,7 @@ def spectral_sequence(F: FilteredComplex, r_max=None, verify=False) -> SSResult:
             },
         )
         pages.append(page)
-        if verify:
-            _verify_dd_zero(ring, entries, dmats, cr)
+        _verify_dd_zero(ring, entries, dmats, cr)
         # pass to the next page: Z' = d^{-1}(B_target) within Z, B' = B + d(Z_source)
         nxt = {}
         for (s, m), entry in entries.items():

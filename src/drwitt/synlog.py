@@ -295,7 +295,7 @@ class _FiberBlock:
             mods[j] = FinModPresentation.free(self.ring, dim)
         for j in range(0, self.top + 2):
             diffs[j] = self.differential(j)
-        return FinComplex(self.ring, mods, diffs, check=True)
+        return FinComplex(self.ring, mods, diffs)
 
     @memo
     def cohomology(self, j) -> SubQuot:
@@ -650,7 +650,7 @@ def _graded_cohomology(N: NygaardModel, a):
         mods[n] = FinModPresentation(ring, k, identity(k, p))
     ki = model.rank_at(i, a)
     mods[i] = FinModPresentation(ring, ki, model.versch_at(i, a * p) + identity(ki, p))
-    C = FinComplex(ring, mods, {n: N.d_matrix(n, a) for n in range(i)}, check=False)
+    C = FinComplex(ring, mods, {n: N.d_matrix(n, a) for n in range(i)})
     out = {}
     for n in range(0, i + 1):
         inv = homology(C, n)

@@ -66,15 +66,13 @@ def _poly_divexact(a, d):
 # coefficient-ring covers
 
 class IntegerMonomialAlgebra:
-    """Z[x_1..x_k] (k may be 0) with weights: the torsion-free test rings.
+    """Z[x_1..x_k] (k may be 0): the torsion-free test rings.
 
     It is its own cover, so `lift` and `reduce` are the identity.
     """
 
-    def __init__(self, nvars=0, weights=None, names=None):
+    def __init__(self, nvars=0):
         self.nvars = nvars
-        self.weights = tuple(weights or (1,) * nvars)
-        self.names = tuple(names or tuple(f"x{i}" for i in range(nvars)))
 
     def zero(self):
         return {}

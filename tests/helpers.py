@@ -145,7 +145,7 @@ def random_complex(rng, ring: ZmodRing, length=3, max_rank=3) -> FinComplex:
                     D[a][j] = col[a]
         diffs[m] = D
         prev = D
-    return FinComplex(ring, mods, diffs, check=True)
+    return FinComplex(ring, mods, diffs)
 
 
 def _close_under_d(ring, C: FinComplex, picked):
@@ -222,7 +222,7 @@ def random_filtered_complex(rng, ring: ZmodRing, window=2, length=3, max_rank=3)
                 assert sol is not None, "closure failed"
                 D.append(sol)
             diffs[m] = D
-        levels[n] = FinComplex(ring, mods, diffs, check=False)
+        levels[n] = FinComplex(ring, mods, diffs)
         gens[n] = g
     maps = {}
     for n in range(window):
@@ -242,7 +242,7 @@ def random_filtered_complex(rng, ring: ZmodRing, window=2, length=3, max_rank=3)
                     mat.append(sol)
             f[m] = mat
         maps[n] = f
-    return FilteredComplex(ring, 0, window, levels, maps, check=True)
+    return FilteredComplex(ring, 0, window, levels, maps)
 
 
 # The hom-set enumeration that filtspec.chain_hom_group replaced: one
@@ -788,7 +788,7 @@ def reference_graded_cohomology(N: NygaardModel, a):
         else:
             Vb = model.versch_at(n, pa)
             diffs[n] = mat_mul(ring, Vb, model.d_at(n, a)) if Vb else [[0] * ki for _ in range(mods[n].ngens)]
-    C = FinComplex(ring, mods, diffs, check=False)
+    C = FinComplex(ring, mods, diffs)
     for n in range(0, i + 1):
         inv = homology(C, n)
         if not inv.is_trivial():

