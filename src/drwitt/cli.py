@@ -373,13 +373,18 @@ def load_filtered_complex(doc):
 
     try:
         ring = _parse_ring_json(doc["ring"])
-        lo, hi = doc["window"]
+        window = doc["window"]
+        if type(window) is not list or len(window) != 2 or any(type(x) is not int for x in window):
+            raise DrwittError(f'specseq "window" = {json.dumps(window)} is not a list of two integers')
+        lo, hi = window
         if lo > hi:
-            raise DrwittError(f"specseq window is reversed: {doc['window']!r}")
+            raise DrwittError(f"specseq window is reversed: {window!r}")
         levels = {}
         maps = {}
         for i, entry in enumerate(doc["levels"]):
             n = _int_field(entry, "n", f"levels[{i}]")
+            if n in levels:
+                raise DrwittError(f'levels[{i}] repeats "n" = {n}')
             mods = {}
             for deg, m in entry["complex"].items():
                 rels = _int_matrix(m.get("rels", []), n, "rels", deg)
@@ -388,6 +393,9 @@ def load_filtered_complex(doc):
             levels[n] = FinComplex(ring, mods, diffs)
             if "map_to_prev" in entry:
                 maps[n - 1] = _by_degree(entry["map_to_prev"], mods, n, "map_to_prev")
+        missing = next((m for m in range(lo, hi + 1) if m not in levels), None)
+        if missing is not None:
+            raise DrwittError(f'specseq "window" = {json.dumps(window)} has no entry in "levels" for level {missing}')
         return FilteredComplex(ring, lo, hi, levels, maps)
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise DrwittError(f"malformed specseq input: {type(e).__name__}: {e}") from None

@@ -63,6 +63,7 @@ from .exactcore import (
     howell,
     identity,
     mat_mul,
+    member,
     preimage,
     reduce_with_coefficients,
 )
@@ -637,8 +638,6 @@ def perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
                 mat = mat_mul(smodel.ring, mat, step)
                 a *= p
             target = slevel.group(n, u * p**r)
-            for row in mat:
-                coords = target.coords(row)
-                if coords is None or not target.presentation().is_zero_element(coords):
-                    return False
+            if not all(member(smodel.ring, target.b, row) for row in mat):
+                return False
     return True

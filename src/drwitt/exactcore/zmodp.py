@@ -13,8 +13,6 @@ on the right (x |-> x @ A).
 
 from __future__ import annotations
 
-from math import prod
-
 
 class ZmodRing:
     """The coefficient ring Z/p^N."""
@@ -164,11 +162,6 @@ def pivot_orders(R: ZmodRing, H: list[list[int]]) -> list[int]:
     0 <= c_i < order_i, so it has prod(order_i) elements.
     """
     return [R.p ** (R.N - R.val(next(x for x in row if x))) for row in H]
-
-
-def span_order(R: ZmodRing, rows: list[list[int]], ncols: int) -> int:
-    """Number of elements of the row span."""
-    return prod(pivot_orders(R, howell(R, rows, ncols)))
 
 
 def quotient_divisor_exponents(R: ZmodRing, rows: list[list[int]], ncols: int) -> list[int]:

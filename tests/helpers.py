@@ -16,8 +16,10 @@ SaturatedModel.class_at replaced, the dense GF(p^f) row reduction
 and dense de Rham differentials that exactcore.sparse_rref and
 DeRhamComplex.d_rows replaced, the GF(p^f) residue that rescanned
 every pivot row before the pivot walk of exactcore.gf.gf_reduce_vector,
-and the subquotient layer that normalized its relations at construction
-and formed a fresh presentation on every read.  Also a howell counter,
+the subquotient layer that normalized its relations at construction
+and formed a fresh presentation on every read, and the symbol-subgroup
+sizing and zero-class tests that went through coordinates and a second
+presentation before they read the caller's SubQuot.  Also a howell counter,
 a loader for the benchmark's workload modules, the symbolic universal
 Witt laws that drwitt.witt's arithmetic is checked against, and the
 span tests, the dF = pFd spot check and the maps between strict levels
@@ -28,11 +30,12 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
-from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate
-from drwitt.errors import DrwittError, HomSetTooLarge, InexactDivision, PrecisionExhausted
+from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate, strict_truncate
+from drwitt.errors import DrwittError, HomSetTooLarge, InexactDivision, PrecisionExhausted, UnsupportedKind
 from drwitt.exactcore import (
     GF,
     FinComplex,
@@ -49,6 +52,7 @@ from drwitt.exactcore import (
     member,
     negate,
     normal_form,
+    pivot_orders,
     power,
     preimage,
     quotient_invariants,
@@ -67,7 +71,16 @@ from drwitt.rings import (
     weight_window,
     wkey,
 )
-from drwitt.synlog import NygaardModel, _FiberBlock, _tau_cohomology, _weight_support, weight_orbits
+from drwitt.synlog import (
+    LogLattice,
+    NygaardModel,
+    _FiberBlock,
+    _log_lattice,
+    _tau_cohomology,
+    _weight_support,
+    log_lattice,
+    weight_orbits,
+)
 from drwitt.witt import WittVector, _poly_add, _poly_divexact, _poly_mul, _poly_scale
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -1417,3 +1430,133 @@ def restriction_from(self: StrictLevel, higher: "StrictLevel", n, u):
     """R: W_{r+1}(n, u) -> W_r(n, u), identity on coordinates."""
     a = self.model.num(u)
     return higher.group(n, u).induced_map(self.group(n, u), identity(self.model.rank_at(n, a)))
+
+
+# The subgroup sizing and zero-class tests that synlog and dieudonne read
+# before they built SubQuot(grp.ring, grp.ambient, v, grp.b) and member(ring,
+# grp.b, v) on the caller's group, verbatim but for span_order, which is
+# inlined: every symbol goes through coordinates and a second presentation.
+def reference_span_invariants(grp: SubQuot, gen_vectors) -> InvariantFactors:
+    """Invariant factors of the subgroup generated inside the level group."""
+    pres = grp.presentation()
+    coords = []
+    for v in gen_vectors:
+        c = grp.coords(v)
+        if c is None:
+            raise InexactDivision("log symbol escapes the level lattice")
+        coords.append(c)
+    if not coords:
+        return InvariantFactors(())
+    # (span(coords) + relations)/relations inside the level group
+    sub = SubQuot(pres.ring, pres.ngens, coords, list(pres.relations))
+    return sub.presentation().invariants()
+
+
+def reference_compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
+    """Subgroup comparison of the symbol span inside H^i of the zero orbit.
+
+    `zero_block` is the zero orbit's deep block, or None.
+    """
+    if zero_block is None:
+        return ("EQUAL", 1) if not lat.generators else ("MISMATCH", 0)
+    H = zero_block.cohomology(zero_block.i)
+    h_order = H.invariants().order()
+    # embed each symbol as the fiber cocycle (symbol, 0)
+    off, dim = zero_block._offsets(zero_block.layout(zero_block.i))
+    coords = []
+    for vec in lat.generators:
+        amb = [0] * dim
+        if ("N", 0) in off:
+            base = off[("N", 0)]
+            for b, x in enumerate(vec):
+                amb[base + b] = x % zero_block.ring.q
+        c = H.coords(amb)
+        if c is None:
+            return "MISMATCH", 0
+        coords.append(c)
+    pres = H.presentation()
+    rel = list(pres.relations)
+    # the relations are a Howell form already; the span with the symbols takes one
+    order_sub = prod(pivot_orders(pres.ring, howell(pres.ring, coords + rel, pres.ngens)))
+    order_rel = prod(pivot_orders(pres.ring, rel))
+    # the symbols span a subgroup of H^i, whose order divides h_order
+    index = h_order // (order_sub // order_rel)
+    return ("EQUAL" if index == 1 else "CONTAINS"), index
+
+
+def reference_log_mod_compat(spec: RingSpec, i: int, r: int) -> bool:
+    """R maps the level-(r+1) log lattice onto the level-r one, compatibly."""
+    model_lo = saturate(spec, r, max(i + 1, 1))
+    lat_hi = log_lattice(spec, i, r + 1)
+    lat_lo = _log_lattice(model_lo, i, r)
+    level_lo = strict_truncate(model_lo, r)
+    grp = level_lo.group(i, 0) if model_lo.rank_at(i, 0) else None
+    if grp is None:
+        return not lat_hi.generators and not lat_lo.generators
+    # the restriction map is the identity on model coordinates
+    hi_span = reference_span_invariants(grp, lat_hi.generators)
+    lo_span = reference_span_invariants(grp, lat_lo.generators)
+    if hi_span != lo_span:
+        return False
+    # mod-p^r reduction: scaling level-(r+1) generators by p^r lands in the
+    # relations of the level-r group
+    for vec in lat_hi.generators:
+        scaled = [(spec.p**r * x) % model_lo.ring.q for x in vec]
+        c = grp.coords(scaled)
+        if c is None or not grp.presentation().is_zero_element(c):
+            return False
+    return True
+
+
+def reference_perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -> bool:
+    """Tiny-cap check that the direct W(S) model matches stage saturation.
+
+    Stage-m approximants are genuinely saturated; their strict level r
+    must agree with the direct model at weights of denominator <= p^m,
+    and the r-fold composite of the tower transition maps must vanish on
+    degree >= 1 (the colimit kills positive-degree forms).
+    """
+    if spec.kind != "perfection":
+        raise UnsupportedKind("consistency check applies to perfection kinds")
+    base = spec.base()
+    direct = saturate(spec, r, 1)
+    dlevel = strict_truncate(direct, r)
+    p = spec.p
+    smodel = SaturatedModel(base, r, 1)
+    slevel = strict_truncate(smodel, r)
+    for m in (0, 1):
+        if base.kind == "finite_field" and m > 0:
+            break
+        # stage-m lattice weights scale by 1/p^m relative to the base ring
+        for u in dlevel.weights(weight_cap):
+            target_den = Fraction(u).denominator
+            if target_den > p**m:
+                continue
+            got = slevel.invariants(0, Fraction(u) * p**m)
+            want = dlevel.invariants(0, u)
+            if got != want:
+                return False
+    # the tower transition stage m -> m+1 sends a degree-n form to p^n times
+    # a relabelled monomial form (dx = p y^{p-1} dy for y = x^{1/p}); on the
+    # base model the relabelling is the monomial part of F, so the r-fold
+    # composite in degree >= 1 is p^r F^r and must vanish at level r
+    if base.kind != "finite_field":
+        for u in [w for w in slevel.weights(weight_cap) if Fraction(w) != 0][:4]:
+            n = 1
+            a = smodel.num(u)
+            if not smodel.rank_at(n, a):
+                continue
+            mat = identity(smodel.rank_at(n, a))
+            for _ in range(r):
+                step = [
+                    [(p**n * x) % smodel.ring.q for x in row]
+                    for row in smodel.frob_at(n, a)
+                ]
+                mat = mat_mul(smodel.ring, mat, step)
+                a *= p
+            target = slevel.group(n, u * p**r)
+            for row in mat:
+                coords = target.coords(row)
+                if coords is None or not target.presentation().is_zero_element(coords):
+                    return False
+    return True

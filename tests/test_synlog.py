@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drwitt import dieudonne, synlog
-from drwitt.dieudonne import SaturatedModel, saturate, strict_truncate
+from drwitt.dieudonne import SaturatedModel, StrictLevel, perfection_consistency_check, saturate, strict_truncate
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
 from drwitt.synlog import (
@@ -23,15 +23,20 @@ from drwitt.synlog import (
     verify_fundamental_seq,
     weight_orbits,
 )
+import helpers
 from helpers import (
     count_howell_calls,
     load_perfbench,
     reference_certify_block_invertible,
+    reference_compare_h_i_with_log,
     reference_graded_cohomology,
+    reference_log_mod_compat,
     reference_nygaard_completeness_check,
     reference_nygaard_graded_check,
     reference_orbit_class,
     reference_orbit_fibers,
+    reference_perfection_consistency_check,
+    reference_span_invariants,
     reference_weight_class,
     reference_weight_orbits,
     solve,
@@ -49,6 +54,8 @@ F4 = spec("p=2\nkind=finite_field\nf=2")
 F2X = spec("p=2\nkind=poly\nvars=x:1")
 LAU2 = spec("p=2\nkind=laurent\nvars=x:1")
 LAU3 = spec("p=3\nkind=laurent\nvars=x:1")
+PERF2 = spec("p=2\nkind=perfection of poly\nvars=x:1")
+PERF3 = spec("p=3\nkind=perfection of laurent\nvars=x:1")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +335,25 @@ def test_a_symbol_outside_h_i_is_a_mismatch():
     zero, lat = _zero_block_and_log_lattice(F4, 0, 1)
     assert lat.generators == [[1, 0]]
     assert synlog._compare_h_i_with_log(zero, lat._replace(generators=[[0, 1]])) == ("MISMATCH", 0)
+
+
+@pytest.mark.parametrize("s", [FP3, F4, LAU2, LAU3, F2X, PERF2], ids=["FP3", "F4", "LAU2", "LAU3", "F2X", "PERF2"])
+@pytest.mark.parametrize("i", [0, 1])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_symbol_subgroups_match_the_parent_code(s, i, r):
+    # the subgroup the symbols generate, read on the caller's SubQuot, has the
+    # verdict, index and invariants of the coordinate round trip it replaced
+    model = saturate(s, r, max(2, i + 1))
+    zero, lat = _zero_block_and_log_lattice(s, i, r)
+    level = strict_truncate(model, r).group(i, 0) if model.rank_at(i, 0) else None
+    lats = [lat._replace(generators=[[s.p**e * x for x in vec] for vec in lat.generators]) for e in (0, 1, 2)]
+    if s is F4 and i == 0:
+        lats.append(lat._replace(generators=[[0, 1]]))
+    for scaled in lats:
+        assert synlog._compare_h_i_with_log(zero, scaled) == reference_compare_h_i_with_log(zero, scaled)
+        if level is not None:
+            want = reference_span_invariants(level, scaled.generators)
+            assert synlog._span_invariants(level, scaled.generators) == want
 
 
 def test_a_window_without_the_zero_orbit_matches_no_symbol():
@@ -629,6 +655,29 @@ def test_log_mod_compat_examples():
     assert log_mod_compat(F4, 1, 2)
 
 
+@pytest.mark.parametrize("guard", [-4, -1, 0, 2])
+def test_nygaard_completeness_matches_the_parent_membership_test(guard, monkeypatch):
+    # a smaller guard asks for more p-divisibility: at -4 the exponent reaches
+    # the model's precision, and at -1 and 0 some cells fail, so the
+    # divisibility test must agree with membership in the normal form of p^e I
+    monkeypatch.setattr(synlog, "GUARD", guard)
+    monkeypatch.setattr(helpers, "GUARD", guard)
+    for s, cap in [(FP2, 2), (F4, 2), (F2X, 3), (LAU3, 2), (PERF2, 2)]:
+        assert nygaard_completeness_check(s, 4, cap) == all(reference_nygaard_completeness_check(s, 4, cap).values())
+
+
+@pytest.mark.parametrize("up", [0, 1], ids=["level-r", "level-r+1"])
+def test_zero_class_tests_match_the_parent_code(up, monkeypatch):
+    # one level up, p^r no longer kills the classes the checks send to zero:
+    # most cases fail there, and they must fail for the same reason as before
+    for mod in (synlog, dieudonne, helpers):
+        monkeypatch.setattr(mod, "strict_truncate", lambda model, r: StrictLevel(model, r + up))
+    for s, i, r in [(FP2, 0, 2), (LAU2, 1, 2), (F4, 1, 2), (LAU3, 1, 2), (F2X, 1, 1)]:
+        assert log_mod_compat(s, i, r) == reference_log_mod_compat(s, i, r)
+    for s, r, cap in [(PERF2, 2, 3), (PERF3, 2, 2), (PERF2, 1, 3)]:
+        assert perfection_consistency_check(s, r, cap) == reference_perfection_consistency_check(s, r, cap)
+
+
 def test_syntomic_total_differential_squares_to_zero():
     # FinComplex construction checks d o d = 0; run it over both schemes
     from drwitt.synlog import _FiberBlock
@@ -705,7 +754,7 @@ def test_a_sweep_cell_forms_its_pinned_howell_count(monkeypatch):
     cell = _seed0_sweep_cell("cell-p2-poly-i1-r2-c8")
     calls = count_howell_calls(monkeypatch)
     _, stable = cell()
-    assert stable and len(calls) == 240
+    assert stable and len(calls) == 238
 
 
 def test_each_sweep_model_builds_one_f_image_solver(monkeypatch):
