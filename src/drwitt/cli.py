@@ -334,19 +334,21 @@ def _parse_ring_json(obj):
     if obj.get("kind") == "Z":
         return ZZ
     if obj.get("kind") == "Zmod":
-        p, N = _int_field(obj, "p", "ring"), _int_field(obj, "N", "ring")
+        p, N = _field(obj, "p", "ring"), _field(obj, "N", "ring")
         if not is_prime(p) or N < 1:
             raise DrwittError(f"Zmod needs a prime p and N >= 1, got p = {p}, N = {N}")
         return ZmodRing(p, N)
     raise DrwittError(f"unknown coefficient ring {obj!r}")
 
 
-def _int_field(obj, key, where):
-    """obj[key], once it is an integer (JSON true and false are not), and >= 0 for "gens"."""
+def _field(obj, key, where, kind=int):
+    """obj[key], once it is a JSON integer (true and false are not), object
+    or list, as kind says; "gens" must also be >= 0."""
     x = obj[key]
-    if type(x) is not int or (key == "gens" and x < 0):
-        kind = "a nonnegative integer" if key == "gens" else "an integer"
-        raise DrwittError(f'{where} has "{key}" = {json.dumps(x)}, which is not {kind}')
+    if type(x) is not kind or (key == "gens" and x < 0):
+        what = {int: "an integer", dict: "an object", list: "a list"}[kind]
+        what = "a nonnegative integer" if key == "gens" else what
+        raise DrwittError(f"{where} has {json.dumps(key)} = {json.dumps(x)}, which is not {what}")
     return x
 
 
@@ -358,8 +360,9 @@ def _int_matrix(mat, n, key, deg):
     return mat
 
 
-def _by_degree(mats, mods, n, key):
+def _by_degree(entry, mods, n, key):
     """{degree: matrix} from a level's "d" or "map_to_prev" entry; each degree needs a module."""
+    mats = _field(entry, key, f"level {n}", dict) if key in entry else {}
     out = {int(deg): _int_matrix(mat, n, key, deg) for deg, mat in mats.items()}
     stray = sorted(set(out) - set(mods))
     if stray:
@@ -372,7 +375,7 @@ def load_filtered_complex(doc):
     from .filtspec import FilteredComplex
 
     try:
-        ring = _parse_ring_json(doc["ring"])
+        ring = _parse_ring_json(_field(doc, "ring", "specseq input", dict))
         window = doc["window"]
         if type(window) is not list or len(window) != 2 or any(type(x) is not int for x in window):
             raise DrwittError(f'specseq "window" = {json.dumps(window)} is not a list of two integers')
@@ -381,18 +384,25 @@ def load_filtered_complex(doc):
             raise DrwittError(f"specseq window is reversed: {window!r}")
         levels = {}
         maps = {}
-        for i, entry in enumerate(doc["levels"]):
-            n = _int_field(entry, "n", f"levels[{i}]")
+        entries = _field(doc, "levels", "specseq input", list)
+        for i in range(len(entries)):
+            entry = _field(entries, i, 'specseq "levels"', dict)
+            n = _field(entry, "n", f"levels[{i}]")
             if n in levels:
                 raise DrwittError(f'levels[{i}] repeats "n" = {n}')
+            if not lo <= n <= hi:
+                raise DrwittError(f'levels[{i}] has "n" = {n}, outside the window {window}')
+            if n == lo and "map_to_prev" in entry:
+                raise DrwittError(f'level {n} has "map_to_prev", but it is the lowest level of the window {window}')
             mods = {}
-            for deg, m in entry["complex"].items():
+            cx = _field(entry, "complex", f"level {n}", dict)
+            for deg in cx:
+                m = _field(cx, deg, f'level {n} "complex"', dict)
                 rels = _int_matrix(m.get("rels", []), n, "rels", deg)
-                mods[int(deg)] = FinModPresentation(ring, _int_field(m, "gens", f"level {n} at degree {deg}"), rels)
-            diffs = _by_degree(entry.get("d", {}), mods, n, "d")
-            levels[n] = FinComplex(ring, mods, diffs)
+                mods[int(deg)] = FinModPresentation(ring, _field(m, "gens", f"level {n} at degree {deg}"), rels)
+            levels[n] = FinComplex(ring, mods, _by_degree(entry, mods, n, "d"))
             if "map_to_prev" in entry:
-                maps[n - 1] = _by_degree(entry["map_to_prev"], mods, n, "map_to_prev")
+                maps[n - 1] = _by_degree(entry, mods, n, "map_to_prev")
         missing = next((m for m in range(lo, hi + 1) if m not in levels), None)
         if missing is not None:
             raise DrwittError(f'specseq "window" = {json.dumps(window)} has no entry in "levels" for level {missing}')

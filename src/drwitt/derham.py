@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UnsupportedBaseChange, UnsupportedKind
-from .exactcore import InvariantFactors, SubQuot, gf_rref, identity, kernel, sparse_rref
+from .exactcore import InvariantFactors, SubQuot, gf_rref, normal_form
 from .exactcore.gf import subtract_multiple
 from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
 
@@ -34,13 +34,7 @@ class _GradedComplex:
         """Rank of d^i at grade g; 0 below degree 0 and on zero spaces."""
         if i < 0 or not self.rank(i, *g) or not self.rank(i + 1, *g):
             return 0
-        return len(sparse_rref(self.K, self.d_rows(i, *g)))
-
-    @memo
-    def d_matrix(self, i, *g):
-        """d^i at grade g as a dense matrix on basis coordinates."""
-        n = self.rank(i + 1, *g)
-        return [[row.get(k, 0) for k in range(n)] for row in self.d_rows(i, *g)]
+        return len(gf_rref(self.K, self.d_rows(i, *g)))
 
     def h_dim(self, i, *g):
         """dim H^i at grade g.  Over a field this is rank - rk d^i - rk d^(i-1),
@@ -48,13 +42,16 @@ class _GradedComplex:
         return self.rank(i, *g) - self.d_rank(i, *g) - self.d_rank(i - 1, *g)
 
     def cohomology_subquot(self, i, *g) -> SubQuot:
-        """ker(d^i)/im(d^(i-1)) inside the degree-i basis space, for coordinates."""
+        """ker(d^i)/im(d^(i-1)) inside the degree-i basis space, for coordinates;
+        the kernel is the I-part of the rows of RREF [d^i | I] that are 0 on d^i."""
         n = self.rank(i, *g)
         if n == 0:
             return SubQuot(self.K, 0, [], [])
-        z = kernel(self.K, self.d_matrix(i, *g)) if self.rank(i + 1, *g) else identity(n)
-        prev = self.d_matrix(i - 1, *g) if i >= 1 and self.rank(i - 1, *g) else []
-        return SubQuot(self.K, n, z, prev)
+        m = self.rank(i + 1, *g)
+        aug = [{**row, m + k: 1} for k, row in enumerate(self.d_rows(i, *g))]
+        z = [[h.get(j, 0) for j in range(m, m + n)] for h in gf_rref(self.K, aug) if min(h) >= m]
+        prev = self.d_rows(i - 1, *g) if i >= 1 and self.rank(i - 1, *g) else []
+        return SubQuot(self.K, n, z, [[row.get(j, 0) for j in range(n)] for row in prev])
 
     def cartier_block(self, i, g, images):
         """C^{-1} from a source basis into H^i at the twisted grade g.
@@ -75,7 +72,7 @@ class _GradedComplex:
         rows = [H.coords(vec) for vec in images]
         if None in rows:
             raise AssertionError(f"a C^-1 image in degree {i} at grade {g} is not a cocycle")
-        rank = len(gf_rref(self.K, rows, H.gen_count())) if rows else 0
+        rank = len(normal_form(self.K, rows, H.gen_count())) if rows else 0
         return rows, n == self.h_dim(i, *g) == rank
 
 

@@ -1,6 +1,6 @@
 """Exact arithmetic and linear algebra substrate: Z, Z/p^N, GF(p^f)."""
 
-from .gf import GF, Zq, gf_rref, power, sparse_rref
+from .gf import GF, Zq, gf_rref, power
 from .integers import hermite, smith_diagonal
 from .modules import (
     ZZ,
@@ -51,5 +51,4 @@ __all__ = [
     "quotient_invariants",
     "reduce_with_coefficients",
     "smith_diagonal",
-    "sparse_rref",
 ]

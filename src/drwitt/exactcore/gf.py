@@ -163,7 +163,7 @@ class GF:
         return range(1, self.q)
 
 
-def sparse_rref(K: GF, rows) -> list[dict]:
+def gf_rref(K: GF, rows: list[dict]) -> list[dict]:
     """The canonical RREF over K of sparse rows {col: nonzero coef}, as
     dicts in pivot order.  Each row is reduced by the pivot of its least
     column until it is zero or opens a new pivot, which only touches
@@ -196,17 +196,6 @@ def subtract_multiple(K, row, c, other):
             row[j] = x
         else:
             del row[j]
-
-
-def gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Reduced row echelon form over GF of dense rows; canonical for the row space."""
-    out = []
-    for h in sparse_rref(K, [dict(compress(enumerate(r), r)) for r in rows]):
-        row = [0] * ncols
-        for j, x in h.items():
-            row[j] = x
-        out.append(row)
-    return out
 
 
 def gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[int]:

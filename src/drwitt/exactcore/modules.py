@@ -13,6 +13,7 @@ different pipelines comparable.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 from math import prod
 
 from ..errors import DrwittError
@@ -50,7 +51,9 @@ def normal_form(ring, rows, ncols):
     if isinstance(ring, ZmodRing):
         return howell(ring, rows, ncols)
     if isinstance(ring, GF):
-        return gf_rref(ring, rows, ncols)
+        # GF(p^f) elimination runs on {col: coef} rows; this is its one dense boundary
+        sparse = [dict(compress(enumerate(r), r)) for r in rows]
+        return [[h.get(j, 0) for j in range(ncols)] for h in gf_rref(ring, sparse)]
     return hermite(rows, ncols)
 
 
@@ -198,7 +201,7 @@ def quotient_invariants(ring, relation_rows, ngens) -> InvariantFactors:
         exps = quotient_divisor_exponents(ring, relation_rows, ngens)
         return InvariantFactors(tuple(sorted(ring.p**a for a in exps if a > 0)))
     if isinstance(ring, GF):
-        dim = ngens - len(gf_rref(ring, relation_rows, ngens))
+        dim = ngens - len(gf_rref(ring, [dict(compress(enumerate(r), r)) for r in relation_rows]))
         return InvariantFactors((ring.p,) * (dim * ring.f))
     diag = smith_diagonal(relation_rows, ngens)
     return InvariantFactors.of([d for d in diag if d > 1], ngens - len(diag))

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations, compress
+from itertools import combinations
 from operator import add
 
 from .errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
@@ -412,8 +412,6 @@ def parse_ringspec(text: str) -> RingSpec:
         rest = kind_text[len("perfection"):].strip()
         if rest.startswith("of"):
             base_kind = rest[2:].strip()
-        elif "base" in fields:
-            base_kind, _ = fields.pop("base")
         else:
             raise ParseError("perfection needs a base: `kind = perfection of poly`", kind_ln)
     else:
@@ -626,35 +624,27 @@ class MonomialAlgebra:
         for weight, terms, dterms in self._relations:
             rem = w - weight
             for m, J in self.forms(n, rem):
-                row = [0] * len(raw)
-                for exps, c in terms:
-                    row[idx[tuple(map(add, m, exps)), J]] = c
-                rows.append(row)
+                rows.append({idx[tuple(map(add, m, exps)), J]: c for exps, c in terms})
             for m, J in self.forms(n - 1, rem):
-                row = [0] * len(raw)
+                row = {}
                 for j, exps, c, neg_c in dterms:
                     sign, newJ = sign_insert(j, J)
                     if sign:
                         row[idx[tuple(map(add, m, exps)), newJ]] = c if sign > 0 else neg_c
                 rows.append(row)
-        # an RREF row's first nonzero entry is its pivot, a 1
-        pivots = {h.index(1): h for h in gf_rref(self._row_field, rows, len(raw))}
+        # an RREF row's least column is its pivot, a 1
+        pivots = {min(h): h for h in gf_rref(self._row_field, rows)}
         return raw, [k for k in range(len(raw)) if k not in pivots], pivots
 
     def reduce_terms(self, n, w, terms):
         """Rewrite {raw form index: coef} over `component(n, w)` on basis forms,
         keyed by raw index.  An RREF pivot row is 1 at its pivot and 0 at the
         other pivots, so one subtraction per pivot in `terms` suffices."""
-        pivots = self._pivot_terms(n, w)
+        pivots = self.component(n, w)[2]
         out = {k: c for k, c in terms.items() if c}
         for col in [k for k in out if k in pivots]:
             subtract_multiple(self.K, out, out[col], pivots[col])
         return out
-
-    @memo
-    def _pivot_terms(self, n, w):
-        """The pivot rows of `component(n, w)` as {raw index: coef}, keyed by pivot."""
-        return {col: dict(compress(enumerate(h), h)) for col, h in self.component(n, w)[2].items()}
 
     def reduce(self, el):
         if self.spec.kind != "quotient" or not el:

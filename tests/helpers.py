@@ -13,7 +13,7 @@ the weight classes replaced, the per-numerator lattices and stage
 certificates that the class-keyed lattice cache replaced, and the
 weight key, per-numerator maps and per-weight strict groups that
 SaturatedModel.class_at replaced, the dense GF(p^f) row reduction
-and dense de Rham differentials that exactcore.sparse_rref and
+and dense de Rham differentials that exactcore.gf_rref on sparse rows and
 DeRhamComplex.d_rows replaced, the GF(p^f) residue that rescanned
 every pivot row before the pivot walk of exactcore.gf.gf_reduce_vector,
 the subquotient layer that normalized its relations at construction
@@ -43,7 +43,6 @@ from drwitt.exactcore import (
     InvariantFactors,
     SubQuot,
     ZmodRing,
-    gf_rref,
     homology,
     howell,
     identity,
@@ -546,7 +545,7 @@ def reference_weight_data(self: MonomialAlgebra, w):
                 prod = tuple(wkey(Fraction(a) + Fraction(b)) for a, b in zip(m, exps))
                 row[idx[prod]] = self.K.add(row[idx[prod]], c)
             rows.append(row)
-    H = gf_rref(self.K, rows, len(monos))
+    H = normal_form(self.K, rows, len(monos))
     pivots = {}
     for hrow in H:
         col = next(j for j, x in enumerate(hrow) if x)
@@ -610,7 +609,7 @@ def reference_component(self: DeRhamComplex, i, w):
                     k = idx[(shifted, newJ)]
                     row[k] = self.K.add(row[k], coeff)
             rows.append(row)
-    H = gf_rref(self.K, rows, len(raw))
+    H = normal_form(self.K, rows, len(raw))
     pivots = {}
     for hrow in H:
         col = next(k for k, x in enumerate(hrow) if x)
@@ -1151,10 +1150,11 @@ def reference_gf_rref(K: GF, rows: list[list[int]], ncols: int) -> list[list[int
 def reference_d_matrix(self: DeRhamComplex, i, w):
     """d^i at weight w as dense rows, built as DeRhamComplex.d_matrix was
     before d_rows: each row over the raw (i+1)-forms, reduced through
-    component's pivot rows by the removed MonomialAlgebra.reduce_form_vector."""
+    the dense pivot rows of reference_component by the removed
+    MonomialAlgebra.reduce_form_vector."""
     A, p, K = self.algebra, self.spec.p, self.K
     raw_s, basis_s, _ = A.component(i, w)
-    raw_t, basis_t, pivots = A.component(i + 1, w)
+    raw_t, basis_t, pivots = reference_component(self, i + 1, w)
     idx_t = {form: k for k, form in enumerate(A.forms(i + 1, w))}
     rows = []
     for k in basis_s:

@@ -496,6 +496,20 @@ def bad_inputs(tmp_path):
         not_ints[name] = dict(notcx, window=window, levels=[level])
     not_ints["winmissing"] = dict(notcx, window=[-1, 0], levels=[level])
     not_ints["levelrepeated"] = dict(notcx, levels=[level, level])
+    # a level outside the window, and a transition out of the window's lowest level
+    not_ints["leveloutside"] = dict(notcx, levels=[level, dict(level, n=5)])
+    not_ints["lowestmap"] = dict(notcx, levels=[dict(level, map_to_prev={"0": [[1]]})])
+    # containers of the wrong JSON type
+    containers = {
+        "ringlist": dict(notcx, ring=[2], levels=[level]),
+        "levelsobject": dict(notcx, levels={"n": 0}),
+        "entryint": dict(notcx, levels=[5]),
+        "complexlist": dict(notcx, levels=[dict(level, complex=[1])]),
+        "moduleint": dict(notcx, levels=[dict(level, complex={"0": 5})]),
+        "difflist": dict(notcx, levels=[dict(level, d=[1])]),
+        "maplist": dict(notcx, window=[0, 1], levels=[level, dict(level, n=1, map_to_prev=[1])]),
+    }
+    not_ints.update(containers)
     for name, doc in not_ints.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     names = (
@@ -585,6 +599,15 @@ BAD_FLAGS = [
     ["specseq", "run", "--input", "{winint}"],
     ["specseq", "run", "--input", "{winmissing}"],
     ["specseq", "run", "--input", "{levelrepeated}"],
+    ["specseq", "run", "--input", "{leveloutside}"],
+    ["specseq", "run", "--input", "{lowestmap}"],
+    ["specseq", "run", "--input", "{ringlist}"],
+    ["specseq", "run", "--input", "{levelsobject}"],
+    ["specseq", "run", "--input", "{entryint}"],
+    ["specseq", "run", "--input", "{complexlist}"],
+    ["specseq", "run", "--input", "{moduleint}"],
+    ["specseq", "run", "--input", "{difflist}"],
+    ["specseq", "run", "--input", "{maplist}"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -653,6 +676,15 @@ BAD_FLAG_IDS = [
     "specseq-window-integer",
     "specseq-window-level-missing",
     "specseq-level-n-repeated",
+    "specseq-level-outside-the-window",
+    "specseq-transition-from-the-lowest-level",
+    "specseq-ring-a-list",
+    "specseq-levels-an-object",
+    "specseq-level-entry-an-integer",
+    "specseq-complex-a-list",
+    "specseq-module-an-integer",
+    "specseq-differentials-a-list",
+    "specseq-transitions-a-list",
 ]
 
 
@@ -714,6 +746,36 @@ def test_a_bad_window_or_level_list_names_the_window_or_the_level(bad_inputs):
         "winint": 'specseq "window" = 5 is not a list of two integers',
         "winmissing": 'specseq "window" = [-1, 0] has no entry in "levels" for level -1',
         "levelrepeated": 'levels[1] repeats "n" = 0',
+    }
+    for name, message in messages.items():
+        doc = json.loads(Path(bad_inputs[name]).read_text())
+        with pytest.raises(DrwittError) as caught:
+            load_filtered_complex(doc)
+        assert str(caught.value) == message
+
+
+def test_a_level_the_window_drops_is_an_error(bad_inputs):
+    # both documents used to run, silently dropping the level or the transition
+    messages = {
+        "leveloutside": 'levels[1] has "n" = 5, outside the window [0, 0]',
+        "lowestmap": 'level 0 has "map_to_prev", but it is the lowest level of the window [0, 0]',
+    }
+    for name, message in messages.items():
+        doc = json.loads(Path(bad_inputs[name]).read_text())
+        with pytest.raises(DrwittError) as caught:
+            load_filtered_complex(doc)
+        assert str(caught.value) == message
+
+
+def test_a_wrong_typed_container_names_its_field(bad_inputs):
+    messages = {
+        "ringlist": 'specseq input has "ring" = [2], which is not an object',
+        "levelsobject": 'specseq input has "levels" = {"n": 0}, which is not a list',
+        "entryint": 'specseq "levels" has 0 = 5, which is not an object',
+        "complexlist": 'level 0 has "complex" = [1], which is not an object',
+        "moduleint": 'level 0 "complex" has "0" = 5, which is not an object',
+        "difflist": 'level 0 has "d" = [1], which is not an object',
+        "maplist": 'level 1 has "map_to_prev" = [1], which is not an object',
     }
     for name, message in messages.items():
         doc = json.loads(Path(bad_inputs[name]).read_text())

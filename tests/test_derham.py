@@ -14,12 +14,11 @@ from drwitt.derham import (
     RelativeCartier,
     base_change_check,
     cartier_smooth_check,
-    _GradedComplex,
     derham_cohomology,
     derham_table,
 )
 from drwitt.errors import NonQuasiHomogeneous, UnsupportedBaseChange, UnsupportedKind
-from drwitt.exactcore import InvariantFactors
+from drwitt.exactcore import GF, InvariantFactors
 from drwitt.rings import parse_ringspec
 
 from helpers import reference_d_matrix, reference_gf_rref, reference_relative_forms
@@ -33,6 +32,12 @@ FP_X = spec("p=3\nkind=poly\nvars=x:1")
 F2_XY = spec("p=2\nkind=poly\nvars=x:1,y:1")
 CUSP = spec("p=2\nkind=quotient\nvars=x:2,y:3\nrels=y^2-x^3")
 LAURENT = spec("p=3\nkind=laurent\nvars=x:1")
+
+
+def dense_d(C, i, *g):
+    """d^i at grade g as dense rows on basis coordinates, read off the sparse d_rows."""
+    n = C.rank(i + 1, *g)
+    return [[row.get(k, 0) for k in range(n)] for row in C.d_rows(i, *g)]
 
 
 def test_poly_omega1_rank_one_per_weight():
@@ -181,8 +186,8 @@ def test_leibniz_and_dd_zero_all_weights():
     from drwitt.exactcore import mat_mul
 
     for w in C.weights():
-        A = C.d_matrix(0, w)
-        B = C.d_matrix(1, w)
+        A = dense_d(C, 0, w)
+        B = dense_d(C, 1, w)
         if A and B and B[0:1] and (B[0] if B else []):
             prod = mat_mul(C.K, A, B)
             assert not any(any(row) for row in prod)
@@ -361,39 +366,47 @@ def test_d_rank_is_the_rank_of_the_dense_reference(text):
     C = DeRhamComplex(spec(text), 3, 8)
     for w in C.weights():
         for i in range(3):
-            d = C.d_matrix(i, w)
+            d = dense_d(C, i, w)
             assert d == reference_d_matrix(C, i, w), (i, w)
             full = C.rank(i, w) and C.rank(i + 1, w)
             assert C.d_rank(i, w) == (len(reference_gf_rref(C.K, d, C.rank(i + 1, w))) if full else 0)
 
 
+def count_gf_normal_forms(monkeypatch):
+    """The ncols of each GF(p^f) call of exactcore.modules.normal_form, the
+    dense boundary of GF elimination, under derham's name for it as well."""
+    from drwitt import derham
+    from drwitt.exactcore import modules
+
+    dense = []
+    real = modules.normal_form
+
+    def counting(ring, rows, ncols):
+        if isinstance(ring, GF):
+            dense.append(ncols)
+        return real(ring, rows, ncols)
+
+    monkeypatch.setattr(modules, "normal_form", counting)
+    monkeypatch.setattr(derham, "normal_form", counting)
+    return dense
+
+
 def test_d_rank_builds_no_dense_matrix(monkeypatch):
     C = DeRhamComplex(spec(D_RANK_RINGS["xyz-p2"]), 4, 10)
-    dense = []
-    real = _GradedComplex.d_matrix
-
-    def counting(self, *g):
-        dense.append(g)
-        return real(self, *g)
-
-    monkeypatch.setattr(_GradedComplex, "d_matrix", counting)
+    dense = count_gf_normal_forms(monkeypatch)
     dims = {(i, w): C.h_dim(i, w) for i in range(4) for w in C.weights()}
     assert sum(C.d_rank(i, w) for i, w in dims) > 0
     assert dense == []
+    # the counter sees the dense path: C^-1 reads coordinates on a SubQuot
+    C.inverse_cartier(1)
+    assert dense
 
 
 @pytest.mark.parametrize("text, maxdeg, cap", [(D_RANK_RINGS["xyz-p2"], 3, 10), (D_RANK_RINGS["cusp-p3"], 2, 60)],
                          ids=["xyz-p2", "cusp-p3"])
 def test_the_d_squared_check_and_the_table_build_no_dense_matrix(monkeypatch, text, maxdeg, cap):
     # the self-check composes the sparse rows of d, and a table reads ranks
-    dense = []
-    real = _GradedComplex.d_matrix
-
-    def counting(self, *g):
-        dense.append(g)
-        return real(self, *g)
-
-    monkeypatch.setattr(_GradedComplex, "d_matrix", counting)
+    dense = count_gf_normal_forms(monkeypatch)
     table = derham_table(spec(text), maxdeg, cap)
     assert sum(len(row) for row in table.values()) > 0
     assert dense == []

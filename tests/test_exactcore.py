@@ -31,12 +31,12 @@ from drwitt.exactcore import (
     kernel,
     mat_mul,
     member,
+    normal_form,
     pivot_orders,
     power,
     preimage,
     quotient_invariants,
     smith_diagonal,
-    sparse_rref,
 )
 from drwitt.exactcore.gf import gf_reduce_vector
 from drwitt.exactcore.zmodp import quotient_divisor_exponents
@@ -165,7 +165,7 @@ def test_howell_matches_reference(case):
     expected = reference_howell(R, [list(r) for r in rows], ncols)
     assert howell(R, [list(r) for r in rows], ncols) == expected
     if N == 1:
-        H = gf_rref(GF(p), [list(r) for r in rows], ncols)
+        H = normal_form(GF(p), [list(r) for r in rows], ncols)
         assert H == expected
         assert is_rref(p, H, ncols)
 
@@ -196,9 +196,9 @@ def gf_rref_inputs(draw):
 def test_gf_rref_matches_the_dense_reference(case):
     K, rows, ncols = case
     expected = reference_gf_rref(K, [list(r) for r in rows], ncols)
-    assert gf_rref(K, [list(r) for r in rows], ncols) == expected
-    # the sparse engine on the same rows as dicts, without the dense wrapper
-    H = sparse_rref(K, [{j: x for j, x in enumerate(r) if x} for r in rows])
+    assert normal_form(K, [list(r) for r in rows], ncols) == expected
+    # the engine on the same rows as dicts, without the dense boundary
+    H = gf_rref(K, [{j: x for j, x in enumerate(r) if x} for r in rows])
     assert [[h.get(j, 0) for j in range(ncols)] for h in H] == expected
     assert all(0 not in h.values() for h in H)
 
@@ -219,7 +219,7 @@ def gf_reduce_inputs(draw):
 @example((GF(2, 2), [[0, 0, 1, 2, 0, 3], [0, 0, 0, 0, 1, 1]], 6, [1, 2, 3, 1, 2, 3]))  # pivots two columns apart
 def test_gf_reduce_vector_matches_the_dense_reference(case):
     K, rows, ncols, v = case
-    H = gf_rref(K, rows, ncols)
+    H = normal_form(K, rows, ncols)
     before = list(v)
     assert gf_reduce_vector(K, H, v) == reference_gf_reduce_vector(K, H, v)
     assert v == before

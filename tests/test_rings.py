@@ -130,6 +130,12 @@ def test_base_spec():
     assert spec("p=2\nkind=perfection of finite_field").base().kind == "finite_field"
 
 
+def test_a_perfection_names_its_base_only_in_the_kind_line():
+    # `base = poly` is not a second spelling of `kind = perfection of poly`
+    with pytest.raises(ParseError, match="^perfection needs a base: `kind = perfection of poly` at line 2$"):
+        parse_ringspec("p = 2\nkind = perfection\nbase = poly\nvars = x:1")
+
+
 def test_memo_caches_per_instance():
     class Counter:
         def __init__(self):
