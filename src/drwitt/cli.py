@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .dieudonne import saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_table
-from .errors import DrwittError
+from .errors import DrwittError, PrecisionExhausted
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
 from .rings import MonomialAlgebra, is_prime, parse_ringspec
 from .synlog import (
@@ -337,6 +337,8 @@ def _parse_ring_json(obj):
         p, N = _field(obj, "p", "ring"), _field(obj, "N", "ring")
         if not is_prime(p) or N < 1:
             raise DrwittError(f"Zmod needs a prime p and N >= 1, got p = {p}, N = {N}")
+        if N > ZMOD_N_MAX:
+            raise PrecisionExhausted(f"Zmod needs N <= {ZMOD_N_MAX}, the precision budget, got N = {N}")
         return ZmodRing(p, N)
     raise DrwittError(f"unknown coefficient ring {obj!r}")
 
@@ -599,14 +601,21 @@ def build_parser(verb=None):
 
 # least accepted value of each numeric flag that has a floor
 FLAG_FLOORS = {"level": 1, "modp": 1, "twist": 0, "maxdeg": 0, "weight_cap": 0, "deg": 0}
+# precision budgets, checked before anything is built: a level-r model has
+# weights of denominator p^(r+1), so its windows grow like p^r, and Z/p^N
+# arithmetic works on numbers of N base-p digits
+MODP_MAX = 16
+ZMOD_N_MAX = 4096
 
 
-def _check_flag_floors(args):
+def _check_flag_bounds(args):
     for name, least in FLAG_FLOORS.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
             flag = name.replace("_", "-")
             raise DrwittError(f"--{flag} must be at least {least}, got {value}")
+    if getattr(args, "modp", None) is not None and args.modp > MODP_MAX:
+        raise PrecisionExhausted(f"--modp must be at most {MODP_MAX}, the precision budget, got {args.modp}")
 
 
 def main(argv=None):
@@ -615,7 +624,7 @@ def main(argv=None):
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         args._t0 = time.time()
         args._argv = argv
-        _check_flag_floors(args)
+        _check_flag_bounds(args)
         return args.func(args)
     except DrwittError as e:
         print(f"error: {e}", file=sys.stderr)

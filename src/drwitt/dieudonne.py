@@ -64,8 +64,6 @@ from .exactcore import (
     identity,
     mat_mul,
     member,
-    preimage,
-    reduce_with_coefficients,
 )
 from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
 
@@ -273,7 +271,16 @@ class SaturatedModel:
     # -- lattice bases -------------------------------------------------------
 
     def _stage_lattice(self, n, w, s):
-        """E_s basis at lift weight w, in ambient lift coordinates."""
+        """E_s basis at lift weight w, in ambient lift coordinates: p^c I, c = max(0, s - v_p(e)).
+
+        Soundness: nvars <= 1 => d = e I_f.  With at most one variable the
+        lift has at most one monomial form per degree at weight w, so d on
+        x^e is the exponent e times the identity on the f coefficient
+        digits (the zero matrix at e = 0).  Then x d = e x lies in p^s M
+        exactly when x lies in p^(s - v_p(e)) M, and p^c I is the Howell
+        basis of that lattice.  D is checked against e I, so a lift that
+        breaks the assumption raises instead of returning a wrong lattice.
+        """
         k = self.lift.rank(n, w)
         if k == 0:
             return []
@@ -281,9 +288,11 @@ class SaturatedModel:
         if kt == 0:
             return identity(k)
         D = self.lift.d_matrix(n, w)
-        # the rows of a Howell form that vanish on the D columns are the
-        # Howell form of the preimage, so no second normal form is needed
-        return preimage(self._amb, D, identity(kt, self.p**s))
+        e = D[0][0]
+        if D != identity(k, e):
+            raise AssertionError(f"d at degree {n}, lift weight {w} is not a scalar matrix")
+        c = max(0, s - p_split(e, self.p)[0]) if e else 0
+        return identity(k, self.p**c)
 
     def lattice_at(self, n, a):
         """Howell basis of the degree-n component at numerator a (ambient coords).
@@ -339,21 +348,21 @@ class SaturatedModel:
         return True
 
     def _express(self, rows, basis):
-        """Coordinates mod p^R of ambient rows in a lattice's Howell basis; None if one escapes.
+        """Coordinates mod p^R of ambient rows in a lattice basis p^c I; None if one escapes.
 
-        Each row is reduced by the basis in one back-substitution pass.  The
-        coordinates are unique mod p^R: every lattice passed here (an E_s
-        stage with s <= s_star + 1, or a free lattice) contains p^s times its
-        ambient lattice, so its basis H is square with H M = p^s I for some
-        integral M, any two solutions x of x H = row agree mod p^(B - s),
-        and B - s >= R because B = R + 2 s_star + 2.
+        Every lattice passed here is p^c I: a stage lattice (see
+        _stage_lattice) or a perfection's free lattice (c = 0).  So a row
+        lies in it exactly when p^c divides each entry, and its coordinates
+        are the quotients.  They are unique mod p^R: any two solutions x of
+        x p^c = row agree mod p^(B - c), and B - c >= R because c <= s_star + 1
+        and B = R + 2 s_star + 2.
         """
+        pc, q = basis[0][0], self.ring.q
         out = []
         for row in rows:
-            residue, coords = reduce_with_coefficients(self._amb, basis, row)
-            if any(residue):
+            if any(x % pc for x in row):
                 return None
-            out.append([x % self.ring.q for x in coords])
+            out.append([x // pc % q for x in row])
         return out
 
     # -- structure maps (matrices over Z/p^R in lattice coordinates) ---------

@@ -57,12 +57,13 @@ def memo(method):
 
     @wraps(method)
     def cached(self, *args):
-        try:
-            return self.__dict__[slot][args]
-        except KeyError:
-            pass
-        value = method(self, *args)
-        self.__dict__.setdefault(slot, {})[args] = value
+        # a membership test, not a caught KeyError: a miss is common
+        table = self.__dict__.get(slot)
+        if table is None:
+            table = self.__dict__[slot] = {}
+        elif args in table:
+            return table[args]
+        value = table[args] = method(self, *args)
         return value
 
     return cached

@@ -926,6 +926,36 @@ def reference_nygaard_completeness_check(spec, i_cap, weight_cap):
     return out
 
 
+# The generic stage lattice and lattice solve that SaturatedModel's closed
+# forms replaced, verbatim, taking the model for `self`: a stage lattice is
+# the Howell form of a preimage under the lift's d, and a solve is one
+# back-substitution pass through a Howell basis.  They assume nothing about
+# the shape of d, so they check the closed forms' one-variable argument.
+def reference_stage_lattice(self: SaturatedModel, n, w, s):
+    """E_s basis at lift weight w, in ambient lift coordinates."""
+    k = self.lift.rank(n, w)
+    if k == 0:
+        return []
+    kt = self.lift.rank(n + 1, w)
+    if kt == 0:
+        return identity(k)
+    D = self.lift.d_matrix(n, w)
+    # the rows of a Howell form that vanish on the D columns are the
+    # Howell form of the preimage, so no second normal form is needed
+    return preimage(self._amb, D, identity(kt, self.p**s))
+
+
+def reference_express(self: SaturatedModel, rows, basis):
+    """Coordinates mod p^R of ambient rows in a lattice's Howell basis; None if one escapes."""
+    out = []
+    for row in rows:
+        residue, coords = zmodp.reduce_with_coefficients(self._amb, basis, row)
+        if any(residue):
+            return None
+        out.append([x % self.ring.q for x in coords])
+    return out
+
+
 # The per-numerator lattice and stage certificate that the class-keyed
 # SaturatedModel.lattice_at replaced, verbatim, taking the model for `self`:
 # every numerator builds and certifies its own stage lattice.

@@ -490,6 +490,8 @@ def bad_inputs(tmp_path):
         not_ints[name] = dict(notcx, levels=[dict(two, complex={"0": {"gens": gens}, "1": {"gens": 1}})])
     not_ints["nfloat"] = dict(notcx, levels=[dict(level, n=0.5)])
     not_ints["zmodntrue"] = dict(notcx, ring={"kind": "Zmod", "p": 2, "N": True}, levels=[level])
+    # an N past the precision budget, which used to end in a MemoryError
+    not_ints["zmodnhuge"] = dict(notcx, ring={"kind": "Zmod", "p": 2, "N": 10**30}, levels=[level])
     # windows that are not two integers, a window level with no entry, and a repeated level
     windows = {"wintrue": [True, 1], "winfloat": [0, 0.5], "winstring": [0, "1"], "winshort": [0], "winint": 5}
     for name, window in windows.items():
@@ -608,6 +610,8 @@ BAD_FLAGS = [
     ["specseq", "run", "--input", "{moduleint}"],
     ["specseq", "run", "--input", "{difflist}"],
     ["specseq", "run", "--input", "{maplist}"],
+    ["syntomic", "--ring", "{poly}", "--twist", "0", "--modp", "100000"],
+    ["specseq", "run", "--input", "{zmodnhuge}"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -685,6 +689,8 @@ BAD_FLAG_IDS = [
     "specseq-module-an-integer",
     "specseq-differentials-a-list",
     "specseq-transitions-a-list",
+    "syntomic-modp-past-budget",
+    "specseq-zmod-N-past-budget",
 ]
 
 
@@ -709,6 +715,33 @@ def test_the_one_verb_parser_gives_the_full_parsers_errors(rings, bad_inputs, ca
     full = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
     assert (main(argv), capsys.readouterr()) == one_verb
+
+
+def test_the_precision_budgets_name_their_limits_and_admit_every_benchmark_job(rings, bad_inputs, capsys):
+    from helpers import load_perfbench
+
+    from drwitt.cli import MODP_MAX, ZMOD_N_MAX
+    from drwitt.errors import PrecisionExhausted
+
+    # one past the --modp limit is refused before the ring is read; the limit itself runs
+    assert main(["kpredict", "--ring", bad_inputs["missing"], "--modp", str(MODP_MAX + 1)]) == 1
+    budget = f"--modp must be at most {MODP_MAX}, the precision budget, got {MODP_MAX + 1}"
+    assert capsys.readouterr().err == f"error: {budget}\n"
+    assert main(["kpredict", "--ring", rings["fp"], "--modp", str(MODP_MAX)]) == 0
+    doc = json.loads(Path(bad_inputs["zmodnhuge"]).read_text())
+    with pytest.raises(PrecisionExhausted) as caught:
+        load_filtered_complex(doc)
+    assert str(caught.value) == f"Zmod needs N <= {ZMOD_N_MAX}, the precision budget, got N = {10**30}"
+    doc["ring"]["N"] = ZMOD_N_MAX
+    load_filtered_complex(doc)
+    workloads = load_perfbench("workloads")
+    modps = [
+        int(job.argv[job.argv.index("--modp") + 1])
+        for name in workloads.WORKLOADS
+        for job in workloads.all_jobs(name)
+        if "--modp" in job.argv
+    ]
+    assert modps and max(modps) <= MODP_MAX
 
 
 def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):

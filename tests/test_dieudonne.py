@@ -26,9 +26,11 @@ from helpers import (
     eta_p_lattice,
     frob_to_lower,
     reference_d_at,
+    reference_express,
     reference_frob_at,
     reference_group,
     reference_lattice_at,
+    reference_stage_lattice,
     reference_strict_invariants,
     reference_versch_at,
     reference_weight_class,
@@ -272,6 +274,51 @@ def test_express_is_solve_mod_p_r(p, f, kind, r, n, k, den_exp, next_stage, data
         # a unit vector at a non-unit pivot lies outside the lattice
         e = [int(j == col) for j in range(width)]
         assert m._express([e], basis) is None and solve(amb, basis, e) is None
+
+
+@pytest.mark.parametrize("kind", ONE_VAR_KINDS)
+@pytest.mark.parametrize("m", ["1", "p"])
+@pytest.mark.parametrize("f", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_closed_form_lattices_match_the_generic_ones(p, f, m, kind):
+    # nvars <= 1 => d = e I_f: the stage lattice is p^max(0, s - v_p(e)) I,
+    # the Howell form of the generic preimage, and a solve against it is
+    # division by p^c, the generic back-substitution's result
+    text = f"p={p}\nf={f}\n{kind}".replace("x:1", f"x:{p if m == 'p' else 1}")
+    model = SaturatedModel(spec(text), 1, 1)
+    q = model._amb.q
+    seen = set()
+    for u in weight_window(2, model.P, model.spec.is_laurent):
+        a = model.num(u)
+        for n in (0, 1):
+            for s in (model.s_star, model.s_star + 1):
+                w = a * p ** (s - model.s_star)
+                basis = model._stage_lattice(n, w, s)
+                assert basis == reference_stage_lattice(model, n, w, s), (u, n, s)
+                if not basis:
+                    continue
+                seen.add(basis[0][0])
+                # unit rows and their p-multiples (outside a deep lattice),
+                # combinations of basis rows and negated basis rows (inside)
+                units = identity(len(basis))
+                rows = units + [[p * x for x in e] for e in units]
+                rows += [[(x * (j + 2) + y * p) % q for x, y in zip(h, basis[0])] for j, h in enumerate(basis)]
+                rows += [[-x % q for x in h] for h in basis]
+                for row in rows:
+                    assert model._express([row], basis) == reference_express(model, [row], basis), (u, n, s, row)
+                assert model._express(rows, basis) == reference_express(model, rows, basis)
+    # the grid reaches the identity and, where there is a variable, a p-power scaling
+    assert 1 in seen and (len(seen) > 1 or "finite_field" in kind)
+
+
+def test_a_stage_lattice_refuses_a_d_that_is_not_scalar():
+    # the closed form rests on d = e I_f, so another d raises
+    model = SaturatedModel(spec("p=3\nf=2\nkind=poly\nvars=x:1"), 1, 1)
+    a = 1  # x^1 at weight 1/P, where d is 1 and E_s is p^s M
+    assert model._stage_lattice(0, a, model.s_star) == identity(2, 3**model.s_star)
+    model.lift.d_matrix = lambda n, w: [[1, 1], [0, 1]]
+    with pytest.raises(AssertionError, match="not a scalar matrix"):
+        model._stage_lattice(0, a, model.s_star)
 
 
 @pytest.mark.parametrize("kind", ONE_VAR_KINDS)
