@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .synlog import (
     nygaard_graded_check,
     syntomic,
     verify_fundamental_seq,
+    window_size,
 )
 
 SCHEMA_VERSION = 1
@@ -47,6 +49,46 @@ def _load_spec(args):
     """Parse the --ring file; its text is digested into the run manifest."""
     args._ring_text = _read(args.ring)
     return parse_ringspec(args._ring_text)
+
+
+# Size budgets, checked on the ring spec and the flags before anything is
+# built; the times are on a 2-vCPU VM with Python 3.11.
+# --modp r computes in W_r(GF(q)), q = p^f, whose residues take f r log2(p)
+# bits.  At 2^12 bits the slowest verb is kpredict at f = 16 (--modp 256,
+# 3.6 s), where lifting the Frobenius to Z_q takes the time; past it check
+# fundamental-seq at f = 1 grows too (p = 2, --modp 32768: 54 s).
+MODP_BITS_MAX = 2**12
+# syntomic and check fundamental-seq walk every numerator of the level-r
+# weight window, about cap p^r of them at some 5 us and 230 bytes each.
+# syntomic on a Laurent ring at the default cap walks 625001 at p = 5,
+# --modp 7 in 3.3 s, and at p = 2 it walks 2^19 + 1 at --modp 16 in 2.8 s
+# and 2^20 + 1 at --modp 17 in 5.2 s and 220 MB, which the budget refuses.
+WINDOW_MAX = 10**6
+# A specseq Zmod ring computes with residues of N log2(p) bits: a random
+# two-step filtration of rank-3 modules with full-size entries runs in
+# 6.5 s at p = 2, N = 8192, and in 2.2 s at N = 4096.
+ZMOD_BITS_MAX = 2**13
+
+
+def _exceeds_bits(p, e, bits):
+    """Whether a residue mod p^e takes more than `bits` bits, p^e unformed (e > bits settles it, as p >= 2)."""
+    return e > bits or e * math.log2(p) > bits
+
+
+def _check_modp_budgets(spec, args, window=False):
+    """Refuse a --modp past the precision budget, and past the window budget when the verb walks the window."""
+    r = args.modp
+    if _exceeds_bits(spec.p, spec.f * r, MODP_BITS_MAX):
+        raise PrecisionExhausted(
+            f"--modp {r} at q = {spec.p}^{spec.f} needs residues of more than {MODP_BITS_MAX} bits,"
+            " the precision budget"
+        )
+    # a ring with two variables is refused by the model itself
+    if window and spec.nvars <= 1 and window_size(spec, r, args.weight_cap) > WINDOW_MAX:
+        raise PrecisionExhausted(
+            f"--modp {r} with --weight-cap {args.weight_cap} walks more than {WINDOW_MAX} weight numerators,"
+            " the window budget"
+        )
 
 
 def _wkey_str(w):
@@ -231,6 +273,7 @@ def cmd_drw(args):
 
 def cmd_syntomic(args):
     spec = _load_spec(args)
+    _check_modp_budgets(spec, args, window=True)
     S = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
     S_bump = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap, R=S.R + 1)
 
@@ -256,6 +299,7 @@ def cmd_syntomic(args):
 
 def cmd_logforms(args):
     spec = _load_spec(args)
+    _check_modp_budgets(spec, args)
     lat = log_lattice(spec, args.deg, args.modp)
     payload = {
         "command": "logforms",
@@ -280,6 +324,7 @@ def cmd_check(args):
     name = args.which
     twist = args.twist if args.twist is not None else CHECK_TWIST_DEFAULTS[name]
     if name == "fundamental-seq":
+        _check_modp_budgets(spec, args, window=True)
         rep = verify_fundamental_seq(spec, twist, args.modp, args.maxdeg, args.weight_cap)
         ok = (
             rep["off_degree_vanishing"]
@@ -337,8 +382,10 @@ def _parse_ring_json(obj):
         p, N = _field(obj, "p", "ring"), _field(obj, "N", "ring")
         if not is_prime(p) or N < 1:
             raise DrwittError(f"Zmod needs a prime p and N >= 1, got p = {p}, N = {N}")
-        if N > ZMOD_N_MAX:
-            raise PrecisionExhausted(f"Zmod needs N <= {ZMOD_N_MAX}, the precision budget, got N = {N}")
+        if _exceeds_bits(p, N, ZMOD_BITS_MAX):
+            raise PrecisionExhausted(
+                f"Zmod with p = {p}, N = {N} needs residues of more than {ZMOD_BITS_MAX} bits, the precision budget"
+            )
         return ZmodRing(p, N)
     raise DrwittError(f"unknown coefficient ring {obj!r}")
 
@@ -474,6 +521,7 @@ def cmd_kpredict(args):
         raise DrwittError("prediction tables start at degree 0")
     if hi < lo:
         raise DrwittError(f"--range bounds are reversed: {args.range!r}")
+    _check_modp_budgets(spec, args)
     table = k_predict(spec, hi, args.modp)
     if args.markdown and not args.json:
         print(table.to_markdown())
@@ -601,21 +649,14 @@ def build_parser(verb=None):
 
 # least accepted value of each numeric flag that has a floor
 FLAG_FLOORS = {"level": 1, "modp": 1, "twist": 0, "maxdeg": 0, "weight_cap": 0, "deg": 0}
-# precision budgets, checked before anything is built: a level-r model has
-# weights of denominator p^(r+1), so its windows grow like p^r, and Z/p^N
-# arithmetic works on numbers of N base-p digits
-MODP_MAX = 16
-ZMOD_N_MAX = 4096
 
 
-def _check_flag_bounds(args):
+def _check_flag_floors(args):
     for name, least in FLAG_FLOORS.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
             flag = name.replace("_", "-")
             raise DrwittError(f"--{flag} must be at least {least}, got {value}")
-    if getattr(args, "modp", None) is not None and args.modp > MODP_MAX:
-        raise PrecisionExhausted(f"--modp must be at most {MODP_MAX}, the precision budget, got {args.modp}")
 
 
 def main(argv=None):
@@ -624,7 +665,7 @@ def main(argv=None):
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         args._t0 = time.time()
         args._argv = argv
-        _check_flag_bounds(args)
+        _check_flag_floors(args)
         return args.func(args)
     except DrwittError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -78,6 +78,11 @@ def internal_precision(r: int, i_max: int) -> int:
     return r + i_max + GUARD
 
 
+def stage_exponent(spec: RingSpec, r_level: int) -> int:
+    """The working stage s_star = r_level + 1 + v of a level-r_level model (see SaturatedModel)."""
+    return r_level + 1 + (p_split(spec.weights[0], spec.p)[0] if spec.weights else 0)
+
+
 # ---------------------------------------------------------------------------
 # the lifted de Rham complex
 
@@ -193,7 +198,7 @@ class SaturatedModel:
         self.spec = spec
         self.p = spec.p
         self.is_perfection = spec.kind == "perfection"
-        self.s_star = r_level + 1 + (p_split(spec.weights[0], self.p)[0] if spec.weights else 0)
+        self.s_star = stage_exponent(spec, r_level)
         self.P = self.p**self.s_star
         self.R = R if R is not None else internal_precision(r_level, i_max)
         self.B = self.R + 2 * self.s_star + 2

@@ -299,7 +299,7 @@ class SubQuot:
     """A subquotient of R^ambient with explicit generators and relations.
 
     The relation rows are kept as given; `b` forms their normal form on
-    first read, unless `_on_normal_relations` was given one.  `coords` and `relation_coords` form normal forms of their
+    first read.  `coords` and `relation_coords` form normal forms of their
     own that contain the rows of b, so they read the rows as given.
     """
 
@@ -311,13 +311,6 @@ class SubQuot:
         self._b_normal = not self._b  # the normal form of no rows is no rows
         self._presentation = None
         self._solver = None
-
-    @classmethod
-    def _on_normal_relations(cls, ring, ambient, z_rows, b_rows):
-        """The subquotient on relation rows that are already a normal form, which `b` keeps."""
-        self = cls(ring, ambient, z_rows, b_rows)
-        self._b_normal = True
-        return self
 
     @property
     def b(self):

@@ -395,7 +395,7 @@ def spectral_sequence(F: FilteredComplex, r_max=None) -> SSResult:
     for s in range(lo, hi + 1):
         for m in range(dmin, dmax + 1):
             pres = Hcone[(s, m)].presentation()
-            entries[(s, m)] = SubQuot._on_normal_relations(ring, pres.ngens, identity(pres.ngens), pres.relations)
+            entries[(s, m)] = SubQuot(ring, pres.ngens, identity(pres.ngens), pres.relations)
 
     pages = []
     e_current = {key: e.invariants() for key, e in entries.items()}
@@ -430,11 +430,8 @@ def spectral_sequence(F: FilteredComplex, r_max=None) -> SSResult:
             else:
                 keep = preimage(ring, dmat, entries[(s + cr, m + 1)].b) if dmat else []
                 z_new = normal_form(ring, (mat_mul(ring, keep, entry.z) if keep else []) + entry.b, entry.ambient)
-            incoming = dmats.get((s - cr, m - 1))
-            if incoming:
-                nxt[(s, m)] = SubQuot(ring, entry.ambient, z_new, entry.b + incoming)
-            else:  # b is still the last page's normal form
-                nxt[(s, m)] = SubQuot._on_normal_relations(ring, entry.ambient, z_new, entry.b)
+            b_new = entry.b + (dmats.get((s - cr, m - 1)) or [])
+            nxt[(s, m)] = SubQuot(ring, entry.ambient, z_new, b_new)
         entries = nxt
         e_current = {key: e.invariants() for key, e in entries.items()}
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .derham import DeRhamComplex, derham_cohomology
-from .dieudonne import GUARD, SaturatedModel, saturate, strict_truncate
+from .dieudonne import GUARD, SaturatedModel, saturate, stage_exponent, strict_truncate
 from .exactcore import (
     FinComplex,
     FinModPresentation,
@@ -156,10 +156,27 @@ def _weight_support(model: SaturatedModel, cap, den_exp):
     """
     if not model.spec.nvars:
         return [0] if cap >= 0 else []
-    cap = Fraction(cap)
-    step = lcm(model.p ** max(0, model.s_star - den_exp), model.spec.weights[0])
-    top = cap.numerator * model.P // cap.denominator // step
+    step, top = _window_grid(model.spec, model.s_star, cap, den_exp)
     return [k * step for k in range(-top if model.spec.is_laurent else 0, top + 1)]
+
+
+def _window_grid(spec: RingSpec, s_star, cap, den_exp):
+    """(step, top): a one-variable window's numerators are k step with |k| <= top (see _weight_support)."""
+    cap = Fraction(cap)
+    step = lcm(spec.p ** max(0, s_star - den_exp), spec.weights[0])
+    return step, cap.numerator * spec.p**s_star // cap.denominator // step
+
+
+def window_size(spec: RingSpec, r: int, weight_cap) -> int:
+    """Numerators in the level-r window of syntomic and verify_fundamental_seq, counted off the spec.
+
+    It is the length of _weight_support at the model's stage, found
+    without building the model, so a caller can bound the walk first.
+    """
+    if not spec.nvars:
+        return 1 if weight_cap >= 0 else 0
+    _, top = _window_grid(spec, stage_exponent(spec, r), weight_cap, r)
+    return 2 * top + 1 if spec.is_laurent else top + 1
 
 
 def weight_orbits(model: SaturatedModel, cap, den_exp):

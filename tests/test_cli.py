@@ -717,31 +717,63 @@ def test_the_one_verb_parser_gives_the_full_parsers_errors(rings, bad_inputs, ca
     assert (main(argv), capsys.readouterr()) == one_verb
 
 
-def test_the_precision_budgets_name_their_limits_and_admit_every_benchmark_job(rings, bad_inputs, capsys):
+def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings, bad_inputs, capsys):
+    import argparse
+
     from helpers import load_perfbench
 
-    from drwitt.cli import MODP_MAX, ZMOD_N_MAX
+    from drwitt.cli import MODP_BITS_MAX, WINDOW_MAX, ZMOD_BITS_MAX, _check_modp_budgets, build_parser
     from drwitt.errors import PrecisionExhausted
+    from drwitt.synlog import window_size
 
-    # one past the --modp limit is refused before the ring is read; the limit itself runs
-    assert main(["kpredict", "--ring", bad_inputs["missing"], "--modp", str(MODP_MAX + 1)]) == 1
-    budget = f"--modp must be at most {MODP_MAX}, the precision budget, got {MODP_MAX + 1}"
+    def admits(spec, modp, cap=None):
+        args = argparse.Namespace(modp=modp, weight_cap=cap)
+        try:
+            _check_modp_budgets(spec, args, window=cap is not None)
+        except PrecisionExhausted:
+            return False
+        return True
+
+    # --modp r needs f r log2(p) bits: at p = 3 that is 4095.5 at r = 2584 and 4097.1 at r = 2585
+    fp, f8, lau = (parse_ringspec(Path(rings[k]).read_text()) for k in ("fp", "f8", "lau"))
+    assert MODP_BITS_MAX == 4096 and admits(fp, 2584) and not admits(fp, 2585)
+    assert admits(f8, 1365) and not admits(f8, 1366)  # f = 3 at p = 2
+    assert main(["logforms", "--ring", rings["fp"], "--deg", "0", "--modp", "2585"]) == 1
+    budget = "--modp 2585 at q = 3^1 needs residues of more than 4096 bits, the precision budget"
     assert capsys.readouterr().err == f"error: {budget}\n"
-    assert main(["kpredict", "--ring", rings["fp"], "--modp", str(MODP_MAX)]) == 0
+    # the p = 2 Laurent window at cap 4 holds 2 * 4 * 2^r + 1 numerators
+    assert [window_size(lau, r, 4) for r in (16, 17)] == [2**19 + 1, 2**20 + 1]
+    assert admits(lau, 16, 4) and not admits(lau, 17, 4) and admits(lau, 17, 1)
+    assert main(["check", "fundamental-seq", "--ring", rings["lau"], "--modp", "17"]) == 1
+    budget = f"--modp 17 with --weight-cap 4 walks more than {WINDOW_MAX} weight numerators, the window budget"
+    assert capsys.readouterr().err == f"error: {budget}\n"
+    # a Zmod ring's residues take N log2(p) bits
     doc = json.loads(Path(bad_inputs["zmodnhuge"]).read_text())
     with pytest.raises(PrecisionExhausted) as caught:
         load_filtered_complex(doc)
-    assert str(caught.value) == f"Zmod needs N <= {ZMOD_N_MAX}, the precision budget, got N = {10**30}"
-    doc["ring"]["N"] = ZMOD_N_MAX
+    budget = f"Zmod with p = 2, N = {10**30} needs residues of more than 8192 bits, the precision budget"
+    assert str(caught.value) == budget
+    doc["ring"]["N"] = ZMOD_BITS_MAX
     load_filtered_complex(doc)
+    doc["ring"]["N"] = ZMOD_BITS_MAX + 1
+    with pytest.raises(PrecisionExhausted):
+        load_filtered_complex(doc)
+    # every benchmark job is admitted: a CLI job as its verb checks it, a
+    # sweep cell at its largest window, cap * p
     workloads = load_perfbench("workloads")
-    modps = [
-        int(job.argv[job.argv.index("--modp") + 1])
-        for name in workloads.WORKLOADS
-        for job in workloads.all_jobs(name)
-        if "--modp" in job.argv
-    ]
-    assert modps and max(modps) <= MODP_MAX
+    jobs = [job for name in workloads.WORKLOADS for job in workloads.all_jobs(name)]
+    checked = 0
+    for job in jobs:
+        spec = parse_ringspec(job.spec)
+        if "--modp" in job.argv:
+            args = build_parser().parse_args([*job.argv, "--ring", "unread.ring"])
+            assert admits(spec, args.modp, args.weight_cap), job.id
+            checked += 1
+        elif job.cell:
+            _, r, cap, _, _ = job.cell
+            assert admits(spec, r, cap * spec.p), job.id
+            checked += 1
+    assert checked > 10
 
 
 def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):

@@ -22,6 +22,7 @@ from drwitt.synlog import (
     syntomic,
     verify_fundamental_seq,
     weight_orbits,
+    window_size,
 )
 import helpers
 from helpers import (
@@ -189,6 +190,17 @@ def test_weight_orbits_match_the_weight_keyed_walk(p, kind, r, cap, den_exp):
     m = saturate(spec(f"p={p}\n" + kind.format(p=p, q=p + 1)), r, 2)
     got = [[Fraction(a, m.P) for a in orbit] for orbit in weight_orbits(m, cap, den_exp)]
     assert got == reference_weight_orbits(m, cap, den_exp)
+
+
+@pytest.mark.parametrize("kind", WALK_KINDS)
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_window_size_counts_the_window_a_model_walks(p, kind):
+    # the CLI's window budget reads the count off the spec, before any model is built
+    ring = spec(f"p={p}\n" + kind.format(p=p, q=p + 1))
+    for r in (1, 2, 3):
+        m = saturate(ring, r, 2)
+        for cap in (0, 1, 4):
+            assert window_size(ring, r, cap) == len(synlog._weight_support(m, cap, r)), (r, cap)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
