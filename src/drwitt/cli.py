@@ -25,7 +25,7 @@ from .dieudonne import saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_table
 from .errors import DrwittError, PrecisionExhausted
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
-from .rings import MonomialAlgebra, is_prime, parse_ringspec
+from .rings import MonomialAlgebra, is_prime, parse_ringspec, weight_window_size
 from .synlog import (
     log_lattice,
     nygaard_completeness_check,
@@ -64,6 +64,13 @@ MODP_BITS_MAX = 2**12
 # --modp 7 in 3.3 s, and at p = 2 it walks 2^19 + 1 at --modp 16 in 2.8 s
 # and 2^20 + 1 at --modp 17 in 5.2 s and 220 MB, which the budget refuses.
 WINDOW_MAX = 10**6
+# drw table walks every weight of StrictLevel.weights at --level r, about
+# cap p^(r-1) of them (twice that on a Laurent ring) at some 40 us and
+# 3.2 KB each.  At the default cap a p = 3 poly ring walks 78733 at
+# --level 10 in 3.0-4.2 s and 248 MB; a p = 2 poly ring walks 65537 at
+# --level 15 in 2.5-2.8 s and 131073 at --level 16 in 7.0 s and 407 MB,
+# which the budget refuses.
+DRW_WINDOW_MAX = 10**5
 # A specseq Zmod ring computes with residues of N log2(p) bits: a random
 # two-step filtration of rank-3 modules with full-size entries runs in
 # 6.5 s at p = 2, N = 8192, and in 2.2 s at N = 4096.
@@ -88,6 +95,19 @@ def _check_modp_budgets(spec, args, window=False):
         raise PrecisionExhausted(
             f"--modp {r} with --weight-cap {args.weight_cap} walks more than {WINDOW_MAX} weight numerators,"
             " the window budget"
+        )
+
+
+def _check_drw_budget(spec, args):
+    """Refuse a drw table whose window holds more than DRW_WINDOW_MAX weights, p^(r-1) unformed past it."""
+    r, cap = args.level, args.weight_cap
+    # a window past cap 0 holds more than p^(r-1) weights; two variables are refused by the model
+    if spec.nvars == 1 and cap > 0 and (
+        _exceeds_bits(spec.p, r - 1, math.log2(DRW_WINDOW_MAX))
+        or weight_window_size(cap, spec.p ** (r - 1), spec.is_laurent) > DRW_WINDOW_MAX
+    ):
+        raise PrecisionExhausted(
+            f"--level {r} with --weight-cap {cap} walks more than {DRW_WINDOW_MAX} weights, the drw window budget"
         )
 
 
@@ -232,6 +252,7 @@ def cmd_cartier_check(args):
 
 def cmd_drw(args):
     spec = _load_spec(args)
+    _check_drw_budget(spec, args)
     model = saturate(spec, args.level, args.maxdeg)
     level = strict_truncate(model, args.level)
     bumped = strict_truncate(saturate(spec, args.level, args.maxdeg, R=model.R + 1), args.level)

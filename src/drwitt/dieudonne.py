@@ -19,8 +19,13 @@ The pipeline, per curated ring S of characteristic p:
    exactly the Verschiebung-type generators.
 
 3. `strict_truncate` forms W_r = W/(V^r W + d V^r W) with the induced
-   d; V, which builds the relations, is F^{-1} composed with p, which is
-   well defined by the saturation criterion and solved exactly.
+   d; V, which builds the relations, is F^{-1} composed with p.
+
+The model refuses more than one variable, so each lattice is p^c I on
+the f coefficient digits of one monomial form, and d, F and V are closed
+forms per weight: the scalar (a/m) p^c / P, p^c sigma and p^(c+1)
+sigma^-1, read in the target lattice, where sigma is the lift's
+Frobenius on the digits (see SaturatedModel).
 
 Stabilization of the E_s chain per weight is certified empirically (one
 transition step past the working stage must be an isomorphism); it is a
@@ -39,8 +44,8 @@ exponent u/m has up to v more powers of p in its denominator than u, so
 the working stage is s_star = r + 1 + v (v = 0 without a variable): it
 keeps every exponent of the level-r window as far below the stage as
 r + 1 does for m = 1.  A perfection has the saturated complex W(S) in
-degree 0 and reads its forms, F and V off the lift of its base ring
-through the same slots.
+degree 0 and reads its forms off the lift of its base ring through the
+same slots.
 
 All lattices live at finite precision p^B with B comfortably above the
 reported precision; maps between lattice coordinate systems are exact
@@ -169,18 +174,18 @@ def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
 class SaturatedModel:
     """The saturated de Rham-Witt complex of a curated ring, per weight.
 
-    Weight-u components (denominator up to p^s_star) are lattices with
-    exact matrices for d, F and V; everything is computed lazily, once
-    per class_at key, and certified to have stabilized one eta_p stage
-    beyond the working stage.  Methods ending in `_at` take the numerator
-    a = u p^s_star of the weight; `num` converts a weight to it.
+    Weight-u components (denominator up to p^s_star) are lattices p^c I,
+    built lazily once per class_at key and certified to have stabilized
+    one eta_p stage beyond the working stage; d, F and V on them are
+    closed forms (see `_onto`).  Methods ending in `_at` take the
+    numerator a = u p^s_star of the weight; `num` converts a weight to it.
 
     The working stage is s_star = r_level + 1 + v for a variable of weight
     p^v m' with m' prime to p (v = 0 without a variable), the one
-    denominator policy of the model.  A perfection reads its forms, F and
-    V off `lift`, the lift of its base ring, through the same methods as
-    every other ring; only `lattice_at` (the free module on the degree-0
-    forms, with no certificate) and `top = 0` are its own.
+    denominator policy of the model.  A perfection reads its forms off
+    `lift`, the lift of its base ring, through the same methods as every
+    other ring; only its lattices (the free module on the degree-0 forms,
+    with no certificate) and `top = 0` are its own.
     """
 
     def __init__(self, spec: RingSpec, r_level: int, i_max: int, R: int | None = None):
@@ -210,12 +215,13 @@ class SaturatedModel:
         self.top = 0 if self.is_perfection else self.lift.top
         # m' of the variable weight m = p^v m' (m' prime to p); None without one variable
         self._weight_prime_to_p = p_split(spec.weights[0], self.p)[1] if spec.nvars == 1 else None
-        # per (degree, class_at key), built at the first numerator that asks
-        self._lattices = {}  # Howell basis
-        self._frobs = {}  # F in lattice coordinates
-        self._verschs = {}  # V in lattice coordinates
-        self._f_images = {}  # rows of a lift F -> the one SubQuot that solves against them
-        self._d_reps = {}  # the numerator whose d the class rescales
+        # sigma and sigma^-1 on the coefficient digits, the blocks of F and V
+        self._sigma = [[c % self.lift.q for c in row] for row in self.lift.W._frob_matrix]
+        self._sigma_inv = [list(self.lift.W.frobenius_inverse(row)) for row in identity(self.f)]
+        if self.is_perfection:
+            # no certificate reads a perfection's F, so check it here once
+            self._check_frobenius(0, 0)
+        self._lattices = {}  # (degree, class_at key) -> basis, built at the first numerator that asks
 
     def num(self, u):
         """The numerator u p^s_star of weight u; None past the denominator cap."""
@@ -224,7 +230,7 @@ class SaturatedModel:
 
     @memo
     def class_at(self, a):
-        """Class key of numerator a: numerators with one key have isomorphic pieces.
+        """Class key of numerator a: numerators with one key have isomorphic lattices.
 
         For one variable of weight m = p^v m' (m' prime to p) the key is
         "zero" at a = 0; "none" when m' does not divide a, or a < 0 on a
@@ -242,21 +248,18 @@ class SaturatedModel:
         monomial form per degree <= top (degree 1 on a poly ring too, where
         e and e' are positive), d is e p^j or e' p^j times the identity on
         the coefficient digits, and F is x^e -> x^(p e) tensored with
-        sigma, the same matrix at both.  The two differentials differ by
-        the integer unit e' / e = u(a') / u(a) mod p^B, u the signed
-        prime-to-p part, so E_s = {x : x d in p^s M} is the same submodule
-        of the same coordinates at every stage.  Its Howell basis is
-        canonical, hence the same list, and the stage certificate reads the
-        same F, so it passes or fails at both.  In lattice coordinates F
-        and V (which solves z F = p y) are then the same matrices at a and
-        a', d at a' is u(a') u(a)^-1 times d at a, and the strict relations
-        V^r, V^r d and p^r span the same submodule, whose Howell form is the
-        same.  A perfection's lattice is the free module on the lift's
+        sigma, the same matrix at both.  So E_s = {x : x d in p^s M} is
+        p^c I with the same c at every stage, the certificate passes or
+        fails at both, and the strict relations V^r, V^r d and p^r, whose
+        maps differ by the unit u(a') / u(a) on d only (u the signed
+        prime-to-p part), span the same submodule.  So lattices and strict
+        groups are kept per class; d, F and V are closed forms per
+        numerator.  A perfection's lattice is the free module on the lift's
         degree-0 forms, whose rank the key fixes the same way.
         synlog._orbit_fibers extends the rescaling by u to whole orbits.
         The de Rham side of synlog.nygaard_graded_check at weight e m is
-        x^e -> e x^(e-1) dx over GF(p^f), or nothing (a perfection reads
-        H^0 off the same monomial), so it too depends only on the key.
+        x^e -> e x^(e-1) dx over GF(p^f), or nothing (a perfection reads H^0
+        off the same monomial), so it too depends only on the key.
         """
         m = self._weight_prime_to_p
         if a == 0:
@@ -265,14 +268,6 @@ class SaturatedModel:
             return "none"
         return p_split(a, self.p)[0]
 
-    def _per_class(self, table, build, n, a):
-        """build(n, a) at the first numerator of (n, class_at(a)); the same value at every later one."""
-        key = n, self.class_at(a)
-        value = table.get(key)
-        if value is None:
-            value = table[key] = build(n, a)
-        return value
-
     # -- lattice bases -------------------------------------------------------
 
     def _stage_lattice(self, n, w, s):
@@ -280,11 +275,12 @@ class SaturatedModel:
 
         Soundness: nvars <= 1 => d = e I_f.  With at most one variable the
         lift has at most one monomial form per degree at weight w, so d on
-        x^e is the exponent e times the identity on the f coefficient
+        x^e is the exponent e = w/m times the identity on the f coefficient
         digits (the zero matrix at e = 0).  Then x d = e x lies in p^s M
         exactly when x lies in p^(s - v_p(e)) M, and p^c I is the Howell
-        basis of that lattice.  D is checked against e I, so a lift that
-        breaks the assumption raises instead of returning a wrong lattice.
+        basis of that lattice.  D is checked against (w/m) I, so a lift that
+        breaks the assumption raises instead of returning a wrong lattice,
+        and d_at may read the scalar off a and m.
         """
         k = self.lift.rank(n, w)
         if k == 0:
@@ -296,25 +292,25 @@ class SaturatedModel:
         e = D[0][0]
         if D != identity(k, e):
             raise AssertionError(f"d at degree {n}, lift weight {w} is not a scalar matrix")
+        if e != w // self.spec.weights[0] % self.lift.q:
+            raise AssertionError(f"d at degree {n}, lift weight {w} is {e}, not w/m mod p^B")
         c = max(0, s - p_split(e, self.p)[0]) if e else 0
         return identity(k, self.p**c)
 
     def lattice_at(self, n, a):
-        """Howell basis of the degree-n component at numerator a (ambient coords).
-
-        Built and certified once per class_at key (see there).
-        """
-        return self._per_class(self._lattices, self._lattice, n, a)
-
-    def _lattice(self, n, a):
-        if self.is_perfection:
-            # the free lattice on the Teichmuller monomials x^(e/p^s_star) of
-            # the lift's degree-0 forms x^e; W(S) has no higher degrees
-            k = self.ambient_rank_at(n, a)
-            return identity(k) if k else []
-        basis = self._stage_lattice(n, a, self.s_star)
-        if basis:
-            self._certify(n, a, basis)
+        """Howell basis of the degree-n component at numerator a (ambient coords), once per class_at key."""
+        key = n, self.class_at(a)
+        basis = self._lattices.get(key)
+        if basis is None:
+            if self.is_perfection:
+                # the free lattice on the Teichmuller monomials x^(e/p^s_star)
+                # of the lift's degree-0 forms x^e; W(S) has no higher degrees
+                basis = identity(self.ambient_rank_at(n, a))
+            else:
+                basis = self._stage_lattice(n, a, self.s_star)
+                if basis:
+                    self._certify(n, a, basis)
+            self._lattices[key] = basis
         return basis
 
     def rank_at(self, n, a):
@@ -329,11 +325,17 @@ class SaturatedModel:
         """
         return self.lift.rank(n, a) if n <= self.top else 0
 
+    def _check_frobenius(self, n, w):
+        """The lift's F at degree n, lift weight w, checked to be sigma (frob_at and versch_at assume it)."""
+        F = self.lift.f_matrix(n, w)
+        if F != self._sigma:
+            raise AssertionError(f"F at degree {n}, lift weight {w} is not sigma on the coefficient digits")
+        return F
+
     def _certify(self, n, a, cur):
         """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
         nxt = self._stage_lattice(n, a * self.p, self.s_star + 1)
-        F = self.lift.f_matrix(n, a)
-        img = mat_mul(self._amb, cur, F)
+        img = mat_mul(self._amb, cur, self._check_frobenius(n, a))
         if len(cur) != len(nxt):
             raise PrecisionExhausted(
                 f"saturation not stabilized at degree {n} weight {Fraction(a, self.P)}: "
@@ -372,84 +374,45 @@ class SaturatedModel:
 
     # -- structure maps (matrices over Z/p^R in lattice coordinates) ---------
 
+    def _onto(self, x, M, tgt, escaped):
+        """x M in the coordinates of the lattice tgt = p^c' I, mod p^R.
+
+        A map that is a multiple of M on the digits (M = I, sigma or sigma^-1,
+        a unit matrix) sends the source basis p^c I to x M, x a multiple of
+        p^c; that lies in tgt exactly when p^c' divides x.
+        """
+        pc, q = tgt[0][0], self.ring.q
+        if x % pc:
+            raise PrecisionExhausted(escaped)
+        c = x // pc % q
+        return [[c * y % q for y in row] for row in M]
+
     @memo
     def d_at(self, n, a):
-        """d: (n, a) -> (n+1, a).
-
-        It is computed at the first numerator rep of a's class_at key and
-        is u(a) u(rep)^-1 times that matrix at every other (see class_at).
-        """
-        rep = self._d_reps.setdefault((n, self.class_at(a)), a)
-        if rep != a:
-            q = self.ring.q
-            c = p_split(a, self.p)[1] * pow(p_split(rep, self.p)[1], -1, q) % q
-            return [[c * x % q for x in row] for row in self.d_at(n, rep)]
-        src = self.lattice_at(n, a)
-        tgt = self.lattice_at(n + 1, a)
+        """d: (n, a) -> (n+1, a): the lift's d, e = a/m times I (see _stage_lattice), over P."""
+        src, tgt = self.lattice_at(n, a), self.lattice_at(n + 1, a)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
-        D = self.lift.d_matrix(n, a)
-        ps = self.P
-        img = []
-        for h in mat_mul(self._amb, src, D):
-            if any(x % ps for x in h):
-                raise InexactDivision("saturated differential not divisible")
-            img.append([x // ps for x in h])
-        out = self._express(img, tgt)
-        if out is None:
-            raise PrecisionExhausted("d image escapes the target lattice")
-        return out
+        x = a // self.spec.weights[0] * src[0][0]
+        if x % self.P:
+            raise InexactDivision("saturated differential not divisible")
+        return self._onto(x // self.P, identity(len(src)), tgt, "d image escapes the target lattice")
 
     def frob_at(self, n, a):
-        """F: (n, a) -> (n, p a), once per class_at key."""
-        return self._per_class(self._frobs, self._frob, n, a)
-
-    def _frob(self, n, a):
-        src = self.lattice_at(n, a)
-        tgt = self.lattice_at(n, a * self.p)
+        """F: (n, a) -> (n, p a): the lift's F, x^e -> x^(p e) tensored with sigma (see _certify)."""
+        src, tgt = self.lattice_at(n, a), self.lattice_at(n, a * self.p)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
-        F = self.lift.f_matrix(n, a)
-        img = mat_mul(self._amb, src, F)
-        out = self._express(img, tgt)
-        if out is None:
-            raise PrecisionExhausted("F image escapes the target lattice")
-        return out
+        return self._onto(src[0][0], self._sigma, tgt, "F image escapes the target lattice")
 
     def versch_at(self, n, a):
-        """V = F^{-1} p: (n, a) -> (n, a/p), once per class_at key.
-
-        None when p does not divide a (the denominator cap).  That test is
-        per numerator, since the key "none" holds numerators on both sides.
-        """
+        """V = F^{-1} p: (n, a) -> (n, a/p), z = p y sigma^-1; None when p does not divide a (the cap)."""
         if a % self.p:
             return None
-        return self._per_class(self._verschs, self._versch, n, a)
-
-    def _versch(self, n, a):
-        src = self.lattice_at(n, a)
-        down = a // self.p
-        tgt = self.lattice_at(n, down)
+        src, tgt = self.lattice_at(n, a), self.lattice_at(n, a // self.p)
         if not src or not tgt:
             return [[0] * len(tgt) for _ in src]
-        # solve z . F = p y for each basis row y, z in ambient coords at lift
-        # weight a/p; one SubQuot on the rows of F serves every row, and every
-        # (degree, weight) whose F is the same matrix
-        F = self.lift.f_matrix(n, down)
-        key = tuple(map(tuple, F))
-        image = self._f_images.get(key)
-        if image is None:
-            image = self._f_images[key] = SubQuot(self._amb, len(F[0]), F, [])
-        out = []
-        for row in src:
-            z = image.coords([(self.p * x) % self._amb.q for x in row])
-            if z is None:
-                raise PrecisionExhausted("Verschiebung solve failed (not in F image)")
-            coords = self._express([z], tgt)
-            if coords is None:
-                raise PrecisionExhausted("Verschiebung image not in the lattice")
-            out += coords
-        return out
+        return self._onto(self.p * src[0][0], self._sigma_inv, tgt, "Verschiebung image not in the lattice")
 
     # -- Teichmuller / dlog helpers ------------------------------------------
 

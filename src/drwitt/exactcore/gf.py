@@ -156,9 +156,6 @@ class GF:
         """x -> x^p, the absolute Frobenius."""
         return self.power(a, self.p)
 
-    def elements(self):
-        return range(self.q)
-
     def units(self):
         return range(1, self.q)
 

@@ -139,24 +139,7 @@ def _map_kernel(ring, A: FinModPresentation, B: FinModPresentation, fmat) -> Inv
 
 
 # ---------------------------------------------------------------------------
-# gr, t, c
-
-def gr(F: FilteredComplex, variant="auto") -> GradedComplex:
-    """Associated graded: degreewise cokernel when transitions are
-    injective (or zero, as in t-embeddings), mapping cone in general;
-    the two agree in homology exactly in the injective case."""
-    if variant == "auto":
-        variant = "cokernel" if F.transitions_injective(allow_zero=True) else "cone"
-    if variant == "cokernel" and not F.transitions_injective(allow_zero=True):
-        raise NonInjectiveTransitions("cokernel variant needs injective (or zero) transitions")
-    slots = {}
-    for n in range(F.lo, F.hi + 1):
-        if variant == "cokernel":
-            slots[n] = _cokernel_complex(F.ring, F.level(n + 1), F.level(n), F.transition(n))
-        else:
-            slots[n] = cone(F.ring, F.level(n + 1), F.level(n), F.transition(n))
-    return GradedComplex(F.ring, slots)
-
+# cokernels and cones of a transition
 
 def _cokernel_complex(ring, src: FinComplex, tgt: FinComplex, f: dict) -> FinComplex:
     mods, diffs = {}, {}
@@ -196,22 +179,6 @@ def cone(ring, src: FinComplex, tgt: FinComplex, f: dict) -> FinComplex:
             rows.append(row)
         diffs[m] = rows
     return FinComplex(ring, mods, diffs)
-
-
-def t_embed(X: GradedComplex, lo, hi) -> FilteredComplex:
-    """t(X): level n is X^n with zero transitions."""
-    levels = {n: X.slot(n) for n in range(lo, hi + 1)}
-    maps = {}
-    for n in range(lo, hi):
-        src, tgt = X.slot(n + 1), X.slot(n)
-        maps[n] = {m: [[0] * tgt.module(m).ngens for _ in range(src.module(m).ngens)] for m in src.degrees()}
-    return FilteredComplex(X.ring, lo, hi, levels, maps)
-
-
-def c_embed(Y: FinComplex, n, lo, hi) -> FilteredComplex:
-    """c_n(Y): Y in filtration slot n, zero elsewhere."""
-    X = GradedComplex(Y.ring, {n: Y})
-    return t_embed(X, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from collections import namedtuple
 
 from .exactcore import InvariantFactors
 from .rings import RingSpec
-from .synlog import log_lattice, syntomic
+from .synlog import log_lattice
 
 
 class KTableRow(namedtuple("KTableRow", [
@@ -138,20 +138,5 @@ def hiller_check(spec: RingSpec, i_max: int) -> bool:
         raise ValueError("hiller_check applies to perfect rings")
     for i in range(1, i_max + 1):
         if not log_lattice(spec, i, 1).invariants.is_trivial():
-            return False
-    return True
-
-
-def consistency_triangle(p: int, i_max: int, r: int) -> bool:
-    """quillen mod p^r, k_predict, and syntomic H^i agree for GF(p)."""
-    fp = RingSpec(p=p, kind="finite_field")
-    q = quillen_table(p, i_max, r)
-    k = k_predict(fp, i_max, r)
-    for i in range(0, i_max + 1):
-        a = q.row(i, f"p^{r}").group
-        b = k.row(i, f"p^{r}").group
-        S = syntomic(fp, i, r, min(i_max, 4), 1)
-        c = S.group(i)
-        if not (a == b == c):
             return False
     return True

@@ -21,6 +21,7 @@ This module is the one owner of enumeration and of monomial forms:
     sign_insert(j, J)            sign of dx_j ^ dx_J and the sorted index
     p_split(w, p)                (v, u) with w = u p^v, u prime to p
     weight_window(cap, den, laurent)  the weights a table or model runs over
+    weight_window_size(cap, den, laurent)  their number, without listing them
     RingSpec.base()              the ring a perfection is taken of
 
 Text format (one spec per file):
@@ -158,6 +159,13 @@ def weight_window(cap, den, laurent):
     hi = cap.numerator * den // cap.denominator
     lo = -hi if laurent else 0
     return [num // den if num % den == 0 else Fraction(num, den) for num in range(lo, hi + 1)]
+
+
+def weight_window_size(cap, den, laurent):
+    """len(weight_window(cap, den, laurent)), counted in O(1), so a caller can bound the walk first."""
+    cap = Fraction(cap)
+    hi = cap.numerator * den // cap.denominator
+    return max(0, 2 * hi + 1 if laurent else hi + 1)
 
 
 class RingSpec(namedtuple("RingSpec", "p kind variables weights relations f base_kind")):
@@ -542,10 +550,6 @@ class MonomialAlgebra:
 
     def constant(self, code):
         return {self._zero_exps(): code} if code else {}
-
-    def variable(self, i, power=1):
-        exps = tuple(wkey(Fraction(power)) if j == i else 0 for j in range(self.spec.nvars))
-        return self.reduce({exps: 1})
 
     def add(self, a, b):
         out = dict(a)

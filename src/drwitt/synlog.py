@@ -98,49 +98,6 @@ class NygaardModel:
         c = p ** (n - i)
         return [[(c * x) % self.ring.q for x in row] for row in F]
 
-    def check_identities(self, weights):
-        """phi o can = p^i (phi/p^i) and the chain-map property, per weight."""
-        i, model, p = self.i, self.model, self.p
-        for v in weights:
-            a = model.num(v)
-            for n in range(0, model.top + 1):
-                if not self.param_rank(n, a):
-                    continue
-                inc = self.inclusion_matrix(n, a)
-                phi_div = self.divided_frobenius_matrix(n, a)
-                # phi = p^n F on W; composed with the inclusion it must equal
-                # p^i times the divided Frobenius
-                Fmat = model.frob_at(n, a)
-                lhs = mat_mul(self.ring, inc, [[(p**n * x) % self.ring.q for x in row] for row in Fmat]) if Fmat else []
-                rhs = [[(p**i * x) % self.ring.q for x in row] for row in phi_div]
-                if lhs != rhs:
-                    raise AssertionError(f"phi o can != p^i phi/p^i at degree {n}, weight {v}")
-        return True
-
-
-def nygaard(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> NygaardModel:
-    model = saturate(spec, r, max(i_max, i + 1))
-    N = NygaardModel(model, i)
-    probe = [w for w in (0, 1) if N.param_rank(min(i, model.top), w * model.P)]
-    N.check_identities(probe or [0])
-    return N
-
-
-def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
-    """Divided-Frobenius matrices per (degree, weight) with exactness asserted.
-
-    The weights are those of denominator up to p^(s_star - 1), which is
-    p^(r + v) for a variable weight p^v m'.
-    """
-    out = {}
-    den = N.model.p ** (N.model.s_star - 1)
-    for v in weight_window(weight_cap, den, N.model.spec.is_laurent):
-        a = N.model.num(v)
-        for n in range(0, N.model.top + 1):
-            if N.param_rank(n, a):
-                out[(n, v)] = N.divided_frobenius_matrix(n, a)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # orbit assembly for the syntomic fiber

@@ -23,7 +23,10 @@ presentation before they read the caller's SubQuot.  Also a howell counter,
 a loader for the benchmark's workload modules, the symbolic universal
 Witt laws that drwitt.witt's arithmetic is checked against, and the
 span tests, the dF = pFd spot check and the maps between strict levels
-that only the tests read."""
+that only the tests read, and the library functions that only the tests
+called: the Nygaard identity check and builder, the divided-Frobenius
+table, gr and the slot embeddings t and c_n, the K-theory consistency
+triangle, GF.elements and MonomialAlgebra.variable."""
 
 import importlib.util
 import sys
@@ -35,7 +38,14 @@ from pathlib import Path
 
 from drwitt.derham import DeRhamComplex, RelativeCartier
 from drwitt.dieudonne import GUARD, LiftComplex, SaturatedModel, StrictLevel, saturate, strict_truncate
-from drwitt.errors import DrwittError, HomSetTooLarge, InexactDivision, PrecisionExhausted, UnsupportedKind
+from drwitt.errors import (
+    DrwittError,
+    HomSetTooLarge,
+    InexactDivision,
+    NonInjectiveTransitions,
+    PrecisionExhausted,
+    UnsupportedKind,
+)
 from drwitt.exactcore import (
     GF,
     FinComplex,
@@ -58,7 +68,8 @@ from drwitt.exactcore import (
 )
 from drwitt.exactcore import zmodp
 from drwitt.exactcore.modules import residue
-from drwitt.filtspec import FilteredComplex
+from drwitt.filtspec import FilteredComplex, GradedComplex, _cokernel_complex, cone
+from drwitt.kpredict import k_predict, quillen_table
 from drwitt.rings import (
     MonomialAlgebra,
     RingSpec,
@@ -78,6 +89,7 @@ from drwitt.synlog import (
     _tau_cohomology,
     _weight_support,
     log_lattice,
+    syntomic,
     weight_orbits,
 )
 from drwitt.witt import WittVector, _poly_add, _poly_divexact, _poly_mul, _poly_scale
@@ -1590,3 +1602,112 @@ def reference_perfection_consistency_check(spec: RingSpec, r: int, weight_cap) -
                 if coords is None or not target.presentation().is_zero_element(coords):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# library functions that only the tests call, moved from the package
+# verbatim (a method takes its instance for `self`): the Nygaard identity
+# check and the model builder that runs it, the divided-Frobenius table,
+# the associated graded and the slot embeddings t and c_n of filtered
+# complexes, the K-theory consistency triangle, a field's element codes and
+# a variable of a monomial algebra
+
+def check_identities(self: NygaardModel, weights):
+    """phi o can = p^i (phi/p^i) and the chain-map property, per weight."""
+    i, model, p = self.i, self.model, self.p
+    for v in weights:
+        a = model.num(v)
+        for n in range(0, model.top + 1):
+            if not self.param_rank(n, a):
+                continue
+            inc = self.inclusion_matrix(n, a)
+            phi_div = self.divided_frobenius_matrix(n, a)
+            # phi = p^n F on W; composed with the inclusion it must equal
+            # p^i times the divided Frobenius
+            Fmat = model.frob_at(n, a)
+            lhs = mat_mul(self.ring, inc, [[(p**n * x) % self.ring.q for x in row] for row in Fmat]) if Fmat else []
+            rhs = [[(p**i * x) % self.ring.q for x in row] for row in phi_div]
+            if lhs != rhs:
+                raise AssertionError(f"phi o can != p^i phi/p^i at degree {n}, weight {v}")
+    return True
+
+
+def nygaard(spec: RingSpec, i: int, r: int, i_max: int, weight_cap) -> NygaardModel:
+    model = saturate(spec, r, max(i_max, i + 1))
+    N = NygaardModel(model, i)
+    probe = [w for w in (0, 1) if N.param_rank(min(i, model.top), w * model.P)]
+    check_identities(N, probe or [0])
+    return N
+
+
+def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
+    """Divided-Frobenius matrices per (degree, weight) with exactness asserted.
+
+    The weights are those of denominator up to p^(s_star - 1), which is
+    p^(r + v) for a variable weight p^v m'.
+    """
+    out = {}
+    den = N.model.p ** (N.model.s_star - 1)
+    for v in weight_window(weight_cap, den, N.model.spec.is_laurent):
+        a = N.model.num(v)
+        for n in range(0, N.model.top + 1):
+            if N.param_rank(n, a):
+                out[(n, v)] = N.divided_frobenius_matrix(n, a)
+    return out
+
+
+def gr(F: FilteredComplex, variant="auto") -> GradedComplex:
+    """Associated graded: degreewise cokernel when transitions are
+    injective (or zero, as in t-embeddings), mapping cone in general;
+    the two agree in homology exactly in the injective case."""
+    if variant == "auto":
+        variant = "cokernel" if F.transitions_injective(allow_zero=True) else "cone"
+    if variant == "cokernel" and not F.transitions_injective(allow_zero=True):
+        raise NonInjectiveTransitions("cokernel variant needs injective (or zero) transitions")
+    slots = {}
+    for n in range(F.lo, F.hi + 1):
+        if variant == "cokernel":
+            slots[n] = _cokernel_complex(F.ring, F.level(n + 1), F.level(n), F.transition(n))
+        else:
+            slots[n] = cone(F.ring, F.level(n + 1), F.level(n), F.transition(n))
+    return GradedComplex(F.ring, slots)
+
+
+def t_embed(X: GradedComplex, lo, hi) -> FilteredComplex:
+    """t(X): level n is X^n with zero transitions."""
+    levels = {n: X.slot(n) for n in range(lo, hi + 1)}
+    maps = {}
+    for n in range(lo, hi):
+        src, tgt = X.slot(n + 1), X.slot(n)
+        maps[n] = {m: [[0] * tgt.module(m).ngens for _ in range(src.module(m).ngens)] for m in src.degrees()}
+    return FilteredComplex(X.ring, lo, hi, levels, maps)
+
+
+def c_embed(Y: FinComplex, n, lo, hi) -> FilteredComplex:
+    """c_n(Y): Y in filtration slot n, zero elsewhere."""
+    X = GradedComplex(Y.ring, {n: Y})
+    return t_embed(X, lo, hi)
+
+
+def consistency_triangle(p: int, i_max: int, r: int) -> bool:
+    """quillen mod p^r, k_predict, and syntomic H^i agree for GF(p)."""
+    fp = RingSpec(p=p, kind="finite_field")
+    q = quillen_table(p, i_max, r)
+    k = k_predict(fp, i_max, r)
+    for i in range(0, i_max + 1):
+        a = q.row(i, f"p^{r}").group
+        b = k.row(i, f"p^{r}").group
+        S = syntomic(fp, i, r, min(i_max, 4), 1)
+        c = S.group(i)
+        if not (a == b == c):
+            return False
+    return True
+
+
+def elements(self: GF):
+    return range(self.q)
+
+
+def variable(self: MonomialAlgebra, i, power=1):
+    exps = tuple(wkey(Fraction(power)) if j == i else 0 for j in range(self.spec.nvars))
+    return self.reduce({exps: 1})

@@ -612,6 +612,7 @@ BAD_FLAGS = [
     ["specseq", "run", "--input", "{maplist}"],
     ["syntomic", "--ring", "{poly}", "--twist", "0", "--modp", "100000"],
     ["specseq", "run", "--input", "{zmodnhuge}"],
+    ["drw", "table", "--ring", "{poly}", "--level", "17"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -691,6 +692,7 @@ BAD_FLAG_IDS = [
     "specseq-transitions-a-list",
     "syntomic-modp-past-budget",
     "specseq-zmod-N-past-budget",
+    "drw-level-past-budget",
 ]
 
 
@@ -722,7 +724,16 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
 
     from helpers import load_perfbench
 
-    from drwitt.cli import MODP_BITS_MAX, WINDOW_MAX, ZMOD_BITS_MAX, _check_modp_budgets, build_parser
+    from drwitt.cli import (
+        DRW_WINDOW_MAX,
+        MODP_BITS_MAX,
+        WINDOW_MAX,
+        ZMOD_BITS_MAX,
+        _check_drw_budget,
+        _check_modp_budgets,
+        build_parser,
+    )
+    from drwitt.dieudonne import saturate, strict_truncate
     from drwitt.errors import PrecisionExhausted
     from drwitt.synlog import window_size
 
@@ -733,6 +744,17 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
         except PrecisionExhausted:
             return False
         return True
+
+    def admits_drw(spec, args):
+        try:
+            _check_drw_budget(spec, args)
+        except PrecisionExhausted:
+            return False
+        return True
+
+    def drw_args(level, cap):
+        argv = ["drw", "table", "--ring", "unread.ring", "--level", str(level), "--weight-cap", str(cap)]
+        return build_parser().parse_args(argv)
 
     # --modp r needs f r log2(p) bits: at p = 3 that is 4095.5 at r = 2584 and 4097.1 at r = 2585
     fp, f8, lau = (parse_ringspec(Path(rings[k]).read_text()) for k in ("fp", "f8", "lau"))
@@ -747,6 +769,22 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     assert main(["check", "fundamental-seq", "--ring", rings["lau"], "--modp", "17"]) == 1
     budget = f"--modp 17 with --weight-cap 4 walks more than {WINDOW_MAX} weight numerators, the window budget"
     assert capsys.readouterr().err == f"error: {budget}\n"
+    # drw table at p = 2 walks cap 2^(r-1) + 1 weights on a poly ring and twice that, plus one, on a Laurent ring
+    poly = parse_ringspec(Path(rings["poly"]).read_text())
+    assert DRW_WINDOW_MAX == 10**5 and len(strict_truncate(saturate(poly, 3, 2), 3).weights(4)) == 17
+    assert admits_drw(poly, drw_args(15, 4)) and not admits_drw(poly, drw_args(16, 4))
+    assert admits_drw(poly, drw_args(16, 3)) and not admits_drw(poly, drw_args(17, 4))  # 98305 and 262145
+    assert admits_drw(lau, drw_args(14, 4)) and not admits_drw(lau, drw_args(15, 4))  # 65537 and 131073
+    assert admits_drw(poly, drw_args(10**9, 0))  # the window at cap 0 is {0}
+    assert main(["drw", "table", "--ring", rings["poly"], "--level", "17"]) == 1
+    budget = f"--level 17 with --weight-cap 4 walks more than {DRW_WINDOW_MAX} weights, the drw window budget"
+    assert capsys.readouterr().err == f"error: {budget}\n"
+    # every ring of the fixture (hugep is refused at parse) at the drw defaults,
+    # and at the largest level of any drw call in this file
+    for name, path in rings.items():
+        if name != "hugep":
+            spec = parse_ringspec(Path(path).read_text())
+            assert admits_drw(spec, drw_args(2, 4)) and admits_drw(spec, drw_args(3, 3)), name
     # a Zmod ring's residues take N log2(p) bits
     doc = json.loads(Path(bad_inputs["zmodnhuge"]).read_text())
     with pytest.raises(PrecisionExhausted) as caught:
@@ -762,7 +800,7 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     # sweep cell at its largest window, cap * p
     workloads = load_perfbench("workloads")
     jobs = [job for name in workloads.WORKLOADS for job in workloads.all_jobs(name)]
-    checked = 0
+    checked = drw_checked = 0
     for job in jobs:
         spec = parse_ringspec(job.spec)
         if "--modp" in job.argv:
@@ -773,7 +811,10 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
             _, r, cap, _, _ = job.cell
             assert admits(spec, r, cap * spec.p), job.id
             checked += 1
-    assert checked > 10
+        elif job.argv[0] == "drw":
+            assert admits_drw(spec, build_parser().parse_args([*job.argv, "--ring", "unread.ring"])), job.id
+            drw_checked += 1
+    assert checked > 10 and drw_checked == len(workloads.all_jobs("drw_tables"))
 
 
 def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drwitt.dieudonne import (
+    LiftComplex,
     SaturatedModel,
     StrictLevel,
     internal_precision,
@@ -321,6 +322,67 @@ def test_a_stage_lattice_refuses_a_d_that_is_not_scalar():
         model._stage_lattice(0, a, model.s_star)
 
 
+def test_a_stage_lattice_refuses_a_scalar_d_that_is_not_w_over_m():
+    # d_at reads the scalar off a and m; the unit multiple 4 of the lift's
+    # scalar 1 at x^1 (weight 2) gives the same lattice but is refused
+    model = SaturatedModel(spec("p=3\nf=2\nkind=poly\nvars=x:2"), 1, 1)
+    a = 2
+    assert model._stage_lattice(0, a, model.s_star) == identity(2, 3**model.s_star)
+    model.lift.d_matrix = lambda n, w: identity(2, 4)
+    with pytest.raises(AssertionError, match="is 4, not w/m"):
+        model._stage_lattice(0, a, model.s_star)
+
+
+def test_a_lift_f_that_is_not_sigma_is_refused(monkeypatch):
+    # frob_at and versch_at read sigma: a certificate checks the lift's F at
+    # its class, and a perfection, which has no certificate, at construction
+    model = SaturatedModel(spec("p=3\nf=2\nkind=poly\nvars=x:1"), 1, 1)
+    assert model.lift.f_matrix(0, 1) == model._sigma != identity(2)
+    model.lift.f_matrix = lambda n, w: identity(2)
+    with pytest.raises(AssertionError, match="is not sigma"):
+        model.lattice_at(0, 1)
+    perf = spec("p=3\nf=2\nkind=perfection of poly\nvars=x:1")
+    assert SaturatedModel(perf, 1, 1).lattice_at(0, 1) == identity(2)
+    monkeypatch.setattr(LiftComplex, "f_matrix", lambda self, n, w: identity(2))
+    with pytest.raises(AssertionError, match="is not sigma"):
+        SaturatedModel(perf, 1, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_maps_read_no_lift_matrix(p, monkeypatch):
+    # d, F and V are closed forms on the lattices: once the lattices they
+    # read are built, they call neither the lift's d_matrix nor its f_matrix
+    calls = []
+
+    def counting(name):
+        method = getattr(LiftComplex, name)
+
+        def wrapped(self, n, w):
+            calls.append(name)
+            return method(self, n, w)
+
+        monkeypatch.setattr(LiftComplex, name, wrapped)
+
+    counting("d_matrix")
+    counting("f_matrix")
+    nonzero = 0
+    for s in weight_class_specs(p):
+        model = saturate(s, 2, 1)
+        grid = _lattice_grid(model, 2)
+        for a in grid:
+            for b in (a, a * p, a // p):
+                for n in range(model.top + 3):
+                    model.lattice_at(n, b)
+        built = len(calls)
+        for a in grid:
+            for n in range(model.top + 2):
+                maps = model.d_at(n, a), model.frob_at(n, a), model.versch_at(n, a)
+                nonzero += sum(1 for M in maps if M and any(map(any, M)))
+        assert len(calls) == built, s
+    # the counter sees the lattices' reads, and the maps are not all zero
+    assert "d_matrix" in calls and "f_matrix" in calls and nonzero
+
+
 @pytest.mark.parametrize("kind", ONE_VAR_KINDS)
 @pytest.mark.parametrize("f", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -523,6 +585,35 @@ def test_maps_match_the_per_numerator_reference(p):
                     assert level.invariants(n, u) == want.invariants(), (s, r, n, u)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_maps_match_the_reference_where_sigma_has_order_three(p):
+    # at f <= 2 sigma is its own inverse, so only f = 3 tells V = p sigma^-1
+    # from p sigma; d, F and V are compared cell by cell with the generic
+    # per-numerator maps, and V F = F V = p is checked in lattice coordinates
+    for kind in ("kind=poly\nvars=x:1", "kind=laurent\nvars=x:{p}", "kind=perfection of poly\nvars=x:1"):
+        s = spec(f"p={p}\nf=3\n" + kind.format(p=p))
+        model, ref = saturate(s, 1, 1), saturate(s, 1, 1)
+        assert model._sigma_inv != model._sigma
+        for a in _lattice_grid(model, 1):
+            for n in range(model.top + 2):
+                cell = s, n, a
+                assert model.d_at(n, a) == reference_d_at(ref, n, a), cell
+                assert model.frob_at(n, a) == reference_frob_at(ref, n, a), cell
+                assert model.versch_at(n, a) == reference_versch_at(ref, n, a), cell
+                if n <= model.top and model.rank_at(n, a):
+                    pI = identity(model.rank_at(n, a), p)
+                    assert mat_mul(model.ring, model.frob_at(n, a), model.versch_at(n, p * a)) == pI, cell
+
+
+def test_a_map_into_a_deeper_lattice_is_refused():
+    # the closed forms divide by the target's p^c'; a remainder is an image
+    # outside the target lattice and raises, naming the map
+    model = saturate(F3X, 1, 1)
+    assert model._onto(3, identity(1), identity(1, 3), "no") == [[1]]
+    with pytest.raises(PrecisionExhausted, match="^F image escapes the target lattice$"):
+        model._onto(3, model._sigma, identity(1, 9), "F image escapes the target lattice")
+
+
 def test_versch_cap_is_per_numerator_inside_one_class():
     # on x:3 over p = 2 the key "none" holds a = 1, which p does not
     # divide, and a = 2, which it does: V is None at 1 and the empty map at
@@ -566,9 +657,10 @@ def test_class_keyed_maps_satisfy_the_dieudonne_identities(p):
 
 
 def test_each_map_and_group_is_built_once_per_class(monkeypatch):
-    # on one-variable cells F, V and each strict group are built once per
-    # (model or level, degree, class_at key), and a class serves more
-    # numerators than it builds at
+    # on one-variable cells each strict group is built once per (level,
+    # degree, class_at key), and a class serves more numerators than it
+    # builds at; d, F and V are closed forms per numerator (see
+    # test_the_maps_read_no_lift_matrix)
     from collections import Counter
 
     from drwitt.synlog import syntomic
@@ -590,8 +682,6 @@ def test_each_map_and_group_is_built_once_per_class(monkeypatch):
         monkeypatch.setattr(owner, name, wrapped)
         monkeypatch.setattr(owner, public, asking)
 
-    counting(SaturatedModel, "_frob", "frob_at")
-    counting(SaturatedModel, "_versch", "versch_at")
     counting(StrictLevel, "_relations", "group")
     syntomic(LAU2, 1, 2, 2, 4)
     level = strict_truncate(saturate(F3X, 2, 1), 2)
@@ -600,7 +690,7 @@ def test_each_map_and_group_is_built_once_per_class(monkeypatch):
             level.invariants(n, u)
             level.d_map(n, u)
     assert set(built.values()) == {1}
-    for name in ("_frob", "_versch", "_relations"):
+    for name in ("_relations",):
         assert 0 < sum(1 for key in built if key[0] == name) < len(asked[name]), name
 
 

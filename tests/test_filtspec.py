@@ -18,17 +18,14 @@ from drwitt.filtspec import (
     FilteredComplex,
     GradedComplex,
     adjunction_check,
-    c_embed,
     chain_hom_group,
     cone,
-    gr,
     homology_filtration_gr,
     spectral_sequence,
-    t_embed,
     two_column_extract,
 )
 from drwitt.rings import parse_ringspec
-from helpers import count_howell_calls, random_filtered_complex, reference_chain_hom_group
+from helpers import c_embed, count_howell_calls, gr, random_filtered_complex, reference_chain_hom_group, t_embed
 
 
 def free_complex(ring, ranks, diffs):

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/drwitt imports a name it never uses,
 none reads the process environment, no self-check is a bare assert, no
-public name is dead, every error class is raised, and the GF(p^f)
-elimination keeps the one name the benchmark's tracer wraps."""
+public name is dead or reached only from tests (beyond a named keep-list),
+every error class is raised, and the GF(p^f) elimination keeps the one
+name the benchmark's tracer wraps."""
 
 import ast
 from pathlib import Path
@@ -153,6 +154,90 @@ def test_the_scan_sees_a_dead_public_name(tmp_path):
     )
     (tmp_path / "use.py").write_text("WRAPPED = ['pkg.mod.traced']\n")
     assert dead_public_names(pkg, [tmp_path]) == ["dead", "exported", "recursive"]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def public_definitions(path):
+    """(name, bare name) of a module's public top-level functions and the
+    public methods of its public top-level classes; a method is named
+    Class.method."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, FUNCTIONS) and not node.name.startswith("_"):
+            out.append((node.name, node.name))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            methods = [f.name for f in node.body if isinstance(f, FUNCTIONS) and not f.name.startswith("_")]
+            out += [(f"{node.name}.{name}", name) for name in methods]
+    return out
+
+
+def names_only_tests_reach(package, library, tests):
+    """Public functions and methods of `package` that a module under `tests`
+    references and no module under `library` does, apart from their own
+    definitions.  A package __init__ that only re-exports a name does not
+    count, and a method counts as reached wherever its bare name is read."""
+    reached = set()
+    for root in library:
+        for path in sorted(root.rglob("*.py")):
+            if path.name != "__init__.py" or not path.is_relative_to(package):
+                reached |= referenced_names(path)
+    tested = set().union(*(referenced_names(path) for root in tests for path in sorted(root.rglob("*.py"))))
+    return sorted(
+        name
+        for path in sorted(package.rglob("*.py"))
+        for name, bare in public_definitions(path)
+        if bare in tested and bare not in reached
+    )
+
+
+# Public names that only tests reach and that stay in src/drwitt on purpose.
+# The library checks behind the acceptance criteria, kept when the code only
+# tests called left the package:
+ACCEPTANCE_CHECKS = {
+    "mod_p_compatibility",
+    "perfection_consistency_check",
+    "adjunction_check",
+    "base_change_check",
+    "log_mod_compat",
+    "nygaard_graded_check",
+    "nygaard_completeness_check",
+    "StrictLevel.d_map",
+}
+# and the functions tests/test_acceptance.py calls:
+ACCEPTANCE_CALLS = {"homology_filtration_gr", "witt_to_unramified", "quillen_table", "hiller_check"}
+
+
+def test_no_public_name_is_reached_only_from_tests():
+    # a function no verb, library check or acceptance criterion calls
+    # belongs in tests/helpers.py, not in the package
+    library, tests = [ROOT / "src", ROOT / "perfbench"], [ROOT / "tests"]
+    defined = {name for path in sorted(SRC.rglob("*.py")) for name, _ in public_definitions(path)}
+    assert ACCEPTANCE_CHECKS | ACCEPTANCE_CALLS <= defined
+    assert ACCEPTANCE_CALLS <= referenced_names(ROOT / "tests" / "test_acceptance.py")
+    found = names_only_tests_reach(SRC, library, tests)
+    assert set(found) - ACCEPTANCE_CHECKS - ACCEPTANCE_CALLS == set()
+    assert ACCEPTANCE_CALLS <= set(found)  # the scan sees what only tests call
+
+
+def test_the_scan_sees_a_name_only_tests_reach(tmp_path):
+    pkg, lib, tests = tmp_path / "pkg", tmp_path / "lib", tmp_path / "tests"
+    for d in (pkg, lib, tests):
+        d.mkdir()
+    (pkg / "__init__.py").write_text("from .mod import Kept, planted\n")
+    (pkg / "mod.py").write_text(
+        "class Kept:\n    def run(self):\n        return self.run()\n\n    def probe(self):\n        pass\n\n"
+        "    def _hidden(self):\n        pass\n\n\n"
+        "def used():\n    return Kept().run()\n\n\ndef planted():\n    return planted()\n\n\n"
+        "def _private():\n    pass\n\n\ndef unread():\n    pass\n"
+    )
+    (lib / "app.py").write_text("from pkg.mod import used\n\nused()\n")
+    (tests / "test_mod.py").write_text(
+        "from pkg import Kept, planted\nfrom pkg.mod import _private, used\n\n"
+        "def test():\n    Kept().probe()\n    Kept()._hidden()\n    planted()\n    used()\n    _private()\n"
+    )
+    assert names_only_tests_reach(pkg, [tmp_path / "pkg", lib], [tests]) == ["Kept.probe", "planted"]
 
 
 def raised_names(path):

@@ -3,8 +3,10 @@
 import pytest
 
 from drwitt.exactcore import InvariantFactors
-from drwitt.kpredict import consistency_triangle, hiller_check, k_predict, quillen_table
+from drwitt.kpredict import hiller_check, k_predict, quillen_table
 from drwitt.rings import parse_ringspec
+
+from helpers import consistency_triangle
 
 
 def spec(text):

@@ -24,7 +24,7 @@ from drwitt.witt import (
     witt_to_unramified,
 )
 
-from helpers import DepthCap, reference_ghost_frobenius, synthesize_law
+from helpers import DepthCap, reference_ghost_frobenius, synthesize_law, variable
 
 
 def alg(text):
@@ -289,7 +289,7 @@ def test_frobenius_kills_v1_in_w2_fp():
 def test_frobenius_of_teichmuller_is_pth_power():
     A = alg("p=3\nkind=poly\nvars=x:1")
     W = WittRing(A, 2)
-    x = A.variable(0)
+    x = variable(A, 0)
     assert frobenius(W.teichmuller(x)) == WittRing(A, 1).teichmuller(A.mul(x, A.mul(x, x)))
 
 
