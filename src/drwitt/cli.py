@@ -7,32 +7,34 @@ are deterministic (sorted keys, no timestamps); `--manifest PATH` writes
 a separate run manifest carrying the wall time and the payload digest,
 so re-running a manifest's command reproduces byte-identical output.
 `witt`, `filtspec` and `kpredict` are imported inside the verbs that use
-them, so no other verb pays for them at start-up.
+them, so no other verb pays for them at start-up.  No verb checks a size
+budget: a model refuses a precision past its bit budget, and each weight
+walk a window past its count, with one `PrecisionExhausted` that names
+the limit.  Only a `specseq` document's `Zmod` ring is sized here, since
+it builds no model.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .dieudonne import saturate, strict_truncate
+from .dieudonne import _exceeds_bits, saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_table
 from .errors import DrwittError, PrecisionExhausted
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
-from .rings import MonomialAlgebra, is_prime, parse_ringspec, weight_window_size
+from .rings import MonomialAlgebra, is_prime, parse_ringspec
 from .synlog import (
     log_lattice,
     nygaard_completeness_check,
     nygaard_graded_check,
     syntomic,
     verify_fundamental_seq,
-    window_size,
 )
 
 SCHEMA_VERSION = 1
@@ -51,64 +53,12 @@ def _load_spec(args):
     return parse_ringspec(args._ring_text)
 
 
-# Size budgets, checked on the ring spec and the flags before anything is
-# built; the times are on a 2-vCPU VM with Python 3.11.
-# --modp r computes in W_r(GF(q)), q = p^f, whose residues take f r log2(p)
-# bits.  At 2^12 bits the slowest verb is kpredict at f = 16 (--modp 256,
-# 3.6 s), where lifting the Frobenius to Z_q takes the time; past it check
-# fundamental-seq at f = 1 grows too (p = 2, --modp 32768: 54 s).
-MODP_BITS_MAX = 2**12
-# syntomic and check fundamental-seq walk every numerator of the level-r
-# weight window, about cap p^r of them at some 5 us and 230 bytes each.
-# syntomic on a Laurent ring at the default cap walks 625001 at p = 5,
-# --modp 7 in 3.3 s, and at p = 2 it walks 2^19 + 1 at --modp 16 in 2.8 s
-# and 2^20 + 1 at --modp 17 in 5.2 s and 220 MB, which the budget refuses.
-WINDOW_MAX = 10**6
-# drw table walks every weight of StrictLevel.weights at --level r, about
-# cap p^(r-1) of them (twice that on a Laurent ring) at some 40 us and
-# 3.2 KB each.  At the default cap a p = 3 poly ring walks 78733 at
-# --level 10 in 3.0-4.2 s and 248 MB; a p = 2 poly ring walks 65537 at
-# --level 15 in 2.5-2.8 s and 131073 at --level 16 in 7.0 s and 407 MB,
-# which the budget refuses.
-DRW_WINDOW_MAX = 10**5
 # A specseq Zmod ring computes with residues of N log2(p) bits: a random
 # two-step filtration of rank-3 modules with full-size entries runs in
-# 6.5 s at p = 2, N = 8192, and in 2.2 s at N = 4096.
+# 6.5 s at p = 2, N = 8192, and in 2.2 s at N = 4096.  It is checked here
+# because the document builds no model; every other size budget lives in
+# the module whose walk or precision it bounds.
 ZMOD_BITS_MAX = 2**13
-
-
-def _exceeds_bits(p, e, bits):
-    """Whether a residue mod p^e takes more than `bits` bits, p^e unformed (e > bits settles it, as p >= 2)."""
-    return e > bits or e * math.log2(p) > bits
-
-
-def _check_modp_budgets(spec, args, window=False):
-    """Refuse a --modp past the precision budget, and past the window budget when the verb walks the window."""
-    r = args.modp
-    if _exceeds_bits(spec.p, spec.f * r, MODP_BITS_MAX):
-        raise PrecisionExhausted(
-            f"--modp {r} at q = {spec.p}^{spec.f} needs residues of more than {MODP_BITS_MAX} bits,"
-            " the precision budget"
-        )
-    # a ring with two variables is refused by the model itself
-    if window and spec.nvars <= 1 and window_size(spec, r, args.weight_cap) > WINDOW_MAX:
-        raise PrecisionExhausted(
-            f"--modp {r} with --weight-cap {args.weight_cap} walks more than {WINDOW_MAX} weight numerators,"
-            " the window budget"
-        )
-
-
-def _check_drw_budget(spec, args):
-    """Refuse a drw table whose window holds more than DRW_WINDOW_MAX weights, p^(r-1) unformed past it."""
-    r, cap = args.level, args.weight_cap
-    # a window past cap 0 holds more than p^(r-1) weights; two variables are refused by the model
-    if spec.nvars == 1 and cap > 0 and (
-        _exceeds_bits(spec.p, r - 1, math.log2(DRW_WINDOW_MAX))
-        or weight_window_size(cap, spec.p ** (r - 1), spec.is_laurent) > DRW_WINDOW_MAX
-    ):
-        raise PrecisionExhausted(
-            f"--level {r} with --weight-cap {cap} walks more than {DRW_WINDOW_MAX} weights, the drw window budget"
-        )
 
 
 def _wkey_str(w):
@@ -252,7 +202,6 @@ def cmd_cartier_check(args):
 
 def cmd_drw(args):
     spec = _load_spec(args)
-    _check_drw_budget(spec, args)
     model = saturate(spec, args.level, args.maxdeg)
     level = strict_truncate(model, args.level)
     bumped = strict_truncate(saturate(spec, args.level, args.maxdeg, R=model.R + 1), args.level)
@@ -294,7 +243,6 @@ def cmd_drw(args):
 
 def cmd_syntomic(args):
     spec = _load_spec(args)
-    _check_modp_budgets(spec, args, window=True)
     S = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap)
     S_bump = syntomic(spec, args.twist, args.modp, args.maxdeg, args.weight_cap, R=S.R + 1)
 
@@ -320,7 +268,6 @@ def cmd_syntomic(args):
 
 def cmd_logforms(args):
     spec = _load_spec(args)
-    _check_modp_budgets(spec, args)
     lat = log_lattice(spec, args.deg, args.modp)
     payload = {
         "command": "logforms",
@@ -345,7 +292,6 @@ def cmd_check(args):
     name = args.which
     twist = args.twist if args.twist is not None else CHECK_TWIST_DEFAULTS[name]
     if name == "fundamental-seq":
-        _check_modp_budgets(spec, args, window=True)
         rep = verify_fundamental_seq(spec, twist, args.modp, args.maxdeg, args.weight_cap)
         ok = (
             rep["off_degree_vanishing"]
@@ -542,7 +488,6 @@ def cmd_kpredict(args):
         raise DrwittError("prediction tables start at degree 0")
     if hi < lo:
         raise DrwittError(f"--range bounds are reversed: {args.range!r}")
-    _check_modp_budgets(spec, args)
     table = k_predict(spec, hi, args.modp)
     if args.markdown and not args.json:
         print(table.to_markdown())

@@ -50,11 +50,17 @@ same slots.
 All lattices live at finite precision p^B with B comfortably above the
 reported precision; maps between lattice coordinate systems are exact
 modulo the reported modulus, and every division by p is checked.
+
+The model owns the size budgets of what it builds: `SaturatedModel`
+refuses a precision p^B whose residues take more than PRECISION_BITS_MAX
+bits before it forms p^B or the lift, and `StrictLevel.weights` refuses
+a window of more than DRW_WINDOW_MAX weights before it lists one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log2
 
 from .errors import InexactDivision, PrecisionExhausted, UnsupportedKind
 from .exactcore import (
@@ -69,10 +75,31 @@ from .exactcore import (
     identity,
     mat_mul,
     member,
+    power,
 )
-from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
+from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window, weight_window_size
 
 GUARD = 2
+# Size budgets; the times are on a 2-vCPU VM with Python 3.11.
+# A model works modulo p^B, B = R + 2 s_star + 2, and a residue over GF(p^f)
+# takes f B log2(p) bits, as does each lattice entry, sigma entry and
+# Newton step of the Frobenius lift.  At 2^14 bits the slowest verbs are
+# drw table at the drw window budget (a p = 2 poly ring, --level 15
+# --maxdeg 16332, 2.9-3.6 s) and kpredict at f = 24 (--modp 222, 4.0-4.6 s;
+# at f = 16, --modp 336 takes 2.0-2.6 s); at 2^15 bits kpredict at f = 16
+# (--modp 678) takes 10.2 s.
+PRECISION_BITS_MAX = 2**14
+# StrictLevel.weights lists about cap p^(r-1) weights (twice that on a Laurent
+# ring), and drw table spends some 40 us and 3.2 KB on each.  At the default
+# cap a p = 3 poly ring walks 78733 at level 10 in 3.0-4.2 s and 248 MB; a
+# p = 2 poly ring walks 65537 at level 15 in 2.5-2.8 s and 131073 at level 16
+# in 7.0 s and 407 MB, which the budget refuses.
+DRW_WINDOW_MAX = 10**5
+
+
+def _exceeds_bits(p, e, bits):
+    """Whether a residue mod p^e takes more than `bits` bits, p^e unformed (e > bits settles it, as p >= 2)."""
+    return e > bits or e * log2(p) > bits
 
 
 def internal_precision(r: int, i_max: int) -> int:
@@ -81,11 +108,6 @@ def internal_precision(r: int, i_max: int) -> int:
     A caller that wants another precision passes `R` to `saturate`.
     """
     return r + i_max + GUARD
-
-
-def stage_exponent(spec: RingSpec, r_level: int) -> int:
-    """The working stage s_star = r_level + 1 + v of a level-r_level model (see SaturatedModel)."""
-    return r_level + 1 + (p_split(spec.weights[0], spec.p)[0] if spec.weights else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +225,30 @@ class SaturatedModel:
         self.spec = spec
         self.p = spec.p
         self.is_perfection = spec.kind == "perfection"
-        self.s_star = stage_exponent(spec, r_level)
-        self.P = self.p**self.s_star
+        # the variable weight m = p^v m' (m' prime to p); v = 0 and no m' without one variable
+        v, self._weight_prime_to_p = p_split(spec.weights[0], self.p) if spec.nvars == 1 else (0, None)
+        self.s_star = r_level + 1 + v
         self.R = R if R is not None else internal_precision(r_level, i_max)
         self.B = self.R + 2 * self.s_star + 2
+        if _exceeds_bits(self.p, spec.f * self.B, PRECISION_BITS_MAX):
+            field = f"GF({self.p}^{spec.f})" if spec.f > 1 else f"GF({self.p})"
+            given = f"twist bound {i_max}" if R is None else f"precision R = {R}"
+            raise PrecisionExhausted(
+                f"a level-{r_level} model with {given} works modulo {self.p}^B, B = {self.B},"
+                f" whose residues over {field} take more than {PRECISION_BITS_MAX} bits, the precision budget"
+            )
+        self.P = self.p**self.s_star
         self.ring = ZmodRing(self.p, self.R)
         self._amb = ZmodRing(self.p, self.B)
         self._residue_field = ZmodRing(self.p, 1)  # for the certificate's invertibility test
         self.lift = lift_with_frobenius(spec, self.B)
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
-        # m' of the variable weight m = p^v m' (m' prime to p); None without one variable
-        self._weight_prime_to_p = p_split(spec.weights[0], self.p)[1] if spec.nvars == 1 else None
         # sigma and sigma^-1 on the coefficient digits, the blocks of F and V
         self._sigma = [[c % self.lift.q for c in row] for row in self.lift.W._frob_matrix]
-        self._sigma_inv = [list(self.lift.W.frobenius_inverse(row)) for row in identity(self.f)]
+        # sigma has order f (sigma = I at f = 1), so sigma^-1 = sigma^(f-1), formed by
+        # binary powering in O(f^3 log f) operations
+        self._sigma_inv = power(lambda x, y: mat_mul(self._amb, x, y), self._sigma, max(1, self.f - 1))
         if self.is_perfection:
             # no certificate reads a perfection's F, so check it here once
             self._check_frobenius(0, 0)
@@ -472,7 +503,14 @@ class StrictLevel:
         self._invariants = {}  # SubQuot -> its invariants
 
     def weights(self, weight_cap):
-        return weight_window(weight_cap, self.p ** (self.r - 1), self.model.spec.is_laurent)
+        """The level-r weight window, counted (p^(r-1) < p^B is small) and refused past DRW_WINDOW_MAX."""
+        den, laurent = self.p ** (self.r - 1), self.model.spec.is_laurent
+        if weight_window_size(weight_cap, den, laurent) > DRW_WINDOW_MAX:
+            raise PrecisionExhausted(
+                f"a level-{self.r} window with weight cap {weight_cap} holds more than {DRW_WINDOW_MAX} weights,"
+                " the drw window budget"
+            )
+        return weight_window(weight_cap, den, laurent)
 
     def _relations(self, n, a):
         """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator), unreduced."""

@@ -33,6 +33,15 @@ def _poly_mulmod(a, b, mod, q):
     return [x % q for x in out[:f]]
 
 
+def _poly_eval(coeffs, x, mod, q):
+    """The polynomial coeffs (constant term first) at x, modulo (mod, q), by Horner's rule."""
+    acc = [0] * (len(mod) - 1)
+    for c in reversed(coeffs):
+        acc = _poly_mulmod(acc, x, mod, q)
+        acc[0] = (acc[0] + c) % q
+    return acc
+
+
 def _digits(code, p, n):
     """The n base-p digits of code, least significant first."""
     out = []
@@ -245,51 +254,36 @@ class Zq:
     def mul(self, a, b):
         return tuple(_poly_mulmod(a, b, self.modulus, self.q))
 
-    def _poly_eval(self, coeffs, x):
-        acc = self.zero()
-        for c in reversed(coeffs):
-            acc = self.mul(acc, x)
-            acc = self.add(acc, self.scal(c, self.one()))
-        return acc
-
     def _lift_frobenius(self):
-        # Hensel: find tau == t^p (mod p) with m(tau) == 0 (mod p^B)
+        """sigma on the basis t^i: row i is tau^i, tau the root of m with tau == t^p mod p.
+
+        Newton iteration with doubling precision (von zur Gathen and
+        Gerhard, Modern Computer Algebra, 9.2).  Each round starts with
+        tau a root mod p^k and y = 1/m'(tau) mod p^k; tau - m(tau) y is a
+        root mod p^2k, and y (2 - m'(tau) y) at the new tau inverts m' mod
+        p^2k.  So only the last round works modulo p^B.
+        """
         if self.f == 1:
             return [[1]]
-        t = tuple(1 if i == 1 else 0 for i in range(self.f))
-        tau = power(self.mul, t, self.p)
-        mprime = [(i * self.modulus[i]) % self.q for i in range(1, self.f + 1)]
-        prec = 1
-        while prec < self.B:
-            val = self._poly_eval(self.modulus, tau)
-            der = self._poly_eval(mprime, tau)
-            corr = self.mul(val, self._inv(der))
-            tau = self.sub(tau, corr)
-            prec *= 2
-        if self._poly_eval(self.modulus, tau) != self.zero():
-            raise AssertionError(f"Hensel lift of the Frobenius root fails mod {self.p}^{self.B}")
-        # matrix of the substitution t^i -> tau^i on coefficient rows
-        rows = []
-        row = self.one()
-        for _ in range(self.f):
-            rows.append(list(row))
-            row = self.mul(row, tau)
+        p, mod, K = self.p, self.modulus, self.residue
+        mprime = [i * mod[i] for i in range(1, self.f + 1)]
+        tau = K._decode(K.power(p, p))  # the code p is t
+        y = K._decode(K.inv(K._encode(_poly_eval(mprime, tau, mod, p))))
+        k = 1
+        while k < self.B:
+            k = min(2 * k, self.B)
+            q = p**k
+            corr = _poly_mulmod(_poly_eval(mod, tau, mod, q), y, mod, q)
+            tau = [(x - c) % q for x, c in zip(tau, corr)]
+            if k < self.B:
+                e = _poly_mulmod(_poly_eval(mprime, tau, mod, q), y, mod, q)
+                y = _poly_mulmod(y, [(2 - e[0]) % q] + [-x % q for x in e[1:]], mod, q)
+        if any(_poly_eval(mod, tau, mod, self.q)):
+            raise AssertionError(f"Hensel lift of the Frobenius root fails mod {p}^{self.B}")
+        rows = [list(self.one())]
+        for _ in range(self.f - 1):
+            rows.append(_poly_mulmod(rows[-1], tau, mod, self.q))
         return rows
-
-    def _inv(self, a):
-        # invert a unit (residue invertible) by Newton iteration from the residue inverse
-        K = self.residue
-        res = K._encode([x % self.p for x in a])
-        inv0 = K.inv(res)
-        x = tuple(c % self.q for c in K._decode(inv0))
-        prec = 1
-        while prec < self.B:
-            e = self.sub(self.scal(2, x), self.mul(a, self.mul(x, x)))
-            x = e
-            prec *= 2
-        if self.mul(a, x) != self.one():
-            raise AssertionError(f"Newton inverse of {a} fails mod {self.p}^{self.B}")
-        return x
 
     def frobenius(self, a):
         out = self.zero()

@@ -26,7 +26,9 @@ span tests, the dF = pFd spot check and the maps between strict levels
 that only the tests read, and the library functions that only the tests
 called: the Nygaard identity check and builder, the divided-Frobenius
 table, gr and the slot embeddings t and c_n, the K-theory consistency
-triangle, GF.elements and MonomialAlgebra.variable."""
+triangle, GF.elements and MonomialAlgebra.variable; and the Frobenius
+lift of Zq that ran every Newton step, and the inverse inside it, at
+the full precision p^B."""
 
 import importlib.util
 import sys
@@ -53,6 +55,7 @@ from drwitt.exactcore import (
     InvariantFactors,
     SubQuot,
     ZmodRing,
+    Zq,
     homology,
     howell,
     identity,
@@ -1222,6 +1225,55 @@ def reference_gf_reduce_vector(K: GF, H: list[list[int]], v: list[int]) -> list[
             c = v[col]
             v = [K.sub(x, K.mul(c, y)) for x, y in zip(v, row)]
     return v
+
+
+def reference_poly_eval(self: Zq, coeffs, x):
+    acc = self.zero()
+    for c in reversed(coeffs):
+        acc = self.mul(acc, x)
+        acc = self.add(acc, self.scal(c, self.one()))
+    return acc
+
+
+def reference_lift_frobenius(self: Zq):
+    # Hensel: find tau == t^p (mod p) with m(tau) == 0 (mod p^B)
+    if self.f == 1:
+        return [[1]]
+    t = tuple(1 if i == 1 else 0 for i in range(self.f))
+    tau = power(self.mul, t, self.p)
+    mprime = [(i * self.modulus[i]) % self.q for i in range(1, self.f + 1)]
+    prec = 1
+    while prec < self.B:
+        val = reference_poly_eval(self, self.modulus, tau)
+        der = reference_poly_eval(self, mprime, tau)
+        corr = self.mul(val, reference_inv(self, der))
+        tau = self.sub(tau, corr)
+        prec *= 2
+    if reference_poly_eval(self, self.modulus, tau) != self.zero():
+        raise AssertionError(f"Hensel lift of the Frobenius root fails mod {self.p}^{self.B}")
+    # matrix of the substitution t^i -> tau^i on coefficient rows
+    rows = []
+    row = self.one()
+    for _ in range(self.f):
+        rows.append(list(row))
+        row = self.mul(row, tau)
+    return rows
+
+
+def reference_inv(self: Zq, a):
+    # invert a unit (residue invertible) by Newton iteration from the residue inverse
+    K = self.residue
+    res = K._encode([x % self.p for x in a])
+    inv0 = K.inv(res)
+    x = tuple(c % self.q for c in K._decode(inv0))
+    prec = 1
+    while prec < self.B:
+        e = self.sub(self.scal(2, x), self.mul(a, self.mul(x, x)))
+        x = e
+        prec *= 2
+    if self.mul(a, x) != self.one():
+        raise AssertionError(f"Newton inverse of {a} fails mod {self.p}^{self.B}")
+    return x
 
 
 class reference_FinModPresentation:

@@ -10,6 +10,7 @@ import pkgutil
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -613,6 +614,11 @@ BAD_FLAGS = [
     ["syntomic", "--ring", "{poly}", "--twist", "0", "--modp", "100000"],
     ["specseq", "run", "--input", "{zmodnhuge}"],
     ["drw", "table", "--ring", "{poly}", "--level", "17"],
+    ["drw", "table", "--ring", "{f8}", "--maxdeg", "1000000"],
+    ["syntomic", "--ring", "{f8}", "--twist", "1000000", "--modp", "1"],
+    ["logforms", "--ring", "{f8}", "--deg", "1000000", "--modp", "1"],
+    ["check", "nygaard-complete", "--ring", "{f8}", "--twist", "1000000"],
+    ["drw", "table", "--ring", "{poly}", "--level", "1000000000", "--weight-cap", "0"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -693,12 +699,20 @@ BAD_FLAG_IDS = [
     "syntomic-modp-past-budget",
     "specseq-zmod-N-past-budget",
     "drw-level-past-budget",
+    "drw-maxdeg-past-precision-budget",
+    "syntomic-twist-past-precision-budget",
+    "logforms-deg-past-precision-budget",
+    "nygaard-complete-twist-past-precision-budget",
+    "drw-level-past-precision-budget",
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_FLAGS, ids=BAD_FLAG_IDS)
 def test_bad_flags_are_one_line_errors(rings, bad_inputs, capsys, argv):
+    # a budget that admits a runaway fails here on time, not only on exit code
+    start = time.perf_counter()
     code = main([a.format(**rings, **bad_inputs) for a in argv])
+    assert time.perf_counter() - start < 2
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.err
@@ -719,72 +733,84 @@ def test_the_one_verb_parser_gives_the_full_parsers_errors(rings, bad_inputs, ca
     assert (main(argv), capsys.readouterr()) == one_verb
 
 
-def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings, bad_inputs, capsys):
-    import argparse
+def refusal(build):
+    """The message of the PrecisionExhausted that build() raises; None when it raises none."""
+    from drwitt.errors import PrecisionExhausted
 
+    try:
+        build()
+    except PrecisionExhausted as e:
+        return str(e)
+    return None
+
+
+def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings, bad_inputs, capsys):
     from helpers import load_perfbench
 
-    from drwitt.cli import (
-        DRW_WINDOW_MAX,
-        MODP_BITS_MAX,
-        WINDOW_MAX,
-        ZMOD_BITS_MAX,
-        _check_drw_budget,
-        _check_modp_budgets,
-        build_parser,
-    )
-    from drwitt.dieudonne import saturate, strict_truncate
+    from drwitt.cli import ZMOD_BITS_MAX, build_parser
+    from drwitt.dieudonne import DRW_WINDOW_MAX, PRECISION_BITS_MAX, SaturatedModel
     from drwitt.errors import PrecisionExhausted
-    from drwitt.synlog import window_size
+    from drwitt.synlog import WINDOW_MAX, _weight_support
 
-    def admits(spec, modp, cap=None):
-        args = argparse.Namespace(modp=modp, weight_cap=cap)
-        try:
-            _check_modp_budgets(spec, args, window=cap is not None)
-        except PrecisionExhausted:
-            return False
-        return True
-
-    def admits_drw(spec, args):
-        try:
-            _check_drw_budget(spec, args)
-        except PrecisionExhausted:
-            return False
-        return True
-
-    def drw_args(level, cap):
-        argv = ["drw", "table", "--ring", "unread.ring", "--level", str(level), "--weight-cap", str(cap)]
-        return build_parser().parse_args(argv)
-
-    # --modp r needs f r log2(p) bits: at p = 3 that is 4095.5 at r = 2584 and 4097.1 at r = 2585
-    fp, f8, lau = (parse_ringspec(Path(rings[k]).read_text()) for k in ("fp", "f8", "lau"))
-    assert MODP_BITS_MAX == 4096 and admits(fp, 2584) and not admits(fp, 2585)
-    assert admits(f8, 1365) and not admits(f8, 1366)  # f = 3 at p = 2
-    assert main(["logforms", "--ring", rings["fp"], "--deg", "0", "--modp", "2585"]) == 1
-    budget = "--modp 2585 at q = 3^1 needs residues of more than 4096 bits, the precision budget"
+    fp, f8, poly, lau = (parse_ringspec(Path(rings[k]).read_text()) for k in ("fp", "f8", "poly", "lau"))
+    # the precision budget: a model's residues take f B log2(p) bits, B = R + 2 s* + 2,
+    # R = r + i_max + 2 and s* = r + 1, so B = i_max + 9 for a level-1 model
+    assert PRECISION_BITS_MAX == 2**14
+    assert SaturatedModel(f8, 1, 5452).B == 5461  # 3 B = 16383 bits over GF(2^3)
+    budget = (
+        "a level-1 model with twist bound 5453 works modulo 2^B, B = 5462,"
+        " whose residues over GF(2^3) take more than 16384 bits, the precision budget"
+    )
+    assert refusal(lambda: SaturatedModel(f8, 1, 5453)) == budget
+    assert main(["drw", "table", "--ring", rings["f8"], "--maxdeg", "5453", "--level", "1"]) == 1
     assert capsys.readouterr().err == f"error: {budget}\n"
-    # the p = 2 Laurent window at cap 4 holds 2 * 4 * 2^r + 1 numerators
-    assert [window_size(lau, r, 4) for r in (16, 17)] == [2**19 + 1, 2**20 + 1]
-    assert admits(lau, 16, 4) and not admits(lau, 17, 4) and admits(lau, 17, 1)
-    assert main(["check", "fundamental-seq", "--ring", rings["lau"], "--modp", "17"]) == 1
-    budget = f"--modp 17 with --weight-cap 4 walks more than {WINDOW_MAX} weight numerators, the window budget"
-    assert capsys.readouterr().err == f"error: {budget}\n"
-    # drw table at p = 2 walks cap 2^(r-1) + 1 weights on a poly ring and twice that, plus one, on a Laurent ring
-    poly = parse_ringspec(Path(rings["poly"]).read_text())
-    assert DRW_WINDOW_MAX == 10**5 and len(strict_truncate(saturate(poly, 3, 2), 3).weights(4)) == 17
-    assert admits_drw(poly, drw_args(15, 4)) and not admits_drw(poly, drw_args(16, 4))
-    assert admits_drw(poly, drw_args(16, 3)) and not admits_drw(poly, drw_args(17, 4))  # 98305 and 262145
-    assert admits_drw(lau, drw_args(14, 4)) and not admits_drw(lau, drw_args(15, 4))  # 65537 and 131073
-    assert admits_drw(poly, drw_args(10**9, 0))  # the window at cap 0 is {0}
+    # over GF(3) the bits are B log2(3): 16383.7 at B = 10337 and 16385.3 at B = 10338
+    assert SaturatedModel(fp, 1, 10328).B == 10337
+    budget = "a level-1 model with twist bound 10329 works modulo 3^B, B = 10338, whose residues over GF(3)"
+    assert refusal(lambda: SaturatedModel(fp, 1, 10329)).startswith(budget)
+    # a precision the caller gives counts the same way, as does the level: B = 3 r + i_max + 6
+    # on a p = 2 poly ring, and level 10^9 is refused before p^s* is formed
+    assert SaturatedModel(fp, 1, 1, 10331).B == 10337
+    budget = "a level-1 model with precision R = 10332 works modulo 3^B, B = 10338, whose residues"
+    assert refusal(lambda: SaturatedModel(fp, 1, 1, 10332)).startswith(budget)
+    assert SaturatedModel(poly, 5458, 2).B == 16382 and refusal(lambda: SaturatedModel(poly, 5459, 2))
+    budget = (
+        "a level-1000000000 model with twist bound 2 works modulo 2^B, B = 3000000008,"
+        " whose residues over GF(2) take more than 16384 bits, the precision budget"
+    )
+    assert refusal(lambda: SaturatedModel(poly, 10**9, 2)) == budget
+    # the drw window: at p = 2, cap 2^(r-1) + 1 weights on a poly ring, twice that plus one on a Laurent ring
+    assert DRW_WINDOW_MAX == 10**5
+
+    def drw_window(spec, level, cap):
+        return strict_truncate(saturate(spec, level, 2), level).weights(cap)
+
+    assert len(drw_window(poly, 3, 4)) == 17
+    assert len(drw_window(poly, 15, 4)) == 65537 and len(drw_window(poly, 16, 3)) == 98305
+    assert len(drw_window(lau, 14, 4)) == 65537
+    budget = "a level-16 window with weight cap 4 holds more than 100000 weights, the drw window budget"
+    assert refusal(lambda: drw_window(poly, 16, 4)) == budget  # 131073
+    assert refusal(lambda: drw_window(poly, 17, 4)) and refusal(lambda: drw_window(lau, 15, 4))  # 262145, 131073
     assert main(["drw", "table", "--ring", rings["poly"], "--level", "17"]) == 1
-    budget = f"--level 17 with --weight-cap 4 walks more than {DRW_WINDOW_MAX} weights, the drw window budget"
+    budget = "a level-17 window with weight cap 4 holds more than 100000 weights, the drw window budget"
     assert capsys.readouterr().err == f"error: {budget}\n"
-    # every ring of the fixture (hugep is refused at parse) at the drw defaults,
-    # and at the largest level of any drw call in this file
-    for name, path in rings.items():
-        if name != "hugep":
-            spec = parse_ringspec(Path(path).read_text())
-            assert admits_drw(spec, drw_args(2, 4)) and admits_drw(spec, drw_args(3, 3)), name
+    # the syntomic window: at p = 2, a Laurent ring at cap c holds 2 c 2^r + 1 numerators
+    assert WINDOW_MAX == 10**6
+    assert len(_weight_support(saturate(lau, 16, 3), 4, 16)) == 2**19 + 1
+    assert len(_weight_support(saturate(lau, 17, 3), 1, 17)) == 2**18 + 1
+    budget = "a weight window with cap 4 and denominators up to 2^17 holds more than 1000000 numerators"
+    budget += ", the window budget"
+    assert refusal(lambda: _weight_support(saturate(lau, 17, 3), 4, 17)) == budget
+    assert main(["check", "fundamental-seq", "--ring", rings["lau"], "--modp", "17"]) == 1
+    assert capsys.readouterr().err == f"error: {budget}\n"
+    # every ring of the fixture that the model covers (hugep is refused at parse,
+    # cusp and perf2 as unsupported), at the drw defaults and at --level 3 --weight-cap 3
+    for name in ("fp", "f8", "poly", "lau"):
+        spec = parse_ringspec(Path(rings[name]).read_text())
+        for level, cap in ((2, 4), (3, 3)):
+            model = saturate(spec, level, 2)
+            saturate(spec, level, 2, R=model.R + 1)
+            strict_truncate(model, level).weights(cap)
     # a Zmod ring's residues take N log2(p) bits
     doc = json.loads(Path(bad_inputs["zmodnhuge"]).read_text())
     with pytest.raises(PrecisionExhausted) as caught:
@@ -796,25 +822,52 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     doc["ring"]["N"] = ZMOD_BITS_MAX + 1
     with pytest.raises(PrecisionExhausted):
         load_filtered_complex(doc)
-    # every benchmark job is admitted: a CLI job as its verb checks it, a
-    # sweep cell at its largest window, cap * p
-    workloads = load_perfbench("workloads")
+    # every benchmark job builds its models and walks its windows within the
+    # budgets: a CLI job's base and R+1 models, a sweep cell's too, and the
+    # sweep's windows at base and at cap * p
+    workloads, sweep = load_perfbench("workloads"), load_perfbench("sweep")
     jobs = [job for name in workloads.WORKLOADS for job in workloads.all_jobs(name)]
-    checked = drw_checked = 0
+    walked = {"drw": 0, "syntomic": 0, "check": 0, "cell": 0}
     for job in jobs:
         spec = parse_ringspec(job.spec)
-        if "--modp" in job.argv:
+        if job.cell:
+            twist, r, cap, strict_cap, _ = job.cell
+            model = saturate(spec, r, max(sweep.I_MAX, twist + 1))
+            for m in (model, saturate(spec, r, max(sweep.I_MAX, twist + 1), model.R + 1)):
+                strict_truncate(m, r).weights(strict_cap)
+            _weight_support(model, cap, r)
+            _weight_support(model, cap * spec.p, r)
+            walked["cell"] += 1
+        elif job.argv[0] in walked:
             args = build_parser().parse_args([*job.argv, "--ring", "unread.ring"])
-            assert admits(spec, args.modp, args.weight_cap), job.id
-            checked += 1
-        elif job.cell:
-            _, r, cap, _, _ = job.cell
-            assert admits(spec, r, cap * spec.p), job.id
-            checked += 1
-        elif job.argv[0] == "drw":
-            assert admits_drw(spec, build_parser().parse_args([*job.argv, "--ring", "unread.ring"])), job.id
-            drw_checked += 1
-    assert checked > 10 and drw_checked == len(workloads.all_jobs("drw_tables"))
+            r = args.level if args.verb == "drw" else args.modp
+            model = saturate(spec, r, args.maxdeg if args.verb == "drw" else max(args.maxdeg, args.twist + 1))
+            saturate(spec, r, args.maxdeg, R=model.R + 1)
+            if args.verb == "drw":
+                strict_truncate(model, r).weights(args.weight_cap)
+            else:
+                _weight_support(model, args.weight_cap, r)
+            walked[args.verb] += 1
+    kinds = ["cell" if job.cell else job.argv[0] for job in jobs]
+    assert walked == {kind: kinds.count(kind) for kind in walked} and min(walked.values()) > 5
+
+
+@pytest.mark.parametrize("name", ["fp", "f8", "poly", "lau"])
+def test_a_refusal_reports_the_b_of_the_model_one_step_below_the_limit(rings, name):
+    # one precision policy: raise i_max to the last model admitted; the first
+    # model refused reports a B one past the B that model computed itself
+    from drwitt.dieudonne import PRECISION_BITS_MAX, SaturatedModel
+
+    spec = parse_ringspec(Path(rings[name]).read_text())
+    admitted, refused = 0, PRECISION_BITS_MAX
+    while refused - admitted > 1:
+        mid = (admitted + refused) // 2
+        if refusal(lambda: SaturatedModel(spec, 2, mid)):
+            refused = mid
+        else:
+            admitted = mid
+    below = SaturatedModel(spec, 2, admitted)
+    assert f", B = {below.B + 1}, " in refusal(lambda: SaturatedModel(spec, 2, refused))
 
 
 def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):

@@ -594,6 +594,9 @@ def test_maps_match_the_reference_where_sigma_has_order_three(p):
         s = spec(f"p={p}\nf=3\n" + kind.format(p=p))
         model, ref = saturate(s, 1, 1), saturate(s, 1, 1)
         assert model._sigma_inv != model._sigma
+        # sigma^(f-1) by binary powering is f - 1 applications of Zq.frobenius
+        W = model.lift.W
+        assert model._sigma_inv == [list(W.frobenius_inverse(row)) for row in identity(3)]
         for a in _lattice_grid(model, 1):
             for n in range(model.top + 2):
                 cell = s, n, a

@@ -49,6 +49,7 @@ from helpers import (
     reference_gf_rref,
     reference_homology_subquot,
     reference_howell,
+    reference_lift_frobenius,
     reference_SubQuot,
     solve,
 )
@@ -382,6 +383,16 @@ def test_zq_frobenius_and_teichmuller():
         for _ in range(f):
             y = W.frobenius(y)
         assert y == x
+
+
+def test_the_doubling_lift_matches_the_full_precision_lift():
+    # the lift doubles its precision each Newton round and carries 1/m'(tau)
+    # along; the reference runs every step, and every inverse, modulo p^B
+    for p in (2, 3, 5):
+        for f in (1, 2, 3, 4):
+            for B in range(1, 41):
+                W = Zq(p, f, B)
+                assert W._frob_matrix == reference_lift_frobenius(W), (p, f, B)
 
 
 def test_gf_power_and_zq_product_agree_with_repeated_products():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from drwitt import dieudonne, synlog
 from drwitt.dieudonne import SaturatedModel, StrictLevel, perfection_consistency_check, saturate, strict_truncate
+from drwitt.errors import PrecisionExhausted
 from drwitt.exactcore import InvariantFactors, mat_mul
 from drwitt.rings import parse_ringspec
 from drwitt.synlog import (
@@ -20,7 +21,6 @@ from drwitt.synlog import (
     syntomic,
     verify_fundamental_seq,
     weight_orbits,
-    window_size,
 )
 import helpers
 from helpers import (
@@ -41,6 +41,7 @@ from helpers import (
     reference_span_invariants,
     reference_weight_class,
     reference_weight_orbits,
+    reference_weight_support,
     solve,
     weight_class_specs,
 )
@@ -195,13 +196,21 @@ def test_weight_orbits_match_the_weight_keyed_walk(p, kind, r, cap, den_exp):
 
 @pytest.mark.parametrize("kind", WALK_KINDS)
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_window_size_counts_the_window_a_model_walks(p, kind):
-    # the CLI's window budget reads the count off the spec, before any model is built
+def test_window_size_counts_the_window_a_model_walks(p, kind, monkeypatch):
+    # _weight_support counts its window in O(1) before listing it: with the
+    # budget at the window's own size it lists every supported numerator, and
+    # one below that it refuses
     ring = spec(f"p={p}\n" + kind.format(p=p, q=p + 1))
     for r in (1, 2, 3):
         m = saturate(ring, r, 2)
         for cap in (0, 1, 4):
-            assert window_size(ring, r, cap) == len(synlog._weight_support(m, cap, r)), (r, cap)
+            want = [m.num(w) for w in reference_weight_support(m, cap, r)]
+            monkeypatch.setattr(synlog, "WINDOW_MAX", len(want))
+            assert synlog._weight_support(m, cap, r) == want, (r, cap)
+            monkeypatch.setattr(synlog, "WINDOW_MAX", len(want) - 1)
+            budget = f"holds more than {len(want) - 1} numerators, the window budget$"
+            with pytest.raises(PrecisionExhausted, match=budget):
+                synlog._weight_support(m, cap, r)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
