@@ -29,7 +29,13 @@ Frobenius on the digits (see SaturatedModel).
 
 Stabilization of the E_s chain per weight is certified empirically (one
 transition step past the working stage must be an isomorphism); it is a
-checked hypothesis of the model, not a proved bound.
+checked hypothesis of the model, not a proved bound.  The certificate is
+decided on lattice exponents: F from p^c I at stage s_star to p^c' I at
+stage s_star + 1 is sigma on the digits, an isomorphism exactly when the
+ranks agree, c = c' and sigma is invertible mod p.  Each fact it reads is
+checked on the lift's forms, not on a matrix: one form per degree at the
+weight, `d_form` a multiple e = w/m of the next one, and `frobenius_form`
+x^e -> x^(p e); sigma mod p is tested once per model.
 
 Inside a model a weight u is its integer numerator a = u p^s_star, which
 is the lift weight of the working stage (F is a -> p a, V is a -> a/p
@@ -118,7 +124,10 @@ class LiftComplex:
 
     Exponents are integers.  Coefficients are the unramified lift Z_q of
     GF(p^f) mod p^B (Z/p^B for f = 1), so a coordinate slot is (monomial
-    form, coefficient digit).
+    form, coefficient digit).  d and F act on the forms through
+    `algebra.d_form` and `algebra.frobenius_form`, and on the digits as
+    the integer coefficient and as sigma = `W._frob_matrix`; the model
+    reads them there and forms no matrix of them.
     """
 
     def __init__(self, spec: RingSpec, B: int):
@@ -142,47 +151,6 @@ class LiftComplex:
 
     def rank(self, n, w):
         return len(self.forms(n, w)) * self.f
-
-    def _coords(self, n, w):
-        return {form: k for k, form in enumerate(self.forms(n, w))}
-
-    @memo
-    def d_matrix(self, n, w):
-        """d: (n, w) -> (n+1, w); slots are form x coefficient-digit."""
-        src = self.forms(n, w)
-        tgt = self._coords(n + 1, w)
-        ncols = len(tgt) * self.f
-        rows = []
-        for form in src:
-            base = [0] * len(tgt)
-            for g, c in self.algebra.d_form(form):
-                base[tgt[g]] = (base[tgt[g]] + c) % self.q
-            for digit in range(self.f):
-                row = [0] * ncols
-                for k, c in enumerate(base):
-                    if c:
-                        row[k * self.f + digit] = c
-                rows.append(row)
-        return rows
-
-    @memo
-    def f_matrix(self, n, w):
-        """F = phi/p^n: (n, w) -> (n, p*w); monomial part has coefficient 1."""
-        src = self.forms(n, w)
-        tgt = self._coords(n, w * self.p)
-        ncols = len(tgt) * self.f
-        sigma = self.W._frob_matrix
-        rows = []
-        for form in src:
-            k = tgt[self.algebra.frobenius_form(form)]
-            for digit in range(self.f):
-                row = [0] * ncols
-                for digit2 in range(self.f):
-                    c = sigma[digit][digit2]
-                    if c:
-                        row[k * self.f + digit2] = c % self.q
-                rows.append(row)
-        return rows
 
 
 def lift_with_frobenius(spec: RingSpec, B: int) -> LiftComplex:
@@ -240,7 +208,6 @@ class SaturatedModel:
         self.P = self.p**self.s_star
         self.ring = ZmodRing(self.p, self.R)
         self._amb = ZmodRing(self.p, self.B)
-        self._residue_field = ZmodRing(self.p, 1)  # for the certificate's invertibility test
         self.lift = lift_with_frobenius(spec, self.B)
         self.f = spec.f
         self.top = 0 if self.is_perfection else self.lift.top
@@ -249,6 +216,10 @@ class SaturatedModel:
         # sigma has order f (sigma = I at f = 1), so sigma^-1 = sigma^(f-1), formed by
         # binary powering in O(f^3 log f) operations
         self._sigma_inv = power(lambda x, y: mat_mul(self._amb, x, y), self._sigma, max(1, self.f - 1))
+        # whether sigma is invertible mod p, which every certificate reads: one f x f Howell form per model
+        Fp = ZmodRing(self.p, 1)
+        H = howell(Fp, [[x % self.p for x in row] for row in self._sigma], self.f)
+        self._sigma_unit = len(H) == self.f and all(Fp.val(H[i][i]) == 0 for i in range(self.f))
         if self.is_perfection:
             # no certificate reads a perfection's F, so check it here once
             self._check_frobenius(0, 0)
@@ -309,20 +280,23 @@ class SaturatedModel:
         x^e is the exponent e = w/m times the identity on the f coefficient
         digits (the zero matrix at e = 0).  Then x d = e x lies in p^s M
         exactly when x lies in p^(s - v_p(e)) M, and p^c I is the Howell
-        basis of that lattice.  D is checked against (w/m) I, so a lift that
-        breaks the assumption raises instead of returning a wrong lattice,
-        and d_at may read the scalar off a and m.
+        basis of that lattice.  The shape is checked on the forms: the lift
+        has one form at (n, w) and one at (n+1, w), and `d_form` sends the
+        first to e times the second (or to nothing, e = 0) with e = w/m mod
+        p^B.  So a lift that breaks the assumption raises instead of
+        returning a wrong lattice, and d_at may read the scalar off a and m.
         """
-        k = self.lift.rank(n, w)
-        if k == 0:
+        src = self.lift.forms(n, w)
+        if not src:
             return []
-        kt = self.lift.rank(n + 1, w)
-        if kt == 0:
+        k = len(src) * self.f
+        tgt = self.lift.forms(n + 1, w)
+        if not tgt:
             return identity(k)
-        D = self.lift.d_matrix(n, w)
-        e = D[0][0]
-        if D != identity(k, e):
+        terms = self.lift.algebra.d_form(src[0])
+        if len(src) != 1 or len(tgt) != 1 or [g for g, _ in terms] not in ([], tgt):
             raise AssertionError(f"d at degree {n}, lift weight {w} is not a scalar matrix")
+        e = terms[0][1] % self.lift.q if terms else 0
         if e != w // self.spec.weights[0] % self.lift.q:
             raise AssertionError(f"d at degree {n}, lift weight {w} is {e}, not w/m mod p^B")
         c = max(0, s - p_split(e, self.p)[0]) if e else 0
@@ -357,29 +331,39 @@ class SaturatedModel:
         return self.lift.rank(n, a) if n <= self.top else 0
 
     def _check_frobenius(self, n, w):
-        """The lift's F at degree n, lift weight w, checked to be sigma (frob_at and versch_at assume it)."""
-        F = self.lift.f_matrix(n, w)
-        if F != self._sigma:
+        """The lift's F at degree n, lift weight w, checked to be sigma (frob_at and versch_at assume it).
+
+        F is x^e -> x^(p e) tensored with sigma on the digits, so it is
+        sigma in the one-form bases exactly when `frobenius_form` sends the
+        one form at (n, w) to the one form at (n, p w).
+        """
+        src, tgt = self.lift.forms(n, w), self.lift.forms(n, w * self.p)
+        if len(src) != 1 or len(tgt) != 1 or self.lift.algebra.frobenius_form(src[0]) != tgt[0]:
             raise AssertionError(f"F at degree {n}, lift weight {w} is not sigma on the coefficient digits")
-        return F
 
     def _certify(self, n, a, cur):
-        """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
+        """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond.
+
+        Decided on lattice exponents.  `cur` is p^c I at (a, s_star) and the
+        stage-(s_star+1) lattice at p a is p^c' I (see _stage_lattice); F
+        between them is sigma on the digits (_check_frobenius).  So F sends
+        `cur` to the rows of p^c sigma.  When sigma is invertible mod p
+        (tested once, in __init__), each of its rows has an entry prime to
+        p, so the image lies in p^c' I exactly when c >= c', and its
+        coordinates there, p^(c - c') sigma, are invertible mod p exactly
+        when c = c'.  The ranks are compared first.
+        """
         nxt = self._stage_lattice(n, a * self.p, self.s_star + 1)
-        img = mat_mul(self._amb, cur, self._check_frobenius(n, a))
+        self._check_frobenius(n, a)
         if len(cur) != len(nxt):
             raise PrecisionExhausted(
                 f"saturation not stabilized at degree {n} weight {Fraction(a, self.P)}: "
                 f"ranks {len(cur)} -> {len(nxt)}"
             )
-        coordM = self._express(img, nxt)
-        if coordM is None:
+        # p^c and p^c', each below p^B, compare as integers
+        if cur[0][0] < nxt[0][0]:
             raise PrecisionExhausted("transition image escapes the next stage")
-        # invertibility mod p of the square coordinate matrix
-        Fp = self._residue_field
-        red = [[x % self.p for x in row] for row in coordM]
-        H = howell(Fp, red, len(coordM))
-        if len(H) != len(coordM) or any(Fp.val(H[i][i]) != 0 for i in range(len(H))):
+        if cur[0][0] != nxt[0][0] or not self._sigma_unit:
             raise PrecisionExhausted(
                 f"saturation transition not bijective at degree {n} weight {Fraction(a, self.P)}"
             )

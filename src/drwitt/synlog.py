@@ -47,15 +47,17 @@ from .exactcore import (
     mat_mul,
     member,
 )
-from .rings import RingSpec, memo, weight_window
+from .rings import RingSpec, memo, weight_window, weight_window_size
 
 # syntomic and verify_fundamental_seq walk every numerator of the level-r
-# window, about cap p^r of them at some 5 us and 230 bytes each, and
-# nygaard_completeness_check the level-2 window at 1.2 us each; the times
-# are on a 2-vCPU VM with Python 3.11.  syntomic on a Laurent ring at the
-# default cap walks 625001 at p = 5, --modp 7 in 3.3 s, and at p = 2 it walks
-# 2^19 + 1 at --modp 16 in 2.8 s and 2^20 + 1 at --modp 17 in 5.2 s and
-# 220 MB, which the budget refuses.
+# window, about cap p^r of them at some 5 us and 230 bytes each,
+# nygaard_completeness_check the level-2 window at 1.2 us each, and
+# nygaard_graded_check the weights of denominator up to p at 3.9 us each;
+# the times are on a 2-vCPU VM with Python 3.11.  syntomic on a Laurent ring
+# at the default cap walks 625001 at p = 5, --modp 7 in 3.3 s, and at p = 2
+# it walks 2^19 + 1 at --modp 16 in 2.8 s and 2^20 + 1 at --modp 17 in 5.2 s
+# and 220 MB, which the budget refuses.  check nygaard-graded on a p = 2 poly
+# ring walks 999999 weights at --weight-cap 499999 in 3.9 s.
 WINDOW_MAX = 10**6
 
 
@@ -582,11 +584,17 @@ def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
     """gr^i_N with phi/p^i mod p against tau^{<=i} Omega, once per weight class.
 
     Both sides at v depend only on the class_at key of its numerator
-    (see SaturatedModel.class_at).
+    (see SaturatedModel.class_at).  The window is counted, and refused past
+    WINDOW_MAX, before a model is built or a weight listed.
     """
+    p = spec.p
+    if weight_window_size(weight_cap, p, spec.is_laurent) > WINDOW_MAX:
+        raise PrecisionExhausted(
+            f"a weight window with cap {weight_cap} and denominators up to {p} holds more than"
+            f" {WINDOW_MAX} weights, the window budget"
+        )
     model = saturate(spec, 1, max(i + 1, 1))
     N = NygaardModel(model, i)
-    p = spec.p
     omega = None if spec.is_perfection else DeRhamComplex(spec, min(i + 1, spec.nvars + 1), Fraction(weight_cap) * p)
     reps = {}
     for v in weight_window(weight_cap, p, spec.is_laurent):

@@ -4,8 +4,9 @@ hom-set enumeration that filtspec.chain_hom_group replaced, a
 reference Howell form to test the kernel against, the weight-keyed
 orbit walk to test the numerator-keyed one against, the quotient
 presentations that rings.MonomialAlgebra.component replaced, the
-relative forms that RelativeCartier built apart from it, the unrescaled
-eta_p decalage, the hand-assembled syntomic certificate and
+relative forms that RelativeCartier built apart from it, the lift's
+dense d and F matrices that the stage lattices and certificates read
+before they were decided on forms, the unrescaled eta_p decalage, the hand-assembled syntomic certificate and
 graded cohomology that synlog replaced, the orbit walk that built both
 fiber schemes for every orbit, the orbit-class key that read the
 rescaled lift, the per-weight strict groups and Nygaard checks that
@@ -661,6 +662,57 @@ def reference_relative_forms(self: RelativeCartier, i, u, v):
     return out
 
 
+# The dense d and F matrices of the lift that SaturatedModel's stage
+# lattices and certificates read before they were decided on the lift's
+# forms, verbatim, taking the lift for `self`.  They assume nothing about
+# the number of forms or variables, so they are the generic references of
+# the oracles below (eta_p, stage lattices, certificates, maps, the
+# dF = pFd check).
+
+def reference_lift_coords(self: LiftComplex, n, w):
+    return {form: k for k, form in enumerate(self.forms(n, w))}
+
+
+@memo
+def reference_lift_d_matrix(self: LiftComplex, n, w):
+    """d: (n, w) -> (n+1, w); slots are form x coefficient-digit."""
+    src = self.forms(n, w)
+    tgt = reference_lift_coords(self, n + 1, w)
+    ncols = len(tgt) * self.f
+    rows = []
+    for form in src:
+        base = [0] * len(tgt)
+        for g, c in self.algebra.d_form(form):
+            base[tgt[g]] = (base[tgt[g]] + c) % self.q
+        for digit in range(self.f):
+            row = [0] * ncols
+            for k, c in enumerate(base):
+                if c:
+                    row[k * self.f + digit] = c
+            rows.append(row)
+    return rows
+
+
+@memo
+def reference_lift_f_matrix(self: LiftComplex, n, w):
+    """F = phi/p^n: (n, w) -> (n, p*w); monomial part has coefficient 1."""
+    src = self.forms(n, w)
+    tgt = reference_lift_coords(self, n, w * self.p)
+    ncols = len(tgt) * self.f
+    sigma = self.W._frob_matrix
+    rows = []
+    for form in src:
+        k = tgt[self.algebra.frobenius_form(form)]
+        for digit in range(self.f):
+            row = [0] * ncols
+            for digit2 in range(self.f):
+                c = sigma[digit][digit2]
+                if c:
+                    row[k * self.f + digit2] = c % self.q
+            rows.append(row)
+    return rows
+
+
 # The unrescaled decalage eta_p of the lifted de Rham complex: a second,
 # independent route to the stage lattices of dieudonne.SaturatedModel,
 # which rescales degree n by p^n.
@@ -677,7 +729,7 @@ def eta_p_lattice(lift: LiftComplex, n: int, w) -> list[list[int]]:
     k = lift.rank(n, w)
     if k == 0:
         return []
-    D = lift.d_matrix(n, w)
+    D = reference_lift_d_matrix(lift, n, w)
     kt = lift.rank(n + 1, w)
     pn = lift.p**n
     if kt == 0:
@@ -694,7 +746,7 @@ def eta_p_differential(lift: LiftComplex, n: int, w, basis, next_basis):
     ring = lift.ring
     if not basis:
         return []
-    D = lift.d_matrix(n, w)
+    D = reference_lift_d_matrix(lift, n, w)
     out = []
     for img in mat_mul(ring, basis, D):
         if not next_basis:
@@ -872,8 +924,8 @@ def reference_orbit_class(model: SaturatedModel, orbit):
     for t, w in enumerate(chain):
         v, u = p_split(w, p)
         inv = pow(u, -1, lift.q)
-        d = [tuple(inv * x % lift.q for x in row) for n in degrees[:-1] for row in lift.d_matrix(n, w)]
-        F = [tuple(row) for n in degrees for row in lift.f_matrix(n, w)] if t + 1 < len(chain) else []
+        d = [tuple(inv * x % lift.q for x in row) for n in degrees[:-1] for row in reference_lift_d_matrix(lift, n, w)]
+        F = [tuple(r) for n in degrees for r in reference_lift_f_matrix(lift, n, w)] if t + 1 < len(chain) else []
         key.append((v, tuple(lift.rank(n, w) for n in degrees), tuple(d), tuple(F)))
     return tuple(key)
 
@@ -954,7 +1006,7 @@ def reference_stage_lattice(self: SaturatedModel, n, w, s):
     kt = self.lift.rank(n + 1, w)
     if kt == 0:
         return identity(k)
-    D = self.lift.d_matrix(n, w)
+    D = reference_lift_d_matrix(self.lift, n, w)
     # the rows of a Howell form that vanish on the D columns are the
     # Howell form of the preimage, so no second normal form is needed
     return preimage(self._amb, D, identity(kt, self.p**s))
@@ -991,7 +1043,7 @@ def reference_lattice_at(self: SaturatedModel, n, a):
 def reference_certify(self: SaturatedModel, n, a, cur):
     """Stabilization certificate: F is iso from the stage-s_star basis `cur` one stage beyond."""
     nxt = self._stage_lattice(n, a * self.p, self.s_star + 1)
-    F = self.lift.f_matrix(n, a)
+    F = reference_lift_f_matrix(self.lift, n, a)
     img = mat_mul(self._amb, cur, F)
     if len(cur) != len(nxt):
         raise PrecisionExhausted(
@@ -1065,7 +1117,7 @@ def reference_d_at(self: SaturatedModel, n, a):
     tgt = self.lattice_at(n + 1, a)
     if not src or not tgt:
         return [[0] * len(tgt) for _ in src]
-    D = self.lift.d_matrix(n, a)
+    D = reference_lift_d_matrix(self.lift, n, a)
     ps = self.P
     img = []
     for h in mat_mul(self._amb, src, D):
@@ -1085,7 +1137,7 @@ def reference_frob_at(self: SaturatedModel, n, a):
     tgt = self.lattice_at(n, a * self.p)
     if not src or not tgt:
         return [[0] * len(tgt) for _ in src]
-    F = self.lift.f_matrix(n, a)
+    F = reference_lift_f_matrix(self.lift, n, a)
     img = mat_mul(self._amb, src, F)
     out = self._express(img, tgt)
     if out is None:
@@ -1105,7 +1157,7 @@ def reference_versch_at(self: SaturatedModel, n, a):
         return [[0] * len(tgt) for _ in src]
     # solve z . F = p y for each basis row y, z in ambient coords at lift
     # weight a/p; one SubQuot on the rows of F serves every row
-    F = self.lift.f_matrix(n, down)
+    F = reference_lift_f_matrix(self.lift, n, down)
     image = SubQuot(self._amb, len(F[0]), F, [])
     out = []
     for row in src:
@@ -1491,8 +1543,8 @@ def check_dieudonne_relations(self: LiftComplex, weights):
         for w in weights:
             src = self.rank(n, w)
             tgt = self.rank(n + 1, w * self.p)
-            A = mat_mul(self.ring, self.f_matrix(n, w), self.d_matrix(n, w * self.p))
-            B = mat_mul(self.ring, self.d_matrix(n, w), self.f_matrix(n + 1, w))
+            A = mat_mul(self.ring, reference_lift_f_matrix(self, n, w), reference_lift_d_matrix(self, n, w * self.p))
+            B = mat_mul(self.ring, reference_lift_d_matrix(self, n, w), reference_lift_f_matrix(self, n + 1, w))
             pB = [[(self.p * x) % self.q for x in row] for row in B]
 
             def pad(M):

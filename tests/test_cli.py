@@ -619,6 +619,7 @@ BAD_FLAGS = [
     ["logforms", "--ring", "{f8}", "--deg", "1000000", "--modp", "1"],
     ["check", "nygaard-complete", "--ring", "{f8}", "--twist", "1000000"],
     ["drw", "table", "--ring", "{poly}", "--level", "1000000000", "--weight-cap", "0"],
+    ["check", "nygaard-graded", "--ring", "{poly}", "--weight-cap", "1000000"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -704,6 +705,7 @@ BAD_FLAG_IDS = [
     "logforms-deg-past-precision-budget",
     "nygaard-complete-twist-past-precision-budget",
     "drw-level-past-precision-budget",
+    "nygaard-graded-weight-cap-past-budget",
 ]
 
 
@@ -750,7 +752,7 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     from drwitt.cli import ZMOD_BITS_MAX, build_parser
     from drwitt.dieudonne import DRW_WINDOW_MAX, PRECISION_BITS_MAX, SaturatedModel
     from drwitt.errors import PrecisionExhausted
-    from drwitt.synlog import WINDOW_MAX, _weight_support
+    from drwitt.synlog import WINDOW_MAX, _weight_support, nygaard_graded_check
 
     fp, f8, poly, lau = (parse_ringspec(Path(rings[k]).read_text()) for k in ("fp", "f8", "poly", "lau"))
     # the precision budget: a model's residues take f B log2(p) bits, B = R + 2 s* + 2,
@@ -803,6 +805,14 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     assert refusal(lambda: _weight_support(saturate(lau, 17, 3), 4, 17)) == budget
     assert main(["check", "fundamental-seq", "--ring", rings["lau"], "--modp", "17"]) == 1
     assert capsys.readouterr().err == f"error: {budget}\n"
+    # the nygaard-graded window: 2 c p + 1 weights of denominator up to p on a Laurent ring at cap c,
+    # c p + 1 on a poly ring; refused before a model is built
+    budget = "a weight window with cap 500000 and denominators up to 2 holds more than 1000000 weights"
+    budget += ", the window budget"
+    assert refusal(lambda: nygaard_graded_check(poly, 1, 500000)) == budget  # 1000001
+    assert refusal(lambda: nygaard_graded_check(lau, 1, 250000))  # 1000001
+    assert main(["check", "nygaard-graded", "--ring", rings["poly"], "--weight-cap", "500000"]) == 1
+    assert capsys.readouterr().err == f"error: {budget}\n"
     # every ring of the fixture that the model covers (hugep is refused at parse,
     # cusp and perf2 as unsupported), at the drw defaults and at --level 3 --weight-cap 3
     for name in ("fp", "f8", "poly", "lau"):
@@ -811,6 +821,7 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
             model = saturate(spec, level, 2)
             saturate(spec, level, 2, R=model.R + 1)
             strict_truncate(model, level).weights(cap)
+        nygaard_graded_check(spec, 1, 4)  # the check defaults
     # a Zmod ring's residues take N log2(p) bits
     doc = json.loads(Path(bad_inputs["zmodnhuge"]).read_text())
     with pytest.raises(PrecisionExhausted) as caught:
@@ -837,6 +848,8 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
                 strict_truncate(m, r).weights(strict_cap)
             _weight_support(model, cap, r)
             _weight_support(model, cap * spec.p, r)
+            if job.cell[-1]:
+                nygaard_graded_check(spec, twist, cap * spec.p)
             walked["cell"] += 1
         elif job.argv[0] in walked:
             args = build_parser().parse_args([*job.argv, "--ring", "unread.ring"])

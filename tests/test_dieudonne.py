@@ -1,6 +1,7 @@
 """Lifts, decalage, saturation, strict levels, and their oracles."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,18 +20,22 @@ from drwitt.dieudonne import (
     strict_truncate,
 )
 from drwitt.errors import PrecisionExhausted, UnsupportedKind
-from drwitt.exactcore import InvariantFactors, ZmodRing, howell, identity, mat_mul
-from drwitt.rings import p_split, parse_ringspec, weight_window, wkey
+from drwitt.exactcore import InvariantFactors, ZmodRing, Zq, howell, identity, mat_mul
+from drwitt.exactcore import modules as exactcore_modules
+from drwitt.rings import MonomialAlgebra, p_split, parse_ringspec, weight_window, wkey
 
 from helpers import (
     check_dieudonne_relations,
     eta_p_lattice,
     frob_to_lower,
+    reference_certify,
     reference_d_at,
     reference_express,
     reference_frob_at,
     reference_group,
     reference_lattice_at,
+    reference_lift_d_matrix,
+    reference_lift_f_matrix,
     reference_stage_lattice,
     reference_strict_invariants,
     reference_versch_at,
@@ -63,7 +68,7 @@ def test_lift_fp_is_rank_one_degree_zero():
     L = lift_with_frobenius(FP, 6)
     assert L.rank(0, 0) == 1
     assert L.rank(1, 0) == 0
-    assert L.f_matrix(0, 0) == [[1]]  # F = phi = id on the lift of F_p
+    assert reference_lift_f_matrix(L, 0, 0) == [[1]]  # F = phi = id on the lift of F_p
 
 
 def test_lift_poly_bases_and_frobenius():
@@ -72,8 +77,8 @@ def test_lift_poly_bases_and_frobenius():
     assert L.forms(0, 2) == [((2,), ())]
     assert L.forms(1, 2) == [((1,), (0,))]
     # F(dx) = x^{p-1} dx
-    assert L.f_matrix(1, 1) == [[1]]  # x^0 dx -> x^{p-1} dx, single slots
-    F0 = L.f_matrix(0, 1)
+    assert reference_lift_f_matrix(L, 1, 1) == [[1]]  # x^0 dx -> x^{p-1} dx, single slots
+    F0 = reference_lift_f_matrix(L, 0, 1)
     assert F0 == [[1]]  # x -> x^p
 
 
@@ -85,7 +90,7 @@ def test_lift_dieudonne_relation():
 
 def test_lift_fq_frobenius_is_witt_frobenius():
     L = lift_with_frobenius(F4, 5)
-    F = L.f_matrix(0, 0)
+    F = reference_lift_f_matrix(L, 0, 0)
     # sigma^2 = id on Z_4-lift
     F2_ = mat_mul(L.ring, F, F)
     eye = [[1 if i == j else 0 for j in range(2)] for i in range(2)]
@@ -122,7 +127,7 @@ def test_eta_p_brute_force_scan_f3x():
             k = L.rank(n, w)
             if k == 0:
                 continue
-            D = L.d_matrix(n, w)
+            D = reference_lift_d_matrix(L, n, w)
             kt = L.rank(n + 1, w)
             got = eta_p_lattice(L, n, w)
             R2 = ZmodRing(3, 2)
@@ -313,11 +318,23 @@ def test_closed_form_lattices_match_the_generic_ones(p, f, m, kind):
 
 
 def test_a_stage_lattice_refuses_a_d_that_is_not_scalar():
-    # the closed form rests on d = e I_f, so another d raises
+    # the closed form rests on d = e I_f on one form per degree, so another
+    # d, injected through the lift's forms, raises
     model = SaturatedModel(spec("p=3\nf=2\nkind=poly\nvars=x:1"), 1, 1)
     a = 1  # x^1 at weight 1/P, where d is 1 and E_s is p^s M
     assert model._stage_lattice(0, a, model.s_star) == identity(2, 3**model.s_star)
-    model.lift.d_matrix = lambda n, w: [[1, 1], [0, 1]]
+    algebra = model.lift.algebra
+    x, dx = algebra.forms(0, a)[0], algebra.forms(1, a)[0]
+    # d(x) = dx + y with a second form at each degree: [[1, 1], [0, 1]] on the forms
+    y0, y1 = ((9,), ()), ((8,), (0,))
+    forms, d_form = algebra.forms, algebra.d_form
+    algebra.forms = lambda n, w: forms(n, w) + ([[y0], [y1]][n] if w == a and n < 2 else [])
+    algebra.d_form = lambda form: [(dx, 1), (y1, 1)] if form == x else d_form(form)
+    with pytest.raises(AssertionError, match="not a scalar matrix"):
+        model._stage_lattice(0, a, model.s_star)
+    # one form per degree, but d sends x to a form other than the one at (1, a)
+    algebra.forms = forms
+    algebra.d_form = lambda form: [(y1, 1)]
     with pytest.raises(AssertionError, match="not a scalar matrix"):
         model._stage_lattice(0, a, model.s_star)
 
@@ -328,59 +345,145 @@ def test_a_stage_lattice_refuses_a_scalar_d_that_is_not_w_over_m():
     model = SaturatedModel(spec("p=3\nf=2\nkind=poly\nvars=x:2"), 1, 1)
     a = 2
     assert model._stage_lattice(0, a, model.s_star) == identity(2, 3**model.s_star)
-    model.lift.d_matrix = lambda n, w: identity(2, 4)
+    dx = model.lift.forms(1, a)[0]
+    model.lift.algebra.d_form = lambda form: [(dx, 4)]
     with pytest.raises(AssertionError, match="is 4, not w/m"):
         model._stage_lattice(0, a, model.s_star)
 
 
 def test_a_lift_f_that_is_not_sigma_is_refused(monkeypatch):
     # frob_at and versch_at read sigma: a certificate checks the lift's F at
-    # its class, and a perfection, which has no certificate, at construction
+    # its class, and a perfection, which has no certificate, at construction;
+    # F is sigma when frobenius_form sends x^e to x^(p e)
     model = SaturatedModel(spec("p=3\nf=2\nkind=poly\nvars=x:1"), 1, 1)
-    assert model.lift.f_matrix(0, 1) == model._sigma != identity(2)
-    model.lift.f_matrix = lambda n, w: identity(2)
+    algebra = model.lift.algebra
+    assert algebra.frobenius_form(((1,), ())) == ((3,), ()) and model._sigma != identity(2)
+    algebra.frobenius_form = lambda form: form
     with pytest.raises(AssertionError, match="is not sigma"):
         model.lattice_at(0, 1)
     perf = spec("p=3\nf=2\nkind=perfection of poly\nvars=x:1")
     assert SaturatedModel(perf, 1, 1).lattice_at(0, 1) == identity(2)
-    monkeypatch.setattr(LiftComplex, "f_matrix", lambda self, n, w: identity(2))
+    monkeypatch.setattr(MonomialAlgebra, "frobenius_form", lambda self, form: ((1,), form[1]))
     with pytest.raises(AssertionError, match="is not sigma"):
         SaturatedModel(perf, 1, 1)
 
 
+def _raised(build):
+    """The message of the PrecisionExhausted that build() raises; None when it raises none."""
+    try:
+        build()
+    except PrecisionExhausted as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("kind", ONE_VAR_KINDS)
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_certificate_matches_its_reference(p, f, kind, monkeypatch):
+    # the certificate decides on lattice exponents what the reference
+    # decides on the lift's dense F, a product, a solve and a Howell form:
+    # both pass on every lattice of a cap-3 window, and a stage-(s*+1)
+    # lattice of another rank, one step deeper or one step shallower, or a
+    # sigma singular mod p makes both raise one message
+    text = f"p={p}\nf={f}\n{kind}"
+    model = SaturatedModel(spec(text), 1, 1)
+    stage, s_next = model._stage_lattice, model.s_star + 1
+    lattices = []
+    for u in weight_window(3, model.P, model.spec.is_laurent):
+        a = model.num(u)
+        for n in range(model.lift.top + 1):
+            cur = stage(n, a, model.s_star)
+            if cur:
+                lattices.append((n, a, cur))
+    assert lattices
+    for n, a, cur in lattices:
+        assert model._certify(n, a, cur) and reference_certify(model, n, a, cur)
+    faults = {
+        "saturation not stabilized": lambda b: b[:-1],
+        "transition image escapes": lambda b: identity(len(b), b[0][0] * p),
+        "saturation transition not bijective": lambda b: identity(len(b), b[0][0] // p) if b[0][0] % p == 0 else None,
+    }
+    for message, fault in faults.items():
+        tested = 0
+        for n, a, cur in lattices:
+            bad = fault(stage(n, a * p, s_next))
+            if bad is None:
+                continue
+            monkeypatch.setattr(model, "_stage_lattice", lambda n, w, s: bad if s == s_next else stage(n, w, s))
+            got = _raised(lambda: model._certify(n, a, cur))
+            assert got == _raised(lambda: reference_certify(model, n, a, cur)), (message, n, a)
+            assert got.startswith(message), (got, n, a)
+            tested += 1
+        # a lattice p^c' I with c' > 0 exists wherever there is a variable
+        assert tested or (message.endswith("bijective") and "finite_field" in kind)
+    lift_frobenius = Zq._lift_frobenius
+
+    def singular(W):
+        sigma = lift_frobenius(W)
+        return sigma[:-1] + [[W.p * x % W.q for x in sigma[-1]]]
+
+    monkeypatch.setattr(Zq, "_lift_frobenius", singular)
+    model = SaturatedModel(spec(text), 1, 1)
+    for n, a, cur in lattices:
+        got = _raised(lambda: model._certify(n, a, cur))
+        assert got == _raised(lambda: reference_certify(model, n, a, cur)), (n, a)
+        assert got.startswith("saturation transition not bijective"), (got, n, a)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_maps_read_no_lift_matrix(p, monkeypatch):
-    # d, F and V are closed forms on the lattices: once the lattices they
-    # read are built, they call neither the lift's d_matrix nor its f_matrix
-    calls = []
+    # the lift has no dense d or F matrix, and past a model's construction
+    # (sigma^-1 by powering, the test of sigma mod p) no lattice,
+    # certificate or map multiplies or row-reduces a matrix: they read the
+    # lift's forms, sigma and the lattice exponents.  On the benchmark's
+    # seed-0 sweep cells at p a certificate forms no Howell form
+    from helpers import load_perfbench
 
-    def counting(name):
-        method = getattr(LiftComplex, name)
+    assert not {"d_matrix", "f_matrix", "_coords"} & set(dir(LiftComplex))
+    calls, certifying = [], [0]
+    for name in ("howell", "mat_mul"):
+        fn = getattr(exactcore_modules, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("drwitt") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(
+                    module, name, lambda *args, fn=fn, name=name: calls.append((name, certifying[0])) or fn(*args)
+                )
+    certify = SaturatedModel._certify
 
-        def wrapped(self, n, w):
-            calls.append(name)
-            return method(self, n, w)
+    def counting_certify(self, *args):
+        certifying[0] += 1
+        try:
+            return certify(self, *args)
+        finally:
+            certifying[0] -= 1
 
-        monkeypatch.setattr(LiftComplex, name, wrapped)
-
-    counting("d_matrix")
-    counting("f_matrix")
-    nonzero = 0
+    monkeypatch.setattr(SaturatedModel, "_certify", counting_certify)
+    nonzero = certified = 0
     for s in weight_class_specs(p):
         model = saturate(s, 2, 1)
+        built = len(calls)
         grid = _lattice_grid(model, 2)
         for a in grid:
             for b in (a, a * p, a // p):
                 for n in range(model.top + 3):
                     model.lattice_at(n, b)
-        built = len(calls)
+        certified += sum(1 for basis in model._lattices.values() if basis)
         for a in grid:
             for n in range(model.top + 2):
                 maps = model.d_at(n, a), model.frob_at(n, a), model.versch_at(n, a)
                 nonzero += sum(1 for M in maps if M and any(map(any, M)))
         assert len(calls) == built, s
-    # the counter sees the lattices' reads, and the maps are not all zero
-    assert "d_matrix" in calls and "f_matrix" in calls and nonzero
+    # the lattices were certified, and the maps are not all zero
+    assert certified and nonzero
+    workloads, sweep = load_perfbench("workloads"), load_perfbench("sweep")
+    cells = [job for job in workloads.select("stability_sweep", 0) if parse_ringspec(job.spec).p == p]
+    calls.clear()
+    for job in cells:
+        _, stable = sweep.sweep_cell(parse_ringspec(job.spec), *job.cell)
+        assert stable, job.id
+    assert not [name for name, inside in calls if inside]
+    assert ("howell", 0) in calls or not cells
 
 
 @pytest.mark.parametrize("kind", ONE_VAR_KINDS)

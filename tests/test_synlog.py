@@ -32,6 +32,8 @@ from helpers import (
     reference_certify_block_invertible,
     reference_compare_h_i_with_log,
     reference_graded_cohomology,
+    reference_lift_d_matrix,
+    reference_lift_f_matrix,
     reference_log_mod_compat,
     reference_nygaard_completeness_check,
     reference_nygaard_graded_check,
@@ -211,6 +213,28 @@ def test_window_size_counts_the_window_a_model_walks(p, kind, monkeypatch):
             budget = f"holds more than {len(want) - 1} numerators, the window budget$"
             with pytest.raises(PrecisionExhausted, match=budget):
                 synlog._weight_support(m, cap, r)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", [2, 3])
+def test_nygaard_graded_counts_its_window_before_walking_it(p, kind, monkeypatch):
+    # nygaard_graded_check counts its weights of denominator up to p in O(1):
+    # with the budget at the window's own size it runs as before, and one
+    # below that it refuses before it builds a model
+    from drwitt.rings import weight_window
+
+    ring, model = spec(f"p={p}\n{kind}"), synlog.saturate
+    for cap in (0, 1, 3):
+        size = len(weight_window(cap, p, ring.is_laurent))
+        monkeypatch.setattr(synlog, "WINDOW_MAX", size)
+        sides = reference_nygaard_graded_check(ring, 1, cap).values()
+        assert nygaard_graded_check(ring, 1, cap) == all(a == b for a, b in sides)
+        monkeypatch.setattr(synlog, "WINDOW_MAX", size - 1)
+        monkeypatch.setattr(synlog, "saturate", None)
+        budget = f"^a weight window with cap {cap} and denominators up to {p} holds more than {size - 1} weights"
+        with pytest.raises(PrecisionExhausted, match=budget + ", the window budget$"):
+            nygaard_graded_check(ring, 1, cap)
+        monkeypatch.setattr(synlog, "saturate", model)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -652,8 +676,8 @@ def test_graded_bridge_is_d_after_v(text, r, monkeypatch):
         want = []
         for y in src:
             # z = V y solves F z = p y on the lift; d z is divisible by p^s*
-            z = solve(amb, m.lift.f_matrix(0, a), [p * x % amb.q for x in y])
-            dz = mat_mul(amb, [z], m.lift.d_matrix(0, a))[0]
+            z = solve(amb, reference_lift_f_matrix(m.lift, 0, a), [p * x % amb.q for x in y])
+            dz = mat_mul(amb, [z], reference_lift_d_matrix(m.lift, 0, a))[0]
             assert all(x % m.P == 0 for x in dz)
             coords = solve(amb, tgt, [x // m.P for x in dz])
             want.append([x % m.ring.q for x in coords])
@@ -771,9 +795,10 @@ def _seed0_sweep_cell(shape_id):
 
 def test_a_sweep_cell_forms_its_pinned_howell_count(monkeypatch):
     # base, R+1 and cap*p of poly at p = 2, twist 1, r = 2: a subquotient
-    # forms each normal form once, and a stage lattice and the maps d, F
-    # and V none, so a rise in the count is a normal form formed twice
+    # forms each normal form once, and a stage lattice, its certificate and
+    # the maps d, F and V none (a model tests sigma mod p once, at
+    # construction), so a rise in the count is a normal form formed twice
     cell = _seed0_sweep_cell("cell-p2-poly-i1-r2-c8")
     calls = count_howell_calls(monkeypatch)
     _, stable = cell()
-    assert stable and len(calls) == 156
+    assert stable and len(calls) == 80
