@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import UnsupportedBaseChange, UnsupportedKind
 from .exactcore import InvariantFactors, SubQuot, gf_rref, normal_form
 from .exactcore.gf import subtract_multiple
-from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window
+from .rings import MonomialAlgebra, RingSpec, memo, p_split, window
 
 
 class _GradedComplex:
@@ -95,7 +95,7 @@ class DeRhamComplex(_GradedComplex):
     # -- weight bookkeeping -------------------------------------------------
 
     def weights(self):
-        return weight_window(self.weight_cap, 1, self.spec.is_laurent)
+        return window(self.weight_cap, 1, self.spec.is_laurent)
 
     def degrees(self):
         return range(0, self.i_max + 1)
@@ -124,7 +124,7 @@ class DeRhamComplex(_GradedComplex):
         # the generator forms of small weight at construction time, by
         # composing the sparse rows of d^i and d^(i+1)
         K = self.K
-        for w in self.weights()[: min(6, len(self.weights()))]:
+        for w in self.weights()[:6]:
             for i in self.degrees():
                 if not self.rank(i, w) or not self.rank(i + 1, w):
                     continue
@@ -184,7 +184,7 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap, omega=None) -> dict:
         unit = p_split(spec.weights[0], spec.p)[1] if spec.weights else 0
         out = {}
         if i == 0:
-            for u in weight_window(weight_cap, 1, spec.is_laurent):
+            for u in window(weight_cap, 1, spec.is_laurent):
                 if u == 0 or (unit and u % unit == 0):
                     out[u] = InvariantFactors((spec.p,) * spec.f)
         return out
@@ -262,9 +262,9 @@ class RelativeCartier(_GradedComplex):
         self.a_idx = tuple(b_spec.variables.index(v) for v in a_vars)
 
     def bigrades(self):
-        window = weight_window(self.cap, 1, self.spec.is_laurent)
-        for u in window:
-            for v in window:
+        weights = window(self.cap, 1, self.spec.is_laurent)
+        for u in weights:
+            for v in weights:
                 yield (u, v)
 
     @memo

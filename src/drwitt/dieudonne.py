@@ -40,8 +40,9 @@ x^e -> x^(p e); sigma mod p is tested once per model.
 Inside a model a weight u is its integer numerator a = u p^s_star, which
 is the lift weight of the working stage (F is a -> p a, V is a -> a/p
 when p divides a); every per-weight method of `SaturatedModel` takes a,
-and true weights appear only at `weight_window`, at `StrictLevel` and in
-the cross-checks, which convert with `SaturatedModel.num`.
+and true weights appear only at `StrictLevel.weights` and in the
+cross-checks, which convert with `SaturatedModel.num`; a window is the
+integer range `rings.window` of numerators over one denominator.
 
 The denominator policy lives in `SaturatedModel.__init__` alone.  The
 lift slot x^e at numerator a = u p^s_star stands for x^(e/p^s_star), of
@@ -83,7 +84,7 @@ from .exactcore import (
     member,
     power,
 )
-from .rings import MonomialAlgebra, RingSpec, memo, p_split, weight_window, weight_window_size
+from .rings import MonomialAlgebra, RingSpec, memo, p_split, window
 
 GUARD = 2
 # Size budgets; the times are on a 2-vCPU VM with Python 3.11.
@@ -487,14 +488,15 @@ class StrictLevel:
         self._invariants = {}  # SubQuot -> its invariants
 
     def weights(self, weight_cap):
-        """The level-r weight window, counted (p^(r-1) < p^B is small) and refused past DRW_WINDOW_MAX."""
-        den, laurent = self.p ** (self.r - 1), self.model.spec.is_laurent
-        if weight_window_size(weight_cap, den, laurent) > DRW_WINDOW_MAX:
+        """The level-r weights; the numerator range is counted and refused past DRW_WINDOW_MAX before one is made."""
+        den = self.p ** (self.r - 1)
+        nums = window(weight_cap, den, self.model.spec.is_laurent)
+        if len(nums) > DRW_WINDOW_MAX:
             raise PrecisionExhausted(
                 f"a level-{self.r} window with weight cap {weight_cap} holds more than {DRW_WINDOW_MAX} weights,"
                 " the drw window budget"
             )
-        return weight_window(weight_cap, den, laurent)
+        return [k // den if k % den == 0 else Fraction(k, den) for k in nums]
 
     def _relations(self, n, a):
         """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator), unreduced."""

@@ -101,13 +101,8 @@ class FilteredComplex:
             if not all(B1.is_zero_element([a - b for a, b in zip(lrow, rrow)]) for lrow, rrow in zip(lhs, rhs)):
                 raise ValueError(f"transition fails to be a chain map at degree {m}")
 
-    def transitions_injective(self, allow_zero=False) -> bool:
-        """Degreewise injectivity of all transitions.
-
-        With allow_zero, a transition that is the zero map also counts:
-        the strict (cokernel) associated graded is the right notion there
-        too, which is what makes gr(t(X)) literally X.
-        """
+    def transitions_injective(self) -> bool:
+        """Degreewise injectivity of all transitions."""
         for n in range(self.lo, self.hi):
             src = self.level(n + 1)
             f = self.transition(n)
@@ -116,8 +111,6 @@ class FilteredComplex:
                 if not A.ngens:
                     continue
                 fm = f.get(m, [[0] * self.level(n).module(m).ngens for _ in range(A.ngens)])
-                if allow_zero and not any(any(r) for r in fm):
-                    continue
                 tgt = self.level(n).module(m)
                 ker = _map_kernel(self.ring, A, tgt, fm)
                 if not ker.is_trivial():

@@ -20,8 +20,8 @@ This module is the one owner of enumeration and of monomial forms:
     MonomialAlgebra.component(n, w)  the quotient presentation of n-forms
     sign_insert(j, J)            sign of dx_j ^ dx_J and the sorted index
     p_split(w, p)                (v, u) with w = u p^v, u prime to p
-    weight_window(cap, den, laurent)  the weights a table or model runs over
-    weight_window_size(cap, den, laurent)  their number, without listing them
+    window(cap, den, laurent)    the numerators k of the weights k/den a
+                                 table or model runs over, as a range
     RingSpec.base()              the ring a perfection is taken of
 
 Text format (one spec per file):
@@ -150,22 +150,15 @@ def sign_insert(j, J):
     return (-1) ** before, tuple(sorted(J + (j,)))
 
 
-def weight_window(cap, den, laurent):
-    """Weights u in (1/den)Z with 0 <= u <= cap (|u| <= cap if laurent), ascending.
+def window(cap, den, laurent):
+    """Numerators k of the weights k/den with 0 <= k/den <= cap (|k/den| <= cap if laurent), as a range.
 
-    Each weight is a wkey: an int when integral, else a Fraction.
+    It is the one place floor(cap den) is computed; len() counts the
+    window and `in` tests membership without listing it.
     """
     cap = Fraction(cap)
     hi = cap.numerator * den // cap.denominator
-    lo = -hi if laurent else 0
-    return [num // den if num % den == 0 else Fraction(num, den) for num in range(lo, hi + 1)]
-
-
-def weight_window_size(cap, den, laurent):
-    """len(weight_window(cap, den, laurent)), counted in O(1), so a caller can bound the walk first."""
-    cap = Fraction(cap)
-    hi = cap.numerator * den // cap.denominator
-    return max(0, 2 * hi + 1 if laurent else hi + 1)
+    return range(-hi if laurent else 0, hi + 1)
 
 
 class RingSpec(namedtuple("RingSpec", "p kind variables weights relations f base_kind")):

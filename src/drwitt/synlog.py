@@ -47,17 +47,18 @@ from .exactcore import (
     mat_mul,
     member,
 )
-from .rings import RingSpec, memo, weight_window, weight_window_size
+from .rings import RingSpec, memo, window
 
 # syntomic and verify_fundamental_seq walk every numerator of the level-r
-# window, about cap p^r of them at some 5 us and 230 bytes each,
-# nygaard_completeness_check the level-2 window at 1.2 us each, and
-# nygaard_graded_check the weights of denominator up to p at 3.9 us each;
-# the times are on a 2-vCPU VM with Python 3.11.  syntomic on a Laurent ring
-# at the default cap walks 625001 at p = 5, --modp 7 in 3.3 s, and at p = 2
-# it walks 2^19 + 1 at --modp 16 in 2.8 s and 2^20 + 1 at --modp 17 in 5.2 s
-# and 220 MB, which the budget refuses.  check nygaard-graded on a p = 2 poly
-# ring walks 999999 weights at --weight-cap 499999 in 3.9 s.
+# window, about cap p^r of them at some 5 us and 230 bytes each; the two
+# Nygaard checks count theirs and read one numerator per class.  The times
+# are on a 2-vCPU VM with Python 3.11.  syntomic on a Laurent ring at the
+# default cap walks 625001 at p = 5, --modp 7 in 3.3 s, and at p = 2 it walks
+# 2^19 + 1 at --modp 16 in 2.8 s and 2^20 + 1 at --modp 17 in 5.2 s and
+# 220 MB, which the budget refuses.  check nygaard-graded at the largest
+# admitted cap takes 0.08-0.14 s end to end on a p = 2 poly ring at
+# --weight-cap 499999 and on a p = 3 Laurent ring at 166666, and 1.0-1.4 s
+# on the p = 2 perfection of poly at 499999 (its de Rham H^0 listing).
 WINDOW_MAX = 10**6
 
 
@@ -115,40 +116,38 @@ class NygaardModel:
 # orbit assembly for the syntomic fiber
 
 def _weight_support(model: SaturatedModel, cap, den_exp):
-    """Numerators of the lattice-supported weights with |w| <= cap and denominator <= p^den_exp, ascending.
+    """Numerators of the lattice-supported weights with |w| <= cap and denominator <= p^den_exp, as a range.
 
     The window's numerators are the multiples of p^max(0, s_star - den_exp)
-    with |a| <= cap P, and a >= 0 unless the ring is Laurent.  A ring
-    without variables is supported at a = 0 only; one variable of weight m
-    at the window numerators that m divides, where the lift has a monomial
-    in degree 0.  Support is read off integers, so no form is enumerated,
-    and the numerators are counted, and refused past WINDOW_MAX, before
-    they are listed.
+    in rings.window(cap, P, laurent).  A ring without variables is
+    supported at a = 0 only; one variable of weight m at the window
+    numerators that m divides, where the lift has a monomial in degree 0.
+    Support is read off integers, so no form is enumerated, and len()
+    counts it against WINDOW_MAX without listing it.  It is symmetric on a
+    Laurent ring and non-negative otherwise.
     """
     spec = model.spec
     if spec.nvars:
-        cap = Fraction(cap)
+        w = window(cap, model.P, spec.is_laurent)
         step = lcm(model.p ** max(0, model.s_star - den_exp), spec.weights[0])
-        top = cap.numerator * model.P // cap.denominator // step
+        support = w[-w.start % step :: step]
     else:
-        step, top = 1, 0 if cap >= 0 else -1
-    lo = -top if spec.is_laurent else 0
-    if top - lo + 1 > WINDOW_MAX:
+        support = window(cap, 1, False)[:1]
+    if len(support) > WINDOW_MAX:
         raise PrecisionExhausted(
             f"a weight window with cap {cap} and denominators up to {model.p}^{den_exp} holds more than"
             f" {WINDOW_MAX} numerators, the window budget"
         )
-    return [k * step for k in range(lo, top + 1)]
+    return support
 
 
 def weight_orbits(model: SaturatedModel, cap, den_exp):
     """Partition of the supported numerators into orbits of a -> p a."""
     p = model.p
-    weights = _weight_support(model, cap, den_exp)
-    wset = set(weights)
+    support = _weight_support(model, cap, den_exp)
     seen = set()
     orbits = []
-    for a in weights:
+    for a in support:
         if a in seen:
             continue
         if a == 0:
@@ -157,16 +156,37 @@ def weight_orbits(model: SaturatedModel, cap, den_exp):
             continue
         # walk to the bottom of the orbit inside the window
         bottom = a
-        while bottom % p == 0 and bottom // p in wset:
+        while bottom % p == 0 and bottom // p in support:
             bottom //= p
         chain = []
         cur = bottom
-        while cur in wset:
+        while cur in support:
             chain.append(cur)
             seen.add(cur)
             cur *= p
         orbits.append(chain)
     return orbits
+
+
+def _class_representatives(model: SaturatedModel, support):
+    """One numerator of each class_at key that a _weight_support range meets, read off integers.
+
+    It yields 0 if the support holds 0, then step p^j for j = 0, 1, ...
+    while step p^j lies in the support.  Soundness: a nonzero support
+    numerator a = k step is a multiple of m, the variable's weight, and it
+    is negative only on a Laurent ring, so class_at(a) is
+    v_p(a) = v_p(step) + v_p(k).  step p^(v_p(k)) has that class and lies
+    in the support, which holds every multiple of step from 0 to |a|,
+    because p^(v_p(k)) <= |k|.  Distinct j give distinct keys.  A ring
+    without variables has the support range(1) or nothing, so it yields 0
+    at most.
+    """
+    if 0 in support:
+        yield 0
+    rep = support.step
+    while rep in support:
+        yield rep
+        rep *= model.p
 
 
 class _FiberBlock:
@@ -583,24 +603,17 @@ def _compare_h_i_with_log(zero_block, lat: LogLattice) -> tuple[str, int]:
 def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
     """gr^i_N with phi/p^i mod p against tau^{<=i} Omega, once per weight class.
 
-    Both sides at v depend only on the class_at key of its numerator
-    (see SaturatedModel.class_at).  The window is counted, and refused past
-    WINDOW_MAX, before a model is built or a weight listed.
+    Both sides at weight v depend only on the class_at key of its
+    numerator (see SaturatedModel.class_at), so one numerator of each key
+    in the weights of denominator up to p is compared.
     """
     p = spec.p
-    if weight_window_size(weight_cap, p, spec.is_laurent) > WINDOW_MAX:
-        raise PrecisionExhausted(
-            f"a weight window with cap {weight_cap} and denominators up to {p} holds more than"
-            f" {WINDOW_MAX} weights, the window budget"
-        )
     model = saturate(spec, 1, max(i + 1, 1))
+    reps = _class_representatives(model, _weight_support(model, weight_cap, 1))
     N = NygaardModel(model, i)
     omega = None if spec.is_perfection else DeRhamComplex(spec, min(i + 1, spec.nvars + 1), Fraction(weight_cap) * p)
-    reps = {}
-    for v in weight_window(weight_cap, p, spec.is_laurent):
-        reps.setdefault(model.class_at(model.num(v)), v)
-    for v in reps.values():
-        if _graded_cohomology(N, model.num(v)) != _tau_cohomology(spec, omega, i, v * p):
+    for a in reps:
+        if _graded_cohomology(N, a) != _tau_cohomology(spec, omega, i, a * p // model.P):
             return False
     return True
 
@@ -624,11 +637,8 @@ def _graded_cohomology(N: NygaardModel, a):
 
 
 def _tau_cohomology(spec: RingSpec, omega, i, w):
-    """H^n(tau^{<=i} Omega) at weight w for n <= i."""
+    """H^n(tau^{<=i} Omega) at the integer weight w for n <= i."""
     out = {}
-    if Fraction(w).denominator != 1:
-        return out
-    w = int(Fraction(w))
     if spec.is_perfection:
         if i >= 0:
             H0 = derham_cohomology(spec, 0, abs(w) + 1).get(w, InvariantFactors(()))
@@ -660,10 +670,7 @@ def nygaard_completeness_check(spec: RingSpec, i_cap: int, weight_cap) -> bool:
     model = saturate(spec, 2, i_cap)
     ring = model.ring
     p = spec.p
-    reps = {}
-    for a in _weight_support(model, weight_cap, 1):
-        reps.setdefault(model.class_at(a), a)
-    for a in reps.values():
+    for a in _class_representatives(model, _weight_support(model, weight_cap, 1)):
         for n in range(0, model.top + 1):
             k = model.rank_at(n, a)
             if not k or i_cap <= n:

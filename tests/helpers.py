@@ -1,7 +1,8 @@
 """Shared fixture generators: random complexes and filtrations over Z/p^N,
 the one-shot `solve` that SubQuot.coords is compared against, the
 hom-set enumeration that filtspec.chain_hom_group replaced, a
-reference Howell form to test the kernel against, the weight-keyed
+reference Howell form to test the kernel against, the listed weight
+window that rings.window's numerator range replaced, the weight-keyed
 orbit walk to test the numerator-keyed one against, the quotient
 presentations that rings.MonomialAlgebra.component replaced, the
 relative forms that RelativeCartier built apart from it, the lift's
@@ -26,7 +27,8 @@ Witt laws that drwitt.witt's arithmetic is checked against, and the
 span tests, the dF = pFd spot check and the maps between strict levels
 that only the tests read, and the library functions that only the tests
 called: the Nygaard identity check and builder, the divided-Frobenius
-table, gr and the slot embeddings t and c_n, the K-theory consistency
+table, gr with its injective-or-zero transition test and the slot
+embeddings t and c_n, the K-theory consistency
 triangle, GF.elements and MonomialAlgebra.variable; and the Frobenius
 lift of Zq that ran every Newton step, and the inverse inside it, at
 the full precision p^B."""
@@ -72,7 +74,7 @@ from drwitt.exactcore import (
 )
 from drwitt.exactcore import zmodp
 from drwitt.exactcore.modules import residue
-from drwitt.filtspec import FilteredComplex, GradedComplex, _cokernel_complex, cone
+from drwitt.filtspec import FilteredComplex, GradedComplex, _cokernel_complex, _map_kernel, cone
 from drwitt.kpredict import k_predict, quillen_table
 from drwitt.rings import (
     MonomialAlgebra,
@@ -82,7 +84,6 @@ from drwitt.rings import (
     p_split,
     parse_ringspec,
     sign_insert,
-    weight_window,
     wkey,
 )
 from drwitt.synlog import (
@@ -458,6 +459,18 @@ def reference_howell(R: ZmodRing, rows: list[list[int]], ncols: int | None = Non
     return result
 
 
+# The listed window that rings.window's numerator range replaced.
+def reference_weight_window(cap, den, laurent):
+    """Weights u in (1/den)Z with 0 <= u <= cap (|u| <= cap if laurent), ascending.
+
+    Each weight is a wkey: an int when integral, else a Fraction.
+    """
+    cap = Fraction(cap)
+    hi = cap.numerator * den // cap.denominator
+    lo = -hi if laurent else 0
+    return [num // den if num % den == 0 else Fraction(num, den) for num in range(lo, hi + 1)]
+
+
 # The weight-keyed orbit walk that synlog.weight_orbits replaced: weights
 # are wkeys (int or Fraction), V is w -> w/p and the window is walked in
 # full even for a ring without variables.  Mapped back to weights,
@@ -476,7 +489,7 @@ def reference_weight_support(model: SaturatedModel, cap, den_exp):
     """Lattice-supported weights with |w| <= cap and denominator <= p^den_exp."""
     return [
         w
-        for w in weight_window(cap, model.p**den_exp, model.spec.is_laurent)
+        for w in reference_weight_window(cap, model.p**den_exp, model.spec.is_laurent)
         if any(reference_rank(model, n, w) for n in range(model.top + 1))
     ]
 
@@ -968,8 +981,8 @@ def reference_nygaard_graded_check(spec, i, weight_cap):
     p = spec.p
     omega = None if spec.is_perfection else DeRhamComplex(spec, min(i + 1, spec.nvars + 1), Fraction(weight_cap) * p)
     return {
-        v: (reference_graded_cohomology(N, model.num(v)), _tau_cohomology(spec, omega, i, v * p))
-        for v in weight_window(weight_cap, p, spec.is_laurent)
+        v: (reference_graded_cohomology(N, model.num(v)), _tau_cohomology(spec, omega, i, int(v * p)))
+        for v in reference_weight_window(weight_cap, p, spec.is_laurent)
     }
 
 
@@ -1752,7 +1765,7 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
     """
     out = {}
     den = N.model.p ** (N.model.s_star - 1)
-    for v in weight_window(weight_cap, den, N.model.spec.is_laurent):
+    for v in reference_weight_window(weight_cap, den, N.model.spec.is_laurent):
         a = N.model.num(v)
         for n in range(0, N.model.top + 1):
             if N.param_rank(n, a):
@@ -1760,13 +1773,28 @@ def divided_frobenius(N: NygaardModel, weight_cap=2) -> dict:
     return out
 
 
+def transitions_injective_or_zero(F: FilteredComplex) -> bool:
+    """Whether every transition of F is, degreewise, injective or the zero map.
+
+    The strict (cokernel) associated graded is the right notion in both
+    cases, which is what makes gr(t(X)) literally X.
+    """
+    for n in range(F.lo, F.hi):
+        src, tgt, f = F.level(n + 1), F.level(n), F.transition(n)
+        for m in src.degrees():
+            A, fm = src.module(m), f.get(m, [])
+            if A.ngens and any(any(r) for r in fm) and not _map_kernel(F.ring, A, tgt.module(m), fm).is_trivial():
+                return False
+    return True
+
+
 def gr(F: FilteredComplex, variant="auto") -> GradedComplex:
     """Associated graded: degreewise cokernel when transitions are
     injective (or zero, as in t-embeddings), mapping cone in general;
     the two agree in homology exactly in the injective case."""
     if variant == "auto":
-        variant = "cokernel" if F.transitions_injective(allow_zero=True) else "cone"
-    if variant == "cokernel" and not F.transitions_injective(allow_zero=True):
+        variant = "cokernel" if transitions_injective_or_zero(F) else "cone"
+    if variant == "cokernel" and not transitions_injective_or_zero(F):
         raise NonInjectiveTransitions("cokernel variant needs injective (or zero) transitions")
     slots = {}
     for n in range(F.lo, F.hi + 1):

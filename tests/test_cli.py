@@ -805,12 +805,14 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     assert refusal(lambda: _weight_support(saturate(lau, 17, 3), 4, 17)) == budget
     assert main(["check", "fundamental-seq", "--ring", rings["lau"], "--modp", "17"]) == 1
     assert capsys.readouterr().err == f"error: {budget}\n"
-    # the nygaard-graded window: 2 c p + 1 weights of denominator up to p on a Laurent ring at cap c,
-    # c p + 1 on a poly ring; refused before a model is built
-    budget = "a weight window with cap 500000 and denominators up to 2 holds more than 1000000 weights"
+    # the nygaard-graded window: with x:1, 2 c p + 1 supported numerators of denominator up to p
+    # on a Laurent ring at cap c, c p + 1 on a poly ring; one cap below is admitted
+    budget = "a weight window with cap 500000 and denominators up to 2^1 holds more than 1000000 numerators"
     budget += ", the window budget"
     assert refusal(lambda: nygaard_graded_check(poly, 1, 500000)) == budget  # 1000001
     assert refusal(lambda: nygaard_graded_check(lau, 1, 250000))  # 1000001
+    assert refusal(lambda: nygaard_graded_check(poly, 1, 499999)) is None  # 999999
+    assert refusal(lambda: nygaard_graded_check(lau, 1, 249999)) is None  # 999999
     assert main(["check", "nygaard-graded", "--ring", rings["poly"], "--weight-cap", "500000"]) == 1
     assert capsys.readouterr().err == f"error: {budget}\n"
     # every ring of the fixture that the model covers (hugep is refused at parse,

@@ -22,7 +22,7 @@ from drwitt.dieudonne import (
 from drwitt.errors import PrecisionExhausted, UnsupportedKind
 from drwitt.exactcore import InvariantFactors, ZmodRing, Zq, howell, identity, mat_mul
 from drwitt.exactcore import modules as exactcore_modules
-from drwitt.rings import MonomialAlgebra, p_split, parse_ringspec, weight_window, wkey
+from drwitt.rings import MonomialAlgebra, p_split, parse_ringspec, window, wkey
 
 from helpers import (
     check_dieudonne_relations,
@@ -294,13 +294,12 @@ def test_closed_form_lattices_match_the_generic_ones(p, f, m, kind):
     model = SaturatedModel(spec(text), 1, 1)
     q = model._amb.q
     seen = set()
-    for u in weight_window(2, model.P, model.spec.is_laurent):
-        a = model.num(u)
+    for a in window(2, model.P, model.spec.is_laurent):
         for n in (0, 1):
             for s in (model.s_star, model.s_star + 1):
                 w = a * p ** (s - model.s_star)
                 basis = model._stage_lattice(n, w, s)
-                assert basis == reference_stage_lattice(model, n, w, s), (u, n, s)
+                assert basis == reference_stage_lattice(model, n, w, s), (a, n, s)
                 if not basis:
                     continue
                 seen.add(basis[0][0])
@@ -311,7 +310,7 @@ def test_closed_form_lattices_match_the_generic_ones(p, f, m, kind):
                 rows += [[(x * (j + 2) + y * p) % q for x, y in zip(h, basis[0])] for j, h in enumerate(basis)]
                 rows += [[-x % q for x in h] for h in basis]
                 for row in rows:
-                    assert model._express([row], basis) == reference_express(model, [row], basis), (u, n, s, row)
+                    assert model._express([row], basis) == reference_express(model, [row], basis), (a, n, s, row)
                 assert model._express(rows, basis) == reference_express(model, rows, basis)
     # the grid reaches the identity and, where there is a variable, a p-power scaling
     assert 1 in seen and (len(seen) > 1 or "finite_field" in kind)
@@ -390,8 +389,7 @@ def test_the_certificate_matches_its_reference(p, f, kind, monkeypatch):
     model = SaturatedModel(spec(text), 1, 1)
     stage, s_next = model._stage_lattice, model.s_star + 1
     lattices = []
-    for u in weight_window(3, model.P, model.spec.is_laurent):
-        a = model.num(u)
+    for a in window(3, model.P, model.spec.is_laurent):
         for n in range(model.lift.top + 1):
             cur = stage(n, a, model.s_star)
             if cur:
@@ -493,13 +491,10 @@ def test_the_maps_read_no_lift_matrix(p, monkeypatch):
 def test_rank_at_is_the_ambient_rank(r, p, f, kind):
     # E_s contains p^s M, so every window lattice has the ambient rank;
     # the orbit support reads that rank and builds no lattice
-    from drwitt.rings import weight_window
-
     m = SaturatedModel(spec(f"p={p}\nf={f}\n{kind}"), r, 1)
-    for u in weight_window(2, m.P, m.spec.is_laurent):
-        a = m.num(u)
+    for a in window(2, m.P, m.spec.is_laurent):
         for n in range(m.top + 2):
-            assert m.rank_at(n, a) == m.ambient_rank_at(n, a), (u, n)
+            assert m.rank_at(n, a) == m.ambient_rank_at(n, a), (a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +607,8 @@ def test_weight_class_keys():
 
 def _lattice_grid(model, r):
     """Numerators of the weights |u| <= 3 with denominator <= p^r, the window of an orbit walk."""
-    return [model.num(u) for u in weight_window(3, model.p**r, model.spec.is_laurent)]
+    step = model.P // model.p**r
+    return [k * step for k in window(3, model.p**r, model.spec.is_laurent)]
 
 
 def _same_partition(items, key1, key2):

@@ -1,7 +1,7 @@
 """Source hygiene: no module under src/drwitt imports a name it never uses,
 none reads the process environment, no self-check is a bare assert, no
-public name is dead or reached only from tests (beyond a named keep-list),
-every error class is raised, and the GF(p^f) elimination keeps the one
+public name is dead or reached only from tests and no option is set only
+from tests (beyond named keep-lists), every error class is raised, and the GF(p^f) elimination keeps the one
 name the benchmark's tracer wraps."""
 
 import ast
@@ -238,6 +238,109 @@ def test_the_scan_sees_a_name_only_tests_reach(tmp_path):
         "def test():\n    Kept().probe()\n    Kept()._hidden()\n    planted()\n    used()\n    _private()\n"
     )
     assert names_only_tests_reach(pkg, [tmp_path / "pkg", lib], [tests]) == ["Kept.probe", "planted"]
+
+
+def defaulted_parameters(path):
+    """(function, parameter, position) for each parameter with a default of
+    a module's functions and methods, nested ones too.  The position is the
+    index a positional argument takes at a call, after self or cls for a
+    method, or None for a keyword-only parameter; a class's __init__ and
+    __new__ go by the class's name, which is how they are called."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, FUNCTIONS):
+                name = cls if cls and node.name in ("__init__", "__new__") else node.name
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                shift = 1 if cls and not static else 0
+                args = node.args.posonlyargs + node.args.args
+                first = len(args) - len(node.args.defaults)
+                out.extend((name, arg.arg, k - shift) for k, arg in enumerate(args) if k >= first)
+                kwonly = zip(node.args.kwonlyargs, node.args.kw_defaults)
+                out.extend((name, arg.arg, None) for arg, default in kwonly if default is not None)
+                visit(node.body, None)
+
+    visit(ast.parse(path.read_text()).body, None)
+    return out
+
+
+def calls_by_name(roots):
+    """{callee: [(positional count, keyword names)]} over the calls f(...)
+    and obj.f(...) of every module under `roots`, the callee named by its
+    last part; a *args counts as every position and a **kwargs as every
+    keyword (the name None)."""
+    out = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    starred = any(isinstance(a, ast.Starred) for a in node.args)
+                    npos = float("inf") if starred else len(node.args)
+                    out.setdefault(name, []).append((npos, {kw.arg for kw in node.keywords}))
+    return out
+
+
+def options_only_tests_set(package, library, tests):
+    """function.parameter for each defaulted parameter of `package` that a
+    call under `tests` passes, by keyword or by position, and no call under
+    `library` does.  Callees are matched by their bare name."""
+    library_calls, test_calls = calls_by_name(library), calls_by_name(tests)
+
+    def passes(calls, name, param, pos):
+        return any(
+            param in kws or None in kws or (pos is not None and npos > pos) for npos, kws in calls.get(name, ())
+        )
+
+    return sorted(
+        f"{name}.{param}"
+        for path in sorted(package.rglob("*.py"))
+        for name, param, pos in defaulted_parameters(path)
+        if passes(test_calls, name, param, pos) and not passes(library_calls, name, param, pos)
+    )
+
+
+# Options that only tests set and that stay in src/drwitt on purpose, each
+# with its reason; the options of ACCEPTANCE_CALLS stay too, as inputs of the
+# acceptance criteria (quillen_table's f compares the K-groups of GF(p^f)).
+TEST_SET_OPTIONS = {
+    "main.argv": "the console entry point calls main() with no argument, so it reads sys.argv",
+}
+
+
+def test_no_option_is_set_only_from_tests():
+    # an option that no code in the package sets is a test-only switch
+    # inside it; the behaviour behind it belongs in tests/helpers.py
+    found = options_only_tests_set(SRC, [ROOT / "src"], [ROOT / "tests"])
+    acceptance = {option for option in found if option.split(".")[0] in ACCEPTANCE_CALLS}
+    assert set(found) - acceptance - set(TEST_SET_OPTIONS) == set()
+    assert set(TEST_SET_OPTIONS) <= set(found)  # each kept option is still one only tests set
+
+
+def test_the_scan_sees_an_option_only_tests_set(tmp_path):
+    pkg, lib, tests = tmp_path / "pkg", tmp_path / "lib", tmp_path / "tests"
+    for d in (pkg, lib, tests):
+        d.mkdir()
+    (pkg / "mod.py").write_text(
+        "class Box:\n    def __init__(self, size=1):\n        self.size = size\n\n"
+        "    def fill(self, level=0, *, strict=False, loud=False):\n        pass\n\n\n"
+        "def ranked(xs, key=None, reverse=False):\n    return xs\n\n\n"
+        "def spread(a=0, b=0):\n    return a + b\n\n\n"
+        "def untouched(flag=True):\n    return flag\n"
+    )
+    (lib / "app.py").write_text(
+        "from pkg.mod import Box, ranked, spread\n\nBox().fill(3, loud=True)\nranked([1], None)\n"
+        "spread(**{'a': 1})\n"
+    )
+    (tests / "test_mod.py").write_text(
+        "from pkg.mod import Box, ranked, spread, untouched\n\n"
+        "def test():\n    Box(2).fill(strict=True)\n    ranked([1], reverse=True)\n"
+        "    ranked([1], None, True)\n    spread(b=2)\n    untouched()\n"
+    )
+    assert options_only_tests_set(pkg, [lib], [tests]) == ["Box.size", "fill.strict", "ranked.reverse"]
 
 
 def raised_names(path):

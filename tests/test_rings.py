@@ -22,9 +22,11 @@ from drwitt.rings import (
     memo,
     parse_ringspec,
     sign_insert,
-    weight_window,
+    window,
 )
 from drwitt.synlog import SyntomicComplex
+
+from helpers import reference_weight_window
 
 
 def spec(text):
@@ -74,29 +76,45 @@ def _window_by_loop(cap, den, laurent):
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+WINDOW_GRID = dict(
     cap=st.fractions(min_value=-3, max_value=8, max_denominator=9),
     den=st.sampled_from([1, 2, 3, 4, 9, 25]),
     laurent=st.booleans(),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**WINDOW_GRID)
 def test_weight_window_matches_stepping_loop(cap, den, laurent):
-    got = weight_window(cap, den, laurent)
-    assert got == _window_by_loop(cap, den, laurent)
-    assert all(type(u) is int for u in got if Fraction(u).denominator == 1)
+    nums = window(cap, den, laurent)
+    assert [Fraction(k, den) for k in nums] == _window_by_loop(cap, den, laurent)
+    assert all(type(k) is int for k in nums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**WINDOW_GRID)
+def test_window_matches_the_reference_weight_window(cap, den, laurent):
+    # the numerator range is the listed window over den: same endpoints,
+    # len() is its length, and `in` holds exactly at its numerators
+    nums, ref = window(cap, den, laurent), reference_weight_window(cap, den, laurent)
+    assert len(nums) == len(ref)
+    if ref:
+        assert Fraction(nums[0], den) == ref[0] and Fraction(nums[-1], den) == ref[-1]
+    listed = set(ref)
+    for k in range(-9 * den - 2, 9 * den + 3):
+        assert (k in nums) == (Fraction(k, den) in listed), k
 
 
 def test_weight_window_endpoints_and_denominators():
-    plain = weight_window(2, 3, False)
-    assert plain[0] == 0 and plain[-1] == 2 and len(plain) == 7
-    assert [Fraction(u).denominator for u in plain] == [1, 3, 3, 1, 3, 3, 1]
-    assert type(plain[3]) is int and plain[1] == Fraction(1, 3)
-    laurent = weight_window(2, 3, True)
-    assert laurent[0] == -2 and laurent[-1] == 2 and len(laurent) == 13
-    assert laurent[1] == Fraction(-5, 3)
-    assert weight_window(Fraction(5, 2), 1, True) == [-2, -1, 0, 1, 2]
-    assert weight_window(4, 1, False) == [0, 1, 2, 3, 4]
-    assert weight_window(-1, 2, True) == [] and weight_window(-1, 2, False) == []
+    plain = window(2, 3, False)
+    assert plain[0] == 0 and plain[-1] == 6 and len(plain) == 7
+    assert [Fraction(k, 3).denominator for k in plain] == [1, 3, 3, 1, 3, 3, 1]
+    laurent = window(2, 3, True)
+    assert laurent[0] == -6 and laurent[-1] == 6 and len(laurent) == 13
+    assert laurent[1] == -5
+    assert window(Fraction(5, 2), 1, True) == range(-2, 3)
+    assert window(4, 1, False) == range(0, 5)
+    assert len(window(-1, 2, True)) == 0 and len(window(-1, 2, False)) == 0
 
 
 def test_forms_pairs_and_quotient_uses_ambient_monomials():

@@ -199,16 +199,16 @@ def test_weight_orbits_match_the_weight_keyed_walk(p, kind, r, cap, den_exp):
 @pytest.mark.parametrize("kind", WALK_KINDS)
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_window_size_counts_the_window_a_model_walks(p, kind, monkeypatch):
-    # _weight_support counts its window in O(1) before listing it: with the
-    # budget at the window's own size it lists every supported numerator, and
-    # one below that it refuses
+    # _weight_support counts its numerator range with len() without listing
+    # it: with the budget at the window's own size it holds every supported
+    # numerator, and one below that it refuses
     ring = spec(f"p={p}\n" + kind.format(p=p, q=p + 1))
     for r in (1, 2, 3):
         m = saturate(ring, r, 2)
         for cap in (0, 1, 4):
             want = [m.num(w) for w in reference_weight_support(m, cap, r)]
             monkeypatch.setattr(synlog, "WINDOW_MAX", len(want))
-            assert synlog._weight_support(m, cap, r) == want, (r, cap)
+            assert list(synlog._weight_support(m, cap, r)) == want, (r, cap)
             monkeypatch.setattr(synlog, "WINDOW_MAX", len(want) - 1)
             budget = f"holds more than {len(want) - 1} numerators, the window budget$"
             with pytest.raises(PrecisionExhausted, match=budget):
@@ -218,23 +218,21 @@ def test_window_size_counts_the_window_a_model_walks(p, kind, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("p", [2, 3])
 def test_nygaard_graded_counts_its_window_before_walking_it(p, kind, monkeypatch):
-    # nygaard_graded_check counts its weights of denominator up to p in O(1):
-    # with the budget at the window's own size it runs as before, and one
-    # below that it refuses before it builds a model
-    from drwitt.rings import weight_window
-
-    ring, model = spec(f"p={p}\n{kind}"), synlog.saturate
+    # nygaard_graded_check counts the supported numerators of denominator up
+    # to p with _weight_support: with the budget at their number it runs as
+    # before, and one below that it refuses before it compares a weight
+    ring, graded = spec(f"p={p}\n{kind}"), synlog._graded_cohomology
     for cap in (0, 1, 3):
-        size = len(weight_window(cap, p, ring.is_laurent))
+        size = len(reference_weight_support(saturate(ring, 1, 2), cap, 1))
         monkeypatch.setattr(synlog, "WINDOW_MAX", size)
         sides = reference_nygaard_graded_check(ring, 1, cap).values()
         assert nygaard_graded_check(ring, 1, cap) == all(a == b for a, b in sides)
         monkeypatch.setattr(synlog, "WINDOW_MAX", size - 1)
-        monkeypatch.setattr(synlog, "saturate", None)
-        budget = f"^a weight window with cap {cap} and denominators up to {p} holds more than {size - 1} weights"
+        monkeypatch.setattr(synlog, "_graded_cohomology", None)
+        budget = f"^a weight window with cap {cap} and denominators up to {p}\\^1 holds more than {size - 1} numerators"
         with pytest.raises(PrecisionExhausted, match=budget + ", the window budget$"):
             nygaard_graded_check(ring, 1, cap)
-        monkeypatch.setattr(synlog, "saturate", model)
+        monkeypatch.setattr(synlog, "_graded_cohomology", graded)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -243,7 +241,7 @@ def test_certificates_and_graded_cohomology_match_the_hand_assembled_blocks(p):
     # reference assembles it from the Nygaard matrices.  Each degree is
     # certified in the scheme verify_fundamental_seq uses there: deep below
     # the twist, aligned at and above it
-    from drwitt.rings import weight_window
+    from drwitt.rings import window
     from drwitt.synlog import _certify_block_invertible, _graded_cohomology, _orbit_fibers
 
     for kind in KINDS:
@@ -256,8 +254,8 @@ def test_certificates_and_graded_cohomology_match_the_hand_assembled_blocks(p):
                     for n in range(m.top + 1):
                         blk, C = (deep_blk, deep) if n < i else (aligned_blk, aligned)
                         assert _certify_block_invertible(blk, C, n) == reference_certify_block_invertible(blk, n)
-                for u in weight_window(3, p, m.spec.is_laurent):
-                    a = m.num(u)
+                for k in window(3, p, m.spec.is_laurent):
+                    a = k * (m.P // p)
                     assert _graded_cohomology(N, a) == reference_graded_cohomology(N, a)
 
 
@@ -654,7 +652,7 @@ def test_graded_bridge_is_d_after_v(text, r, monkeypatch):
     # GF(p^2) V carries sigma^-1 on coefficients, so a plain d at p a is a
     # different matrix; over GF(p) the two agree in these one-variable bases
     import drwitt.synlog as synlog
-    from drwitt.rings import weight_window
+    from drwitt.rings import window
 
     m = saturate(spec(text), r, 2)
     N = NygaardModel(m, 1)
@@ -668,8 +666,8 @@ def test_graded_bridge_is_d_after_v(text, r, monkeypatch):
 
     monkeypatch.setattr(synlog, "FinComplex", Recording)
     differs = 0
-    for u in weight_window(4, p, m.spec.is_laurent):
-        a = m.num(u)
+    for k in window(4, p, m.spec.is_laurent):
+        a = k * (m.P // p)
         src, tgt = m.lattice_at(0, a * p), m.lattice_at(1, a)
         if not src or not tgt:
             continue
@@ -766,6 +764,48 @@ def _assert_class_functions(cells, key):
     reps = {}
     for cell, value in cells.items():
         assert reps.setdefault(key(cell), value) == value, cell
+
+
+# one variable of weight 1, 2, p or 6, no variable, and two perfections; "{p}" is the prime
+CLASS_WALK_KINDS = (
+    "kind=poly\nvars=x:1",
+    "kind=poly\nvars=x:2",
+    "kind=poly\nvars=x:{p}",
+    "kind=laurent\nvars=x:1",
+    "kind=laurent\nvars=x:6",
+    "kind=finite_field",
+    "kind=finite_field\nf=2",
+    "kind=perfection of poly\nvars=x:1",
+    "kind=perfection of laurent\nvars=x:3",
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_class_representatives_meet_every_class_of_the_support(p):
+    # read off integers, the representatives meet exactly the class_at keys
+    # that a walk over every supported numerator meets, one numerator each
+    for kind in CLASS_WALK_KINDS:
+        ring = spec(f"p={p}\n" + kind.format(p=p))
+        for r in (1, 2, 3):
+            m = saturate(ring, r, 1)
+            for den_exp in (0, 1, r, r + 1):
+                for cap in (0, 1, 2, 3, Fraction(7, 2), 8, 20):
+                    cell = kind, r, den_exp, cap
+                    support = synlog._weight_support(m, cap, den_exp)
+                    reps = list(synlog._class_representatives(m, support))
+                    keys = [m.class_at(a) for a in reps]
+                    assert all(a in support for a in reps) and len(set(keys)) == len(keys), cell
+                    assert set(keys) == {m.class_at(a) for a in support}, cell
+
+
+def test_nygaard_graded_reads_classes_not_its_window(monkeypatch):
+    # at the largest admitted cap a p = 2 poly ring has 999999 supported
+    # numerators of denominator up to 2; the check keys a few dozen of them
+    keyed = []
+    class_at = SaturatedModel.class_at
+    monkeypatch.setattr(SaturatedModel, "class_at", lambda self, a: keyed.append(a) or class_at(self, a))
+    assert nygaard_graded_check(F2X, 1, 499999)
+    assert 0 < len(keyed) < 1000
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
