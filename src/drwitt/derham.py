@@ -177,19 +177,22 @@ def derham_cohomology(spec: RingSpec, i: int, weight_cap, omega=None) -> dict:
                 "a perfection in two or more variables has infinite weight pieces; "
                 "de Rham tables cover one-variable perfections"
             )
-        # positive-degree forms vanish; H^0 is the ring itself in each weight,
-        # spanned by x^(u/w) when that exponent lies in Z[1/p], i.e. when the
-        # prime-to-p part `unit` of the variable weight w divides u (a ring
-        # without variables has unit 0 and lives at weight 0)
-        unit = p_split(spec.weights[0], spec.p)[1] if spec.weights else 0
-        out = {}
-        if i == 0:
-            for u in window(weight_cap, 1, spec.is_laurent):
-                if u == 0 or (unit and u % unit == 0):
-                    out[u] = InvariantFactors((spec.p,) * spec.f)
-        return out
+        # positive-degree forms vanish
+        weights = window(weight_cap, 1, spec.is_laurent) if i == 0 else ()
+        return {u: H0 for u in weights if not (H0 := perfection_h0(spec, u)).is_trivial()}
     C = omega or DeRhamComplex(spec, i + 1, weight_cap)
     return {w: C.cohomology(i, w) for w in C.weights() if C.rank(i, w)}
+
+
+def perfection_h0(spec: RingSpec, u) -> InvariantFactors:
+    """H^0 at the integer weight u of a perfection in at most one variable.
+
+    It is the ring itself, spanned by x^(u/w) when that exponent lies in
+    Z[1/p], i.e. when the prime-to-p part `unit` of the variable weight w
+    divides u (a ring without variables has unit 0 and lives at weight 0).
+    """
+    unit = p_split(spec.weights[0], spec.p)[1] if spec.weights else 0
+    return InvariantFactors((spec.p,) * spec.f if u == 0 or (unit and u % unit == 0) else ())
 
 
 # ---------------------------------------------------------------------------

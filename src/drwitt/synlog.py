@@ -32,7 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
-from .derham import DeRhamComplex, derham_cohomology
+from .derham import DeRhamComplex, perfection_h0
 from .dieudonne import GUARD, SaturatedModel, saturate, strict_truncate
 from .errors import PrecisionExhausted
 from .exactcore import (
@@ -56,9 +56,9 @@ from .rings import RingSpec, memo, window
 # default cap walks 625001 at p = 5, --modp 7 in 3.3 s, and at p = 2 it walks
 # 2^19 + 1 at --modp 16 in 2.8 s and 2^20 + 1 at --modp 17 in 5.2 s and
 # 220 MB, which the budget refuses.  check nygaard-graded at the largest
-# admitted cap takes 0.08-0.14 s end to end on a p = 2 poly ring at
-# --weight-cap 499999 and on a p = 3 Laurent ring at 166666, and 1.0-1.4 s
-# on the p = 2 perfection of poly at 499999 (its de Rham H^0 listing).
+# admitted cap takes 0.08-0.18 s end to end on a p = 2 poly ring and on the
+# p = 2 perfection of poly at --weight-cap 499999, and on a p = 3 Laurent
+# ring at 166666.
 WINDOW_MAX = 10**6
 
 
@@ -605,7 +605,10 @@ def nygaard_graded_check(spec: RingSpec, i: int, weight_cap) -> bool:
 
     Both sides at weight v depend only on the class_at key of its
     numerator (see SaturatedModel.class_at), so one numerator of each key
-    in the weights of denominator up to p is compared.
+    in the weights of denominator up to p is compared.  Unsupported
+    numerators (class "none": m' does not divide a, so not w = a p / P
+    either) have empty graded and tau sides, so walking the support loses
+    no class.
     """
     p = spec.p
     model = saturate(spec, 1, max(i + 1, 1))
@@ -640,11 +643,8 @@ def _tau_cohomology(spec: RingSpec, omega, i, w):
     """H^n(tau^{<=i} Omega) at the integer weight w for n <= i."""
     out = {}
     if spec.is_perfection:
-        if i >= 0:
-            H0 = derham_cohomology(spec, 0, abs(w) + 1).get(w, InvariantFactors(()))
-            if not H0.is_trivial():
-                out[0] = H0
-        return out
+        H0 = perfection_h0(spec, w)
+        return {0: H0} if i >= 0 and not H0.is_trivial() else out
     if abs(w) > omega.weight_cap:
         return out
     for n in range(0, i + 1):

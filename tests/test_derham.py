@@ -16,6 +16,7 @@ from drwitt.derham import (
     cartier_smooth_check,
     derham_cohomology,
     derham_table,
+    perfection_h0,
 )
 from drwitt.errors import NonQuasiHomogeneous, UnsupportedBaseChange, UnsupportedKind
 from drwitt.exactcore import GF, InvariantFactors
@@ -64,6 +65,16 @@ def test_perfection_rejected_by_kaehler_but_short_circuited():
     assert derham_cohomology(perf, 1, 4) == {}
     rep = cartier_smooth_check(perf, 2, 4)
     assert rep["verdict"].startswith("consistent")
+
+
+def test_perfection_h0_is_read_off_one_weight():
+    # x^(u/6) lies in the perfection over F_3 exactly when 2 | u
+    perf = spec("p=3\nkind=perfection of laurent\nvars=x:6")
+    assert [u for u in range(-7, 8) if not perfection_h0(perf, u).is_trivial()] == [-6, -4, -2, 0, 2, 4, 6]
+    assert perfection_h0(perf, 4) == InvariantFactors((3,))
+    field = spec("p=2\nkind=perfection of finite_field\nf=2")
+    assert perfection_h0(field, 0) == InvariantFactors((2, 2)) and perfection_h0(field, 1).is_trivial()
+    assert derham_cohomology(perf, 0, 7) == {u: perfection_h0(perf, u) for u in range(-6, 7, 2)}
 
 
 def test_cusp_presentation_ranks():

@@ -40,6 +40,7 @@ from helpers import (
     reference_strict_invariants,
     reference_versch_at,
     reference_weight_class,
+    reference_weight_window,
     restriction_from,
     solve,
     span_contains,
@@ -551,6 +552,19 @@ def test_strict_poly_weight_structure():
     assert lvl.invariants(0, Fraction(1, 2)) == InvariantFactors((4,))
     assert lvl.invariants(0, Fraction(1, 4)) == InvariantFactors((2,))
     assert lvl.invariants(0, 0) == InvariantFactors((8,))  # constants W_3(F_2)
+
+
+@pytest.mark.parametrize("laurent", [False, True])
+def test_strict_weights_are_ints_when_integral(laurent):
+    # the level-2 weights of a p = 3 ring at cap 2 are the listed window over
+    # 3, object for object: an int where integral, else a Fraction, so keys
+    # built from them (str(u), wkey) are the listed window's
+    ring = spec("p=3\nkind=laurent\nvars=x:1") if laurent else F3X
+    level = strict_truncate(saturate(ring, 2, 1), 2)
+    ws, ref = level.weights(2), reference_weight_window(2, 3, laurent)
+    assert ws == ref and [type(u) for u in ws] == [type(u) for u in ref]
+    plain = ws[6:] if laurent else ws
+    assert type(plain[3]) is int and plain[1] == Fraction(1, 3) and type(plain[1]) is Fraction
 
 
 def test_repeated_invariants_build_one_group_and_normalize_once(monkeypatch):

@@ -63,40 +63,19 @@ def test_exponents_one_variable_negative_target():
     assert exponents((), -2) == []
 
 
-def _window_by_loop(cap, den, laurent):
-    """The fractional window as a stepping loop: num/den from -cap (or 0) up to cap."""
-    cap = Fraction(cap)
-    lo = -cap if laurent else Fraction(0)
-    out = []
-    num = int(lo * den)
-    while Fraction(num, den) <= cap:
-        u = Fraction(num, den)
-        out.append(int(u) if u.denominator == 1 else u)
-        num += 1
-    return out
-
-
-WINDOW_GRID = dict(
+@settings(max_examples=200, deadline=None)
+@given(
     cap=st.fractions(min_value=-3, max_value=8, max_denominator=9),
     den=st.sampled_from([1, 2, 3, 4, 9, 25]),
     laurent=st.booleans(),
 )
-
-
-@settings(max_examples=200, deadline=None)
-@given(**WINDOW_GRID)
 def test_weight_window_matches_stepping_loop(cap, den, laurent):
-    nums = window(cap, den, laurent)
-    assert [Fraction(k, den) for k in nums] == _window_by_loop(cap, den, laurent)
-    assert all(type(k) is int for k in nums)
-
-
-@settings(max_examples=200, deadline=None)
-@given(**WINDOW_GRID)
-def test_window_matches_the_reference_weight_window(cap, den, laurent):
-    # the numerator range is the listed window over den: same endpoints,
-    # len() is its length, and `in` holds exactly at its numerators
+    # the numerator range is the listed window that it replaced, over den:
+    # same weights and endpoints, len() is its length, and `in` holds
+    # exactly at its numerators
     nums, ref = window(cap, den, laurent), reference_weight_window(cap, den, laurent)
+    assert [Fraction(k, den) for k in nums] == ref
+    assert all(type(k) is int for k in nums)
     assert len(nums) == len(ref)
     if ref:
         assert Fraction(nums[0], den) == ref[0] and Fraction(nums[-1], den) == ref[-1]

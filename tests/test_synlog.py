@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drwitt import dieudonne, synlog
+from drwitt import derham, dieudonne, synlog
 from drwitt.dieudonne import SaturatedModel, StrictLevel, perfection_consistency_check, saturate, strict_truncate
 from drwitt.errors import PrecisionExhausted
 from drwitt.exactcore import InvariantFactors, mat_mul
@@ -806,6 +806,18 @@ def test_nygaard_graded_reads_classes_not_its_window(monkeypatch):
     monkeypatch.setattr(SaturatedModel, "class_at", lambda self, a: keyed.append(a) or class_at(self, a))
     assert nygaard_graded_check(F2X, 1, 499999)
     assert 0 < len(keyed) < 1000
+
+
+def test_nygaard_graded_reads_a_perfections_h0_at_one_weight(monkeypatch):
+    # a variable weight with a large prime-to-p part m' leaves about
+    # 2 cap / m' supported numerators, so the budget admits a cap near
+    # 5 10^11; the de Rham side is read at each representative's weight
+    # alone, and no de Rham window is listed up to it
+    monkeypatch.setattr(derham, "window", None)
+    perf = parse_ringspec("p=2\nkind=perfection of poly\nvars=x:999999")
+    assert nygaard_graded_check(perf, 1, 4 * 10**11)
+    with pytest.raises(PrecisionExhausted, match="window budget"):
+        nygaard_graded_check(perf, 1, 10**12)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
