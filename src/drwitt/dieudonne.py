@@ -19,7 +19,8 @@ The pipeline, per curated ring S of characteristic p:
    exactly the Verschiebung-type generators.
 
 3. `strict_truncate` forms W_r = W/(V^r W + d V^r W) with the induced
-   d; V, which builds the relations, is F^{-1} composed with p.
+   d.  V = F^{-1} p and d are p-powers times units on the lattices, so each
+   group is L / p^e L for its lattice L, e read off the lattice exponents.
 
 The model refuses more than one variable, so each lattice is p^c I on
 the f coefficient digits of one monomial form, and d, F and V are closed
@@ -485,7 +486,7 @@ class StrictLevel:
         self.p = model.p
         self.ring = model.ring
         self._groups = {}  # (degree, class_at key) -> SubQuot, built at the first weight that asks
-        self._invariants = {}  # SubQuot -> its invariants
+        self._exponents = {}  # (degree, class_at key) -> e, the group being (Z/p^e)^rank
 
     def weights(self, weight_cap):
         """The level-r weights; the numerator range is counted and refused past DRW_WINDOW_MAX before one is made."""
@@ -498,52 +499,49 @@ class StrictLevel:
             )
         return [k // den if k % den == 0 else Fraction(k, den) for k in nums]
 
-    def _relations(self, n, a):
-        """Generators of V^r W^n_a + d V^r W^(n-1)_a in lattice coordinates (a a numerator), unreduced."""
+    def _exponent(self, n, a):
+        """e with W_r^n at numerator a = p^c I / p^(c+e) I, the lattice there p^c I (0 at rank 0).
+
+        Soundness.  One step of V, (n, b) -> (n, b/p), is p^(1 + c(n, b) -
+        c(n, b/p)) sigma^-1 (`versch_at`), so V^r from (n, a p^r) telescopes
+        to p^(r + c(n, a p^r) - c(n, a)) sigma^-r; d from (n-1, a) is
+        (a/m) p^(c(n-1, a) - s_star - c(n, a)) I (`d_at`, see `_onto`).  sigma
+        is a unit mod p (tested once in SaturatedModel.__init__), so the rows
+        of V^r, V^r d and p^r I span p^x I, x their least exponent, which is
+        e; V^r d at rank 0 (or a = 0, where d = 0) adds no row, and a class
+        has one rank along a, a p, ..., a p^r (see class_at).
+        """
         model, r, p = self.model, self.r, self.p
-        k = model.rank_at(n, a)
-        rows = []
+        lats = [model.lattice_at(nn, b) for nn, b in ((n, a), (n, a * p**r), (n - 1, a * p**r))]
+        if not lats[0]:
+            return 0
+        here, v_src, d_src = (p_split(lat[0][0], p)[0] if lat else None for lat in lats)
+        e = min(r, r + v_src - here)
+        if d_src is not None and a:
+            e = min(e, r + d_src + p_split(a // model.spec.weights[0], p)[0] - model.s_star - here)
+        return e
 
-        def v_iterated(nn):
-            """Matrix of V^r from (nn, a p^r) into (nn, a)."""
-            cur = a * p**r
-            mat = None
-            for _ in range(r):
-                V = model.versch_at(nn, cur)
-                mat = V if mat is None else mat_mul(self.ring, mat, V)
-                cur //= p
-            return mat
-
-        Vr = v_iterated(n)
-        if Vr:
-            rows += Vr
-        if n >= 1:
-            Vr1 = v_iterated(n - 1)
-            if Vr1:
-                D = model.d_at(n - 1, a)
-                rows += mat_mul(self.ring, Vr1, D)
-        # p^r times everything is V^r F^r, but include it explicitly so the
-        # quotient is visibly killed by p^r at this precision
-        rows += identity(k, p**r)
-        return rows
-
-    def group(self, n, u) -> SubQuot:
-        """W_r^n at weight u, once per class_at key: its relations span one submodule there."""
+    def _class(self, n, u):
+        """(n, class_at key), rank and exponent at weight u; the exponent and the group are kept per key."""
         a = self.model.num(u)
         if a is None:
             raise PrecisionExhausted("V^r source weight escapes the denominator cap")
         key = n, self.model.class_at(a)
+        if key not in self._exponents:
+            self._exponents[key] = self._exponent(n, a)
+        return key, self.model.rank_at(n, a), self._exponents[key]
+
+    def group(self, n, u) -> SubQuot:
+        """W_r^n at weight u, once per class_at key: the lattice coordinates I over p^e I."""
+        key, k, e = self._class(n, u)
         if key not in self._groups:
-            k = self.model.rank_at(n, a)
-            self._groups[key] = SubQuot(self.ring, k, identity(k), self._relations(n, a))
+            self._groups[key] = SubQuot(self.ring, k, identity(k), identity(k, self.p**e))
         return self._groups[key]
 
     def invariants(self, n, u) -> InvariantFactors:
-        """Invariants of `group(n, u)`, once per group."""
-        grp = self.group(n, u)
-        if grp not in self._invariants:
-            self._invariants[grp] = grp.invariants()
-        return self._invariants[grp]
+        """(Z/p^e)^k at weight u, read off the exponent; no group is built."""
+        _, k, e = self._class(n, u)
+        return InvariantFactors((self.p**e,) * k if e else ())
 
     def d_map(self, n, u):
         a = self.model.num(u)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from .dieudonne import saturate
 from .exactcore import InvariantFactors
 from .rings import RingSpec
-from .synlog import log_lattice
+from .synlog import _log_lattice
 
 
 class KTableRow(namedtuple("KTableRow", [
@@ -109,17 +110,18 @@ def _is_local_type(spec: RingSpec) -> bool:
 
 
 def k_predict(spec: RingSpec, i_max: int, r: int) -> KTable:
-    """Mod-p^r and p-adic K-rows from the logarithmic lattices."""
+    """Mod-p^r and p-adic K-rows from the log lattices of one model per level; a twist bound sets only R."""
     table = KTable(ring=spec.describe(), p=spec.p, rows=[])
     caveat = None if _is_local_type(spec) else "sheaf-level caveat: ring is not local-type"
+    model, model_up = saturate(spec, r, i_max + 1), saturate(spec, r + 1, i_max + 1)
     for i in range(0, i_max + 1):
-        lat = log_lattice(spec, i, r)
+        lat = _log_lattice(model, i, r)
         table.rows.append(
             KTableRow(i, f"p^{r}", lat.invariants, "log-forms", caveat, p_torsion_free=True)
         )
         # p-adic row: the symbol lattices are (Z/p^r)^k with k independent
         # of r, so the limit is Z_p^k; certify by recomputing one level up
-        lat_up = log_lattice(spec, i, r + 1)
+        lat_up = _log_lattice(model_up, i, r + 1)
         k_now = len(lat.invariants.torsion)
         k_up = len(lat_up.invariants.torsion)
         stable = k_now == k_up and all(
@@ -136,7 +138,5 @@ def hiller_check(spec: RingSpec, i_max: int) -> bool:
     """Predicted K_i(S)/p = 0 for perfect S and all i >= 1."""
     if spec.kind != "perfection" and spec.kind != "finite_field":
         raise ValueError("hiller_check applies to perfect rings")
-    for i in range(1, i_max + 1):
-        if not log_lattice(spec, i, 1).invariants.is_trivial():
-            return False
-    return True
+    model = saturate(spec, 1, i_max + 1)
+    return all(_log_lattice(model, i, 1).invariants.is_trivial() for i in range(1, i_max + 1))

@@ -23,7 +23,10 @@ and formed a fresh presentation on every read, and the symbol-subgroup
 sizing and zero-class tests that went through coordinates and a second
 presentation before they read the caller's SubQuot.  Also a howell counter,
 a loader for the benchmark's workload modules, the symbolic universal
-Witt laws that drwitt.witt's arithmetic is checked against, and the
+Witt laws that drwitt.witt's arithmetic is checked against, Illusie's
+complex E of integral forms as the independent oracle for the strict
+levels, the per-degree K-table and Hiller check that built two models
+(one) per degree before k_predict read one model per level, and the
 span tests, the dF = pFd spot check and the maps between strict levels
 that only the tests read, and the library functions that only the tests
 called: the Nygaard identity check and builder, the divided-Frobenius
@@ -75,7 +78,7 @@ from drwitt.exactcore import (
 from drwitt.exactcore import zmodp
 from drwitt.exactcore.modules import residue
 from drwitt.filtspec import FilteredComplex, GradedComplex, _cokernel_complex, _map_kernel, cone
-from drwitt.kpredict import k_predict, quillen_table
+from drwitt.kpredict import KTable, KTableRow, _is_local_type, k_predict, quillen_table
 from drwitt.rings import (
     MonomialAlgebra,
     RingSpec,
@@ -971,6 +974,43 @@ def reference_strict_invariants(level: StrictLevel, n, u):
     return reference_group(level, n, u).invariants()
 
 
+def illusie_strict_invariants(spec: RingSpec, r, n, u) -> InvariantFactors:
+    """W_r Omega^n at weight u of a one-variable curated ring, from Illusie's complex E of integral forms.
+
+    Independent of SaturatedModel (Illusie 1979, I.2).  On W(F_q)[x^(p^-inf)]
+    (with x^-1 on a Laurent ring) a variable of weight m puts weight u at
+    the exponent t = u/m, supported when t lies in Z[1/p] (and t >= 0 unless
+    the ring is Laurent).  There E^0_u = p^s W x^t with s = max(0, -v_p(t)),
+    E^1_u = W x^t dlog x (t != 0, or a Laurent ring), F is x^t -> x^(p t)
+    tensored with sigma, V = p F^-1 and d(x^t) = t x^t dlog x.  So
+    V^r E^n_(u p^r) is p^(r + s_n(t p^r) - s_n(t)) E^n_u, d V^r E^0_(u p^r) is
+    p^(r + s_0(t p^r) + v_p(t)) E^1_u, and W_r Omega^n_u = E^n_u / (V^r E + d V^r E)
+    is (Z/p^e)^f with e the least of these exponents.  A perfection has
+    E^0 = W x^t (s = 0) and no forms; a ring without a variable has W at
+    u = 0 in degree 0 only.
+    """
+    p, f = spec.p, spec.f
+    if spec.nvars == 0:
+        return InvariantFactors.of([p**r] * f if n == 0 and u == 0 else [])
+    t = Fraction(u) / spec.weights[0]
+
+    def vp(y):
+        return p_split(y.numerator, p)[0] - p_split(y.denominator, p)[0]
+
+    def s(k, y):
+        """E^k at the exponent y is p^s W x^y (dlog x in degree 1)."""
+        return max(0, -vp(y)) if k == 0 and y and not spec.is_perfection else 0
+
+    supported = p_split(t.denominator, p)[1] == 1 and (t >= 0 or spec.is_laurent)
+    has_forms = n == 0 or (n == 1 and not spec.is_perfection and (t != 0 or spec.is_laurent))
+    if not (supported and has_forms):
+        return InvariantFactors(())
+    e = r + s(n, t * p**r) - s(n, t)
+    if n == 1 and t:
+        e = min(e, r + s(0, t * p**r) + vp(t) - s(1, t))
+    return InvariantFactors.of([p**e] * f)
+
+
 def reference_nygaard_graded_check(spec, i, weight_cap):
     """{v: (gr^i_N cohomology, tau^{<=i} de Rham cohomology)} at every weight v of the window.
 
@@ -1834,6 +1874,29 @@ def consistency_triangle(p: int, i_max: int, r: int) -> bool:
         if not (a == b == c):
             return False
     return True
+
+
+def reference_k_predict(spec: RingSpec, i_max: int, r: int) -> KTable:
+    """k_predict as it was: two models per degree, the log lattice at level r and at r + 1."""
+    table = KTable(ring=spec.describe(), p=spec.p, rows=[])
+    caveat = None if _is_local_type(spec) else "sheaf-level caveat: ring is not local-type"
+    for i in range(0, i_max + 1):
+        lat = log_lattice(spec, i, r)
+        table.rows.append(KTableRow(i, f"p^{r}", lat.invariants, "log-forms", caveat, p_torsion_free=True))
+        lat_up = log_lattice(spec, i, r + 1)
+        k_now = len(lat.invariants.torsion)
+        k_up = len(lat_up.invariants.torsion)
+        stable = k_now == k_up and all(
+            t == spec.p**r for t in lat.invariants.torsion
+        ) and all(t == spec.p ** (r + 1) for t in lat_up.invariants.torsion)
+        padic = InvariantFactors((), k_now) if stable else lat.invariants
+        table.rows.append(KTableRow(i, "Z_p", padic, "log-forms", caveat if stable else "limit not certified"))
+    return table
+
+
+def reference_hiller_check(spec: RingSpec, i_max: int) -> bool:
+    """hiller_check as it was: one level-1 model per degree."""
+    return all(log_lattice(spec, i, 1).invariants.is_trivial() for i in range(1, i_max + 1))
 
 
 def elements(self: GF):

@@ -171,6 +171,20 @@ def test_kpredict_json_payload(rings, capsys):
     assert all(r["group"]["torsion"] == [] for r in zeros)
 
 
+def test_kpredict_reads_a_thousand_degrees_on_two_models(tmp_path, capsys):
+    # one model per level serves every degree, so GF(2^16) at --range 0..1000
+    # builds two models, not 2002 (each lifting its own Frobenius)
+    ring = tmp_path / "gf2_16.ring"
+    ring.write_text("p = 2\nkind = finite_field\nf = 16\n")
+    start = time.perf_counter()
+    code, out = run_cli(["kpredict", "--ring", str(ring), "--range", "0..1000", "--json"], capsys)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 2002 and rows[0]["group"] == {"torsion": ["2^1"], "free_rank": 0}
+    assert all(r["group"]["torsion"] == [] for r in rows if r["degree"] > 0)
+
+
 def test_check_exit_codes(rings, capsys):
     code, _ = run_cli(
         ["check", "fundamental-seq", "--ring", rings["fp"], "--twist", "1", "--modp", "2"], capsys
@@ -788,6 +802,10 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
         return strict_truncate(saturate(spec, level, 2), level).weights(cap)
 
     assert len(drw_window(poly, 3, 4)) == 17
+    # at the limit: level 1 on a poly ring holds cap + 1 weights, so cap 99999 is admitted and 100000 refused
+    assert len(drw_window(poly, 1, 99999)) == DRW_WINDOW_MAX
+    budget = "a level-1 window with weight cap 100000 holds more than 100000 weights, the drw window budget"
+    assert refusal(lambda: drw_window(poly, 1, 100000)) == budget
     assert len(drw_window(poly, 15, 4)) == 65537 and len(drw_window(poly, 16, 3)) == 98305
     assert len(drw_window(lau, 14, 4)) == 65537
     budget = "a level-16 window with weight cap 4 holds more than 100000 weights, the drw window budget"

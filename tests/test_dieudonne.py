@@ -28,6 +28,7 @@ from helpers import (
     check_dieudonne_relations,
     eta_p_lattice,
     frob_to_lower,
+    illusie_strict_invariants,
     reference_certify,
     reference_d_at,
     reference_express,
@@ -36,6 +37,7 @@ from helpers import (
     reference_lattice_at,
     reference_lift_d_matrix,
     reference_lift_f_matrix,
+    reference_relations,
     reference_stage_lattice,
     reference_strict_invariants,
     reference_versch_at,
@@ -568,12 +570,16 @@ def test_strict_weights_are_ints_when_integral(laurent):
 
 
 def test_repeated_invariants_build_one_group_and_normalize_once(monkeypatch):
+    # invariants read the class exponent and build no group; group builds
+    # one SubQuot per class on the rows p^e I as given, and b is their
+    # normal form, formed once on first read and equal to the reference's
     import drwitt.dieudonne as dieudonne
     import drwitt.exactcore.modules as modules
 
     level = strict_truncate(saturate(F3X, 2, 1), 2)
     u = Fraction(1, 3)
-    rels = level._relations(1, level.model.num(u))  # also builds the lattices and V
+    a = level.model.num(u)
+    rels = reference_relations(level, 1, a)  # the generic V^r, V^r d and p^r rows
     built, normalized = [], []
     sub, nf = dieudonne.SubQuot, modules.normal_form
 
@@ -588,10 +594,13 @@ def test_repeated_invariants_build_one_group_and_normalize_once(monkeypatch):
     monkeypatch.setattr(dieudonne, "SubQuot", counting_subquot)
     monkeypatch.setattr(modules, "normal_form", counting_nf)
     assert [level.invariants(1, u) for _ in range(4)] == [InvariantFactors((3,))] * 4
-    assert len(built) == 1
-    # the invariants read a Smith form off the rows as given; b is normalized on read
-    assert normalized.count(rels) == 0 and rels != nf(level.ring, rels, 1)
-    assert level.group(1, u).b == nf(level.ring, rels, 1)
+    assert not built and level._exponents == {(1, level.model.class_at(a)): 1}
+    groups = [level.group(1, u) for _ in range(4)]
+    assert len(built) == 1 and all(g is groups[0] for g in groups)
+    assert built[0][2:] == (identity(1), identity(1, 3)) and not normalized
+    assert rels != nf(level.ring, rels, 1)
+    assert [g.b for g in groups] == [nf(level.ring, rels, 1)] * 4 == [identity(1, 3)] * 4
+    assert normalized == [identity(1, 3)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -605,7 +614,73 @@ def test_strict_invariants_match_the_per_weight_groups(p):
             cells = [(n, u) for u in level.weights(4) for n in range(model.top + 1)]
             for n, u in cells:
                 assert level.invariants(n, u) == reference_strict_invariants(ref, n, u), (s, r, n, u)
-            assert len(level._groups) == len({(n, reference_weight_class(s, u)) for n, u in cells})
+            # one exponent per class, and no group: invariants read the exponent
+            assert len(level._exponents) == len({(n, reference_weight_class(s, u)) for n, u in cells})
+            assert not level._groups
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_illusie_oracle_matches_the_strict_levels(p):
+    # Illusie's complex E gives W_r Omega^n_u without SaturatedModel; it
+    # agrees with the closed-form invariants and with each weight's own
+    # generic group (V^r, V^r d and p^r rows by mat_mul, then a Smith
+    # form) on every cell of the window, degrees past the top included
+    cells = 0
+    for s in weight_class_specs(p):
+        for r in (1, 2, 3):
+            model = saturate(s, r, 1)
+            level, ref = strict_truncate(model, r), strict_truncate(saturate(s, r, 1), r)
+            for u in level.weights(4):
+                for n in range(model.top + 2):
+                    want = illusie_strict_invariants(s, r, n, u)
+                    assert level.invariants(n, u) == want == reference_strict_invariants(ref, n, u), (s, r, n, u)
+                    cells += 1
+    assert cells == {2: 1750, 3: 3142, 5: 7318}[p]  # 7,578 cells at degrees <= top
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_strict_invariants_form_no_product_normal_form_or_smith_form(p, monkeypatch):
+    # the invariants are (Z/p^e)^k read off lattice exponents: once the
+    # models are built (sigma^-1 and sigma's unit test take a product and a
+    # Howell form there), no cell of the grid multiplies, normalizes or
+    # takes a Smith form
+    levels = [
+        (model, strict_truncate(model, r))
+        for s in weight_class_specs(p)
+        for r in (1, 2, 3)
+        for model in [saturate(s, r, 1)]
+    ]
+    calls = []
+    for name in ("mat_mul", "howell", "normal_form", "quotient_invariants"):
+        fn = getattr(exactcore_modules, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("drwitt") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    nontrivial = 0
+    for model, level in levels:
+        for u in level.weights(4):
+            for n in range(model.top + 2):
+                nontrivial += not level.invariants(n, u).is_trivial()
+    assert not calls and nontrivial
+
+
+def test_the_p_r_rows_cap_the_exponent(monkeypatch):
+    # p^r = V^r F^r is among the relations, so e <= r.  On the model c never
+    # grows along a, a p, ..., a p^r, so V^r alone stays at or below p^r; a
+    # degree-1 lattice one p deeper at a p^r (patched here) puts V^r at p^3
+    # on F_3[x] at level 2, and at weight 3 d V^r is at p^3 too
+    model = saturate(F3X, 2, 1)
+    a = model.num(3)
+    lattice_at = model.lattice_at
+
+    def deeper(n, b):
+        lat = lattice_at(n, b)
+        return [[3 * x for x in row] for row in lat] if (n, b) == (1, a * 9) else lat
+
+    assert strict_truncate(model, 2).invariants(1, 3) == InvariantFactors((9,))
+    monkeypatch.setattr(model, "lattice_at", deeper)
+    level = strict_truncate(model, 2)
+    assert level.invariants(1, 3) == InvariantFactors((9,)) and level._exponents == {(1, model.class_at(a)): 2}
 
 
 def test_weight_class_keys():
@@ -773,12 +848,13 @@ def test_class_keyed_maps_satisfy_the_dieudonne_identities(p):
 
 
 def test_each_map_and_group_is_built_once_per_class(monkeypatch):
-    # on one-variable cells each strict group is built once per (level,
-    # degree, class_at key), and a class serves more numerators than it
-    # builds at; d, F and V are closed forms per numerator (see
+    # on one-variable cells each strict exponent and group is built once
+    # per (level, degree, class_at key), and a class serves more numerators
+    # than it builds at; d, F and V are closed forms per numerator (see
     # test_the_maps_read_no_lift_matrix)
     from collections import Counter
 
+    import drwitt.dieudonne as dieudonne
     from drwitt.synlog import syntomic
 
     built, asked = Counter(), {}
@@ -798,16 +874,25 @@ def test_each_map_and_group_is_built_once_per_class(monkeypatch):
         monkeypatch.setattr(owner, name, wrapped)
         monkeypatch.setattr(owner, public, asking)
 
-    counting(StrictLevel, "_relations", "group")
+    counting(StrictLevel, "_exponent", "invariants")
+    groups, subquot = [], dieudonne.SubQuot
+    monkeypatch.setattr(dieudonne, "SubQuot", lambda *args: groups.append(args) or subquot(*args))
     syntomic(LAU2, 1, 2, 2, 4)
     level = strict_truncate(saturate(F3X, 2, 1), 2)
+    model, p = level.model, level.p
     for u in level.weights(3):
         for n in (0, 1):
             level.invariants(n, u)
             level.d_map(n, u)
+    # one exponent per class, fewer than the cells that read one
     assert set(built.values()) == {1}
-    for name in ("_relations",):
-        assert 0 < sum(1 for key in built if key[0] == name) < len(asked[name]), name
+    assert 0 < len(built) < len(asked["_exponent"])
+    # one group per class that d_map reads, each I over p^e I with that class's exponent
+    classes = {(n, model.class_at(model.num(u))) for u in level.weights(3) for n in (0, 1, 2)}
+    assert len(groups) == len(classes) == len(level._groups) < 3 * len(level.weights(3))
+    for key, grp in level._groups.items():
+        k, e = len(grp.z), level._exponents[key]
+        assert (grp.z, grp._b) == (identity(k), identity(k, p**e)), key
 
 
 def test_invariants_past_the_denominator_cap_raise_after_their_class_is_seen():

@@ -1,12 +1,14 @@
 """K-theory prediction tables and their cross-checks."""
 
+import itertools
+
 import pytest
 
 from drwitt.exactcore import InvariantFactors
 from drwitt.kpredict import hiller_check, k_predict, quillen_table
 from drwitt.rings import parse_ringspec
 
-from helpers import consistency_triangle
+from helpers import consistency_triangle, reference_hiller_check, reference_k_predict
 
 
 def spec(text):
@@ -73,6 +75,40 @@ def test_hiller():
     assert hiller_check(spec("p=2\nkind=perfection of laurent\nvars=x:1"), 3)
     with pytest.raises(ValueError):
         hiller_check(spec("p=2\nkind=poly\nvars=x:1"), 2)
+
+
+KINDS = (
+    "kind=finite_field",
+    "kind=poly\nvars=x:1",
+    "kind=laurent\nvars=x:1",
+    "kind=laurent\nvars=x:{p}",
+    "kind=poly\nvars=x:{q}",
+    "kind=perfection of poly\nvars=x:1",
+    "kind=perfection of laurent\nvars=x:1",
+    "kind=perfection of finite_field",
+)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_k_predict_reads_one_model_per_level_as_the_per_degree_tables(p, monkeypatch):
+    # a model's twist bound sets only its precision, so the two models of
+    # degree H give the rows that two models per degree gave; k_predict
+    # builds two models and hiller_check one, whatever the range
+    import drwitt.kpredict as kpredict
+
+    built, saturate = [], kpredict.saturate
+    monkeypatch.setattr(kpredict, "saturate", lambda *args: built.append(args[1:]) or saturate(*args))
+    for f in (1, 2, 3):
+        for kind in KINDS:
+            s = spec(f"p={p}\nf={f}\n" + kind.format(p=p, q=p + 1))
+            for H, r in itertools.product((0, 1, 3, 5), (1, 2, 3)):
+                built.clear()
+                assert k_predict(s, H, r).to_json() == reference_k_predict(s, H, r).to_json(), (s, H, r)
+                assert built == [(r, H + 1), (r + 1, H + 1)]
+                if s.kind in ("finite_field", "perfection"):
+                    built.clear()
+                    assert hiller_check(s, H) == reference_hiller_check(s, H), (s, H)
+                    assert built == [(1, H + 1)]
 
 
 def test_consistency_triangle():
