@@ -7,11 +7,9 @@ are deterministic (sorted keys, no timestamps); `--manifest PATH` writes
 a separate run manifest carrying the wall time and the payload digest,
 so re-running a manifest's command reproduces byte-identical output.
 `witt`, `filtspec` and `kpredict` are imported inside the verbs that use
-them, so no other verb pays for them at start-up.  No verb checks a size
-budget: a model refuses a precision past its bit budget, and each weight
-walk a window past its count, with one `PrecisionExhausted` that names
-the limit.  Only a `specseq` document's `Zmod` ring is sized here, since
-it builds no model.
+them, so no other verb pays for them at start-up.  The size budgets are
+in `budgets`; the only one counted here is a `specseq` document's `Zmod`
+ring, since it builds no model.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
-from .dieudonne import _exceeds_bits, saturate, strict_truncate
+from . import __version__, budgets
+from .dieudonne import saturate, strict_truncate
 from .derham import cartier_smooth_check, derham_table
 from .errors import DrwittError, PrecisionExhausted
 from .exactcore import FinComplex, FinModPresentation, ZZ, ZmodRing
@@ -51,14 +49,6 @@ def _load_spec(args):
     """Parse the --ring file; its text is digested into the run manifest."""
     args._ring_text = _read(args.ring)
     return parse_ringspec(args._ring_text)
-
-
-# A specseq Zmod ring computes with residues of N log2(p) bits: a random
-# two-step filtration of rank-3 modules with full-size entries runs in
-# 6.5 s at p = 2, N = 8192, and in 2.2 s at N = 4096.  It is checked here
-# because the document builds no model; every other size budget lives in
-# the module whose walk or precision it bounds.
-ZMOD_BITS_MAX = 2**13
 
 
 def _wkey_str(w):
@@ -349,10 +339,12 @@ def _parse_ring_json(obj):
         p, N = _field(obj, "p", "ring"), _field(obj, "N", "ring")
         if not is_prime(p) or N < 1:
             raise DrwittError(f"Zmod needs a prime p and N >= 1, got p = {p}, N = {N}")
-        if _exceeds_bits(p, N, ZMOD_BITS_MAX):
-            raise PrecisionExhausted(
-                f"Zmod with p = {p}, N = {N} needs residues of more than {ZMOD_BITS_MAX} bits, the precision budget"
-            )
+        budgets.refuse_past(
+            (p, N),
+            budgets.ZMOD_BITS_MAX,
+            PrecisionExhausted,
+            f"Zmod with p = {p}, N = {N} needs residues of more than {budgets.ZMOD_BITS_MAX} bits, the precision budget",
+        )
         return ZmodRing(p, N)
     raise DrwittError(f"unknown coefficient ring {obj!r}")
 

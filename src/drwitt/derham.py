@@ -17,11 +17,13 @@ degree-0 inverse Cartier map is the p-power bijection.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .errors import UnsupportedBaseChange, UnsupportedKind
+from . import budgets
+from .errors import PrecisionExhausted, UnsupportedBaseChange, UnsupportedKind
 from .exactcore import InvariantFactors, SubQuot, gf_rref, normal_form
 from .exactcore.gf import subtract_multiple
-from .rings import MonomialAlgebra, RingSpec, memo, p_split, window
+from .rings import MonomialAlgebra, RingSpec, exponent_tries, memo, p_split, window
 
 
 class _GradedComplex:
@@ -162,8 +164,40 @@ class DeRhamComplex(_GradedComplex):
         return out
 
 
+def _count_walk(spec: RingSpec, maxdeg: int, weight_cap):
+    """Refuse a table or check through maxdeg past the de Rham walk budget, before listing any of it.
+
+    The walk visits each cell (n, w) of degrees n <= maxdeg + 1 in the
+    weight window, and in it one slot per subset J of the variables with
+    |J| = n, where the forms m dx_J are enumerated; a slot counts 1 and the
+    exponent tuples it tries (`rings.exponent_tries`).  Slots are counted
+    weight by weight upward and the count stops once it is past the limit.
+    A perfection lists no forms, so its cells alone count.
+    """
+    weights = window(weight_cap, 1, spec.is_laurent)
+    count = (maxdeg + 2) * len(weights)
+    slots = () if spec.is_perfection else (
+        1 + exponent_tries(spec.weights, w - sum(spec.weights[j] for j in J))
+        for w in weights
+        for n in range(min(maxdeg + 1, spec.nvars) + 1)
+        for J in combinations(range(spec.nvars), n)
+    )
+    for cost in slots:
+        if count > budgets.DERHAM_WALK_MAX:
+            break
+        count += cost
+    budgets.refuse_past(
+        count,
+        budgets.DERHAM_WALK_MAX,
+        PrecisionExhausted,
+        f"a de Rham walk through degree {maxdeg} with weight cap {weight_cap} visits more than"
+        f" {budgets.DERHAM_WALK_MAX} cells and forms, the de Rham walk budget",
+    )
+
+
 def derham_table(spec: RingSpec, maxdeg: int, weight_cap) -> dict:
     """{i: derham_cohomology(spec, i, weight_cap)} for i <= maxdeg, read off one complex."""
+    _count_walk(spec, maxdeg, weight_cap)
     omega = None if spec.is_perfection else DeRhamComplex(spec, maxdeg + 1, weight_cap)
     return {i: derham_cohomology(spec, i, weight_cap, omega) for i in range(maxdeg + 1)}
 
@@ -219,6 +253,7 @@ def cartier_smooth_check(spec: RingSpec, i_max: int, weight_cap) -> dict:
         report["verdict"] = "consistent-with-Cartier-smooth up to caps"
         report["note"] = "perfection short-circuit"
         return report
+    _count_walk(spec, i_max, weight_cap)
     C = DeRhamComplex(spec, i_max + 1, weight_cap)
     for i in range(i_max + 1):
         wrow = {}

@@ -59,17 +59,15 @@ All lattices live at finite precision p^B with B comfortably above the
 reported precision; maps between lattice coordinate systems are exact
 modulo the reported modulus, and every division by p is checked.
 
-The model owns the size budgets of what it builds: `SaturatedModel`
-refuses a precision p^B whose residues take more than PRECISION_BITS_MAX
-bits before it forms p^B or the lift, and `StrictLevel.weights` refuses
-a window of more than DRW_WINDOW_MAX weights before it lists one.
+`SaturatedModel` and `StrictLevel.weights` count what they build
+against the precision and drw window budgets of `budgets`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log2
 
+from . import budgets
 from .errors import InexactDivision, PrecisionExhausted, UnsupportedKind
 from .exactcore import (
     FinComplex,
@@ -88,26 +86,6 @@ from .exactcore import (
 from .rings import MonomialAlgebra, RingSpec, memo, p_split, window
 
 GUARD = 2
-# Size budgets; the times are on a 2-vCPU VM with Python 3.11.
-# A model works modulo p^B, B = R + 2 s_star + 2, and a residue over GF(p^f)
-# takes f B log2(p) bits, as does each lattice entry, sigma entry and
-# Newton step of the Frobenius lift.  At 2^14 bits the slowest verbs are
-# drw table at the drw window budget (a p = 2 poly ring, --level 15
-# --maxdeg 16332, 2.9-3.6 s) and kpredict at f = 24 (--modp 222, 4.0-4.6 s;
-# at f = 16, --modp 336 takes 2.0-2.6 s); at 2^15 bits kpredict at f = 16
-# (--modp 678) takes 10.2 s.
-PRECISION_BITS_MAX = 2**14
-# StrictLevel.weights lists about cap p^(r-1) weights (twice that on a Laurent
-# ring), and drw table spends some 40 us and 3.2 KB on each.  At the default
-# cap a p = 3 poly ring walks 78733 at level 10 in 3.0-4.2 s and 248 MB; a
-# p = 2 poly ring walks 65537 at level 15 in 2.5-2.8 s and 131073 at level 16
-# in 7.0 s and 407 MB, which the budget refuses.
-DRW_WINDOW_MAX = 10**5
-
-
-def _exceeds_bits(p, e, bits):
-    """Whether a residue mod p^e takes more than `bits` bits, p^e unformed (e > bits settles it, as p >= 2)."""
-    return e > bits or e * log2(p) > bits
 
 
 def internal_precision(r: int, i_max: int) -> int:
@@ -200,13 +178,15 @@ class SaturatedModel:
         self.s_star = r_level + 1 + v
         self.R = R if R is not None else internal_precision(r_level, i_max)
         self.B = self.R + 2 * self.s_star + 2
-        if _exceeds_bits(self.p, spec.f * self.B, PRECISION_BITS_MAX):
-            field = f"GF({self.p}^{spec.f})" if spec.f > 1 else f"GF({self.p})"
-            given = f"twist bound {i_max}" if R is None else f"precision R = {R}"
-            raise PrecisionExhausted(
-                f"a level-{r_level} model with {given} works modulo {self.p}^B, B = {self.B},"
-                f" whose residues over {field} take more than {PRECISION_BITS_MAX} bits, the precision budget"
-            )
+        field = f"GF({self.p}^{spec.f})" if spec.f > 1 else f"GF({self.p})"
+        given = f"twist bound {i_max}" if R is None else f"precision R = {R}"
+        budgets.refuse_past(
+            (self.p, spec.f * self.B),
+            budgets.PRECISION_BITS_MAX,
+            PrecisionExhausted,
+            f"a level-{r_level} model with {given} works modulo {self.p}^B, B = {self.B},"
+            f" whose residues over {field} take more than {budgets.PRECISION_BITS_MAX} bits, the precision budget",
+        )
         self.P = self.p**self.s_star
         self.ring = ZmodRing(self.p, self.R)
         self._amb = ZmodRing(self.p, self.B)
@@ -489,14 +469,16 @@ class StrictLevel:
         self._exponents = {}  # (degree, class_at key) -> e, the group being (Z/p^e)^rank
 
     def weights(self, weight_cap):
-        """The level-r weights; the numerator range is counted and refused past DRW_WINDOW_MAX before one is made."""
+        """The level-r weights; the numerator range is counted against the drw window budget before one is made."""
         den = self.p ** (self.r - 1)
         nums = window(weight_cap, den, self.model.spec.is_laurent)
-        if len(nums) > DRW_WINDOW_MAX:
-            raise PrecisionExhausted(
-                f"a level-{self.r} window with weight cap {weight_cap} holds more than {DRW_WINDOW_MAX} weights,"
-                " the drw window budget"
-            )
+        budgets.refuse_past(
+            len(nums),
+            budgets.DRW_WINDOW_MAX,
+            PrecisionExhausted,
+            f"a level-{self.r} window with weight cap {weight_cap} holds more than {budgets.DRW_WINDOW_MAX} weights,"
+            " the drw window budget",
+        )
         return [k // den if k % den == 0 else Fraction(k, den) for k in nums]
 
     def _exponent(self, n, a):

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import prod
 
+from . import budgets
 from .errors import DegenerationFailed, HomSetTooLarge, NonInjectiveTransitions
 from .exactcore import (
     FinComplex,
@@ -229,8 +230,7 @@ def chain_hom_group(ring, A: FinComplex, B: FinComplex, extra_kill=None):
     # enumerate the whole solution group; preimage returns its Howell form
     H = preimage(ring, rows, allowed)
     orders = pivot_orders(ring, H)
-    if prod(orders) > 4096:
-        raise HomSetTooLarge("hom set exceeds the enumeration budget")
+    budgets.refuse_past(prod(orders), budgets.HOM_SET_MAX, HomSetTooLarge, "hom set exceeds the enumeration budget")
     vecs = [[0] * nvars]
     for hrow, order in zip(H, orders):
         vecs = [[(x + k * y) % q for x, y in zip(base, hrow)] for base in vecs for k in range(order)]

@@ -15,6 +15,7 @@ which is what makes the downstream lattice computations finite.
 
 This module is the one owner of enumeration and of monomial forms:
     exponents(weights, target)   exponent tuples of one weight, lex order
+    exponent_tries(weights, target)   how many tuples exponents tries
     MonomialAlgebra.forms(n, w)  monomial n-forms (m, J) of weight w
     MonomialAlgebra.d_form, .frobenius_form   d and F = phi/p^n on one form
     MonomialAlgebra.component(n, w)  the quotient presentation of n-forms
@@ -105,6 +106,19 @@ def exponents(weights, target):
 
     rec(0, target, ())
     return out
+
+
+def exponent_tries(weights, target):
+    """How many tuples exponents(weights, target) tries, counted without listing one.
+
+    A try is one divmod for the last exponent, or the empty tuple when there are no weights.
+    """
+    if len(weights) < 2:
+        return 1
+    w, rest = weights[0], weights[1:]
+    if len(rest) == 1:
+        return max(0, target // w + 1)
+    return sum(exponent_tries(rest, target - e * w) for e in range(target // w + 1))
 
 
 def p_split(w, p):

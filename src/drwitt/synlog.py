@@ -32,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
+from . import budgets
 from .derham import DeRhamComplex, perfection_h0
 from .dieudonne import GUARD, SaturatedModel, saturate, strict_truncate
 from .errors import PrecisionExhausted
@@ -49,17 +50,8 @@ from .exactcore import (
 )
 from .rings import RingSpec, memo, window
 
-# syntomic and verify_fundamental_seq walk every numerator of the level-r
-# window, about cap p^r of them at some 5 us and 230 bytes each; the two
-# Nygaard checks count theirs and read one numerator per class.  The times
-# are on a 2-vCPU VM with Python 3.11.  syntomic on a Laurent ring at the
-# default cap walks 625001 at p = 5, --modp 7 in 3.3 s, and at p = 2 it walks
-# 2^19 + 1 at --modp 16 in 2.8 s and 2^20 + 1 at --modp 17 in 5.2 s and
-# 220 MB, which the budget refuses.  check nygaard-graded at the largest
-# admitted cap takes 0.08-0.18 s end to end on a p = 2 poly ring and on the
-# p = 2 perfection of poly at --weight-cap 499999, and on a p = 3 Laurent
-# ring at 166666.
-WINDOW_MAX = 10**6
+# syntomic, verify_fundamental_seq and the Nygaard checks count their window
+# against budgets.WINDOW_MAX (see budgets for the measurement).
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +115,7 @@ def _weight_support(model: SaturatedModel, cap, den_exp):
     supported at a = 0 only; one variable of weight m at the window
     numerators that m divides, where the lift has a monomial in degree 0.
     Support is read off integers, so no form is enumerated, and len()
-    counts it against WINDOW_MAX without listing it.  It is symmetric on a
+    counts it against the window budget without listing it.  It is symmetric on a
     Laurent ring and non-negative otherwise.
     """
     spec = model.spec
@@ -133,11 +125,13 @@ def _weight_support(model: SaturatedModel, cap, den_exp):
         support = w[-w.start % step :: step]
     else:
         support = window(cap, 1, False)[:1]
-    if len(support) > WINDOW_MAX:
-        raise PrecisionExhausted(
-            f"a weight window with cap {cap} and denominators up to {model.p}^{den_exp} holds more than"
-            f" {WINDOW_MAX} numerators, the window budget"
-        )
+    budgets.refuse_past(
+        len(support),
+        budgets.WINDOW_MAX,
+        PrecisionExhausted,
+        f"a weight window with cap {cap} and denominators up to {model.p}^{den_exp} holds more than"
+        f" {budgets.WINDOW_MAX} numerators, the window budget",
+    )
     return support
 
 

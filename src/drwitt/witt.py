@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from copy import copy
 
-from .errors import InexactDivision, LengthMismatch, LengthUnderflow, TorsionCoefficients
+from . import budgets
+from .errors import InexactDivision, LengthMismatch, LengthUnderflow, PrecisionExhausted, TorsionCoefficients
 from .exactcore import Zq, power
 from .rings import MonomialAlgebra, wkey
 
@@ -176,6 +177,12 @@ class WittRing:
     def __init__(self, algebra, length: int, p: int | None = None):
         if length < 1:
             raise LengthUnderflow("Witt length must be >= 1")
+        budgets.refuse_past(
+            length,
+            budgets.WITT_LENGTH_MAX,
+            PrecisionExhausted,
+            f"a Witt length of {length} is more than {budgets.WITT_LENGTH_MAX}, the Witt length budget",
+        )
         self.algebra = algebra
         self.length = length
         if isinstance(algebra, MonomialAlgebra):

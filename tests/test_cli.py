@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -634,6 +635,11 @@ BAD_FLAGS = [
     ["check", "nygaard-complete", "--ring", "{f8}", "--twist", "1000000"],
     ["drw", "table", "--ring", "{poly}", "--level", "1000000000", "--weight-cap", "0"],
     ["check", "nygaard-graded", "--ring", "{poly}", "--weight-cap", "1000000"],
+    ["derham", "table", "--ring", "{poly}", "--weight-cap", "1000000"],
+    ["derham", "table", "--ring", "{poly}", "--maxdeg", "1000000"],
+    ["cartier-check", "--ring", "{poly}", "--weight-cap", "1000000"],
+    ["cartier-check", "--ring", "{poly}", "--maxdeg", "1000000"],
+    ["witt", "add", ",".join(["1"] * 200), ",".join(["1"] * 200), "--len", "200"],
 ]
 BAD_FLAG_IDS = [
     "syntomic-modp-0",
@@ -720,6 +726,11 @@ BAD_FLAG_IDS = [
     "nygaard-complete-twist-past-precision-budget",
     "drw-level-past-precision-budget",
     "nygaard-graded-weight-cap-past-budget",
+    "derham-weight-cap-past-walk-budget",
+    "derham-maxdeg-past-walk-budget",
+    "cartier-weight-cap-past-walk-budget",
+    "cartier-maxdeg-past-walk-budget",
+    "witt-len-past-length-budget",
 ]
 
 
@@ -763,10 +774,12 @@ def refusal(build):
 def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings, bad_inputs, capsys):
     from helpers import load_perfbench
 
-    from drwitt.cli import ZMOD_BITS_MAX, build_parser
-    from drwitt.dieudonne import DRW_WINDOW_MAX, PRECISION_BITS_MAX, SaturatedModel
+    from drwitt.budgets import DRW_WINDOW_MAX, PRECISION_BITS_MAX, WINDOW_MAX, ZMOD_BITS_MAX
+    from drwitt.cli import build_parser
+    from drwitt.derham import _count_walk
+    from drwitt.dieudonne import SaturatedModel
     from drwitt.errors import PrecisionExhausted
-    from drwitt.synlog import WINDOW_MAX, _weight_support, nygaard_graded_check
+    from drwitt.synlog import _weight_support, nygaard_graded_check
 
     fp, f8, poly, lau = (parse_ringspec(Path(rings[k]).read_text()) for k in ("fp", "f8", "poly", "lau"))
     # the precision budget: a model's residues take f B log2(p) bits, B = R + 2 s* + 2,
@@ -854,11 +867,11 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
     with pytest.raises(PrecisionExhausted):
         load_filtered_complex(doc)
     # every benchmark job builds its models and walks its windows within the
-    # budgets: a CLI job's base and R+1 models, a sweep cell's too, and the
-    # sweep's windows at base and at cap * p
+    # budgets: a CLI job's base and R+1 models, a sweep cell's too, the
+    # sweep's windows at base and at cap * p, and a de Rham job's walk
     workloads, sweep = load_perfbench("workloads"), load_perfbench("sweep")
     jobs = [job for name in workloads.WORKLOADS for job in workloads.all_jobs(name)]
-    walked = {"drw": 0, "syntomic": 0, "check": 0, "cell": 0}
+    walked = {"drw": 0, "syntomic": 0, "check": 0, "cell": 0, "derham": 0, "cartier-check": 0}
     for job in jobs:
         spec = parse_ringspec(job.spec)
         if job.cell:
@@ -873,6 +886,10 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
             walked["cell"] += 1
         elif job.argv[0] in walked:
             args = build_parser().parse_args([*job.argv, "--ring", "unread.ring"])
+            walked[args.verb] += 1
+            if args.verb in ("derham", "cartier-check"):
+                _count_walk(spec, args.maxdeg, args.weight_cap)
+                continue
             r = args.level if args.verb == "drw" else args.modp
             model = saturate(spec, r, args.maxdeg if args.verb == "drw" else max(args.maxdeg, args.twist + 1))
             saturate(spec, r, args.maxdeg, R=model.R + 1)
@@ -880,7 +897,6 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
                 strict_truncate(model, r).weights(args.weight_cap)
             else:
                 _weight_support(model, args.weight_cap, r)
-            walked[args.verb] += 1
     kinds = ["cell" if job.cell else job.argv[0] for job in jobs]
     assert walked == {kind: kinds.count(kind) for kind in walked} and min(walked.values()) > 5
 
@@ -889,7 +905,8 @@ def test_the_size_budgets_name_their_limits_and_admit_every_benchmark_job(rings,
 def test_a_refusal_reports_the_b_of_the_model_one_step_below_the_limit(rings, name):
     # one precision policy: raise i_max to the last model admitted; the first
     # model refused reports a B one past the B that model computed itself
-    from drwitt.dieudonne import PRECISION_BITS_MAX, SaturatedModel
+    from drwitt.budgets import PRECISION_BITS_MAX
+    from drwitt.dieudonne import SaturatedModel
 
     spec = parse_ringspec(Path(rings[name]).read_text())
     admitted, refused = 0, PRECISION_BITS_MAX
@@ -901,6 +918,86 @@ def test_a_refusal_reports_the_b_of_the_model_one_step_below_the_limit(rings, na
             admitted = mid
     below = SaturatedModel(spec, 2, admitted)
     assert f", B = {below.B + 1}, " in refusal(lambda: SaturatedModel(spec, 2, refused))
+
+
+# one pin per budget in drwitt.budgets; the de Rham walk is pinned through both verbs that walk
+BUDGET_PINS = [
+    "PRECISION_BITS_MAX",
+    "DRW_WINDOW_MAX",
+    "WINDOW_MAX",
+    "ZMOD_BITS_MAX",
+    "HOM_SET_MAX",
+    "DERHAM_WALK_MAX/derham-table",
+    "DERHAM_WALK_MAX/cartier-check",
+    "WITT_LENGTH_MAX",
+]
+
+
+def test_every_budget_has_a_pin():
+    from drwitt import budgets
+
+    assert {pin.split("/")[0] for pin in BUDGET_PINS} == {name for name in vars(budgets) if name.endswith("_MAX")}
+
+
+@pytest.mark.parametrize("pin", BUDGET_PINS)
+def test_each_budget_admits_its_limit_and_refuses_one_past(pin):
+    # each case builds or walks, through the site that pays the cost, what
+    # holds exactly the limit, then what holds one more (the hom set's next
+    # size is 2^13); a refusal at >= fails the first half
+    from drwitt import budgets
+    from drwitt.derham import cartier_smooth_check, derham_table
+    from drwitt.dieudonne import SaturatedModel
+    from drwitt.errors import HomSetTooLarge, PrecisionExhausted
+    from drwitt.exactcore import FinComplex, FinModPresentation, ZmodRing
+    from drwitt.filtspec import chain_hom_group
+    from drwitt.rings import MonomialAlgebra
+    from drwitt.synlog import _weight_support
+    from drwitt.witt import WittRing
+
+    f2 = parse_ringspec("p = 2\nkind = finite_field\n")
+    poly = parse_ringspec("p = 2\nkind = poly\nvars = x:1\n")
+    F2 = ZmodRing(2, 1)
+
+    def free(n):
+        return FinComplex(F2, {0: FinModPresentation.free(F2, n)}, {})
+
+    def zmod_bits(N):
+        level = {"n": 0, "complex": {"0": {"gens": 1}}}
+        doc = {"ring": {"kind": "Zmod", "p": 2, "N": N}, "window": [0, 0], "levels": [level]}
+        return load_filtered_complex(doc).ring.N  # N log2(2) = N bits
+
+    def walk(verb, maxdeg, cap):
+        # a one-variable poly ring walks (maxdeg + 2)(cap + 1) cells and, per
+        # weight, the slots J = {} and J = {x}, each 1 and one exponent try
+        verb(poly, maxdeg, cap)
+        return (maxdeg + 6) * (cap + 1)
+
+    cases = {
+        # B = R + 2 s* + 2 with s* = 2 on GF(2), and B log2(2) = B bits
+        "PRECISION_BITS_MAX": (lambda: SaturatedModel(f2, 1, 1, 16378).B, lambda: SaturatedModel(f2, 1, 1, 16379)),
+        # a level-1 window on a poly ring holds cap + 1 weights
+        "DRW_WINDOW_MAX": tuple(
+            lambda cap=cap: len(strict_truncate(saturate(poly, 1, 2), 1).weights(cap)) for cap in (99999, 100000)
+        ),
+        # with denominators up to p, a p = 2 poly ring supports 2 cap + 1 numerators
+        "WINDOW_MAX": tuple(
+            lambda cap=cap: len(_weight_support(saturate(poly, 1, 2), cap, 1)) for cap in (Fraction(999999, 2), 500000)
+        ),
+        "ZMOD_BITS_MAX": (lambda: zmod_bits(8192), lambda: zmod_bits(8193)),
+        # Hom(F_2, F_2^b) in degree 0 has 2^b maps
+        "HOM_SET_MAX": (lambda: len(chain_hom_group(F2, free(1), free(12))), lambda: chain_hom_group(F2, free(1), free(13))),
+        # 100 * 100 and 73 * 137 = 10001
+        "DERHAM_WALK_MAX/derham-table": (lambda: walk(derham_table, 94, 99), lambda: walk(derham_table, 67, 136)),
+        "DERHAM_WALK_MAX/cartier-check": (
+            lambda: walk(cartier_smooth_check, 94, 99),
+            lambda: walk(cartier_smooth_check, 67, 136),
+        ),
+        "WITT_LENGTH_MAX": tuple(lambda n=n: WittRing(MonomialAlgebra(f2), n).length for n in (20, 21)),
+    }
+    admit, refuse = cases[pin]
+    assert admit() == getattr(budgets, pin.split("/")[0])
+    with pytest.raises(HomSetTooLarge if pin == "HOM_SET_MAX" else PrecisionExhausted, match="budget$"):
+        refuse()
 
 
 def test_a_non_integer_matrix_entry_names_its_level_key_and_degree(bad_inputs):

@@ -441,3 +441,38 @@ def test_a_nonzero_d_squared_is_caught_under_python_O(tmp_path):
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("internal error: AssertionError: d o d != 0"), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p=2\nkind=poly\nvars=x:1,y:1,z:1",
+        "p=3\nkind=poly\nvars=x:2,y:1",
+        "p=3\nkind=laurent\nvars=x:1",
+        "p=2\nkind=quotient\nvars=x:1,y:1\nrels=x*y",
+        "p=2\nkind=finite_field\nf=2",
+        "p=3\nkind=perfection of poly\nvars=x:1",
+    ],
+    ids=["xyz", "weights-2-1", "laurent", "node", "gf4", "perfection"],
+)
+@pytest.mark.parametrize("maxdeg, cap", [(0, 0), (1, 4), (3, 7)])
+def test_the_walk_count_is_the_cells_slots_and_forms_the_walk_lists(monkeypatch, text, maxdeg, cap):
+    # with last variable weight 1 every exponent try is a form, so the
+    # de Rham walk budget counts the cells, the (n, w, J) slots and the
+    # forms MonomialAlgebra.forms lists; a ring without variables tries
+    # the empty tuple at every weight, and a perfection lists no forms
+    from drwitt import budgets, derham
+
+    s = spec(text)
+    counted = []
+    monkeypatch.setattr(budgets, "refuse_past", lambda count, *rest: counted.append(count))
+    derham._count_walk(s, maxdeg, cap)
+    A = drwitt.rings.MonomialAlgebra(s)
+    weights = drwitt.rings.window(cap, 1, s.is_laurent)
+    degrees = range(maxdeg + 2)
+    want = len(degrees) * len(weights)
+    if not s.is_perfection:
+        for n, w in itertools.product(degrees, weights):
+            slots = sum(1 for _ in itertools.combinations(range(s.nvars), n))
+            want += slots + (len(A.forms(n, w)) if s.nvars else slots)
+    assert counted == [want]

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/drwitt imports a name it never uses,
 none reads the process environment, no self-check is a bare assert, no
 public name is dead or reached only from tests and no option is set only
-from tests (beyond named keep-lists), every error class is raised, and the GF(p^f) elimination keeps the one
+from tests (beyond named keep-lists), every error class is raised, every
+size budget lives in budgets.py, and the GF(p^f) elimination keeps the one
 name the benchmark's tracer wraps."""
 
 import ast
@@ -381,6 +382,63 @@ def test_the_scan_sees_an_error_class_nothing_raises(tmp_path):
         "    except Caught:\n        raise errors.Dotted('y') from None\n"
     )
     assert unraised_exceptions(pkg / "errors.py", pkg) == ["Base", "Caught"]
+
+
+def _ends_in_budget(node):
+    """Whether an exception argument is a string literal, plain or formatted, that ends in "budget"."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[-1]
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.endswith("budget")
+
+
+def budget_policy_outside(path):
+    """(line, what) for each piece of size policy a module holds: a
+    module-level NAME_MAX constant, a call of exceeds_bits (or the old
+    _exceeds_bits), or a raise whose message ends in "budget"."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        found += [(node.lineno, f"constant {t.id}") for t in targets if isinstance(t, ast.Name) and t.id.endswith("_MAX")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if name in ("exceeds_bits", "_exceeds_bits"):
+                found.append((node.lineno, "bits check"))
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if any(_ends_in_budget(arg) for arg in node.exc.args):
+                found.append((node.lineno, "budget refusal"))
+    return sorted(found)
+
+
+def test_every_budget_lives_in_the_budgets_module():
+    # a site counts and calls budgets.refuse_past; the limit, the bits
+    # check and the raise are budgets.py's alone
+    modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "budgets.py"]
+    assert len(modules) > 10
+    found = {str(p.relative_to(SRC)): hits for p in modules if (hits := budget_policy_outside(p))}
+    assert found == {}
+    assert budget_policy_outside(SRC / "budgets.py")  # the scan sees the module's own policy
+
+
+def test_the_scan_sees_budget_policy_outside_its_module(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "from . import budgets\n\nSIZE_MAX = 10\nLIMIT_MAX: int = 2\nMAXIMUM = 3\n\n\n"
+        "def f(n, p):\n    local_MAX = 4\n    if exceeds_bits(p, n, 8):\n        raise E('more than 8 bits, the precision budget')\n"
+        "    if budgets._exceeds_bits(p, n, 8):\n        raise E(f'{n} is past the window budget')\n"
+        "    if n > budgets.SIZE_MAX:\n        raise E('budget exceeded')\n"
+        "    budgets.refuse_past(n, budgets.SIZE_MAX, E, f'{n} past the size budget')\n"
+        "    return local_MAX, MAXIMUM\n"
+    )
+    assert budget_policy_outside(mod) == [
+        (3, "constant SIZE_MAX"),
+        (4, "constant LIMIT_MAX"),
+        (10, "bits check"),
+        (11, "budget refusal"),
+        (12, "bits check"),
+        (13, "budget refusal"),
+    ]
 
 
 def test_one_gf_elimination_under_the_traced_name():

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from drwitt.errors import NonQuasiHomogeneous, ParseError, UnsupportedKind
 from drwitt.exactcore import InvariantFactors
 from drwitt.kpredict import KTableRow
+from drwitt import rings
 from drwitt.rings import (
     PRIME_BOUND,
     MonomialAlgebra,
     RingSpec,
+    exponent_tries,
     exponents,
     is_prime,
     memo,
@@ -53,6 +55,30 @@ def _brute_exponents(weights, target):
 def test_exponents_match_bruteforce_in_order(weights, target):
     # list equality checks the set of tuples and their lexicographic order
     assert exponents(weights, target) == _brute_exponents(weights, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+    target=st.integers(-6, 20),
+)
+def test_exponent_tries_counts_the_divmods_of_exponents(weights, target):
+    # the de Rham walk budget counts what exponents tries: one divmod per
+    # tuple of the other exponents, a solution or not
+    calls = []
+
+    def counting_divmod(a, b):
+        calls.append(a)
+        return divmod(a, b)
+
+    rings.divmod = counting_divmod
+    try:
+        listed = exponents(weights, target)
+    finally:
+        del rings.divmod
+    assert exponent_tries(weights, target) == len(calls) >= len(listed)
+    if weights[-1] == 1:
+        assert exponent_tries(weights, target) == len(listed)
 
 
 def test_exponents_one_variable_negative_target():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drwitt import derham, dieudonne, synlog
+from drwitt import budgets, derham, dieudonne, synlog
 from drwitt.dieudonne import SaturatedModel, StrictLevel, perfection_consistency_check, saturate, strict_truncate
 from drwitt.errors import PrecisionExhausted
 from drwitt.exactcore import InvariantFactors, mat_mul
@@ -207,9 +207,9 @@ def test_window_size_counts_the_window_a_model_walks(p, kind, monkeypatch):
         m = saturate(ring, r, 2)
         for cap in (0, 1, 4):
             want = [m.num(w) for w in reference_weight_support(m, cap, r)]
-            monkeypatch.setattr(synlog, "WINDOW_MAX", len(want))
+            monkeypatch.setattr(budgets, "WINDOW_MAX", len(want))
             assert list(synlog._weight_support(m, cap, r)) == want, (r, cap)
-            monkeypatch.setattr(synlog, "WINDOW_MAX", len(want) - 1)
+            monkeypatch.setattr(budgets, "WINDOW_MAX", len(want) - 1)
             budget = f"holds more than {len(want) - 1} numerators, the window budget$"
             with pytest.raises(PrecisionExhausted, match=budget):
                 synlog._weight_support(m, cap, r)
@@ -224,10 +224,10 @@ def test_nygaard_graded_counts_its_window_before_walking_it(p, kind, monkeypatch
     ring, graded = spec(f"p={p}\n{kind}"), synlog._graded_cohomology
     for cap in (0, 1, 3):
         size = len(reference_weight_support(saturate(ring, 1, 2), cap, 1))
-        monkeypatch.setattr(synlog, "WINDOW_MAX", size)
+        monkeypatch.setattr(budgets, "WINDOW_MAX", size)
         sides = reference_nygaard_graded_check(ring, 1, cap).values()
         assert nygaard_graded_check(ring, 1, cap) == all(a == b for a, b in sides)
-        monkeypatch.setattr(synlog, "WINDOW_MAX", size - 1)
+        monkeypatch.setattr(budgets, "WINDOW_MAX", size - 1)
         monkeypatch.setattr(synlog, "_graded_cohomology", None)
         budget = f"^a weight window with cap {cap} and denominators up to {p}\\^1 holds more than {size - 1} numerators"
         with pytest.raises(PrecisionExhausted, match=budget + ", the window budget$"):
